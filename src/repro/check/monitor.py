@@ -84,6 +84,7 @@ class InvariantMonitor:
         # dumps its postmortem even when the violation aborts the run.
         self.on_violation: Optional[Any] = None
         self._engine = None               # sim engine, for timestamps
+        self._runtime = None
         self._workers: List[Any] = []
         # gid -> node that promoted it (single-home claims).
         self._home_claims: Dict[int, int] = {}
@@ -108,6 +109,7 @@ class InvariantMonitor:
         """Instrument every worker of a runtime; returns the monitor."""
         monitor = cls(strict=strict)
         monitor._engine = runtime.engine
+        monitor._runtime = runtime
         for worker in runtime.workers:
             monitor._wrap(worker.dsm)
             monitor._workers.append(worker)
@@ -154,7 +156,9 @@ class InvariantMonitor:
         # (entries homed elsewhere are forwarded, not applied here) and
         # a migration grant can advance the version past the +1 the
         # plain apply produces — the per-entry checks adapt below.
-        has_loc = dsm.locality is not None
+        locality = self._runtime.locality
+        loc = None if locality is None else locality.agents.get(node)
+        has_loc = loc is not None
         self._unacked.setdefault(node, set())
         self._cu_keys.setdefault(node, set())
 
@@ -229,7 +233,7 @@ class InvariantMonitor:
                     continue  # forwarded to the migrated home, not applied
                 key = gid if region is None else (gid, region)
                 if has_loc and region is None and \
-                        dsm.locality.folds_own_diff(gid, payload["writer"]):
+                        loc.folds_own_diff(gid, payload["writer"]):
                     folded.add(key)
                 pre[key] = self._version_of(dsm, gid, region)
             return pre, folded

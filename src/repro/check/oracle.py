@@ -75,6 +75,7 @@ class SingleCopyOracle:
         # detail) — the flight recorder hooks in here to dump postmortems.
         self.on_violation: Optional[Any] = None
         self._engine = None
+        self._runtime = None
         self._workers: List[Any] = []
         # key -> version -> list of acceptable normalized snapshots.
         self._golden: Dict[Any, Dict[int, List[Tuple[Any, ...]]]] = {}
@@ -88,6 +89,7 @@ class SingleCopyOracle:
     def attach(cls, runtime: "JavaSplitRuntime") -> "SingleCopyOracle":
         oracle = cls()
         oracle._engine = runtime.engine
+        oracle._runtime = runtime
         for worker in runtime.workers:
             oracle._wrap(worker.dsm)
             oracle._workers.append(worker)
@@ -146,7 +148,9 @@ class SingleCopyOracle:
     # ------------------------------------------------------------------
     def _wrap(self, dsm: DsmEngine) -> None:
         node = dsm.node_id
-        has_loc = dsm.locality is not None
+        locality = self._runtime.locality
+        loc = None if locality is None else locality.agents.get(node)
+        has_loc = loc is not None
 
         # --- home: serving a fetch publishes a version ----------------
         serve_fetch = dsm._serve_fetch
@@ -182,7 +186,7 @@ class SingleCopyOracle:
                     # (the grant wrap below records that version).
                     continue
                 if has_loc and region is None and \
-                        dsm.locality.folds_own_diff(gid, payload["writer"]):
+                        loc.folds_own_diff(gid, payload["writer"]):
                     # The agent dropped this entry: it is the node's own
                     # pre-grant diff, already folded into the master it
                     # installed — nothing new was published.
@@ -228,7 +232,7 @@ class SingleCopyOracle:
             dsm._loc_grant_unit = recording_grant_unit
 
             # A grant install may fold the grantee's own in-flight
-            # diffs into the master (install_grants keeps the local
+            # diffs into the master (the grant install keeps the local
             # working copy): that folded state is published at the
             # grant's version and is what later serves start from.
             ft_install = dsm.ft_install_master
@@ -288,8 +292,10 @@ class SingleCopyOracle:
 
         # --- policy: a push/broadcast publishes its version at the
         # home and must install golden state at the receiver ------------
-        if dsm.policy is not None:
-            publish_unit = dsm.policy.publish_unit
+        policy = self._runtime.policy
+        pol = None if policy is None else policy.agents.get(node)
+        if pol is not None:
+            publish_unit = pol.publish_unit
 
             def recording_publish_unit(gid, _inner=publish_unit):
                 unit = _inner(gid)
@@ -299,7 +305,7 @@ class SingleCopyOracle:
                         self._unit_slots(dsm, obj, None)))
                 return unit
 
-            dsm.policy.publish_unit = recording_publish_unit
+            pol.publish_unit = recording_publish_unit
 
             def checking_on_pol_push(msg: Message, _inner=None):
                 # The agent's install counters disambiguate a guarded

@@ -51,8 +51,8 @@ def home_of(gid: int) -> int:
 class HomeDirectory:
     """Per-gid home redirect entries for migrated coherency units.
 
-    Plain ``home_of(gid)`` stays the common case (no lookup); a redirect
-    entry exists only for units the locality subsystem re-homed.  Each
+    Plain ``home_of(gid)`` stays the common case (a miss here); a
+    redirect entry exists only for units that were re-homed.  Each
     entry carries a monotonically increasing migration epoch so redirect
     gossip arriving out of order can never roll a mapping backwards.
     """

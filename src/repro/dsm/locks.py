@@ -28,10 +28,17 @@ class LockRequest:
     priority: int = 5
     seq: int = 0              # FIFO tiebreak within a priority level
     restore_count: int = 1    # re-entrancy depth to restore on grant
-    # Telemetry: causal span id of the acquire chain (None unless
-    # RuntimeConfig.obs_spans; shipped as a 6th token-tuple element and
-    # billed separately, so wire_size stays the bare-protocol figure).
+    # Causal span id of the acquire chain (None unless a tracer stamps
+    # one); travels with the request and is billed by whoever stamped
+    # it, so wire_size stays the bare-protocol figure.
     obs_span: Optional[int] = None
+
+    def wire(self) -> Tuple[Any, ...]:
+        """Field tuple shipped inside a token (``LockRequest(*wire)``);
+        the span id is the 6th element only when one was stamped."""
+        fields = (self.node, self.thread_id, self.priority, self.seq,
+                  self.restore_count)
+        return fields if self.obs_span is None else fields + (self.obs_span,)
 
     def sort_key(self) -> Tuple[int, int]:
         """Ordering key: higher priority first, FIFO within."""
@@ -137,7 +144,7 @@ class NodeLockState:
     """One node's view of one shared object's lock."""
 
     __slots__ = ("gid", "token", "holder_tid", "count", "transit",
-                 "last_sent_to", "pending_grant")
+                 "last_sent_to")
 
     def __init__(self, gid: int) -> None:
         self.gid = gid
@@ -149,8 +156,6 @@ class NodeLockState:
         self.transit = False
         # Where the token went, for forwarding late LOCK_FWDs.
         self.last_sent_to: Optional[int] = None
-        # (request, notices) staged during a scalar-mode diff fence.
-        self.pending_grant: Optional[LockRequest] = None
 
     @property
     def held(self) -> bool:

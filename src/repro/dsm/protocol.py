@@ -35,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..hooks import DsmHooks
 from ..jvm.heap import ArrayObj, Obj
 from ..jvm.interpreter import NO_VALUE
 from ..jvm.jvm import JThread, JVM
 from ..net.message import (HEADER_BYTES, M_LOC_BULK_REPLY, OBS_SPAN_KEY,
-                           Message, estimate_size)
+                           Message)
 from ..net.message import (  # canonical registry lives with the codec
     M_CONSOLE, M_DIFF, M_DIFF_ACK, M_FETCH_REPLY, M_FETCH_REQ,
     M_FT_REDIFF, M_FT_REDIFF_ACK, M_LOCK_FWD, M_LOCK_REQ, M_OWNER_UPDATE,
@@ -210,51 +211,23 @@ class DsmEngine:
         self._applied: Dict[int, Dict[int, int]] = {}
         self._deferred_fetch: Dict[int, List[Message]] = {}
         self._replica_vc: Dict[int, Dict[int, int]] = {}
-        # ------------------------------------------------------------------
-        # Fault tolerance (src/repro/ft).  All of this is inert unless an
-        # FtNodeAgent is attached as ``self.ft``:
-        #   _home_map        re-homing indirection: origin node -> adoptive
-        #                    home (gids name their origin in the high bits;
-        #                    after recovery the buddy serves them)
+        # Tap points for the services that ride on the protocol (ft,
+        # locality, policy, race, obs, tracing); see repro.hooks.
+        self.hooks = DsmHooks()
+        # Per-gid home redirects for migrated units (epoch-guarded).
+        self._loc_dir = HomeDirectory()
+        # Where each in-flight fetch (or prefetch) was sent; a unit with
+        # an entry here has a request outstanding.
+        self._fetch_targets: Dict[Tuple[int, Optional[int]], int] = {}
+        # Failure-recovery state, inert until repro.ft drives it:
+        #   _home_map        origin node -> adoptive home after a failure
         #   _pending_diffs   ack_id -> (home, payload, size) of unacked
         #                    flushes, so recovery can redirect them
         #   _blocked_on      tid -> (gid, restore) while a thread is blocked
-        #                    on a lock grant, so recovery can re-issue lost
-        #                    requests and stale re-grants can be detected
+        #                    on a lock grant, so lost requests can be
+        #                    re-issued and stale re-grants detected
         #   _ft_token_freeze recovery is scanning for live tokens; no token
         #                    may leave this node until it finishes
-        self.ft: Optional[Any] = None
-        # ------------------------------------------------------------------
-        # Adaptive locality (src/repro/locality).  Inert unless a
-        # LocalityAgent is attached as ``self.locality``:
-        #   _loc_dir        per-gid home redirects for migrated units
-        #                   (epoch-guarded; consulted by home_node)
-        #   _fetch_targets  where each in-flight fetch was actually sent
-        #                   (a migrated unit's fetch may not target
-        #                   home_of(gid)), for failure-recovery reissue
-        self.locality: Optional[Any] = None
-        # ------------------------------------------------------------------
-        # Data-race detection (src/repro/race).  Inert unless a RaceAgent
-        # is attached as ``self.race``: the hooks below feed it the
-        # happens-before edges (lock grant/release, spawn, promote) and
-        # interval boundaries; access events come from the interpreter.
-        self.race: Optional[Any] = None
-        # ------------------------------------------------------------------
-        # Adaptive coherence policies (src/repro/policy).  Inert unless
-        # a PolicyAgent is attached as ``self.policy``: the hooks below
-        # feed its sharing-pattern classifier (fetch serves, diff
-        # applies, home advances) and carry its per-unit protocol
-        # actions (update pushes, read-mostly broadcasts, migratory
-        # grants riding diff acks and lock tokens).
-        self.policy: Optional[Any] = None
-        # ------------------------------------------------------------------
-        # Telemetry (src/repro/obs).  Inert unless an ObsAgent is
-        # attached as ``self.obs``: the hooks below mark transaction
-        # boundaries (fetch/flush/lock spans), thread stalls, and — only
-        # with spans enabled — piggyback span ids on protocol payloads.
-        self.obs: Optional[Any] = None
-        self._loc_dir = HomeDirectory()
-        self._fetch_targets: Dict[Tuple[int, Optional[int]], int] = {}
         self._home_map: Dict[int, int] = {}
         self._pending_diffs: Dict[int, Tuple[int, Dict[str, Any], int]] = {}
         self._blocked_on: Dict[int, Tuple[int, int]] = {}
@@ -272,8 +245,8 @@ class DsmEngine:
             (M_OWNER_UPDATE, self._on_owner_update),
             (M_SPAWN, self._on_spawn),
             (M_CONSOLE, self._on_console),
-            (M_FT_REDIFF, self._on_ft_rediff),
-            (M_FT_REDIFF_ACK, self._on_ft_rediff_ack),
+            (M_FT_REDIFF, self._on_diff),
+            (M_FT_REDIFF_ACK, self._on_diff_ack),
         ):
             transport.on(mtype, handler)
 
@@ -285,11 +258,9 @@ class DsmEngine:
         subsystem migrated the unit, or the home died and its coherency
         units were adopted by a buddy (the two compose: a migrated
         unit's new home can itself die and be re-homed)."""
-        if self.locality is not None:
-            redirected = self._loc_dir.get(gid)
-            if redirected is not None:
-                return self._home_map.get(redirected, redirected)
-        home = home_of(gid)
+        home = self._loc_dir.get(gid)
+        if home is None:
+            home = home_of(gid)
         return self._home_map.get(home, home)
 
     def set_gid_home(self, gid: int, home: int, epoch: int) -> bool:
@@ -330,12 +301,7 @@ class DsmEngine:
     # ==================================================================
     def gid_for(self, ref: Any) -> int:
         """Resolver hook: global id of a ref, promoting if needed."""
-        gid = self.promote(ref)
-        if self.ft is not None:
-            # Lazy-replication publish point: the ref is about to cross
-            # the wire, so a survivor may come to depend on it.
-            self.ft.on_ref_serialized(gid)
-        return gid
+        return self.promote(ref)
 
     def class_id_for(self, class_name: str) -> int:
         """Resolver hook: wire id for a class name."""
@@ -355,6 +321,10 @@ class DsmEngine:
                 f"node {self.node_id} is home of gid {gid:#x} but has no "
                 f"master copy"
             )
+        return self._new_stub(gid, class_name)
+
+    def _new_stub(self, gid: int, class_name: str) -> Any:
+        """Cache an INVALID placeholder replica for a gid."""
         if class_name.endswith("[]"):
             obj = ArrayObj(class_name[:-2], 0)
         else:
@@ -398,15 +368,11 @@ class DsmEngine:
         if hdr.lock_count > 0 and hdr.lock_owner is not None:
             st.holder_tid = hdr.lock_owner.tid
             st.count = hdr.lock_count
-        if self.race is not None:
-            # Migrate header-local detector metadata into the home store
-            # (must see hdr.race before it is cleared).
-            self.race.on_promote(ref, hdr, gid)
         hdr.lock_count = 0
         hdr.lock_owner = None
         self.stats.promotions += 1
-        if self.ft is not None:
-            self.ft.on_promote(gid)
+        for fn in self.hooks.promote:
+            fn(ref, gid)
         return gid
 
     # ==================================================================
@@ -424,11 +390,6 @@ class DsmEngine:
     def on_thread_finished(self, thread: JThread) -> None:
         """Drop finished threads from the live-thread map."""
         self._threads.pop(thread.tid, None)
-        if self.ft is not None:
-            tobj = thread.thread_obj
-            if tobj is not None and tobj.header is not None \
-                    and tobj.header.gid:
-                self.ft.on_thread_done(tobj.header.gid)
 
     def _thread(self, tid: int) -> JThread:
         try:
@@ -517,32 +478,35 @@ class DsmEngine:
     def _start_fetch(self, thread: JThread, hdr: DSMHeader,
                      region: Optional[int] = None) -> None:
         gid = hdr.gid
-        waiters = self._fetch_waiters.setdefault((gid, region), [])
-        waiters.append(thread)
-        if self.obs is not None:
-            self.obs.on_fetch_block(thread, gid, region)
-        if len(waiters) > 1:
-            return  # request already in flight
+        self._fetch_waiters.setdefault((gid, region), []).append(thread)
+        request = None
+        if (gid, region) not in self._fetch_targets:
+            request = self._fetch_request(gid, region)
+        # else a fetch (or a prefetch covering the unit) is already in
+        # flight; its reply installs the data and wakes the waiters.
+        for fn in self.hooks.block:
+            fn(thread, "fetch", gid, region, request)
+        if request is not None:
+            if region is not None:
+                self.stats.region_fetches += 1
+            self._send_fetch(gid, region, request)
+
+    def _fetch_request(self, gid: int, region: Optional[int]) -> Dict[str, Any]:
         key = gid if region is None else (gid, region)
-        payload: Dict[str, Any] = {"gid": gid, "region": region}
         if self.config.timestamp_mode == VECTOR:
-            payload["required"] = self.notice_table.required_vector(key)
+            required: Any = self.notice_table.required_vector(key)
         else:
-            payload["required"] = self.notice_table.required_scalar(key)
-        if self.locality is not None:
-            self._fetch_targets[(gid, region)] = self.home_node(gid)
-            if self.locality.fetch_covered(gid, region):
-                # A prefetch for this unit is already in flight; its bulk
-                # reply will install the data and wake the waiters.
-                if self.obs is not None:
-                    self.obs.on_fetch_start(gid, region, None)
-                return
+            required = self.notice_table.required_scalar(key)
+        return {"gid": gid, "region": region, "required": required}
+
+    def _send_fetch(self, gid: int, region: Optional[int],
+                    request: Optional[Dict[str, Any]] = None) -> None:
+        """Send a fetch request to the unit's current home, recording
+        where it went (recovery re-issues the ones a dead home held)."""
         self.stats.fetches += 1
-        if region is not None:
-            self.stats.region_fetches += 1
-        if self.obs is not None:
-            self.obs.on_fetch_start(gid, region, payload)
-        self.transport.send(self.home_node(gid), M_FETCH_REQ, payload)
+        target = self._fetch_targets[(gid, region)] = self.home_node(gid)
+        self.transport.send(target, M_FETCH_REQ,
+                            request or self._fetch_request(gid, region))
 
     # ==================================================================
     # JVM hooks: synchronization
@@ -551,62 +515,58 @@ class DsmEngine:
         """Hook behind DSM_ACQUIRE: counter fast path, local grant, queueing, or a lock request to the home node."""
         hdr: DSMHeader = ref.header
         if hdr.is_local:
-            if self.config.local_lock_opt:
-                # §4.4 fast path: a counter, cheaper than original Java.
-                if hdr.lock_owner is None or hdr.lock_owner is thread:
-                    hdr.lock_owner = thread
-                    hdr.lock_count += 1
-                    self.stats.local_acquires += 1
-                    if self.race is not None:
-                        self.race.on_local_acquired(thread, hdr)
-                    return True, self.cost_model[cm.LOCAL_LOCK_OP]
+            # §4.4 fast path: a counter, cheaper than original Java.
+            if self.config.local_lock_opt and (
+                    hdr.lock_owner is None or hdr.lock_owner is thread):
+                hdr.lock_owner = thread
+                hdr.lock_count += 1
+                self.stats.local_acquires += 1
+                for fn in self.hooks.lock_edge:
+                    fn(thread.tid, 0, hdr, True)
+                return True, self.cost_model[cm.LOCAL_LOCK_OP]
             # Second thread contends: the object escapes.
             self.promote(ref)
         gid = hdr.gid
         st = self._lock_state(gid)
         cost = self.cost_model[cm.SHARED_ACQUIRE]
         self.stats.shared_acquires += 1
-        if st.token is not None and not st.transit:
+        token = st.token
+        if token is not None and not st.transit:
             if st.holder_tid is None:
                 st.holder_tid = thread.tid
                 st.count = 1
-                if self.race is not None:
-                    self.race.on_lock_granted(thread.tid, gid)
+                for fn in self.hooks.lock_edge:
+                    fn(thread.tid, gid, None, True)
                 return True, cost
             if st.holder_tid == thread.tid:
                 st.count += 1
                 return True, cost
-            req = LockRequest(self.node_id, thread.tid, thread.priority)
-            if self.obs is not None:
-                req.obs_span = self.obs.on_lock_block(thread, gid)
-            st.token.enqueue(req)
-            self._blocked_on[thread.tid] = (gid, 1)
-            return False, cost
-        if st.token is not None and st.transit:
-            # Token committed to a remote node but still fenced here: the
-            # request joins the queue and travels with the token.
-            req = LockRequest(self.node_id, thread.tid, thread.priority)
-            if self.obs is not None:
-                req.obs_span = self.obs.on_lock_block(thread, gid)
-            st.token.enqueue(req)
-            self._blocked_on[thread.tid] = (gid, 1)
-            return False, cost
-        # No token here: route through the home node.
-        self.stats.lock_requests += 1
+        req = LockRequest(self.node_id, thread.tid, thread.priority)
+        for fn in self.hooks.block:
+            fn(thread, "lock", gid, None, req)
         self._blocked_on[thread.tid] = (gid, 1)
+        if token is not None:
+            # Held by another thread here — or committed to a remote node
+            # but still fenced, in which case the request joins the queue
+            # and travels with the token.
+            token.enqueue(req)
+        else:
+            # No token here: route through the home node.
+            self._send_lock_req(gid, req)
+        return False, cost
+
+    def _send_lock_req(self, gid: int, req: LockRequest) -> None:
+        self.stats.lock_requests += 1
         payload = {
             "gid": gid,
-            "node": self.node_id,
-            "tid": thread.tid,
-            "priority": thread.priority,
-            "restore": 1,
+            "node": req.node,
+            "tid": req.thread_id,
+            "priority": req.priority,
+            "restore": req.restore_count,
         }
-        if self.obs is not None:
-            sid = self.obs.on_lock_block(thread, gid)
-            if sid is not None:
-                payload[OBS_SPAN_KEY] = sid
+        if req.obs_span is not None:
+            payload[OBS_SPAN_KEY] = req.obs_span
         self.transport.send(self.home_node(gid), M_LOCK_REQ, payload)
-        return False, cost
 
     def release(self, thread: JThread, ref: Any) -> int:
         """Hook behind DSM_RELEASE: end the interval (flush diffs) and hand the token to the next requester."""
@@ -617,8 +577,8 @@ class DsmEngine:
             hdr.lock_count -= 1
             if hdr.lock_count == 0:
                 hdr.lock_owner = None
-                if self.race is not None:
-                    self.race.on_local_released(thread, hdr)
+                for fn in self.hooks.lock_edge:
+                    fn(thread.tid, 0, hdr, False)
             return self.cost_model[cm.LOCAL_LOCK_OP]
         gid = hdr.gid
         st = self._lock_state(gid)
@@ -629,14 +589,22 @@ class DsmEngine:
             )
         cost = self.cost_model[cm.SHARED_RELEASE]
         st.count -= 1
-        if st.count > 0:
-            return cost
+        if st.count == 0:
+            self._release_point(thread, st)
+        return cost
+
+    def _release_point(self, thread: JThread, st: NodeLockState) -> None:
+        """The monitor is free: end the interval, then hand the token to
+        the next requester (shared by release and wait)."""
         st.holder_tid = None
-        if self.race is not None:
-            self.race.on_lock_released(thread.tid, gid)
+        for fn in self.hooks.lock_edge:
+            fn(thread.tid, st.gid, None, False)
+        for fn in self.hooks.sync_scope:
+            fn(True)
         self.end_interval(thread)
         self._service_queue(st)
-        return cost
+        for fn in self.hooks.sync_scope:
+            fn(False)
 
     # ------------------------------------------------------------------
     # wait / notify (invoked through rewritten natives)
@@ -654,20 +622,15 @@ class DsmEngine:
         st = self._lock_state(gid)
         if st.holder_tid != thread.tid or st.token is None:
             raise ProtocolError("wait() by non-owner")
-        saved = st.count
-        st.holder_tid = None
-        st.count = 0
         req = LockRequest(self.node_id, thread.tid, thread.priority,
-                          restore_count=saved)
-        if self.obs is not None:
-            req.obs_span = self.obs.on_lock_block(thread, gid, kind="wait")
+                          restore_count=st.count)
+        st.count = 0
+        for fn in self.hooks.block:
+            fn(thread, "wait", gid, None, req)
         st.token.park_waiter(req)
-        self._blocked_on[thread.tid] = (gid, saved)
-        if self.race is not None:
-            self.race.on_lock_released(thread.tid, gid)
+        self._blocked_on[thread.tid] = (gid, req.restore_count)
         # wait() is a release point.
-        self.end_interval(thread)
-        self._service_queue(st)
+        self._release_point(thread, st)
 
     def dsm_notify(self, thread: JThread, ref: Any, all_: bool) -> None:
         """Object.notify/notifyAll over the token's wait queue."""
@@ -699,15 +662,10 @@ class DsmEngine:
             "class_name": tobj.class_name,
             "priority": priority,
         }
-        if self.ft is not None:
-            self.ft.on_spawn(gid, tobj.class_name, priority, target)
-        if self.race is not None:
-            # Fork edge: ship the parent's clock to the child.
-            payload["race"] = self.race.on_spawn_ship(thread, gid)
-            if target == self.node_id:
-                self.race.note_spawn_vc(gid, payload["race"])
+        for fn in self.hooks.spawn:
+            fn(thread, payload, target)
         if target == self.node_id:
-            self._local_spawn(gid, tobj.class_name, priority)
+            self._local_spawn(payload)
         else:
             # Spawning publishes the Thread object's current state: flush
             # it so the remote node's fetch observes the constructor's
@@ -734,27 +692,24 @@ class DsmEngine:
         if ok:
             tobj.fields[idx] = 1
 
-    def _local_spawn(self, gid: int, class_name: str, priority: int) -> None:
+    def _local_spawn(self, p: Dict[str, Any]) -> None:
+        """Start the thread a spawn payload describes on this node."""
+        gid, class_name = p["gid"], p["class_name"]
         obj = self.replica_for(gid, class_name)
         run = obj.rtclass.method("__runWrapper")
         from ..jvm.frame import Frame
         jt = JThread(self.jvm, Frame(run, [obj]), thread_obj=obj,
-                     priority=priority,
+                     priority=p["priority"],
                      name=f"{class_name}-{gid & 0xFFFF:x}")
         self.jvm.live_jthreads[id(obj)] = jt
-        if self.race is not None:
-            self.race.on_thread_begin(jt, gid)
+        for fn in self.hooks.thread_begin:
+            fn(jt, p)
         self.jvm.call_function(jt)
-        if self.ft is not None:
-            self.ft.on_thread_start(gid)
         if self.on_spawn_arrival is not None:
             self.on_spawn_arrival(self.node_id)
 
     def _on_spawn(self, msg: Message) -> None:
-        p = msg.payload
-        if self.race is not None:
-            self.race.note_spawn_vc(p["gid"], p.get("race"))
-        self._local_spawn(p["gid"], p["class_name"], p["priority"])
+        self._local_spawn(msg.payload)
 
     # ------------------------------------------------------------------
     # Console forwarding (rewritten Sys.print — §4.1 wrapped native I/O)
@@ -792,10 +747,8 @@ class DsmEngine:
         tds = self.thread_dsm(thread)
         tds.interval += 1
         self._flush(list(self._dirty), flush_home=True)
-        if self.race is not None:
-            # Ship buffered access events not carried by this interval's
-            # diffs (the agent piggybacked on same-destination M_DIFFs).
-            self.race.on_end_interval(thread)
+        for fn in self.hooks.interval_end:
+            fn(thread)
 
     def _flush(self, gids, flush_home: bool) -> None:
         """Flush pending writes: diffs of the given cached replicas to
@@ -857,12 +810,9 @@ class DsmEngine:
                     self.notice_table.add(Notice(key, interval, self.node_id))
                 else:
                     self.notice_table.add(Notice(key, version))
-            if advanced and self.ft is not None:
-                self.ft.on_home_advance(advanced)
-            if advanced and self.policy is not None:
-                # Promoted units the home itself wrote: push fresh
-                # copies (write-update) or broadcast (read-mostly).
-                self.policy.on_home_advance(advanced)
+            if advanced:
+                for fn in self.hooks.home_advance:
+                    fn(advanced, self.node_id)
         for home, entries in by_home.items():
             ack_id = self._next_ack_id
             self._next_ack_id += 1
@@ -875,9 +825,6 @@ class DsmEngine:
             }
             self.stats.diffs_sent += len(entries)
             size = HEADER_BYTES + sum(14 + len(d) for _, d, _r in entries)
-            if self.obs is not None:
-                size += self.obs.on_flush(home, ack_id, payload,
-                                          len(entries), size - HEADER_BYTES)
             self.stats.diff_bytes += size
             self._pending_diffs[ack_id] = (home, payload, size)
             if self.config.timestamp_mode == VECTOR:
@@ -891,9 +838,9 @@ class DsmEngine:
         return obj.class_name
 
     def _apply_diff_entries(self, p: Dict[str, Any]) -> List[Tuple[Any, int]]:
-        """Apply one diff payload's entries to local masters; returns the
-        (key, new_version) acks.  Shared by the M_DIFF handler and the
-        recovery-time M_FT_REDIFF handler."""
+        """Apply one diff payload's entries to local masters and announce
+        the new versions (``home_advance``); returns the (key,
+        new_version) acks."""
         acks: List[Tuple[Any, int]] = []
         writer = p["writer"]
         interval = p["interval"]
@@ -925,53 +872,42 @@ class DsmEngine:
                 self._retry_deferred_fetches(key)
             else:
                 self.notice_table.add(Notice(key, version))
+        for fn in self.hooks.home_advance:
+            fn(acks, writer)
         return acks
 
     def _on_diff(self, msg: Message) -> None:
+        """Home role: apply a diff batch and ack the new versions.  Also
+        serves M_FT_REDIFF, a batch whose original home died before
+        acknowledging it: content-idempotent even if the dead home had
+        already applied it (diffs carry absolute slot values), so at
+        worst the version inflates — versions only need be monotonic."""
+        for fn in self.hooks.home_msg:
+            if fn(msg):
+                # Some entries name units migrated away: the interceptor
+                # split the batch and will send one combined ack.
+                return
         p = msg.payload
-        if self.locality is not None and self.locality.intercept_diff(msg):
-            # Some entries name units migrated away: the locality agent
-            # split the batch, forwarded the remote parts, and will send
-            # one combined M_DIFF_ACK when everything is applied.
-            return
-        acks = self._apply_diff_entries(p)
-        if self.ft is not None:
-            self.ft.on_home_advance(acks)
-        ack_payload: Dict[str, Any] = {"ack_id": p["ack_id"],
-                                       "versions": acks}
-        if self.locality is not None:
-            grants = self.locality.consider_migration(msg)
-            if grants:
-                ack_payload["migrate"] = grants
-        if self.policy is not None:
-            # Classifier feed + write-time policy actions; migratory
-            # bootstrap grants ride the same fenced M_DIFF_ACK field as
-            # locality migration grants (install_grants applies both).
-            pol_grants = self.policy.on_diff_applied(msg)
-            if pol_grants:
-                ack_payload.setdefault("migrate", []).extend(pol_grants)
+        ack_payload: Dict[str, Any] = {
+            "ack_id": p["ack_id"], "versions": self._apply_diff_entries(p)}
         delay = self.cost_model[cm.PROTO_HANDLER_NS]
-        if self.obs is not None:
-            now = self.engine.now
-            self.obs.on_diff_apply(msg.src, p["ack_id"], len(p["entries"]),
-                                   now, now + delay)
+        ack_type = M_FT_REDIFF_ACK
+        if msg.msg_type == M_DIFF:
+            ack_type = M_DIFF_ACK
+            for fn in self.hooks.diff_applied:
+                fn(msg, ack_payload, delay)
         self.engine.schedule(delay, lambda: self.transport.send(
-            msg.src, M_DIFF_ACK, ack_payload
+            msg.src, ack_type, ack_payload
         ))
 
     def _on_diff_ack(self, msg: Message) -> None:
-        if self.obs is not None:
-            self.obs.on_diff_ack(msg.payload["ack_id"])
-        self._pending_diffs.pop(msg.payload["ack_id"], None)
+        """Writer side: settle one flush.  An M_FT_REDIFF_ACK that lost
+        the race against the original home's ack is already settled."""
+        if self._pending_diffs.pop(msg.payload["ack_id"], None) is None:
+            return
         for key, version in msg.payload["versions"]:
             self.notice_table.add(Notice(key, version))
-        if self.locality is not None:
-            grants = msg.payload.get("migrate")
-            if grants:
-                self.locality.install_grants(msg.src, grants)
         self._outstanding_acks -= 1
-        if self._outstanding_acks < 0:  # pragma: no cover - defensive
-            raise ProtocolError("diff ack underflow")
         if self._outstanding_acks == 0:
             queue, self._fence_queue = self._fence_queue, []
             for action in queue:
@@ -980,39 +916,6 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # Recovery: pending diffs redirected to an adoptive home
     # ------------------------------------------------------------------
-    def _on_ft_rediff(self, msg: Message) -> None:
-        """Adoptive-home side: apply a diff whose original home died
-        before acknowledging it.  Content-idempotent even if the dead
-        home had already applied it (diffs carry absolute slot values),
-        so at worst the version inflates — versions only ever need to be
-        monotonic."""
-        p = msg.payload
-        if self.locality is not None and self.locality.intercept_rediff(msg):
-            return
-        acks = self._apply_diff_entries(p)
-        if self.ft is not None:
-            self.ft.on_home_advance(acks)
-        delay = self.cost_model[cm.PROTO_HANDLER_NS]
-        self.engine.schedule(delay, lambda: self.transport.send(
-            msg.src, M_FT_REDIFF_ACK,
-            {"ack_id": p["ack_id"], "versions": acks}
-        ))
-
-    def _on_ft_rediff_ack(self, msg: Message) -> None:
-        ack_id = msg.payload["ack_id"]
-        if ack_id not in self._pending_diffs:
-            return  # the original home's ack won the race; already settled
-        if self.obs is not None:
-            self.obs.on_diff_ack(ack_id)
-        del self._pending_diffs[ack_id]
-        for key, version in msg.payload["versions"]:
-            self.notice_table.add(Notice(key, version))
-        self._outstanding_acks -= 1
-        if self._outstanding_acks == 0:
-            queue, self._fence_queue = self._fence_queue, []
-            for action in queue:
-                action()
-
     def ft_redirect_pending(self, dead: int, new_home: int) -> int:
         """Re-send every unacked diff that was destined for ``dead`` to
         its adoptive home.  Returns the number of redirected flushes."""
@@ -1027,23 +930,15 @@ class DsmEngine:
             redirected += 1
         return redirected
 
-    def _when_fence_clear(self, action: Callable[[], None]) -> None:
-        """Run ``action`` once all outstanding diffs are acked (§3.1's
-        scalar-timestamp lock-transfer delay).  Vector mode never waits."""
-        if self.config.timestamp_mode == VECTOR or self._outstanding_acks == 0:
-            action()
-        else:
-            self.stats.fence_waits += 1
-            self._fence_queue.append(action)
-
     # ==================================================================
     # Fetch handling
     # ==================================================================
     def _on_fetch_req(self, msg: Message) -> None:
+        for fn in self.hooks.home_msg:
+            if fn(msg):
+                return  # unit migrated away: forwarded to the current home
         gid = msg.payload["gid"]
         region = msg.payload.get("region")
-        if self.locality is not None and self.locality.redirect_fetch(msg):
-            return  # unit migrated away: forwarded to the current home
         obj = self.cache.get(gid)
         if obj is None:
             raise ProtocolError(
@@ -1061,10 +956,7 @@ class DsmEngine:
                 return
         # A forwarded request names the original requester; a direct one
         # is answered to its sender.
-        requester = msg.payload.get("requester", msg.src)
-        if self.policy is not None:
-            self.policy.on_fetch_served(requester, gid, region, obj)
-        self._serve_fetch(requester, obj, region)
+        self._serve_fetch(msg.payload.get("requester", msg.src), obj, region)
 
     def _retry_deferred_fetches(self, key: Any) -> None:
         queue = self._deferred_fetch.get(key)
@@ -1084,30 +976,12 @@ class DsmEngine:
 
     def _serve_fetch(self, requester: int, obj: Any,
                      region: Optional[int] = None) -> None:
-        hdr: DSMHeader = obj.header
-        gid = hdr.gid
-        if self.ft is not None:
-            # Replicate BEFORE the reply leaves: anything a survivor can
-            # have observed must be reconstructible from the buddy.
-            self.ft.on_serve(gid, region)
-        payload: Dict[str, Any] = {
-            "gid": gid,
-            "class_name": obj.class_name,
-            "region": region,
-        }
-        if region is not None:
-            reg = self._regions[gid]
-            lo, hi = reg.bounds(region, len(obj.data))
-            data = serialize_region(obj, lo, hi, self)
-            payload["version"] = reg.versions[region]
-            payload["total_len"] = len(obj.data)
-            payload["region_elems"] = reg.elems
-            key: Any = (gid, region)
-        else:
-            data = serialize_any(obj, self.specs.get(self._spec_key(obj)), self)
-            payload["version"] = hdr.version
-            key = gid
-        payload["data"] = data
+        for fn in self.hooks.fetch_serve:
+            fn(requester, obj, region, False)
+        gid = obj.header.gid
+        key = gid if region is None else (gid, region)
+        payload = self.ft_serialize_unit(key)
+        data = payload["data"]
         if self.config.timestamp_mode == VECTOR:
             payload["applied"] = dict(self._applied.get(key, {}))
         size = HEADER_BYTES + 24 + len(data)
@@ -1116,32 +990,47 @@ class DsmEngine:
             self.cost_model[cm.PROTO_HANDLER_NS]
             + len(data) * self.cost_model[cm.SERIALIZE_PER_BYTE_NS]
         )
-        if self.obs is not None:
-            now = self.engine.now
-            self.obs.on_fetch_serve(requester, gid, region, now, now + delay,
-                                    size)
         self.engine.schedule(delay, lambda: self.transport.send(
             requester, M_FETCH_REPLY, payload, size_bytes=size
         ))
 
     def _on_fetch_reply(self, msg: Message) -> None:
-        p = msg.payload
+        self._complete_fetch(msg.payload, msg.size_bytes)
+
+    def _complete_fetch(self, p: Dict[str, Any], nbytes: int) -> int:
+        """Install a fetched unit and wake the threads parked on it
+        (shared by fetch replies and prefetch bulk replies); returns how
+        many were waiting."""
         gid, region = self._install_unit(p)
-        if self.locality is not None:
-            self._fetch_targets.pop((gid, region), None)
+        self._fetch_targets.pop((gid, region), None)
         waiters = self._fetch_waiters.pop((gid, region), [])
-        extra: List[JThread] = []
         if region == 0:
             # A no-index (length) waiter may also be parked on region 0.
-            extra = self._fetch_waiters.pop((gid, None), [])
-        if self.obs is not None:
-            self.obs.on_fetch_done(gid, region,
-                                   [t.tid for t in waiters + extra],
-                                   msg.size_bytes)
+            waiters = waiters + self._fetch_waiters.pop((gid, None), [])
+        for fn in self.hooks.fetch_done:
+            fn(gid, region, waiters, nbytes)
         for thread in waiters:
             thread.wake()
-        for thread in extra:
-            thread.wake()
+        return len(waiters)
+
+    def _region_info(self, obj: Any, unit: Dict[str, Any]) -> RegionInfo:
+        """Region bookkeeping for an arriving region unit, created (and
+        the array sized to its true length) on first contact."""
+        gid = unit["gid"]
+        total_len = unit["total_len"]
+        reg = self._regions.get(gid)
+        if reg is None:
+            elems = unit["region_elems"]
+            n = (total_len + elems - 1) // elems
+            reg = self._regions[gid] = RegionInfo(
+                elems=elems,
+                states=[ObjState.INVALID] * n,
+                versions=[0] * n,
+            )
+        if len(obj.data) != total_len:
+            from ..jvm.classfile import default_value
+            obj.data = [default_value(obj.elem_type)] * total_len
+        return reg
 
     def _install_unit(self, p: Dict[str, Any]) -> Tuple[int, Optional[int]]:
         """Install one fetched coherency unit payload into the local
@@ -1153,22 +1042,8 @@ class DsmEngine:
             obj = self.replica_for(gid, p["class_name"])
         hdr: DSMHeader = obj.header
         if region is not None:
-            reg = self._regions.get(gid)
-            total_len = p["total_len"]
-            if reg is None:
-                elems = p["region_elems"]
-                n = (total_len + elems - 1) // elems
-                reg = RegionInfo(
-                    elems=elems,
-                    states=[ObjState.INVALID] * n,
-                    versions=[0] * n,
-                    length_known=True,
-                )
-                self._regions[gid] = reg
-            if len(obj.data) != total_len:
-                from ..jvm.classfile import default_value
-                obj.data = [default_value(obj.elem_type)] * total_len
-            lo, _hi = reg.bounds(region, total_len)
+            reg = self._region_info(obj, p)
+            lo, _hi = reg.bounds(region, p["total_len"])
             deserialize_region(obj, lo, p["data"], self)
             reg.states[region] = ObjState.VALID
             reg.versions[region] = p["version"]
@@ -1204,8 +1079,8 @@ class DsmEngine:
             hdr = obj.header
             if hdr is None or hdr.state != ObjState.HOME:
                 continue
-            if self.ft is not None:
-                self.ft.on_serve(gid, None)
+            for fn in self.hooks.fetch_serve:
+                fn(requester, obj, None, True)
             unit = self.ft_serialize_unit(gid)
             if unit is None:  # pragma: no cover - defensive
                 continue
@@ -1238,8 +1113,8 @@ class DsmEngine:
             self._dirty_home.discard(gid)
             hdr.version += 1
             self.notice_table.add(Notice(gid, hdr.version))
-            if self.ft is not None:
-                self.ft.on_home_advance([(gid, hdr.version)])
+            for fn in self.hooks.home_advance:
+                fn([(gid, hdr.version)], None)
         unit = self.ft_serialize_unit(gid)
         if unit is None:  # pragma: no cover - defensive
             return None
@@ -1320,11 +1195,11 @@ class DsmEngine:
 
     def _on_lock_req(self, msg: Message) -> None:
         """Home role: route the request to the current owner (§3.2)."""
+        for fn in self.hooks.home_msg:
+            if fn(msg):
+                return  # unit migrated away: re-routed to the current home
         p = msg.payload
         gid = p["gid"]
-        if self.locality is not None \
-                and self.locality.redirect_lock_req(msg):
-            return  # unit migrated away: re-routed to the current home
         owner = self.lock_owner.get(gid)
         if owner is None:
             raise ProtocolError(
@@ -1333,8 +1208,6 @@ class DsmEngine:
         if owner == self.node_id:
             self._on_lock_fwd(msg)
         else:
-            if self.obs is not None:
-                self.obs.on_lock_route(p, owner)
             self.transport.send(owner, M_LOCK_FWD, dict(p))
 
     def _on_lock_fwd(self, msg: Message) -> None:
@@ -1342,34 +1215,29 @@ class DsmEngine:
         gid = p["gid"]
         st = self._lock_state(gid)
         if st.token is not None:
-            req = LockRequest(
+            st.token.enqueue(LockRequest(
                 p["node"], p["tid"], p["priority"],
                 restore_count=p.get("restore", 1),
-            )
-            if self.obs is not None:
-                self.obs.on_lock_enqueue(p, req)
-            st.token.enqueue(req)
+                obs_span=p.get(OBS_SPAN_KEY),
+            ))
             self._service_queue(st)
             return
         # Token has moved on: chase it.
         target = st.last_sent_to
         if target is None:
-            if self.node_id == self.home_node(gid):
+            home = self.home_node(gid)
+            if self.node_id == home:
                 target = self.lock_owner.get(gid)
+            elif self.transport.dead_peers:
+                # Routing hint wiped by failure recovery: fall back to
+                # the (possibly adoptive) home, which re-routes via its
+                # owner table.
+                target = home
             if target is None or target == self.node_id:
-                if (self.ft is not None
-                        and self.node_id != self.home_node(gid)):
-                    # Routing hint wiped by failure recovery: fall back
-                    # to the (possibly adoptive) home, which re-routes
-                    # via its owner table.
-                    target = self.home_node(gid)
-                else:
-                    raise ProtocolError(
-                        f"node {self.node_id} cannot route lock request "
-                        f"for gid {gid:#x}"
-                    )
-        if self.obs is not None:
-            self.obs.on_lock_route(p, target)
+                raise ProtocolError(
+                    f"node {self.node_id} cannot route lock request "
+                    f"for gid {gid:#x}"
+                )
         self.transport.send(target, M_LOCK_FWD, dict(p))
 
     def _service_queue(self, st: NodeLockState) -> None:
@@ -1382,47 +1250,54 @@ class DsmEngine:
                 return
             if req.node == self.node_id:
                 st.token.pop_next()
-                if self.ft is not None:
-                    # A recovery re-issue can produce a second grant for a
-                    # request that was already satisfied; the thread is no
-                    # longer blocked on this lock, so skip it.
-                    entry = self._blocked_on.get(req.thread_id)
-                    if entry is None or entry[0] != st.gid:
-                        continue
-                    st.count = entry[1]
-                else:
-                    st.count = req.restore_count
-                st.holder_tid = req.thread_id
-                self._blocked_on.pop(req.thread_id, None)
-                if self.race is not None:
-                    self.race.on_lock_granted(req.thread_id, st.gid)
-                if self.obs is not None:
-                    self.obs.on_lock_granted(req.thread_id, st.gid)
-                self._thread(req.thread_id).complete(NO_VALUE)
-                return
+                if self._grant(st, req.thread_id):
+                    return
+                continue
             if self._ft_token_freeze:
                 # Recovery is scanning for live tokens: hold the token
                 # here; the orchestrator re-services every queue after.
                 return
-            # Remote transfer: fence on outstanding diffs (scalar mode).
             st.token.pop_next()
             st.transit = True
-            st.pending_grant = req
-            if (self.obs is not None
-                    and self.config.timestamp_mode != VECTOR
-                    and self._outstanding_acks > 0):
-                self.obs.on_fence_enter(st.gid, req)
-            self._when_fence_clear(lambda: self._send_token(st, req))
+            if self._when_fence_clear(lambda: self._send_token(st, req)):
+                for fn in self.hooks.block:
+                    fn(None, "fence", st.gid, None, req)
             return
+
+    def _when_fence_clear(self, action: Callable[[], None]) -> bool:
+        """Run ``action`` once all outstanding diffs are acked (§3.1's
+        scalar-timestamp lock-transfer delay); true if it had to wait.
+        Vector mode never waits."""
+        if self.config.timestamp_mode == VECTOR or self._outstanding_acks == 0:
+            action()
+            return False
+        self.stats.fence_waits += 1
+        self._fence_queue.append(action)
+        return True
+
+    def _grant(self, st: NodeLockState, tid: int) -> bool:
+        """Hand the lock to a locally blocked thread.  False for a stale
+        grant: a recovery re-issue can produce a second grant for a
+        request that was already satisfied, and the thread is then no
+        longer blocked on this lock."""
+        entry = self._blocked_on.get(tid)
+        if entry is None or entry[0] != st.gid:
+            return False
+        del self._blocked_on[tid]
+        st.holder_tid = tid
+        st.count = entry[1]
+        for fn in self.hooks.lock_edge:
+            fn(tid, st.gid, None, True)
+        self._thread(tid).complete(NO_VALUE)
+        return True
 
     def _send_token(self, st: NodeLockState, req: LockRequest) -> None:
         token = st.token
         assert token is not None
-        if self.ft is not None and req.node in self.transport.dead_peers:
+        if req.node in self.transport.dead_peers:
             # The grantee died while this transfer waited on the fence:
             # keep the token and serve the next live requester instead.
             st.transit = False
-            st.pending_grant = None
             self._service_queue(st)
             return
         if self._ft_token_freeze:
@@ -1438,53 +1313,19 @@ class DsmEngine:
             delta = self.notice_table.delta_since_vector(per_receiver)
         else:
             delta = self.notice_table.delta_since(per_receiver)
-        if self.obs is None:
-            queue_wire = [
-                (r.node, r.thread_id, r.priority, r.seq, r.restore_count)
-                for r in token.queue
-            ]
-            waitq_wire = [
-                (r.node, r.thread_id, r.priority, r.seq, r.restore_count)
-                for r in token.waitq
-            ]
-        else:
-            # 6th element: each queued request's causal span id, so the
-            # acquire chain survives the token migration (billed by
-            # on_token_send only when spans are actually on).
-            queue_wire = [
-                (r.node, r.thread_id, r.priority, r.seq, r.restore_count,
-                 r.obs_span)
-                for r in token.queue
-            ]
-            waitq_wire = [
-                (r.node, r.thread_id, r.priority, r.seq, r.restore_count,
-                 r.obs_span)
-                for r in token.waitq
-            ]
         payload = {
             "gid": token.gid,
             "grant": (req.node, req.thread_id, req.priority, req.restore_count),
-            "queue": queue_wire,
-            "waitq": waitq_wire,
+            "queue": [r.wire() for r in token.queue],
+            "waitq": [r.wire() for r in token.waitq],
             "seen": {n: dict(m) for n, m in token.seen_notices.items()},
             "delta": [(n.gid, n.version, n.writer) for n in delta],
         }
         size = HEADER_BYTES + token.wire_size() + sum(n.wire_size() for n in delta)
-        if self.race is not None:
-            # HB edge: ship this node's view of the lock's release clock.
-            vc = self.race.lock_vc_wire(token.gid)
-            payload["race"] = vc
-            size += 8 + estimate_size(vc)
-        if self.obs is not None:
-            size += self.obs.on_token_send(token.gid, req, payload)
-        if self.policy is not None:
-            # Migratory policy: the unit's master may travel with the
-            # token (``pol_grant`` field); the grant's bytes are billed
-            # onto the token frame.
-            size += self.policy.on_token_send(token.gid, req, payload)
+        for fn in self.hooks.token_send:
+            size += fn(token.gid, req, payload)
         st.token = None
         st.transit = False
-        st.pending_grant = None
         st.last_sent_to = req.node
         self.stats.token_transfers += 1
         self.transport.send(req.node, M_TOKEN, payload, size_bytes=size)
@@ -1493,40 +1334,19 @@ class DsmEngine:
         p = msg.payload
         gid = p["gid"]
         st = self._lock_state(gid)
-        if self.obs is not None:
-            self.obs.on_token_arrive(p, gid)
         token = LockToken(gid)
-        # Queue entries are 5-tuples, or 6-tuples (…, obs_span) when the
-        # sender had telemetry attached; parse both.
-        token.queue = [
-            LockRequest(e[0], e[1], e[2], e[3], e[4],
-                        obs_span=e[5] if len(e) > 5 else None)
-            for e in p["queue"]
-        ]
-        token.waitq = [
-            LockRequest(e[0], e[1], e[2], e[3], e[4],
-                        obs_span=e[5] if len(e) > 5 else None)
-            for e in p["waitq"]
-        ]
+        token.queue = [LockRequest(*e) for e in p["queue"]]
+        token.waitq = [LockRequest(*e) for e in p["waitq"]]
         token.seen_notices = {n: dict(m) for n, m in p["seen"].items()}
-        if self.race is not None:
-            # Install the lock clock carried with the token (absent on a
-            # recovery re-issue: the detector runs degraded after a kill).
-            self.race.install_lock_vc(gid, p.get("race"))
         st.token = token
         st.last_sent_to = None
-        if self.policy is not None:
-            # Install a token-borne migratory master FIRST: the fresh
-            # master makes the delta's own notice for the unit a no-op
-            # and the owner update below resolves locally.
-            self.policy.on_token_arrive(p)
+        for fn in self.hooks.sync_scope:
+            fn(True)
         # Acquire-side of the sync point: invalidate per the notice delta.
         notices = [Notice(g, v, w) for g, v, w in p["delta"]]
         self._apply_notices(notices)
-        if self.locality is not None:
-            # Sharing-pattern prefetch: bulk-fetch the units this delta
-            # just invalidated (they are the acquirer's likely next reads).
-            self.locality.on_token_notices(notices)
+        for fn in self.hooks.token_notices:
+            fn(notices)
         # Tell the home who owns the lock now.
         home = self.home_node(gid)
         if home != self.node_id:
@@ -1535,40 +1355,27 @@ class DsmEngine:
             })
         else:
             self.lock_owner[gid] = self.node_id
-        node, tid, _prio, restore = p["grant"]
+        node, tid, _prio, _restore = p["grant"]
         if node != self.node_id:  # pragma: no cover - defensive
             raise ProtocolError("token granted to the wrong node")
-        if self.ft is not None:
-            entry = self._blocked_on.get(tid)
-            if entry is None or entry[0] != gid:
-                # Stale grant from a recovery re-issue: the thread was
-                # already granted (and may have moved on).  Keep the
-                # token and serve whoever is actually waiting.
-                self._service_queue(st)
-                return
-            restore = entry[1]
-        st.holder_tid = tid
-        st.count = restore
-        self._blocked_on.pop(tid, None)
-        if self.race is not None:
-            self.race.on_lock_granted(tid, gid)
-        if self.obs is not None:
-            self.obs.on_lock_granted(tid, gid)
-        self._thread(tid).complete(NO_VALUE)
+        if not self._grant(st, tid):
+            # Stale grant: keep the token and serve whoever is waiting.
+            self._service_queue(st)
+        for fn in self.hooks.sync_scope:
+            fn(False)
 
     def _on_owner_update(self, msg: Message) -> None:
-        p = msg.payload
-        if self.locality is not None \
-                and self.locality.redirect_owner_update(msg):
-            return  # unit migrated away: re-routed to the current home
-        self.lock_owner[p["gid"]] = p["owner"]
+        for fn in self.hooks.home_msg:
+            if fn(msg):
+                return  # unit migrated away: re-routed to the current home
+        self.lock_owner[msg.payload["gid"]] = msg.payload["owner"]
 
     # ==================================================================
     # Fault-tolerance recovery primitives (driven by repro.ft.recovery)
     # ==================================================================
     def ft_serialize_unit(self, key: Any) -> Optional[Dict[str, Any]]:
-        """Serialize one home coherency unit for buddy replication, in
-        the same format a fetch reply uses."""
+        """Serialize one coherency unit in fetch-reply format (also what
+        buddy replication, grants and pushes ship)."""
         gid, region = key if isinstance(key, tuple) else (key, None)
         obj = self.cache.get(gid)
         if obj is None:
@@ -1616,34 +1423,11 @@ class DsmEngine:
         region = unit["region"]
         obj = self.cache.get(gid)
         if obj is None:
-            class_name = unit["class_name"]
-            if class_name.endswith("[]"):
-                obj = ArrayObj(class_name[:-2], 0)
-            else:
-                obj = Obj(self.jvm.lookup(class_name))
-            hdr = attach_header(obj)
-            hdr.gid = gid
-            hdr.state = ObjState.INVALID
-            hdr.version = 0
-            self.cache[gid] = obj
+            obj = self._new_stub(gid, unit["class_name"])
         hdr = obj.header
         if region is not None:
-            total_len = unit["total_len"]
-            reg = self._regions.get(gid)
-            if reg is None:
-                elems = unit["region_elems"]
-                n = (total_len + elems - 1) // elems
-                reg = RegionInfo(
-                    elems=elems,
-                    states=[ObjState.INVALID] * n,
-                    versions=[0] * n,
-                    length_known=True,
-                )
-                self._regions[gid] = reg
-            if len(obj.data) != total_len:
-                from ..jvm.classfile import default_value
-                obj.data = [default_value(obj.elem_type)] * total_len
-            lo, _hi = reg.bounds(region, total_len)
+            reg = self._region_info(obj, unit)
+            lo, _hi = reg.bounds(region, unit["total_len"])
             twin = reg.twins.pop(region, None)
             local_diff = None
             if twin is not None:
@@ -1709,30 +1493,12 @@ class DsmEngine:
         the adoptive home answers them from the replica store."""
         reissued = 0
         for (gid, region), waiters in list(self._fetch_waiters.items()):
-            if not waiters:
-                continue
-            # Migrated units' fetches may have targeted a node other
-            # than home_of(gid); _fetch_targets records where each
-            # in-flight (or prefetch-covered) fetch actually went.
-            if self.locality is not None:
-                target_was = self._fetch_targets.get(
-                    (gid, region), home_of(gid))
-            else:
-                target_was = home_of(gid)
-            if target_was != dead:
-                continue
-            key = gid if region is None else (gid, region)
-            payload: Dict[str, Any] = {"gid": gid, "region": region}
-            if self.config.timestamp_mode == VECTOR:
-                payload["required"] = self.notice_table.required_vector(key)
-            else:
-                payload["required"] = self.notice_table.required_scalar(key)
-            self.stats.fetches += 1
-            target = self.home_node(gid)
-            if self.locality is not None:
-                self._fetch_targets[(gid, region)] = target
-            self.transport.send(target, M_FETCH_REQ, payload)
-            reissued += 1
+            # A migrated unit's fetch may have targeted a node other
+            # than home_of(gid): _fetch_targets knows where it went.
+            if waiters and self._fetch_targets.get(
+                    (gid, region), home_of(gid)) == dead:
+                self._send_fetch(gid, region)
+                reissued += 1
         return reissued
 
     def ft_reissue_blocked(self) -> int:
@@ -1748,26 +1514,17 @@ class DsmEngine:
             thread = self._threads.get(tid)
             if thread is None:
                 continue
+            req = LockRequest(self.node_id, tid, thread.priority,
+                              restore_count=restore)
             st = self.lock_states.get(gid)
             if st is not None and st.token is not None:
                 if st.token.holds_request(self.node_id, tid):
                     continue  # original record survived with the token
                 # Token is local (possibly freshly re-issued) but the
                 # request record died with the old holder: requeue here.
-                st.token.enqueue(LockRequest(
-                    self.node_id, tid, thread.priority,
-                    restore_count=restore,
-                ))
-                reissued += 1
-                continue
-            self.stats.lock_requests += 1
-            self.transport.send(self.home_node(gid), M_LOCK_REQ, {
-                "gid": gid,
-                "node": self.node_id,
-                "tid": tid,
-                "priority": thread.priority,
-                "restore": restore,
-            })
+                st.token.enqueue(req)
+            else:
+                self._send_lock_req(gid, req)
             reissued += 1
         return reissued
 

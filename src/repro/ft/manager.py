@@ -23,9 +23,7 @@ from ..sim.node import StreamState
 from .heartbeat import FailureDetector, HeartbeatAgent
 from .recovery import RecoveryOrchestrator
 from .replication import (
-    M_FT_NOTICES,
     M_FT_PING,
-    M_FT_REPL,
     M_FT_SUSPECT,
     FtNodeAgent,
     buddy_of,
@@ -45,7 +43,12 @@ class ThreadRecord:
     priority: int
     target: int                 # where the spawn was sent
     node: Optional[int] = None  # where it actually started (None: in flight)
-    done: bool = False
+    thread: Any = None          # its JThread there
+
+    @property
+    def done(self) -> bool:
+        return (self.thread is not None
+                and self.thread.state is StreamState.FINISHED)
 
 
 class FtManager:
@@ -56,7 +59,6 @@ class FtManager:
         cfg = runtime.config
         self.coordinator = cfg.master_node
         self.interval_ns = cfg.ft_heartbeat_ns
-        self.mode = cfg.ft_replication
         self.agents: Dict[int, FtNodeAgent] = {}
         self.hb_agents: Dict[int, HeartbeatAgent] = {}
         self.detector: Optional[FailureDetector] = None
@@ -91,13 +93,10 @@ class FtManager:
 
     def _attach_worker(self, worker: "WorkerNode", num_nodes: int) -> None:
         agent = FtNodeAgent(
-            self, worker, self.mode,
+            self, worker,
             buddy_of(worker.node_id, num_nodes, self.dead_nodes),
         )
-        worker.dsm.ft = agent
-        worker.transport.stamp_epoch = True
-        worker.transport.on(M_FT_REPL, agent.on_repl_msg)
-        worker.transport.on(M_FT_NOTICES, agent.on_notices_msg)
+        agent.attach()
         for origin, target in self.home_redirects.items():
             worker.dsm.ft_set_home(origin, target)
         for dead in self.dead_nodes:
@@ -156,21 +155,17 @@ class FtManager:
         self.orchestrator.begin(node)
 
     # ------------------------------------------------------------------
-    # Thread registry (hooks called via FtNodeAgent)
+    # Thread registry (fed by the agents' spawn / thread_begin hooks)
     # ------------------------------------------------------------------
     def record_ship(self, gid: int, class_name: str, priority: int,
                     target: int) -> None:
         self.threads[gid] = ThreadRecord(gid, class_name, priority, target)
 
-    def record_start(self, gid: int, node: int) -> None:
+    def record_start(self, gid: int, node: int, jthread: Any) -> None:
         rec = self.threads.get(gid)
         if rec is not None:
             rec.node = node
-
-    def record_done(self, gid: int) -> None:
-        rec = self.threads.get(gid)
-        if rec is not None:
-            rec.done = True
+            rec.thread = jthread
 
     def respawn_dead_threads(self, dead: int) -> int:
         """Re-ship every unfinished thread that died with (or was in
@@ -190,14 +185,14 @@ class FtManager:
                 continue
             target = runtime._choose_spawn_node()
             rec.target = target
-            rec.node = None
+            rec.node = rec.thread = None
             payload = {
                 "gid": gid,
                 "class_name": rec.class_name,
                 "priority": rec.priority,
             }
             if target == self.coordinator:
-                master_dsm._local_spawn(gid, rec.class_name, rec.priority)
+                master_dsm._local_spawn(payload)
             else:
                 master_dsm.transport.send(target, M_SPAWN, payload)
             respawned += 1

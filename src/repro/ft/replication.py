@@ -12,15 +12,8 @@ recovery depends on:
     after the last frame left the dead node) the buddy's store covers
     every version a survivor can possibly have observed.
 
-Two modes (``RuntimeConfig.ft_replication``):
-
-- ``eager`` (default): mirror every promoted unit and every home-state
-  advance as it happens.
-- ``lazy``: mirror only units whose gid has crossed the wire.  A gid no
-  survivor can name cannot be depended on; purely-local state dies with
-  its node, whose threads restart from scratch anyway.
-
-Dirty-master serves are mirrored in both modes: a fetch reply publishes
+Every promoted unit and every home-state advance is mirrored as it
+happens.  Dirty-master serves are mirrored too: a fetch reply publishes
 home content that has not had its version bumped yet, so the buddy needs
 the content refresh at the *same* version.
 """
@@ -29,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dsm.directory import home_of
 from ..net.message import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,21 +91,20 @@ def _key_order(key: Any) -> Tuple[int, int]:
 
 
 class FtNodeAgent:
-    """Per-node fault-tolerance agent: the DSM engine's ``ft`` hooks plus
-    the buddy-side replica store and FT message handlers."""
+    """Per-node fault-tolerance agent: subscribes to the DSM engine's
+    hook points, and owns the buddy-side replica store and FT message
+    handlers."""
 
     def __init__(self, manager: "FtManager", worker: "WorkerNode",
-                 mode: str, buddy: int) -> None:
+                 buddy: int) -> None:
         self.manager = manager
         self.worker = worker
         self.dsm = worker.dsm
         self.transport = worker.transport
         self.node_id = worker.node_id
-        self.mode = mode
         self.buddy = buddy
         self.store = ReplicaStore()
-        # gids this agent actively mirrors (gate in lazy mode; eager adds
-        # every home gid on promotion).
+        # gids this agent mirrors (every home gid, from promotion on).
         self._published: Set[int] = set()
         # unit keys adopted from a dead home (this node now serves them).
         self._adopted: Set[Any] = set()
@@ -122,44 +113,40 @@ class FtNodeAgent:
         self.repl_messages = 0
 
     # ------------------------------------------------------------------
-    # DSM hooks (see DsmEngine.ft call sites)
+    # DSM hook subscribers
     # ------------------------------------------------------------------
-    def on_promote(self, gid: int) -> None:
+    def attach(self) -> None:
+        hooks = self.dsm.hooks
+        hooks.promote.append(self.on_promote)
+        hooks.spawn.append(self.on_spawn)
+        hooks.thread_begin.append(self.on_thread_begin)
+        hooks.home_advance.append(self.on_home_advance)
+        hooks.fetch_serve.append(self.on_serve)
+        self.transport.stamp_epoch = True
+        self.transport.on(M_FT_REPL, self.on_repl_msg)
+        self.transport.on(M_FT_NOTICES, self.on_notices_msg)
+
+    def on_promote(self, ref: Any, gid: int) -> None:
         """A local object became shared; this node is its home."""
-        if self.mode == "eager":
-            self._publish_gid(gid)
+        self._publish_gid(gid)
 
-    def on_ref_serialized(self, gid: int) -> None:
-        """A reference is crossing the wire: in lazy mode, first escape
-        of a home gid is the publish point."""
-        if (self.mode == "lazy"
-                and gid not in self._published
-                and home_of(gid) == self.node_id):
-            self._publish_gid(gid)
-
-    def on_spawn(self, gid: int, class_name: str, priority: int,
+    def on_spawn(self, thread: Any, payload: Dict[str, Any],
                  target: int) -> None:
-        """A thread object is being shipped (its gid travels in the spawn
-        payload without going through reference serialization)."""
-        if self.mode == "lazy" and home_of(gid) == self.node_id:
-            self._publish_gid(gid)
-        self.manager.record_ship(gid, class_name, priority, target)
+        """A thread object is being shipped."""
+        self.manager.record_ship(payload["gid"], payload["class_name"],
+                                 payload["priority"], target)
 
-    def on_thread_start(self, gid: int) -> None:
-        self.manager.record_start(gid, self.node_id)
+    def on_thread_begin(self, jthread: Any, payload: Dict[str, Any]) -> None:
+        self.manager.record_start(payload["gid"], self.node_id, jthread)
 
-    def on_thread_done(self, gid: int) -> None:
-        self.manager.record_done(gid)
-
-    def on_home_advance(self, advanced: Sequence[Tuple[Any, int]]) -> None:
+    def on_home_advance(self, advanced: Sequence[Tuple[Any, int]],
+                        writer: Optional[int] = None) -> None:
         """Home state advanced (local flush or applied diff): mirror the
         new versions before the corresponding ack/notice can leave."""
         units = []
         for key, version in advanced:
             gid = key[0] if isinstance(key, tuple) else key
             if gid not in self._published and key not in self._adopted:
-                if self.mode == "lazy":
-                    continue  # never escaped; nothing depends on it
                 self._publish_gid(gid)
                 continue  # publish covered the current version
             if self._repl_versions.get(key, -1) >= version:
@@ -169,11 +156,13 @@ class FtNodeAgent:
                 units.append(unit)
         self._send_units(units)
 
-    def on_serve(self, gid: int, region: Optional[int]) -> None:
-        """A fetch is about to be served: mirror dirty master content
-        (same version, fresher bytes) and, in lazy mode, publish."""
-        if self.mode == "lazy" and gid not in self._published:
-            self._publish_gid(gid)
+    def on_serve(self, requester: int, obj: Any, region: Optional[int],
+                 bulk: bool) -> None:
+        """A fetch is about to be served: replicate dirty master content
+        (same version, fresher bytes) BEFORE the reply leaves — anything
+        a survivor can have observed must be reconstructible from the
+        buddy."""
+        gid = obj.header.gid
         key = gid if region is None else (gid, region)
         if key in self.dsm._dirty_home:
             unit = self.dsm.ft_serialize_unit(key)

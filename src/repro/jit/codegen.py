@@ -157,14 +157,14 @@ class _Emitter:
             from ..dsm.objectstate import ObjState
             self.env["_LOCAL"] = ObjState.LOCAL
             self._lock_opt = bool(dsm.config.local_lock_opt)
-            race_eng = getattr(dsm, "race", None)
-            if race_eng is not None:
-                self.env["_race_la"] = race_eng.on_local_acquired
-                self.env["_race_lr"] = race_eng.on_local_released
-            self._dsm_race = race_eng is not None
+            # Subscribers of the engine's lock_edge point (the race
+            # detector's §4.4 local-lock clocks) fire from the inlined
+            # fast path too.
+            self.env["_lock_edge"] = dsm.hooks.lock_edge
+            self._lock_edge = bool(dsm.hooks.lock_edge)
         else:
             self._lock_opt = False
-            self._dsm_race = False
+            self._lock_edge = False
 
     def const(self, obj: Any, prefix: str = "K") -> str:
         name = self._const_names.get(id(obj))
@@ -689,8 +689,9 @@ class _Emitter:
             w(ind + 1, "_h.lock_owner = thread")
             w(ind + 1, "_h.lock_count += 1")
             w(ind + 1, "_stats.local_acquires += 1")
-            if self._dsm_race:
-                w(ind + 1, "_race_la(thread, _h)")
+            if self._lock_edge:
+                w(ind + 1, "for _f in _lock_edge:")
+                w(ind + 2, "_f(thread.tid, 0, _h, True)")
             w(ind + 1, f"used += {cost + ll}")
             w(ind, "else:")
             self._emit_acquire_slow(ind + 1, pc, d, cost)
@@ -737,8 +738,9 @@ class _Emitter:
             w(ind + 1, "_h.lock_count -= 1")
             w(ind + 1, "if _h.lock_count == 0:")
             w(ind + 2, "_h.lock_owner = None")
-            if self._dsm_race:
-                w(ind + 2, "_race_lr(thread, _h)")
+            if self._lock_edge:
+                w(ind + 2, "for _f in _lock_edge:")
+                w(ind + 3, "_f(thread.tid, 0, _h, False)")
             w(ind + 1, f"used += {cost + ll}")
             w(ind, "else:")
             self._emit_release_slow(ind + 1, pc, d, cost)

@@ -141,11 +141,6 @@ class JitAgent:
             consumed += used
             fn.stats[reason] += 1
             self.reasons[reason] += 1
-            if self.manager.trace is not None and reason >= R_CALL:
-                self.manager.trace.append(
-                    (self.worker.node_id, thread.name,
-                     f"{frame.method.klass}.{frame.method.name}",
-                     frame.pc, REASON_NAMES[reason]))
             if reason == R_BUDGET:
                 # Interpreter tail: reproduce tier 0's exact overshoot.
                 while consumed < budget_ns and thread.state is _RUNNABLE:
@@ -189,11 +184,6 @@ class JitAgent:
             consumed += used
             fn.stats[reason] += 1
             self.reasons[reason] += 1
-            if self.manager.trace is not None and reason >= R_CALL:
-                self.manager.trace.append(
-                    (self.worker.node_id, thread.name,
-                     f"{frame.method.klass}.{frame.method.name}",
-                     frame.pc, REASON_NAMES[reason]))
             if reason == R_BUDGET:
                 t0 = clock()
                 while consumed < budget_ns and thread.state is _RUNNABLE:
@@ -245,8 +235,6 @@ class JitManager:
         self.runtime = runtime
         self.threshold = runtime.config.jit_threshold
         self.agents: List[JitAgent] = []
-        self.trace: Optional[List[tuple]] = (
-            [] if runtime.config.jit_deopt_trace else None)
         # Wall-clock registry (obs attaches before jit; None w/o knob).
         obs = getattr(runtime, "obs", None)
         self.wall = None if obs is None else obs.wallclock
@@ -325,9 +313,4 @@ class JitManager:
         }
         if self.tier_events:
             out["tier_events"] = self.tier_events[:200]
-        if self.trace is not None:
-            out["trace"] = [
-                {"node": n, "thread": t, "method": m, "pc": pc, "reason": r}
-                for n, t, m, pc, r in self.trace[:200]
-            ]
         return out

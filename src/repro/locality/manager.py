@@ -34,9 +34,9 @@ from ..dsm.protocol import (
     M_DIFF,
     M_DIFF_ACK,
     M_FETCH_REQ,
+    M_FT_REDIFF,
     M_FT_REDIFF_ACK,
     M_LOCK_REQ,
-    M_TOKEN,
     M_OWNER_UPDATE,
 )
 from ..net.message import (
@@ -63,6 +63,11 @@ AGG_TYPES = frozenset({
     M_DIFF, M_OWNER_UPDATE, M_LOC_BULK_FETCH, M_LOC_HOME_UPDATE,
 })
 
+#: Profiler sliding window: per-unit remote-access events remembered.
+WINDOW = 8
+#: Max units batched into one bulk-fetch on acquire.
+PREFETCH_DEPTH = 8
+
 #: Wire fields stamped by the transport that must not survive a forward.
 _TRANSPORT_FIELDS = ("__seq__", "__epoch__")
 
@@ -80,10 +85,10 @@ class LocalityManager:
         self.migration = cfg.locality_migration
         self.prefetch = cfg.locality_prefetch
         self.aggregation = cfg.locality_aggregation
-        self.window = cfg.locality_window
         self.threshold = cfg.locality_migration_threshold
-        self.prefetch_depth = cfg.locality_prefetch_depth
         self.agents: Dict[int, "LocalityAgent"] = {}
+        # Optional tracer callback: (node, kind, detail).
+        self.event_sink: Optional[Callable[[int, str, str], None]] = None
         # Harness-level registry: gid -> (current home, epoch) for every
         # migrated unit.  Recovery consults it to decide which of a dead
         # node's replicated units the buddy should adopt (units that
@@ -100,7 +105,6 @@ class LocalityManager:
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = LocalityAgent(self, worker)
         self.agents[worker.node_id] = agent
-        worker.dsm.locality = agent
         agent.attach()
 
     def on_worker_added(self, worker: "WorkerNode") -> None:
@@ -119,6 +123,16 @@ class LocalityManager:
         if current is not None and current[1] >= epoch:
             return
         self.migrations[gid] = (home, epoch)
+
+    def note_adopted(self, gid: int, node: int, epoch: int,
+                     version: int) -> None:
+        """``node`` installed a granted master: record the move and have
+        the new home's buddy protect the unit from now on."""
+        self.note_migration(gid, node, epoch)
+        ft = self.runtime.ft
+        if ft is not None:
+            ft.agents[node].note_adopted(gid)
+            ft.agents[node].on_home_advance([(gid, version)])
 
     def current_home(self, gid: int) -> int:
         entry = self.migrations.get(gid)
@@ -167,8 +181,9 @@ class LocalityManager:
 
 
 class LocalityAgent:
-    """Per-node locality agent: the DSM engine's ``locality`` hooks plus
-    the locality message handlers and the release-time aggregator."""
+    """Per-node locality agent: subscribes to the DSM engine's and the
+    transport's hook points, and owns the locality message handlers and
+    the release-time aggregator."""
 
     def __init__(self, manager: LocalityManager,
                  worker: "WorkerNode") -> None:
@@ -180,12 +195,7 @@ class LocalityAgent:
         self.migration = manager.migration
         self.prefetch = manager.prefetch
         self.aggregation = manager.aggregation
-        self.prefetch_depth = manager.prefetch_depth
-        self.profiler = AccessProfiler(manager.window)
-        # Optional tracer hook: called (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
-        # Prefetcher: gid -> node the bulk fetch went to.
-        self._inflight_prefetch: Dict[int, int] = {}
+        self.profiler = AccessProfiler(WINDOW)
         # Proxy state for split diff batches: fwd_id -> record.  Each
         # record shares a ``state`` dict with its siblings so the proxy
         # sends exactly ONE combined ack once every part is applied.
@@ -197,10 +207,9 @@ class LocalityAgent:
         # working copy: forwarded copies of its pre-grant diffs are
         # already folded in and must be dropped, not re-applied.
         self._self_folded: Set[int] = set()
-        # Aggregator: handler-scope depth + per-destination buffers.
+        # Aggregator: sync-scope depth + per-destination buffers.
         self._scope_depth = 0
         self._buffers: Dict[int, List[Message]] = {}
-        self._raw_send: Callable[..., Message] = self.transport.send
 
     # ------------------------------------------------------------------
     # Wiring
@@ -213,20 +222,25 @@ class LocalityAgent:
         t.on(M_LOC_BULK_FETCH, self._on_bulk_fetch)
         t.on(M_LOC_BULK_REPLY, self._on_bulk_reply)
         t.on(M_LOC_AGG, self._on_agg)
+        hooks = self.dsm.hooks
+        hooks.home_msg.append(self.intercept)
+        t.hooks.deliver.append(self.on_deliver)
+        if self.migration:
+            hooks.diff_applied.append(self.consider_migration)
+        if self.prefetch:
+            hooks.token_notices.append(self.on_token_notices)
         if self.aggregation:
-            # Innermost send wrapper: observers (oracle/monitor/tracer)
-            # attach after runtime construction, so they wrap _agg_send
+            # First outbound filter (attach order): the race detector,
+            # telemetry and tracer filters registered after it decorate
             # and see every LOGICAL message exactly once; the aggregate
-            # frames themselves leave through the raw send captured
-            # above and stay invisible to them.
-            self.transport.send = self._agg_send
-            t._handlers[M_TOKEN] = self._scoped(t._handlers[M_TOKEN])
-            self.dsm.release = self._scoped(self.dsm.release)
-            self.dsm.dsm_wait = self._scoped(self.dsm.dsm_wait)
+            # frames themselves leave through send_frame and stay
+            # invisible to them.
+            hooks.sync_scope.append(self._scope)
+            t.hooks.outbound.append(self._agg_filter)
 
     def _emit(self, kind: str, detail: str) -> None:
-        if self.event_sink is not None:
-            self.event_sink(self.node_id, kind, detail)
+        if self.manager.event_sink is not None:
+            self.manager.event_sink(self.node_id, kind, detail)
 
     # ------------------------------------------------------------------
     # Redirect gossip
@@ -261,54 +275,33 @@ class LocalityAgent:
     # ------------------------------------------------------------------
     # Stale-directory forwarding (old-home side)
     # ------------------------------------------------------------------
-    def redirect_fetch(self, msg: Message) -> bool:
+    def intercept(self, msg: Message) -> bool:
+        """``home_msg`` interceptor: a home-role message for a unit that
+        migrated away is re-routed to its current home (and the sender
+        hinted); a diff batch naming such units is split — the local
+        part applied, the rest forwarded — with exactly one combined
+        ack promised to the writer."""
+        mtype = msg.msg_type
+        if mtype == M_DIFF or mtype == M_FT_REDIFF:
+            return self._maybe_proxy(
+                msg, M_DIFF_ACK if mtype == M_DIFF else M_FT_REDIFF_ACK,
+                msg.payload["ack_id"], require_remote=True)
         gid = msg.payload["gid"]
-        if self.dsm.home_node(gid) == self.node_id:
+        home = self.dsm.home_node(gid)
+        if home == self.node_id:
             return False
         self.dsm.stats.home_forwards += 1
         fwd = _strip(msg.payload)
-        # Keep the original requester so the serving home replies
-        # directly instead of bouncing through this node.
-        fwd["requester"] = msg.payload.get("requester", msg.src)
-        self.transport.send(self.dsm.home_node(gid), M_FETCH_REQ, fwd)
-        self._maybe_hint(msg.src, gid)
+        peer = msg.src
+        if mtype == M_FETCH_REQ:
+            # Keep the original requester so the serving home replies
+            # directly instead of bouncing through this node.
+            fwd["requester"] = msg.payload.get("requester", msg.src)
+        elif mtype == M_LOCK_REQ:
+            peer = msg.payload["node"]
+        self.transport.send(home, mtype, fwd)
+        self._maybe_hint(peer, gid)
         return True
-
-    def redirect_lock_req(self, msg: Message) -> bool:
-        gid = msg.payload["gid"]
-        if self.dsm.home_node(gid) == self.node_id:
-            return False
-        self.dsm.stats.home_forwards += 1
-        self.transport.send(
-            self.dsm.home_node(gid), M_LOCK_REQ, _strip(msg.payload))
-        self._maybe_hint(msg.payload["node"], gid)
-        return True
-
-    def redirect_owner_update(self, msg: Message) -> bool:
-        gid = msg.payload["gid"]
-        if self.dsm.home_node(gid) == self.node_id:
-            return False
-        self.dsm.stats.home_forwards += 1
-        self.transport.send(
-            self.dsm.home_node(gid), M_OWNER_UPDATE, _strip(msg.payload))
-        self._maybe_hint(msg.src, gid)
-        return True
-
-    # ------------------------------------------------------------------
-    # Split diff batches (old-home proxy)
-    # ------------------------------------------------------------------
-    def intercept_diff(self, msg: Message) -> bool:
-        """M_DIFF hook: if any entry names a unit migrated away, split
-        the batch — apply the local part, forward the rest — and promise
-        the writer exactly one combined M_DIFF_ACK."""
-        return self._maybe_proxy(
-            msg, M_DIFF_ACK, msg.payload["ack_id"], require_remote=True)
-
-    def intercept_rediff(self, msg: Message) -> bool:
-        """Same, for recovery-time M_FT_REDIFF batches."""
-        return self._maybe_proxy(
-            msg, M_FT_REDIFF_ACK, msg.payload["ack_id"],
-            require_remote=True)
 
     def _on_fwd_diff(self, msg: Message) -> None:
         """New-home side of a forwarded diff.  Re-splits if some entries
@@ -365,14 +358,11 @@ class LocalityAgent:
         }
         state["versions"].extend(folded)
         if local:
-            acks = self.dsm._apply_diff_entries({
+            state["versions"].extend(self.dsm._apply_diff_entries({
                 "entries": local,
                 "writer": p["writer"],
                 "interval": p["interval"],
-            })
-            if self.dsm.ft is not None:
-                self.dsm.ft.on_home_advance(acks)
-            state["versions"].extend(acks)
+            }))
         for home in sorted(by_home):
             entries = by_home[home]
             self.dsm.stats.fwd_diffs += len(entries)
@@ -420,16 +410,15 @@ class LocalityAgent:
     # ------------------------------------------------------------------
     # Migration policy (old-home side) and grant install (writer side)
     # ------------------------------------------------------------------
-    def consider_migration(self, msg: Message) -> Optional[List[Dict[str, Any]]]:
-        """After a clean diff batch applied: feed the profiler and grant
-        away any unit the writer now dominates.  Grants piggyback on the
-        M_DIFF_ACK the writer is fenced on."""
-        if not self.migration:
-            return None
+    def consider_migration(self, msg: Message, ack_payload: Dict[str, Any],
+                           delay_ns: int) -> None:
+        """``diff_applied`` decorator: feed the profiler and grant away
+        any unit the writer now dominates.  Grants ride the ``migrate``
+        field of the M_DIFF_ACK the writer is fenced on."""
         p = msg.payload
         writer = p["writer"]
         if writer == self.node_id:
-            return None
+            return
         grants: List[Dict[str, Any]] = []
         for gid, _diff, region in p["entries"]:
             if region is not None or gid in self.dsm._regions:
@@ -456,13 +445,16 @@ class LocalityAgent:
                        f"gid={gid:#x} home {self.node_id} -> {writer} "
                        f"epoch {epoch}")
             grants.append(grant)
-        return grants or None
+        if grants:
+            ack_payload["migrate"] = grants
 
-    def install_grants(self, src: int,
-                       grants: List[Dict[str, Any]]) -> None:
-        """Writer side (inside M_DIFF_ACK): become the home of each
-        granted unit."""
-        for grant in grants:
+    def on_deliver(self, msg: Message) -> None:
+        """Writer side: become the home of each unit granted in an
+        arriving M_DIFF_ACK's ``migrate`` field (locality migration and
+        policy bootstrap grants alike)."""
+        if msg.msg_type != M_DIFF_ACK:
+            return
+        for grant in msg.payload.get("migrate", ()):
             gid = grant["gid"]
             if (not self.dsm.set_gid_home(gid, self.node_id,
                                           grant["epoch"])
@@ -487,24 +479,15 @@ class LocalityAgent:
             self.dsm.ft_install_master(grant)
             self.dsm.lock_owner[gid] = grant["lock_owner"]
             self.dsm.stats.migrations_in += 1
-            self.manager.note_migration(gid, self.node_id, grant["epoch"])
-            if self.dsm.ft is not None:
-                # The buddy of THIS node must now protect the unit.
-                self.dsm.ft.note_adopted(gid)
-                self.dsm.ft.on_home_advance([(gid, grant["version"])])
+            self.manager.note_adopted(gid, self.node_id, grant["epoch"],
+                                      grant["version"])
 
     # ------------------------------------------------------------------
     # Sharing-pattern prefetch
     # ------------------------------------------------------------------
-    def fetch_covered(self, gid: int, region: Optional[int]) -> bool:
-        """True when a demand fetch can ride on an in-flight prefetch."""
-        return region is None and gid in self._inflight_prefetch
-
     def on_token_notices(self, notices: List[Any]) -> None:
         """Acquire side: the notice delta names the units this node's
         next reads will miss on — bulk-fetch them per home."""
-        if not self.prefetch:
-            return
         by_home: Dict[int, List[int]] = {}
         for n in notices:
             gid = n.gid
@@ -522,18 +505,17 @@ class LocalityAgent:
                 continue
             if hdr.version >= self.dsm.notice_table.required_scalar(gid):
                 continue
-            if (gid, None) in self.dsm._fetch_waiters:
-                continue  # a demand fetch is already in flight
-            if gid in self._inflight_prefetch:
-                continue
+            if (gid, None) in self.dsm._fetch_targets:
+                continue  # a demand fetch or prefetch is already in flight
             home = self.dsm.home_node(gid)
             if home == self.node_id:
                 continue
             by_home.setdefault(home, []).append(gid)
         for home in sorted(by_home):
-            gids = by_home[home][: self.prefetch_depth]
+            gids = by_home[home][:PREFETCH_DEPTH]
             for gid in gids:
-                self._inflight_prefetch[gid] = home
+                # Demand misses on these units now park on the bulk reply.
+                self.dsm._fetch_targets[(gid, None)] = home
             self.dsm.stats.prefetch_bulk += 1
             self._emit("locality.prefetch",
                        f"{len(gids)} unit(s) from node {home}")
@@ -551,76 +533,48 @@ class LocalityAgent:
         p = msg.payload
         served = {u["gid"]: u for u in p["units"]}
         for gid in p["requested"]:
-            self._inflight_prefetch.pop(gid, None)
+            self.dsm._fetch_targets.pop((gid, None), None)
             unit = served.get(gid)
-            installed = False
-            if unit is not None:
-                obj = self.dsm.cache.get(gid)
-                hdr = obj.header if obj is not None else None
-                if (hdr is not None
-                        and hdr.state == ObjState.INVALID
-                        and unit["version"]
-                        >= self.dsm.notice_table.required_scalar(gid)):
-                    self.dsm._install_unit(unit)
-                    self.dsm.stats.prefetch_units += 1
-                    installed = True
-            if installed:
-                self.dsm._fetch_targets.pop((gid, None), None)
-                waiters = self.dsm._fetch_waiters.pop((gid, None), [])
-                if waiters:
+            obj = self.dsm.cache.get(gid)
+            hdr = obj.header if obj is not None else None
+            if (unit is not None and hdr is not None
+                    and hdr.state == ObjState.INVALID
+                    and unit["version"]
+                    >= self.dsm.notice_table.required_scalar(gid)):
+                self.dsm.stats.prefetch_units += 1
+                # Installs, and wakes the demand misses it satisfied.
+                if self.dsm._complete_fetch(unit, len(unit["data"])):
                     self.dsm.stats.prefetch_hits += 1
-                if self.dsm.obs is not None:
-                    # Close the demand-fetch span/stalls this prefetch
-                    # just satisfied (no-op if nothing was waiting).
-                    self.dsm.obs.on_fetch_done(
-                        gid, None, [t.tid for t in waiters],
-                        len(unit["data"]))
-                for thread in waiters:
-                    thread.wake()
             elif self.dsm._fetch_waiters.get((gid, None)):
                 # Parked waiters whose prefetch came back unserved (or
                 # stale): fall back to a normal demand fetch.
-                self._demand_fetch(gid)
-
-    def _demand_fetch(self, gid: int) -> None:
-        payload = {
-            "gid": gid, "region": None,
-            "required": self.dsm.notice_table.required_scalar(gid),
-        }
-        self.dsm.stats.fetches += 1
-        target = self.dsm.home_node(gid)
-        self.dsm._fetch_targets[(gid, None)] = target
-        self.transport.send(target, M_FETCH_REQ, payload)
+                self.dsm._send_fetch(gid, None)
 
     # ------------------------------------------------------------------
     # Release/acquire message aggregation
     # ------------------------------------------------------------------
-    def _scoped(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
+    def _scope(self, entering: bool) -> None:
+        """``sync_scope`` observer: coalesce what one release / wait /
+        token arrival sends, flushing when the outermost scope ends."""
+        if entering:
             self._scope_depth += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._scope_depth -= 1
-                if self._scope_depth == 0:
-                    self._flush_all()
-        return wrapper
+            return
+        self._scope_depth -= 1
+        if self._scope_depth == 0:
+            self._flush_all()
 
-    def _agg_send(self, dst: int, msg_type: str,
-                  payload: Optional[Dict[str, Any]] = None,
-                  size_bytes: int = 0) -> Message:
+    def _agg_filter(self, msg: Message) -> bool:
+        """``outbound`` filter: hold an aggregable frame sent inside a
+        sync scope back in its destination's buffer."""
+        dst = msg.dst
         if (self._scope_depth > 0 and dst != self.node_id
-                and msg_type in AGG_TYPES):
-            msg = Message(
-                msg_type=msg_type, src=self.node_id, dst=dst,
-                payload=dict(payload or {}), size_bytes=size_bytes,
-            )
+                and msg.msg_type in AGG_TYPES):
             self._buffers.setdefault(dst, []).append(msg)
-            return msg
+            return True
         if self._buffers.get(dst):
             # FIFO: buffered frames must precede this send on the link.
             self._flush_dst(dst)
-        return self._raw_send(dst, msg_type, payload, size_bytes)
+        return False
 
     def _flush_all(self) -> None:
         for dst in sorted(self._buffers):
@@ -631,8 +585,7 @@ class LocalityAgent:
         if not buf:
             return
         if len(buf) == 1:
-            m = buf[0]
-            self._raw_send(dst, m.msg_type, m.payload, m.size_bytes)
+            self.transport.send_frame(buf[0])
             return
         frames = [(m.msg_type, m.payload, m.size_bytes) for m in buf]
         size = HEADER_BYTES + sum(m.size_bytes - HEADER_BYTES for m in buf)
@@ -640,8 +593,8 @@ class LocalityAgent:
         self.dsm.stats.agg_subframes += len(buf)
         self._emit("locality.aggregate",
                    f"{len(buf)} frames -> node {dst}")
-        self._raw_send(dst, M_LOC_AGG, {"frames": frames},
-                       size_bytes=size)
+        self.transport.send_frame(Message(
+            M_LOC_AGG, self.node_id, dst, {"frames": frames}, size))
 
     def _on_agg(self, msg: Message) -> None:
         self.transport.deliver_inner(msg, msg.payload["frames"])
@@ -652,8 +605,7 @@ class LocalityAgent:
     def on_peer_dead(self, dead: int) -> None:
         """A peer died: re-aim pending forwarded diffs at the adoptive
         home and drop prefetches that can never be answered (parked
-        demand waiters are re-issued by ft_reissue_fetches, which
-        consults _fetch_targets)."""
+        demand waiters were already re-issued by ft_reissue_fetches)."""
         for fwd_id in sorted(self._fwd_pending):
             rec = self._fwd_pending[fwd_id]
             if rec["dst"] != dead:
@@ -664,6 +616,6 @@ class LocalityAgent:
             self.transport.send(new_home, M_LOC_FWD_DIFF,
                                 _strip(rec["payload"]),
                                 size_bytes=rec["size"])
-        for gid in sorted(self._inflight_prefetch):
-            if self._inflight_prefetch[gid] == dead:
-                del self._inflight_prefetch[gid]
+        targets = self.dsm._fetch_targets
+        for key in [k for k, node in targets.items() if node == dead]:
+            del targets[key]

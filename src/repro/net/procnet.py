@@ -420,14 +420,12 @@ class ProcNetwork(SimNetwork):
         seed: int = 0,
         socket_kind: str = "unix",
         wait_timeout_s: float = 30.0,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__(engine, jitter_ns=jitter_ns, seed=seed)
         if socket_kind not in ("unix", "tcp"):
             raise ValueError(f"unknown socket kind {socket_kind!r}")
         self.socket_kind = socket_kind
         self.wait_timeout_s = wait_timeout_s
-        self.start_method = start_method
         # Runtime hook: called (from an engine event) when a worker
         # process is found dead without the simulator having detached it
         # — i.e. genuine external process death (SIGKILL from outside).
@@ -525,11 +523,9 @@ class ProcNetwork(SimNetwork):
             self._handshake([node_id])
 
     def _mp_context(self):
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        return multiprocessing.get_context(method)
+        methods = multiprocessing.get_all_start_methods()
+        return multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
 
     def _handshake(self, nodes: List[int]) -> None:
         addrs: Dict[int, Any] = {}

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from ..hooks import TransportHooks
 from ..sim.cost_model import CostModel
 from ..sim.engine import NS_PER_MS, EventHandle, SimEngine
 from .message import M_TRANSPORT_ACK, Message
@@ -80,11 +81,11 @@ class Transport:
         # abandoned and the runtime should treat the peer as suspect.
         self.on_peer_unreachable: Optional[Callable[[int], None]] = None
         self._unreachable_reported: set = set()
-        # Telemetry delivery context (``repro.obs``): called with the
-        # message before its handler runs and with None after, so span
-        # parents survive handler nesting (aggregate sub-frames).
-        self.obs_on_deliver: Optional[Callable[[Optional[Message]], None]] \
-            = None
+        # Tap points for the subsystems riding on this endpoint.
+        self.hooks = TransportHooks()
+        # The message whose handler is running (None outside a handler;
+        # nests for the sub-frames of an aggregate).
+        self.delivering: Optional[Message] = None
         # Failure-recovery epoch machinery: frames from declared-dead
         # peers are discarded, and (when stamping is enabled) frames
         # carrying an epoch below a peer's floor are late packets from a
@@ -123,8 +124,6 @@ class Transport:
         size_bytes: int = 0,
     ) -> Message:
         """Send a typed message; FIFO per destination via sequence numbers."""
-        seq = self._send_seq.get(dst, 0)
-        self._send_seq[dst] = seq + 1
         msg = Message(
             msg_type=msg_type,
             src=self.node_id,
@@ -132,22 +131,34 @@ class Transport:
             payload=dict(payload or {}),
             size_bytes=size_bytes,
         )
+        held = False
+        for fn in self.hooks.outbound:
+            if fn(msg):
+                held = True
+        if not held:
+            self.send_frame(msg)
+        return msg
+
+    def send_frame(self, msg: Message) -> None:
+        """Sequence a frame and put it on the link, past the outbound
+        filters (a filter that held a frame back re-enters here)."""
+        dst = msg.dst
+        seq = self._send_seq.get(dst, 0)
+        self._send_seq[dst] = seq + 1
         msg.payload["__seq__"] = seq
         if self.stamp_epoch:
             msg.payload["__epoch__"] = self.epoch
         if dst in self.dead_peers:
             # Declared dead by recovery: don't buffer, don't retransmit.
             self.stats.to_dead_dropped += 1
-            return msg
+            return
         if self.reliable and dst != self.node_id:
             # Buffer until cumulatively acked; loopback cannot be lost.
             self._unacked.setdefault(dst, {})[seq] = msg
             self._ensure_timer(dst)
-        if not self._net_send(msg):
-            # Peer already detached: the buffered copy (if any) will be
-            # dropped by the give-up path; unreliable mode re-raises.
-            pass
-        return msg
+        # A detached peer's buffered copy (if any) is dropped by the
+        # give-up path; unreliable mode re-raises.
+        self._net_send(msg)
 
     def _net_send(self, msg: Message) -> bool:
         """Hand a frame to the network; tolerate detached peers when
@@ -332,14 +343,13 @@ class Transport:
                 f"node {self.node_id}: no handler for message type "
                 f"{msg.msg_type!r}"
             )
-        if self.obs_on_deliver is None:
-            handler(msg)
-            return
-        self.obs_on_deliver(msg)
+        outer, self.delivering = self.delivering, msg
         try:
+            for fn in self.hooks.deliver:
+                fn(msg)
             handler(msg)
         finally:
-            self.obs_on_deliver(None)
+            self.delivering = outer
 
     # ------------------------------------------------------------------
     def quiesced(self) -> bool:

@@ -5,8 +5,8 @@ One manager per :class:`~repro.runtime.javasplit.JavaSplitRuntime`
 :class:`~repro.obs.metrics.MetricsRegistry`,
 :class:`~repro.obs.spans.SpanRecorder`,
 :class:`~repro.obs.profiler.StallProfiler` — and attaches one
-:class:`ObsAgent` per worker as ``worker.dsm.obs``, the hook surface
-the protocol calls at every transaction boundary.
+:class:`ObsAgent` per worker, which subscribes to the DSM engine's and
+the transport's hook points at every transaction boundary.
 
 Passivity contract: with only ``obs_metrics``/``obs_profile`` on,
 nothing here touches a message payload, adds a byte, or schedules an
@@ -23,7 +23,9 @@ from __future__ import annotations
 import tempfile
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..net.message import OBS_SPAN_KEY, Message
+from ..net.message import (M_DIFF, M_DIFF_ACK, M_FETCH_REPLY, M_FT_REDIFF_ACK,
+                           M_LOCK_FWD, M_LOCK_REQ, M_TOKEN, OBS_SPAN_KEY,
+                           Message, estimate_size)
 from ..net.wire import set_wire_timer
 from .flight import FlightRecorder, build_dump, write_dump
 from .metrics import MetricsRegistry
@@ -39,9 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # every stamped payload whose message size is computed explicitly (the
 # auto-estimated payloads pick the key up through estimate_size).
 SPAN_KEY_BYTES = 12
+# What estimate_size bills an auto-sized frame for the same key.
+AUTO_SPAN_KEY_BYTES = estimate_size(OBS_SPAN_KEY) + 8
 # Extra wire bytes per queue/waitq entry shipped inside a lock token
 # (the 6th, obs_span tuple element).
 TOKEN_ENTRY_BYTES = 8
+# Ring capacity (events per node) of the flight recorder.
+FLIGHT_EVENTS = 256
 
 
 def current_site(thread: Any) -> Optional[Tuple[str, str, int, int]]:
@@ -81,7 +87,6 @@ class ObsManager:
         if cfg.obs_wallclock:
             self.wallclock = WallClockStats()
         self._flight_enabled = cfg.obs_flight_recorder
-        self._flight_events = cfg.obs_flight_events
         self._live = cfg.obs_live_stats
         # node -> master-side flight ring (protocol/jit/serve events).
         self.flight: Dict[int, FlightRecorder] = {}
@@ -109,7 +114,7 @@ class ObsManager:
             net.obs_plane = {
                 "wallclock": self.wallclock is not None,
                 "flight": self._flight_enabled,
-                "flight_events": self._flight_events,
+                "flight_events": FLIGHT_EVENTS,
                 "live": self._live,
                 "period_s": self.runtime.config.obs_live_period_s,
             }
@@ -133,14 +138,12 @@ class ObsManager:
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = ObsAgent(self, worker)
-        worker.dsm.obs = agent
-        if self.spans is not None:
-            worker.transport.obs_on_deliver = agent.on_deliver
         if self._flight_enabled:
-            recorder = FlightRecorder(worker.node_id, self._flight_events)
+            recorder = FlightRecorder(worker.node_id, FLIGHT_EVENTS)
             self.flight[worker.node_id] = recorder
             agent.flight = recorder
         self.agents[worker.node_id] = agent
+        agent.attach()
 
     def on_worker_added(self, worker: "WorkerNode") -> None:
         self._attach_worker(worker)
@@ -242,26 +245,24 @@ class ObsManager:
 
 
 class ObsAgent:
-    """Per-node hook surface (``dsm.obs``).  Every method is a no-op
-    for whichever collectors are off, so the protocol needs exactly one
-    guard: ``if self.obs is not None``."""
+    """Per-node telemetry subscriber.  Every method is a no-op for
+    whichever collectors are off."""
 
     def __init__(self, manager: ObsManager, worker: "WorkerNode") -> None:
         self.manager = manager
         self.worker = worker
         self.node_id = worker.node_id
         self.dsm = worker.dsm
+        self.transport = worker.transport
         self.metrics = manager.metrics
         self.spans = manager.spans
         self.profiler = manager.profiler
         self.wall = manager.wallclock
         self.flight = None  # set by _attach_worker when the knob is on
         self._now = lambda: worker.dsm.engine.now
-        # Delivery context: span ids of the messages currently being
-        # dispatched (a stack — aggregated frames dispatch nested).
-        self._ctx: List[Optional[int]] = []
         # Open transaction spans keyed by what closes them.
         self._fetch_spans: Dict[Tuple[int, Optional[int]], int] = {}
+        self._serve_spans: Dict[Tuple[int, int, Optional[int]], int] = {}
         self._flush_spans: Dict[int, int] = {}
         self._fence_spans: Dict[int, int] = {}
         self._lock_spans: Dict[int, int] = {}  # tid -> acquire/wait span
@@ -272,20 +273,50 @@ class ObsAgent:
         self._flush_t0: Dict[int, int] = {}
         self._lock_t0: Dict[int, int] = {}  # tid -> block time
 
+    def attach(self) -> None:
+        hooks = self.dsm.hooks
+        hooks.block.append(self.on_block)
+        hooks.lock_edge.append(self.on_lock_edge)
+        hooks.fetch_serve.append(self.on_fetch_serve)
+        hooks.fetch_done.append(self.on_fetch_done)
+        hooks.diff_applied.append(self.on_diff_apply)
+        hooks.token_send.append(self.on_token_send)
+        self.transport.hooks.outbound.append(self.on_outbound)
+        self.transport.hooks.deliver.append(self.on_deliver)
+
     # ------------------------------------------------------------------
-    def on_deliver(self, msg: Optional[Message]) -> None:
-        """Transport dispatch context (push on entry, pop on exit)."""
-        if msg is None:
-            if self._ctx:
-                self._ctx.pop()
-            return
-        payload = msg.payload
-        parent = payload.get(OBS_SPAN_KEY) if isinstance(payload, dict) \
-            else None
-        self._ctx.append(parent)
+    # Transport taps: stamp span ids on what leaves, consume them on
+    # what arrives
+    # ------------------------------------------------------------------
+    def on_outbound(self, msg: Message) -> bool:
+        mtype = msg.msg_type
+        if mtype == M_DIFF:
+            self._on_flush(msg)
+        elif mtype == M_LOCK_FWD:
+            self._on_lock_route(msg)
+        elif mtype == M_FETCH_REPLY and self.spans is not None:
+            p = msg.payload
+            sid = self._serve_spans.pop(
+                (msg.dst, p["gid"], p.get("region")), None)
+            if sid is not None:
+                self.spans.close(sid, bytes=msg.size_bytes)
+        return False
+
+    def on_deliver(self, msg: Message) -> None:
+        mtype = msg.msg_type
+        if mtype == M_TOKEN:
+            self._on_token_arrive(msg.payload)
+        elif mtype == M_DIFF_ACK or mtype == M_FT_REDIFF_ACK:
+            self._on_diff_ack(msg.payload["ack_id"])
+        elif ((mtype == M_LOCK_REQ or mtype == M_LOCK_FWD)
+              and self.spans is not None):
+            # The request reached its next hop (router or token holder).
+            self._close_hop(msg.payload.get(OBS_SPAN_KEY))
 
     def _parent(self) -> Optional[int]:
-        return self._ctx[-1] if self._ctx else None
+        """Span id carried by the message being dispatched."""
+        msg = self.transport.delivering
+        return None if msg is None else msg.payload.get(OBS_SPAN_KEY)
 
     def _unit(self, gid: int) -> str:
         obj = self.dsm.cache.get(gid)
@@ -301,16 +332,28 @@ class ObsAgent:
         if self.profiler is not None:
             self.profiler.close_stall(tid)
 
-    # ------------------------------------------------------------------
-    # Remote fetch round-trip
-    # ------------------------------------------------------------------
-    def on_fetch_block(self, thread: Any, gid: int,
-                       region: Optional[int]) -> None:
-        """A thread faulted on a unit and is about to block."""
-        self._stall(thread, "fetch", gid)
+    def _stamp(self, msg: Message, sid: int, nbytes: int) -> None:
+        """Put a span id on an outgoing frame, billing a new key."""
+        if OBS_SPAN_KEY not in msg.payload:
+            msg.size_bytes += nbytes
+        msg.payload[OBS_SPAN_KEY] = sid
 
-    def on_fetch_start(self, gid: int, region: Optional[int],
-                       payload: Optional[Dict[str, Any]]) -> None:
+    # ------------------------------------------------------------------
+    # Blocking: remote fetch round-trip, lock acquire / wait, fence
+    # ------------------------------------------------------------------
+    def on_block(self, thread: Any, kind: str, gid: int,
+                 region: Optional[int], carrier: Any) -> None:
+        if kind == "fence":
+            self._on_fence_enter(gid, carrier)
+        elif kind == "fetch":
+            self._stall(thread, "fetch", gid)
+            if len(self.dsm._fetch_waiters[(gid, region)]) == 1:
+                self._on_fetch_start(gid, region, carrier)
+        else:
+            carrier.obs_span = self._on_lock_block(thread, gid, kind)
+
+    def _on_fetch_start(self, gid: int, region: Optional[int],
+                        payload: Optional[Dict[str, Any]]) -> None:
         """First waiter: the fetch request actually goes out (payload
         is None when a locality prefetch already covers it)."""
         if self.metrics is not None:
@@ -328,18 +371,22 @@ class ObsAgent:
         if payload is not None and sid:
             payload[OBS_SPAN_KEY] = sid
 
-    def on_fetch_serve(self, requester: int, gid: int, region: Optional[int],
-                       start_ns: int, end_ns: int, nbytes: int) -> None:
-        """Home side: serialization + reply send (reply lands later)."""
+    def on_fetch_serve(self, requester: int, obj: Any,
+                       region: Optional[int], bulk: bool) -> None:
+        """Home side: serialization + reply send; the span closes when
+        the reply leaves (``on_outbound``)."""
+        if bulk:
+            return
         if self.metrics is not None:
             self.metrics.inc("dsm.fetch.served", self.node_id)
         if self.spans is not None:
-            self.spans.complete("dsm.fetch.serve", self.node_id,
-                                start_ns, end_ns, parent=self._parent(),
-                                to=requester, bytes=nbytes)
+            sid = self.spans.open("dsm.fetch.serve", self.node_id,
+                                  parent=self._parent(), to=requester)
+            if sid:
+                self._serve_spans[(requester, obj.header.gid, region)] = sid
 
     def on_fetch_done(self, gid: int, region: Optional[int],
-                      waiter_tids: List[int], nbytes: int) -> None:
+                      waiters: List[Any], nbytes: int) -> None:
         """Requester side: unit installed, waiters about to wake."""
         if self.spans is not None:
             sid = self._fetch_spans.pop((gid, region), None)
@@ -351,20 +398,21 @@ class ObsAgent:
                 self.metrics.observe("dsm.fetch.latency_ns",
                                      self.node_id, self._now() - t0)
             self.metrics.observe("dsm.fetch.bytes", self.node_id, nbytes)
-        for tid in waiter_tids:
-            self._unstall(tid)
+        for thread in waiters:
+            self._unstall(thread.tid)
 
     # ------------------------------------------------------------------
     # Diff flush -> fenced ack
     # ------------------------------------------------------------------
-    def on_flush(self, home: int, ack_id: int,
-                 payload: Dict[str, Any], n_entries: int,
-                 diff_bytes: int) -> int:
-        """A diff message is about to go out.  Returns the extra wire
-        bytes obs adds (span-id piggyback), 0 when spans are off."""
+    def _on_flush(self, msg: Message) -> None:
+        """A diff message is about to go out: stamp its flush span."""
+        home, p = msg.dst, msg.payload
+        ack_id = p["ack_id"]
         if self.metrics is not None:
             self.metrics.inc("dsm.diff.sent", self.node_id)
-            self.metrics.observe("dsm.diff.bytes", self.node_id, diff_bytes)
+            self.metrics.observe(
+                "dsm.diff.bytes", self.node_id,
+                sum(14 + len(d) for _g, d, _r in p["entries"]))
             self._flush_t0[ack_id] = self._now()
         if self.flight is not None:
             self.flight.record("dsm.flush", self._now(),
@@ -372,26 +420,26 @@ class ObsAgent:
         if self.wall is not None:
             self.wall.sample(self._now())
         if self.spans is None:
-            return 0
+            return
         sid = self.spans.open("dsm.flush", self.node_id, home=home,
-                              ack_id=ack_id, entries=n_entries)
-        if not sid:
-            return 0
-        self._flush_spans[ack_id] = sid
-        payload[OBS_SPAN_KEY] = sid
-        return SPAN_KEY_BYTES
+                              ack_id=ack_id, entries=len(p["entries"]))
+        if sid:
+            self._flush_spans[ack_id] = sid
+            self._stamp(msg, sid, SPAN_KEY_BYTES)
 
-    def on_diff_apply(self, src: int, ack_id: int, n_entries: int,
-                      start_ns: int, end_ns: int) -> None:
-        """Home side: entries applied, ack scheduled for end_ns."""
+    def on_diff_apply(self, msg: Message, ack_payload: Dict[str, Any],
+                      delay_ns: int) -> None:
+        """Home side: entries applied, ack scheduled delay_ns ahead."""
         if self.metrics is not None:
             self.metrics.inc("dsm.diff.applied", self.node_id)
         if self.spans is not None:
+            now = self._now()
             self.spans.complete("dsm.diff.apply", self.node_id,
-                                start_ns, end_ns, parent=self._parent(),
-                                src=src, entries=n_entries)
+                                now, now + delay_ns, parent=self._parent(),
+                                src=msg.src,
+                                entries=len(msg.payload["entries"]))
 
-    def on_diff_ack(self, ack_id: int) -> None:
+    def _on_diff_ack(self, ack_id: int) -> None:
         """Writer side: the fenced ack came back."""
         if self.metrics is not None:
             t0 = self._flush_t0.pop(ack_id, None)
@@ -406,10 +454,10 @@ class ObsAgent:
     # ------------------------------------------------------------------
     # Lock acquire end-to-end (manager forwarding, token transit)
     # ------------------------------------------------------------------
-    def on_lock_block(self, thread: Any, gid: int,
-                      kind: str = "lock") -> Optional[int]:
+    def _on_lock_block(self, thread: Any, gid: int,
+                       kind: str) -> Optional[int]:
         """A thread blocks for a lock token (or parks in dsm_wait).
-        Returns the root span id for payload/request stamping."""
+        Returns the root span id the request carries from here on."""
         self._stall(thread, kind, gid)
         if self.metrics is not None:
             self.metrics.inc(f"dsm.{kind}.block", self.node_id)
@@ -423,18 +471,17 @@ class ObsAgent:
             self._lock_spans[thread.tid] = sid
         return sid or None
 
-    def on_lock_route(self, payload: Dict[str, Any], target: int) -> None:
+    def _on_lock_route(self, msg: Message) -> None:
         """Manager/chase node forwards a lock request one more hop."""
         if self.metrics is not None:
             self.metrics.inc("dsm.lock.fwd", self.node_id)
         if self.spans is None:
             return
-        incoming = payload.get(OBS_SPAN_KEY)
-        self._close_hop(incoming)
         hop = self.spans.open("dsm.lock.hop", self.node_id,
-                              parent=incoming, to=target)
+                              parent=msg.payload.get(OBS_SPAN_KEY),
+                              to=msg.dst)
         if hop:
-            payload[OBS_SPAN_KEY] = hop
+            self._stamp(msg, hop, AUTO_SPAN_KEY_BYTES)
 
     def _close_hop(self, span_id: Optional[int]) -> None:
         if span_id is None:
@@ -443,23 +490,13 @@ class ObsAgent:
         if span is not None and span.name == "dsm.lock.hop":
             self.spans.close(span_id)
 
-    def on_lock_enqueue(self, payload: Dict[str, Any], req: Any) -> None:
-        """The request reached the token holder and parked in its
-        queue; remember the causal chain on the request itself so the
-        eventual token grant can parent to it."""
-        if self.spans is None:
-            return
-        incoming = payload.get(OBS_SPAN_KEY)
-        self._close_hop(incoming)
-        req.obs_span = incoming
-
-    def on_fence_enter(self, gid: int, req: Any) -> None:
+    def _on_fence_enter(self, gid: int, req: Any) -> None:
         """Token grant is gated on the release fence (§3.1): open a
         fence span so the wait shows up in the acquire tree."""
         if self.spans is None:
             return
         sid = self.spans.open("dsm.fence", self.node_id, gid=gid,
-                              parent=getattr(req, "obs_span", None))
+                              parent=req.obs_span)
         if sid:
             self._fence_spans[gid] = sid
 
@@ -478,15 +515,14 @@ class ObsAgent:
         if fence is not None:
             self.spans.close(fence)
         sid = self.spans.open("dsm.token", self.node_id, gid=gid,
-                              parent=getattr(req, "obs_span", None),
-                              to=req.node)
+                              parent=req.obs_span, to=req.node)
         if not sid:
             return 0
         payload[OBS_SPAN_KEY] = sid
         return SPAN_KEY_BYTES + TOKEN_ENTRY_BYTES * (
-            len(payload.get("queue", ())) + len(payload.get("waitq", ())))
+            len(payload["queue"]) + len(payload["waitq"]))
 
-    def on_token_arrive(self, payload: Dict[str, Any], gid: int) -> None:
+    def _on_token_arrive(self, payload: Dict[str, Any]) -> None:
         if self.metrics is not None:
             self.metrics.inc("dsm.token.recv", self.node_id)
         if self.spans is None:
@@ -500,9 +536,13 @@ class ObsAgent:
                        if name == "dsm.lock.hop")
             self.metrics.observe("dsm.lock.hops", self.node_id, hops)
 
-    def on_lock_granted(self, tid: int, gid: int) -> None:
-        """The blocked thread owns the lock (always runs on its own
-        node, whether the grant was local or arrived by token)."""
+    def on_lock_edge(self, tid: int, gid: int, hdr: Any,
+                     acquired: bool) -> None:
+        """A thread owns a shared lock (always runs on its own node,
+        whether the grant was local or arrived by token); a no-op for
+        one that never blocked."""
+        if not (gid and acquired):
+            return
         self._unstall(tid)
         if self.metrics is not None:
             t0 = self._lock_t0.pop(tid, None)

@@ -24,7 +24,7 @@ Correctness notes:
 - The migratory grant reuses the locality migration machinery.  The
   bootstrap grant rides the M_DIFF_ACK of the promoting diff (under
   the §3.1 fence, exactly like a locality migration grant) and is
-  installed by ``LocalityAgent.install_grants``.  Steady-state grants
+  installed by ``LocalityAgent.on_deliver``.  Steady-state grants
   ride the lock token itself (``pol_grant`` payload field): the old
   home demotes its master in ``_loc_grant_unit`` inside the token-send
   handler, the new holder installs it via ``ft_install_master`` before
@@ -51,12 +51,16 @@ from ..locality.profiler import (
     READ_MOSTLY,
     AccessProfiler,
 )
-from ..net.message import HEADER_BYTES, M_POL_BCAST, M_POL_PUSH, Message
+from ..net.message import (HEADER_BYTES, M_POL_BCAST, M_POL_PUSH, M_TOKEN,
+                           Message)
 from ..sim import cost_model as cm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.javasplit import JavaSplitRuntime
     from ..runtime.worker import WorkerNode
+
+#: Classifier sliding window: home-observed remote accesses per unit.
+WINDOW = 12
 
 #: Per-unit policies a unit can be promoted to.
 POLICY_UPDATE = "update"
@@ -80,10 +84,11 @@ class PolicyManager:
         self.update = cfg.policy_update
         self.migratory = cfg.policy_migratory
         self.broadcast = cfg.policy_broadcast
-        self.window = cfg.policy_window
         self.threshold = cfg.policy_threshold
         self.hysteresis = cfg.policy_hysteresis
         self.agents: Dict[int, "PolicyAgent"] = {}
+        # Optional tracer callback: (node, kind, detail).
+        self.event_sink: Optional[Callable[[int, str, str], None]] = None
         # Harness-level registry: gid -> active policy for every promoted
         # unit.  It lives here (not in an agent) because the deciding
         # node changes when a migratory unit's home travels: whichever
@@ -112,7 +117,6 @@ class PolicyManager:
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = PolicyAgent(self, worker)
         self.agents[worker.node_id] = agent
-        worker.dsm.policy = agent
         agent.attach()
 
     def on_worker_added(self, worker: "WorkerNode") -> None:
@@ -173,8 +177,8 @@ class PolicyManager:
 
 
 class PolicyAgent:
-    """Per-node policy agent: the DSM engine's ``policy`` hooks plus the
-    push/broadcast message handlers."""
+    """Per-node policy agent: subscribes to the DSM engine's hook points
+    and owns the push/broadcast message handlers."""
 
     def __init__(self, manager: PolicyManager, worker: "WorkerNode") -> None:
         self.manager = manager
@@ -182,9 +186,7 @@ class PolicyAgent:
         self.dsm = worker.dsm
         self.transport = worker.transport
         self.node_id = worker.node_id
-        self.profiler = AccessProfiler(manager.window)
-        # Optional tracer hook: called (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
+        self.profiler = AccessProfiler(WINDOW)
         # Home-side reader tracking for write-update pushes:
         # gid -> {reader node -> last version known to be there}.
         self._readers: Dict[int, Dict[int, int]] = {}
@@ -200,10 +202,16 @@ class PolicyAgent:
     def attach(self) -> None:
         self.transport.on(M_POL_PUSH, self._on_push)
         self.transport.on(M_POL_BCAST, self._on_push)
+        hooks = self.dsm.hooks
+        hooks.fetch_serve.append(self.on_fetch_served)
+        hooks.diff_applied.append(self.on_diff_applied)
+        hooks.home_advance.append(self.on_home_advance)
+        hooks.token_send.append(self.on_token_send)
+        self.transport.hooks.deliver.append(self.on_deliver)
 
     def _emit(self, kind: str, detail: str) -> None:
-        if self.event_sink is not None:
-            self.event_sink(self.node_id, kind, detail)
+        if self.manager.event_sink is not None:
+            self.manager.event_sink(self.node_id, kind, detail)
 
     # ------------------------------------------------------------------
     # Classification (home side)
@@ -274,25 +282,26 @@ class PolicyAgent:
     # ------------------------------------------------------------------
     # DSM hooks (home side)
     # ------------------------------------------------------------------
-    def on_fetch_served(self, requester: int, gid: int,
-                        region: Optional[int], obj: Any) -> None:
+    def on_fetch_served(self, requester: int, obj: Any,
+                        region: Optional[int], bulk: bool) -> None:
         """A demand fetch is being served from this home."""
+        hdr = obj.header
+        if bulk or hdr is None or hdr.state != ObjState.HOME:
+            return
+        gid = hdr.gid
         if region is not None or gid in self.dsm._regions:
             return
         if requester == self.node_id:
             return
-        hdr = obj.header
-        if hdr is None or hdr.state != ObjState.HOME:
-            return
         self._readers.setdefault(gid, {})[requester] = hdr.version
         self._note_event(gid, FETCH, requester)
 
-    def on_diff_applied(self, msg: Message) -> Optional[List[Dict[str, Any]]]:
-        """A diff batch was applied at this home: feed the classifier
-        and run the promoted units' write-time actions.  Returns
-        migratory bootstrap grants to ride the M_DIFF_ACK (installed by
-        ``LocalityAgent.install_grants``, exactly like locality
-        migration grants)."""
+    def on_diff_applied(self, msg: Message, ack_payload: Dict[str, Any],
+                        delay_ns: int) -> None:
+        """``diff_applied`` decorator: feed the classifier and run the
+        promoted units' write-time actions.  Migratory bootstrap grants
+        ride the same fenced ``migrate`` field of the M_DIFF_ACK as
+        locality migration grants (the locality agent installs both)."""
         p = msg.payload
         writer = p["writer"]
         grants: List[Dict[str, Any]] = []
@@ -314,11 +323,16 @@ class PolicyAgent:
                 grant = self._make_grant(gid, writer)
                 if grant is not None:
                     grants.append(grant)
-        return grants or None
+        if grants:
+            ack_payload.setdefault("migrate", []).extend(grants)
 
-    def on_home_advance(self, advanced: List[Tuple[Any, int]]) -> None:
+    def on_home_advance(self, advanced: List[Tuple[Any, int]],
+                        writer: Optional[int]) -> None:
         """The home itself published writes (release-time flush of
-        ``_dirty_home``): push the fresh copies of promoted units."""
+        ``_dirty_home``): push the fresh copies of promoted units.
+        (Remote writers' diffs are handled by ``on_diff_applied``.)"""
+        if writer != self.node_id:
+            return
         for key, _version in advanced:
             if isinstance(key, tuple):
                 continue
@@ -427,7 +441,7 @@ class PolicyAgent:
     def _make_grant(self, gid: int, grantee: int) -> Optional[Dict[str, Any]]:
         """Serialize + demote the local master into a bootstrap grant
         (same shape as a locality migration grant; installed by
-        ``install_grants`` on the grantee)."""
+        ``LocalityAgent.on_deliver`` on the grantee)."""
         unit = self.dsm._loc_grant_unit(gid)
         if unit is None:
             return None
@@ -440,7 +454,7 @@ class PolicyAgent:
         self.profiler.reset(gid)
         self._readers.pop(gid, None)
         self._last_pattern.pop(gid, None)
-        self.dsm.locality.manager.note_migration(gid, grantee, epoch)
+        self.manager.runtime.locality.note_migration(gid, grantee, epoch)
         self._emit("policy.grant",
                    f"gid={gid:#x} home {self.node_id} -> {grantee} "
                    f"epoch {epoch}")
@@ -467,25 +481,26 @@ class PolicyAgent:
         self.dsm.stats.pol_grants += 1
         self.profiler.reset(gid)
         self._last_pattern.pop(gid, None)
-        self.dsm.locality.manager.note_migration(gid, req.node, epoch)
+        self.manager.runtime.locality.note_migration(gid, req.node, epoch)
         payload["pol_grant"] = grant
         self._emit("policy.grant",
                    f"gid={gid:#x} home {self.node_id} -> {req.node} "
                    f"epoch {epoch} (token)")
         return 24 + len(grant["data"])
 
-    def on_token_arrive(self, p: Dict[str, Any]) -> None:
+    def on_deliver(self, msg: Message) -> None:
         """Install a token-borne master BEFORE the token's notice delta
         is applied: the fresh master makes the unit's own notice a
         no-op, and the owner update resolves locally."""
-        grant = p.get("pol_grant")
+        grant = (msg.payload.get("pol_grant")
+                 if msg.msg_type == M_TOKEN else None)
         if grant is None:
             return
         gid = grant["gid"]
         self.dsm.set_gid_home(gid, self.node_id, grant["epoch"])
         if self.dsm._loc_dir.get(gid) != self.node_id:
             return  # a strictly newer migration moved the unit onward
-        # ft_install_master (not install_grants): this node is the
+        # ft_install_master (not the ack-borne install): this node is the
         # token GRANTEE, not the fenced writer — a VALID-fold of its
         # possibly-stale working copy would publish old data.  The
         # install overwrites clean replicas and merges any dirty twin
@@ -493,11 +508,8 @@ class PolicyAgent:
         self.dsm.ft_install_master(grant)
         self.dsm.lock_owner[gid] = self.node_id
         self.dsm.stats.pol_grant_installs += 1
-        self.dsm.locality.manager.note_migration(
-            gid, self.node_id, grant["epoch"])
-        if self.dsm.ft is not None:
-            self.dsm.ft.note_adopted(gid)
-            self.dsm.ft.on_home_advance([(gid, grant["version"])])
+        self.manager.runtime.locality.note_adopted(
+            gid, self.node_id, grant["epoch"], grant["version"])
         self._emit("policy.grant_install",
                    f"gid={gid:#x} v{grant['version']} "
                    f"epoch {grant['epoch']}")
@@ -509,4 +521,4 @@ class PolicyAgent:
         self._readers.clear()
         self._streak.clear()
         self._last_pattern.clear()
-        self.profiler = AccessProfiler(self.manager.window)
+        self.profiler = AccessProfiler(WINDOW)

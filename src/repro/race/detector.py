@@ -2,8 +2,9 @@
 
 One :class:`RaceManager` per runtime (when ``race_detect`` is on) owns a
 per-node :class:`RaceAgent`, mirroring the ``ft``/``locality`` subsystem
-shape.  Each agent is attached as ``worker.dsm.race`` (sync-edge hooks)
-and as the interpreter's ``race_hook`` (access observation), so both
+shape.  Each agent subscribes to the DSM engine's and the transport's
+hook points (sync edges, clock shipping) and is the interpreter's
+``race_hook`` (access observation), so both
 local and shared accesses are observed at the very instrumentation
 points the paper already pays for (§2, §4).
 
@@ -67,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..dsm.protocol import M_DIFF
-from ..net.message import M_RACE_SYNC, estimate_size
+from ..dsm.protocol import M_DIFF, M_TOKEN
+from ..net.message import M_RACE_SYNC, Message, estimate_size
 from ..rewriter.naming import original_name
 from .vc import ThreadClock, concurrent
 
@@ -233,6 +234,8 @@ class RaceManager:
         self.max_reports = cfg.race_max_reports
         self.suppress = tuple(cfg.race_suppress)
         self.agents: Dict[int, "RaceAgent"] = {}
+        # Optional tracer callback: (node, kind, detail).
+        self.event_sink: Optional[Callable[[int, str, str], None]] = None
         self.reports: List[RaceReport] = []
         self.suppressed_count = 0
         self.dropped_reports = 0
@@ -251,7 +254,6 @@ class RaceManager:
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = RaceAgent(self, worker)
         self.agents[worker.node_id] = agent
-        worker.dsm.race = agent
         agent.attach()
 
     def on_worker_added(self, worker: "WorkerNode") -> None:
@@ -361,8 +363,6 @@ class RaceAgent:
         self.mode = manager.mode
         self.hb = manager.mode in ("hb", "both")
         self.eraser = manager.mode in ("lockset", "both")
-        # Optional tracer callback: (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
 
         self.clocks: Dict[int, ThreadClock] = {}
         # Limited happens-before: a second clock per thread that joins
@@ -374,7 +374,6 @@ class RaceAgent:
         self.held: Dict[int, set] = {}          # tid -> held lock keys
         # gid -> (full VC, fork/join VC) release pair.
         self.lock_vc: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        self.pending_spawn: Dict[int, tuple] = {}
         # gid -> "is this a javasplit.Thread monitor" (join-edge gids).
         self._thread_monitor: Dict[int, bool] = {}
         # Home-side per-unit metadata: gid -> slot -> SlotState.
@@ -399,39 +398,43 @@ class RaceAgent:
     def attach(self) -> None:
         transport = self.dsm.transport
         transport.on(M_RACE_SYNC, self._on_race_sync)
+        transport.hooks.outbound.append(self.on_outbound)
+        transport.hooks.deliver.append(self.on_deliver)
+        hooks = self.dsm.hooks
+        hooks.promote.append(self.on_promote)
+        hooks.lock_edge.append(self.on_lock_edge)
+        hooks.spawn.append(self.on_spawn)
+        hooks.thread_begin.append(self.on_thread_begin)
+        hooks.interval_end.append(self.on_end_interval)
+        hooks.token_send.append(self.on_token_send)
+        self.worker.jvm.interpreter.race_hook = self.observe
 
-        # Piggyback pending event batches on diffs already headed to the
-        # same home (the flush and the events share a destination).
-        inner_send = transport.send
+    def on_outbound(self, msg: Message) -> bool:
+        """Piggyback pending event batches on diffs already headed to the
+        same home (the flush and the events share a destination)."""
+        if msg.msg_type == M_DIFF and self.buffers.get(msg.dst):
+            evs = self.buffers.pop(msg.dst)
+            msg.payload["race_ev"] = evs
+            self.events_piggybacked += len(evs)
+            msg.size_bytes += 8 + estimate_size(evs)
+        return False
 
-        def race_send(dst, msg_type, payload=None, size_bytes=0):
-            if (msg_type == M_DIFF and payload is not None
-                    and self.buffers.get(dst)):
-                evs = self.buffers.pop(dst)
-                payload = dict(payload)
-                payload["race_ev"] = evs
-                self.events_piggybacked += len(evs)
-                if size_bytes > 0:
-                    size_bytes += 8 + estimate_size(evs)
-            return inner_send(dst, msg_type, payload, size_bytes)
-
-        transport.send = race_send
-
-        on_diff = transport._handlers[M_DIFF]
-
-        def race_on_diff(msg):
+    def on_deliver(self, msg: Message) -> None:
+        """Consume what the sending agent piggybacked: access events on
+        a diff, the lock's release clock on a token (absent on a
+        recovery re-issue: the detector runs degraded after a kill)."""
+        if msg.msg_type == M_DIFF:
             evs = msg.payload.get("race_ev")
             if evs:
                 self.ingest(evs)
-            on_diff(msg)
-
-        transport._handlers[M_DIFF] = race_on_diff
-
-        self.worker.jvm.interpreter.race_hook = self.observe
+        elif msg.msg_type == M_TOKEN:
+            pair = msg.payload.get("race")
+            self.lock_vc[msg.payload["gid"]] = (
+                (dict(pair[0]), dict(pair[1])) if pair else ({}, {}))
 
     def emit(self, kind: str, detail: str) -> None:
-        if self.event_sink is not None:
-            self.event_sink(self.node_id, kind, detail)
+        if self.manager.event_sink is not None:
+            self.manager.event_sink(self.node_id, kind, detail)
 
     def wipe(self) -> None:
         """Recovery epoch boundary: drop all analysis state."""
@@ -473,72 +476,60 @@ class RaceAgent:
             self._thread_monitor[gid] = cached
         return cached
 
-    # ---- monitor edges (protocol hooks) ------------------------------
-    def on_lock_granted(self, tid: int, gid: int) -> None:
-        pair = self.lock_vc.get(gid)
-        if pair is not None:
-            self.clock_of(tid).join(pair[0])
-            if pair[1] and self._is_thread_monitor(gid):
-                self.fj_of(tid).join(pair[1])
-        self.held.setdefault(tid, set()).add(gid)
-
-    def on_lock_released(self, tid: int, gid: int) -> None:
+    # ---- monitor edges (``lock_edge`` hook) ---------------------------
+    def on_lock_edge(self, tid: int, gid: int, hdr: Any,
+                     acquired: bool) -> None:
+        """Join the lock's release clock on acquire; publish this
+        thread's clock as the release clock (and tick) on release."""
+        if gid:
+            key: Any = gid
+            pair = self.lock_vc.get(gid)
+        else:
+            # §4.4 local lock: its clock lives on the object's header.
+            # Local monitors are never join edges (a started Thread
+            # object is always promoted), so only the full clock joins.
+            ls = self._local_state(hdr)
+            key = ls.key
+            pair = ls.lock_vc
+        if acquired:
+            if pair is not None:
+                self.clock_of(tid).join(pair[0])
+                if gid and pair[1] and self._is_thread_monitor(gid):
+                    self.fj_of(tid).join(pair[1])
+            self.held.setdefault(tid, set()).add(key)
+            return
         clk = self.clock_of(tid)
         fj = self.fj_of(tid)
-        self.lock_vc[gid] = (clk.snapshot(), fj.snapshot())
+        pair = (clk.snapshot(), fj.snapshot())
+        if gid:
+            self.lock_vc[gid] = pair
+        else:
+            ls.lock_vc = pair
         clk.tick()
         fj.tick()
         held = self.held.get(tid)
         if held is not None:
-            held.discard(gid)
-
-    def on_local_acquired(self, thread, hdr) -> None:
-        ls = self._local_state(hdr)
-        tid = thread.tid
-        if ls.lock_vc is not None:
-            # Local monitors are never join edges: a started Thread
-            # object is always promoted, so only the full clock joins.
-            self.clock_of(tid).join(ls.lock_vc[0])
-        self.held.setdefault(tid, set()).add(ls.key)
-
-    def on_local_released(self, thread, hdr) -> None:
-        ls = self._local_state(hdr)
-        tid = thread.tid
-        clk = self.clock_of(tid)
-        fj = self.fj_of(tid)
-        ls.lock_vc = (clk.snapshot(), fj.snapshot())
-        clk.tick()
-        fj.tick()
-        held = self.held.get(tid)
-        if held is not None:
-            held.discard(ls.key)
+            held.discard(key)
 
     # ---- token / spawn clock shipping --------------------------------
-    def lock_vc_wire(self, gid: int) -> list:
+    def on_token_send(self, gid: int, req: Any,
+                      payload: Dict[str, Any]) -> int:
+        """HB edge: ship this node's view of the lock's release clock."""
         pair = self.lock_vc.get(gid)
-        return [pair[0], pair[1]] if pair is not None else [{}, {}]
+        vc = [pair[0], pair[1]] if pair is not None else [{}, {}]
+        payload["race"] = vc
+        return 8 + estimate_size(vc)
 
-    def install_lock_vc(self, gid: int, pair: Optional[list]) -> None:
-        if pair:
-            self.lock_vc[gid] = (dict(pair[0]), dict(pair[1]))
-        else:
-            self.lock_vc[gid] = ({}, {})
-
-    def on_spawn_ship(self, thread, gid: int) -> list:
+    def on_spawn(self, thread, payload: Dict[str, Any], target: int) -> None:
         """Fork edge: snapshot the parent clocks for the child, tick."""
         clk = self.clock_of(thread.tid)
         fj = self.fj_of(thread.tid)
-        vc, fjvc = clk.snapshot(), fj.snapshot()
+        payload["race"] = [clk.snapshot(), fj.snapshot()]
         clk.tick()
         fj.tick()
-        return [vc, fjvc]
 
-    def note_spawn_vc(self, gid: int, pair: Optional[list]) -> None:
-        if pair:
-            self.pending_spawn[gid] = tuple(pair)
-
-    def on_thread_begin(self, jthread, gid: int) -> None:
-        pair = self.pending_spawn.pop(gid, None)
+    def on_thread_begin(self, jthread, payload: Dict[str, Any]) -> None:
+        pair = payload.get("race")
         if pair:
             self.clock_of(jthread.tid).join(pair[0])
             self.fj_of(jthread.tid).join(pair[1])
@@ -547,7 +538,8 @@ class RaceAgent:
     # Promotion: migrate header-local metadata into the home store
     # (promote() always makes *this* node the unit's home).
     # ------------------------------------------------------------------
-    def on_promote(self, ref: Any, hdr, gid: int) -> None:
+    def on_promote(self, ref: Any, gid: int) -> None:
+        hdr = ref.header
         ls: Optional[LocalRaceState] = hdr.race
         self.unit_class.setdefault(gid, hdr.class_name)
         if ls is None:

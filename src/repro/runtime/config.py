@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..dsm.protocol import DsmConfig
+from ..sim.cost_model import PROFILE_APP, PROFILE_MICRO
 from ..sim.node import DEFAULT_QUANTUM_NS
+from .scheduler import SCHEDULERS
 
 
 class ConfigError(ValueError):
@@ -58,9 +60,6 @@ class RuntimeConfig:
     # Master-side deadline waiting for a physical frame copy before the
     # run is declared wedged (WireError).
     proc_wait_timeout_s: float = 30.0
-    # multiprocessing start method for workers; None picks "fork" when
-    # available, else "spawn".
-    proc_start_method: Optional[str] = None
     # Allow workers to join mid-run on the proc backend (a late OS
     # process is forked and handshaken on the still-open control
     # listener).  Off, ``schedule_join``/``add_worker`` raise a clear
@@ -78,11 +77,6 @@ class RuntimeConfig:
     # A transport-level ARQ give-up ("peer unreachable") lowers the bar
     # to max(1, ft_suspect_beats // 4) for the suspected peer.
     ft_suspect_beats: int = 3
-    # "eager": mirror every home-state advance to the buddy as it
-    # happens.  "lazy": mirror only units whose gid has crossed the wire
-    # (nothing a survivor can name is ever lost; purely-local state dies
-    # with the node, whose threads restart from scratch anyway).
-    ft_replication: str = "eager"
     # ----- adaptive locality (src/repro/locality) ----------------------
     # Observe per-unit access patterns and adapt the protocol: re-home
     # units to their dominant writer, prefetch invalidated units in bulk
@@ -92,14 +86,9 @@ class RuntimeConfig:
     locality_migration: bool = False
     locality_prefetch: bool = False
     locality_aggregation: bool = False
-    # Sliding-window length (per-unit remote-access events remembered by
-    # the profiler) used by the migration policy.
-    locality_window: int = 8
     # Remote diffs from a single dominant writer, within the window,
     # before the unit is re-homed to that writer.
     locality_migration_threshold: int = 3
-    # Max units batched into one bulk-fetch on acquire.
-    locality_prefetch_depth: int = 8
     # ----- adaptive coherence policies (src/repro/policy) --------------
     # Classify each coherency unit's sharing pattern online (from the
     # same home-side fetch/diff signal the locality profiler sees) and
@@ -120,8 +109,6 @@ class RuntimeConfig:
     # is read everywhere and written rarely is broadcast on the rare
     # write; reads stay free everywhere.
     policy_broadcast: bool = False
-    # Sliding-window length for the policy classifier (events per unit).
-    policy_window: int = 12
     # Events of the defining kind within the window before a pattern is
     # recognized (diffs for producer-consumer/migratory, fetches for
     # read-mostly).  2 promotes early enough to pay off on check-scale
@@ -169,9 +156,6 @@ class RuntimeConfig:
     # legally change simulated time (fewer checked accesses), so the
     # byte-identical differential harness runs with level 0.
     jit_check_elim: int = 0
-    # Record a per-node trace of deopt events (method, pc, reason) in
-    # the jit report; debugging aid, never affects execution.
-    jit_deopt_trace: bool = False
     # ----- telemetry (src/repro/obs) -----------------------------------
     # Metrics registry: per-node counters/gauges/histograms sampled into
     # sim-time-bucketed series.  Traffic-passive.
@@ -197,8 +181,6 @@ class RuntimeConfig:
     # serve events with paired (wall, sim) timestamps, dumped to JSON on
     # SIGKILL detection, oracle/monitor violation, or WireError.
     obs_flight_recorder: bool = False
-    # Ring capacity (events per node) for the flight recorder.
-    obs_flight_events: int = 256
     # Directory for flight dumps (None -> a fresh temp directory).
     obs_flight_dir: Optional[str] = None
     # Live stats streaming: proc workers ship compact metric deltas to
@@ -208,19 +190,11 @@ class RuntimeConfig:
     obs_live_period_s: float = 0.25
 
     @property
-    def jit_enabled(self) -> bool:
-        return self.jit_enable
-
-    @property
     def obs_enabled(self) -> bool:
         """True when any telemetry collector is switched on."""
         return (self.obs_metrics or self.obs_spans or self.obs_profile
                 or self.obs_wallclock or self.obs_flight_recorder
                 or self.obs_live_stats)
-
-    @property
-    def race_enabled(self) -> bool:
-        return self.race_detect
 
     @property
     def locality_enabled(self) -> bool:
@@ -253,6 +227,19 @@ class RuntimeConfig:
             raise ValueError("cpus_per_node must be >= 1")
         if not (0 <= self.master_node < self.num_nodes):
             raise ValueError("master_node out of range")
+        if self.quantum_ns < 1:
+            raise ValueError(
+                "quantum_ns must be >= 1 (a zero quantum never advances)")
+        if self.net_jitter_ns < 0:
+            raise ValueError("net_jitter_ns must be >= 0")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r} "
+                f"(expected one of {sorted(SCHEDULERS)})")
+        if self.cost_profile not in (PROFILE_APP, PROFILE_MICRO):
+            raise ValueError(
+                f"unknown cost_profile {self.cost_profile!r} "
+                f"(expected {PROFILE_APP!r} or {PROFILE_MICRO!r})")
         for i in range(self.num_nodes):
             self.brand_of(i)  # raises on mismatch
         if self.transport_backend not in ("sim", "proc"):
@@ -267,11 +254,6 @@ class RuntimeConfig:
             )
         if self.proc_wait_timeout_s <= 0:
             raise ValueError("proc_wait_timeout_s must be positive")
-        if self.proc_start_method not in (None, "fork", "spawn",
-                                          "forkserver"):
-            raise ValueError(
-                f"unknown proc_start_method {self.proc_start_method!r}"
-            )
         if self.ft_enabled:
             if self.num_nodes < 2:
                 raise ValueError(
@@ -287,11 +269,6 @@ class RuntimeConfig:
                     "ft_enabled supports only the scalar (MTS-HLRC) "
                     "timestamp mode"
                 )
-            if self.ft_replication not in ("eager", "lazy"):
-                raise ValueError(
-                    f"unknown ft_replication {self.ft_replication!r} "
-                    "(expected 'eager' or 'lazy')"
-                )
             if self.ft_heartbeat_ns <= 0 or self.ft_suspect_beats < 1:
                 raise ValueError(
                     "ft_heartbeat_ns must be positive and "
@@ -303,21 +280,15 @@ class RuntimeConfig:
                     "locality_* knobs support only the scalar (MTS-HLRC) "
                     "timestamp mode"
                 )
-            if self.locality_window < 1:
-                raise ValueError("locality_window must be >= 1")
             if self.locality_migration_threshold < 1:
                 raise ValueError(
                     "locality_migration_threshold must be >= 1")
-            if self.locality_prefetch_depth < 1:
-                raise ValueError("locality_prefetch_depth must be >= 1")
         if self.policy_enabled:
             if self.dsm.timestamp_mode != "scalar":
                 raise ValueError(
                     "policy_* knobs support only the scalar (MTS-HLRC) "
                     "timestamp mode"
                 )
-            if self.policy_window < 1:
-                raise ValueError("policy_window must be >= 1")
             if self.policy_threshold < 1:
                 raise ValueError("policy_threshold must be >= 1")
             if self.policy_hysteresis < 1:
@@ -347,7 +318,5 @@ class RuntimeConfig:
                 raise ValueError("obs_max_spans must be >= 1")
             if self.obs_top_n < 1:
                 raise ValueError("obs_top_n must be >= 1")
-            if self.obs_flight_events < 1:
-                raise ValueError("obs_flight_events must be >= 1")
             if self.obs_live_period_s <= 0:
                 raise ValueError("obs_live_period_s must be positive")

@@ -122,7 +122,6 @@ class JavaSplitRuntime:
                 seed=self.config.seed,
                 socket_kind=self.config.proc_socket_kind,
                 wait_timeout_s=self.config.proc_wait_timeout_s,
-                start_method=self.config.proc_start_method,
             )
             self.network.on_proc_death = self._proc_node_died
         else:
@@ -179,6 +178,8 @@ class JavaSplitRuntime:
         # External attachments (oracle, invariant monitor, ...) register
         # here to instrument workers that join after they attached.
         self.worker_added_hooks: List[Any] = []
+        # Subsystems subscribe to the workers' hook points as they
+        # attach, so this order is the order their subscribers fire in.
         self.ft = None
         if self.config.ft_enabled:
             from ..ft import FtManager
@@ -198,7 +199,7 @@ class JavaSplitRuntime:
             self.policy = PolicyManager(self)
             self.policy.attach()
         self.race = None
-        if self.config.race_enabled:
+        if self.config.race_detect:
             from ..race import RaceManager
             self.race = RaceManager(self)
             self.race.attach()
@@ -211,7 +212,7 @@ class JavaSplitRuntime:
             self.obs.attach()
         # Tiered JIT attaches after obs so compile events hit metrics.
         self.jit = None
-        if self.config.jit_enabled:
+        if self.config.jit_enable:
             from ..jit import JitManager
             self.jit = JitManager(self)
             self.jit.attach()
@@ -294,20 +295,10 @@ class JavaSplitRuntime:
         )
         worker.dsm.on_spawn_arrival = self._spawn_arrived
         self.workers.append(worker)
-        if self.ft is not None:
-            self.ft.on_worker_added(worker)
-        if self.locality is not None:
-            self.locality.on_worker_added(worker)
-        if self.policy is not None:
-            self.policy.on_worker_added(worker)
-        if self.race is not None:
-            self.race.on_worker_added(worker)
-        if self.obs is not None:
-            self.obs.on_worker_added(worker)
-        if self.jit is not None:
-            self.jit.on_worker_added(worker)
-        if self.serve is not None:
-            self.serve.on_worker_added(worker)
+        for sub in (self.ft, self.locality, self.policy, self.race,
+                    self.obs, self.jit, self.serve):
+            if sub is not None:
+                sub.on_worker_added(worker)
         for hook in self.worker_added_hooks:
             hook(worker)
         return worker

@@ -51,12 +51,12 @@ class DsmTracer:
     @classmethod
     def attach(cls, runtime: "JavaSplitRuntime",
                max_events: Optional[int] = None) -> "DsmTracer":
-        """Wrap every worker of a runtime; returns the tracer.
+        """Subscribe to every worker of a runtime; returns the tracer.
 
         Idempotent per runtime: a second attach returns the tracer
         already in place (updating its event cap if one is given)
-        instead of re-wrapping ``transport.send``/``promote`` — a
-        double wrap would double-record every event."""
+        instead of subscribing twice — that would double-record every
+        event."""
         existing = getattr(runtime, "_dsm_tracer", None)
         if existing is not None:
             if max_events is not None:
@@ -65,59 +65,38 @@ class DsmTracer:
         tracer = cls()
         tracer._limit = max_events
         runtime._dsm_tracer = tracer
-        for worker in runtime.workers:
-            tracer._wrap_worker(worker)
         engine = runtime.engine
-        if runtime.locality is not None:
-            for agent in runtime.locality.agents.values():
-                agent.event_sink = (
-                    lambda node, kind, detail:
-                    tracer.record(engine.now, node, kind, detail))
-        if runtime.policy is not None:
-            for agent in runtime.policy.agents.values():
-                agent.event_sink = (
-                    lambda node, kind, detail:
-                    tracer.record(engine.now, node, kind, detail))
-        if runtime.race is not None:
-            for agent in runtime.race.agents.values():
-                agent.event_sink = (
+        for worker in runtime.workers:
+            tracer._subscribe(worker, engine)
+        # Subsystem narration (migrations, promotions, race reports...)
+        # lands in the same flat event log.
+        for sub in (runtime.locality, runtime.policy, runtime.race):
+            if sub is not None:
+                sub.event_sink = (
                     lambda node, kind, detail:
                     tracer.record(engine.now, node, kind, detail))
         if runtime.ft is not None:
-            # Recovery milestones land in the same flat event log the
-            # locality/race agents already feed.
             master = runtime.config.master_node
             runtime.ft.orchestrator.event_sink = (
                 lambda time_ns, kind, detail:
                 tracer.record(time_ns, master, kind, detail))
         return tracer
 
-    def _wrap_worker(self, worker) -> None:
-        dsm = worker.dsm
-        engine = dsm.engine
+    def _subscribe(self, worker, engine) -> None:
         node_id = worker.node_id
 
-        transport_send = dsm.transport.send
+        def on_outbound(msg: Message) -> bool:
+            # Registered last, so the size is the decorated one.
+            self.record(engine.now, node_id, msg.msg_type,
+                        f"-> n{msg.dst} ({msg.size_bytes}B)")
+            return False
 
-        def send(dst, msg_type, payload=None, size_bytes=0):
-            msg = transport_send(dst, msg_type, payload, size_bytes)
-            self.record(engine.now, node_id, msg_type,
-                        f"-> n{dst} ({msg.size_bytes}B)")
-            return msg
+        def on_promote(ref, gid) -> None:
+            self.record(engine.now, node_id, "promote",
+                        f"{ref.class_name} gid={gid:#x}")
 
-        dsm.transport.send = send
-
-        promote = dsm.promote
-
-        def traced_promote(ref):
-            fresh = ref.header is None or not ref.header.gid
-            gid = promote(ref)
-            if fresh:
-                self.record(engine.now, node_id, "promote",
-                            f"{ref.class_name} gid={gid:#x}")
-            return gid
-
-        dsm.promote = traced_promote
+        worker.transport.hooks.outbound.append(on_outbound)
+        worker.dsm.hooks.promote.append(on_promote)
 
     # ------------------------------------------------------------------
     def record(self, time_ns: int, node: int, kind: str, detail: str) -> None:

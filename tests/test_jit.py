@@ -219,7 +219,7 @@ def test_golden_exception_identical():
 def test_jit_off_by_default():
     config = RuntimeConfig()
     assert config.jit_enable is False
-    assert config.jit_enabled is False
+    assert config.jit_enable is False
     base, base_heap = run_app("series", jit=False)
     default_cfg = RuntimeConfig(num_nodes=3,
                                 net_jitter_ns=DEFAULT_JITTER_NS, seed=0)

@@ -295,8 +295,9 @@ def test_obs_manager_attaches_per_worker_agents():
     assert isinstance(rt.obs, ObsManager)
     assert set(rt.obs.agents) == {0, 1, 2}
     for w in rt.workers:
-        assert w.dsm.obs is rt.obs.agents[w.node_id]
-        assert w.transport.obs_on_deliver is not None
+        agent = rt.obs.agents[w.node_id]
+        assert agent.on_block in w.dsm.hooks.block
+        assert agent.on_deliver in w.transport.hooks.deliver
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,8 @@ def _checked_run(rt):
 def test_knobs_off_attaches_nothing():
     rt = _runtime(PING_PONG_SRC)
     assert rt.policy is None
-    assert all(w.dsm.policy is None for w in rt.workers)
+    assert all(not getattr(w.dsm.hooks, name)
+               for w in rt.workers for name in w.dsm.hooks.names())
     report = rt.run()
     assert report.result == 16
     assert report.policy is None

@@ -141,6 +141,17 @@ def test_config_validation():
     RuntimeConfig(num_nodes=2).validate()  # fine
 
 
+@pytest.mark.parametrize("bad", [
+    {"quantum_ns": 0},          # used to pass validate() and spin forever
+    {"net_jitter_ns": -1},
+    {"scheduler": "fastest"},   # used to surface from the scheduler factory
+    {"cost_profile": "macro"},  # used to surface as a bare KeyError
+])
+def test_config_rejects_values_that_hang_or_fail_late(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        RuntimeConfig(num_nodes=2, **bad).validate()
+
+
 # ---------------------------------------------------------------------------
 # Worker wiring smoke checks
 # ---------------------------------------------------------------------------
