@@ -29,7 +29,7 @@ APPS = {
 
 def _slowdown(src, brand, optimize):
     base = run_original(source=src, brand=brand)
-    rw = rewrite_application(compile_source(src), optimize_checks=optimize)
+    rw = rewrite_application(compile_source(src), check_elim=int(optimize))
     rep = JavaSplitRuntime(
         rw, RuntimeConfig(num_nodes=1, brands=(brand,))
     ).run()

@@ -17,10 +17,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..check.runner import app_source, parse_locality, parse_policy
-from ..lang import compile_source
-from ..rewriter import rewrite_application
-from ..runtime import JavaSplitRuntime, RuntimeConfig
+from ..check.runner import app_source
+from ..runtime import build_runtime, config_from, option
 
 #: Default output directory, relative to the repo root / cwd.
 RESULTS_DIR = Path("benchmarks/results")
@@ -42,11 +40,20 @@ ABLATION_MODES: Tuple[str, ...] = (
 DEFAULT_APPS: Tuple[str, ...] = ("series", "tsp", "raytracer")
 
 
-def _measure(rewritten, nodes: int, mode: str,
-             include_metrics: bool = False,
-             backend: str = "sim") -> Dict[str, Any]:
-    """One simulated run; ``mode`` is a locality spec ('' = off) or a
-    ``policy-<spec>`` coherence-policy spec.
+def _mode_owns(options: Dict[str, Any], what: str, *dests: str) -> None:
+    """A bench mode sets some run options itself; reject a caller that
+    also sets them instead of silently dropping one of the two."""
+    clash = ["--" + d.replace("_", "-") for d in dests if d in options]
+    if clash:
+        raise ValueError(f"{what} sets {', '.join(clash)} itself")
+
+
+def _measure(program: Any, mode: str, include_metrics: bool = False,
+             **options: Any) -> Tuple[Dict[str, Any], Any]:
+    """One run of ``program`` under the run ``options``; ``mode`` is
+    'off', a locality spec, or a ``policy-<spec>`` coherence-policy
+    spec.  Returns the bench entry and the rewrite, to pass back in as
+    the next mode's ``program``.
 
     ``include_metrics`` additionally runs with the telemetry metrics
     registry on and embeds its compact summary.  Off by default so the
@@ -54,19 +61,23 @@ def _measure(rewritten, nodes: int, mode: str,
     commits that only touch telemetry (the registry itself never
     perturbs traffic, so the other numbers are identical either way).
 
-    ``backend="proc"`` runs on the multiprocess transport; the entry
-    then additionally carries wall-clock and wire-plane numbers (those
-    are inherently non-deterministic, which is why they only appear on
-    the proc backend — sim entries stay byte-comparable).
+    On the proc backend the entry additionally carries wall-clock and
+    wire-plane numbers (those are inherently non-deterministic, which is
+    why they only appear there — sim entries stay byte-comparable).
     """
+    _mode_owns(options, "a bench mode", "locality", "policy")
     if mode.startswith("policy-"):
-        knobs = parse_policy(mode[len("policy-"):])
-    else:
-        knobs = parse_locality("" if mode == "off" else mode)
-    config = RuntimeConfig(num_nodes=nodes, obs_metrics=include_metrics,
-                           transport_backend=backend,
-                           obs_wallclock=(backend != "sim"), **knobs)
-    runtime = JavaSplitRuntime(rewritten, config)
+        options["policy"] = mode[len("policy-"):]
+    elif mode != "off":
+        options["locality"] = mode
+    backend = option(options, "backend")
+    fields = {}
+    if include_metrics:
+        fields["obs_metrics"] = True
+    if backend != "sim":
+        fields["obs_wallclock"] = True
+    runtime = build_runtime(program, config_from(options, **fields),
+                            option(options, "check_elim"))
     report = runtime.run()
     total = report.total_dsm()
     assert report.net is not None
@@ -97,20 +108,37 @@ def _measure(rewritten, nodes: int, mode: str,
         out["policy"] = report.policy
     if include_metrics and runtime.obs is not None:
         out["metrics"] = runtime.obs.metrics.compact()
-    return out
+    return out, runtime.rewritten
 
 
-def _cluster_meta(nodes: int, backend: str = "sim") -> Dict[str, Any]:
-    """Cluster-shape metadata embedded in every bench document, so a
-    number can never be read without knowing what cluster produced it.
-    The bench always runs the RuntimeConfig default shape: homogeneous
-    sun-brand nodes, two CPUs each."""
-    config = RuntimeConfig(num_nodes=nodes)
+def _measure_modes(source: str, modes: Iterable[str],
+                   include_metrics: bool = False,
+                   **options: Any) -> Dict[str, Any]:
+    """One program across ``modes``, compiled and rewritten once."""
+    program: Any = source
+    runs: Dict[str, Any] = {}
+    for mode in modes:
+        runs[mode], program = _measure(program, mode, include_metrics,
+                                       **options)
+    return runs
+
+
+def _document(bench: str, backend: Optional[str] = None,
+              **options: Any) -> Dict[str, Any]:
+    """Head of every bench document, with the cluster-shape metadata
+    embedded so a number can never be read without knowing what cluster
+    produced it."""
+    config = config_from(options)
     return {
-        "nodes": nodes,
-        "brands": [config.brand_of(i) for i in range(nodes)],
-        "cpus_per_node": config.cpus_per_node,
-        "backend": backend,
+        "bench": bench,
+        "schema": 1,
+        "nodes": config.num_nodes,
+        "cluster": {
+            "nodes": config.num_nodes,
+            "brands": [config.brand_of(i) for i in range(config.num_nodes)],
+            "cpus_per_node": config.cpus_per_node,
+            "backend": backend or config.transport_backend,
+        },
     }
 
 
@@ -121,15 +149,11 @@ def _pct(off: float, on: float) -> Optional[float]:
     return round(100.0 * (on - off) / off, 2)
 
 
-def bench_app(app: str, nodes: int = 3,
-              modes: Iterable[str] = BASE_MODES,
+def bench_app(app: str, modes: Iterable[str] = BASE_MODES,
               include_metrics: bool = False,
-              backend: str = "sim") -> Dict[str, Any]:
+              **options: Any) -> Dict[str, Any]:
     """Bench one app across the given locality modes."""
-    rewritten = rewrite_application(compile_source(app_source(app)))
-    runs = {mode: _measure(rewritten, nodes, mode, include_metrics,
-                           backend=backend)
-            for mode in modes}
+    runs = _measure_modes(app_source(app), modes, include_metrics, **options)
     off = runs["off"]
     entry: Dict[str, Any] = {"runs": runs}
     entry["result_matches"] = all(
@@ -146,23 +170,17 @@ def bench_app(app: str, nodes: int = 3,
     return entry
 
 
-def run_bench(apps: Iterable[str] = DEFAULT_APPS, nodes: int = 3,
-              ablation: bool = False,
+def run_bench(apps: Iterable[str] = DEFAULT_APPS, ablation: bool = False,
               include_metrics: bool = False,
-              backend: str = "sim") -> Dict[str, Any]:
-    """The full bench document (what the JSON files serialize)."""
+              **options: Any) -> Dict[str, Any]:
+    """The full bench document (what the JSON files serialize);
+    ``options`` are run options by flag name (``nodes=2``, ...)."""
     modes = ABLATION_MODES if ablation else BASE_MODES
-    doc: Dict[str, Any] = {
-        "bench": "locality",
-        "schema": 1,
-        "nodes": nodes,
-        "cluster": _cluster_meta(nodes, backend),
-        "modes": list(modes),
-    }
-    if backend != "sim":
-        doc["backend"] = backend
-    doc["apps"] = {app: bench_app(app, nodes, modes, include_metrics,
-                                  backend=backend)
+    doc = _document("locality", **options)
+    doc["modes"] = list(modes)
+    if doc["cluster"]["backend"] != "sim":
+        doc["backend"] = doc["cluster"]["backend"]
+    doc["apps"] = {app: bench_app(app, modes, include_metrics, **options)
                    for app in apps}
     return doc
 
@@ -189,26 +207,22 @@ def _policy_sources() -> Dict[str, str]:
     }
 
 
-def run_policy_bench(nodes: int = POLICY_BENCH_NODES) -> Dict[str, Any]:
+def run_policy_bench(apps: Iterable[str] = DEFAULT_APPS,
+                     **options: Any) -> Dict[str, Any]:
     """Per-policy ablation document (what ``BENCH_7.json`` snapshots):
     every app across off / each coherence policy alone / all three."""
-    doc: Dict[str, Any] = {
-        "bench": "policy",
-        "schema": 1,
-        "nodes": nodes,
-        "cluster": _cluster_meta(nodes),
-        "modes": list(POLICY_MODES),
-        "app_instances": {
-            "series": "check-scale",
-            "tsp": "n_cities=9 n_threads=4 seed=42",
-            "raytracer": "check-scale",
-        },
-        "apps": {},
+    options.setdefault("nodes", POLICY_BENCH_NODES)
+    doc = _document("policy", **options)
+    doc["modes"] = list(POLICY_MODES)
+    doc["app_instances"] = {
+        "series": "check-scale",
+        "tsp": "n_cities=9 n_threads=4 seed=42",
+        "raytracer": "check-scale",
     }
-    for app, src in _policy_sources().items():
-        rewritten = rewrite_application(compile_source(src))
-        runs = {mode: _measure(rewritten, nodes, mode)
-                for mode in POLICY_MODES}
+    doc["apps"] = {}
+    sources = _policy_sources()
+    for app in apps:
+        runs = _measure_modes(sources[app], POLICY_MODES, **options)
         off = runs["off"]
         entry: Dict[str, Any] = {"runs": runs}
         entry["result_matches"] = all(
@@ -228,24 +242,19 @@ def run_policy_bench(nodes: int = POLICY_BENCH_NODES) -> Dict[str, Any]:
 
 
 def run_backend_bench(apps: Iterable[str] = DEFAULT_APPS,
-                      nodes: int = 3) -> Dict[str, Any]:
+                      **options: Any) -> Dict[str, Any]:
     """Sim-vs-proc comparison: every app once per backend, identical
     configs.  The document shows the differential guarantee (identical
     simulated time / message counts / results) next to what only the
     proc backend can measure — wall-clock and real bytes-on-wire.
     """
-    out: Dict[str, Any] = {
-        "bench": "backends",
-        "schema": 1,
-        "nodes": nodes,
-        # One document covers a run per backend, hence "sim+proc".
-        "cluster": _cluster_meta(nodes, backend="sim+proc"),
-        "apps": {},
-    }
+    _mode_owns(options, "--compare-backends", "backend")
+    # One document covers a run per backend, hence "sim+proc".
+    out = _document("backends", backend="sim+proc", **options)
+    out["apps"] = {}
     for app in apps:
-        rewritten = rewrite_application(compile_source(app_source(app)))
-        sim = _measure(rewritten, nodes, "off")
-        proc = _measure(rewritten, nodes, "off", backend="proc")
+        sim, program = _measure(app_source(app), "off", **options)
+        proc, _ = _measure(program, "off", backend="proc", **options)
         deterministic = ("simulated_ms", "messages", "bytes", "fetches",
                          "diffs_sent", "token_transfers", "result")
         out["apps"][app] = {
@@ -269,11 +278,13 @@ def _jit_sources() -> Dict[str, str]:
     }
 
 
-JIT_MODES: Tuple[str, ...] = ("interp", "jit", "jit-elim2")
+#: Jit-bench modes: name -> the (jit, check_elim) run options it sets.
+JIT_MODES: Dict[str, Tuple[bool, int]] = {
+    "interp": (False, 0), "jit": (True, 0), "jit-elim2": (True, 2)}
 
 
-def run_jit_bench(nodes: int = 3,
-                  apps: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+def run_jit_bench(apps: Iterable[str] = DEFAULT_APPS,
+                  **options: Any) -> Dict[str, Any]:
     """Tiered-JIT ablation document (what ``BENCH_9.json`` snapshots).
 
     Three modes per app: ``interp`` (tier 0), ``jit`` (tier 1 on the
@@ -287,33 +298,26 @@ def run_jit_bench(nodes: int = 3,
     """
     import time
 
-    doc: Dict[str, Any] = {
-        "bench": "jit",
-        "schema": 1,
-        "nodes": nodes,
-        "cluster": _cluster_meta(nodes),
-        "modes": list(JIT_MODES),
-        "jit_threshold": 10,
-        "app_instances": {
-            "series": "n_coeffs=60 steps=300",
-            "tsp": "n_cities=9 n_threads=4 seed=42",
-            "raytracer": "resolution=20",
-        },
-        "apps": {},
+    _mode_owns(options, "--jit-bench", "jit", "check_elim")
+    doc = _document("jit", **options)
+    doc["modes"] = list(JIT_MODES)
+    doc["jit_threshold"] = option(options, "jit_threshold")
+    doc["app_instances"] = {
+        "series": "n_coeffs=60 steps=300",
+        "tsp": "n_cities=9 n_threads=4 seed=42",
+        "raytracer": "resolution=20",
     }
+    doc["apps"] = {}
     sources = _jit_sources()
-    for app in (apps or DEFAULT_APPS):
-        src = sources[app]
-        plain = rewrite_application(compile_source(src))
-        elim2 = rewrite_application(compile_source(src), check_elim=2)
+    for app in apps:
+        # One rewrite per check-elimination level, shared by its modes.
+        programs: Dict[int, Any] = {}
         runs: Dict[str, Any] = {}
-        for mode, rewritten, jit in (("interp", plain, False),
-                                     ("jit", plain, True),
-                                     ("jit-elim2", elim2, True)):
-            config = RuntimeConfig(num_nodes=nodes, jit_enable=jit,
-                                   jit_check_elim=2 if "elim" in mode
-                                   else 0)
-            runtime = JavaSplitRuntime(rewritten, config)
+        for mode, (jit, elim) in JIT_MODES.items():
+            runtime = build_runtime(programs.get(elim, sources[app]),
+                                    config_from(options, jit_enable=jit),
+                                    check_elim=elim)
+            programs[elim] = runtime.rewritten
             t0 = time.perf_counter()
             report = runtime.run()
             wall = time.perf_counter() - t0

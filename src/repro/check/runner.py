@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..apps import raytracer, series, tsp
-from ..dsm.protocol import DsmConfig
 from ..lang import compile_source
-from ..rewriter import rewrite_application
-from ..runtime.config import RuntimeConfig
-from ..runtime.javasplit import JavaSplitRuntime, run_original
+from ..runtime.config import RuntimeConfig, config_from, option
+from ..runtime.javasplit import build_runtime, run_original
 from ..sim.engine import NS_PER_MS
 from .faults import FaultInjector, FaultPlan, FaultStats, parse_time_ns
 from .monitor import InvariantMonitor, Violation
@@ -174,61 +172,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-#: Component names accepted by a ``--locality`` spec.
-LOCALITY_COMPONENTS = ("migration", "prefetch", "aggregation")
-
-
-def parse_locality(spec: str) -> Dict[str, bool]:
-    """Resolve a ``--locality`` spec to RuntimeConfig knob values.
-
-    The spec is a comma-separated subset of migration/prefetch/
-    aggregation; ``all`` switches on every component; ``""`` leaves the
-    subsystem off entirely (no agent attached).
-    """
-    knobs = {c: False for c in LOCALITY_COMPONENTS}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == "all":
-            for c in LOCALITY_COMPONENTS:
-                knobs[c] = True
-        elif part in knobs:
-            knobs[part] = True
-        else:
-            raise ValueError(
-                f"unknown locality component {part!r} (choose from "
-                f"{', '.join(LOCALITY_COMPONENTS)} or 'all')")
-    return {f"locality_{c}": v for c, v in knobs.items()}
-
-
-#: Component names accepted by a ``--policy`` spec.
-POLICY_COMPONENTS = ("update", "migratory", "broadcast")
-
-
-def parse_policy(spec: str) -> Dict[str, bool]:
-    """Resolve a ``--policy`` spec to RuntimeConfig knob values.
-
-    The spec is a comma-separated subset of update/migratory/broadcast;
-    ``all`` switches on every policy; ``""`` leaves the subsystem off
-    entirely (no agent attached)."""
-    knobs = {c: False for c in POLICY_COMPONENTS}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == "all":
-            for c in POLICY_COMPONENTS:
-                knobs[c] = True
-        elif part in knobs:
-            knobs[part] = True
-        else:
-            raise ValueError(
-                f"unknown coherence policy {part!r} (choose from "
-                f"{', '.join(POLICY_COMPONENTS)} or 'all')")
-    return {f"policy_{c}": v for c, v in knobs.items()}
-
-
 def app_source(app: str) -> str:
     """MiniJava source of one named benchmark at checking scale."""
     try:
@@ -272,22 +215,11 @@ def run_check(
     app: str = "series",
     seeds: int = 25,
     faults: str = "",
-    nodes: int = 3,
     fault_rate: float = 0.05,
-    timestamp_mode: str = "scalar",
-    region_elems: Optional[int] = None,
-    jitter_ns: int = DEFAULT_JITTER_NS,
-    strict: bool = False,
     kill: Optional[str] = None,
-    locality: str = "",
-    policy: str = "",
-    race: bool = False,
-    obs: bool = False,
-    backend: str = "sim",
-    jit: bool = False,
-    jit_threshold: int = 10,
-    check_elim: int = 0,
+    strict: bool = False,
     progress: Optional[Callable[[SeedResult], None]] = None,
+    **options: Any,
 ) -> CheckReport:
     """Sweep ``seeds`` seeded schedules of ``app`` under the oracle.
 
@@ -303,32 +235,22 @@ def run_check(
     additionally required except for tsp, whose shared job queue may
     legitimately lose a taken-but-unprocessed job with the worker.
 
-    ``locality`` (comma-separated subset of migration/prefetch/
-    aggregation, or ``all``) runs every seed with those adaptive-
-    locality components switched on, putting the migration handoff,
-    bulk-fetch, and aggregation paths under the same oracle.
+    ``options`` are run options by flag name (``nodes=4``,
+    ``locality="all"``, ``backend="proc"``, ``jit=True``, ... — the
+    :data:`~repro.runtime.config.RUN_FLAGS` table); every seeded run is
+    configured from them, so the feature they switch on runs under the
+    same oracle and monitor.  ``seed`` is the first seed of the sweep.
+    Three of them mean more here than on a plain run:
 
-    ``policy`` (comma-separated subset of update/migratory/broadcast,
-    or ``all``) runs every seed with those adaptive coherence policies
-    switched on, putting the classifier, the write-update push and
-    read-mostly broadcast installs, and the migratory ownership
-    handoffs under the same oracle and monitor.
+    ``race`` — the benchmark apps are well-synchronized (tsp's
+    deliberately-racy ``MinTour.best`` bound read is auto-suppressed,
+    see :data:`APP_RACE_SUPPRESS`), so any report fails the seed: a
+    zero-report sweep is the detector's no-false-positive guarantee.
 
-    ``race`` runs every seed with the data-race detector on.  The
-    benchmark apps are well-synchronized (tsp's deliberately-racy
-    ``MinTour.best`` bound read is auto-suppressed, see
-    :data:`APP_RACE_SUPPRESS`), so any report fails the seed: a zero-
-    report sweep is the detector's no-false-positive guarantee.
+    ``obs`` — puts the observability instrumentation itself under the
+    oracle: telemetry must never perturb protocol correctness.
 
-    ``obs`` runs every seed with all three telemetry knobs on (metrics,
-    spans, stall profiling), putting the observability instrumentation
-    itself under the oracle: telemetry must never perturb protocol
-    correctness.
-
-    ``backend`` selects the transport backend for every seeded run:
-    ``"sim"`` (default) or ``"proc"`` (one OS process per node, every
-    frame over real sockets; ``--kill`` then SIGKILLs the worker
-    process).  The oracle and reference comparison are unchanged — a
+    ``backend="proc"`` — ``kill`` then SIGKILLs the worker process; a
     passing proc sweep certifies the wire plane end to end.
     """
     if seeds < 1:
@@ -340,57 +262,45 @@ def run_check(
     if faults:
         probe = FaultPlan.from_spec(faults)  # reject bad specs before any run
         killing = killing or probe.detach_node is not None
-    if kill is not None:
-        parse_kill(kill, seed=0, nodes=nodes)  # reject bad specs early
-    if killing and timestamp_mode != "scalar":
-        raise ValueError("node kills require the scalar timestamp mode "
-                         "(the only mode the ft subsystem supports)")
-    if race and timestamp_mode != "scalar":
-        raise ValueError("--race requires the scalar timestamp mode "
-                         "(the only mode the race detector supports)")
-    locality_knobs = parse_locality(locality)
-    policy_knobs = parse_policy(policy)
-    source = app_source(app)
-    classfiles = compile_source(source)
-    reference = run_original(classfiles=classfiles)
-    ref_console = sorted(reference.console)
-    rewritten = rewrite_application(classfiles, check_elim=check_elim)
+    nodes = option(options, "nodes")
+    race = option(options, "race")
+    first_seed = option(options, "seed")
 
-    report = CheckReport(app=app, faults=faults, nodes=nodes, kill=kill,
-                         locality=locality, policy=policy, race=race,
-                         obs=obs, backend=backend,
-                         reference_result=reference.result)
-    for seed in range(seeds):
+    def seeded(seed: int) -> "tuple[FaultPlan, RuntimeConfig]":
         plan = FaultPlan.from_spec(faults, seed=seed, rate=fault_rate) \
             if faults else FaultPlan(seed=seed)
         if kill is not None:
             plan.detach_node, plan.detach_at_ns = \
                 parse_kill(kill, seed=seed, nodes=nodes)
-        config = RuntimeConfig(
-            num_nodes=nodes,
-            net_jitter_ns=jitter_ns,
+        return plan, config_from(
+            options,
             seed=seed,
+            net_jitter_ns=DEFAULT_JITTER_NS,
             reliable_transport=plan.lossy,
             ft_enabled=killing,
-            race_detect=race,
             race_suppress=APP_RACE_SUPPRESS.get(app, ()) if race else (),
-            obs_metrics=obs,
-            obs_spans=obs,
-            obs_profile=obs,
-            transport_backend=backend,
-            jit_enable=jit,
-            jit_threshold=jit_threshold,
-            jit_check_elim=check_elim,
-            **locality_knobs,
-            **policy_knobs,
-            dsm=DsmConfig(
-                timestamp_mode=timestamp_mode,
-                array_region_elems=region_elems,
-            ),
         )
+
+    # Reject bad kill specs and option combinations (e.g. a kill under
+    # vector timestamps) before any run.
+    seeded(first_seed)[1].validate()
+    program: Any = compile_source(app_source(app))
+    reference = run_original(classfiles=program)
+    ref_console = sorted(reference.console)
+
+    report = CheckReport(app=app, faults=faults, nodes=nodes, kill=kill,
+                         locality=option(options, "locality"),
+                         policy=option(options, "policy"), race=race,
+                         obs=option(options, "obs"),
+                         backend=option(options, "backend"),
+                         reference_result=reference.result)
+    for seed in range(first_seed, first_seed + seeds):
+        plan, config = seeded(seed)
         sr = SeedResult(seed=seed,
                         result_required=not (killing and app == "tsp"))
-        runtime = JavaSplitRuntime(rewritten, config)
+        runtime = build_runtime(program, config,
+                                option(options, "check_elim"))
+        program = runtime.rewritten  # rewrite once, reuse for every seed
         injector = FaultInjector.attach(runtime, plan) \
             if (faults or kill) else None
         monitor = InvariantMonitor.attach(runtime, strict=strict)
@@ -495,12 +405,11 @@ def run_race_check(
     source: str,
     name: str = "program",
     seeds: int = 8,
-    nodes: int = 3,
     mode: str = "both",
     expect: str = "race",
     suppress: "tuple[str, ...]" = (),
-    jitter_ns: int = DEFAULT_JITTER_NS,
     progress: Optional[Callable[[RaceSeedResult], None]] = None,
+    **options: Any,
 ) -> RaceSweepReport:
     """Sweep ``seeds`` seeded schedules of one program under the race
     detector alone.
@@ -511,25 +420,31 @@ def run_race_check(
     :func:`run_check`, no consistency oracle or invariant monitor is
     attached: a racy program is outside the data-race-free contract the
     single-copy oracle assumes, so its heap may legitimately diverge.
+    ``options`` are run options by flag name, as for :func:`run_check`.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1 (a 0-seed sweep proves nothing)")
     if expect not in ("race", "free"):
         raise ValueError(f"expect must be 'race' or 'free', not {expect!r}")
-    rewritten = rewrite_application(compile_source(source))
-    report = RaceSweepReport(name=name, expect=expect, nodes=nodes, mode=mode)
-    for seed in range(seeds):
-        config = RuntimeConfig(
-            num_nodes=nodes,
-            net_jitter_ns=jitter_ns,
+    program: Any = source
+    report = RaceSweepReport(name=name, expect=expect,
+                             nodes=option(options, "nodes"), mode=mode)
+    first_seed = option(options, "seed")
+    for seed in range(first_seed, first_seed + seeds):
+        config = config_from(
+            options,
             seed=seed,
+            net_jitter_ns=DEFAULT_JITTER_NS,
             race_detect=True,
             race_mode=mode,
             race_suppress=suppress,
         )
+        runtime = build_runtime(program, config,
+                                option(options, "check_elim"))
+        program = runtime.rewritten  # rewrite once, reuse for every seed
         sr = RaceSeedResult(seed=seed)
         try:
-            run = JavaSplitRuntime(rewritten, config).run()
+            run = runtime.run()
             assert run.race is not None
             sr.races = run.race["races"]
             sr.suppressed = run.race["suppressed"]

@@ -19,6 +19,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 NODE_SHIFT = 40
 COUNTER_MASK = (1 << NODE_SHIFT) - 1
 MAX_NODE_ID = (1 << 23) - 1  # gids stay positive in a signed 64-bit long
+#: The node where ``main`` starts, the C_static holders live and console
+#: output is collected; also the fault-tolerance coordinator.
+MASTER_NODE = 0
 
 
 class GidAllocator:

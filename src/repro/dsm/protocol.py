@@ -57,7 +57,8 @@ from .diffs import (
     make_twin,
     serialize_region,
 )
-from .directory import ClassIdRegistry, GidAllocator, HomeDirectory, home_of
+from .directory import (MASTER_NODE, ClassIdRegistry, GidAllocator,
+                        HomeDirectory, home_of)
 from .locks import LockRequest, LockToken, NodeLockState
 from .objectstate import DSMHeader, ObjState, attach_header
 from .serialization import ClassSpec, deserialize_any, serialize_any
@@ -166,7 +167,6 @@ class DsmEngine:
         choose_spawn_node: Optional[Callable[[], int]] = None,
         static_gids: Optional[Dict[str, Tuple[int, str]]] = None,
         console: Optional[List[str]] = None,
-        master_node: int = 0,
     ) -> None:
         self.jvm = jvm
         self.node_id = transport.node_id
@@ -180,7 +180,6 @@ class DsmEngine:
         # class_name -> (gid, holder_class_name) for C_static holders
         self.static_gids = static_gids or {}
         self.console = console if console is not None else []
-        self.master_node = master_node
         self.stats = DsmStats()
 
         # Optional runtime callback: a shipped thread began on this node
@@ -717,10 +716,10 @@ class DsmEngine:
     def print_line(self, text: str) -> None:
         """Console output wrapper: forwards lines to the master node."""
         self.jvm.println(text)
-        if self.node_id == self.master_node:
+        if self.node_id == MASTER_NODE:
             self.console.append(text)
         else:
-            self.transport.send(self.master_node, M_CONSOLE, {"text": text})
+            self.transport.send(MASTER_NODE, M_CONSOLE, {"text": text})
 
     def _on_console(self, msg: Message) -> None:
         self.console.append(msg.payload["text"])

@@ -1,11 +1,11 @@
 """Heartbeat failure detection.
 
 Every worker pings the coordinator (the master node) every
-``ft_heartbeat_ns``; the coordinator's detector declares a worker failed
-after ``ft_suspect_beats`` consecutive missed beats.  The transport
+``HEARTBEAT_NS``; the coordinator's detector declares a worker failed
+after ``SUSPECT_BEATS`` consecutive missed beats.  The transport
 layer's ARQ give-up path feeds in as an accelerant: a ``peer
 unreachable`` report lowers the miss threshold for that peer to
-``max(1, ft_suspect_beats // 4)``, so a node that stopped acking
+``max(1, SUSPECT_BEATS // 4)``, so a node that stopped acking
 retransmissions is confirmed dead faster than silence alone would
 allow.
 
@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Ping payload size on the wire (node id).
 PING_BYTES = 4
+#: Heartbeat period (every worker pings the master node).
+HEARTBEAT_NS = 20_000_000  # 20 ms
+#: Consecutive missed heartbeats before a worker is declared failed.
+SUSPECT_BEATS = 3
 
 
 class HeartbeatAgent:
@@ -34,19 +38,18 @@ class HeartbeatAgent:
     transport's unreachable-peer reports."""
 
     def __init__(self, manager: "FtManager", worker: "WorkerNode",
-                 coordinator: int, interval_ns: int) -> None:
+                 coordinator: int) -> None:
         self.manager = manager
         self.worker = worker
         self.transport = worker.transport
         self.engine = worker.dsm.engine
         self.node_id = worker.node_id
         self.coordinator = coordinator
-        self.interval_ns = interval_ns
         self.transport.on_peer_unreachable = self._on_unreachable
 
     def start(self) -> None:
         if self.node_id != self.coordinator:
-            self.engine.schedule(self.interval_ns, self._tick)
+            self.engine.schedule(HEARTBEAT_NS, self._tick)
 
     def _tick(self) -> None:
         if (self.manager.stopped or self.worker.dead
@@ -54,7 +57,7 @@ class HeartbeatAgent:
             return
         self.transport.send(self.coordinator, M_FT_PING,
                             {"node": self.node_id}, size_bytes=PING_BYTES)
-        self.engine.schedule(self.interval_ns, self._tick)
+        self.engine.schedule(HEARTBEAT_NS, self._tick)
 
     def _on_unreachable(self, dst: int) -> None:
         """ARQ gave up on ``dst``: report the suspicion upward.  (A dead
@@ -73,14 +76,12 @@ class HeartbeatAgent:
 class FailureDetector:
     """Coordinator side: tracks last-seen times, confirms failures."""
 
-    def __init__(self, manager: "FtManager", worker: "WorkerNode",
-                 interval_ns: int, threshold: int) -> None:
+    def __init__(self, manager: "FtManager",
+                 worker: "WorkerNode") -> None:
         self.manager = manager
         self.worker = worker
         self.engine = worker.dsm.engine
         self.node_id = worker.node_id
-        self.interval_ns = interval_ns
-        self.threshold = threshold
         self.last_seen: Dict[int, int] = {}
         self.suspected: Set[int] = set()
 
@@ -90,7 +91,7 @@ class FailureDetector:
             self.last_seen[node_id] = self.engine.now
 
     def start(self) -> None:
-        self.engine.schedule(self.interval_ns, self._check)
+        self.engine.schedule(HEARTBEAT_NS, self._check)
 
     # ------------------------------------------------------------------
     def on_ping(self, msg: Message) -> None:
@@ -117,10 +118,10 @@ class FailureDetector:
         for node in sorted(self.last_seen):
             if node in self.manager.dead_nodes:
                 continue
-            misses = (now - self.last_seen[node]) // self.interval_ns
-            bar = self.threshold
+            misses = (now - self.last_seen[node]) // HEARTBEAT_NS
+            bar = SUSPECT_BEATS
             if node in self.suspected:
-                bar = max(1, self.threshold // 4)
+                bar = max(1, SUSPECT_BEATS // 4)
             if misses >= bar:
                 self.manager.on_failure(node)
-        self.engine.schedule(self.interval_ns, self._check)
+        self.engine.schedule(HEARTBEAT_NS, self._check)

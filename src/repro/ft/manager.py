@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
+from ..dsm.directory import MASTER_NODE
 from ..dsm.protocol import M_SPAWN
 from ..sim.node import StreamState
 from .heartbeat import FailureDetector, HeartbeatAgent
@@ -56,9 +57,7 @@ class FtManager:
 
     def __init__(self, runtime: "JavaSplitRuntime") -> None:
         self.runtime = runtime
-        cfg = runtime.config
-        self.coordinator = cfg.master_node
-        self.interval_ns = cfg.ft_heartbeat_ns
+        self.coordinator = MASTER_NODE
         self.agents: Dict[int, FtNodeAgent] = {}
         self.hb_agents: Dict[int, HeartbeatAgent] = {}
         self.detector: Optional[FailureDetector] = None
@@ -76,10 +75,7 @@ class FtManager:
     def attach(self) -> None:
         workers = self.runtime.workers
         coord = workers[self.coordinator]
-        self.detector = FailureDetector(
-            self, coord, self.interval_ns,
-            self.runtime.config.ft_suspect_beats,
-        )
+        self.detector = FailureDetector(self, coord)
         coord.transport.on(M_FT_PING, self.detector.on_ping)
         coord.transport.on(M_FT_SUSPECT, self.detector.on_suspect)
         for w in workers:
@@ -101,7 +97,7 @@ class FtManager:
             worker.dsm.ft_set_home(origin, target)
         for dead in self.dead_nodes:
             worker.transport.mark_dead(dead)
-        hb = HeartbeatAgent(self, worker, self.coordinator, self.interval_ns)
+        hb = HeartbeatAgent(self, worker, self.coordinator)
         self.agents[worker.node_id] = agent
         self.hb_agents[worker.node_id] = hb
         assert self.detector is not None

@@ -68,7 +68,7 @@ class RecoveryOrchestrator:
     # ------------------------------------------------------------------
     def begin(self, dead: int) -> None:
         runtime = self.manager.runtime
-        if dead == runtime.config.master_node:
+        if dead == self.manager.coordinator:
             raise MasterFailedError(
                 f"master node {dead} failed; recovery cannot proceed"
             )

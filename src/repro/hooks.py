@@ -9,8 +9,8 @@ callable to the point's list (``dsm.hooks.promote.append(fn)``).  With
 every list empty the engine runs the bare paper protocol.
 
 Subscribers run in registration order, which is the attach order fixed
-in ``JavaSplitRuntime.__init__`` (ft, locality, policy, race, obs, then
-anything attached afterwards).  Three roles:
+by ``runtime.javasplit.SUBSYSTEMS`` (ft, locality, policy, race, obs,
+then anything attached afterwards).  Three roles:
 
 * **observer** — called for its side effects; the return value is ignored.
 * **interceptor** — returns true to take the event over.

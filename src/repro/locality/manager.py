@@ -65,6 +65,9 @@ AGG_TYPES = frozenset({
 
 #: Profiler sliding window: per-unit remote-access events remembered.
 WINDOW = 8
+#: Remote diffs from a single dominant writer, within the window, before
+#: the unit is re-homed to that writer.
+MIGRATION_THRESHOLD = 3
 #: Max units batched into one bulk-fetch on acquire.
 PREFETCH_DEPTH = 8
 
@@ -85,7 +88,6 @@ class LocalityManager:
         self.migration = cfg.locality_migration
         self.prefetch = cfg.locality_prefetch
         self.aggregation = cfg.locality_aggregation
-        self.threshold = cfg.locality_migration_threshold
         self.agents: Dict[int, "LocalityAgent"] = {}
         # Optional tracer callback: (node, kind, detail).
         self.event_sink: Optional[Callable[[int, str, str], None]] = None
@@ -408,6 +410,64 @@ class LocalityAgent:
         })
 
     # ------------------------------------------------------------------
+    # Re-homing: the one grant-out / grant-install pair (locality
+    # migration and the migratory coherence policy both use it)
+    # ------------------------------------------------------------------
+    def grant_out(self, gid: int, grantee: int,
+                  with_lock_owner: bool = True) -> Optional[Dict[str, Any]]:
+        """Old-home side: serialize + demote the local master into a
+        grant for ``grantee``, under the next directory epoch, and point
+        this node's directory and the registry at the new home.  None
+        when this node holds no master of the unit.  A token-borne grant
+        goes without ``lock_owner``: its grantee is the new lock owner."""
+        unit = self.dsm._loc_grant_unit(gid)
+        if unit is None:
+            return None
+        epoch = self.dsm._loc_dir.epoch(gid) + 1
+        grant = dict(unit)
+        grant["epoch"] = epoch
+        if with_lock_owner:
+            grant["lock_owner"] = self.dsm.lock_owner.get(gid, self.node_id)
+        self.dsm.set_gid_home(gid, grantee, epoch)
+        self.manager.note_migration(gid, grantee, epoch)
+        return grant
+
+    def install_grant(self, grant: Dict[str, Any],
+                      fold_valid: bool) -> bool:
+        """Grantee side: become the home of a granted unit.  False when
+        a strictly newer migration already moved the unit elsewhere (an
+        equal-epoch entry pointing HERE is just this migration's own
+        redirect gossip arriving first).
+
+        ``fold_valid`` is for the ack-borne grant only: under the §3.1
+        fence its grantee is the sole writer, so a VALID working copy
+        holds every interval it has produced — including diffs still in
+        flight to the old home, which the grant snapshot predates.  The
+        master is then installed around the LOCAL data (at the grant's
+        version) and those diffs are dropped when they come back
+        forwarded.  A token grantee is not the fenced writer: folding
+        its possibly-stale copy would publish old data."""
+        gid = grant["gid"]
+        if (not self.dsm.set_gid_home(gid, self.node_id, grant["epoch"])
+                and self.dsm._loc_dir.get(gid) != self.node_id):
+            return False
+        if fold_valid:
+            obj = self.dsm.cache.get(gid)
+            hdr = obj.header if obj is not None else None
+            if hdr is not None and hdr.state == ObjState.VALID:
+                snap = self.dsm.ft_serialize_unit(gid)
+                if snap is not None:
+                    grant = dict(grant, data=snap["data"])
+                    self._self_folded.add(gid)
+        # Overwrites clean replicas and merges any dirty twin back on
+        # top as a pending home write.
+        self.dsm.ft_install_master(grant)
+        self.dsm.lock_owner[gid] = grant.get("lock_owner", self.node_id)
+        self.manager.note_adopted(gid, self.node_id, grant["epoch"],
+                                  grant["version"])
+        return True
+
+    # ------------------------------------------------------------------
     # Migration policy (old-home side) and grant install (writer side)
     # ------------------------------------------------------------------
     def consider_migration(self, msg: Message, ack_payload: Dict[str, Any],
@@ -427,23 +487,16 @@ class LocalityAgent:
             if self.dsm.home_node(gid) != self.node_id:
                 continue
             if not self.profiler.should_migrate(
-                    gid, writer, self.manager.threshold):
+                    gid, writer, MIGRATION_THRESHOLD):
                 continue
-            unit = self.dsm._loc_grant_unit(gid)
-            if unit is None:
+            grant = self.grant_out(gid, writer)
+            if grant is None:
                 continue
-            epoch = self.dsm._loc_dir.epoch(gid) + 1
-            grant = dict(unit)
-            grant["epoch"] = epoch
-            grant["lock_owner"] = self.dsm.lock_owner.get(
-                gid, self.node_id)
-            self.dsm.set_gid_home(gid, writer, epoch)
             self.dsm.stats.migrations_out += 1
             self.profiler.reset(gid)
-            self.manager.note_migration(gid, writer, epoch)
             self._emit("locality.migrate",
                        f"gid={gid:#x} home {self.node_id} -> {writer} "
-                       f"epoch {epoch}")
+                       f"epoch {grant['epoch']}")
             grants.append(grant)
         if grants:
             ack_payload["migrate"] = grants
@@ -455,32 +508,8 @@ class LocalityAgent:
         if msg.msg_type != M_DIFF_ACK:
             return
         for grant in msg.payload.get("migrate", ()):
-            gid = grant["gid"]
-            if (not self.dsm.set_gid_home(gid, self.node_id,
-                                          grant["epoch"])
-                    and self.dsm._loc_dir.get(gid) != self.node_id):
-                # A strictly newer migration moved the unit elsewhere.
-                # (An equal-epoch entry pointing HERE is just this
-                # migration's own redirect gossip arriving first.)
-                continue
-            obj = self.dsm.cache.get(gid)
-            hdr = obj.header if obj is not None else None
-            if hdr is not None and hdr.state == ObjState.VALID:
-                # Under the §3.1 fence the grantee is the sole writer,
-                # so its VALID working copy holds every interval it has
-                # produced — including diffs still in flight to the old
-                # home, which the grant snapshot predates.  Install the
-                # master around the LOCAL data (at the grant's version)
-                # and drop those diffs when they come back forwarded.
-                snap = self.dsm.ft_serialize_unit(gid)
-                if snap is not None:
-                    grant = dict(grant, data=snap["data"])
-                    self._self_folded.add(gid)
-            self.dsm.ft_install_master(grant)
-            self.dsm.lock_owner[gid] = grant["lock_owner"]
-            self.dsm.stats.migrations_in += 1
-            self.manager.note_adopted(gid, self.node_id, grant["epoch"],
-                                      grant["version"])
+            if self.install_grant(grant, fold_valid=True):
+                self.dsm.stats.migrations_in += 1
 
     # ------------------------------------------------------------------
     # Sharing-pattern prefetch

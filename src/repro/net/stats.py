@@ -119,11 +119,6 @@ class NetStats:
             }),
         }
 
-    def ft_overhead(self) -> Dict[str, Tuple[int, int]]:
-        """Fault-tolerance traffic grouped by purpose (the ``ft`` slice
-        of :meth:`subsystem_overhead`, kept for compatibility)."""
-        return self.subsystem_overhead()["ft"]
-
     def summary(self) -> str:
         """Multi-line human-readable totals."""
         lines = [f"total: {self.messages} msgs, {self.bytes} bytes"]

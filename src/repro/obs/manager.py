@@ -23,6 +23,7 @@ from __future__ import annotations
 import tempfile
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..dsm.directory import MASTER_NODE
 from ..net.message import (M_DIFF, M_DIFF_ACK, M_FETCH_REPLY, M_FT_REDIFF_ACK,
                            M_LOCK_FWD, M_LOCK_REQ, M_TOKEN, OBS_SPAN_KEY,
                            Message, estimate_size)
@@ -73,14 +74,13 @@ class ObsManager:
         now = lambda: runtime.engine.now  # noqa: E731 - tiny closure
         self.metrics: Optional[MetricsRegistry] = None
         if cfg.obs_metrics:
-            self.metrics = MetricsRegistry(now, cfg.obs_metrics_bucket_ns)
+            self.metrics = MetricsRegistry(now)
         self.spans: Optional[SpanRecorder] = None
         if cfg.obs_spans:
-            self.spans = SpanRecorder(now, cfg.obs_max_spans)
+            self.spans = SpanRecorder(now)
         self.profiler: Optional[StallProfiler] = None
         if cfg.obs_profile:
             self.profiler = StallProfiler(now)
-        self.top_n = cfg.obs_top_n
         self.agents: Dict[int, ObsAgent] = {}
         # -- wall-clock plane ------------------------------------------
         self.wallclock: Optional[WallClockStats] = None
@@ -126,8 +126,7 @@ class ObsManager:
 
     def _wire_cb(self, kind: str, elapsed_ns: int) -> None:
         """Codec probe (master process): attribute to the master node."""
-        self.wallclock.observe(f"wire.{kind}_ns",
-                               self.runtime.config.master_node, elapsed_ns)
+        self.wallclock.observe(f"wire.{kind}_ns", MASTER_NODE, elapsed_ns)
 
     def release_wire_timer(self) -> None:
         """Disarm the module-level codec probe (run() finally block —
@@ -154,7 +153,7 @@ class ObsManager:
     # transaction: detection -> drain -> repair.
     # ------------------------------------------------------------------
     def _on_ft_recovered(self, record: Dict[str, Any]) -> None:
-        master = self.runtime.config.master_node
+        master = MASTER_NODE
         if self.metrics is not None:
             self.metrics.inc("ft.recoveries", master)
         if self.spans is None:
@@ -236,7 +235,7 @@ class ObsManager:
             out["spans"] = {"count": len(self.spans),
                             "dropped": self.spans.dropped}
         if self.profiler is not None:
-            out["profile"] = self.profiler.report(self.top_n)
+            out["profile"] = self.profiler.report()
         if self.wallclock is not None:
             out["wallclock"] = self.wallclock.as_dict()
         if self.flight_dumps:
@@ -553,12 +552,6 @@ class ObsAgent:
             sid = self._lock_spans.pop(tid, None)
             if sid is not None:
                 self.spans.close(sid)
-
-    # ------------------------------------------------------------------
-    def format_profile(self) -> str:
-        if self.profiler is None:
-            return "profiler off"
-        return self.profiler.format(self.manager.top_n)
 
 
 __all__ = ["ObsManager", "ObsAgent", "current_site", "site_label",

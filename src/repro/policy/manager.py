@@ -5,7 +5,7 @@ on) owns a per-node :class:`PolicyAgent` and a harness-level registry
 of which policy each promoted unit currently runs.  The classifier is
 home-side: the home of a unit sees every remote fetch and diff, feeds
 them to an :class:`AccessProfiler` window, and promotes the unit once
-``policy_hysteresis`` consecutive windows agree on a pattern.  Demotion
+``HYSTERESIS`` consecutive windows agree on a pattern.  Demotion
 back to plain invalidation is immediate the moment the pattern breaks.
 
 Correctness notes:
@@ -61,6 +61,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Classifier sliding window: home-observed remote accesses per unit.
 WINDOW = 12
+#: Events of the defining kind within the window before a pattern is
+#: recognized (diffs for producer-consumer/migratory, fetches for
+#: read-mostly).  2 promotes early enough to pay off on check-scale app
+#: instances.
+THRESHOLD = 2
+#: Consecutive identical classifications before a unit is promoted to a
+#: policy (demotion back to invalidate is immediate).
+HYSTERESIS = 2
 
 #: Per-unit policies a unit can be promoted to.
 POLICY_UPDATE = "update"
@@ -84,8 +92,6 @@ class PolicyManager:
         self.update = cfg.policy_update
         self.migratory = cfg.policy_migratory
         self.broadcast = cfg.policy_broadcast
-        self.threshold = cfg.policy_threshold
-        self.hysteresis = cfg.policy_hysteresis
         self.agents: Dict[int, "PolicyAgent"] = {}
         # Optional tracer callback: (node, kind, detail).
         self.event_sink: Optional[Callable[[int, str, str], None]] = None
@@ -186,6 +192,8 @@ class PolicyAgent:
         self.dsm = worker.dsm
         self.transport = worker.transport
         self.node_id = worker.node_id
+        # This node's locality agent: grants go out and come in there.
+        self.locality = manager.runtime.locality.agents[worker.node_id]
         self.profiler = AccessProfiler(WINDOW)
         # Home-side reader tracking for write-update pushes:
         # gid -> {reader node -> last version known to be there}.
@@ -234,7 +242,7 @@ class PolicyAgent:
         self._reclassify(gid)
 
     def _reclassify(self, gid: int) -> None:
-        pattern = self.profiler.classify(gid, self.manager.threshold)
+        pattern = self.profiler.classify(gid, THRESHOLD)
         if pattern != self._last_pattern.get(gid):
             self._last_pattern[gid] = pattern
             self._emit("policy.classify",
@@ -254,7 +262,7 @@ class PolicyAgent:
             return
         cand, n = self._streak.get(gid, (None, 0))
         n = n + 1 if cand == target else 1
-        if n >= self.manager.hysteresis:
+        if n >= HYSTERESIS:
             self._streak.pop(gid, None)
             self._promote(gid, current, target)
         else:
@@ -438,26 +446,26 @@ class PolicyAgent:
     # ------------------------------------------------------------------
     # Migratory grants
     # ------------------------------------------------------------------
-    def _make_grant(self, gid: int, grantee: int) -> Optional[Dict[str, Any]]:
-        """Serialize + demote the local master into a bootstrap grant
-        (same shape as a locality migration grant; installed by
-        ``LocalityAgent.on_deliver`` on the grantee)."""
-        unit = self.dsm._loc_grant_unit(gid)
-        if unit is None:
+    def _make_grant(self, gid: int, grantee: int,
+                    on_token: bool = False) -> Optional[Dict[str, Any]]:
+        """Hand the local master to ``grantee`` through the locality
+        agent's grant-out path and forget what this node had learnt
+        about the unit.  A bootstrap grant rides the M_DIFF_ACK (same
+        shape as a locality migration grant; installed by
+        ``LocalityAgent.on_deliver`` on the grantee); a steady-state one
+        rides the lock token."""
+        grant = self.locality.grant_out(gid, grantee,
+                                        with_lock_owner=not on_token)
+        if grant is None:
             return None
-        epoch = self.dsm._loc_dir.epoch(gid) + 1
-        grant = dict(unit)
-        grant["epoch"] = epoch
-        grant["lock_owner"] = self.dsm.lock_owner.get(gid, self.node_id)
-        self.dsm.set_gid_home(gid, grantee, epoch)
         self.dsm.stats.pol_grants += 1
         self.profiler.reset(gid)
-        self._readers.pop(gid, None)
+        if not on_token:
+            self._readers.pop(gid, None)
         self._last_pattern.pop(gid, None)
-        self.manager.runtime.locality.note_migration(gid, grantee, epoch)
         self._emit("policy.grant",
                    f"gid={gid:#x} home {self.node_id} -> {grantee} "
-                   f"epoch {epoch}")
+                   f"epoch {grant['epoch']}" + (" (token)" if on_token else ""))
         return grant
 
     def on_token_send(self, gid: int, req: Any,
@@ -471,21 +479,10 @@ class PolicyAgent:
             return 0
         if self.dsm.home_node(gid) != self.node_id:
             return 0
-        unit = self.dsm._loc_grant_unit(gid)
-        if unit is None:
+        grant = self._make_grant(gid, req.node, on_token=True)
+        if grant is None:
             return 0
-        epoch = self.dsm._loc_dir.epoch(gid) + 1
-        grant = dict(unit)
-        grant["epoch"] = epoch
-        self.dsm.set_gid_home(gid, req.node, epoch)
-        self.dsm.stats.pol_grants += 1
-        self.profiler.reset(gid)
-        self._last_pattern.pop(gid, None)
-        self.manager.runtime.locality.note_migration(gid, req.node, epoch)
         payload["pol_grant"] = grant
-        self._emit("policy.grant",
-                   f"gid={gid:#x} home {self.node_id} -> {req.node} "
-                   f"epoch {epoch} (token)")
         return 24 + len(grant["data"])
 
     def on_deliver(self, msg: Message) -> None:
@@ -496,22 +493,11 @@ class PolicyAgent:
                  if msg.msg_type == M_TOKEN else None)
         if grant is None:
             return
-        gid = grant["gid"]
-        self.dsm.set_gid_home(gid, self.node_id, grant["epoch"])
-        if self.dsm._loc_dir.get(gid) != self.node_id:
+        if not self.locality.install_grant(grant, fold_valid=False):
             return  # a strictly newer migration moved the unit onward
-        # ft_install_master (not the ack-borne install): this node is the
-        # token GRANTEE, not the fenced writer — a VALID-fold of its
-        # possibly-stale working copy would publish old data.  The
-        # install overwrites clean replicas and merges any dirty twin
-        # back on top as a pending home write.
-        self.dsm.ft_install_master(grant)
-        self.dsm.lock_owner[gid] = self.node_id
         self.dsm.stats.pol_grant_installs += 1
-        self.manager.runtime.locality.note_adopted(
-            gid, self.node_id, grant["epoch"], grant["version"])
         self._emit("policy.grant_install",
-                   f"gid={gid:#x} v{grant['version']} "
+                   f"gid={grant['gid']:#x} v{grant['version']} "
                    f"epoch {grant['epoch']}")
 
     # ------------------------------------------------------------------

@@ -18,7 +18,9 @@ runtime a correctness tool for the programs it executes, behind
   *documented* benign races (e.g. tsp's deliberately stale
   ``MinTour.best`` bound read), in the spirit of a ThreadSanitizer
   suppression file.
-- ``race_max_reports``: cap on retained reports.
+
+``detector.MAX_REPORTS`` caps the retained reports (each race is
+reported once; the overflow is counted in ``reports_dropped``).
 
 The detector's vector clocks deliberately contrast with the coherence
 protocol's §3.1 scalar timestamps: they live entirely outside the

@@ -77,6 +77,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.javasplit import JavaSplitRuntime
     from ..runtime.worker import WorkerNode
 
+#: Cap on retained race reports (each race is reported once; the
+#: overflow count is surfaced in the summary).
+MAX_REPORTS = 50
+
 # Eraser state machine (per slot).
 VIRGIN, EXCLUSIVE, SHARED, SHARED_MOD = range(4)
 
@@ -231,7 +235,6 @@ class RaceManager:
         self.runtime = runtime
         cfg = runtime.config
         self.mode = cfg.race_mode
-        self.max_reports = cfg.race_max_reports
         self.suppress = tuple(cfg.race_suppress)
         self.agents: Dict[int, "RaceAgent"] = {}
         # Optional tracer callback: (node, kind, detail).
@@ -285,7 +288,7 @@ class RaceManager:
             self.suppressed_count += 1
             agent.emit("race.suppressed", report.variable)
             return
-        if len(self.reports) >= self.max_reports:
+        if len(self.reports) >= MAX_REPORTS:
             self.dropped_reports += 1
             return
         self.reports.append(report)

@@ -60,18 +60,15 @@ class RewriteResult:
 
 def rewrite_application(
     app_classfiles: List[ClassFile],
-    master_node: int = 0,
-    optimize_checks: bool = False,
-    check_elim: Optional[int] = None,
+    check_elim: int = 0,
 ) -> RewriteResult:
     """Rewrite a compiled application for distributed execution.
 
-    ``optimize_checks`` enables the §6.2 redundant-read-check
-    elimination pass (off by default, like the paper's prototype).
-    ``check_elim`` selects the elimination level explicitly: 0 = none,
-    1 = the straight-line pass (same as ``optimize_checks=True``),
-    2 = region-based dataflow + loop hoisting (what the tiered JIT
-    consumes; see :mod:`repro.rewriter.check_elim`)."""
+    ``check_elim`` selects the access-check elimination level: 0 = none
+    (the default, like the paper's prototype), 1 = the §6.2 straight-
+    line redundant-read-check pass, 2 = region-based dataflow + loop
+    hoisting (what the tiered JIT consumes; see
+    :mod:`repro.rewriter.check_elim`)."""
     for cf in app_classfiles:
         if cf.name.startswith(PREFIX):
             raise ClassFormatError(
@@ -105,8 +102,7 @@ def rewrite_application(
         stats["wait_notify"] += sync_counts["wait_notify"]
 
     holders, static_gids = generate_holders(
-        {cf.name: cf for cf in renamed}, master_node
-    )
+        {cf.name: cf for cf in renamed})
     for holder in holders:
         table[holder.name] = holder
     for cf in renamed:
@@ -120,15 +116,13 @@ def rewrite_application(
         stats["write_checks"] += counts["write"]
         stats["volatile_accesses"] += counts["volatile"]
 
-    level = check_elim if check_elim is not None else (
-        1 if optimize_checks else 0)
-    if level not in (0, 1, 2):
-        raise ValueError(f"check_elim must be 0, 1 or 2, got {level!r}")
+    if check_elim not in (0, 1, 2):
+        raise ValueError(f"check_elim must be 0, 1 or 2, got {check_elim!r}")
     stats["checks_eliminated"] = 0
-    if level:
+    if check_elim:
         for cf in renamed:
             stats["checks_eliminated"] += eliminate_redundant_read_checks(
-                cf, resolver, level=level
+                cf, resolver, level=check_elim
             )
 
     specs = build_specs(table)

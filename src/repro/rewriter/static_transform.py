@@ -42,14 +42,13 @@ def holder_class_name(class_name: str) -> str:
 
 def generate_holders(
     classfiles: Dict[str, ClassFile],
-    master_node: int = 0,
 ) -> Tuple[List[ClassFile], Dict[str, Tuple[int, str]]]:
     """Create holder class files and the deterministic gid map.
 
     Returns ``(holder_classfiles, static_gids)`` where ``static_gids``
     maps the owning class name to ``(gid, holder_class_name)``.
     """
-    from ..dsm.directory import NODE_SHIFT
+    from ..dsm.directory import MASTER_NODE, NODE_SHIFT
 
     holders: List[ClassFile] = []
     static_gids: Dict[str, Tuple[int, str]] = {}
@@ -65,7 +64,7 @@ def generate_holders(
                 FieldInfo(f.name, f.type, is_static=False, init=f.init,
                           volatile=f.volatile)
             )
-        gid = (master_node << NODE_SHIFT) | (idx + 1)
+        gid = (MASTER_NODE << NODE_SHIFT) | (idx + 1)
         holders.append(holder)
         static_gids[name] = (gid, holder.name)
     return holders, static_gids

@@ -2,11 +2,13 @@
 distribution, and the public execution API."""
 
 from .classreg import ClassRegistry, ClassShipment
-from .config import ConfigError, RuntimeConfig
+from .config import (RUN_FLAGS, RuntimeConfig, add_run_flags, config_from,
+                     option, run_options)
 from .javasplit import (
     DeadlockError,
     JavaSplitRuntime,
     RunReport,
+    build_runtime,
     run_distributed,
     run_original,
 )
@@ -22,9 +24,10 @@ from .worker import WorkerNode, build_worker
 
 __all__ = [
     "ClassRegistry", "ClassShipment",
-    "ConfigError", "RuntimeConfig",
+    "RUN_FLAGS", "RuntimeConfig", "add_run_flags", "config_from", "option",
+    "run_options",
     "DeadlockError", "JavaSplitRuntime", "RunReport",
-    "run_distributed", "run_original",
+    "build_runtime", "run_distributed", "run_original",
     "LeastLoadedScheduler", "PinnedScheduler", "PlacementTracker",
     "RandomScheduler", "RoundRobinScheduler", "make_scheduler",
     "WorkerNode", "build_worker",

@@ -1,18 +1,22 @@
-"""Runtime configuration."""
+"""Runtime configuration: the :class:`RuntimeConfig` dataclass and the
+one table (:data:`RUN_FLAGS`) that declares every user-settable run
+option — its command-line spelling, its default, and the
+``RuntimeConfig`` keyword(s) it sets.  Every cluster-running CLI verb
+takes its flags from :func:`add_run_flags`, and every harness entry
+point (``run_check``, ``run_race_check``, ``run_scenario``, the JSON
+benches) turns the same named options into a config with
+:func:`config_from`, so equal options always mean equal configs."""
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..dsm.protocol import DsmConfig
 from ..sim.cost_model import PROFILE_APP, PROFILE_MICRO
 from ..sim.node import DEFAULT_QUANTUM_NS
 from .scheduler import SCHEDULERS
-
-
-class ConfigError(ValueError):
-    """A runtime operation is invalid under the active configuration."""
 
 
 @dataclass
@@ -37,8 +41,6 @@ class RuntimeConfig:
     # off by default so clean runs keep exact message accounting.
     reliable_transport: bool = False
     seed: int = 0
-    max_events: int = 200_000_000
-    master_node: int = 0
     # Instruction-cost time dilation (see CostModel.scaled): lets small
     # simulated inputs reproduce the compute:communication ratio of the
     # paper's full-size workloads.
@@ -57,26 +59,12 @@ class RuntimeConfig:
     # Socket family for the proc backend: "unix" (default) or "tcp"
     # (127.0.0.1, ephemeral ports).
     proc_socket_kind: str = "unix"
-    # Master-side deadline waiting for a physical frame copy before the
-    # run is declared wedged (WireError).
-    proc_wait_timeout_s: float = 30.0
-    # Allow workers to join mid-run on the proc backend (a late OS
-    # process is forked and handshaken on the still-open control
-    # listener).  Off, ``schedule_join``/``add_worker`` raise a clear
-    # ConfigError instead of silently assuming the sim backend.
-    proc_late_spawn: bool = True
     # ----- fault tolerance (src/repro/ft) ------------------------------
     # Survive the loss of a single (non-master) worker: heartbeat failure
     # detection, buddy replication of home state, and node-failure
     # recovery.  Off by default — fault-free runs with ft_enabled=False
     # are byte-identical to a build without the subsystem.
     ft_enabled: bool = False
-    # Heartbeat period (every worker pings the master node).
-    ft_heartbeat_ns: int = 20_000_000  # 20 ms
-    # Consecutive missed heartbeats before a worker is declared failed.
-    # A transport-level ARQ give-up ("peer unreachable") lowers the bar
-    # to max(1, ft_suspect_beats // 4) for the suspected peer.
-    ft_suspect_beats: int = 3
     # ----- adaptive locality (src/repro/locality) ----------------------
     # Observe per-unit access patterns and adapt the protocol: re-home
     # units to their dominant writer, prefetch invalidated units in bulk
@@ -86,9 +74,6 @@ class RuntimeConfig:
     locality_migration: bool = False
     locality_prefetch: bool = False
     locality_aggregation: bool = False
-    # Remote diffs from a single dominant writer, within the window,
-    # before the unit is re-homed to that writer.
-    locality_migration_threshold: int = 3
     # ----- adaptive coherence policies (src/repro/policy) --------------
     # Classify each coherency unit's sharing pattern online (from the
     # same home-side fetch/diff signal the locality profiler sees) and
@@ -109,15 +94,6 @@ class RuntimeConfig:
     # is read everywhere and written rarely is broadcast on the rare
     # write; reads stay free everywhere.
     policy_broadcast: bool = False
-    # Events of the defining kind within the window before a pattern is
-    # recognized (diffs for producer-consumer/migratory, fetches for
-    # read-mostly).  2 promotes early enough to pay off on check-scale
-    # app instances; raise it on long-running workloads where a
-    # mis-promotion is more expensive than a slow start.
-    policy_threshold: int = 2
-    # Consecutive identical classifications before a unit is promoted
-    # to a policy (demotion back to invalidate is immediate).
-    policy_hysteresis: int = 2
     # ----- data-race detection (src/repro/race) ------------------------
     # Online distributed detector over the access checks: vector-clock
     # happens-before with FastTrack-style epoch compression, plus an
@@ -132,9 +108,6 @@ class RuntimeConfig:
     # the spirit of a ThreadSanitizer suppression file.  Suppressed
     # findings are counted but not reported.
     race_suppress: Sequence[str] = ()
-    # Cap on retained race reports (each race is reported once; the
-    # overflow count is surfaced in the summary).
-    race_max_reports: int = 50
     # ----- tiered JIT (src/repro/jit) ----------------------------------
     # Tier-1 compilation: hot rewritten methods are translated to
     # specialized Python functions (codegen + exec) with the per-
@@ -149,13 +122,6 @@ class RuntimeConfig:
     # Invocations (plus one bump per scheduling quantum spent in a
     # method) before a method is promoted from tier 0 to tier 1.
     jit_threshold: int = 10
-    # Access-check elimination level consumed by compiled code:
-    # 0 = none, 1 = the straight-line §6.2 pass (same as
-    # ``rewrite_application(optimize_checks=True)``), 2 = adds the
-    # region-based dataflow + null-safe loop hoisting pass.  Levels 1/2
-    # legally change simulated time (fewer checked accesses), so the
-    # byte-identical differential harness runs with level 0.
-    jit_check_elim: int = 0
     # ----- telemetry (src/repro/obs) -----------------------------------
     # Metrics registry: per-node counters/gauges/histograms sampled into
     # sim-time-bucketed series.  Traffic-passive.
@@ -167,12 +133,6 @@ class RuntimeConfig:
     # Stall-attribution profiler: every thread wait charged to the
     # blocking bytecode site and coherency unit.  Traffic-passive.
     obs_profile: bool = False
-    # Time-series bucket width for the metrics registry.
-    obs_metrics_bucket_ns: int = 1_000_000  # 1 ms
-    # Span cap: once reached, further spans are counted as dropped.
-    obs_max_spans: int = 200_000
-    # Rows in the hot-site / hot-unit profile reports.
-    obs_top_n: int = 10
     # Wall-clock telemetry: monotonic-clock histograms for socket RTT,
     # wire encode/decode, worker event-loop lag, and JIT compile/quantum
     # time.  Passive: never adds payload bytes or sim events.
@@ -225,8 +185,6 @@ class RuntimeConfig:
             raise ValueError("num_nodes must be >= 1")
         if self.cpus_per_node < 1:
             raise ValueError("cpus_per_node must be >= 1")
-        if not (0 <= self.master_node < self.num_nodes):
-            raise ValueError("master_node out of range")
         if self.quantum_ns < 1:
             raise ValueError(
                 "quantum_ns must be >= 1 (a zero quantum never advances)")
@@ -252,8 +210,6 @@ class RuntimeConfig:
                 f"unknown proc_socket_kind {self.proc_socket_kind!r} "
                 "(expected 'unix' or 'tcp')"
             )
-        if self.proc_wait_timeout_s <= 0:
-            raise ValueError("proc_wait_timeout_s must be positive")
         if self.ft_enabled:
             if self.num_nodes < 2:
                 raise ValueError(
@@ -264,59 +220,192 @@ class RuntimeConfig:
                     "ft_enabled requires reliable_transport=True (the "
                     "failure detector rides on the ARQ layer)"
                 )
-            if self.dsm.timestamp_mode != "scalar":
-                raise ValueError(
-                    "ft_enabled supports only the scalar (MTS-HLRC) "
-                    "timestamp mode"
-                )
-            if self.ft_heartbeat_ns <= 0 or self.ft_suspect_beats < 1:
-                raise ValueError(
-                    "ft_heartbeat_ns must be positive and "
-                    "ft_suspect_beats >= 1"
-                )
-        if self.locality_enabled:
-            if self.dsm.timestamp_mode != "scalar":
-                raise ValueError(
-                    "locality_* knobs support only the scalar (MTS-HLRC) "
-                    "timestamp mode"
-                )
-            if self.locality_migration_threshold < 1:
-                raise ValueError(
-                    "locality_migration_threshold must be >= 1")
-        if self.policy_enabled:
-            if self.dsm.timestamp_mode != "scalar":
-                raise ValueError(
-                    "policy_* knobs support only the scalar (MTS-HLRC) "
-                    "timestamp mode"
-                )
-            if self.policy_threshold < 1:
-                raise ValueError("policy_threshold must be >= 1")
-            if self.policy_hysteresis < 1:
-                raise ValueError("policy_hysteresis must be >= 1")
-        if self.race_detect:
-            if self.dsm.timestamp_mode != "scalar":
-                raise ValueError(
-                    "race_detect supports only the scalar (MTS-HLRC) "
-                    "timestamp mode"
-                )
-            if self.race_mode not in ("hb", "lockset", "both"):
-                raise ValueError(
-                    f"unknown race_mode {self.race_mode!r} "
-                    "(expected 'hb', 'lockset' or 'both')"
-                )
-            if self.race_max_reports < 1:
-                raise ValueError("race_max_reports must be >= 1")
-        if self.jit_enable:
-            if self.jit_threshold < 1:
-                raise ValueError("jit_threshold must be >= 1")
-        if self.jit_check_elim not in (0, 1, 2):
-            raise ValueError("jit_check_elim must be 0, 1 or 2")
-        if self.obs_enabled:
-            if self.obs_metrics_bucket_ns < 1:
-                raise ValueError("obs_metrics_bucket_ns must be >= 1")
-            if self.obs_max_spans < 1:
-                raise ValueError("obs_max_spans must be >= 1")
-            if self.obs_top_n < 1:
-                raise ValueError("obs_top_n must be >= 1")
-            if self.obs_live_period_s <= 0:
-                raise ValueError("obs_live_period_s must be positive")
+        if self.dsm.timestamp_mode != "scalar":
+            # Everything beyond the base protocol is built on MTS-HLRC.
+            for knob, on in (("ft_enabled", self.ft_enabled),
+                             ("locality_*", self.locality_enabled),
+                             ("policy_*", self.policy_enabled),
+                             ("race_detect", self.race_detect)):
+                if on:
+                    raise ValueError(
+                        f"{knob} supports only the scalar (MTS-HLRC) "
+                        "timestamp mode")
+        if self.race_detect and self.race_mode not in (
+                "hb", "lockset", "both"):
+            raise ValueError(
+                f"unknown race_mode {self.race_mode!r} "
+                "(expected 'hb', 'lockset' or 'both')"
+            )
+        if self.jit_enable and self.jit_threshold < 1:
+            raise ValueError("jit_threshold must be >= 1")
+        if self.obs_enabled and self.obs_live_period_s <= 0:
+            raise ValueError("obs_live_period_s must be positive")
+
+
+# ---------------------------------------------------------------------------
+# Run options: declared once, used by every verb and every harness
+# ---------------------------------------------------------------------------
+
+def _component_parser(prefix: str, what: str,
+                      names: Tuple[str, ...]) -> Callable[[str], Dict[str, bool]]:
+    """Parser for a comma-separated subset of ``names`` (or ``all``;
+    ``""`` = subsystem off) into the ``<prefix>_<name>`` config knobs."""
+    def parse(spec: str) -> Dict[str, bool]:
+        chosen = {part.strip() for part in spec.split(",")} - {""}
+        unknown = sorted(chosen - set(names) - {"all"})
+        if unknown:
+            raise ValueError(
+                f"unknown {what} {unknown[0]!r} (choose from "
+                f"{', '.join(names)} or 'all')")
+        return {f"{prefix}_{name}": "all" in chosen or name in chosen
+                for name in names}
+    return parse
+
+
+#: ``--locality`` / ``--policy`` spec parsers.
+parse_locality = _component_parser(
+    "locality", "locality component",
+    ("migration", "prefetch", "aggregation"))
+parse_policy = _component_parser(
+    "policy", "coherence policy", ("update", "migratory", "broadcast"))
+
+
+@dataclass(frozen=True)
+class RunFlag:
+    """One run option.  ``sets`` is the ``RuntimeConfig`` keyword the
+    value is stored under (``dsm.<field>`` for a ``DsmConfig`` field), a
+    function from the value to such keywords, or None for an option that
+    is consumed before a runtime exists (the rewrite's check-elimination
+    level).  A bool default makes a ``store_true`` flag; otherwise the
+    argparse type is the default's type unless ``argparse`` names one."""
+
+    flag: str
+    default: Any
+    help: str
+    sets: Union[str, Callable[[Any], Dict[str, Any]], None]
+    argparse: Mapping[str, Any] = field(default_factory=dict)
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def keywords(self, value: Any) -> Dict[str, Any]:
+        if self.sets is None:
+            return {}
+        return self.sets(value) if callable(self.sets) else {self.sets: value}
+
+
+RUN_FLAGS: Tuple[RunFlag, ...] = (
+    RunFlag("--nodes", 3, "worker nodes (default 3; run/trace: 2)",
+            "num_nodes"),
+    RunFlag("--cpus", 2, "CPUs per node", "cpus_per_node"),
+    RunFlag("--brand", "sun", "JVM brand cost model",
+            lambda brand: {"brands": (brand,)},
+            {"choices": ("sun", "ibm")}),
+    RunFlag("--dilation", 1, "instruction-cost time dilation",
+            "time_dilation"),
+    RunFlag("--scheduler", "least-loaded", "spawn placement policy",
+            "scheduler", {"choices": tuple(SCHEDULERS)}),
+    RunFlag("--seed", 0,
+            "run seed (drives network jitter, the random scheduler, serve "
+            "arrivals and random kills); a sweep runs SEED..SEED+N-1",
+            "seed"),
+    RunFlag("--region-elems", None,
+            "array-region coherency units (§4.3 extension)",
+            "dsm.array_region_elems", {"type": int}),
+    RunFlag("--vector-timestamps", False,
+            "use the HLRC vector-timestamp baseline mode",
+            lambda on: {"dsm.timestamp_mode": "vector" if on else "scalar"}),
+    RunFlag("--locality", "",
+            "adaptive-locality components to enable: comma-separated "
+            "migration,prefetch,aggregation or 'all' (default: off)",
+            parse_locality, {"metavar": "COMPONENTS"}),
+    RunFlag("--policy", "",
+            "adaptive coherence policies to enable: comma-separated "
+            "update,migratory,broadcast or 'all' (default: off — plain "
+            "invalidate)",
+            parse_policy, {"metavar": "POLICIES"}),
+    RunFlag("--backend", "sim",
+            "transport backend: 'sim' (in-process simulated network, "
+            "deterministic reference) or 'proc' (one OS process per node, "
+            "every frame over real sockets; same schedule, genuine "
+            "process kills)",
+            "transport_backend", {"choices": ("sim", "proc")}),
+    RunFlag("--socket", "unix",
+            "socket family for --backend proc (default: unix-domain)",
+            "proc_socket_kind", {"choices": ("unix", "tcp")}),
+    RunFlag("--jit", False,
+            "tier hot methods to compiled Python (bit-identical "
+            "observables, faster wall clock)", "jit_enable"),
+    RunFlag("--jit-threshold", 10,
+            "invocations before a method is compiled (default 10)",
+            "jit_threshold", {"metavar": "N"}),
+    RunFlag("--check-elim", 0,
+            "check-elimination level of the rewrite: 0=off, 1=straight-"
+            "line (§6.2), 2=region dataflow + loop hoisting",
+            None, {"choices": (0, 1, 2), "metavar": "LEVEL"}),
+    RunFlag("--race", False,
+            "run with the data-race detector on", "race_detect"),
+    RunFlag("--obs", False,
+            "run with the metrics, span and stall-profiling telemetry on",
+            lambda on: {"obs_metrics": on, "obs_spans": on,
+                        "obs_profile": on}),
+    RunFlag("--wallclock", False,
+            "record monotonic-clock metrics alongside sim time",
+            "obs_wallclock"),
+)
+
+_BY_DEST: Dict[str, RunFlag] = {f.dest: f for f in RUN_FLAGS}
+
+
+def add_run_flags(parser: argparse.ArgumentParser, *dests: str) -> None:
+    """Add the run flags (all of them, or just the named ones) to
+    ``parser``.  An unset flag leaves no attribute on the namespace, so
+    callers can tell what the user said from what the table defaults."""
+    for f in (RUN_FLAGS if not dests else [_BY_DEST[d] for d in dests]):
+        kwargs: Dict[str, Any] = {"help": f.help,
+                                  "default": argparse.SUPPRESS}
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = type(f.default)
+            kwargs.update(f.argparse)
+        parser.add_argument(f.flag, **kwargs)
+
+
+RunOptions = Union[argparse.Namespace, Mapping[str, Any], None]
+
+
+def run_options(source: RunOptions) -> Dict[str, Any]:
+    """The run options ``source`` carries, by flag dest.  A parsed
+    namespace also holds its verb's own arguments, which are skipped; a
+    mapping must name run options only."""
+    if source is None:
+        return {}
+    if isinstance(source, argparse.Namespace):
+        return {k: v for k, v in vars(source).items() if k in _BY_DEST}
+    for name in source:
+        if name not in _BY_DEST:
+            raise TypeError(
+                f"unknown run option {name!r} (choose from "
+                f"{', '.join(_BY_DEST)})")
+    return dict(source)
+
+
+def option(source: RunOptions, dest: str) -> Any:
+    """One run option's value, or its declared default when unset."""
+    return run_options(source).get(dest, _BY_DEST[dest].default)
+
+
+def config_from(source: RunOptions = None, **fields: Any) -> RuntimeConfig:
+    """The ``RuntimeConfig`` that run options select.  ``fields`` are
+    ``RuntimeConfig`` keywords the calling harness fixes itself (a sweep's
+    per-run seed and jitter, a kill's ft + ARQ switches); they win over
+    what the options set."""
+    options = run_options(source)
+    keywords: Dict[str, Any] = {}
+    for f in RUN_FLAGS:
+        keywords.update(f.keywords(options.get(f.dest, f.default)))
+    dsm = {k[len("dsm."):]: keywords.pop(k)
+           for k in list(keywords) if k.startswith("dsm.")}
+    return RuntimeConfig(**{"dsm": DsmConfig(**dsm), **keywords, **fields})

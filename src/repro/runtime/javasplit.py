@@ -12,17 +12,21 @@ Typical use::
     report = rt.run()
     print(report.simulated_seconds, report.console)
 
-or the one-shot helpers :func:`run_distributed` /
-:func:`run_original` (the un-instrumented single-JVM baseline used for
-the paper's speedup numbers).
+:func:`build_runtime` is those three steps as one launch path (source,
+class files or an existing rewrite in; runtime out);
+:func:`run_distributed` runs it to completion, and :func:`run_original`
+is the un-instrumented single-JVM baseline used for the paper's speedup
+numbers.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..dsm.directory import MASTER_NODE
 from ..dsm.protocol import DsmStats
 from ..jvm.classfile import ClassFile
 from ..jvm.intrinsics import bootstrap_classfiles
@@ -35,9 +39,32 @@ from ..sim.cost_model import get_brand
 from ..sim.engine import NS_PER_SEC, SimEngine
 from ..sim.node import Node, StreamState
 from .classreg import ClassRegistry
-from .config import ConfigError, RuntimeConfig
+from .config import RuntimeConfig
 from .scheduler import PlacementTracker, make_scheduler
 from .worker import WorkerNode, build_worker
+
+
+#: Runaway guard: events one execution may fire before it is declared
+#: non-quiescent.
+MAX_EVENTS = 200_000_000
+
+#: The optional subsystems, in attach order — which is the order their
+#: hook subscribers fire in (see repro.hooks): runtime attribute (and
+#: package, and RunReport field), the RuntimeConfig switch, the manager
+#: class.  Policies come after locality because they reuse its substrate
+#: (directory redirects, grant installs), creating a knobs-off
+#: LocalityManager themselves when none is configured; telemetry comes
+#: after the subsystems it observes (ft recovery spans need runtime.ft
+#: at attach); the JIT comes after telemetry so compile events hit the
+#: metrics.
+SUBSYSTEMS = (
+    ("ft", "ft_enabled", "FtManager"),
+    ("locality", "locality_enabled", "LocalityManager"),
+    ("policy", "policy_enabled", "PolicyManager"),
+    ("race", "race_detect", "RaceManager"),
+    ("obs", "obs_enabled", "ObsManager"),
+    ("jit", "jit_enable", "JitManager"),
+)
 
 
 class DeadlockError(RuntimeError):
@@ -105,6 +132,9 @@ class RunReport:
 class JavaSplitRuntime:
     """A pool of simulated worker nodes executing one rewritten app."""
 
+    # One manager per SUBSYSTEMS row; None while its switch is off.
+    ft = locality = policy = race = obs = jit = None
+
     def __init__(
         self,
         rewritten: RewriteResult,
@@ -121,7 +151,6 @@ class JavaSplitRuntime:
                 jitter_ns=self.config.net_jitter_ns,
                 seed=self.config.seed,
                 socket_kind=self.config.proc_socket_kind,
-                wait_timeout_s=self.config.proc_wait_timeout_s,
             )
             self.network.on_proc_death = self._proc_node_died
         else:
@@ -141,32 +170,11 @@ class JavaSplitRuntime:
         # registers there after the message latency.  Without this, a
         # burst of spawns all lands on the same momentarily-idle node.
         self._pending_spawns: Dict[int, int] = {}
-        choose = self._choose_spawn_node
         for i in range(self.config.num_nodes):
-            self.workers.append(build_worker(
-                engine=self.engine,
-                network=self.network,
-                registry=self.registry,
-                node_id=i,
-                brand=self.config.brand_of(i),
-                cpus=self.config.cpus_per_node,
-                quantum_ns=self.config.quantum_ns,
-                specs=rewritten.specs,
-                class_registry=rewritten.registry,
-                dsm_config=self.config.dsm,
-                choose_spawn_node=choose,
-                static_gids=rewritten.static_gids,
-                console=self.console,
-                master_node=self.config.master_node,
-                time_dilation=self.config.time_dilation,
-                cost_profile=self.config.cost_profile,
-                reliable_transport=self.config.reliable_transport,
-            ))
+            self._new_worker(self.config.brand_of(i))
         # Materialize the C_static holders on the master node; other
         # nodes fault them in on first access (§4.2).
-        for w in self.workers:
-            w.dsm.on_spawn_arrival = self._spawn_arrived
-        master = self.workers[self.config.master_node]
+        master = self.workers[MASTER_NODE]
         master.dsm.reserve_gids(rewritten.static_holder_count)
         for class_name, (gid, holder) in rewritten.static_gids.items():
             master.dsm.install_static_holder(class_name, gid, holder)
@@ -178,44 +186,22 @@ class JavaSplitRuntime:
         # External attachments (oracle, invariant monitor, ...) register
         # here to instrument workers that join after they attached.
         self.worker_added_hooks: List[Any] = []
-        # Subsystems subscribe to the workers' hook points as they
-        # attach, so this order is the order their subscribers fire in.
-        self.ft = None
-        if self.config.ft_enabled:
-            from ..ft import FtManager
-            self.ft = FtManager(self)
-            self.ft.attach()
-        self.locality = None
-        if self.config.locality_enabled:
-            from ..locality import LocalityManager
-            self.locality = LocalityManager(self)
-            self.locality.attach()
-        # Policies attach after locality: they reuse its substrate
-        # (directory redirects, grant installs), creating a knobs-off
-        # LocalityManager themselves when none is configured.
-        self.policy = None
-        if self.config.policy_enabled:
-            from ..policy import PolicyManager
-            self.policy = PolicyManager(self)
-            self.policy.attach()
-        self.race = None
-        if self.config.race_detect:
-            from ..race import RaceManager
-            self.race = RaceManager(self)
-            self.race.attach()
-        # Telemetry last: it observes the other subsystems (ft recovery
-        # spans need runtime.ft to exist before attach).
-        self.obs = None
-        if self.config.obs_enabled:
-            from ..obs import ObsManager
-            self.obs = ObsManager(self)
-            self.obs.attach()
-        # Tiered JIT attaches after obs so compile events hit metrics.
-        self.jit = None
-        if self.config.jit_enable:
-            from ..jit import JitManager
-            self.jit = JitManager(self)
-            self.jit.attach()
+        for name, switch, manager_class in SUBSYSTEMS:
+            if getattr(self.config, switch):
+                module = importlib.import_module(f"..{name}", __package__)
+                manager = getattr(module, manager_class)(self)
+                setattr(self, name, manager)
+                manager.attach()
+
+    def _new_worker(self, brand: str) -> WorkerNode:
+        """Bring up the next worker (initial pool and dynamic join)."""
+        worker = build_worker(
+            self.engine, self.network, self.registry, len(self.workers),
+            brand, self.rewritten, self.config, self._choose_spawn_node,
+            self.console)
+        worker.dsm.on_spawn_arrival = self._spawn_arrived
+        self.workers.append(worker)
+        return worker
 
     # ------------------------------------------------------------------
     def _choose_spawn_node(self) -> int:
@@ -250,10 +236,6 @@ class JavaSplitRuntime:
         self.network.detach(node_id)
         self.workers[node_id].node.halt()
 
-    def worker(self, node_id: int) -> WorkerNode:
-        """The WorkerNode with the given id."""
-        return self.workers[node_id]
-
     # ------------------------------------------------------------------
     # Dynamic join (§2): "During execution, new workers can join the
     # system and execute newly created threads."  Any machine with a
@@ -261,62 +243,22 @@ class JavaSplitRuntime:
     # starts taking spawn placements; existing state is untouched
     # (it faults in shared objects on demand like any other node).
     # ------------------------------------------------------------------
-    def _check_late_join(self) -> None:
-        """Reject joins the active transport cannot honor, with a clear
-        error instead of a silent sim-backend assumption."""
-        if (self.config.transport_backend == "proc"
-                and not self.config.proc_late_spawn):
-            raise ConfigError(
-                "dynamic join on the proc backend needs a late-forked "
-                "worker process; set proc_late_spawn=True (default) or "
-                "use transport_backend='sim'")
-
     def add_worker(self, brand: Optional[str] = None) -> WorkerNode:
-        self._check_late_join()
-        node_id = len(self.workers)
-        worker = build_worker(
-            engine=self.engine,
-            network=self.network,
-            registry=self.registry,
-            node_id=node_id,
-            brand=brand or self.config.brand_of(0),
-            cpus=self.config.cpus_per_node,
-            quantum_ns=self.config.quantum_ns,
-            specs=self.rewritten.specs,
-            class_registry=self.rewritten.registry,
-            dsm_config=self.config.dsm,
-            choose_spawn_node=self._choose_spawn_node,
-            static_gids=self.rewritten.static_gids,
-            console=self.console,
-            master_node=self.config.master_node,
-            time_dilation=self.config.time_dilation,
-            cost_profile=self.config.cost_profile,
-            reliable_transport=self.config.reliable_transport,
-        )
-        worker.dsm.on_spawn_arrival = self._spawn_arrived
-        self.workers.append(worker)
-        for sub in (self.ft, self.locality, self.policy, self.race,
-                    self.obs, self.jit, self.serve):
-            if sub is not None:
-                sub.on_worker_added(worker)
+        worker = self._new_worker(brand or self.config.brand_of(0))
+        for name, _switch, _class in SUBSYSTEMS:
+            if getattr(self, name) is not None:
+                getattr(self, name).on_worker_added(worker)
+        if self.serve is not None:
+            self.serve.on_worker_added(worker)
         for hook in self.worker_added_hooks:
             hook(worker)
         return worker
 
     def schedule_join(self, at_ns: int, brand: Optional[str] = None) -> None:
-        """Have a new worker join at a future simulated time.
-
-        On the proc backend the join forks a real worker process mid-run
-        (``ProcNetwork.attach``); with ``proc_late_spawn=False`` this
-        raises :class:`ConfigError` up front instead of failing inside
-        the event loop."""
-        self._check_late_join()
+        """Have a new worker join at a future simulated time.  On the
+        proc backend the join forks a real worker process mid-run
+        (``ProcNetwork.attach``)."""
         self.engine.schedule_at(at_ns, lambda: self.add_worker(brand))
-
-    @property
-    def main_thread(self) -> Optional[JThread]:
-        """The application's main JThread, once started."""
-        return self._main_thread
 
     # ------------------------------------------------------------------
     def start_main(self, args: Optional[List[Any]] = None) -> JThread:
@@ -324,14 +266,14 @@ class JavaSplitRuntime:
         main_class = self.rewritten.main_class
         if main_class is None:
             raise ValueError("application has no static main method")
-        master = self.workers[self.config.master_node]
+        master = self.workers[MASTER_NODE]
         self._main_thread = master.jvm.start_main(main_class, args)
         return self._main_thread
 
     def run(
         self,
         args: Optional[List[Any]] = None,
-        max_events: Optional[int] = None,
+        max_events: int = MAX_EVENTS,
         allow_blocked: bool = False,
     ) -> RunReport:
         """Execute main to completion and return the report."""
@@ -339,9 +281,7 @@ class JavaSplitRuntime:
             self.start_main(args)
         wall_start = time.perf_counter()
         try:
-            events = self.engine.run_until_idle(
-                max_events=max_events or self.config.max_events
-            )
+            events = self.engine.run_until_idle(max_events=max_events)
         finally:
             wall_seconds = time.perf_counter() - wall_start
             # Disarm the module-level wire-codec probe before teardown
@@ -386,13 +326,9 @@ class JavaSplitRuntime:
             class_bytes=self.registry.total_bytes,
             node_busy_ns={w.node_id: w.node.busy_ns for w in self.workers},
             events=events,
-            ft=None if self.ft is None else self.ft.report(),
-            locality=(None if self.locality is None
-                      else self.locality.report()),
-            policy=None if self.policy is None else self.policy.report(),
-            race=None if self.race is None else self.race.report(),
-            obs=None if self.obs is None else self.obs.report(),
-            jit=None if self.jit is None else self.jit.report(),
+            **{name: (None if getattr(self, name) is None
+                      else getattr(self, name).report())
+               for name, _switch, _class in SUBSYSTEMS},
             backend=self.config.transport_backend,
             wall_seconds=wall_seconds,
             proc=proc_summary,
@@ -405,6 +341,23 @@ class JavaSplitRuntime:
 # One-shot helpers
 # ---------------------------------------------------------------------------
 
+def build_runtime(
+    program: Union[str, Sequence[ClassFile], RewriteResult],
+    config: Optional[RuntimeConfig] = None,
+    check_elim: int = 0,
+) -> JavaSplitRuntime:
+    """The one launch path: compile MiniJava source (if that is what
+    ``program`` is), rewrite the class files at check-elimination level
+    ``check_elim`` (unless ``program`` is already a rewrite, e.g. the
+    ``.rewritten`` of an earlier runtime in a seed sweep), validate the
+    config and bring up the worker pool."""
+    if isinstance(program, str):
+        program = compile_source(program)
+    if not isinstance(program, RewriteResult):
+        program = rewrite_application(list(program), check_elim=check_elim)
+    return JavaSplitRuntime(program, config)
+
+
 def run_distributed(
     source: Optional[str] = None,
     classfiles: Optional[Sequence[ClassFile]] = None,
@@ -415,16 +368,12 @@ def run_distributed(
     """Compile (if needed), rewrite, and run on a simulated cluster."""
     if (source is None) == (classfiles is None):
         raise ValueError("pass exactly one of source / classfiles")
-    if source is not None:
-        classfiles = compile_source(source)
     if config is None:
         config = RuntimeConfig(**config_kwargs)
     elif config_kwargs:
         raise ValueError("pass either config or kwargs, not both")
-    rewritten = rewrite_application(
-        list(classfiles), master_node=config.master_node
-    )
-    return JavaSplitRuntime(rewritten, config).run(args=args)
+    program = source if source is not None else classfiles
+    return build_runtime(program, config).run(args=args)
 
 
 def run_original(
@@ -434,12 +383,15 @@ def run_original(
     cpus: int = 2,
     main_class: Optional[str] = None,
     args: Optional[List[Any]] = None,
-    max_events: int = 200_000_000,
+    max_events: int = MAX_EVENTS,
     time_dilation: int = 1,
     cost_profile: str = "app",
+    prepare: Optional[Callable[[JVM], None]] = None,
 ) -> RunReport:
     """Run the *original* (un-instrumented) application on one simulated
-    JVM — the baseline all the paper's speedups divide by."""
+    JVM — the baseline all the paper's speedups divide by.  ``prepare``
+    sees the loaded JVM before main starts (the serve reference run
+    installs its load feed there)."""
     if (source is None) == (classfiles is None):
         raise ValueError("pass exactly one of source / classfiles")
     if source is not None:
@@ -462,6 +414,8 @@ def run_original(
                 break
         if main_class is None:
             raise ValueError("no static main method found")
+    if prepare is not None:
+        prepare(jvm)
     thread = jvm.start_main(main_class, args)
     events = engine.run_until_idle(max_events=max_events)
     jvm.check_no_failures()

@@ -76,7 +76,7 @@ class DsmTracer:
                     lambda node, kind, detail:
                     tracer.record(engine.now, node, kind, detail))
         if runtime.ft is not None:
-            master = runtime.config.master_node
+            master = runtime.ft.coordinator
             runtime.ft.orchestrator.event_sink = (
                 lambda time_ns, kind, detail:
                 tracer.record(time_ns, master, kind, detail))

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List
 
-from ..dsm.protocol import DsmConfig, DsmEngine
-from ..dsm.serialization import ClassSpec
-from ..dsm.directory import ClassIdRegistry
+from ..dsm.protocol import DsmEngine
 from ..jvm.jvm import JVM
 from ..net.simnet import SimNetwork
 from ..net.transport import Transport
 from ..rewriter.bootstrap import register_rewritten_natives
+from ..rewriter.rewriter import RewriteResult
 from ..sim.cost_model import get_brand
 from ..sim.engine import SimEngine
 from ..sim.node import Node
 from .classreg import ClassRegistry
+from .config import RuntimeConfig
 
 
 @dataclass
@@ -38,22 +38,16 @@ def build_worker(
     registry: ClassRegistry,
     node_id: int,
     brand: str,
-    cpus: int,
-    quantum_ns: int,
-    specs: Dict[str, ClassSpec],
-    class_registry: ClassIdRegistry,
-    dsm_config: DsmConfig,
+    rewritten: RewriteResult,
+    config: RuntimeConfig,
     choose_spawn_node: Callable[[], int],
-    static_gids: Dict[str, Tuple[int, str]],
     console: List[str],
-    master_node: int,
-    time_dilation: int = 1,
-    cost_profile: str = "app",
-    reliable_transport: bool = False,
 ) -> WorkerNode:
     """Bring up one worker: any machine with a standard JVM can join."""
-    cost_model = get_brand(brand, cost_profile).scaled(time_dilation)
-    node = Node(engine, node_id, cost_model, num_cpus=cpus, quantum_ns=quantum_ns)
+    cost_model = get_brand(brand, config.cost_profile).scaled(
+        config.time_dilation)
+    node = Node(engine, node_id, cost_model, num_cpus=config.cpus_per_node,
+                quantum_ns=config.quantum_ns)
     jvm = JVM(node)
     # The distributed execution runs only javasplit classes.
     jvm.object_class = "javasplit.Object"
@@ -61,17 +55,16 @@ def build_worker(
     registry.install(jvm)
     register_rewritten_natives(jvm)
     transport = Transport(network, node_id, cost_model,
-                          reliable=reliable_transport)
+                          reliable=config.reliable_transport)
     dsm = DsmEngine(
         jvm,
         transport,
-        specs=specs,
-        class_registry=class_registry,
-        config=dsm_config,
+        specs=rewritten.specs,
+        class_registry=rewritten.registry,
+        config=config.dsm,
         choose_spawn_node=choose_spawn_node,
-        static_gids=static_gids,
+        static_gids=rewritten.static_gids,
         console=console,
-        master_node=master_node,
     )
     jvm.hooks = dsm
     return WorkerNode(node_id, node, jvm, transport, dsm)

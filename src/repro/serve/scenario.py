@@ -25,17 +25,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..check.faults import FaultInjector, FaultPlan
 from ..check.monitor import InvariantMonitor
 from ..check.oracle import SingleCopyOracle
-from ..check.runner import DEFAULT_JITTER_NS, parse_kill, parse_locality, \
-    parse_policy
-from ..jvm.intrinsics import bootstrap_classfiles
-from ..jvm.jvm import JVM
+from ..check.runner import DEFAULT_JITTER_NS, parse_kill
 from ..lang import compile_source
-from ..rewriter import rewrite_application
-from ..runtime.config import RuntimeConfig
-from ..runtime.javasplit import DeadlockError, JavaSplitRuntime
-from ..sim.cost_model import get_brand
-from ..sim.engine import NS_PER_MS, SimEngine
-from ..sim.node import Node, StreamState
+from ..runtime.config import RuntimeConfig, config_from, option
+from ..runtime.javasplit import RunReport, build_runtime, run_original
+from ..sim.engine import NS_PER_MS
 from .app import make_source
 from .loadgen import Arrival, LoadGenerator, PhaseSpec
 from .manager import LoadFeed, ServeManager
@@ -67,21 +61,25 @@ class Scenario:
     #: the wall clock moves — see the jit differential tests.
     jit: bool = False
 
-    def config(self, seed: int, backend: str) -> RuntimeConfig:
+    def config(self, seed: int = 0, backend: str = "sim",
+               **options: Any) -> RuntimeConfig:
+        """The config of one run of this script.  The script's own run
+        options (cluster size, locality/policy specs, jit) are defaults
+        under ``options``; its per-node brand list stands unless
+        ``brand`` is among them."""
+        options = {"nodes": self.nodes, "locality": self.locality,
+                   "policy": self.policy, "jit": self.jit,
+                   "seed": seed, "backend": backend, **options}
         killing = self.kill is not None
-        return RuntimeConfig(
-            num_nodes=self.nodes,
-            brands=self.brands,
-            seed=seed,
+        fields: Dict[str, Any] = dict(
             net_jitter_ns=DEFAULT_JITTER_NS,
             reliable_transport=killing,
             ft_enabled=killing,
             obs_metrics=True,
-            transport_backend=backend,
-            jit_enable=self.jit,
-            **parse_locality(self.locality),
-            **parse_policy(self.policy),
         )
+        if "brand" not in options:
+            fields["brands"] = self.brands
+        return config_from(options, **fields)
 
 
 #: The scenario library.  "churn" is the acceptance scenario: open-loop
@@ -129,47 +127,34 @@ PRESETS: Dict[str, Scenario] = {
 
 
 def run_serve_reference(classfiles: List[Any],
-                        schedules: List[List[Arrival]]) -> Any:
-    """Single-JVM reference run fed the identical arrival schedule.
+                        schedules: List[List[Arrival]]) -> RunReport:
+    """Single-JVM reference run (:func:`~repro.runtime.javasplit.
+    run_original`) fed the identical arrival schedule: the load feed the
+    ``Serve`` natives need is installed before main starts."""
+    def install_feed(jvm: Any) -> None:
+        jvm.serve_feed = LoadFeed(jvm.node.engine, schedules)
 
-    Mirrors :func:`~repro.runtime.javasplit.run_original`, plus the
-    load feed the ``Serve`` natives need, installed before main starts.
-    """
-    engine = SimEngine()
-    node = Node(engine, 0, get_brand("sun", "app"), num_cpus=2)
-    jvm = JVM(node)
-    jvm.load_classes(bootstrap_classfiles())
-    jvm.load_classes(list(classfiles))
-    jvm.serve_feed = LoadFeed(engine, schedules)
-    main_class = None
-    for cf in classfiles:
-        m = cf.methods.get("main")
-        if m is not None and m.is_static:
-            main_class = cf.name
-            break
-    if main_class is None:
-        raise ValueError("serve app has no static main method")
-    thread = jvm.start_main(main_class, None)
-    engine.run_until_idle(max_events=200_000_000)
-    jvm.check_no_failures()
-    blocked = [t for t in jvm.threads if t.state is StreamState.BLOCKED]
-    if blocked:
-        raise DeadlockError(
-            f"reference blocked threads remain: {[t.name for t in blocked]}")
-    return thread
+    return run_original(classfiles=classfiles, prepare=install_feed)
 
 
 def run_scenario(scenario: Scenario, seed: int = 0,
                  backend: str = "sim",
                  config_overrides: Optional[Dict[str, Any]] = None,
-                 on_runtime: Optional[Any] = None) -> Dict[str, Any]:
+                 on_runtime: Optional[Any] = None,
+                 **options: Any) -> Dict[str, Any]:
     """Execute one scenario under full checking; return the JSON doc.
 
-    ``config_overrides`` patches RuntimeConfig fields after the preset
-    builds it (e.g. ``{"obs_wallclock": True}`` for live telemetry);
+    ``options`` are run options by flag name (the ``RUN_FLAGS`` table);
+    they override what the scenario itself selects.
+    ``config_overrides`` patches RuntimeConfig fields after that (e.g.
+    ``{"obs_live_stats": True}`` for live telemetry);
     ``on_runtime(runtime)`` is called once the runtime exists but before
     the run starts — the ``repro stats --live`` hook point.
     """
+    config = scenario.config(seed, backend, **options)
+    for name, value in (config_overrides or {}).items():
+        setattr(config, name, value)
+    config.validate()  # reject options the script cannot honour up front
     gen = LoadGenerator(scenario.phases, scenario.sessions, seed=seed)
     schedules = gen.schedules(scenario.tenants)
     injected_by_phase = LoadGenerator.injected_by_phase(schedules)
@@ -178,14 +163,10 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         sessions=scenario.sessions, stripes=scenario.stripes,
         work_scale=scenario.work_scale)
     classfiles = compile_source(source)
-    ref_thread = run_serve_reference(classfiles, schedules)
+    reference = run_serve_reference(classfiles, schedules)
 
-    rewritten = rewrite_application(list(classfiles))
     killing = scenario.kill is not None
-    config = scenario.config(seed, backend)
-    for name, value in (config_overrides or {}).items():
-        setattr(config, name, value)
-    runtime = JavaSplitRuntime(rewritten, config)
+    runtime = build_runtime(classfiles, config, option(options, "check_elim"))
     manager = ServeManager.attach(runtime, schedules)
     if on_runtime is not None:
         on_runtime(runtime)
@@ -195,7 +176,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     if killing:
         plan = FaultPlan(seed=seed)
         plan.detach_node, plan.detach_at_ns = parse_kill(
-            scenario.kill, seed=seed, nodes=scenario.nodes)
+            scenario.kill, seed=seed, nodes=config.num_nodes)
         injector = FaultInjector.attach(runtime, plan)
     monitor = InvariantMonitor.attach(runtime)
     oracle = SingleCopyOracle.attach(runtime)
@@ -213,7 +194,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
                   list(monitor.violations) + list(oracle.violations)]
 
     result = run.result if run is not None else None
-    result_matches = run is not None and result == ref_thread.result
+    result_matches = run is not None and result == reference.result
     # Same contract as tsp under --kill: fault tolerance restarts the
     # dead node's threads from scratch, so in-flight requests are
     # legitimately lost and the commutative score may differ.
@@ -221,14 +202,14 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     ok = (error is None and not violations
           and (result_matches or not result_required))
 
-    brands = [config.brand_of(i) for i in range(scenario.nodes)]
+    brands = [config.brand_of(i) for i in range(config.num_nodes)]
     doc: Dict[str, Any] = {
         "scenario": scenario.name,
         "description": scenario.description,
         "backend": backend,
         "seed": seed,
         "cluster": {
-            "nodes": scenario.nodes,
+            "nodes": config.num_nodes,
             "brands": brands,
             "cpus_per_node": config.cpus_per_node,
             "backend": backend,
@@ -240,7 +221,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         "requests": manager.report(),
         "result": {
             "value": result,
-            "reference": ref_thread.result,
+            "reference": reference.result,
             "matches": result_matches,
             "required": result_required,
         },
@@ -270,12 +251,14 @@ def run_scenario(scenario: Scenario, seed: int = 0,
 
 
 def run_scenario_sweep(scenario: Scenario, seeds: int,
-                       backend: str = "sim") -> Dict[str, Any]:
-    """Run one scenario over seeds 0..N-1 (the CI churn sweep)."""
+                       backend: str = "sim", seed: int = 0,
+                       **options: Any) -> Dict[str, Any]:
+    """Run one scenario over ``seeds`` consecutive seeds from ``seed``
+    up (the CI churn sweep)."""
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    runs = [run_scenario(scenario, seed=s, backend=backend)
-            for s in range(seeds)]
+    runs = [run_scenario(scenario, seed=s, backend=backend, **options)
+            for s in range(seed, seed + seeds)]
     return {
         "bench": "serve-sweep",
         "schema": 1,

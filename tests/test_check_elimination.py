@@ -9,7 +9,7 @@ from repro.runtime import JavaSplitRuntime, RuntimeConfig, run_original
 
 
 def counts(src, optimize=True):
-    rw = rewrite_application(compile_source(src), optimize_checks=optimize)
+    rw = rewrite_application(compile_source(src), check_elim=int(optimize))
     verify_classfiles(rw.all_classfiles())
     return rw
 
@@ -198,7 +198,7 @@ def _app_cases():
 @pytest.mark.parametrize("name,src", _app_cases())
 def test_optimized_apps_bit_identical(name, src):
     base = run_original(source=src)
-    rw = rewrite_application(compile_source(src), optimize_checks=True)
+    rw = rewrite_application(compile_source(src), check_elim=1)
     assert rw.stats["checks_eliminated"] > 0, name
     for nodes in (1, 3):
         report = JavaSplitRuntime(rw, RuntimeConfig(num_nodes=nodes)).run()
@@ -214,7 +214,7 @@ def test_optimization_reduces_simulated_time():
         RuntimeConfig(num_nodes=1),
     ).run()
     opt = JavaSplitRuntime(
-        rewrite_application(compile_source(src), optimize_checks=True),
+        rewrite_application(compile_source(src), check_elim=1),
         RuntimeConfig(num_nodes=1),
     ).run()
     assert opt.result == plain.result

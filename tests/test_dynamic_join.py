@@ -5,10 +5,11 @@ import pytest
 from repro.check.faults import FaultInjector, FaultPlan
 from repro.check.monitor import InvariantMonitor
 from repro.check.oracle import SingleCopyOracle
-from repro.check.runner import parse_kill, parse_locality, parse_policy
+from repro.check.runner import parse_kill
+from repro.runtime.config import parse_locality, parse_policy
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
-from repro.runtime import ConfigError, JavaSplitRuntime, RuntimeConfig
+from repro.runtime import JavaSplitRuntime, RuntimeConfig
 from repro.sim import NS_PER_MS
 
 TWO_WAVES = """
@@ -161,13 +162,3 @@ def test_join_on_proc_backend_forks_live_worker():
     assert report.placements.get(2, 0) > 0
 
 
-def test_join_on_proc_backend_guarded_when_disabled():
-    """With proc_late_spawn=False the join is rejected up front with a
-    clear ConfigError instead of dying inside the event loop."""
-    rt = _runtime(transport_backend="proc", proc_late_spawn=False)
-    with pytest.raises(ConfigError, match="proc_late_spawn"):
-        rt.schedule_join(2 * NS_PER_MS)
-    # The cluster itself is still usable without the join.
-    report = rt.run()
-    assert report.result == 320
-    assert len(rt.workers) == 2

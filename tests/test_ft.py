@@ -207,7 +207,7 @@ def test_netstats_ft_overhead_groups():
     stats.record(Message("ft.rediff", 1, 2, {}, size_bytes=60))
     stats.record(Message("ft.notices", 2, 1, {}, size_bytes=50))
     stats.record(Message("dsm.diff", 1, 0, {}, size_bytes=80))
-    groups = stats.ft_overhead()
+    groups = stats.subsystem_overhead()["ft"]
     assert groups["heartbeat"] == (3, 120)
     assert groups["replication"] == (1, 100)
     assert groups["recovery"][0] == 2
@@ -279,7 +279,7 @@ def test_kill_rejects_master_and_vector_mode():
         run_check(app="series", seeds=1, kill="0@5ms")
     with pytest.raises(ValueError, match="scalar"):
         run_check(app="series", seeds=1, kill="1@5ms",
-                  timestamp_mode="vector")
+                  vector_timestamps=True)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ def run_app(app: str, jit: bool, seed: int = 0, check_elim: int = 0,
         net_jitter_ns=DEFAULT_JITTER_NS,
         seed=seed,
         jit_enable=jit,
-        jit_check_elim=check_elim,
         **overrides,
     )
     rewritten = rewrite_application(compile_source(app_source(app)),

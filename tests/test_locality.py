@@ -6,7 +6,8 @@ import pytest
 
 from repro.check import InvariantMonitor, SingleCopyOracle, run_check
 from repro.check.oracle import normalize_slots
-from repro.check.runner import app_source, parse_locality
+from repro.check.runner import app_source
+from repro.runtime.config import parse_locality
 from repro.dsm.objectstate import ObjState
 from repro.lang import compile_source
 from repro.locality import AccessProfiler
@@ -183,9 +184,9 @@ def test_object_unit_migrates_to_sole_writer():
     assert obj is not None and obj.header.state == ObjState.HOME
 
 
-def test_array_unit_migrates_and_round_trips():
-    rt = _runtime(ARRAY_WRITER_SRC, locality_migration=True,
-                  locality_migration_threshold=2)
+def test_array_unit_migrates_and_round_trips(monkeypatch):
+    monkeypatch.setattr("repro.locality.manager.MIGRATION_THRESHOLD", 2)
+    rt = _runtime(ARRAY_WRITER_SRC, locality_migration=True)
     report = _checked_run(rt)
     assert report.result == sum(i * 7 for i in range(6))
     loc = report.locality

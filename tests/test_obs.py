@@ -276,19 +276,6 @@ def test_obs_knobs_off_attaches_nothing():
     assert report.obs is None
 
 
-def test_obs_config_validation():
-    with pytest.raises(ValueError):
-        RuntimeConfig(num_nodes=2, obs_metrics=True,
-                      obs_metrics_bucket_ns=0).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(num_nodes=2, obs_spans=True,
-                      obs_max_spans=0).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(num_nodes=2, obs_profile=True, obs_top_n=0).validate()
-    # The bounds only apply when the subsystem is actually on.
-    RuntimeConfig(num_nodes=2, obs_max_spans=0).validate()
-
-
 def test_obs_manager_attaches_per_worker_agents():
     rt = _runtime(SYNC_COUNTER_SRC, obs_metrics=True, obs_spans=True,
                   obs_profile=True)

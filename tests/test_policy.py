@@ -6,7 +6,8 @@ profiler edge cases around window eviction."""
 import pytest
 
 from repro.check import InvariantMonitor, SingleCopyOracle, run_check
-from repro.check.runner import app_source, parse_policy
+from repro.check.runner import app_source
+from repro.runtime.config import parse_policy
 from repro.dsm.objectstate import ObjState
 from repro.lang import compile_source
 from repro.locality import AccessProfiler

@@ -109,9 +109,6 @@ def test_race_config_validation():
     with pytest.raises(ValueError):
         RuntimeConfig(num_nodes=2, race_detect=True,
                       race_mode="warp").validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(num_nodes=2, race_detect=True,
-                      race_max_reports=0).validate()
 
 
 def test_knobs_off_is_byte_identical():
@@ -234,8 +231,9 @@ def test_suppression_and_expect_free():
     assert all(sr.races == 0 and sr.suppressed >= 1 for sr in rep.results)
 
 
-def test_max_reports_cap():
-    rt = _runtime(RACY_COUNTER_SOURCE, race_detect=True, race_max_reports=1,
+def test_max_reports_cap(monkeypatch):
+    monkeypatch.setattr("repro.race.detector.MAX_REPORTS", 1)
+    rt = _runtime(RACY_COUNTER_SOURCE, race_detect=True,
                   net_jitter_ns=60_000)
     report = rt.run()
     assert report.race["races"] == 1

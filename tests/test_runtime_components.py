@@ -136,8 +136,6 @@ def test_config_validation():
         RuntimeConfig(num_nodes=0).validate()
     with pytest.raises(ValueError):
         RuntimeConfig(cpus_per_node=0).validate()
-    with pytest.raises(ValueError):
-        RuntimeConfig(num_nodes=2, master_node=5).validate()
     RuntimeConfig(num_nodes=2).validate()  # fine
 
 

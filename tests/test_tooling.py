@@ -150,7 +150,7 @@ def test_cli_trace(src_file, capsys):
 
 def test_cli_run_with_extensions(src_file, capsys):
     assert cli_main([
-        "run", src_file, "--nodes", "2", "--optimize-checks",
+        "run", src_file, "--nodes", "2", "--check-elim", "1",
         "--region-elems", "16", "--vector-timestamps",
     ]) == 0
     assert "result            : 20" in capsys.readouterr().out
