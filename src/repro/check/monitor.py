@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..dsm.objectstate import ObjState
+from ..dsm.objectstate import ObjState, unit_key
 from ..dsm.directory import home_of
 from ..dsm.protocol import M_DIFF, M_FT_REDIFF, SCALAR, DsmEngine
 from ..net.message import M_LOC_FWD_DIFF, M_POL_BCAST, M_POL_PUSH, Message
@@ -201,10 +201,9 @@ class InvariantMonitor:
             if msg_type == M_DIFF:
                 self._unacked[node].add(payload["ack_id"])
                 for gid, _diff, region in payload["entries"]:
-                    key = gid if region is None else (gid, region)
-                    base = self._version_of(dsm, gid, region)
-                    self._bases.setdefault((node, key),
-                                           deque()).append(base)
+                    key = unit_key(gid, region)
+                    self._bases.setdefault((node, key), deque()).append(
+                        self._version_of(dsm, key))
             elif msg_type == M_FT_REDIFF:
                 # Recovery re-sends an already-ledgered diff to the
                 # adoptive home; same ack id, so the set-add is a no-op
@@ -228,14 +227,14 @@ class InvariantMonitor:
             pre = {}
             folded = set()
             for gid, _diff, region in payload["entries"]:
-                if has_loc and region is None \
-                        and dsm.home_node(gid) != node:
+                # Only whole-object units ever migrate.
+                migratable = has_loc and region is None
+                if migratable and dsm.home_node(gid) != node:
                     continue  # forwarded to the migrated home, not applied
-                key = gid if region is None else (gid, region)
-                if has_loc and region is None and \
-                        loc.folds_own_diff(gid, payload["writer"]):
+                key = unit_key(gid, region)
+                if migratable and loc.folds_own_diff(gid, payload["writer"]):
                     folded.add(key)
-                pre[key] = self._version_of(dsm, gid, region)
+                pre[key] = self._version_of(dsm, key)
             return pre, folded
 
         def post_applied_entries(payload, pre, folded):
@@ -243,8 +242,6 @@ class InvariantMonitor:
             by M_DIFF and the locality forward."""
             writer = payload["writer"]
             for key, before in pre.items():
-                gid, region = (key if isinstance(key, tuple)
-                               else (key, None))
                 fifo = self._bases.get((writer, key))
                 if key in folded:
                     # Dropped, not applied: settle the twin-base FIFO
@@ -252,7 +249,7 @@ class InvariantMonitor:
                     if fifo:
                         fifo.popleft()
                     continue
-                after = self._version_of(dsm, gid, region)
+                after = self._version_of(dsm, key)
                 # A migration grant resolves the home's own pending
                 # write on top of the apply, so +2 is legitimate with
                 # locality on; regression never is.
@@ -329,7 +326,7 @@ class InvariantMonitor:
         start_fetch = dsm._start_fetch
 
         def checked_start_fetch(thread, hdr, region=None):
-            key = hdr.gid if region is None else (hdr.gid, region)
+            key = unit_key(hdr.gid, region)
             if scalar:
                 self._required[(node, key)] = \
                     dsm.notice_table.required_scalar(key)
@@ -340,9 +337,8 @@ class InvariantMonitor:
         serve_fetch = dsm._serve_fetch
 
         def checked_serve_fetch(requester, obj, region=None):
-            gid = obj.header.gid
-            key = gid if region is None else (gid, region)
-            version = self._version_of(dsm, gid, region)
+            key = unit_key(obj.header.gid, region)
+            version = self._version_of(dsm, key)
             last = self._served.get(key)
             if last is not None and version is not None and version < last:
                 self.report(node, "version-monotonic",
@@ -362,7 +358,7 @@ class InvariantMonitor:
                 obj = dsm.cache.get(gid)
                 if obj is None or obj.header is None \
                         or obj.header.state != ObjState.HOME \
-                        or gid in dsm._regions:
+                        or dsm.is_split(gid):
                     continue  # not served; the reply only echoes it
                 version = obj.header.version
                 last = self._served.get(gid)
@@ -407,10 +403,8 @@ class InvariantMonitor:
 
         def checked_on_fetch_reply(msg: Message):
             p = msg.payload
-            gid = p["gid"]
-            region = p.get("region")
-            key = gid if region is None else (gid, region)
-            before = self._version_of(dsm, gid, region)
+            key = unit_key(p["gid"], p.get("region"))
+            before = self._version_of(dsm, key)
             on_fetch_reply(msg)
             version = p["version"]
             if before is not None and version < before:
@@ -432,9 +426,9 @@ class InvariantMonitor:
             obj = dsm.cache.get(gid)
             was_home = (obj is not None and obj.header is not None
                         and obj.header.state == ObjState.HOME)
-            before = self._version_of(dsm, gid, None)
+            before = self._version_of(dsm, gid)
             _inner(msg)
-            after = self._version_of(dsm, gid, None)
+            after = self._version_of(dsm, gid)
             if before is not None and after is not None and after < before:
                 self.report(node, "version-monotonic",
                             f"push moved replica gid {gid:#x} backwards "
@@ -476,16 +470,10 @@ class InvariantMonitor:
         dsm.transport._handlers[msg_type] = wrapper
 
     @staticmethod
-    def _version_of(dsm: DsmEngine, gid: int,
-                    region: Optional[int]) -> Optional[int]:
+    def _version_of(dsm: DsmEngine, key: Any) -> Optional[int]:
         """Current local version of a coherency unit (master or replica)."""
-        obj = dsm.cache.get(gid)
-        if obj is None:
-            return None
-        if region is not None:
-            reg = dsm._regions.get(gid)
-            return None if reg is None else reg.versions[region]
-        return obj.header.version
+        unit = dsm.unit(key)
+        return None if unit is None else unit[1].version
 
     # ------------------------------------------------------------------
     # End-of-run structural scan

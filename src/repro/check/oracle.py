@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..dsm.objectstate import ObjState
+from ..dsm.objectstate import ObjState, unit_key
 from ..dsm.protocol import M_DIFF, M_FETCH_REPLY, DsmEngine
 from ..jvm.heap import ArrayObj, Obj
 from ..net.message import (M_LOC_BULK_REPLY, M_LOC_FWD_DIFF, M_POL_BCAST,
@@ -129,14 +129,10 @@ class SingleCopyOracle:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _unit_slots(dsm: DsmEngine, obj: Any,
-                    region: Optional[int]) -> list:
+    def _unit_slots(dsm: DsmEngine, key: Any) -> list:
         """The raw slots of one coherency unit (whole object or region)."""
-        if region is None:
-            return obj.data if isinstance(obj, ArrayObj) else obj.fields
-        reg = dsm._regions[obj.header.gid]
-        lo, hi = reg.bounds(region, len(obj.data))
-        return obj.data[lo:hi]
+        obj, _rec, lo, hi = dsm.unit(key)
+        return (obj.data if isinstance(obj, ArrayObj) else obj.fields)[lo:hi]
 
     def _record(self, key: Any, version: int,
                 snapshot: Tuple[Any, ...]) -> None:
@@ -152,19 +148,17 @@ class SingleCopyOracle:
         loc = None if locality is None else locality.agents.get(node)
         has_loc = loc is not None
 
+        def record_current(key):
+            """A unit's current version and content become golden."""
+            self._record(key, dsm.unit(key)[1].version, normalize_slots(
+                self._unit_slots(dsm, key)))
+
         # --- home: serving a fetch publishes a version ----------------
         serve_fetch = dsm._serve_fetch
 
         def recording_serve_fetch(requester, obj, region=None):
             serve_fetch(requester, obj, region)
-            gid = obj.header.gid
-            key = gid if region is None else (gid, region)
-            if region is None:
-                version = obj.header.version
-            else:
-                version = dsm._regions[gid].versions[region]
-            self._record(key, version, normalize_slots(
-                self._unit_slots(dsm, obj, region)))
+            record_current(unit_key(obj.header.gid, region))
 
         dsm._serve_fetch = recording_serve_fetch
 
@@ -179,25 +173,19 @@ class SingleCopyOracle:
                 obj = dsm.cache.get(gid)
                 if obj is None:  # pragma: no cover - _on_diff raised
                     continue
-                if has_loc and region is None \
-                        and obj.header.state != ObjState.HOME:
+                # Only whole-object units ever migrate.
+                migratable = has_loc and region is None
+                if migratable and obj.header.state != ObjState.HOME:
                     # Split/forwarded entry (not applied here) or one
                     # granted away by the migration the apply triggered
                     # (the grant wrap below records that version).
                     continue
-                if has_loc and region is None and \
-                        loc.folds_own_diff(gid, payload["writer"]):
+                if migratable and loc.folds_own_diff(gid, payload["writer"]):
                     # The agent dropped this entry: it is the node's own
                     # pre-grant diff, already folded into the master it
                     # installed — nothing new was published.
                     continue
-                key = gid if region is None else (gid, region)
-                if region is None:
-                    version = obj.header.version
-                else:
-                    version = dsm._regions[gid].versions[region]
-                self._record(key, version, normalize_slots(
-                    self._unit_slots(dsm, obj, region)))
+                record_current(unit_key(gid, region))
 
         def recording_on_diff(msg: Message):
             on_diff(msg)
@@ -224,9 +212,8 @@ class SingleCopyOracle:
             def recording_grant_unit(gid):
                 unit = grant_unit(gid)
                 if unit is not None:
-                    obj = dsm.cache.get(gid)
                     self._record(gid, unit["version"], normalize_slots(
-                        self._unit_slots(dsm, obj, None)))
+                        self._unit_slots(dsm, gid)))
                 return unit
 
             dsm._loc_grant_unit = recording_grant_unit
@@ -246,7 +233,7 @@ class SingleCopyOracle:
                         and obj.header.state == ObjState.HOME:
                     self._record(unit["gid"], obj.header.version,
                                  normalize_slots(
-                                     self._unit_slots(dsm, obj, None)))
+                                     self._unit_slots(dsm, unit["gid"])))
 
             dsm.ft_install_master = recording_ft_install_master
 
@@ -262,7 +249,7 @@ class SingleCopyOracle:
                         continue
                     self._record(unit["gid"], unit["version"],
                                  normalize_slots(
-                                     self._unit_slots(dsm, obj, None)))
+                                     self._unit_slots(dsm, unit["gid"])))
                 return units
 
             dsm._serve_bulk = recording_serve_bulk
@@ -282,7 +269,7 @@ class SingleCopyOracle:
                             or obj.header.version != unit["version"]:
                         continue  # agent rejected this unit as stale
                     self._tainted.discard((node, gid))
-                    got = normalize_slots(self._unit_slots(dsm, obj, None))
+                    got = normalize_slots(self._unit_slots(dsm, gid))
                     self._check(node, gid, unit["version"], got,
                                 "prefetch install")
                     self.checked_installs += 1
@@ -300,9 +287,8 @@ class SingleCopyOracle:
             def recording_publish_unit(gid, _inner=publish_unit):
                 unit = _inner(gid)
                 if unit is not None:
-                    obj = dsm.cache.get(gid)
                     self._record(gid, unit["version"], normalize_slots(
-                        self._unit_slots(dsm, obj, None)))
+                        self._unit_slots(dsm, gid)))
                 return unit
 
             pol.publish_unit = recording_publish_unit
@@ -323,7 +309,7 @@ class SingleCopyOracle:
                 if obj is None:  # pragma: no cover - just installed
                     return
                 self._tainted.discard((node, gid))
-                got = normalize_slots(self._unit_slots(dsm, obj, None))
+                got = normalize_slots(self._unit_slots(dsm, gid))
                 self._check(node, gid, msg.payload["version"], got,
                             "push install")
                 self.checked_installs += 1
@@ -341,8 +327,7 @@ class SingleCopyOracle:
         def tainting_send(dst, msg_type, payload=None, size_bytes=0):
             if msg_type == M_DIFF:
                 for gid, _diff, region in payload["entries"]:
-                    key = gid if region is None else (gid, region)
-                    self._tainted.add((node, key))
+                    self._tainted.add((node, unit_key(gid, region)))
             return transport_send(dst, msg_type, payload, size_bytes)
 
         dsm.transport.send = tainting_send
@@ -353,16 +338,12 @@ class SingleCopyOracle:
         def checking_on_fetch_reply(msg: Message):
             on_fetch_reply(msg)
             p = msg.payload
-            gid = p["gid"]
-            region = p.get("region")
-            key = gid if region is None else (gid, region)
+            key = unit_key(p["gid"], p.get("region"))
             self._tainted.discard((node, key))
-            obj = dsm.cache.get(gid)
-            if obj is None:  # pragma: no cover - reply always installs
+            if dsm.unit(key) is None:  # pragma: no cover - reply always installs
                 return
-            version = p["version"]
-            got = normalize_slots(self._unit_slots(dsm, obj, region))
-            self._check(node, key, version, got, "install")
+            got = normalize_slots(self._unit_slots(dsm, key))
+            self._check(node, key, p["version"], got, "install")
             self.checked_installs += 1
 
         dsm.transport._handlers[M_FETCH_REPLY] = checking_on_fetch_reply
@@ -375,14 +356,9 @@ class SingleCopyOracle:
             ok, cost = write_check(thread, ref, value, index)
             hdr = ref.header
             if ok and hdr is not None and hdr.gid:
-                if hdr.state == ObjState.VALID or hdr.gid in dsm._regions:
-                    key = hdr.gid
-                    if index is not None and hdr.gid in dsm._regions:
-                        reg = dsm._regions[hdr.gid]
-                        r = reg.region_of(index)
-                        if 0 <= r < reg.n_regions:
-                            key = (hdr.gid, r)
-                    self._tainted.add((node, key))
+                if hdr.state == ObjState.VALID or dsm.is_split(hdr.gid):
+                    self._tainted.add((node, unit_key(
+                        hdr.gid, dsm.region_at(hdr.gid, index))))
             return ok, cost
 
         dsm.write_check = tainting_write_check
@@ -420,32 +396,28 @@ class SingleCopyOracle:
                 hdr = obj.header
                 if hdr is None or not hdr.gid:
                     continue
-                reg = dsm._regions.get(gid)
-                if reg is not None:
-                    for r, state in enumerate(reg.states):
-                        key = (gid, r)
+                if dsm.is_split(gid):
+                    for key in dsm.unit_keys(gid):
+                        rec = dsm.unit(key)[1]
                         if (node, key) in self._tainted:
                             continue
-                        if r in reg.twins or key in dsm._dirty:
+                        if rec.twin is not None or key in dsm._dirty:
                             continue
                         if key in dsm._dirty_home:
                             continue  # adopted master with merged writes
-                        if state == ObjState.INVALID:
+                        if rec.state == ObjState.INVALID:
                             continue
-                        if state == ObjState.VALID and key not in self._golden:
+                        if key not in self._golden:
                             continue  # never crossed the wire
-                        got = normalize_slots(
-                            self._unit_slots(dsm, obj, r))
-                        if key in self._golden:
-                            self._check(node, key, reg.versions[r], got,
-                                        "final state")
-                            self.checked_final += 1
+                        got = normalize_slots(self._unit_slots(dsm, key))
+                        self._check(node, key, rec.version, got,
+                                    "final state")
+                        self.checked_final += 1
                     continue
                 if hdr.state == ObjState.HOME:
                     if hdr.version in self._golden.get(gid, {}) \
                             and gid not in dsm._dirty_home:
-                        got = normalize_slots(self._unit_slots(
-                            dsm, obj, None))
+                        got = normalize_slots(self._unit_slots(dsm, gid))
                         self._check(node, gid, hdr.version, got, "master")
                         self.checked_final += 1
                 elif hdr.state == ObjState.VALID:
@@ -453,7 +425,7 @@ class SingleCopyOracle:
                         continue
                     if hdr.twin is not None or gid in dsm._dirty:
                         continue
-                    got = normalize_slots(self._unit_slots(dsm, obj, None))
+                    got = normalize_slots(self._unit_slots(dsm, gid))
                     self._check(node, gid, hdr.version, got, "final state")
                     self.checked_final += 1
         return self.violations

@@ -12,7 +12,8 @@ baseline HLRC behaviour for the ablation benchmarks.
 from .diffs import apply_diff, compute_diff, make_twin
 from .directory import ClassIdRegistry, GidAllocator, home_of
 from .locks import LockRequest, LockToken, NodeLockState
-from .objectstate import DSMHeader, ObjState, attach_header, header_of
+from .objectstate import (DSMHeader, ObjState, Unit, attach_header,
+                          split_key, unit_key)
 from .protocol import (
     SCALAR,
     VECTOR,
@@ -41,7 +42,8 @@ __all__ = [
     "apply_diff", "compute_diff", "make_twin",
     "ClassIdRegistry", "GidAllocator", "home_of",
     "LockRequest", "LockToken", "NodeLockState",
-    "DSMHeader", "ObjState", "attach_header", "header_of",
+    "DSMHeader", "ObjState", "Unit", "attach_header", "split_key",
+    "unit_key",
     "SCALAR", "VECTOR", "DsmConfig", "DsmEngine", "DsmStats",
     "ProtocolError",
     "ClassSpec", "SerializationError", "deserialize_any", "kind_of_type",

@@ -6,13 +6,18 @@ object and its twin is encoded field-by-field — this is the generated
 ``DSM_diff`` of Figure 2 — shipped to the object's home, applied to the
 master copy, and the twin is refreshed.  Diffs carry only changed slots,
 so write traffic scales with modified data, not object size.
+
+Every routine works on a slot range ``[lo, hi)`` of the object (default:
+all of it) — the §4.3 extension's array regions are just narrower
+ranges.  Slot indices in a diff are relative to ``lo``, so a whole array
+and its slice ``[0, len)`` encode identically.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from ..jvm.heap import ArrayObj, Obj
+from ..jvm.heap import ArrayObj
 from .serialization import (
     ClassSpec,
     Reader,
@@ -25,23 +30,23 @@ from .serialization import (
 )
 
 
-def make_twin(ref: Any) -> list:
+def make_twin(ref: Any, lo: int = 0, hi: Optional[int] = None) -> list:
     """Snapshot an object's mutable slots (shallow, like the paper's twin)."""
-    if isinstance(ref, ArrayObj):
-        return list(ref.data)
-    return list(ref.fields)
+    return _slots_of(ref)[lo:hi]
 
 
 def _slots_of(ref: Any) -> list:
     return ref.data if isinstance(ref, ArrayObj) else ref.fields
 
 
-def _kinds_of(ref: Any, spec: Optional[ClassSpec]) -> Tuple[str, ...] | None:
+def _kinds_of(ref: Any, spec: Optional[ClassSpec]) -> Tuple[str, Tuple[str, ...]]:
+    """``(uniform, per_slot)`` kinds: an array has the one, an instance
+    the other (then ``uniform`` is empty)."""
     if isinstance(ref, ArrayObj):
-        return None  # uniform kind
+        return kind_of_type(ref.elem_type), ()
     if spec is None:
         raise SerializationError(f"no spec for {ref.class_name}")
-    return spec.kinds
+    return "", spec.kinds
 
 
 def compute_diff(
@@ -49,13 +54,18 @@ def compute_diff(
     twin: list,
     spec: Optional[ClassSpec],
     resolver: Resolver,
+    lo: int = 0,
+    hi: Optional[int] = None,
 ) -> Optional[bytes]:
-    """Encode changed slots of ``ref`` relative to ``twin``.
+    """Encode changed slots of ``ref[lo:hi]`` relative to ``twin``.
 
     Returns ``None`` when nothing changed.  Encoding: 4-byte count, then
-    per entry a 4-byte slot index and the value in its field kind.
+    per entry a 4-byte slot index (relative to ``lo``) and the value in
+    its field kind.
     """
     slots = _slots_of(ref)
+    if lo or hi is not None:
+        slots = slots[lo:hi]
     if len(slots) != len(twin):
         # Arrays cannot be resized in Java; a length change means the twin
         # is stale (protocol bug), so fail loudly.
@@ -63,32 +73,18 @@ def compute_diff(
             f"twin length mismatch for {ref.class_name}: "
             f"{len(twin)} vs {len(slots)}"
         )
-    if isinstance(ref, ArrayObj):
-        kind = kind_of_type(ref.elem_type)
-        changed = [
-            i for i, (a, b) in enumerate(zip(slots, twin)) if a is not b and a != b
-        ]
-        kinds = [kind] * len(changed)
-    else:
-        spec_kinds = _kinds_of(ref, spec)
-        assert spec_kinds is not None
-        changed = []
-        kinds = []
-        for i, (a, b) in enumerate(zip(slots, twin)):
-            if a is not b and a != b:
-                changed.append(i)
-                kinds.append(spec_kinds[i])
-            elif a is not b and isinstance(a, (Obj, ArrayObj)):
-                # equal-compare on refs is identity at the VM level; the
-                # first branch already covers it, this is unreachable.
-                pass  # pragma: no cover
+    # Refs compare by identity at the VM level, values by equality.
+    changed = [
+        i for i, (a, b) in enumerate(zip(slots, twin)) if a is not b and a != b
+    ]
     if not changed:
         return None
+    uniform, kinds = _kinds_of(ref, spec)
     w = Writer()
     w.u32(len(changed))
-    for i, kind in zip(changed, kinds):
+    for i in changed:
         w.u32(i)
-        write_value(w, kind, slots[i], resolver)
+        write_value(w, uniform or kinds[lo + i], slots[i], resolver)
     return w.getvalue()
 
 
@@ -97,94 +93,26 @@ def apply_diff(
     spec: Optional[ClassSpec],
     data: bytes,
     resolver: Resolver,
+    lo: int = 0,
+    hi: Optional[int] = None,
 ) -> int:
-    """Apply an encoded diff to a master copy; returns #slots changed."""
+    """Apply an encoded diff of ``ref[lo:hi]`` to a master copy; returns
+    #slots changed."""
     slots = _slots_of(ref)
-    if isinstance(ref, ArrayObj):
-        uniform: Optional[str] = kind_of_type(ref.elem_type)
-        kinds: Tuple[str, ...] = ()
-    else:
-        uniform = None
-        maybe_kinds = _kinds_of(ref, spec)
-        assert maybe_kinds is not None
-        kinds = maybe_kinds
+    uniform, kinds = _kinds_of(ref, spec)
+    end = len(slots) if hi is None else min(hi, len(slots))
     r = Reader(data)
     n = r.u32()
     for _ in range(n):
-        idx = r.u32()
-        kind = uniform if uniform is not None else kinds[idx]
-        if idx >= len(slots):
+        idx = lo + r.u32()
+        if idx >= end:
             raise SerializationError(
                 f"diff index {idx} out of range for {ref.class_name}"
             )
-        slots[idx] = read_value(r, kind, resolver)
+        slots[idx] = read_value(r, uniform or kinds[idx], resolver)
     return n
 
 
 def diff_entry_count(data: bytes) -> int:
     """Number of slots in an encoded diff (stats helper)."""
     return Reader(data).u32()
-
-
-# ---------------------------------------------------------------------------
-# Array-region variants (§4.3 extension: one array, many coherency units)
-# ---------------------------------------------------------------------------
-
-def make_region_twin(arr: ArrayObj, lo: int, hi: int) -> list:
-    return list(arr.data[lo:hi])
-
-
-def compute_region_diff(
-    arr: ArrayObj, lo: int, twin: list, resolver: Resolver
-) -> Optional[bytes]:
-    """Diff of one region against its twin; indices are region-local."""
-    kind = kind_of_type(arr.elem_type)
-    hi = lo + len(twin)
-    slots = arr.data[lo:hi]
-    changed = [
-        i for i, (a, b) in enumerate(zip(slots, twin))
-        if a is not b and a != b
-    ]
-    if not changed:
-        return None
-    w = Writer()
-    w.u32(len(changed))
-    for i in changed:
-        w.u32(i)
-        write_value(w, kind, slots[i], resolver)
-    return w.getvalue()
-
-
-def apply_region_diff(
-    arr: ArrayObj, lo: int, data: bytes, resolver: Resolver
-) -> int:
-    kind = kind_of_type(arr.elem_type)
-    r = Reader(data)
-    n = r.u32()
-    for _ in range(n):
-        idx = lo + r.u32()
-        if idx >= len(arr.data):
-            raise SerializationError(
-                f"region diff index {idx} out of range for {arr.class_name}"
-            )
-        arr.data[idx] = read_value(r, kind, resolver)
-    return n
-
-
-def serialize_region(arr: ArrayObj, lo: int, hi: int, resolver: Resolver) -> bytes:
-    kind = kind_of_type(arr.elem_type)
-    w = Writer()
-    w.u32(hi - lo)
-    for value in arr.data[lo:hi]:
-        write_value(w, kind, value, resolver)
-    return w.getvalue()
-
-
-def deserialize_region(
-    arr: ArrayObj, lo: int, data: bytes, resolver: Resolver
-) -> None:
-    kind = kind_of_type(arr.elem_type)
-    r = Reader(data)
-    n = r.u32()
-    for i in range(n):
-        arr.data[lo + i] = read_value(r, kind, resolver)

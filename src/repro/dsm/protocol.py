@@ -32,7 +32,7 @@ required intervals have been applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..hooks import DsmHooks
@@ -47,20 +47,12 @@ from ..net.message import (  # canonical registry lives with the codec
     M_SPAWN, M_TOKEN)
 from ..net.transport import Transport
 from ..sim import cost_model as cm
-from .diffs import (
-    apply_diff,
-    apply_region_diff,
-    compute_diff,
-    compute_region_diff,
-    deserialize_region,
-    make_region_twin,
-    make_twin,
-    serialize_region,
-)
+from .diffs import apply_diff, compute_diff, make_twin
 from .directory import (MASTER_NODE, ClassIdRegistry, GidAllocator,
                         HomeDirectory, home_of)
 from .locks import LockRequest, LockToken, NodeLockState
-from .objectstate import DSMHeader, ObjState, attach_header
+from .objectstate import (DSMHeader, ObjState, RegionInfo, Unit,
+                          attach_header, split_key, unit_key)
 from .serialization import ClassSpec, deserialize_any, serialize_any
 from .write_notices import MODE_BOUNDED, Notice, NoticeTable
 
@@ -83,31 +75,6 @@ class DsmConfig:
     # multiple coherency units of this region size (None = paper default,
     # one CU per array).
     array_region_elems: Optional[int] = None
-
-
-@dataclass
-class RegionInfo:
-    """Per-node region bookkeeping for one region-granular array."""
-
-    elems: int
-    states: List[ObjState]
-    versions: List[int]
-    twins: Dict[int, list] = field(default_factory=dict)
-    length_known: bool = True
-
-    @property
-    def n_regions(self) -> int:
-        """Number of regions in the array."""
-        return len(self.states)
-
-    def bounds(self, region: int, total_len: int) -> Tuple[int, int]:
-        """Element range [lo, hi) of one region."""
-        lo = region * self.elems
-        return lo, min(lo + self.elems, total_len)
-
-    def region_of(self, index: int) -> int:
-        """Region index containing an element index."""
-        return index // self.elems
 
 
 @dataclass
@@ -188,15 +155,16 @@ class DsmEngine:
 
         self.gids = GidAllocator(self.node_id)
         self.cache: Dict[int, Any] = {}
-        # §4.3 extension: gid -> RegionInfo for region-granular arrays.
-        self._regions: Dict[int, "RegionInfo"] = {}
+        # §4.3 extension: gid -> RegionInfo of the arrays split into
+        # several coherency units (every other object is one unit).
+        self._regions: Dict[int, RegionInfo] = {}
         self.notice_table = NoticeTable(self.config.notice_mode)
         self.lock_states: Dict[int, NodeLockState] = {}
         self.lock_owner: Dict[int, int] = {}     # home role: gid -> owner node
         # keyed (gid, region); region None = whole object
         self._fetch_waiters: Dict[Tuple[int, Optional[int]], List[JThread]] = {}
-        self._dirty: Set[int] = set()            # gids of twinned replicas
-        self._dirty_home: Set[int] = set()       # gids of home-written masters
+        self._dirty: Set[Any] = set()            # keys of twinned replicas
+        self._dirty_home: Set[Any] = set()       # keys of home-written masters
         self._threads: Dict[int, JThread] = {}
         # Node-level flush sequence: tags diffs/notices in vector mode (a
         # per-node monotonic interval id shared by all local threads).
@@ -354,12 +322,8 @@ class DsmEngine:
             and isinstance(ref, ArrayObj)
             and len(ref.data) > region_elems
         ):
-            n = (len(ref.data) + region_elems - 1) // region_elems
             self._regions[gid] = RegionInfo(
-                elems=region_elems,
-                states=[ObjState.HOME] * n,
-                versions=[1] * n,
-            )
+                len(ref.data), region_elems, ObjState.HOME, 1)
         self.lock_owner[gid] = self.node_id
         st = self._lock_state(gid)
         st.token = LockToken(gid)
@@ -373,6 +337,45 @@ class DsmEngine:
         for fn in self.hooks.promote:
             fn(ref, gid)
         return gid
+
+    # ==================================================================
+    # Coherency units: a whole object, or one region of a split array
+    # ==================================================================
+    def unit(self, key: Any) -> Optional[Tuple[Any, Unit, int, Optional[int]]]:
+        """Resolve a unit key to ``(obj, record, lo, hi)``: the heap
+        object, the unit's state/version/twin record and its slot range
+        (``hi`` None = to the end).  None if this node never saw it."""
+        gid, region = split_key(key)
+        obj = self.cache.get(gid)
+        if obj is None:
+            return None
+        if region is None:
+            return obj, obj.header, 0, None
+        reg = self._regions.get(gid)
+        if reg is None:
+            return None
+        lo, hi = reg.bounds(region, len(obj.data))
+        return obj, reg.units[region], lo, hi
+
+    def is_split(self, gid: int) -> bool:
+        """Whether this node knows ``gid`` as an array of several units."""
+        return gid in self._regions
+
+    def unit_keys(self, gid: int) -> List[Any]:
+        """Keys of every coherency unit of one object."""
+        reg = self._regions.get(gid)
+        if reg is None:
+            return [gid]
+        return [(gid, r) for r in range(len(reg.units))]
+
+    def region_at(self, gid: int, index: Any) -> Optional[int]:
+        """Region of a split array holding element ``index``; None for a
+        whole-object unit, a touch that names no element (ARRAYLENGTH)
+        or an index out of bounds (the access itself raises)."""
+        reg = self._regions.get(gid)
+        if reg is None or index is None:
+            return None
+        return reg.region_of(index)
 
     # ==================================================================
     # JVM hooks: allocation / threads
@@ -408,26 +411,16 @@ class DsmEngine:
             # Object allocated outside hook-aware paths (defensive).
             attach_header(ref)
             return True, 0
+        rec, region = hdr, None
         if hdr.gid and hdr.gid in self._regions:
-            return self._region_read_check(thread, ref, hdr, index)
-        if hdr.state != ObjState.INVALID:
+            region = self.region_at(hdr.gid, index)
+            if region is None:
+                # ARRAYLENGTH (the stub was sized at first contact) or
+                # out of bounds (let the access raise).
+                return True, 0
+            rec = self._regions[hdr.gid].units[region]
+        if rec.state != ObjState.INVALID:
             return True, 0
-        self._start_fetch(thread, hdr)
-        return False, self.cost_model[cm.PROTO_HANDLER_NS]
-
-    def _region_read_check(self, thread, ref, hdr, index) -> Tuple[bool, int]:
-        reg = self._regions[hdr.gid]
-        if index is None:
-            # ARRAYLENGTH (or a non-indexed touch): needs the true length.
-            if reg.length_known:
-                return True, 0
-            region = 0
-        else:
-            region = reg.region_of(index)
-            if not 0 <= region < reg.n_regions:
-                return True, 0  # out of bounds: let the access raise
-            if reg.states[region] != ObjState.INVALID:
-                return True, 0
         self._start_fetch(thread, hdr, region)
         return False, self.cost_model[cm.PROTO_HANDLER_NS]
 
@@ -440,38 +433,26 @@ class DsmEngine:
         state = hdr.state
         if state == ObjState.LOCAL:
             return True, 0
-        if hdr.gid and hdr.gid in self._regions:
-            return self._region_write_check(thread, ref, hdr, index)
-        if state == ObjState.INVALID:
-            self._start_fetch(thread, hdr)
-            return False, self.cost_model[cm.PROTO_HANDLER_NS]
-        if state == ObjState.HOME:
-            self._dirty_home.add(hdr.gid)
-            return True, 0
-        # VALID cached copy: twin before first write (multiple-writer).
-        if hdr.twin is None:
-            hdr.twin = make_twin(ref)
-            self._dirty.add(hdr.gid)
-        return True, 0
-
-    def _region_write_check(self, thread, ref, hdr, index) -> Tuple[bool, int]:
-        reg = self._regions[hdr.gid]
-        if index is None:
-            return True, 0  # defensive: non-indexed write cannot occur
-        region = reg.region_of(index)
-        if not 0 <= region < reg.n_regions:
-            return True, 0  # out of bounds: let the access raise
-        state = reg.states[region]
-        if state == ObjState.HOME:
-            self._dirty_home.add((hdr.gid, region))
-            return True, 0
+        key = hdr.gid
+        rec, region = hdr, None
+        if key in self._regions:
+            region = self.region_at(key, index)
+            if region is None:
+                return True, 0  # out of bounds: let the access raise
+            key = (key, region)
+            rec = self.unit(key)[1]
+            state = rec.state
         if state == ObjState.INVALID:
             self._start_fetch(thread, hdr, region)
             return False, self.cost_model[cm.PROTO_HANDLER_NS]
-        if region not in reg.twins:
-            lo, hi = reg.bounds(region, len(ref.data))
-            reg.twins[region] = make_region_twin(ref, lo, hi)
-            self._dirty.add((hdr.gid, region))
+        if state == ObjState.HOME:
+            self._dirty_home.add(key)
+            return True, 0
+        # VALID cached copy: twin before first write (multiple-writer).
+        if rec.twin is None:
+            _, _, lo, hi = self.unit(key)
+            rec.twin = make_twin(ref, lo, hi)
+            self._dirty.add(key)
         return True, 0
 
     def _start_fetch(self, thread: JThread, hdr: DSMHeader,
@@ -491,7 +472,7 @@ class DsmEngine:
             self._send_fetch(gid, region, request)
 
     def _fetch_request(self, gid: int, region: Optional[int]) -> Dict[str, Any]:
-        key = gid if region is None else (gid, region)
+        key = unit_key(gid, region)
         if self.config.timestamp_mode == VECTOR:
             required: Any = self.notice_table.required_vector(key)
         else:
@@ -749,66 +730,41 @@ class DsmEngine:
         for fn in self.hooks.interval_end:
             fn(thread)
 
-    def _flush(self, gids, flush_home: bool) -> None:
+    def _flush(self, keys, flush_home: bool) -> None:
         """Flush pending writes: diffs of the given cached replicas to
         their homes, plus (optionally) version bumps of home-written
         masters.  Tagged with a node-level monotonic interval."""
         self._flush_seq += 1
         interval = self._flush_seq
-        by_home: Dict[int, List[Tuple[Any, bytes, Optional[int]]]] = {}
-        for entry in gids:
-            if entry not in self._dirty:
+        by_home: Dict[int, List[Tuple[int, bytes, Optional[int]]]] = {}
+        for key in keys:
+            if key not in self._dirty:
                 continue
-            self._dirty.discard(entry)
-            if isinstance(entry, tuple):
-                gid, region = entry
-                obj = self.cache[gid]
-                reg = self._regions[gid]
-                twin = reg.twins.pop(region, None)
-                if twin is None:
-                    continue
-                lo, _hi = reg.bounds(region, len(obj.data))
-                diff = compute_region_diff(obj, lo, twin, self)
-                if diff is None:
-                    continue
-                by_home.setdefault(
-                    self.home_node(gid), []).append((gid, diff, region))
-                continue
-            gid = entry
-            obj = self.cache[gid]
-            hdr: DSMHeader = obj.header
-            twin = hdr.twin
-            hdr.twin = None
+            self._dirty.discard(key)
+            obj, rec, lo, hi = self.unit(key)
+            twin, rec.twin = rec.twin, None
             if twin is None:
                 continue
-            diff = compute_diff(obj, twin, self.specs.get(self._spec_key(obj)), self)
+            diff = compute_diff(obj, twin, self.specs.get(obj.class_name),
+                                self, lo, hi)
             if diff is None:
                 continue
-            by_home.setdefault(self.home_node(gid), []).append((gid, diff, None))
+            gid, region = split_key(key)
+            by_home.setdefault(
+                self.home_node(gid), []).append((gid, diff, region))
         if flush_home:
             # Home-written masters: bump version locally, notice at once.
             advanced: List[Tuple[Any, int]] = []
-            for entry in list(self._dirty_home):
-                self._dirty_home.discard(entry)
-                if isinstance(entry, tuple):
-                    gid, region = entry
-                    reg = self._regions[gid]
-                    reg.versions[region] += 1
-                    key = (gid, region)
-                    version = reg.versions[region]
-                else:
-                    gid = entry
-                    obj = self.cache[gid]
-                    hdr = obj.header
-                    hdr.version += 1
-                    key = gid
-                    version = hdr.version
-                advanced.append((key, version))
+            for key in list(self._dirty_home):
+                self._dirty_home.discard(key)
+                rec = self.unit(key)[1]
+                rec.version += 1
+                advanced.append((key, rec.version))
                 if self.config.timestamp_mode == VECTOR:
                     self._applied.setdefault(key, {})[self.node_id] = interval
                     self.notice_table.add(Notice(key, interval, self.node_id))
                 else:
-                    self.notice_table.add(Notice(key, version))
+                    self.notice_table.add(Notice(key, rec.version))
             if advanced:
                 for fn in self.hooks.home_advance:
                     fn(advanced, self.node_id)
@@ -829,12 +785,9 @@ class DsmEngine:
             if self.config.timestamp_mode == VECTOR:
                 # No fence: the notice is known locally right away.
                 for gid, _, region in entries:
-                    key = gid if region is None else (gid, region)
-                    self.notice_table.add(Notice(key, interval, self.node_id))
+                    self.notice_table.add(
+                        Notice(unit_key(gid, region), interval, self.node_id))
             self.transport.send(home, M_DIFF, payload, size_bytes=size)
-
-    def _spec_key(self, obj: Any) -> str:
-        return obj.class_name
 
     def _apply_diff_entries(self, p: Dict[str, Any]) -> List[Tuple[Any, int]]:
         """Apply one diff payload's entries to local masters and announce
@@ -844,25 +797,16 @@ class DsmEngine:
         writer = p["writer"]
         interval = p["interval"]
         for gid, diff, region in p["entries"]:
-            obj = self.cache.get(gid)
-            if obj is None:
+            key = unit_key(gid, region)
+            unit = self.unit(key)
+            if unit is None:
                 raise ProtocolError(
-                    f"diff for unknown master gid {gid:#x} at node "
-                    f"{self.node_id}"
+                    f"diff for unknown master {key!r} at node {self.node_id}"
                 )
-            hdr: DSMHeader = obj.header
-            if region is not None:
-                reg = self._regions[gid]
-                lo, _hi = reg.bounds(region, len(obj.data))
-                apply_region_diff(obj, lo, diff, self)
-                reg.versions[region] += 1
-                key: Any = (gid, region)
-                version = reg.versions[region]
-            else:
-                apply_diff(obj, self.specs.get(self._spec_key(obj)), diff, self)
-                hdr.version += 1
-                key = gid
-                version = hdr.version
+            obj, rec, lo, hi = unit
+            apply_diff(obj, self.specs.get(obj.class_name), diff, self, lo, hi)
+            rec.version += 1
+            version = rec.version
             acks.append((key, version))
             if self.config.timestamp_mode == VECTOR:
                 applied = self._applied.setdefault(key, {})
@@ -944,8 +888,8 @@ class DsmEngine:
                 f"fetch for unknown gid {gid:#x} at home {self.node_id}"
             )
         if gid in self._regions and region is None:
-            region = 0  # regioned array touched without an index
-        key = gid if region is None else (gid, region)
+            region = 0  # split array first touched as a whole by a stub
+        key = unit_key(gid, region)
         if self.config.timestamp_mode == VECTOR:
             required: Dict[int, int] = msg.payload["required"]
             applied = self._applied.get(key, {})
@@ -962,8 +906,7 @@ class DsmEngine:
         if not queue:
             return
         applied = self._applied.get(key, {})
-        gid = key[0] if isinstance(key, tuple) else key
-        region = key[1] if isinstance(key, tuple) else None
+        gid, region = split_key(key)
         still = []
         for msg in queue:
             required = msg.payload["required"]
@@ -977,8 +920,7 @@ class DsmEngine:
                      region: Optional[int] = None) -> None:
         for fn in self.hooks.fetch_serve:
             fn(requester, obj, region, False)
-        gid = obj.header.gid
-        key = gid if region is None else (gid, region)
+        key = unit_key(obj.header.gid, region)
         payload = self.ft_serialize_unit(key)
         data = payload["data"]
         if self.config.timestamp_mode == VECTOR:
@@ -1012,51 +954,48 @@ class DsmEngine:
             thread.wake()
         return len(waiters)
 
-    def _region_info(self, obj: Any, unit: Dict[str, Any]) -> RegionInfo:
-        """Region bookkeeping for an arriving region unit, created (and
-        the array sized to its true length) on first contact."""
-        gid = unit["gid"]
-        total_len = unit["total_len"]
-        reg = self._regions.get(gid)
-        if reg is None:
-            elems = unit["region_elems"]
-            n = (total_len + elems - 1) // elems
-            reg = self._regions[gid] = RegionInfo(
-                elems=elems,
-                states=[ObjState.INVALID] * n,
-                versions=[0] * n,
-            )
-        if len(obj.data) != total_len:
-            from ..jvm.classfile import default_value
-            obj.data = [default_value(obj.elem_type)] * total_len
-        return reg
-
-    def _install_unit(self, p: Dict[str, Any]) -> Tuple[int, Optional[int]]:
-        """Install one fetched coherency unit payload into the local
-        cache (shared by fetch replies and prefetch bulk replies)."""
+    def _install_unit(self, p: Dict[str, Any],
+                      role: ObjState = ObjState.VALID) -> Tuple[int, Optional[int]]:
+        """Install one serialized coherency unit into the local cache:
+        as a ``VALID`` replica (fetch replies, prefetch bulk replies,
+        policy pushes), or as the ``HOME`` master (migration grants and
+        recovery adoptions), which merges local uncommitted writes to a
+        cached replica of the unit back on top — they are program
+        actions the multiple-writer protocol has not lost yet."""
         gid = p["gid"]
         region = p.get("region")
+        master = role == ObjState.HOME
         obj = self.cache.get(gid)
         if obj is None:
-            obj = self.replica_for(gid, p["class_name"])
-        hdr: DSMHeader = obj.header
+            # A master-to-be is homed here already; replica_for would
+            # (rightly, for a replica) demand its master copy.
+            make = self._new_stub if master else self.replica_for
+            obj = make(gid, p["class_name"])
         if region is not None:
-            reg = self._region_info(obj, p)
-            lo, _hi = reg.bounds(region, p["total_len"])
-            deserialize_region(obj, lo, p["data"], self)
-            reg.states[region] = ObjState.VALID
-            reg.versions[region] = p["version"]
-            reg.twins.pop(region, None)
-            reg.length_known = True
-            hdr.state = ObjState.VALID  # "present"; regions carry the truth
-            key: Any = (gid, region)
-        else:
-            deserialize_any(obj, self.specs.get(self._spec_key(obj)), p["data"], self)
-            hdr.version = p["version"]
-            hdr.state = ObjState.VALID
-            hdr.twin = None
-            key = gid
-        if self.config.timestamp_mode == VECTOR:
+            # First contact: split the stub and size it to its true length.
+            total_len = p["total_len"]
+            if gid not in self._regions:
+                self._regions[gid] = RegionInfo(
+                    total_len, p["region_elems"], ObjState.INVALID, 0)
+            if len(obj.data) != total_len:
+                from ..jvm.classfile import default_value
+                obj.data = [default_value(obj.elem_type)] * total_len
+            obj.header.state = role  # "present"; the regions carry the truth
+        key = unit_key(gid, region)
+        _, rec, lo, hi = self.unit(key)
+        spec = self.specs.get(obj.class_name)
+        twin, rec.twin = rec.twin, None
+        local_diff = None
+        if master and twin is not None:
+            local_diff = compute_diff(obj, twin, spec, self, lo, hi)
+            self._dirty.discard(key)
+        deserialize_any(obj, spec, p["data"], self, lo)
+        rec.state = role
+        rec.version = max(rec.version, p["version"]) if master else p["version"]
+        if local_diff is not None:
+            apply_diff(obj, spec, local_diff, self, lo, hi)
+            self._dirty_home.add(key)
+        if not master and self.config.timestamp_mode == VECTOR:
             self._replica_vc[key] = dict(p.get("applied", {}))
         return gid, region
 
@@ -1134,33 +1073,15 @@ class DsmEngine:
         to_invalidate = []
         for notice in notices:
             key = notice.gid
-            region: Optional[int] = None
-            gid = key
-            if isinstance(key, tuple):
-                gid, region = key
-            obj = self.cache.get(gid)
-            if obj is None:
+            unit = self.unit(key)
+            if unit is None or unit[1].state != ObjState.VALID:
                 continue
-            hdr: DSMHeader = obj.header
-            if region is not None:
-                reg = self._regions.get(gid)
-                if reg is None or reg.states[region] != ObjState.VALID:
+            if self.config.timestamp_mode == VECTOR:
+                seen = self._replica_vc.get(key, {})
+                if seen.get(notice.writer, 0) >= notice.version:
                     continue
-                if self.config.timestamp_mode == VECTOR:
-                    seen = self._replica_vc.get(key, {})
-                    if seen.get(notice.writer, 0) >= notice.version:
-                        continue
-                elif reg.versions[region] >= notice.version:
-                    continue
-            else:
-                if hdr.state != ObjState.VALID:
-                    continue
-                if self.config.timestamp_mode == VECTOR:
-                    seen = self._replica_vc.get(key, {})
-                    if seen.get(notice.writer, 0) >= notice.version:
-                        continue
-                elif hdr.version >= notice.version:
-                    continue
+            elif unit[1].version >= notice.version:
+                continue
             # A dirty replica's pending local writes are committed program
             # actions: flush the diff home *before* invalidating, or the
             # multiple-writer merge loses them.
@@ -1171,15 +1092,9 @@ class DsmEngine:
         if to_flush:
             self._flush(to_flush, flush_home=False)
         for key in to_invalidate:
-            if isinstance(key, tuple):
-                gid, region = key
-                reg = self._regions[gid]
-                reg.states[region] = ObjState.INVALID
-                reg.twins.pop(region, None)
-            else:
-                hdr = self.cache[key].header
-                hdr.state = ObjState.INVALID
-                hdr.twin = None
+            rec = self.unit(key)[1]
+            rec.state = ObjState.INVALID
+            rec.twin = None
             self.stats.invalidations += 1
 
     # ==================================================================
@@ -1375,29 +1290,23 @@ class DsmEngine:
     def ft_serialize_unit(self, key: Any) -> Optional[Dict[str, Any]]:
         """Serialize one coherency unit in fetch-reply format (also what
         buddy replication, grants and pushes ship)."""
-        gid, region = key if isinstance(key, tuple) else (key, None)
-        obj = self.cache.get(gid)
-        if obj is None:
+        unit = self.unit(key)
+        if unit is None:
             return None
-        unit: Dict[str, Any] = {
+        obj, rec, lo, hi = unit
+        gid, region = split_key(key)
+        out: Dict[str, Any] = {
             "gid": gid,
             "region": region,
             "class_name": obj.class_name,
+            "data": serialize_any(
+                obj, self.specs.get(obj.class_name), self, lo, hi),
+            "version": rec.version,
         }
         if region is not None:
-            reg = self._regions.get(gid)
-            if reg is None:
-                return None
-            lo, hi = reg.bounds(region, len(obj.data))
-            unit["data"] = serialize_region(obj, lo, hi, self)
-            unit["version"] = reg.versions[region]
-            unit["total_len"] = len(obj.data)
-            unit["region_elems"] = reg.elems
-        else:
-            unit["data"] = serialize_any(
-                obj, self.specs.get(self._spec_key(obj)), self)
-            unit["version"] = obj.header.version
-        return unit
+            out["total_len"] = len(obj.data)
+            out["region_elems"] = self._regions[gid].elems
+        return out
 
     def ft_home_keys(self) -> List[Any]:
         """Keys of every coherency unit this node is (origin) home of."""
@@ -1406,54 +1315,15 @@ class DsmEngine:
             hdr = obj.header
             if hdr is None or home_of(gid) != self.node_id:
                 continue
-            reg = self._regions.get(gid)
-            if reg is not None:
-                keys.extend((gid, r) for r in range(reg.n_regions))
-            elif hdr.state == ObjState.HOME:
-                keys.append(gid)
+            if gid in self._regions or hdr.state == ObjState.HOME:
+                keys.extend(self.unit_keys(gid))
         return keys
 
     def ft_install_master(self, unit: Dict[str, Any]) -> None:
-        """Adopt one replicated coherency unit as a local master.  Local
-        uncommitted writes to a cached replica of the same unit are
-        merged back on top (they are program actions the multiple-writer
-        protocol has not lost yet)."""
-        gid = unit["gid"]
-        region = unit["region"]
-        obj = self.cache.get(gid)
-        if obj is None:
-            obj = self._new_stub(gid, unit["class_name"])
-        hdr = obj.header
-        if region is not None:
-            reg = self._region_info(obj, unit)
-            lo, _hi = reg.bounds(region, unit["total_len"])
-            twin = reg.twins.pop(region, None)
-            local_diff = None
-            if twin is not None:
-                local_diff = compute_region_diff(obj, lo, twin, self)
-                self._dirty.discard((gid, region))
-            deserialize_region(obj, lo, unit["data"], self)
-            reg.states[region] = ObjState.HOME
-            reg.versions[region] = max(reg.versions[region],
-                                       unit["version"])
-            hdr.state = ObjState.HOME
-            if local_diff is not None:
-                apply_region_diff(obj, lo, local_diff, self)
-                self._dirty_home.add((gid, region))
-        else:
-            spec = self.specs.get(self._spec_key(obj))
-            twin = hdr.twin
-            hdr.twin = None
-            local_diff = None
-            if twin is not None:
-                local_diff = compute_diff(obj, twin, spec, self)
-                self._dirty.discard(gid)
-            deserialize_any(obj, spec, unit["data"], self)
-            hdr.version = max(hdr.version, unit["version"])
-            hdr.state = ObjState.HOME
-            if local_diff is not None:
-                apply_diff(obj, spec, local_diff, self)
-                self._dirty_home.add(gid)
+        """Adopt one serialized coherency unit as a local master: the
+        one door through which a master ever moves (migration grants and
+        recovery adoptions)."""
+        self._install_unit(unit, ObjState.HOME)
 
     def ft_set_home(self, origin: int, new_home: int) -> None:
         """Point the home table of a failed origin node at its buddy."""
@@ -1530,10 +1400,6 @@ class DsmEngine:
     # ==================================================================
     # Introspection / testing helpers
     # ==================================================================
-    def replica(self, gid: int) -> Any:
-        """Introspection: the local replica for a gid, if any."""
-        return self.cache.get(gid)
-
     def quiesced(self) -> bool:
         """No fences pending and no parked fetch waiters."""
         return self._outstanding_acks == 0 and not self._fetch_waiters

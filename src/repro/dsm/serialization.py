@@ -235,37 +235,46 @@ def deserialize_into(obj: Obj, spec: ClassSpec, data: bytes, resolver: Resolver)
         fields[i] = read_value(r, kind, resolver)
 
 
-def serialize_array(arr: ArrayObj, resolver: Resolver) -> bytes:
-    """Encode an array: length then elements by kind."""
+def serialize_array(arr: ArrayObj, resolver: Resolver, lo: int = 0,
+                    hi: Optional[int] = None) -> bytes:
+    """Encode elements [lo, hi) of an array (default: all of it): count,
+    then elements by kind.  A whole array *is* the slice [0, len)."""
     kind = kind_of_type(arr.elem_type)
+    values = arr.data[lo:hi]
     w = Writer()
-    w.u32(len(arr.data))
-    for value in arr.data:
+    w.u32(len(values))
+    for value in values:
         write_value(w, kind, value, resolver)
     return w.getvalue()
 
 
-def deserialize_array(arr: ArrayObj, data: bytes, resolver: Resolver) -> None:
-    """Decode an array, replacing its element storage."""
+def deserialize_array(arr: ArrayObj, data: bytes, resolver: Resolver,
+                      lo: int = 0) -> None:
+    """Decode an encoded slice into an array's element storage from
+    ``lo`` on (a stub grows to the decoded length)."""
     kind = kind_of_type(arr.elem_type)
     r = Reader(data)
     n = r.u32()
-    arr.data = [read_value(r, kind, resolver) for _ in range(n)]
+    arr.data[lo:lo + n] = [read_value(r, kind, resolver) for _ in range(n)]
 
 
-def serialize_any(ref: Any, spec: Optional[ClassSpec], resolver: Resolver) -> bytes:
-    """Serialize either an instance (needs its spec) or an array."""
+def serialize_any(ref: Any, spec: Optional[ClassSpec], resolver: Resolver,
+                  lo: int = 0, hi: Optional[int] = None) -> bytes:
+    """Serialize an instance (needs its spec) or slots [lo, hi) of an
+    array (default: all; only arrays are ever split)."""
     if isinstance(ref, ArrayObj):
-        return serialize_array(ref, resolver)
+        return serialize_array(ref, resolver, lo, hi)
     if spec is None:
         raise SerializationError(f"no serializer spec for {ref.class_name}")
     return serialize_object(ref, spec, resolver)
 
 
-def deserialize_any(ref: Any, spec: Optional[ClassSpec], data: bytes, resolver: Resolver) -> None:
-    """Deserialize into an instance (via spec) or an array."""
+def deserialize_any(ref: Any, spec: Optional[ClassSpec], data: bytes,
+                    resolver: Resolver, lo: int = 0) -> None:
+    """Deserialize into an instance (via spec) or into an array from
+    element ``lo`` on."""
     if isinstance(ref, ArrayObj):
-        deserialize_array(ref, data, resolver)
+        deserialize_array(ref, data, resolver, lo)
     else:
         if spec is None:
             raise SerializationError(f"no serializer spec for {ref.class_name}")

@@ -36,7 +36,7 @@ from ..dsm.locks import LockToken
 from ..dsm.protocol import M_SPAWN, M_TOKEN
 from ..net.message import HEADER_BYTES
 from ..sim.engine import NS_PER_MS
-from .replication import M_FT_NOTICES, buddy_of, unit_key
+from .replication import M_FT_NOTICES, buddy_of, key_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .manager import FtManager
@@ -148,7 +148,7 @@ class RecoveryOrchestrator:
                      if locality.current_home(u["gid"]) == dead]
         for unit in units:
             buddy.dsm.ft_install_master(unit)
-            agent_b.note_adopted(unit_key(unit))
+            agent_b.note_adopted(key_of(unit))
         manager.home_redirects[dead] = buddy_id
         # Chained failure hardening: redirects that pointed at the node
         # that just died now follow it to the new adoptive home.
@@ -208,7 +208,7 @@ class RecoveryOrchestrator:
             locality.on_peer_dead_all(dead)
 
         # Phase 6: invalidate unprovable replicas.
-        notices = [(unit_key(u), u["version"]) for u in units]
+        notices = [(key_of(u), u["version"]) for u in units]
         if notices:
             size = HEADER_BYTES + NOTICE_BYTES * len(notices)
             for w in live:

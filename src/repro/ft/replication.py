@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..dsm.objectstate import split_key, unit_key
 from ..net.message import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,11 +48,9 @@ def buddy_of(node_id: int, num_nodes: int, dead: Sequence[int] = ()) -> int:
     raise ValueError(f"no live buddy for node {node_id}/{num_nodes}")
 
 
-def unit_key(unit: Dict[str, Any]) -> Any:
+def key_of(unit: Dict[str, Any]) -> Any:
     """The coherency-unit key of one serialized replication unit."""
-    gid = unit["gid"]
-    region = unit["region"]
-    return gid if region is None else (gid, region)
+    return unit_key(unit["gid"], unit["region"])
 
 
 class ReplicaStore:
@@ -67,7 +66,7 @@ class ReplicaStore:
 
     def put(self, origin: int, unit: Dict[str, Any]) -> None:
         by_key = self._units.setdefault(origin, {})
-        key = unit_key(unit)
+        key = key_of(unit)
         existing = by_key.get(key)
         if existing is not None and existing["version"] > unit["version"]:
             return  # stale reordering (cannot happen FIFO, but be safe)
@@ -87,7 +86,8 @@ class ReplicaStore:
 
 
 def _key_order(key: Any) -> Tuple[int, int]:
-    return (key[0], key[1] + 1) if isinstance(key, tuple) else (key, 0)
+    gid, region = split_key(key)
+    return gid, 0 if region is None else region + 1
 
 
 class FtNodeAgent:
@@ -145,7 +145,7 @@ class FtNodeAgent:
         new versions before the corresponding ack/notice can leave."""
         units = []
         for key, version in advanced:
-            gid = key[0] if isinstance(key, tuple) else key
+            gid = split_key(key)[0]
             if gid not in self._published and key not in self._adopted:
                 self._publish_gid(gid)
                 continue  # publish covered the current version
@@ -162,8 +162,7 @@ class FtNodeAgent:
         (same version, fresher bytes) BEFORE the reply leaves — anything
         a survivor can have observed must be reconstructible from the
         buddy."""
-        gid = obj.header.gid
-        key = gid if region is None else (gid, region)
+        key = unit_key(obj.header.gid, region)
         if key in self.dsm._dirty_home:
             unit = self.dsm.ft_serialize_unit(key)
             if unit is not None:
@@ -172,17 +171,11 @@ class FtNodeAgent:
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def _unit_keys(self, gid: int) -> List[Any]:
-        reg = self.dsm._regions.get(gid)
-        if reg is not None:
-            return [(gid, r) for r in range(reg.n_regions)]
-        return [gid]
-
     def _publish_gid(self, gid: int) -> None:
         """Mirror every coherency unit of one gid (all regions)."""
         self._published.add(gid)
         units = []
-        for key in self._unit_keys(gid):
+        for key in self.dsm.unit_keys(gid):
             unit = self.dsm.ft_serialize_unit(key)
             if unit is not None:
                 units.append(unit)
@@ -197,8 +190,7 @@ class FtNodeAgent:
                  if k not in keys]
         units = []
         for key in keys:
-            gid = key[0] if isinstance(key, tuple) else key
-            self._published.add(gid)
+            self._published.add(split_key(key)[0])
             unit = self.dsm.ft_serialize_unit(key)
             if unit is not None:
                 units.append(unit)
@@ -209,8 +201,7 @@ class FtNodeAgent:
     def note_adopted(self, key: Any) -> None:
         """Recovery installed a re-homed unit here; mirror it onward."""
         self._adopted.add(key)
-        gid = key[0] if isinstance(key, tuple) else key
-        self._published.add(gid)
+        self._published.add(split_key(key)[0])
 
     def set_buddy(self, buddy: int) -> None:
         """Re-point replication after the ring changed (a node died)."""
@@ -225,12 +216,12 @@ class FtNodeAgent:
             return
         if not force:
             units = [u for u in units
-                     if self._repl_versions.get(unit_key(u), -1)
+                     if self._repl_versions.get(key_of(u), -1)
                      < u["version"]]
             if not units:
                 return
         for u in units:
-            key = unit_key(u)
+            key = key_of(u)
             self._repl_versions[key] = max(
                 self._repl_versions.get(key, -1), u["version"])
         size = HEADER_BYTES + sum(24 + len(u["data"]) for u in units)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..dsm.directory import home_of
-from ..dsm.objectstate import ObjState
+from ..dsm.objectstate import ObjState, split_key
 from ..dsm.protocol import (
     M_DIFF,
     M_DIFF_ACK,
@@ -480,9 +480,9 @@ class LocalityAgent:
         if writer == self.node_id:
             return
         grants: List[Dict[str, Any]] = []
-        for gid, _diff, region in p["entries"]:
-            if region is not None or gid in self.dsm._regions:
-                continue  # regioned arrays keep their static home
+        for gid, _diff, _region in p["entries"]:
+            if self.dsm.is_split(gid):
+                continue  # split arrays keep their static home
             self.profiler.note_diff(gid, writer)
             if self.dsm.home_node(gid) != self.node_id:
                 continue
@@ -519,11 +519,11 @@ class LocalityAgent:
         next reads will miss on — bulk-fetch them per home."""
         by_home: Dict[int, List[int]] = {}
         for n in notices:
-            gid = n.gid
-            if isinstance(gid, tuple):
-                continue  # regioned units fault in per region
+            gid, region = split_key(n.gid)
+            if region is not None or self.dsm.is_split(gid):
+                continue  # a split array's units fault in per region
             obj = self.dsm.cache.get(gid)
-            if obj is None or gid in self.dsm._regions:
+            if obj is None:
                 continue
             hdr = obj.header
             if hdr is None or hdr.state != ObjState.INVALID:

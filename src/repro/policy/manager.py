@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..dsm.objectstate import ObjState
+from ..dsm.objectstate import ObjState, split_key
 from ..locality.profiler import (
     DIFF,
     FETCH,
@@ -297,7 +297,7 @@ class PolicyAgent:
         if bulk or hdr is None or hdr.state != ObjState.HOME:
             return
         gid = hdr.gid
-        if region is not None or gid in self.dsm._regions:
+        if self.dsm.is_split(gid):
             return
         if requester == self.node_id:
             return
@@ -313,8 +313,8 @@ class PolicyAgent:
         p = msg.payload
         writer = p["writer"]
         grants: List[Dict[str, Any]] = []
-        for gid, _diff, region in p["entries"]:
-            if region is not None or gid in self.dsm._regions:
+        for gid, _diff, _region in p["entries"]:
+            if self.dsm.is_split(gid):
                 continue
             if writer != self.node_id:
                 self._note_event(gid, DIFF, writer)
@@ -342,7 +342,7 @@ class PolicyAgent:
         if writer != self.node_id:
             return
         for key, _version in advanced:
-            if isinstance(key, tuple):
+            if self.dsm.is_split(split_key(key)[0]):
                 continue
             policy = self.manager.policy_of(key)
             if policy == POLICY_UPDATE:
@@ -412,7 +412,7 @@ class PolicyAgent:
     # Push / broadcast install (receiver side)
     # ------------------------------------------------------------------
     def _install_ok(self, gid: int, version: int) -> bool:
-        if gid in self.dsm._regions:
+        if self.dsm.is_split(gid):
             return False
         if (gid, None) in self.dsm._fetch_waiters:
             # A demand fetch is in flight; its reply must not find the
@@ -475,7 +475,7 @@ class PolicyAgent:
         wire bytes the grant adds to the token frame."""
         if self.manager.policy_of(gid) != POLICY_MIGRATORY:
             return 0
-        if req.node == self.node_id or gid in self.dsm._regions:
+        if req.node == self.node_id or self.dsm.is_split(gid):
             return 0
         if self.dsm.home_node(gid) != self.node_id:
             return 0

@@ -220,6 +220,10 @@ class RuntimeConfig:
                     "ft_enabled requires reliable_transport=True (the "
                     "failure detector rides on the ARQ layer)"
                 )
+        region_elems = self.dsm.array_region_elems
+        if region_elems is not None and region_elems < 1:
+            raise ValueError(
+                "dsm.array_region_elems (--region-elems) must be >= 1")
         if self.dsm.timestamp_mode != "scalar":
             # Everything beyond the base protocol is built on MTS-HLRC.
             for knob, on in (("ft_enabled", self.ft_enabled),

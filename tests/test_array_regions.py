@@ -217,3 +217,27 @@ def test_regions_compose_with_vector_mode():
         rewrite_application(compile_source(BLOCK_WRITE)), cfg
     ).run()
     assert rep.result == sum(i * 2 for i in range(200))
+
+
+# Region mode composed with every service that ships coherency units:
+# each must stay oracle- and monitor-clean and agree with the same sweep
+# run with whole-array units.
+@pytest.mark.parametrize("options", [
+    dict(kill="random"),
+    dict(locality="all"),
+    dict(policy="all"),
+    dict(backend="proc"),
+    dict(jit=True),
+    dict(kill="random", locality="all", policy="all", jit=True),
+], ids=["kill", "locality", "policy", "proc", "jit", "all-sim"])
+def test_regions_compose_with_unit_shipping_services(options):
+    from repro.check.runner import run_check
+
+    whole = run_check(app="tsp", seeds=1, **options)
+    split = run_check(app="tsp", seeds=2, region_elems=4, **options)
+    for report in (whole, split):
+        assert report.ok, report.summary()
+        assert not any(r.violations for r in report.results)
+    assert split.results[0].result_matches == whole.results[0].result_matches
+    assert split.results[0].installs_checked > \
+        whole.results[0].installs_checked  # the regions were live

@@ -158,7 +158,7 @@ def test_oracle_catches_corrupted_master():
             hdr = obj.header
             if hdr is None or hdr.state != ObjState.HOME:
                 continue
-            if gid in dsm._regions or gid in dsm._dirty_home:
+            if dsm.is_split(gid) or gid in dsm._dirty_home:
                 continue
             if hdr.version not in oracle._golden.get(gid, {}):
                 continue

@@ -223,6 +223,16 @@ def test_bench_rejects_flags_a_bench_mode_owns(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elems", ["0", "-3"])
+def test_region_size_below_one_is_a_usage_error(elems, capsys):
+    # Used to run, die in promote / the region lookup, and report the
+    # crash as a failed seed (exit 1).
+    assert main(["check", "--app", "series", "--seeds", "1",
+                 "--region-elems", elems]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--region-elems" in err
+
+
 # ---------------------------------------------------------------------------
 # check/bench specifics
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from repro.dsm import (
     home_of,
 )
 from repro.dsm.diffs import apply_diff, compute_diff, make_twin
-from repro.dsm.objectstate import ObjState
+from repro.dsm.objectstate import (DSMHeader, ObjState, RegionInfo, Unit,
+                                   split_key, unit_key)
 from repro.dsm.serialization import (
     K_DOUBLE,
     K_INT,
@@ -255,6 +256,11 @@ def test_serialize_layout_mismatch_rejected():
         serialize_object(obj, POINT_SPEC, res)
 
 
+# The slot ranges the array routines are run over: the whole object (the
+# default) and an interior slice [lo, hi) — a §4.3 array region.
+WHOLE = (0, None)
+
+
 def test_int_array_roundtrip():
     res = FakeResolver()
     arr = ArrayObj("int", 5)
@@ -263,6 +269,23 @@ def test_int_array_roundtrip():
     out = ArrayObj("int", 0)
     deserialize_any(out, None, data, res)
     assert out.data == [1, -2, 3, 0, 7]
+
+
+@pytest.mark.parametrize("lo,hi", [WHOLE, (10, 20)], ids=["whole", "slice"])
+def test_double_array_range_roundtrip(lo, hi):
+    """A slice installs in place and touches nothing outside [lo, hi);
+    the whole array is the same call with the default range."""
+    res = FakeResolver()
+    arr = ArrayObj("double", 50)
+    arr.data = [float(i) for i in range(50)]
+    data = serialize_any(arr, None, res, lo, hi)
+    out = ArrayObj("double", 50)
+    deserialize_any(out, None, data, res, lo)
+    assert out.data[lo:hi] == arr.data[lo:hi]
+    if (lo, hi) != WHOLE:
+        assert out.data[10:20] == [float(i) for i in range(10, 20)]
+        assert out.data[0] == 0.0 and out.data[20] == 0.0
+    assert len(out.data) == 50
 
 
 def test_ref_array_roundtrip_creates_stubs():
@@ -306,6 +329,11 @@ def test_no_change_yields_none():
     obj = FakeObj("Point", [1, 2.0, "a", None])
     twin = make_twin(obj)
     assert compute_diff(obj, twin, POINT_SPEC, res) is None
+    # Likewise a slot range whose only writes fall outside it.
+    arr = ArrayObj("int", 64)
+    twin = make_twin(arr, 0, 32)
+    arr.data[40] = 7
+    assert compute_diff(arr, twin, None, res, 0, 32) is None
 
 
 def test_diff_multiple_writers_merge_disjoint_fields():
@@ -321,15 +349,26 @@ def test_diff_multiple_writers_merge_disjoint_fields():
     assert master.fields == [5, 7.5, None, None]
 
 
-def test_array_diff_roundtrip():
+@pytest.mark.parametrize("elem,n,lo,hi,writes,in_diff", [
+    ("double", 4) + WHOLE + ({2: 9.5}, 1),
+    ("int", 100, 32, 64, {40: 7, 63: 9, 10: 99}, 2),
+], ids=["whole", "slice"])
+def test_array_diff_roundtrip(elem, n, lo, hi, writes, in_diff):
+    """Diff indices are relative to ``lo``; a write outside [lo, hi) is
+    not in the diff of that range."""
     res = FakeResolver()
-    arr = ArrayObj("double", 4)
-    twin = make_twin(arr)
-    arr.data[2] = 9.5
-    diff = compute_diff(arr, twin, None, res)
-    master = ArrayObj("double", 4)
-    apply_diff(master, None, diff, res)
-    assert master.data == [0.0, 0.0, 9.5, 0.0]
+    arr = ArrayObj(elem, n)
+    twin = make_twin(arr, lo, hi)
+    for i, value in writes.items():
+        arr.data[i] = value
+    diff = compute_diff(arr, twin, None, res, lo, hi)
+    master = ArrayObj(elem, n)
+    assert apply_diff(master, None, diff, res, lo, hi) == in_diff
+    expected = ArrayObj(elem, n).data
+    for i, value in writes.items():
+        if lo <= i < (n if hi is None else hi):
+            expected[i] = value
+    assert master.data == expected
 
 
 def test_diff_ref_field_ships_gid():
@@ -409,89 +448,127 @@ def test_overlapping_diffs_apply_in_timestamp_order():
     assert m2.fields[0] == 5
 
 
-def test_diff_index_out_of_range_rejected():
+@pytest.mark.parametrize("lo,hi,short", [
+    WHOLE + (40,), (32, 64, 40), (32, 48, 64)],
+    ids=["whole", "slice", "past-hi"])
+def test_diff_index_out_of_range_rejected(lo, hi, short):
+    """A diff may name no slot past the master's end, nor past ``hi``."""
     res = FakeResolver()
-    big = ArrayObj("int", 8)
-    twin = make_twin(big)
-    big.data[6] = 3
-    diff = compute_diff(big, twin, None, res)
-    small = ArrayObj("int", 4)  # master shorter than the diff expects
+    big = ArrayObj("int", 64)
+    twin = make_twin(big, lo, 64)
+    big.data[60] = 1
+    diff = compute_diff(big, twin, None, res, lo, 64)
+    master = ArrayObj("int", short)  # shorter than the diff expects
     with pytest.raises(SerializationError, match="out of range"):
-        apply_diff(small, None, diff, res)
-
-
-def test_region_diff_index_out_of_range_rejected():
-    from repro.dsm.diffs import apply_region_diff, compute_region_diff, \
-        make_region_twin
-
-    res = FakeResolver()
-    arr = ArrayObj("int", 64)
-    twin = make_region_twin(arr, 32, 64)
-    arr.data[60] = 1
-    diff = compute_region_diff(arr, 32, twin, res)
-    short = ArrayObj("int", 40)
-    with pytest.raises(SerializationError, match="out of range"):
-        apply_region_diff(short, 32, diff, res)
-
-
-def test_empty_region_diff_is_none():
-    from repro.dsm.diffs import compute_region_diff, make_region_twin
-
-    res = FakeResolver()
-    arr = ArrayObj("int", 64)
-    twin = make_region_twin(arr, 0, 32)
-    arr.data[40] = 7  # write outside the region only
-    assert compute_region_diff(arr, 0, twin, res) is None
+        apply_diff(master, None, diff, res, lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# Array-region bookkeeping (§4.3 extension)
+# Coherency units: one record, one key (§4.3 extension)
 # ---------------------------------------------------------------------------
+def test_unit_keys_pack_and_unpack():
+    assert unit_key(7) == 7 and split_key(7) == (7, None)
+    assert unit_key(7, 0) == (7, 0) and split_key((7, 0)) == (7, 0)
+    assert split_key(unit_key(9, 3)) == (9, 3)
+
+
+def test_header_and_region_records_are_one_kind_of_record():
+    hdr = DSMHeader("Point")
+    reg = RegionInfo(100, 32, ObjState.INVALID, 0)
+    for rec in (hdr, reg.units[0]):
+        assert isinstance(rec, Unit)
+        assert rec.twin is None and rec.version == 0
+        rec.state, rec.version, rec.twin = ObjState.VALID, 4, [1]
+    assert hdr.state == reg.units[0].state == ObjState.VALID
+    assert reg.units[1].state == ObjState.INVALID  # one record per region
+
+
 def test_region_info_bounds_and_mapping():
-    from repro.dsm.protocol import RegionInfo
-    from repro.dsm.objectstate import ObjState
-
-    reg = RegionInfo(elems=32, states=[ObjState.INVALID] * 4,
-                     versions=[0] * 4)
-    assert reg.n_regions == 4
+    reg = RegionInfo(100, 32, ObjState.INVALID, 0)
+    assert len(reg.units) == 4
     assert reg.region_of(0) == 0
     assert reg.region_of(31) == 0
     assert reg.region_of(32) == 1
     assert reg.region_of(127) == 3
+    assert reg.region_of(128) is None and reg.region_of(-1) is None
     assert reg.bounds(0, 100) == (0, 32)
     assert reg.bounds(3, 100) == (96, 100)  # trailing partial region
 
 
-def test_region_diff_roundtrip_local_indices():
-    from repro.dsm.diffs import (
-        apply_region_diff, compute_region_diff, make_region_twin,
-    )
-    from repro.jvm.heap import ArrayObj
-
+# ---------------------------------------------------------------------------
+# Format pins: the bytes on the wire, fixed across refactors
+# ---------------------------------------------------------------------------
+def _pinned_heap():
     res = FakeResolver()
-    arr = ArrayObj("int", 100)
-    twin = make_region_twin(arr, 32, 64)
-    arr.data[40] = 7
-    arr.data[63] = 9
-    arr.data[10] = 99  # outside the region: must not appear in the diff
-    diff = compute_region_diff(arr, 32, twin, res)
-    master = ArrayObj("int", 100)
-    n = apply_region_diff(master, 32, diff, res)
-    assert n == 2
-    assert master.data[40] == 7 and master.data[63] == 9
-    assert master.data[10] == 0
+    other = FakeObj("Point", [1, 1.0, None, None])
+    obj = FakeObj("Point", [42, 3.25, "hi", other])
+    ints = ArrayObj("int", 6)
+    ints.data = [1, -2, 3, 0, 7, 1 << 40]
+    refs = ArrayObj("Point", 3)
+    refs.data = [other, None, obj]
+    return res, other, obj, ints, refs
 
 
-def test_region_serialize_roundtrip():
-    from repro.dsm.diffs import deserialize_region, serialize_region
-    from repro.jvm.heap import ArrayObj
+def test_serialization_bytes_pinned():
+    res, _other, obj, ints, refs = _pinned_heap()
+    assert serialize_any(obj, POINT_SPEC, res).hex() == (
+        "000000000000002a" "400a000000000000" "01000000026869"
+        "000001000000000100000002")
+    assert serialize_any(ints, None, res).hex() == (
+        "00000006" "0000000000000001" "fffffffffffffffe" "0000000000000003"
+        "0000000000000000" "0000000000000007" "0000010000000000")
+    assert serialize_any(refs, None, res).hex() == (
+        "00000003" "000001000000000100000002" "000000000000000000000000"
+        "000001000000000200000002")
+    assert serialize_any(ints, None, res, 2, 5).hex() == (
+        "00000003" "0000000000000003" "0000000000000000" "0000000000000007")
 
-    res = FakeResolver()
-    arr = ArrayObj("double", 50)
-    for i in range(50):
-        arr.data[i] = float(i)
-    data = serialize_region(arr, 10, 20, res)
-    out = ArrayObj("double", 50)
-    deserialize_region(out, 10, data, res)
-    assert out.data[10:20] == [float(i) for i in range(10, 20)]
-    assert out.data[0] == 0.0 and out.data[20] == 0.0
+
+def test_diff_bytes_pinned():
+    res, other, obj, ints, refs = _pinned_heap()
+    res.gid_for(other)
+    res.gid_for(obj)
+    twin = make_twin(obj)
+    obj.fields[0] = 7
+    obj.fields[2] = None
+    obj.fields[3] = None
+    assert compute_diff(obj, twin, POINT_SPEC, res).hex() == (
+        "00000003" "00000000" "0000000000000007" "00000002" "00"
+        "00000003" "000000000000000000000000")
+    twin = make_twin(ints)
+    ints.data[1] = 5
+    ints.data[4] = -1
+    assert compute_diff(ints, twin, None, res).hex() == (
+        "00000002" "00000001" "0000000000000005"
+        "00000004" "ffffffffffffffff")
+    twin = make_twin(refs)
+    refs.data[1] = other
+    refs.data[0] = None
+    assert compute_diff(refs, twin, None, res).hex() == (
+        "00000002" "00000000" "000000000000000000000000"
+        "00000001" "000001000000000100000002")
+    # An interior slice: indices are relative to lo, and the write at
+    # [1] (outside [2, 5)) is not in it.
+    _res, _other, _obj, ints, _refs = _pinned_heap()
+    twin = make_twin(ints, 2, 5)
+    ints.data[1] = 5
+    ints.data[4] = -1
+    ints.data[2] = 9
+    assert compute_diff(ints, twin, None, res, 2, 5).hex() == (
+        "00000002" "00000000" "0000000000000009"
+        "00000002" "ffffffffffffffff")
+
+
+def test_whole_array_is_the_slice_zero_to_len():
+    """A whole array and its slice [0, len) encode identically — which
+    is what lets one serializer and one differ serve both unit kinds."""
+    res, _other, _obj, ints, refs = _pinned_heap()
+    for arr in (ints, refs):
+        n = len(arr.data)
+        assert serialize_any(arr, None, res) \
+            == serialize_any(arr, None, res, 0, n)
+        twin = make_twin(arr)
+        assert twin == make_twin(arr, 0, n)
+        arr.data[1], arr.data[2] = arr.data[2], arr.data[0]
+        assert compute_diff(arr, twin, None, res) \
+            == compute_diff(arr, twin, None, res, 0, n) is not None

@@ -233,7 +233,7 @@ def _grant_round_trip(src, pick):
 
 def _pick_home(dsm, want_array):
     for gid, obj in sorted(dsm.cache.items()):
-        if gid in dsm._regions or obj.header is None:
+        if dsm.is_split(gid) or obj.header is None:
             continue
         if obj.header.state != ObjState.HOME:
             continue

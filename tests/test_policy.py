@@ -450,7 +450,7 @@ def test_oracle_catches_corrupted_push():
     # the oracle must flag the unknown version.
     d0, d1 = rt.workers[0].dsm, rt.workers[1].dsm
     gid = next(g for g, obj in sorted(d0.cache.items())
-               if g not in d0._regions and obj.header is not None
+               if not d0.is_split(g) and obj.header is not None
                and obj.header.state == ObjState.HOME
                and d1.cache.get(g) is not None
                and d1.cache[g].header.state != ObjState.HOME)
@@ -473,7 +473,7 @@ def test_stale_push_is_skipped_by_install_guards():
     rt.run()
     d0, d1 = rt.workers[0].dsm, rt.workers[1].dsm
     gid = next(g for g, obj in sorted(d0.cache.items())
-               if g not in d0._regions and obj.header is not None
+               if not d0.is_split(g) and obj.header is not None
                and obj.header.state == ObjState.HOME
                and d1.cache.get(g) is not None
                and d1.cache[g].header.state != ObjState.HOME)

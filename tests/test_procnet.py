@@ -68,7 +68,7 @@ def heap_fingerprint(runtime: JavaSplitRuntime) -> Dict[int, Tuple]:
                 ("localref",) if isinstance(v, tuple) and v
                 and v[0] == "localref" else v
                 for v in normalize_slots(
-                    SingleCopyOracle._unit_slots(dsm, obj, None)))
+                    SingleCopyOracle._unit_slots(dsm, gid)))
             snap[gid] = (type(obj).__name__, hdr.version, slots)
     return snap
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dsm import DsmConfig
 from repro.jvm import JVM, bootstrap_classfiles
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
@@ -144,6 +145,10 @@ def test_config_validation():
     {"net_jitter_ns": -1},
     {"scheduler": "fastest"},   # used to surface from the scheduler factory
     {"cost_profile": "macro"},  # used to surface as a bare KeyError
+    # used to die in promote (ZeroDivisionError) / the region lookup
+    # (IndexError), reported as a failed seed
+    {"dsm": DsmConfig(array_region_elems=0)},
+    {"dsm": DsmConfig(array_region_elems=-3)},
 ])
 def test_config_rejects_values_that_hang_or_fail_late(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
