@@ -1,17 +1,18 @@
 """Protocol invariant monitor for the MTS-HLRC engine.
 
 Attaches to every :class:`~repro.dsm.protocol.DsmEngine` of a runtime and
-observes the protocol from the outside — it wraps hook methods and
-message handlers but keeps its own independent bookkeeping (e.g. its own
-ledger of unacked diffs), so a protocol mutation that corrupts the
-engine's internal counters is still caught.
+observes the protocol from the outside — it subscribes to the engine's
+and the transport's hook points (:mod:`repro.hooks`) but keeps its own
+independent bookkeeping (e.g. its own ledger of unacked diffs), so a
+protocol mutation that corrupts the engine's internal counters is still
+caught.
 
 Invariants checked (violations are collected, or raised with
 ``strict=True``):
 
 ``release-flush``
-    A release point (``end_interval``) leaves no pending twinned writes
-    behind — the diff flush of §3 is not skippable.
+    A release point (monitor exit, ``wait``) leaves no pending twinned
+    writes behind — the diff flush of §3 is not skippable.
 ``fence``
     In scalar-timestamp mode a lock token never leaves a node while that
     node has diffs that are not yet acknowledged by their homes (the
@@ -19,7 +20,8 @@ Invariants checked (violations are collected, or raised with
     diff/ack ledger.
 ``version-monotonic``
     A home's per-coherency-unit version advances by exactly one per
-    applied diff and never regresses in fetch replies.
+    applied diff and never regresses in what it ships (fetch replies,
+    grants, pushes).
 ``diff-base``
     A diff is only applied to a master that is at least as new as the
     twin the diff was computed against.
@@ -46,10 +48,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..dsm.objectstate import ObjState, unit_key
+from ..dsm.objectstate import ObjState, split_key, unit_key
 from ..dsm.directory import home_of
-from ..dsm.protocol import M_DIFF, M_FT_REDIFF, SCALAR, DsmEngine
-from ..net.message import M_LOC_FWD_DIFF, M_POL_BCAST, M_POL_PUSH, Message
+from ..dsm.protocol import (M_DIFF, M_DIFF_ACK, M_FT_REDIFF,
+                            M_FT_REDIFF_ACK, SCALAR, DsmEngine)
+from ..net.message import M_FT_NOTICES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.javasplit import JavaSplitRuntime
@@ -106,23 +109,18 @@ class InvariantMonitor:
     @classmethod
     def attach(cls, runtime: "JavaSplitRuntime",
                strict: bool = False) -> "InvariantMonitor":
-        """Instrument every worker of a runtime; returns the monitor."""
+        """Observe every worker of a runtime; returns the monitor."""
         monitor = cls(strict=strict)
         monitor._engine = runtime.engine
         monitor._runtime = runtime
         for worker in runtime.workers:
-            monitor._wrap(worker.dsm)
-            monitor._workers.append(worker)
-        # Instrument late joiners too (same invariants apply to them).
-        runtime.worker_added_hooks.append(monitor._on_worker_added)
+            monitor._subscribe(worker)
+        # Late joiners too (the same invariants apply to them).
+        runtime.worker_added_hooks.append(monitor._subscribe)
         obs = getattr(runtime, "obs", None)
         if obs is not None and getattr(obs, "flight_enabled", False):
             monitor.on_violation = obs.dump_on_violation
         return monitor
-
-    def _on_worker_added(self, worker: Any) -> None:
-        self._wrap(worker.dsm)
-        self._workers.append(worker)
 
     # ------------------------------------------------------------------
     def report(self, node: int, kind: str, detail: str) -> None:
@@ -147,328 +145,224 @@ class InvariantMonitor:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Instrumentation
+    # Instrumentation: one subscriber per hook point, every one passive
     # ------------------------------------------------------------------
-    def _wrap(self, dsm: DsmEngine) -> None:
+    def _subscribe(self, worker: Any) -> None:
+        self._workers.append(worker)
+        dsm = worker.dsm
         node = dsm.node_id
+        transport = dsm.transport
         scalar = dsm.config.timestamp_mode == SCALAR
-        # With the adaptive-locality subsystem on, a diff can be split
-        # (entries homed elsewhere are forwarded, not applied here) and
-        # a migration grant can advance the version past the +1 the
-        # plain apply produces — the per-entry checks adapt below.
+        # With the adaptive-locality subsystem on, a grantee drops its
+        # own pre-grant diffs when they come back forwarded (they are
+        # already folded into the master it installed).
         locality = self._runtime.locality
         loc = None if locality is None else locality.agents.get(node)
-        has_loc = loc is not None
-        self._unacked.setdefault(node, set())
-        self._cu_keys.setdefault(node, set())
+        unacked = self._unacked.setdefault(node, set())
+        bases = self._bases
+        table = dsm.notice_table
+        # The one-notice-per-CU bound is the MTS (scalar) claim; vector
+        # timestamps legitimately keep one notice per (CU, writer).
+        bounded = table.mode == "bounded" and scalar
+        keys = self._cu_keys.setdefault(node, set())
+        # The diff batch being delivered here and the versions it found.
+        batch = found = None
+
+        def note_noticed(noticed):
+            """Coherency units this node is being told about; the table
+            must not hold more notices than units it has heard of."""
+            if not bounded:
+                return
+            keys.update(noticed)
+            if table.stored_notices > len(keys):
+                self.report(node, "bounded-notices",
+                            f"{table.stored_notices} notices stored for "
+                            f"{len(keys)} coherency units")
 
         # --- promote: single-home claims -----------------------------
-        promote = dsm.promote
+        def on_promote(ref, gid):
+            if home_of(gid) != node:
+                self.report(node, "single-home",
+                            f"promoted gid {gid:#x} homed at node "
+                            f"{home_of(gid)}")
+            prior = self._home_claims.setdefault(gid, node)
+            if prior != node:
+                self.report(node, "single-home",
+                            f"gid {gid:#x} already claimed by node "
+                            f"{prior}")
 
-        def checked_promote(ref):
-            fresh = ref.header is None or not ref.header.gid
-            gid = promote(ref)
-            if fresh:
-                if home_of(gid) != node:
-                    self.report(node, "single-home",
-                                f"promoted gid {gid:#x} homed at node "
-                                f"{home_of(gid)}")
-                prior = self._home_claims.setdefault(gid, node)
-                if prior != node:
-                    self.report(node, "single-home",
-                                f"gid {gid:#x} already claimed by node "
-                                f"{prior}")
-            return gid
-
-        dsm.promote = checked_promote
-
-        # --- end_interval: releases must flush -----------------------
-        end_interval = dsm.end_interval
-
-        def checked_end_interval(thread):
-            end_interval(thread)
+        # --- release points must flush -------------------------------
+        def on_sync_scope(entering):
+            # Leaving a release / wait scope (a token arrival's scope
+            # runs inside that token's delivery and flushes nothing).
+            if entering or transport.delivering is not None:
+                return
             if dsm._dirty or dsm._dirty_home:
                 left = list(dsm._dirty) + list(dsm._dirty_home)
                 self.report(node, "release-flush",
                             f"release left unflushed writes: {left}")
 
-        dsm.end_interval = checked_end_interval
-
-        # --- transport.send: diff ledger + twin base capture ---------
-        transport_send = dsm.transport.send
-
-        def checked_send(dst, msg_type, payload=None, size_bytes=0):
-            if msg_type == M_DIFF:
-                self._unacked[node].add(payload["ack_id"])
-                for gid, _diff, region in payload["entries"]:
+        # --- outbound: diff ledger + twin base capture ---------------
+        def on_outbound(msg):
+            if msg.msg_type == M_DIFF:
+                unacked.add(msg.payload["ack_id"])
+                for gid, _diff, region in msg.payload["entries"]:
                     key = unit_key(gid, region)
-                    self._bases.setdefault((node, key), deque()).append(
+                    bases.setdefault((node, key), deque()).append(
                         self._version_of(dsm, key))
-            elif msg_type == M_FT_REDIFF:
+            elif msg.msg_type == M_FT_REDIFF:
                 # Recovery re-sends an already-ledgered diff to the
                 # adoptive home; same ack id, so the set-add is a no-op
                 # and the twin bases must not be re-queued.
-                self._unacked[node].add(payload["ack_id"])
-            return transport_send(dst, msg_type, payload, size_bytes)
+                unacked.add(msg.payload["ack_id"])
+            return False
 
-        dsm.transport.send = checked_send
+        # --- deliver: ack ledger, and the versions a diff batch finds -
+        def on_deliver(msg):
+            nonlocal batch, found
+            mtype = msg.msg_type
+            p = msg.payload
+            if mtype == M_DIFF_ACK or mtype == M_FT_REDIFF_ACK:
+                ack_id = p["ack_id"]
+                # A rediff ack can lose the race against the original
+                # ack; the engine ignores it then, and so does the ledger.
+                if mtype == M_DIFF_ACK and ack_id not in unacked:
+                    self.report(node, "fence",
+                                f"ack for unknown diff {ack_id} observed")
+                unacked.discard(ack_id)
+                note_noticed(key for key, _version in p["versions"])
+            elif mtype == M_FT_NOTICES:
+                note_noticed(key for key, _version in p["notices"])
+            elif "entries" in p and mtype != M_FT_REDIFF:
+                # A diff batch (direct, or forwarded by the old home of
+                # a migrated unit): snapshot the versions it finds; the
+                # entries applied here come back in ``home_advance``.
+                # A recovery re-apply of a batch the dead home may have
+                # applied already is not held to the +1 / twin-base rules.
+                writer = p["writer"]
+                found = {}
+                for gid, _diff, region in p["entries"]:
+                    key = unit_key(gid, region)
+                    if (loc is not None and region is None
+                            and dsm.home_node(gid) == node
+                            and loc.folds_own_diff(gid, writer)):
+                        # Dropped, not applied: settle the twin-base
+                        # FIFO slot, expect no version movement.
+                        fifo = bases.get((writer, key))
+                        if fifo:
+                            fifo.popleft()
+                        continue
+                    found[key] = self._version_of(dsm, key)
+                batch = msg
 
         # --- diff apply at home --------------------------------------
-        # Wrap the *registered* handler (not the engine method) so
-        # several observers compose in attach order.
-        on_diff = dsm.transport._handlers[M_DIFF]
-
-        def pre_applied_entries(payload):
-            """Version snapshot of the entries this node will apply
-            (skipping entries a locality split forwards elsewhere);
-            also returns the keys the locality agent will DROP because
-            they are this node's own pre-grant diffs, already folded
-            into the master it installed."""
-            pre = {}
-            folded = set()
-            for gid, _diff, region in payload["entries"]:
-                # Only whole-object units ever migrate.
-                migratable = has_loc and region is None
-                if migratable and dsm.home_node(gid) != node:
-                    continue  # forwarded to the migrated home, not applied
-                key = unit_key(gid, region)
-                if migratable and loc.folds_own_diff(gid, payload["writer"]):
-                    folded.add(key)
-                pre[key] = self._version_of(dsm, key)
-            return pre, folded
-
-        def post_applied_entries(payload, pre, folded):
-            """Version and twin-base checks after a diff apply; shared
-            by M_DIFF and the locality forward."""
-            writer = payload["writer"]
-            for key, before in pre.items():
-                fifo = self._bases.get((writer, key))
-                if key in folded:
-                    # Dropped, not applied: settle the twin-base FIFO
-                    # slot but expect no version movement.
-                    if fifo:
-                        fifo.popleft()
+        def on_home_advance(advanced, writer):
+            note_noticed(key for key, _version in advanced)
+            if batch is None or batch is not transport.delivering \
+                    or writer is None:
+                return  # the home's own flush, or a grant's pending write
+            for key, after in advanced:
+                before = found.pop(key, None)
+                if before is None:
                     continue
-                after = self._version_of(dsm, key)
-                # A migration grant resolves the home's own pending
-                # write on top of the apply, so +2 is legitimate with
-                # locality on; regression never is.
-                bad = (after < before + 1) if has_loc \
-                    else (after != before + 1)
-                if before is not None and bad:
+                if after != before + 1:
                     self.report(node, "version-monotonic",
                                 f"diff apply moved {key!r} "
                                 f"{before} -> {after}")
+                fifo = bases.get((writer, key))
                 if fifo:
                     base = fifo.popleft()
-                    if before is not None and before < base:
+                    if before < base:
                         self.report(node, "diff-base",
                                     f"diff for {key!r} from node {writer} "
                                     f"built on version {base} applied to "
                                     f"master at {before}")
 
-        def checked_on_diff(msg: Message):
-            pre, folded = pre_applied_entries(msg.payload)
-            on_diff(msg)
-            post_applied_entries(msg.payload, pre, folded)
-
-        self._replace_handler(dsm, M_DIFF, checked_on_diff)
-
-        # --- locality: forwarded diff applies at the migrated home ----
-        on_fwd_diff = dsm.transport._handlers.get(M_LOC_FWD_DIFF)
-        if on_fwd_diff is not None:
-            def checked_on_fwd_diff(msg: Message):
-                pre, folded = pre_applied_entries(msg.payload)
-                on_fwd_diff(msg)
-                post_applied_entries(msg.payload, pre, folded)
-
-            self._replace_handler(dsm, M_LOC_FWD_DIFF,
-                                  checked_on_fwd_diff)
-
-        # --- diff acks: ledger settle --------------------------------
-        from ..dsm.protocol import M_DIFF_ACK, M_FT_REDIFF_ACK
-
-        on_diff_ack = dsm.transport._handlers[M_DIFF_ACK]
-
-        def checked_on_diff_ack(msg: Message):
-            ack_id = msg.payload["ack_id"]
-            if ack_id not in self._unacked[node]:
-                self.report(node, "fence",
-                            f"ack for unknown diff {ack_id} observed")
-            self._unacked[node].discard(ack_id)
-            on_diff_ack(msg)
-
-        dsm.transport._handlers[M_DIFF_ACK] = checked_on_diff_ack
-
-        on_rediff_ack = dsm.transport._handlers[M_FT_REDIFF_ACK]
-
-        def checked_on_rediff_ack(msg: Message):
-            # A rediff ack can lose the race against the original ack;
-            # the engine ignores it then, and so does the ledger.
-            self._unacked[node].discard(msg.payload["ack_id"])
-            on_rediff_ack(msg)
-
-        dsm.transport._handlers[M_FT_REDIFF_ACK] = checked_on_rediff_ack
-
         # --- token transfer: the scalar-timestamp fence --------------
-        send_token = dsm._send_token
-
-        def checked_send_token(st, req):
-            if scalar and self._unacked[node]:
+        def on_token_send(gid, req, payload):
+            if scalar and unacked:
                 self.report(node, "fence",
-                            f"token for gid {st.gid:#x} leaving with "
-                            f"{len(self._unacked[node])} unacked diff(s)")
-            send_token(st, req)
+                            f"token for gid {gid:#x} leaving with "
+                            f"{len(unacked)} unacked diff(s)")
+            return 0
 
-        dsm._send_token = checked_send_token
+        def on_token_notices(notices):
+            note_noticed(notice.gid for notice in notices)
 
         # --- fetch path ----------------------------------------------
-        start_fetch = dsm._start_fetch
+        def on_block(thread, kind, gid, region, carrier):
+            if kind == "fetch" and scalar:
+                key = unit_key(gid, region)
+                self._required[(node, key)] = table.required_scalar(key)
 
-        def checked_start_fetch(thread, hdr, region=None):
-            key = unit_key(hdr.gid, region)
-            if scalar:
-                self._required[(node, key)] = \
-                    dsm.notice_table.required_scalar(key)
-            start_fetch(thread, hdr, region)
-
-        dsm._start_fetch = checked_start_fetch
-
-        serve_fetch = dsm._serve_fetch
-
-        def checked_serve_fetch(requester, obj, region=None):
-            key = unit_key(obj.header.gid, region)
-            version = self._version_of(dsm, key)
-            last = self._served.get(key)
-            if last is not None and version is not None and version < last:
+        def on_unit_shipped(key, unit):
+            version = unit["version"]
+            last = self._served.get(key, 0)
+            if version < last:
                 self.report(node, "version-monotonic",
                             f"home served {key!r} at version {version} "
                             f"after serving {last}")
-            if version is not None:
-                self._served[key] = max(self._served.get(key, 0), version)
-            serve_fetch(requester, obj, region)
+            else:
+                self._served[key] = version
 
-        dsm._serve_fetch = checked_serve_fetch
-
-        # --- locality: bulk prefetch serves publish versions too ------
-        serve_bulk = dsm._serve_bulk
-
-        def checked_serve_bulk(requester, gids):
-            for gid in gids:
-                obj = dsm.cache.get(gid)
-                if obj is None or obj.header is None \
-                        or obj.header.state != ObjState.HOME \
-                        or dsm.is_split(gid):
-                    continue  # not served; the reply only echoes it
-                version = obj.header.version
-                last = self._served.get(gid)
-                if last is not None and version < last:
-                    self.report(node, "version-monotonic",
-                                f"bulk serve of gid {gid:#x} at version "
-                                f"{version} after serving {last}")
-                self._served[gid] = max(self._served.get(gid, 0), version)
-            return serve_bulk(requester, gids)
-
-        dsm._serve_bulk = checked_serve_bulk
-
-        # --- per-instant single-home across migrations/adoptions ------
-        # ft_install_master is the one door through which a master ever
-        # moves (migration grants and recovery adoptions both use it);
-        # right after it runs, no other live node may still hold a
-        # master of the same whole-object unit.
-        ft_install = dsm.ft_install_master
-
-        def checked_ft_install_master(unit):
-            ft_install(unit)
-            if unit.get("region") is None:
-                gid = unit["gid"]
+        def on_unit_installed(key, unit, role, before):
+            gid, region = split_key(key)
+            if role == ObjState.HOME:
+                # The one door through which a master ever moves
+                # (migration grants and recovery adoptions): right
+                # after it, no other live node may still hold a master
+                # of the same whole-object unit.
+                if region is not None:
+                    return
                 holders = []
                 for w in self._workers:
-                    if getattr(w, "dead", False):
-                        continue
                     obj = w.dsm.cache.get(gid)
-                    if obj is not None and obj.header is not None \
-                            and obj.header.state == ObjState.HOME:
+                    if (not w.dead and obj is not None
+                            and obj.header.state == ObjState.HOME):
                         holders.append(w.node_id)
                 if len(holders) > 1:
                     self.report(node, "single-home",
                                 f"gid {gid:#x} has master copies on "
                                 f"nodes {holders} at install")
-
-        dsm.ft_install_master = checked_ft_install_master
-
-        from ..dsm.protocol import M_FETCH_REPLY
-
-        on_fetch_reply = dsm.transport._handlers[M_FETCH_REPLY]
-
-        def checked_on_fetch_reply(msg: Message):
-            p = msg.payload
-            key = unit_key(p["gid"], p.get("region"))
-            before = self._version_of(dsm, key)
-            on_fetch_reply(msg)
-            version = p["version"]
-            if before is not None and version < before:
-                self.report(node, "fetch-version",
-                            f"reply moved replica {key!r} backwards "
-                            f"{before} -> {version}")
+                return
+            was_state, was = before
+            version = unit["version"]
+            if (gid, region) in dsm._fetch_targets:
+                # The reply to a fetch (or prefetch) this node issued.
+                if version < was:
+                    self.report(node, "fetch-version",
+                                f"reply moved replica {key!r} backwards "
+                                f"{was} -> {version}")
+            else:
+                # Unsolicited (a policy push / broadcast): never moves
+                # a replica backwards and never touches a master.
+                if version < was:
+                    self.report(node, "version-monotonic",
+                                f"push moved replica gid {gid:#x} "
+                                f"backwards {was} -> {version}")
+                if was_state == ObjState.HOME:
+                    self.report(node, "single-home",
+                                f"push overwrote the master of gid "
+                                f"{gid:#x}")
             required = self._required.pop((node, key), None)
             if required is not None and version < required:
                 self.report(node, "fetch-version",
                             f"reply for {key!r} at version {version} "
                             f"below required {required}")
 
-        self._replace_handler(dsm, M_FETCH_REPLY, checked_on_fetch_reply)
-
-        # --- policy: a push/broadcast install never moves a replica
-        # backwards and never touches a master -------------------------
-        def checked_on_pol_push(msg: Message, _inner=None):
-            gid = msg.payload["gid"]
-            obj = dsm.cache.get(gid)
-            was_home = (obj is not None and obj.header is not None
-                        and obj.header.state == ObjState.HOME)
-            before = self._version_of(dsm, gid)
-            _inner(msg)
-            after = self._version_of(dsm, gid)
-            if before is not None and after is not None and after < before:
-                self.report(node, "version-monotonic",
-                            f"push moved replica gid {gid:#x} backwards "
-                            f"{before} -> {after}")
-            if was_home and after != before:
-                self.report(node, "single-home",
-                            f"push overwrote the master of gid {gid:#x}")
-
-        for mtype in (M_POL_PUSH, M_POL_BCAST):
-            pol_inner = dsm.transport._handlers.get(mtype)
-            if pol_inner is not None:
-                self._replace_handler(
-                    dsm, mtype,
-                    lambda msg, _inner=pol_inner:
-                    checked_on_pol_push(msg, _inner=_inner))
-
-        # --- bounded notice storage ----------------------------------
-        table = dsm.notice_table
-        table_add = table.add
-        # The one-notice-per-CU bound is the MTS (scalar) claim; vector
-        # timestamps legitimately keep one notice per (CU, writer).
-        bounded = table.mode == "bounded" and scalar
-        keys = self._cu_keys[node]
-
-        def checked_add(notice):
-            advanced = table_add(notice)
-            keys.add(notice.gid)
-            if bounded and table.stored_notices > len(keys):
-                self.report(node, "bounded-notices",
-                            f"{table.stored_notices} notices stored for "
-                            f"{len(keys)} coherency units")
-            return advanced
-
-        table.add = checked_add
+        hooks = dsm.hooks
+        hooks.promote.append(on_promote)
+        hooks.sync_scope.append(on_sync_scope)
+        hooks.home_advance.append(on_home_advance)
+        hooks.token_send.append(on_token_send)
+        hooks.token_notices.append(on_token_notices)
+        hooks.block.append(on_block)
+        hooks.unit_shipped.append(on_unit_shipped)
+        hooks.unit_installed.append(on_unit_installed)
+        transport.hooks.outbound.append(on_outbound)
+        transport.hooks.deliver.append(on_deliver)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _replace_handler(dsm: DsmEngine, msg_type: str, wrapper) -> None:
-        dsm.transport._handlers[msg_type] = wrapper
-
     @staticmethod
     def _version_of(dsm: DsmEngine, key: Any) -> Optional[int]:
         """Current local version of a coherency unit (master or replica)."""

@@ -2,15 +2,17 @@
 
 The oracle maintains a *single-copy DSM*: a golden snapshot of every
 shared coherency unit at every version the protocol ever published
-(served in a fetch reply or produced by a diff application at the home).
+(shipped by a home in a fetch or prefetch reply, a grant or a push, or
+produced by a diff application at the home).
 Because the home applies diffs in a total order per coherency unit, this
 replay is exactly the state a trivial one-copy memory would hold after
 the same logical access/sync trace.
 
 Against that reference the oracle cross-checks:
 
-* **install integrity** — the data a cache installs from a fetch reply
-  is bit-identical to the golden state of the version the home served
+* **install integrity** — the data a cache installs (fetch and prefetch
+  replies, pushes) is bit-identical to the golden state of the version
+  the home shipped
   (catches transport corruption, mis-applied diffs, version mix-ups);
 * **final heap convergence** — when the run ends, every clean replica
   matches the golden state of its version, and every master matches the
@@ -24,6 +26,12 @@ them.  Replicas that were written locally since their last install are
 excluded from the final convergence check — their divergence from the
 base version is exactly the pending multiple-writer diff.
 
+The oracle is a plain subscriber of the engine's hook points
+(:mod:`repro.hooks`): ``unit_shipped`` and ``home_advance`` feed the
+golden store, ``unit_installed`` is where installs are checked, and the
+outbound ``M_DIFF`` marks a replica as written.  It names no subsystem
+and rebinds nothing.
+
 Use together with :class:`~repro.check.monitor.InvariantMonitor`; the
 runner (:mod:`repro.check.runner`) additionally compares the program's
 result and console output against an un-instrumented single-JVM run.
@@ -32,14 +40,11 @@ result and console output against an un-instrumented single-JVM run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..dsm.objectstate import ObjState, unit_key
-from ..dsm.protocol import M_DIFF, M_FETCH_REPLY, DsmEngine
+from ..dsm.objectstate import ObjState, split_key, unit_key
+from ..dsm.protocol import M_DIFF, M_FT_REDIFF, DsmEngine
 from ..jvm.heap import ArrayObj, Obj
-from ..net.message import (M_LOC_BULK_REPLY, M_LOC_FWD_DIFF, M_POL_BCAST,
-                           M_POL_PUSH, Message)
 from .monitor import Violation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +80,6 @@ class SingleCopyOracle:
         # detail) — the flight recorder hooks in here to dump postmortems.
         self.on_violation: Optional[Any] = None
         self._engine = None
-        self._runtime = None
         self._workers: List[Any] = []
         # key -> version -> list of acceptable normalized snapshots.
         self._golden: Dict[Any, Dict[int, List[Tuple[Any, ...]]]] = {}
@@ -89,22 +93,16 @@ class SingleCopyOracle:
     def attach(cls, runtime: "JavaSplitRuntime") -> "SingleCopyOracle":
         oracle = cls()
         oracle._engine = runtime.engine
-        oracle._runtime = runtime
         for worker in runtime.workers:
-            oracle._wrap(worker.dsm)
-            oracle._workers.append(worker)
-        # Workers that join mid-run publish versions too; without
-        # wrapping them their diffs would look "never published" to
-        # every prefetch/install check on the original nodes.
-        runtime.worker_added_hooks.append(oracle._on_worker_added)
+            oracle._subscribe(worker)
+        # Workers that join mid-run publish versions too; unobserved,
+        # their diffs would look "never published" to every install
+        # check on the original nodes.
+        runtime.worker_added_hooks.append(oracle._subscribe)
         obs = getattr(runtime, "obs", None)
         if obs is not None and getattr(obs, "flight_enabled", False):
             oracle.on_violation = obs.dump_on_violation
         return oracle
-
-    def _on_worker_added(self, worker: Any) -> None:
-        self._wrap(worker.dsm)
-        self._workers.append(worker)
 
     # ------------------------------------------------------------------
     def report(self, node: int, kind: str, detail: str) -> None:
@@ -142,226 +140,70 @@ class SingleCopyOracle:
             snaps.append(snapshot)
 
     # ------------------------------------------------------------------
-    def _wrap(self, dsm: DsmEngine) -> None:
+    def _subscribe(self, worker: Any) -> None:
+        """Observe one worker through the engine's hook points (see
+        :mod:`repro.hooks`); every subscriber only reads."""
+        self._workers.append(worker)
+        dsm = worker.dsm
         node = dsm.node_id
-        locality = self._runtime.locality
-        loc = None if locality is None else locality.agents.get(node)
-        has_loc = loc is not None
+        tainted = self._tainted
 
         def record_current(key):
             """A unit's current version and content become golden."""
             self._record(key, dsm.unit(key)[1].version, normalize_slots(
                 self._unit_slots(dsm, key)))
 
-        # --- home: serving a fetch publishes a version ----------------
-        serve_fetch = dsm._serve_fetch
+        def on_unit_shipped(key, unit):
+            # Home: whatever leaves for a reader or a new home (fetch
+            # and prefetch replies, grants, pushes) publishes the
+            # master's version.
+            record_current(key)
 
-        def recording_serve_fetch(requester, obj, region=None):
-            serve_fetch(requester, obj, region)
-            record_current(unit_key(obj.header.gid, region))
+        def on_home_advance(advanced, writer):
+            applying = dsm.transport.delivering
+            if applying is None:
+                # The home's own release-time flush: it becomes golden
+                # when it is first shipped; until then the master has
+                # diverged from everything published, like a replica
+                # written since its install (this keeps a split array's
+                # home-written regions out of the final check).
+                tainted.update((node, key) for key, _version in advanced)
+            elif writer is not None and applying.msg_type != M_FT_REDIFF:
+                # Home: applying a writer's diff batch creates a version.
+                # (A recovery re-apply can only inflate the version of
+                # content already published; a grant's pending write is
+                # published by the shipment that follows it.)
+                for key, _version in advanced:
+                    record_current(key)
 
-        dsm._serve_fetch = recording_serve_fetch
+        def on_outbound(msg):
+            # Cache: a flushed local write taints the replica -- it has
+            # diverged from its base version (multiple-writer).
+            if msg.msg_type == M_DIFF:
+                for gid, _diff, region in msg.payload["entries"]:
+                    tainted.add((node, unit_key(gid, region)))
+            return False
 
-        # --- home: applying a diff creates a version ------------------
-        # Wrap the registered handler so monitor + oracle compose.
-        on_diff = dsm.transport._handlers[M_DIFF]
-
-        def record_applied_entries(payload):
-            """Record the post-apply golden state of every entry this
-            node mastered; shared by M_DIFF and the locality forward."""
-            for gid, _diff, region in payload["entries"]:
-                obj = dsm.cache.get(gid)
-                if obj is None:  # pragma: no cover - _on_diff raised
-                    continue
-                # Only whole-object units ever migrate.
-                migratable = has_loc and region is None
-                if migratable and obj.header.state != ObjState.HOME:
-                    # Split/forwarded entry (not applied here) or one
-                    # granted away by the migration the apply triggered
-                    # (the grant wrap below records that version).
-                    continue
-                if migratable and loc.folds_own_diff(gid, payload["writer"]):
-                    # The agent dropped this entry: it is the node's own
-                    # pre-grant diff, already folded into the master it
-                    # installed — nothing new was published.
-                    continue
-                record_current(unit_key(gid, region))
-
-        def recording_on_diff(msg: Message):
-            on_diff(msg)
-            record_applied_entries(msg.payload)
-
-        dsm.transport._handlers[M_DIFF] = recording_on_diff
-
-        # --- locality: forwarded applies and migration grants ---------
-        on_fwd_diff = dsm.transport._handlers.get(M_LOC_FWD_DIFF)
-        if on_fwd_diff is not None:
-            def recording_on_fwd_diff(msg: Message,
-                                      _inner=on_fwd_diff):
-                _inner(msg)
-                record_applied_entries(msg.payload)
-
-            dsm.transport._handlers[M_LOC_FWD_DIFF] = recording_on_fwd_diff
-
-        if has_loc:
-            # A grant publishes the unit at its (possibly just-bumped)
-            # version; the new home may serve that version before any
-            # further diff touches it.
-            grant_unit = dsm._loc_grant_unit
-
-            def recording_grant_unit(gid):
-                unit = grant_unit(gid)
-                if unit is not None:
-                    self._record(gid, unit["version"], normalize_slots(
-                        self._unit_slots(dsm, gid)))
-                return unit
-
-            dsm._loc_grant_unit = recording_grant_unit
-
-            # A grant install may fold the grantee's own in-flight
-            # diffs into the master (the grant install keeps the local
-            # working copy): that folded state is published at the
-            # grant's version and is what later serves start from.
-            ft_install = dsm.ft_install_master
-
-            def recording_ft_install_master(unit):
-                ft_install(unit)
-                if unit.get("region") is not None:
-                    return
-                obj = dsm.cache.get(unit["gid"])
-                if obj is not None and obj.header is not None \
-                        and obj.header.state == ObjState.HOME:
-                    self._record(unit["gid"], obj.header.version,
-                                 normalize_slots(
-                                     self._unit_slots(dsm, unit["gid"])))
-
-            dsm.ft_install_master = recording_ft_install_master
-
-            # A bulk prefetch serve publishes versions like a fetch
-            # serve does...
-            serve_bulk = dsm._serve_bulk
-
-            def recording_serve_bulk(requester, gids):
-                units = serve_bulk(requester, gids)
-                for unit in units:
-                    obj = dsm.cache.get(unit["gid"])
-                    if obj is None:  # pragma: no cover - just served
-                        continue
-                    self._record(unit["gid"], unit["version"],
-                                 normalize_slots(
-                                     self._unit_slots(dsm, unit["gid"])))
-                return units
-
-            dsm._serve_bulk = recording_serve_bulk
-
-        # ...and a prefetch install must match the served golden state.
-        on_bulk_reply = dsm.transport._handlers.get(M_LOC_BULK_REPLY)
-        if on_bulk_reply is not None:
-            def checking_on_bulk_reply(msg: Message,
-                                       _inner=on_bulk_reply):
-                _inner(msg)
-                for unit in msg.payload["units"]:
-                    gid = unit["gid"]
-                    obj = dsm.cache.get(gid)
-                    if obj is None or obj.header is None:
-                        continue
-                    if obj.header.state != ObjState.VALID \
-                            or obj.header.version != unit["version"]:
-                        continue  # agent rejected this unit as stale
-                    self._tainted.discard((node, gid))
-                    got = normalize_slots(self._unit_slots(dsm, gid))
-                    self._check(node, gid, unit["version"], got,
-                                "prefetch install")
-                    self.checked_installs += 1
-
-            dsm.transport._handlers[M_LOC_BULK_REPLY] = \
-                checking_on_bulk_reply
-
-        # --- policy: a push/broadcast publishes its version at the
-        # home and must install golden state at the receiver ------------
-        policy = self._runtime.policy
-        pol = None if policy is None else policy.agents.get(node)
-        if pol is not None:
-            publish_unit = pol.publish_unit
-
-            def recording_publish_unit(gid, _inner=publish_unit):
-                unit = _inner(gid)
-                if unit is not None:
-                    self._record(gid, unit["version"], normalize_slots(
-                        self._unit_slots(dsm, gid)))
-                return unit
-
-            pol.publish_unit = recording_publish_unit
-
-            def checking_on_pol_push(msg: Message, _inner=None):
-                # The agent's install counters disambiguate a guarded
-                # skip (stale push, dirty replica, fetch in flight)
-                # from an actual install.
-                before = (dsm.stats.pol_push_installs
-                          + dsm.stats.pol_bcast_installs)
-                _inner(msg)
-                after = (dsm.stats.pol_push_installs
-                         + dsm.stats.pol_bcast_installs)
-                if after == before:
-                    return  # push rejected by the install guards
-                gid = msg.payload["gid"]
-                obj = dsm.cache.get(gid)
-                if obj is None:  # pragma: no cover - just installed
-                    return
-                self._tainted.discard((node, gid))
-                got = normalize_slots(self._unit_slots(dsm, gid))
-                self._check(node, gid, msg.payload["version"], got,
-                            "push install")
-                self.checked_installs += 1
-
-            for mtype in (M_POL_PUSH, M_POL_BCAST):
-                inner = dsm.transport._handlers.get(mtype)
-                if inner is not None:
-                    dsm.transport._handlers[mtype] = (
-                        lambda msg, _inner=inner:
-                        checking_on_pol_push(msg, _inner=_inner))
-
-        # --- cache: a flushed local write taints the replica ----------
-        transport_send = dsm.transport.send
-
-        def tainting_send(dst, msg_type, payload=None, size_bytes=0):
-            if msg_type == M_DIFF:
-                for gid, _diff, region in payload["entries"]:
-                    self._tainted.add((node, unit_key(gid, region)))
-            return transport_send(dst, msg_type, payload, size_bytes)
-
-        dsm.transport.send = tainting_send
-
-        # --- cache: installs must match the served golden state -------
-        on_fetch_reply = dsm.transport._handlers[M_FETCH_REPLY]
-
-        def checking_on_fetch_reply(msg: Message):
-            on_fetch_reply(msg)
-            p = msg.payload
-            key = unit_key(p["gid"], p.get("region"))
-            self._tainted.discard((node, key))
-            if dsm.unit(key) is None:  # pragma: no cover - reply always installs
+        def on_unit_installed(key, unit, role, before):
+            if role == ObjState.HOME:
+                # A master install may fold the new home's own working
+                # copy in: the result is published at the installed
+                # version and is what later serves start from.
+                if split_key(key)[1] is None:
+                    record_current(key)
                 return
-            got = normalize_slots(self._unit_slots(dsm, key))
-            self._check(node, key, p["version"], got, "install")
+            # Cache: an install must match the served golden state.
+            tainted.discard((node, key))
+            solicited = split_key(key) in dsm._fetch_targets
+            self._check(node, key, unit["version"],
+                        normalize_slots(self._unit_slots(dsm, key)),
+                        "install" if solicited else "push install")
             self.checked_installs += 1
 
-        dsm.transport._handlers[M_FETCH_REPLY] = checking_on_fetch_reply
-
-        # A write between installs also diverges the replica from its
-        # base version (multiple-writer): taint on twin creation.
-        write_check = dsm.write_check
-
-        def tainting_write_check(thread, ref, value, index=None):
-            ok, cost = write_check(thread, ref, value, index)
-            hdr = ref.header
-            if ok and hdr is not None and hdr.gid:
-                if hdr.state == ObjState.VALID or dsm.is_split(hdr.gid):
-                    self._tainted.add((node, unit_key(
-                        hdr.gid, dsm.region_at(hdr.gid, index))))
-            return ok, cost
-
-        dsm.write_check = tainting_write_check
+        dsm.hooks.unit_shipped.append(on_unit_shipped)
+        dsm.hooks.home_advance.append(on_home_advance)
+        dsm.hooks.unit_installed.append(on_unit_installed)
+        dsm.transport.hooks.outbound.append(on_outbound)
 
     # ------------------------------------------------------------------
     def _check(self, node: int, key: Any, version: int,

@@ -921,7 +921,7 @@ class DsmEngine:
         for fn in self.hooks.fetch_serve:
             fn(requester, obj, region, False)
         key = unit_key(obj.header.gid, region)
-        payload = self.ft_serialize_unit(key)
+        payload = self.ship_unit(key)
         data = payload["data"]
         if self.config.timestamp_mode == VECTOR:
             payload["applied"] = dict(self._applied.get(key, {}))
@@ -934,6 +934,16 @@ class DsmEngine:
         self.engine.schedule(delay, lambda: self.transport.send(
             requester, M_FETCH_REPLY, payload, size_bytes=size
         ))
+
+    def ship_unit(self, key: Any) -> Optional[Dict[str, Any]]:
+        """Serialize a master for a reader or a new home: every copy
+        another node's program can come to see (fetch and prefetch
+        replies, migration grants, policy pushes) leaves through here."""
+        unit = self.ft_serialize_unit(key)
+        if unit is not None:
+            for fn in self.hooks.unit_shipped:
+                fn(key, unit)
+        return unit
 
     def _on_fetch_reply(self, msg: Message) -> None:
         self._complete_fetch(msg.payload, msg.size_bytes)
@@ -983,6 +993,7 @@ class DsmEngine:
             obj.header.state = role  # "present"; the regions carry the truth
         key = unit_key(gid, region)
         _, rec, lo, hi = self.unit(key)
+        before = (rec.state, rec.version)
         spec = self.specs.get(obj.class_name)
         twin, rec.twin = rec.twin, None
         local_diff = None
@@ -997,6 +1008,8 @@ class DsmEngine:
             self._dirty_home.add(key)
         if not master and self.config.timestamp_mode == VECTOR:
             self._replica_vc[key] = dict(p.get("applied", {}))
+        for fn in self.hooks.unit_installed:
+            fn(key, p, role, before)
         return gid, region
 
     # ==================================================================
@@ -1019,7 +1032,7 @@ class DsmEngine:
                 continue
             for fn in self.hooks.fetch_serve:
                 fn(requester, obj, None, True)
-            unit = self.ft_serialize_unit(gid)
+            unit = self.ship_unit(gid)
             if unit is None:  # pragma: no cover - defensive
                 continue
             units.append(unit)
@@ -1053,7 +1066,7 @@ class DsmEngine:
             self.notice_table.add(Notice(gid, hdr.version))
             for fn in self.hooks.home_advance:
                 fn([(gid, hdr.version)], None)
-        unit = self.ft_serialize_unit(gid)
+        unit = self.ship_unit(gid)
         if unit is None:  # pragma: no cover - defensive
             return None
         hdr.state = ObjState.INVALID
@@ -1288,8 +1301,8 @@ class DsmEngine:
     # Fault-tolerance recovery primitives (driven by repro.ft.recovery)
     # ==================================================================
     def ft_serialize_unit(self, key: Any) -> Optional[Dict[str, Any]]:
-        """Serialize one coherency unit in fetch-reply format (also what
-        buddy replication, grants and pushes ship)."""
+        """Serialize one coherency unit in fetch-reply format (what
+        ``ship_unit`` ships and buddy replication mirrors)."""
         unit = self.unit(key)
         if unit is None:
             return None

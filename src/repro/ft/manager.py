@@ -86,6 +86,7 @@ class FtManager:
         self.detector.start()
         for node_id in sorted(self.hb_agents):
             self.hb_agents[node_id].start()
+        self.runtime.worker_added_hooks.append(self.on_worker_added)
 
     def _attach_worker(self, worker: "WorkerNode", num_nodes: int) -> None:
         agent = FtNodeAgent(

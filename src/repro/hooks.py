@@ -4,13 +4,16 @@ transport.
 The coherence core (:mod:`repro.dsm.protocol`, :mod:`repro.net.transport`)
 knows nothing about the services that ride on it.  It fires a small,
 closed set of hook points; ``ft``, ``locality``, ``policy``, ``race``,
-``obs`` and the protocol tracer subscribe at ``attach()`` by appending a
-callable to the point's list (``dsm.hooks.promote.append(fn)``).  With
-every list empty the engine runs the bare paper protocol.
+``obs``, the protocol tracer and the checkers (``check.oracle``,
+``check.monitor``) subscribe at ``attach()`` by appending a callable to
+the point's list (``dsm.hooks.promote.append(fn)``).  With every list
+empty the engine runs the bare paper protocol.  Nothing rebinds an
+engine or transport method; ``tests/test_hooks.py`` enforces that over
+the whole tree.
 
 Subscribers run in registration order, which is the attach order fixed
 by ``runtime.javasplit.SUBSYSTEMS`` (ft, locality, policy, race, obs,
-then anything attached afterwards).  Three roles:
+then anything attached afterwards: checkers, tracer).  Three roles:
 
 * **observer** — called for its side effects; the return value is ignored.
 * **interceptor** — returns true to take the event over.
@@ -40,6 +43,11 @@ fetch_serve     a home is about to serialize a unit for a reader           obser
                 ``(requester, obj, region, bulk)``
 fetch_done      a fetched unit was installed, its waiters about to wake    observer
                 ``(gid, region, waiters, nbytes)``
+unit_shipped    a master was serialized for a reader or a new home (fetch  observer
+                reply, prefetch, grant, push) ``(key, unit)``
+unit_installed  a serialized unit was installed as a ``VALID`` replica or  observer
+                the ``HOME`` master; ``before`` is the record's (state,
+                version) until then ``(key, unit, role, before)``
 home_advance    home versions advanced, before any ack / notice / reply    observer
                 that names them leaves ``(advanced, writer)``
 diff_applied    a clean diff batch was applied; the ack is being built     decorator
@@ -95,9 +103,9 @@ class DsmHooks(HookPoints):
 
     __slots__ = (
         "promote", "spawn", "thread_begin", "block", "lock_edge",
-        "fetch_serve", "fetch_done", "home_advance", "diff_applied",
-        "token_send", "token_notices", "interval_end", "sync_scope",
-        "home_msg",
+        "fetch_serve", "fetch_done", "unit_shipped", "unit_installed",
+        "home_advance", "diff_applied", "token_send", "token_notices",
+        "interval_end", "sync_scope", "home_msg",
     )
 
 

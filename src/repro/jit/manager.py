@@ -255,9 +255,10 @@ class JitManager:
 
     def attach(self) -> None:
         for worker in self.runtime.workers:
-            self.agents.append(JitAgent(self, worker))
+            self._attach_worker(worker)
+        self.runtime.worker_added_hooks.append(self._attach_worker)
 
-    def on_worker_added(self, worker: "WorkerNode") -> None:
+    def _attach_worker(self, worker: "WorkerNode") -> None:
         self.agents.append(JitAgent(self, worker))
 
     # -- obs integration -----------------------------------------------

@@ -103,6 +103,7 @@ class LocalityManager:
     def attach(self) -> None:
         for w in self.runtime.workers:
             self._attach_worker(w)
+        self.runtime.worker_added_hooks.append(self.on_worker_added)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = LocalityAgent(self, worker)
@@ -562,7 +563,6 @@ class LocalityAgent:
         p = msg.payload
         served = {u["gid"]: u for u in p["units"]}
         for gid in p["requested"]:
-            self.dsm._fetch_targets.pop((gid, None), None)
             unit = served.get(gid)
             obj = self.dsm.cache.get(gid)
             hdr = obj.header if obj is not None else None
@@ -571,10 +571,13 @@ class LocalityAgent:
                     and unit["version"]
                     >= self.dsm.notice_table.required_scalar(gid)):
                 self.dsm.stats.prefetch_units += 1
-                # Installs, and wakes the demand misses it satisfied.
+                # Installs (the request is outstanding until then),
+                # and wakes the demand misses it satisfied.
                 if self.dsm._complete_fetch(unit, len(unit["data"])):
                     self.dsm.stats.prefetch_hits += 1
-            elif self.dsm._fetch_waiters.get((gid, None)):
+                continue
+            self.dsm._fetch_targets.pop((gid, None), None)
+            if self.dsm._fetch_waiters.get((gid, None)):
                 # Parked waiters whose prefetch came back unserved (or
                 # stale): fall back to a normal demand fetch.
                 self.dsm._send_fetch(gid, None)

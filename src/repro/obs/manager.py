@@ -102,6 +102,7 @@ class ObsManager:
     def attach(self) -> None:
         for worker in self.runtime.workers:
             self._attach_worker(worker)
+        self.runtime.worker_added_hooks.append(self._attach_worker)
         ft = self.runtime.ft
         if ft is not None:
             ft.orchestrator.on_recovered = self._on_ft_recovered
@@ -143,9 +144,6 @@ class ObsManager:
             agent.flight = recorder
         self.agents[worker.node_id] = agent
         agent.attach()
-
-    def on_worker_added(self, worker: "WorkerNode") -> None:
-        self._attach_worker(worker)
 
     # ------------------------------------------------------------------
     # FT recovery: the orchestrator runs phases 2-7 synchronously at

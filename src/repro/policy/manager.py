@@ -119,14 +119,12 @@ class PolicyManager:
             self.runtime.locality.attach()
         for w in self.runtime.workers:
             self._attach_worker(w)
+        self.runtime.worker_added_hooks.append(self._attach_worker)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = PolicyAgent(self, worker)
         self.agents[worker.node_id] = agent
         agent.attach()
-
-    def on_worker_added(self, worker: "WorkerNode") -> None:
-        self._attach_worker(worker)
 
     # ------------------------------------------------------------------
     # Registry
@@ -353,21 +351,15 @@ class PolicyAgent:
     # ------------------------------------------------------------------
     # Write-update / read-mostly pushes
     # ------------------------------------------------------------------
-    def publish_unit(self, gid: int) -> Optional[Dict[str, Any]]:
-        """Serialize the local master for a push or broadcast.  The
-        oracle wraps this per agent to record the golden snapshot being
-        published, so every pushed install is checkable."""
+    def _push_unit(self, gid: int, exclude: Optional[int],
+                   broadcast: bool) -> None:
+        """Ship the local master to the unit's readers (push) or to
+        every live node (broadcast)."""
         obj = self.dsm.cache.get(gid)
         if obj is None or obj.header is None \
                 or obj.header.state != ObjState.HOME:
-            return None
-        return self.dsm.ft_serialize_unit(gid)
-
-    def _push_unit(self, gid: int, exclude: Optional[int],
-                   broadcast: bool) -> None:
-        unit = self.publish_unit(gid)
-        if unit is None:
             return
+        unit = self.dsm.ship_unit(gid)
         version = unit["version"]
         if broadcast:
             targets = [n for n in self.manager.live_nodes()

@@ -253,14 +253,12 @@ class RaceManager:
     def attach(self) -> None:
         for w in self.runtime.workers:
             self._attach_worker(w)
+        self.runtime.worker_added_hooks.append(self._attach_worker)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = RaceAgent(self, worker)
         self.agents[worker.node_id] = agent
         agent.attach()
-
-    def on_worker_added(self, worker: "WorkerNode") -> None:
-        self._attach_worker(worker)
 
     # ------------------------------------------------------------------
     # Reporting

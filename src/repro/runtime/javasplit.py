@@ -179,13 +179,11 @@ class JavaSplitRuntime:
         for class_name, (gid, holder) in rewritten.static_gids.items():
             master.dsm.install_static_holder(class_name, gid, holder)
         self._main_thread: Optional[JThread] = None
-        # Serving-workload manager (src/repro/serve); attached externally
-        # like the oracle/fault injector, hooked here so late joiners get
-        # the load feed too.
-        self.serve = None
-        # External attachments (oracle, invariant monitor, ...) register
-        # here to instrument workers that join after they attached.
-        self.worker_added_hooks: List[Any] = []
+        # The one way to hear about a late joiner: whatever attaches to
+        # the workers (subsystem managers, the serve manager, the
+        # checkers, the tracer) appends a callable in its ``attach`` and
+        # ``add_worker`` calls them in that order.
+        self.worker_added_hooks: List[Callable[[WorkerNode], None]] = []
         for name, switch, manager_class in SUBSYSTEMS:
             if getattr(self.config, switch):
                 module = importlib.import_module(f"..{name}", __package__)
@@ -245,11 +243,6 @@ class JavaSplitRuntime:
     # ------------------------------------------------------------------
     def add_worker(self, brand: Optional[str] = None) -> WorkerNode:
         worker = self._new_worker(brand or self.config.brand_of(0))
-        for name, _switch, _class in SUBSYSTEMS:
-            if getattr(self, name) is not None:
-                getattr(self, name).on_worker_added(worker)
-        if self.serve is not None:
-            self.serve.on_worker_added(worker)
         for hook in self.worker_added_hooks:
             hook(worker)
         return worker

@@ -68,6 +68,8 @@ class DsmTracer:
         engine = runtime.engine
         for worker in runtime.workers:
             tracer._subscribe(worker, engine)
+        runtime.worker_added_hooks.append(
+            lambda worker: tracer._subscribe(worker, engine))
         # Subsystem narration (migrations, promotions, race reports...)
         # lands in the same flat event log.
         for sub in (runtime.locality, runtime.policy, runtime.race):

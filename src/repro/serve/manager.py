@@ -162,13 +162,13 @@ class ServeManager:
                schedules: List[List[Arrival]]) -> "ServeManager":
         """Install the feed on the runtime and all current workers."""
         mgr = cls(runtime, schedules)
-        runtime.serve = mgr
         for worker in runtime.workers:
-            worker.jvm.serve_feed = mgr.feed
+            mgr.on_worker_added(worker)
+        runtime.worker_added_hooks.append(mgr.on_worker_added)
         return mgr
 
     def on_worker_added(self, worker: Any) -> None:
-        """Late joiners serve requests too (called by add_worker)."""
+        """Every worker, late joiners included, serves requests."""
         worker.jvm.serve_feed = self.feed
 
     # -- callbacks ------------------------------------------------------

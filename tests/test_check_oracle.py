@@ -174,6 +174,52 @@ def test_oracle_catches_corrupted_master():
         oracle.summary()
 
 
+def _served_replica(rt, monitor):
+    """A whole-object unit node 0 masters and has served, with the
+    VALID replica node 1 holds of it."""
+    d0, d1 = rt.workers[0].dsm, rt.workers[1].dsm
+    for gid, obj in sorted(d0.cache.items()):
+        replica = d1.cache.get(gid)
+        if (obj.header.state == ObjState.HOME and gid in monitor._served
+                and replica is not None
+                and replica.header.state == ObjState.VALID):
+            return d0, d1, gid
+    raise AssertionError("no served unit with a live replica")
+
+
+def test_stale_serve_is_caught():
+    """``unit_shipped``: a home whose version regressed ships a unit
+    older than one it already served."""
+    rt = _runtime()
+    monitor = InvariantMonitor.attach(rt)
+    rt.run()
+    assert monitor.ok, monitor.summary()
+    d0, _d1, gid = _served_replica(rt, monitor)
+    # BUG under test: the master's version moves backwards.
+    d0.cache[gid].header.version = monitor._served[gid] - 1
+    d0._serve_fetch(1, d0.cache[gid])
+    assert any(v.kind == "version-monotonic" and "after serving" in v.detail
+               for v in monitor.violations), monitor.summary()
+
+
+def test_backwards_install_is_caught():
+    """``unit_installed``: an install that moves a replica backwards in
+    time, to a (version, content) pair no home ever published."""
+    rt = _runtime()
+    monitor = InvariantMonitor.attach(rt)
+    oracle = SingleCopyOracle.attach(rt)
+    rt.run()
+    assert monitor.ok and oracle.ok
+    d0, d1, gid = _served_replica(rt, monitor)
+    unit = d0.ft_serialize_unit(gid)
+    # BUG under test: a replica is overwritten with an older version.
+    unit["version"] = d1.cache[gid].header.version - 1
+    d1._install_unit(unit)
+    assert any(v.kind == "version-monotonic" and "backwards" in v.detail
+               for v in monitor.violations), monitor.summary()
+    assert not oracle.ok  # oracle-version, or oracle-state if v-1 existed
+
+
 # ---------------------------------------------------------------------------
 # normalize_slots
 # ---------------------------------------------------------------------------

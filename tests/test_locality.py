@@ -76,6 +76,10 @@ class Main {
 
 # Writer that paces its releases with local compute, so the migration
 # grant lands mid-run and the remaining releases apply locally.
+# The pacing loop is 1/20 of the intended compute and runs under
+# ``time_dilation=20``: the same simulated schedule for a twentieth of
+# the interpreted bytecodes.
+PACED_WRITER_DILATION = 20
 PACED_WRITER_SRC = """
 class Counter { int v; }
 class W extends Thread {
@@ -85,7 +89,7 @@ class W extends Thread {
         for (int i = 0; i < 12; i++) {
             synchronized (c) { c.v += 1; }
             int t = 0;
-            for (int j = 0; j < 20000; j++) t = t + j;
+            for (int j = 0; j < 1000; j++) t = t + j;
         }
     }
 }
@@ -194,8 +198,10 @@ def test_array_unit_migrates_and_round_trips(monkeypatch):
 
 
 def test_migration_beats_baseline_on_messages():
-    base = _runtime(PACED_WRITER_SRC).run()
-    rt = _runtime(PACED_WRITER_SRC, locality_migration=True)
+    base = _runtime(PACED_WRITER_SRC,
+                    time_dilation=PACED_WRITER_DILATION).run()
+    rt = _runtime(PACED_WRITER_SRC, locality_migration=True,
+                  time_dilation=PACED_WRITER_DILATION)
     report = rt.run()
     assert report.result == base.result == 24
     # With paced releases the grant lands mid-run, the writer's later

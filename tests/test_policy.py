@@ -38,7 +38,7 @@ class Producer extends Thread {
         for (int i = 0; i < 10; i++) {
             synchronized (b) { b.v = b.v + 1; }
             int t = 0;
-            for (int j = 0; j < 8000; j++) t = t + j;
+            for (int j = 0; j < 400; j++) t = t + j;
         }
     }
 }
@@ -50,7 +50,7 @@ class Consumer extends Thread {
         for (int i = 0; i < 10; i++) {
             synchronized (b) { sum = sum + b.v; }
             int t = 0;
-            for (int j = 0; j < 8000; j++) t = t + j;
+            for (int j = 0; j < 400; j++) t = t + j;
         }
     }
 }
@@ -115,7 +115,7 @@ class Reader extends Thread {
         for (int i = 0; i < 24; i++) {
             synchronized (t) { sum = sum + t.a + t.b; }
             int k = 0;
-            for (int j = 0; j < 12000; j++) k = k + j;
+            for (int j = 0; j < 600; j++) k = k + j;
         }
     }
 }
@@ -130,9 +130,9 @@ class Main {
         Reader r2 = new Reader(t);
         r1.start(); r2.start();
         int k = 0;
-        for (int j = 0; j < 200000; j++) k = k + j;
+        for (int j = 0; j < 10000; j++) k = k + j;
         synchronized (t) { t.a = 5; }
-        for (int j = 0; j < 200000; j++) k = k + j;
+        for (int j = 0; j < 10000; j++) k = k + j;
         synchronized (t) { t.b = 7; }
         r1.join(); r2.join();
         return t.a + t.b;
@@ -141,10 +141,18 @@ class Main {
 """
 
 
+# The pacing loops of these sources are written at 1/20 of the intended
+# compute and run under ``time_dilation=20`` (each simulated instruction
+# stands for 20): the same simulated schedule for a twentieth of the
+# interpreted bytecodes.
+PACED_DILATION = {PRODUCER_CONSUMER_SRC: 20, READ_MOSTLY_SRC: 20}
+
+
 def _runtime(src, nodes=3, **cfg):
     classfiles = compile_source(src)
     rewritten = rewrite_application(classfiles)
     cfg.setdefault("scheduler", "round-robin")  # spread threads over nodes
+    cfg.setdefault("time_dilation", PACED_DILATION.get(src, 1))
     return JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=nodes, **cfg))
 
 

@@ -296,7 +296,7 @@ class Cruncher extends Thread {
 }
 class Main {
     static int main() {
-        int n = 8000;
+        int n = 800;
         int k = 8;
         Cruncher[] ts = new Cruncher[k];
         for (int i = 0; i < k; i++) {
@@ -314,8 +314,13 @@ class Main {
 def test_speedup_on_compute_bound_workload():
     """More nodes should cut simulated time for a compute-bound workload
     (shape of the paper's Table 4: work per byte shipped is high)."""
-    t1 = run_distributed(source=COMPUTE_BOUND, num_nodes=1).simulated_ns
-    t4 = run_distributed(source=COMPUTE_BOUND, num_nodes=4).simulated_ns
+    # A tenth of the iterations under time_dilation=10 (each simulated
+    # instruction stands for ten): the same compute:communication ratio
+    # for a tenth of the interpreted bytecodes.
+    t1 = run_distributed(source=COMPUTE_BOUND, num_nodes=1,
+                         time_dilation=10).simulated_ns
+    t4 = run_distributed(source=COMPUTE_BOUND, num_nodes=4,
+                         time_dilation=10).simulated_ns
     # This workload is small (~27 ms simulated), so fetch/join round
     # trips still eat into the ideal 4x; the full-size benchmark apps
     # in benchmarks/ show the near-linear shape of Table 4.

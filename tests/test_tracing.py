@@ -3,6 +3,7 @@ cap and its dropped counter, filtering/summary/export helpers, and the
 attach() idempotency guarantee (a double attach must not double-wrap
 ``transport.send`` and double-record every message)."""
 
+from repro.check.runner import app_source
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
@@ -120,6 +121,27 @@ def test_attach_is_idempotent_per_runtime():
     # so counts match the NetStats total.
     sends = [e for e in tracer.events if e.detail.startswith("-> n")]
     assert len(sends) == report.net.messages
+
+
+def test_late_joiner_is_traced():
+    """A worker that joins mid-run is subscribed like the initial pool:
+    per node, the trace holds one send event per message that node put
+    on the network (the tracer used to be blind to joiners, so
+    ``repro trace --join`` under-reported)."""
+    rewritten = rewrite_application(compile_source(app_source("tsp")))
+    rt = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2))
+    tracer = DsmTracer.attach(rt)
+    rt.schedule_join(1000)
+    report = rt.run()
+    sent = {}
+    for (src, _dst), (count, _bytes) in report.net.by_link.items():
+        sent[src] = sent.get(src, 0) + count
+    traced = {}
+    for e in tracer.events:
+        if e.detail.startswith("-> n"):
+            traced[e.node] = traced.get(e.node, 0) + 1
+    assert sent.get(2), "the joined node must have sent something"
+    assert traced == sent
 
 
 def test_attach_updates_limit_on_reattach():
