@@ -9,7 +9,7 @@ protocol traffic, simulated time, exceptions) is bit-identical to
 tier 0 — see ``tests/test_jit.py`` for the differential proof.
 """
 
-from .analysis import CompileError, analyze, build_cost_tables, pre_summed_runs
+from .analysis import CompileError, analyze, pre_summed_runs
 from .codegen import (
     N_REASONS,
     R_BLOCK_ACQUIRE,
@@ -44,7 +44,6 @@ __all__ = [
     "R_DEOPT",
     "R_RETURN",
     "analyze",
-    "build_cost_tables",
     "compile_method",
     "pre_summed_runs",
 ]

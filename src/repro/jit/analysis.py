@@ -26,15 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..sim import cost_model as cm
 from ..jvm.bytecode import (
     BRANCHES,
     CONDITIONS,
-    HEAP_ACCESS_COST,
-    OP_COST,
     TERMINATORS,
-    Instr,
+    CostTables,
     Op,
+    instr_cost,
 )
 from ..jvm.classfile import MethodInfo
 
@@ -87,46 +85,6 @@ _SIMPLE_DELTA = {
 
 class CompileError(Exception):
     """This method cannot be compiled; it stays on the interpreter."""
-
-
-def instr_cost(instr: Instr, cost_plain: List[int], cost_checked: List[int],
-               cost_static: List[int]) -> int:
-    """Base simulated cost of one instruction, brand-resolved.
-
-    Must match ``Interpreter._base_cost`` exactly — the JIT's entire
-    bit-identical-sim-time guarantee rests on this function.
-    """
-    if instr.checked:
-        table = cost_static if instr.checked == "static" else cost_checked
-        return table[instr.op]
-    return cost_plain[instr.op]
-
-
-def build_cost_tables(cost_model: Dict[str, int]) -> Tuple[List[int], ...]:
-    """Brand-resolved per-opcode cost tables (plain, checked, static).
-
-    The same resolution ``Interpreter.__init__`` performs; duplicated
-    here so ``disasm`` can annotate costs without building a JVM.
-    """
-    n_ops = max(int(op) for op in Op) + 1
-    plain = [0] * n_ops
-    checked = [0] * n_ops
-    static = [0] * n_ops
-    for op in Op:
-        heap_key = HEAP_ACCESS_COST.get(op)
-        if heap_key is not None:
-            plain[op] = cost_model[heap_key]
-            checked[op] = cost_model[cm.checked(heap_key)]
-            static[op] = checked[op]
-        else:
-            key = OP_COST[op]
-            cost = cost_model[key] if key is not None else 0
-            plain[op] = cost
-            checked[op] = cost
-            static[op] = cost
-    static[Op.GETFIELD] = cost_model[cm.checked(cm.STATIC_READ)]
-    static[Op.PUTFIELD] = cost_model[cm.checked(cm.STATIC_WRITE)]
-    return plain, checked, static
 
 
 @dataclass
@@ -263,9 +221,8 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
     return ana
 
 
-def pre_summed_runs(method: MethodInfo, cost_plain: List[int],
-                    cost_checked: List[int],
-                    cost_static: List[int]) -> List[Tuple[int, int, int]]:
+def pre_summed_runs(method: MethodInfo,
+                    tables: CostTables) -> List[Tuple[int, int, int]]:
     """Straight-line runs of pure ops and their pre-summed cost.
 
     Returns ``[(start_pc, end_pc_exclusive, total_cost_ns), ...]`` —
@@ -297,8 +254,7 @@ def pre_summed_runs(method: MethodInfo, cost_plain: List[int],
         total = 0
         while end < n and code[end].op not in SPECIAL_OPS and \
                 (end == pc or end not in starts):
-            total += instr_cost(code[end], cost_plain, cost_checked,
-                                cost_static)
+            total += instr_cost(code[end], tables)
             is_control = (code[end].op in BRANCHES
                           or code[end].op in TERMINATORS)
             end += 1

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
-from ..jvm.bytecode import BRANCHES, TERMINATORS, Instr, Op
+from ..jvm.bytecode import BRANCHES, TERMINATORS, Instr, Op, instr_cost
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassCastError, JVMError, NullPointerError
 from ..jvm.frame import Frame
@@ -46,18 +46,16 @@ from ..jvm.interpreter import (
     BLOCK,
     NO_VALUE,
     Interpreter,
+    java_d2i,
     java_ddiv,
+    java_drem,
+    java_eq,
     java_idiv,
     java_irem,
+    java_shift,
     jstr,
 )
-from .analysis import (
-    SPECIAL_OPS,
-    CompileError,
-    MethodAnalysis,
-    analyze,
-    instr_cost,
-)
+from .analysis import SPECIAL_OPS, CompileError, MethodAnalysis, analyze
 
 # Exit reason codes returned by compiled functions.
 R_BUDGET = 0          # quantum budget exhausted (interpreter tail runs)
@@ -87,8 +85,8 @@ _MAX_CALL_DEPTH = 30
 _ARITH_OPS = {
     Op.ADD: "+", Op.SUB: "-", Op.MUL: "*",
     Op.AND: "&", Op.OR: "|", Op.XOR: "^",
-    Op.SHL: "<<", Op.SHR: ">>",
 }
+_SHIFT_OPS = {Op.SHL: "<<", Op.SHR: ">>"}
 
 
 def _is_pure_native(m: MethodInfo) -> bool:
@@ -131,11 +129,12 @@ class _Emitter:
         self.env.update(
             _JVME=JVMError, _NPE=NullPointerError, _CCE=ClassCastError,
             _idiv=java_idiv, _irem=java_irem, _ddiv=java_ddiv,
-            _jstr=jstr, _fmod=math.fmod, _nan=math.nan, _isnan=math.isnan,
+            _drem=java_drem, _d2i=java_d2i, _shift=java_shift,
+            _jeq=java_eq, _jstr=jstr,
             _Frame=Frame, _Arr=ArrayObj,
             _RUN=StreamState.RUNNABLE, _NOV=NO_VALUE, _BLK=BLOCK,
             _jvm=self.jvm, _classes=self.jvm.classes,
-            _isinst=ip._is_instance, _tcmp=Interpreter._test_cmp,
+            _isinst=ip._is_instance,
             _menter=ip._monitor_enter, _mexit=ip._monitor_exit,
             _new=self.jvm.new_instance, _newarr=self.jvm.new_array,
             _resolve=self.jvm.resolve_method, _native=self.jvm.native,
@@ -191,15 +190,11 @@ class _Emitter:
                 continue
             op = instr.op
             if op in (Op.GETFIELD, Op.PUTFIELD):
-                idx = instr.cache
-                if idx is None:
-                    try:
-                        idx = self.jvm.field_index(instr.a, instr.b)
-                        instr.cache = idx
-                    except Exception:
-                        self._deopt_pcs.add(pc)
-                        continue
-                self._field_idx[pc] = idx
+                try:
+                    self._field_idx[pc] = self.jvm.field_index(
+                        instr.a, instr.b)
+                except Exception:
+                    self._deopt_pcs.add(pc)
             elif op in (Op.INVOKEVIRTUAL, Op.INVOKESTATIC,
                         Op.INVOKESPECIAL):
                 if self.ana.invoke_targets.get(pc) is None:
@@ -226,9 +221,7 @@ class _Emitter:
                 f"large to compile")
 
     def _cost(self, instr: Instr) -> int:
-        ip = self.interp
-        return instr_cost(instr, ip._cost_plain, ip._cost_checked,
-                          ip._cost_static)
+        return instr_cost(instr, self.interp.cost_tables)
 
     def _sync(self, ind: int, pc: int, depth: int,
               set_pc: bool = True) -> None:
@@ -247,13 +240,6 @@ class _Emitter:
     def _flush_ret(self, ind: int, reason: str) -> None:
         self.w(ind, "thread.instructions += icount")
         self.w(ind, f"return used, {reason}")
-
-    def _drain(self, ind: int) -> None:
-        # Mirror the interpreter's per-step pending-cost drain (hook-
-        # added cost; provably zero today, kept for contract fidelity).
-        self.w(ind, "if thread.pending_cost:")
-        self.w(ind + 1, "used += thread.pending_cost")
-        self.w(ind + 1, "thread.pending_cost = 0")
 
     def _guard_special(self, ind: int, pc: int, depth: int) -> None:
         """The interpreter's exact one-instruction budget test."""
@@ -418,15 +404,20 @@ class _Emitter:
                    f"isinstance(s{d - 1}, int):")
             w(ind + 1, f"s{d - 2} = _irem(s{d - 2}, s{d - 1})")
             w(ind, "else:")
-            w(ind + 1, f"s{d - 2} = _fmod(s{d - 2}, s{d - 1}) "
-                       f"if s{d - 1} != 0 else _nan")
+            w(ind + 1, f"s{d - 2} = _drem(s{d - 2}, s{d - 1})")
             return d - 1
         if op is Op.NEG:
             w(ind, f"s{d - 1} = -s{d - 1}")
             return d
+        if op in _SHIFT_OPS:
+            w(ind, f"pc = {pc}")
+            w(ind, f"s{d - 2} = s{d - 2} {_SHIFT_OPS[op]} "
+                   f"_shift(s{d - 1})")
+            return d - 1
         if op is Op.USHR:
+            w(ind, f"pc = {pc}")
             w(ind, f"s{d - 2} = (s{d - 2} & 0xFFFFFFFFFFFFFFFF) "
-                   f">> s{d - 1}")
+                   f">> _shift(s{d - 1})")
             return d - 1
         if op is Op.CMP:
             w(ind, f"s{d - 2} = 0 if s{d - 2} == s{d - 1} else "
@@ -436,7 +427,8 @@ class _Emitter:
             w(ind, f"s{d - 1} = float(s{d - 1})")
             return d
         if op is Op.D2I:
-            w(ind, f"s{d - 1} = 0 if _isnan(s{d - 1}) else int(s{d - 1})")
+            w(ind, f"pc = {pc}")
+            w(ind, f"s{d - 1} = _d2i(s{d - 1})")
             return d
         if op is Op.CONCAT:
             w(ind, f"s{d - 2} = _jstr(s{d - 2}) + _jstr(s{d - 1})")
@@ -561,9 +553,9 @@ class _Emitter:
         if op is Op.IF_CMP:
             cond = instr.a
             if cond == "eq":
-                w(ind, f"if _tcmp('eq', s{d - 2}, s{d - 1}):")
+                w(ind, f"if _jeq(s{d - 2}, s{d - 1}):")
             elif cond == "ne":
-                w(ind, f"if not _tcmp('eq', s{d - 2}, s{d - 1}):")
+                w(ind, f"if not _jeq(s{d - 2}, s{d - 1}):")
             else:
                 pyop = {"lt": "<", "ge": ">=", "gt": ">", "le": "<="}[cond]
                 w(ind, f"if s{d - 2} {pyop} s{d - 1}:")
@@ -580,7 +572,6 @@ class _Emitter:
             w(ind + 1, "_c.pc += 1")
             if op is Op.RETVAL:
                 w(ind + 1, f"_c.stack.append(s{d - 1})")
-            self._drain(ind)
             self._flush_ret(ind, "8")
             return None
         raise CompileError(f"unhandled control op {op.name}")
@@ -623,7 +614,6 @@ class _Emitter:
         cost = self._cost(instr)
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "icount += 1")
-        self._drain(ind)
         w(ind, "if not _ok:")
         self._sync(ind + 1, pc, d, set_pc=False)
         w(ind + 1, "thread.block(reexec=True, reason='read miss')")
@@ -646,7 +636,6 @@ class _Emitter:
         cost = self._cost(instr)
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "icount += 1")
-        self._drain(ind)
         w(ind, "if not _ok:")
         self._sync(ind + 1, pc, d, set_pc=False)
         w(ind + 1, "thread.block(reexec=True, reason='write miss')")
@@ -662,7 +651,6 @@ class _Emitter:
         cost = self._cost(instr)
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "icount += 1")
-        self._drain(ind)
         w(ind, "if _r is None:")
         self._sync(ind + 1, pc, d, set_pc=False)
         w(ind + 1, "thread.block(reexec=True, "
@@ -698,7 +686,6 @@ class _Emitter:
         else:
             self._emit_acquire_slow(ind, pc, d, cost)
         w(ind, "icount += 1")
-        self._drain(ind)
         return d - 1
 
     def _emit_acquire_slow(self, ind, pc, d, cost):
@@ -719,7 +706,6 @@ class _Emitter:
         w(ind, "if not _ok:")
         w(ind + 1, "thread.block(reexec=False, reason='lock acquire')")
         w(ind + 1, "icount += 1")
-        self._drain(ind + 1)
         self._flush_ret(ind + 1, "4")
 
     def _emit_release(self, ind, pc, instr, d):
@@ -747,7 +733,6 @@ class _Emitter:
         else:
             self._emit_release_slow(ind, pc, d, cost)
         w(ind, "icount += 1")
-        self._drain(ind)
         return d - 1
 
     def _emit_release_slow(self, ind, pc, d, cost):
@@ -774,7 +759,6 @@ class _Emitter:
         self._sync(ind, pc, d - 1)
         w(ind, f"used += {self._cost(instr)}")
         w(ind, "icount += 1")
-        self._drain(ind)
         w(ind, "if not _menter(thread, _r):")
         w(ind + 1, "thread.block(reexec=False, reason='monitor enter')")
         self._flush_ret(ind + 1, "5")
@@ -790,7 +774,6 @@ class _Emitter:
         w(ind, "_mexit(thread, _r)")
         w(ind, f"used += {self._cost(instr)}")
         w(ind, "icount += 1")
-        self._drain(ind)
         return d - 1
 
     # -- invokes -------------------------------------------------------
@@ -856,7 +839,6 @@ class _Emitter:
         w(ind, f"_res = _nat(_jvm, thread, {self._args(d, n)})")
         w(ind, f"used += {cost}")
         w(ind, "icount += 1")
-        self._drain(ind)
         if pure:
             # Whitelisted: never blocks, never void — two identity
             # tests guard the contract without frame materialization.

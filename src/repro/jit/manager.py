@@ -142,10 +142,12 @@ class JitAgent:
             fn.stats[reason] += 1
             self.reasons[reason] += 1
             if reason == R_BUDGET:
-                # Interpreter tail: reproduce tier 0's exact overshoot.
-                while consumed < budget_ns and thread.state is _RUNNABLE:
-                    consumed += interp.step(thread)
-                    self.interp_steps += 1
+                # Interpreter tail: tier 0's own loop, so its overshoot.
+                before = thread.instructions
+                try:
+                    consumed = interp.run(thread, budget_ns, consumed)
+                finally:
+                    self.interp_steps += thread.instructions - before
                 break
             if reason == R_DEOPT or reason == R_CALL:
                 # The interpreter must execute this pc (deopt site, or
@@ -186,9 +188,11 @@ class JitAgent:
             self.reasons[reason] += 1
             if reason == R_BUDGET:
                 t0 = clock()
-                while consumed < budget_ns and thread.state is _RUNNABLE:
-                    consumed += interp.step(thread)
-                    self.interp_steps += 1
+                before = thread.instructions
+                try:
+                    consumed = interp.run(thread, budget_ns, consumed)
+                finally:
+                    self.interp_steps += thread.instructions - before
                 interp_wall += clock() - t0
                 break
             if reason == R_DEOPT or reason == R_CALL:

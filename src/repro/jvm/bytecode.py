@@ -25,7 +25,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any, List, Mapping, Tuple
 
 from ..sim import cost_model as cm
 
@@ -107,12 +107,12 @@ class Instr:
     ``checked`` marks a heap access guarded by a preceding DSM check —
     the interpreter then bills the ``*_checked`` cost key.  The value
     ``"static"`` marks a checked access to a C_static holder field,
-    billed at the (re)written static-access rate of Table 1.  ``cache``
-    holds the link-time-resolved target (method/field index) filled in
-    lazily by the interpreter (a quickening cache, like real JVMs).
+    billed at the (re)written static-access rate of Table 1.  An
+    ``Instr`` is cluster-shared data: per-JVM link state (field slots,
+    resolved methods) lives in each interpreter's decoded handlers.
     """
 
-    __slots__ = ("op", "a", "b", "checked", "cache", "line")
+    __slots__ = ("op", "a", "b", "checked", "line")
 
     def __init__(
         self,
@@ -126,13 +126,11 @@ class Instr:
         self.a = a
         self.b = b
         self.checked = checked
-        self.cache: Any = None
         self.line = line
 
     def copy(self) -> "Instr":
-        """A fresh instruction with the same operands (cache cleared)."""
-        new = Instr(self.op, self.a, self.b, self.checked, self.line)
-        return new
+        """A fresh instruction with the same operands."""
+        return Instr(self.op, self.a, self.b, self.checked, self.line)
 
     def __repr__(self) -> str:
         parts = [self.op.name]
@@ -204,6 +202,47 @@ OP_COST = {
     Op.DSM_RELEASE: None,
     Op.DSM_STATICREF: cm.CHECK_HIT,
 }
+
+#: Per-opcode cost tables ``(plain, checked, static)``, indexed by ``Op``.
+CostTables = Tuple[List[int], List[int], List[int]]
+
+
+def cost_tables(cost_model: Mapping[str, int]) -> CostTables:
+    """Resolve one JVM brand's cost model into per-opcode tables.
+
+    ``plain`` bills an unchecked instruction, ``checked`` a heap access
+    behind a DSM check (the ``*_checked`` rows of Table 1), ``static`` a
+    checked access to a C_static holder field: rewritten static accesses
+    are GETFIELD/PUTFIELD on the holder (§4.2) and bill the static rows.
+    """
+    n_ops = max(Op) + 1
+    plain = [0] * n_ops
+    checked = [0] * n_ops
+    for op in Op:
+        heap_key = HEAP_ACCESS_COST.get(op)
+        if heap_key is not None:
+            plain[op] = cost_model[heap_key]
+            checked[op] = cost_model[cm.checked(heap_key)]
+        elif OP_COST[op] is not None:
+            plain[op] = checked[op] = cost_model[OP_COST[op]]
+    static = list(checked)
+    static[Op.GETFIELD] = cost_model[cm.checked(cm.STATIC_READ)]
+    static[Op.PUTFIELD] = cost_model[cm.checked(cm.STATIC_WRITE)]
+    return plain, checked, static
+
+
+def instr_cost(instr: Instr, tables: CostTables) -> int:
+    """Base simulated cost of one instruction under ``tables``.
+
+    The one cost resolver: tier-0 decode, the tier-1 compiler and
+    ``disasm --costs`` all bill through it, which is what keeps their
+    simulated time identical.
+    """
+    plain, checked, static = tables
+    if not instr.checked:
+        return plain[instr.op]
+    return (static if instr.checked == "static" else checked)[instr.op]
+
 
 # Opcodes only the rewriter may emit; the verifier rejects them in
 # classes marked as un-instrumented.

@@ -14,19 +14,16 @@ were removed or hoisted.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
-from .bytecode import BRANCHES, Instr, Op
+from ..sim.cost_model import get_brand
+from .bytecode import BRANCHES, CostTables, Instr, Op, cost_tables
 from .classfile import ClassFile, MethodInfo
-
-CostTables = Tuple[List[int], List[int], List[int]]
 
 
 def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
     """(plain, checked, static) per-opcode tables for a JVM brand."""
-    from ..jit.analysis import build_cost_tables
-    from ..sim.cost_model import get_brand
-    return build_cost_tables(get_brand(brand, profile))
+    return cost_tables(get_brand(brand, profile))
 
 
 def format_instr(pc: int, instr: Instr) -> str:
@@ -63,7 +60,7 @@ def disassemble_method(method: MethodInfo,
     run_start = {}
     if costs is not None:
         from ..jit.analysis import pre_summed_runs
-        for start, end, total in pre_summed_runs(method, *costs):
+        for start, end, total in pre_summed_runs(method, costs):
             run_start[start] = (end, total)
     for pc, instr in enumerate(method.code):
         run = run_start.get(pc)

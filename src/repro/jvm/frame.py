@@ -12,10 +12,12 @@ class Frame:
 
     Locals layout follows the JVM convention: for instance methods slot 0
     is ``this`` and parameters occupy slots 1..n; for static methods
-    parameters start at slot 0.
+    parameters start at slot 0.  ``decoded`` is the executing JVM's
+    handler list for ``method`` (see :mod:`repro.jvm.interpreter`),
+    filled in when the frame first runs.
     """
 
-    __slots__ = ("method", "locals", "stack", "pc")
+    __slots__ = ("method", "locals", "stack", "pc", "decoded")
 
     def __init__(self, method: MethodInfo, args: List[Any]) -> None:
         self.method = method
@@ -23,6 +25,7 @@ class Frame:
         self.locals: List[Any] = args + [None] * (nlocals - len(args))
         self.stack: List[Any] = []
         self.pc: int = 0
+        self.decoded: Any = None
 
     def push(self, value: Any) -> None:
         """Push onto the operand stack."""

@@ -1,9 +1,21 @@
-"""The bytecode interpreter.
+"""The bytecode interpreter: decode once, dispatch once.
 
-One :class:`Interpreter` per JVM instance.  It is *steppable*: ``step``
-executes exactly one instruction of a thread's top frame and returns its
-simulated cost in nanoseconds, so the node scheduler can timeshare
-threads over simulated CPUs and the DSM can block threads mid-access.
+One :class:`Interpreter` per JVM instance.  A method is *decoded* the
+first time this JVM executes it: every instruction becomes one bound
+handler ``h(thread, frame) -> cost_ns`` — a closure holding the
+operands, the brand-resolved simulated cost, the branch comparator and
+the DSM hook method — and :meth:`Interpreter.run` is the single loop
+that calls ``decoded[pc]`` until a quantum's budget is spent.  The
+decoded list is cached per interpreter, never on the ``MethodInfo``:
+methods are shared by every worker JVM of a cluster, costs (brands) and
+link state (field slots, call targets) are per JVM.  Link state is
+resolved at a handler's first run, so a reference that cannot link
+fails at the offending instruction and not when its method is decoded.
+
+The interpreter is *steppable*: :meth:`Interpreter.step` calls exactly
+one handler of a thread's top frame and returns its simulated cost in
+nanoseconds, so the node scheduler can timeshare threads over simulated
+CPUs and the DSM can block threads mid-access.
 
 Blocking discipline (see DESIGN.md):
 
@@ -21,11 +33,13 @@ Blocking discipline (see DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+import operator
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import cost_model as cm
-from .bytecode import HEAP_ACCESS_COST, OP_COST, Instr, Op
-from .classfile import CONSTRUCTOR, MethodInfo
+from ..sim.node import StreamState
+from .bytecode import Instr, Op, cost_tables, instr_cost
+from .classfile import MethodInfo
 from .errors import (
     ArithmeticJavaError,
     ClassCastError,
@@ -40,6 +54,8 @@ from .heap import ArrayObj, Obj, monitor_of
 NO_VALUE = object()
 # Sentinel returned by native methods that blocked the thread themselves.
 BLOCK = object()
+
+_RUNNABLE = StreamState.RUNNABLE
 
 
 def java_idiv(a: int, b: int) -> int:
@@ -65,6 +81,44 @@ def java_ddiv(a: float, b: float) -> float:
     return a / b
 
 
+def java_drem(a: float, b: float) -> float:
+    """Java double remainder: never traps.  A zero divisor or an
+    infinite dividend yields NaN, an infinite divisor the dividend."""
+    if b == 0 or math.isinf(a):
+        return math.nan
+    return math.fmod(a, b)
+
+
+def java_d2i(v: float) -> int:
+    """Java ``(int)`` of a double: truncates toward zero, NaN gives 0.
+
+    Ints here are arbitrary-precision (README Limitations), so there is
+    no ``MAX_VALUE`` for an infinity to saturate to: it raises.
+    """
+    try:
+        return int(v)
+    except ValueError:  # NaN
+        return 0
+    except OverflowError:
+        raise ArithmeticJavaError("(int) of infinite double") from None
+
+
+def java_shift(count: int) -> int:
+    """A validated shift count.  Java masks the count to the operand
+    width; arbitrary-precision ints have no width, so a negative count
+    raises instead of leaking Python's ``ValueError``."""
+    if count < 0:
+        raise ArithmeticJavaError("negative shift count")
+    return count
+
+
+def java_eq(a: Any, b: Any) -> bool:
+    """Java ``==``: identity on heap references, value equality else."""
+    if isinstance(a, (Obj, ArrayObj)) or isinstance(b, (Obj, ArrayObj)):
+        return a is b
+    return a == b
+
+
 def jstr(value: Any) -> str:
     """Stringify a value the way Java's string concatenation would."""
     if value is None:
@@ -80,14 +134,14 @@ def jstr(value: Any) -> str:
     return str(value)
 
 
+#: One decoded instruction: executes it on ``frame`` (top of ``thread``),
+#: leaves ``frame.pc`` where execution continues and returns the
+#: simulated nanoseconds to bill.
+Handler = Callable[[Any, Frame], int]
+
+
 class Interpreter:
     """Executes bytecode for one JVM instance."""
-
-    # Race-detector access observer (repro.race), set per instance when
-    # the detector is enabled: (thread, ref, slot, is_write, frame,
-    # instr).  Class-level None keeps the disabled fast path a single
-    # attribute test.
-    race_hook = None
 
     # Tiered-JIT agent (repro.jit); set per instance when the jit is
     # enabled so _invoke can bump the callee's invocation counter.
@@ -96,380 +150,118 @@ class Interpreter:
 
     def __init__(self, jvm: "JVM") -> None:  # noqa: F821 - circular typing
         self.jvm = jvm
-        self.cost_model = jvm.cost_model
-        # Per-opcode cost tables, resolved once per JVM brand (a real
-        # JIT would constant-fold these; we index two flat lists).
-        n_ops = max(int(op) for op in Op) + 1
-        self._cost_plain = [0] * n_ops
-        self._cost_checked = [0] * n_ops
-        self._cost_static = [0] * n_ops
-        for op in Op:
-            heap_key = HEAP_ACCESS_COST.get(op)
-            if heap_key is not None:
-                self._cost_plain[op] = self.cost_model[heap_key]
-                self._cost_checked[op] = self.cost_model[cm.checked(heap_key)]
-                self._cost_static[op] = self._cost_checked[op]
-            else:
-                key = OP_COST[op]
-                cost = self.cost_model[key] if key is not None else 0
-                self._cost_plain[op] = cost
-                self._cost_checked[op] = cost
-                self._cost_static[op] = cost
-        # Rewritten static accesses are GETFIELD/PUTFIELD on the C_static
-        # holder (§4.2); they bill the static rows of Table 1.
-        self._cost_static[Op.GETFIELD] = self.cost_model[cm.checked(cm.STATIC_READ)]
-        self._cost_static[Op.PUTFIELD] = self.cost_model[cm.checked(cm.STATIC_WRITE)]
+        self.cost_tables = cost_tables(jvm.cost_model)
+        self._native_cost = jvm.cost_model[cm.NATIVE]
+        # id(method) -> (method, handlers); the entry pins the method so
+        # its id stays unique for the life of the cache.
+        self._decoded: Dict[int, Tuple[MethodInfo, List[Handler]]] = {}
+        self._race_hook: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
+    @property
+    def race_hook(self) -> Optional[Callable[..., None]]:
+        """Race-detector access observer (repro.race), or None:
+        ``(thread, ref, slot, is_write, frame, instr)``.  Handlers bind
+        it at decode — an access costs nothing while no detector is
+        installed — so it must be set before this JVM first executes."""
+        return self._race_hook
+
+    @race_hook.setter
+    def race_hook(self, hook: Optional[Callable[..., None]]) -> None:
+        if self._decoded:
+            raise JVMError(
+                "race_hook set after this JVM decoded its first method")
+        self._race_hook = hook
+
+    # ------------------------------------------------------------------
+    def decode(self, method: MethodInfo) -> List[Handler]:
+        """``method`` as this JVM's handler list, translated on first
+        use; one extra handler past the end reports a fall-off."""
+        entry = self._decoded.get(id(method))
+        if entry is None:
+            tables = self.cost_tables
+            handlers = [
+                _decode_instr(self, instr, pc, instr_cost(instr, tables))
+                for pc, instr in enumerate(method.code)]
+            handlers.append(_fell_off_end)
+            entry = self._decoded[id(method)] = (method, handlers)
+        return entry[1]
+
     def step(self, thread: "JThread") -> int:  # noqa: F821
         """Execute one instruction; returns its simulated cost in ns."""
         frame = thread.frames[-1]
         try:
-            instr = frame.method.code[frame.pc]
-        except IndexError:
-            raise JVMError(
-                f"pc fell off method end at {frame.where()}"
-            ) from None
-        try:
-            cost = self._execute(thread, frame, instr)
+            code = frame.decoded
+            if code is None:
+                code = frame.decoded = self.decode(frame.method)
+            cost = code[frame.pc](thread, frame)
         except JVMError as exc:
             thread.fail(exc, frame.where())
             raise
-        if thread.pending_cost:
-            cost += thread.pending_cost
-            thread.pending_cost = 0
         thread.instructions += 1
         return cost
 
-    # ------------------------------------------------------------------
-    def _base_cost(self, instr: Instr) -> int:
-        table = self._cost_checked if instr.checked else self._cost_plain
-        return table[instr.op]
+    def run(self, thread: "JThread", budget_ns: int,  # noqa: F821
+            consumed: int = 0) -> int:
+        """The dispatch loop: execute until ``budget_ns`` is spent or the
+        thread stops being runnable; returns the nanoseconds consumed,
+        counting from ``consumed``.  The budget is tested before every
+        instruction, so a quantum overshoots by at most one."""
+        frames = thread.frames
+        steps = 0
+        try:
+            while consumed < budget_ns and thread.state is _RUNNABLE:
+                frame = frames[-1]
+                code = frame.decoded
+                if code is None:
+                    code = frame.decoded = self.decode(frame.method)
+                consumed += code[frame.pc](thread, frame)
+                steps += 1
+        except JVMError as exc:
+            thread.fail(exc, frame.where())
+            raise
+        finally:
+            thread.instructions += steps
+        return consumed
 
     # ------------------------------------------------------------------
-    def _execute(self, thread, frame: Frame, instr: Instr) -> int:
-        op = instr.op
-        stack = frame.stack
-        checked = instr.checked
-        if checked:
-            cost = (self._cost_static if checked == "static"
-                    else self._cost_checked)[op]
-        else:
-            cost = self._cost_plain[op]
-
-        # --- constants & locals -------------------------------------
-        if op is Op.LOAD:
-            stack.append(frame.locals[instr.a])
-        elif op is Op.CONST:
-            stack.append(instr.a)
-        elif op is Op.DSM_READCHECK:
-            hooks = self._hooks()
-            ref = frame.peek(instr.a)
-            if ref is None:
-                raise NullPointerError("read check on null")
-            # For array accesses the element index sits just above the
-            # ref; region-granular coherence (§4.3 extension) needs it.
-            index = (
-                frame.peek(instr.a - 1)
-                if instr.a >= 1 and isinstance(ref, ArrayObj) else None
-            )
-            ok, extra = hooks.read_check(thread, ref, index)
-            if not ok:
-                # Re-execute style: pc stays on the check; the fetch
-                # reply wakes the thread and the check then passes.
-                thread.block(reexec=True, reason="read miss")
-                return cost + extra
-            frame.pc += 1
-            return cost + extra
-        elif op is Op.GETFIELD:
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError(f"getfield {instr.a}.{instr.b}")
-            idx = instr.cache
-            if idx is None:
-                idx = self.jvm.field_index(instr.a, instr.b)
-                instr.cache = idx
-            if self.race_hook is not None and checked:
-                self.race_hook(thread, ref, instr.b, False, frame, instr)
-            stack.append(ref.fields[idx])
-        elif op is Op.IF_CMP:
-            b = stack.pop(); a = stack.pop()
-            if self._test_cmp(instr.a, a, b):
-                frame.pc = instr.b
-                return cost
-
-        # --- objects ----------------------------------------------------
-        elif op is Op.ADD:
-            b = stack.pop(); stack[-1] = stack[-1] + b
-        elif op is Op.ARRLOAD:
-            idx = stack.pop(); ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("arrload on null")
-            if self.race_hook is not None and checked:
-                self.race_hook(thread, ref, idx, False, frame, instr)
-            stack.append(ref.get(idx))
-        elif op is Op.STORE:
-            frame.locals[instr.a] = stack.pop()
-        elif op is Op.IINC:
-            frame.locals[instr.a] += instr.b
-
-        # --- arithmetic ----------------------------------------------
-        elif op is Op.DSM_WRITECHECK:
-            hooks = self._hooks()
-            ref = frame.peek(instr.a)
-            if ref is None:
-                raise NullPointerError("write check on null")
-            value = frame.peek(instr.b) if instr.b is not None else None
-            index = (
-                frame.peek(instr.a - 1)
-                if instr.a >= 2 and isinstance(ref, ArrayObj) else None
-            )
-            ok, extra = hooks.write_check(thread, ref, value, index)
-            if not ok:
-                thread.block(reexec=True, reason="write miss")
-                return cost + extra
-            frame.pc += 1
-            return cost + extra
-        elif op is Op.PUTFIELD:
-            value = stack.pop()
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError(f"putfield {instr.a}.{instr.b}")
-            idx = instr.cache
-            if idx is None:
-                idx = self.jvm.field_index(instr.a, instr.b)
-                instr.cache = idx
-            if self.race_hook is not None and checked:
-                self.race_hook(thread, ref, instr.b, True, frame, instr)
-            ref.fields[idx] = value
-        elif op is Op.ARRSTORE:
-            value = stack.pop(); idx = stack.pop(); ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("arrstore on null")
-            if self.race_hook is not None and checked:
-                self.race_hook(thread, ref, idx, True, frame, instr)
-            ref.set(idx, value)
-        elif op is Op.MUL:
-            b = stack.pop(); stack[-1] = stack[-1] * b
-        elif op is Op.SUB:
-            b = stack.pop(); stack[-1] = stack[-1] - b
-        elif op is Op.GOTO:
-            frame.pc = instr.a
-            return cost
-        elif op is Op.IF:
-            v = stack.pop()
-            if self._test_zero(instr.a, v):
-                frame.pc = instr.b
-                return cost
-        elif op is Op.INVOKEVIRTUAL:
-            static_m = instr.cache
-            if static_m is None:
-                static_m = self.jvm.resolve_method(instr.a, instr.b)
-                instr.cache = static_m
-            receiver = frame.peek(len(static_m.params))
-            if receiver is None:
-                raise NullPointerError(f"invoke {instr.a}.{instr.b} on null")
-            if isinstance(receiver, str):
-                target = self.jvm.resolve_method(self.jvm.string_class, instr.b)
-            elif isinstance(receiver, ArrayObj):
-                target = self.jvm.resolve_method(self.jvm.object_class, instr.b)
-            else:
-                target = receiver.rtclass.vtable.get(instr.b)
-                if target is None:
-                    target = self.jvm.resolve_method(instr.a, instr.b)
-            return cost + self._invoke(thread, frame, static_m, target)
-        elif op is Op.INVOKESTATIC:
-            method = instr.cache
-            if method is None:
-                method = self.jvm.resolve_method(instr.a, instr.b)
-                instr.cache = method
-            return cost + self._invoke(thread, frame, method, method)
-        elif op is Op.DUP:
-            stack.append(stack[-1])
-        elif op is Op.CMP:
-            b = stack.pop(); a = stack.pop()
-            stack.append(0 if a == b else (-1 if a < b else 1))
-        elif op is Op.I2D:
-            stack[-1] = float(stack[-1])
-        elif op is Op.DIV:
-            b = stack.pop(); a = stack.pop()
-            if isinstance(a, int) and isinstance(b, int):
-                stack.append(java_idiv(a, b))
-            else:
-                stack.append(java_ddiv(float(a), float(b)))
-        elif op is Op.DSM_ACQUIRE:
-            hooks = self._hooks()
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("acquire on null")
-            done, extra = hooks.acquire(thread, ref)
-            if not done:
-                thread.block(reexec=False, reason="lock acquire")
-                return cost + extra  # complete style: waker advances pc
-            frame.pc += 1
-            return cost + extra
-        elif op is Op.DSM_RELEASE:
-            hooks = self._hooks()
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("release on null")
-            extra = hooks.release(thread, ref)
-            frame.pc += 1
-            return cost + extra
-        elif op is Op.ARRAYLENGTH:
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("arraylength on null")
-            stack.append(len(ref))
-
-        # --- synchronization (local monitors) ----------------------------
-        elif op is Op.INVOKESPECIAL:
-            method = instr.cache
-            if method is None:
-                method = self.jvm.resolve_method(instr.a, instr.b)
-                instr.cache = method
-            return cost + self._invoke(thread, frame, method, method)
-        elif op is Op.RETURN:
-            self._return(thread, None, has_value=False)
-            return cost
-        elif op is Op.RETVAL:
-            self._return(thread, stack.pop(), has_value=True)
-            return cost
-
-        # --- arrays -------------------------------------------------------
-        elif op is Op.NEW:
-            stack.append(self.jvm.new_instance(instr.a))
-        elif op is Op.NEWARRAY:
-            length = stack.pop()
-            stack.append(self.jvm.new_array(instr.a, length))
-        elif op is Op.REM:
-            b = stack.pop(); a = stack.pop()
-            if isinstance(a, int) and isinstance(b, int):
-                stack.append(java_irem(a, b))
-            else:
-                stack.append(math.fmod(a, b) if b != 0 else math.nan)
-        elif op is Op.NEG:
-            stack[-1] = -stack[-1]
-        elif op is Op.SHL:
-            b = stack.pop(); stack[-1] = stack[-1] << b
-        elif op is Op.SHR:
-            b = stack.pop(); stack[-1] = stack[-1] >> b
-        elif op is Op.USHR:
-            b = stack.pop(); a = stack.pop()
-            stack.append((a & 0xFFFFFFFFFFFFFFFF) >> b)
-        elif op is Op.AND:
-            b = stack.pop(); stack[-1] = stack[-1] & b
-        elif op is Op.OR:
-            b = stack.pop(); stack[-1] = stack[-1] | b
-        elif op is Op.XOR:
-            b = stack.pop(); stack[-1] = stack[-1] ^ b
-        elif op is Op.D2I:
-            v = stack[-1]
-            if math.isnan(v):
-                stack[-1] = 0
-            else:
-                stack[-1] = int(v)  # trunc toward zero, Java semantics
-        elif op is Op.CONCAT:
-            b = stack.pop(); a = stack.pop()
-            stack.append(jstr(a) + jstr(b))
-
-        # --- stack ----------------------------------------------------
-        elif op is Op.POP:
-            stack.pop()
-        elif op is Op.DUP_X1:
-            b = stack.pop(); a = stack.pop()
-            stack.extend((b, a, b))
-        elif op is Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-
-        # --- control flow ----------------------------------------------
-        elif op is Op.GETSTATIC:
-            rtc = self.jvm.classes[instr.a]
-            stack.append(rtc.statics[instr.b])
-        elif op is Op.PUTSTATIC:
-            rtc = self.jvm.classes[instr.a]
-            rtc.statics[instr.b] = stack.pop()
-        elif op is Op.INSTANCEOF:
-            ref = stack.pop()
-            stack.append(1 if self._is_instance(ref, instr.a) else 0)
-        elif op is Op.CHECKCAST:
-            ref = stack[-1]
-            if ref is not None and not self._is_instance(ref, instr.a):
-                raise ClassCastError(
-                    f"{getattr(ref, 'class_name', type(ref).__name__)} -> {instr.a}"
-                )
-
-        # --- invocation -------------------------------------------------
-        elif op is Op.MONITORENTER:
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("monitorenter on null")
-            if not self._monitor_enter(thread, ref):
-                thread.block(reexec=False, reason="monitor enter")
-                return cost  # blocked; waker advances pc (complete style)
-        elif op is Op.MONITOREXIT:
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("monitorexit on null")
-            self._monitor_exit(thread, ref)
-
-        # --- DSM pseudo-instructions --------------------------------------
-        elif op is Op.DSM_STATICREF:
-            hooks = self._hooks()
-            ref, extra = hooks.static_ref(thread, instr.a)
-            if ref is None:
-                thread.block(reexec=True, reason="static holder miss")
-                return cost + extra
-            stack.append(ref)
-            frame.pc += 1
-            return cost + extra
-
-        else:  # pragma: no cover - exhaustive dispatch
-            raise JVMError(f"unimplemented opcode {op.name}")
-
-        frame.pc += 1
-        return cost
-
-    # ------------------------------------------------------------------
-    def _hooks(self):
+    def _hook(self, name: str) -> Callable[..., Any]:
+        """The DSM hook method a handler binds; without hooks installed,
+        one that fails the instruction when it executes."""
         hooks = self.jvm.hooks
         if hooks is None:
-            raise JVMError("DSM instruction executed without DSM hooks installed")
-        return hooks
+            def missing(*args: Any) -> Any:
+                raise JVMError(
+                    "DSM instruction executed without DSM hooks installed")
+            return missing
+        return getattr(hooks, name)
 
-    @staticmethod
-    def _test_zero(cond: str, v: Any) -> bool:
-        if cond == "eq":
-            return v == 0 or v is None
-        if cond == "ne":
-            return not (v == 0 or v is None)
-        if v is None:
-            raise NullPointerError(f"ordered compare on null ({cond})")
-        if cond == "lt":
-            return v < 0
-        if cond == "ge":
-            return v >= 0
-        if cond == "gt":
-            return v > 0
-        if cond == "le":
-            return v <= 0
-        raise JVMError(f"bad IF condition {cond!r}")
+    def _observed(self, plain: Handler, instr: Instr, ref_at: int,
+                  is_write: bool, link: Optional[Callable[[], Any]] = None
+                  ) -> Handler:
+        """``plain`` behind the race detector's access observation —
+        chosen here, at decode: only when a detector is installed and
+        the access carries a check brand.  ``ref_at`` is the stack
+        position of the accessed reference; the slot is the field name,
+        or for arrays the index just above the reference.  ``link``
+        resolves a field reference first, so a link error still precedes
+        the observation."""
+        race = self._race_hook
+        if race is None or not instr.checked:
+            return plain
 
-    @staticmethod
-    def _test_cmp(cond: str, a: Any, b: Any) -> bool:
-        if cond == "eq":
-            return a is b if isinstance(a, (Obj, ArrayObj)) or isinstance(b, (Obj, ArrayObj)) else a == b
-        if cond == "ne":
-            return not Interpreter._test_cmp("eq", a, b)
-        if cond == "lt":
-            return a < b
-        if cond == "ge":
-            return a >= b
-        if cond == "gt":
-            return a > b
-        if cond == "le":
-            return a <= b
-        raise JVMError(f"bad IF_CMP condition {cond!r}")
+        def observed(thread: Any, frame: Frame) -> int:
+            stack = frame.stack
+            ref = stack[ref_at]
+            if ref is not None:  # on null, ``plain`` raises unobserved
+                if link is None:
+                    slot = stack[ref_at + 1]
+                else:
+                    link()
+                    slot = instr.b
+                race(thread, ref, slot, is_write, frame, instr)
+            return plain(thread, frame)
+        return observed
 
     def _is_instance(self, ref: Any, class_name: str) -> bool:
         if ref is None:
@@ -492,9 +284,10 @@ class Interpreter:
         static_m: MethodInfo,
         target: MethodInfo,
     ) -> int:
-        n = static_m.nargs
-        args = frame.stack[len(frame.stack) - n:]
-        del frame.stack[len(frame.stack) - n:]
+        stack = frame.stack
+        first_arg = len(stack) - static_m.nargs
+        args = stack[first_arg:]
+        del stack[first_arg:]
         if target.is_native:
             fn = target.native_cache
             if fn is None:
@@ -504,17 +297,18 @@ class Interpreter:
                 # MethodInfo may cache the first resolution.
                 target.native_cache = fn
             result = fn(self.jvm, thread, args)
+            cost = self._native_cost
             if result is BLOCK:
                 thread.block(reexec=False, reason=f"native {target.name}")
-                return self.cost_model[cm.NATIVE]
+                return cost
             if result is not NO_VALUE:
-                frame.stack.append(result)
+                stack.append(result)
             elif target.ret != "void":
                 raise JVMError(
                     f"native {target.klass}.{target.name} returned no value"
                 )
             frame.pc += 1
-            return self.cost_model[cm.NATIVE]
+            return cost
         thread.frames.append(Frame(target, args))
         if self.jit is not None:
             self.jit.note_invoke(target)
@@ -562,3 +356,516 @@ class Interpreter:
             mon.owner = next_thread
             mon.count = restore
             next_thread.complete(NO_VALUE)
+
+
+# ----------------------------------------------------------------------
+# Decode: one arm per opcode.  Runs once per instruction per JVM and
+# returns the handler the dispatch loop calls; whatever the instruction
+# alone decides (operands, cost, comparator, hook method, whether the
+# race detector watches) is decided here and captured by the closure.
+# ----------------------------------------------------------------------
+_BITWISE = {Op.AND: operator.and_, Op.OR: operator.or_, Op.XOR: operator.xor}
+_SHIFTS = {
+    Op.SHL: operator.lshift,
+    Op.SHR: operator.rshift,
+    Op.USHR: lambda a, count: (a & 0xFFFFFFFFFFFFFFFF) >> count,
+}
+_ORDERED = {"lt": operator.lt, "ge": operator.ge,
+            "gt": operator.gt, "le": operator.le}
+
+
+def _fell_off_end(thread: Any, frame: Frame) -> int:
+    raise JVMError("pc fell off method end")
+
+
+def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
+                  cost: int) -> Handler:
+    op, a, b, nxt = instr.op, instr.a, instr.b, pc + 1
+    jvm = interp.jvm
+
+    # --- constants & locals ---------------------------------------------
+    if op is Op.CONST:
+        def const(thread, frame):
+            frame.stack.append(a)
+            frame.pc = nxt
+            return cost
+        return const
+    if op is Op.LOAD:
+        def load(thread, frame):
+            frame.stack.append(frame.locals[a])
+            frame.pc = nxt
+            return cost
+        return load
+    if op is Op.STORE:
+        def store(thread, frame):
+            frame.locals[a] = frame.stack.pop()
+            frame.pc = nxt
+            return cost
+        return store
+    if op is Op.IINC:
+        def iinc(thread, frame):
+            frame.locals[a] += b
+            frame.pc = nxt
+            return cost
+        return iinc
+
+    # --- arithmetic -----------------------------------------------------
+    if op is Op.ADD:
+        def add(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            stack[-1] = stack[-1] + y
+            frame.pc = nxt
+            return cost
+        return add
+    if op is Op.SUB:
+        def sub(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            stack[-1] = stack[-1] - y
+            frame.pc = nxt
+            return cost
+        return sub
+    if op is Op.MUL:
+        def mul(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            stack[-1] = stack[-1] * y
+            frame.pc = nxt
+            return cost
+        return mul
+    if op is Op.DIV:
+        def div(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            x = stack[-1]
+            if isinstance(x, int) and isinstance(y, int):
+                stack[-1] = java_idiv(x, y)
+            else:
+                stack[-1] = java_ddiv(float(x), float(y))
+            frame.pc = nxt
+            return cost
+        return div
+    if op is Op.REM:
+        def rem(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            x = stack[-1]
+            if isinstance(x, int) and isinstance(y, int):
+                stack[-1] = java_irem(x, y)
+            else:
+                stack[-1] = java_drem(x, y)
+            frame.pc = nxt
+            return cost
+        return rem
+    if op is Op.NEG:
+        def neg(thread, frame):
+            stack = frame.stack
+            stack[-1] = -stack[-1]
+            frame.pc = nxt
+            return cost
+        return neg
+    if op in _BITWISE:
+        bit_op = _BITWISE[op]
+
+        def bitwise(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            stack[-1] = bit_op(stack[-1], y)
+            frame.pc = nxt
+            return cost
+        return bitwise
+    if op in _SHIFTS:
+        shift_op = _SHIFTS[op]
+
+        def shift(thread, frame):
+            stack = frame.stack
+            count = java_shift(stack.pop())
+            stack[-1] = shift_op(stack[-1], count)
+            frame.pc = nxt
+            return cost
+        return shift
+    if op is Op.CMP:
+        def cmp(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            x = stack[-1]
+            stack[-1] = 0 if x == y else (-1 if x < y else 1)
+            frame.pc = nxt
+            return cost
+        return cmp
+    if op is Op.I2D:
+        def i2d(thread, frame):
+            stack = frame.stack
+            stack[-1] = float(stack[-1])
+            frame.pc = nxt
+            return cost
+        return i2d
+    if op is Op.D2I:
+        def d2i(thread, frame):
+            stack = frame.stack
+            stack[-1] = java_d2i(stack[-1])
+            frame.pc = nxt
+            return cost
+        return d2i
+    if op is Op.CONCAT:
+        def concat(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            stack[-1] = jstr(stack[-1]) + jstr(y)
+            frame.pc = nxt
+            return cost
+        return concat
+
+    # --- stack ----------------------------------------------------------
+    if op is Op.POP:
+        def pop(thread, frame):
+            frame.stack.pop()
+            frame.pc = nxt
+            return cost
+        return pop
+    if op is Op.DUP:
+        def dup(thread, frame):
+            stack = frame.stack
+            stack.append(stack[-1])
+            frame.pc = nxt
+            return cost
+        return dup
+    if op is Op.DUP_X1:
+        def dup_x1(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            x = stack.pop()
+            stack.extend((y, x, y))
+            frame.pc = nxt
+            return cost
+        return dup_x1
+    if op is Op.SWAP:
+        def swap(thread, frame):
+            stack = frame.stack
+            stack[-1], stack[-2] = stack[-2], stack[-1]
+            frame.pc = nxt
+            return cost
+        return swap
+
+    # --- control flow: a = condition, b = target (GOTO: a = target) -----
+    if op is Op.GOTO:
+        def goto(thread, frame):
+            frame.pc = a
+            return cost
+        return goto
+    if op is Op.IF or op is Op.IF_CMP:
+        if a in ("eq", "ne"):
+            want = a == "eq"
+            if op is Op.IF:
+                def if_zero(thread, frame):
+                    v = frame.stack.pop()
+                    frame.pc = b if (v == 0 or v is None) is want else nxt
+                    return cost
+                return if_zero
+
+            def if_same(thread, frame):
+                stack = frame.stack
+                y = stack.pop()
+                frame.pc = b if java_eq(stack.pop(), y) is want else nxt
+                return cost
+            return if_same
+        test = _ORDERED.get(a)
+        if test is None:
+            raise JVMError(f"bad {op.name} condition {a!r}")
+        if op is Op.IF:
+            def if_ordered(thread, frame):
+                v = frame.stack.pop()
+                if v is None:
+                    raise NullPointerError(
+                        f"ordered compare on null ({a})")
+                frame.pc = b if test(v, 0) else nxt
+                return cost
+            return if_ordered
+
+        def if_cmp(thread, frame):
+            stack = frame.stack
+            y = stack.pop()
+            frame.pc = b if test(stack.pop(), y) else nxt
+            return cost
+        return if_cmp
+
+    # --- objects: a = class name, b = field name ------------------------
+    if op is Op.NEW:
+        new_instance = jvm.new_instance
+
+        def new(thread, frame):
+            frame.stack.append(new_instance(a))
+            frame.pc = nxt
+            return cost
+        return new
+    if op is Op.GETFIELD or op is Op.PUTFIELD:
+        field_index = jvm.field_index
+        slot = None
+
+        def link():
+            nonlocal slot
+            if slot is None:
+                slot = field_index(a, b)
+
+        if op is Op.GETFIELD:
+            def getfield(thread, frame):
+                stack = frame.stack
+                ref = stack[-1]
+                if ref is None:
+                    raise NullPointerError(f"getfield {a}.{b}")
+                if slot is None:
+                    link()
+                stack[-1] = ref.fields[slot]
+                frame.pc = nxt
+                return cost
+            return interp._observed(getfield, instr, -1, False, link)
+
+        def putfield(thread, frame):
+            stack = frame.stack
+            value = stack.pop()
+            ref = stack.pop()
+            if ref is None:
+                raise NullPointerError(f"putfield {a}.{b}")
+            if slot is None:
+                link()
+            ref.fields[slot] = value
+            frame.pc = nxt
+            return cost
+        return interp._observed(putfield, instr, -2, True, link)
+    if op is Op.GETSTATIC:
+        classes = jvm.classes
+
+        def getstatic(thread, frame):
+            frame.stack.append(classes[a].statics[b])
+            frame.pc = nxt
+            return cost
+        return getstatic
+    if op is Op.PUTSTATIC:
+        classes = jvm.classes
+
+        def putstatic(thread, frame):
+            classes[a].statics[b] = frame.stack.pop()
+            frame.pc = nxt
+            return cost
+        return putstatic
+    if op is Op.INSTANCEOF:
+        is_instance = interp._is_instance
+
+        def instanceof(thread, frame):
+            stack = frame.stack
+            stack[-1] = 1 if is_instance(stack[-1], a) else 0
+            frame.pc = nxt
+            return cost
+        return instanceof
+    if op is Op.CHECKCAST:
+        is_instance = interp._is_instance
+
+        def checkcast(thread, frame):
+            ref = frame.stack[-1]
+            if ref is not None and not is_instance(ref, a):
+                raise ClassCastError(
+                    f"{getattr(ref, 'class_name', type(ref).__name__)} "
+                    f"-> {a}")
+            frame.pc = nxt
+            return cost
+        return checkcast
+
+    # --- arrays ---------------------------------------------------------
+    if op is Op.NEWARRAY:
+        new_array = jvm.new_array
+
+        def newarray(thread, frame):
+            stack = frame.stack
+            stack[-1] = new_array(a, stack[-1])
+            frame.pc = nxt
+            return cost
+        return newarray
+    if op is Op.ARRLOAD:
+        def arrload(thread, frame):
+            stack = frame.stack
+            index = stack.pop()
+            ref = stack[-1]
+            if ref is None:
+                raise NullPointerError("arrload on null")
+            stack[-1] = ref.get(index)
+            frame.pc = nxt
+            return cost
+        return interp._observed(arrload, instr, -2, False)
+    if op is Op.ARRSTORE:
+        def arrstore(thread, frame):
+            stack = frame.stack
+            value = stack.pop()
+            index = stack.pop()
+            ref = stack.pop()
+            if ref is None:
+                raise NullPointerError("arrstore on null")
+            ref.set(index, value)
+            frame.pc = nxt
+            return cost
+        return interp._observed(arrstore, instr, -3, True)
+    if op is Op.ARRAYLENGTH:
+        def arraylength(thread, frame):
+            stack = frame.stack
+            ref = stack[-1]
+            if ref is None:
+                raise NullPointerError("arraylength on null")
+            stack[-1] = len(ref)
+            frame.pc = nxt
+            return cost
+        return arraylength
+
+    # --- invocation: a = static class name, b = method name -------------
+    if op is Op.INVOKEVIRTUAL:
+        resolve, invoke = jvm.resolve_method, interp._invoke
+        static_m = None
+        receiver_at = 0
+
+        def invokevirtual(thread, frame):
+            nonlocal static_m, receiver_at
+            if static_m is None:
+                static_m = resolve(a, b)
+                receiver_at = -1 - len(static_m.params)
+            receiver = frame.stack[receiver_at]
+            if receiver is None:
+                raise NullPointerError(f"invoke {a}.{b} on null")
+            if isinstance(receiver, str):
+                target = resolve(jvm.string_class, b)
+            elif isinstance(receiver, ArrayObj):
+                target = resolve(jvm.object_class, b)
+            else:
+                target = receiver.rtclass.vtable.get(b)
+                if target is None:
+                    target = resolve(a, b)
+            return cost + invoke(thread, frame, static_m, target)
+        return invokevirtual
+    if op is Op.INVOKESTATIC or op is Op.INVOKESPECIAL:
+        resolve, invoke = jvm.resolve_method, interp._invoke
+        method = None
+
+        def invokedirect(thread, frame):
+            nonlocal method
+            if method is None:
+                method = resolve(a, b)
+            return cost + invoke(thread, frame, method, method)
+        return invokedirect
+    if op is Op.RETURN or op is Op.RETVAL:
+        has_value = op is Op.RETVAL
+        return_to_caller = interp._return
+
+        def return_(thread, frame):
+            return_to_caller(
+                thread, frame.stack.pop() if has_value else None, has_value)
+            return cost
+        return return_
+
+    # --- synchronization (local monitors) -------------------------------
+    if op is Op.MONITORENTER:
+        monitor_enter = interp._monitor_enter
+
+        def monitorenter(thread, frame):
+            ref = frame.stack.pop()
+            if ref is None:
+                raise NullPointerError("monitorenter on null")
+            if monitor_enter(thread, ref):
+                frame.pc = nxt
+            else:  # complete style: the waker advances the pc
+                thread.block(reexec=False, reason="monitor enter")
+            return cost
+        return monitorenter
+    if op is Op.MONITOREXIT:
+        monitor_exit = interp._monitor_exit
+
+        def monitorexit(thread, frame):
+            ref = frame.stack.pop()
+            if ref is None:
+                raise NullPointerError("monitorexit on null")
+            monitor_exit(thread, ref)
+            frame.pc = nxt
+            return cost
+        return monitorexit
+
+    # --- DSM pseudo-instructions ----------------------------------------
+    if op is Op.DSM_READCHECK or op is Op.DSM_WRITECHECK:
+        # a = stack depth of the ref.  For array accesses the element
+        # index sits just above it; region-granular coherence (§4.3
+        # extension) needs it.
+        ref_at = -1 - a
+        if op is Op.DSM_READCHECK:
+            has_index = a >= 1
+            read_check = interp._hook("read_check")
+
+            def dsm_readcheck(thread, frame):
+                stack = frame.stack
+                ref = stack[ref_at]
+                if ref is None:
+                    raise NullPointerError("read check on null")
+                index = (stack[ref_at + 1]
+                         if has_index and isinstance(ref, ArrayObj) else None)
+                ok, extra = read_check(thread, ref, index)
+                if ok:
+                    frame.pc = nxt
+                else:
+                    # Re-execute style: pc stays on the check; the fetch
+                    # reply wakes the thread and the check then passes.
+                    thread.block(reexec=True, reason="read miss")
+                return cost + extra
+            return dsm_readcheck
+        has_index = a >= 2
+        value_at = None if b is None else -1 - b  # b = depth of the value
+        write_check = interp._hook("write_check")
+
+        def dsm_writecheck(thread, frame):
+            stack = frame.stack
+            ref = stack[ref_at]
+            if ref is None:
+                raise NullPointerError("write check on null")
+            value = None if value_at is None else stack[value_at]
+            index = (stack[ref_at + 1]
+                     if has_index and isinstance(ref, ArrayObj) else None)
+            ok, extra = write_check(thread, ref, value, index)
+            if ok:
+                frame.pc = nxt
+            else:
+                thread.block(reexec=True, reason="write miss")
+            return cost + extra
+        return dsm_writecheck
+    if op is Op.DSM_ACQUIRE:
+        acquire = interp._hook("acquire")
+
+        def dsm_acquire(thread, frame):
+            ref = frame.stack.pop()
+            if ref is None:
+                raise NullPointerError("acquire on null")
+            done, extra = acquire(thread, ref)
+            if done:
+                frame.pc = nxt
+            else:  # complete style: the waker advances the pc
+                thread.block(reexec=False, reason="lock acquire")
+            return cost + extra
+        return dsm_acquire
+    if op is Op.DSM_RELEASE:
+        release = interp._hook("release")
+
+        def dsm_release(thread, frame):
+            ref = frame.stack.pop()
+            if ref is None:
+                raise NullPointerError("release on null")
+            extra = release(thread, ref)
+            frame.pc = nxt
+            return cost + extra
+        return dsm_release
+    if op is Op.DSM_STATICREF:
+        static_ref = interp._hook("static_ref")
+
+        def dsm_staticref(thread, frame):
+            ref, extra = static_ref(thread, a)
+            if ref is None:
+                thread.block(reexec=True, reason="static holder miss")
+            else:
+                frame.stack.append(ref)
+                frame.pc = nxt
+            return cost + extra
+        return dsm_staticref
+
+    raise JVMError(f"unimplemented opcode {op!r}")

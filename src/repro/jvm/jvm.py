@@ -98,7 +98,6 @@ class JThread:
         self.thread_obj = thread_obj
         self.priority = priority
         self.block_reason = ""
-        self.pending_cost = 0
         self.instructions = 0
         self.result: Any = None
         self.error: Optional[BaseException] = None
@@ -116,11 +115,7 @@ class JThread:
         jit = self.jvm.jit
         if jit is not None:
             return jit.run_quantum(self, budget_ns)
-        consumed = 0
-        interp = self.jvm.interpreter
-        while consumed < budget_ns and self.state is StreamState.RUNNABLE:
-            consumed += interp.step(self)
-        return consumed, self.state
+        return self.jvm.interpreter.run(self, budget_ns), self.state
 
     # ------------------------------------------------------------------
     # Blocking protocol (see interpreter docstring)
@@ -158,10 +153,6 @@ class JThread:
         self.jvm.node.wake(self)
 
     # ------------------------------------------------------------------
-    def add_cost(self, ns: int) -> None:
-        """Charge extra simulated time (used by native methods)."""
-        self.pending_cost += ns
-
     def finish(self, result: Any) -> None:
         """Normal thread completion; notifies joiners."""
         self.state = StreamState.FINISHED

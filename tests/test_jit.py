@@ -19,6 +19,7 @@ import pytest
 
 from repro.check.runner import DEFAULT_JITTER_NS, app_source, run_check
 from repro.jit import REASON_NAMES, N_REASONS
+from repro.jvm.errors import ArithmeticJavaError
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime.config import RuntimeConfig
@@ -136,6 +137,7 @@ class Edge {
     double ddiv(double a, double b) { return a / b; }
     int shifts(int a, int b) { return (a >> b) + (a >>> b) + (a << 1); }
     int d2i(double x) { return (int) x; }
+    double drem(double a, double b) { return a % b; }
 
     int run() {
         int acc = 0;
@@ -150,6 +152,10 @@ class Edge {
             if (ddiv(1.0, 0.0) > 0.0) { acc += 1; }   // +inf
             if (ddiv(-1.0, 0.0) < 0.0) { acc += 1; }  // -inf
             if (ddiv(0.0, 0.0) == ddiv(0.0, 0.0)) { acc += 100; } // NaN != NaN
+            double inf = ddiv(1.0, 0.0);
+            if (drem(inf, 2.0) == drem(inf, 2.0)) { acc += 1000; } // inf % x is NaN
+            if (drem(5.5, inf) == 5.5) { acc += 3; }    // x % inf is x
+            if (drem(-7.5, 2.0) == -1.5) { acc += 5; }  // sign follows dividend
         }
         return acc;
     }
@@ -166,20 +172,29 @@ class EdgeMain {
 }
 """
 
+# ``hot`` runs compiled from its second call on; the last call raises.
 FAILING_SOURCE = """
 class Boom {
-    int hot(int d) { return 100 / d; }
+    int hot(int d) { return %s; }
 }
 
 class BoomMain {
     static int main() {
         Boom b = new Boom();
         int acc = 0;
-        for (int i = 5; i >= 0; i--) { acc += b.hot(i); }   // hits /0
+        for (int i = 5; i >= 0; i--) { acc += b.hot(i); }
         return acc;
     }
 }
 """
+
+# Expression over ``d`` that fails at d == 0 -> the error's message.
+# The last two used to leak OverflowError / ValueError out of the engine.
+FAILING_EXPRS = {
+    "100 / d": "/ by zero",
+    "(int) (1.0 / d)": "(int) of infinite double",
+    "1 << (d - 1)": "negative shift count",
+}
 
 
 def run_source(source: str, jit: bool, **overrides):
@@ -204,12 +219,48 @@ def test_golden_opcode_edges():
 def test_golden_exception_identical():
     """A JVMError raised from compiled code must fail the thread with
     the interpreter's exact message (same pc, same frame.where())."""
-    with pytest.raises(Exception) as base_exc:
-        run_source(FAILING_SOURCE, jit=False)
-    with pytest.raises(Exception) as jit_exc:
-        run_source(FAILING_SOURCE, jit=True)
-    assert type(jit_exc.value) is type(base_exc.value)
-    assert str(jit_exc.value) == str(base_exc.value)
+    for expr, message in FAILING_EXPRS.items():
+        source = FAILING_SOURCE % expr
+        with pytest.raises(ArithmeticJavaError) as base_exc:
+            run_source(source, jit=False)
+        with pytest.raises(ArithmeticJavaError) as jit_exc:
+            run_source(source, jit=True)
+        assert str(jit_exc.value) == str(base_exc.value), expr
+        assert str(base_exc.value).startswith(
+            message + " at javasplit.Boom.hot pc="), expr
+
+
+TAIL_FAILING_SOURCE = """
+class Boom {
+    int hot(int d) {
+        int s = 0;
+        for (int k = 0; k < 7; k++) { s += 100 / (d + 3 - k); }
+        return s;
+    }
+}
+
+class BoomMain {
+    static int main() {
+        Boom b = new Boom();
+        int acc = 0;
+        for (int i = 3; i >= 0; i--) { acc += b.hot(i); }
+        return acc;
+    }
+}
+"""
+
+
+def test_interp_steps_counted_when_budget_tail_fails():
+    """At a 60 ns quantum the division by zero lands in the interpreter
+    tail after an ``R_BUDGET`` exit; the tail's instructions before the
+    failing one are still counted (golden from the per-step loop)."""
+    config = RuntimeConfig(num_nodes=2, seed=0, jit_enable=True,
+                           jit_threshold=1, quantum_ns=60)
+    runtime = JavaSplitRuntime(
+        rewrite_application(compile_source(TAIL_FAILING_SOURCE)), config)
+    with pytest.raises(ArithmeticJavaError, match="/ by zero"):
+        runtime.run()
+    assert runtime.workers[0].jvm.jit.interp_steps == 112
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 end-to-end coherence guarantee."""
 
 import math
+import operator
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.dsm.diffs import apply_diff, compute_diff, make_twin
 from repro.dsm.serialization import (
     K_DOUBLE, K_INT, K_STR, deserialize_into, serialize_object,
 )
+from repro.jvm.bytecode import BRANCHES, Instr, Op
 from repro.jvm.interpreter import java_ddiv, java_idiv, java_irem
 
 # ---------------------------------------------------------------------------
@@ -366,3 +369,233 @@ def test_lrc_counter_coherence(ncells, threads, reps, nodes):
     src = _COHERENCE_SRC.format(ncells=ncells, threads=threads, reps=reps)
     report = run_distributed(source=src, num_nodes=nodes)
     assert report.result == threads * reps
+
+
+# ---------------------------------------------------------------------------
+# Generated programs: tier 0 == tier 1 == direct evaluation of the tree
+# (first slice of ROADMAP 4(a): decoding and compiling are bytecode
+# transformations, so each must preserve semantics on programs nobody
+# wrote by hand)
+# ---------------------------------------------------------------------------
+_GEN_SRC = """
+class Box { int fi; double fd; }
+class Gen {
+    int run(Box box, int[] cells, int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i = i + 1) {
+%s
+        }
+        for (int i = 0; i < cells.length; i = i + 1) { acc = acc + cells[i]; }
+        return acc + box.fi + (int) box.fd;
+    }
+}
+class Main {
+    static int main() {
+        Gen g = new Gen();
+        Box box = new Box();
+        int[] cells = new int[8];
+        int total = 0;
+        for (int round = 1; round <= 3; round = round + 1) {
+            total = total + g.run(box, cells, 4 * round);
+        }
+        return total;
+    }
+}
+"""
+
+
+def _lit(values):
+    return values.map(lambda v: ("lit", v))
+
+
+def _bin(ops, left, right):
+    return st.tuples(st.sampled_from(ops), left, right)
+
+
+# Trees: ("lit", v) | ("var", name) | ("cell", k) | ("i2d", int tree)
+# | ("d2i", double tree) | (operator, left, right).  Divisors are
+# non-zero literals and every store is reduced modulo a constant, so no
+# generated program can trap or overflow a double.
+_int_core = st.recursive(
+    st.one_of(_lit(st.integers(-9, 9)),
+              st.sampled_from(["i", "acc", "box.fi"]).map(
+                  lambda name: ("var", name)),
+              st.integers(0, 7).map(lambda k: ("cell", k))),
+    lambda kid: st.one_of(
+        _bin("+-*", kid, kid),
+        _bin("/%", kid, _lit(st.integers(1, 9).flatmap(
+            lambda v: st.sampled_from([v, -v]))))),
+    max_leaves=5)
+_dbl_expr = st.recursive(
+    st.one_of(_lit(st.sampled_from([0.5, 1.5, -2.25, 3.0])),
+              st.just(("var", "box.fd")),
+              _int_core.map(lambda e: ("i2d", e))),
+    lambda kid: st.one_of(
+        _bin("+-*", kid, kid),
+        _bin("/", kid, _lit(st.sampled_from([0.5, -4.0, 3.0])))),
+    max_leaves=4)
+_int_expr = st.one_of(
+    _int_core, _dbl_expr.map(lambda e: ("d2i", e)),
+    _bin("+-", _int_core, _dbl_expr.map(lambda e: ("d2i", e))))
+_condition = st.one_of(
+    _bin(["<", "<=", ">", ">=", "==", "!="], _int_expr, _int_expr),
+    _bin(["<", ">="], _dbl_expr, _dbl_expr))
+# Statements: ("set", target tree, value tree) | ("if", condition,
+# then-statements, else-statements).
+_statement = st.recursive(
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(
+            [("var", "acc"), ("var", "box.fi")]), _int_expr),
+        st.tuples(st.just("set"), st.just(("var", "box.fd")), _dbl_expr),
+        st.tuples(st.just("set"), st.integers(0, 7).map(
+            lambda k: ("cell", k)), _int_expr)),
+    lambda kid: st.tuples(st.just("if"), _condition,
+                          st.lists(kid, min_size=1, max_size=2),
+                          st.lists(kid, max_size=2)),
+    max_leaves=4)
+
+
+def _modulus(target):
+    """The literal that bounds what a store to ``target`` keeps."""
+    return ("lit", {("var", "acc"): 100003, ("var", "box.fi"): 1009,
+                    ("var", "box.fd"): 1000.0}.get(target, 997))
+
+
+def _java(tree) -> str:
+    """A tree as MiniJava source."""
+    kind = tree[0]
+    if kind == "lit":
+        return f"({tree[1]})"
+    if kind == "var":
+        return tree[1]
+    if kind == "cell":
+        return f"cells[(i + {tree[1]}) % 8]"
+    if kind == "i2d":
+        return f"({_java(tree[1])} * 1.0)"
+    if kind == "d2i":
+        return f"((int) {_java(tree[1])})"
+    if kind == "if":
+        then = " ".join(map(_java, tree[2]))
+        other = " ".join(map(_java, tree[3]))
+        cond = f"{_java(tree[1][1])} {tree[1][0]} {_java(tree[1][2])}"
+        return f"if ({cond}) {{ {then} }} else {{ {other} }}"
+    if kind == "set":
+        stored = ("%", tree[2], _modulus(tree[1]))
+        return f"{_java(tree[1])} = {_java(stored)};"
+    return f"({_java(tree[1])} {kind} {_java(tree[2])})"
+
+
+def _int_div(a: int, b: int) -> int:
+    return int(Fraction(a, b))  # exact, truncates toward zero like Java
+
+
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+
+def _value(tree, env):
+    """A tree evaluated directly, with Java's arithmetic."""
+    kind = tree[0]
+    if kind == "lit":
+        return tree[1]
+    if kind == "var":
+        return env[tree[1]]
+    if kind == "cell":
+        return env["cells"][(env["i"] + tree[1]) % 8]
+    if kind == "i2d":
+        return float(_value(tree[1], env))
+    if kind == "d2i":
+        return int(_value(tree[1], env))
+    left, right = _value(tree[1], env), _value(tree[2], env)
+    if kind in "/%" and isinstance(left, int):
+        quotient = _int_div(left, right)
+        return quotient if kind == "/" else left - right * quotient
+    if kind in "/%":
+        return left / right if kind == "/" else math.fmod(left, right)
+    return _OPERATORS[kind](left, right)
+
+
+def _execute(stmt, env) -> None:
+    kind = stmt[0]
+    if kind == "if":
+        taken = stmt[2] if _value(stmt[1], env) else stmt[3]
+        for inner in taken:
+            _execute(inner, env)
+        return
+    target, value = stmt[1], _value(("%", stmt[2], _modulus(stmt[1])), env)
+    if target[0] == "cell":
+        env["cells"][(env["i"] + target[1]) % 8] = value
+    else:
+        env[target[1]] = value
+
+
+def _expected(body) -> int:
+    """What ``Main.main`` of ``_GEN_SRC`` returns for this loop body."""
+    env = {"box.fi": 0, "box.fd": 0.0, "cells": [0] * 8}
+    total = 0
+    for rounds in (1, 2, 3):
+        env["acc"] = 0
+        for env["i"] in range(4 * rounds):
+            for stmt in body:
+                _execute(stmt, env)
+        total += (env["acc"] + sum(env["cells"]) + env["box.fi"]
+                  + int(env["box.fd"]))
+    return total
+
+
+def _fold_increments(method) -> int:
+    """Rewrite ``x = x + c`` (LOAD x; CONST c; ADD; STORE x) into
+    ``IINC x c`` — the compiler never emits IINC, so without this no
+    program would run it — and renumber the branch targets."""
+    code, out, new_pc = method.code, [], {}
+    targets = {i.a if i.op is Op.GOTO else i.b
+               for i in code if i.op in BRANCHES}
+    pc = 0
+    while pc < len(code):
+        new_pc[pc] = len(out)
+        run = code[pc:pc + 4]
+        if ([i.op for i in run] == [Op.LOAD, Op.CONST, Op.ADD, Op.STORE]
+                and run[0].a == run[3].a and type(run[1].a) is int
+                and not targets & {pc + 1, pc + 2, pc + 3}):
+            out.append(Instr(Op.IINC, run[0].a, run[1].a, line=run[0].line))
+            pc += 4
+        else:
+            out.append(code[pc])
+            pc += 1
+    for instr in out:
+        if instr.op is Op.GOTO:
+            instr.a = new_pc[instr.a]
+        elif instr.op in BRANCHES:
+            instr.b = new_pc[instr.b]
+    method.code[:] = out
+    return sum(i.op is Op.IINC for i in out)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(body=st.lists(_statement, min_size=1, max_size=4))
+def test_generated_method_same_in_both_tiers_and_direct_evaluation(body):
+    from repro.lang import compile_source
+    from repro.rewriter import rewrite_application
+    from repro.runtime import JavaSplitRuntime, RuntimeConfig
+
+    source = _GEN_SRC % "\n".join(_java(stmt) for stmt in body)
+    reports = {}
+    for jit in (False, True):
+        classfiles = compile_source(source)
+        gen = next(cf for cf in classfiles if cf.name == "Gen")
+        assert _fold_increments(gen.methods["run"]) >= 2
+        runtime = JavaSplitRuntime(
+            rewrite_application(classfiles),
+            RuntimeConfig(num_nodes=2, seed=0, jit_enable=jit,
+                          jit_threshold=1))
+        reports[jit] = runtime.run()
+    base, compiled = reports[False], reports[True]
+    assert base.result == _expected(body)
+    assert compiled.result == base.result
+    assert compiled.simulated_ns == base.simulated_ns
+    assert "javasplit.Gen.run" in compiled.jit["compiled_methods"]
+    assert not compiled.jit["blacklisted"]
