@@ -96,9 +96,6 @@ class MethodAnalysis:
     depth_at: List[Optional[int]]
     #: pcs that are branch targets (reachable).
     branch_targets: Set[int] = field(default_factory=set)
-    #: Targets of backward branches — loop headers, ordered hot-first
-    #: in the dispatch chain.
-    loop_headers: Set[int] = field(default_factory=set)
     #: Local slots read or written by the method body.
     used_locals: Set[int] = field(default_factory=set)
     #: Local slots written (STORE/IINC) — the only ones that need
@@ -108,27 +105,6 @@ class MethodAnalysis:
     #: becomes a deopt site).
     invoke_targets: Dict[int, Optional[MethodInfo]] = field(
         default_factory=dict)
-
-    def entries(self) -> Set[int]:
-        """Every pc the compiled function must be enterable at.
-
-        A quantum can end anywhere (the interpreter tail runs to the
-        exact budget boundary), but the compiled function only *starts*
-        at: method entry, branch targets, and each special op and its
-        successor (blocked threads resume at, or just after, the op
-        that blocked).
-        """
-        code = self.method.code
-        n = len(code)
-        pcs = {0} | set(self.branch_targets)
-        for pc, instr in enumerate(code):
-            if self.depth_at[pc] is None:
-                continue
-            if instr.op in SPECIAL_OPS or self.invoke_targets.get(pc, "") is None:
-                pcs.add(pc)
-                if pc + 1 < n:
-                    pcs.add(pc + 1)
-        return {pc for pc in pcs if self.depth_at[pc] is not None}
 
 
 def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
@@ -204,8 +180,6 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
                 raise CompileError(
                     f"{method.klass}.{method.name} pc={pc}: bad target")
             ana.branch_targets.add(target_pc)
-            if target_pc <= pc:
-                ana.loop_headers.add(target_pc)
             succs.append(target_pc)
         if op not in TERMINATORS:
             succs.append(pc + 1)

@@ -23,9 +23,17 @@ same exceptions.  That falls out of three rules:
 * anything unresolvable at compile time becomes a deopt stub that
   materializes state and lets the interpreter execute that pc.
 
-Compiled code inlines the §4.4 local-lock fast path (the uncontended
-``DSM_ACQUIRE``/``DSM_RELEASE`` case) and calls whitelisted pure
-natives (``Math.*`` etc.) without materializing the frame.
+Layout: the function is one ``while True`` loop over *arms*, one per
+entry pc, emitted in ascending pc order as sequential ``if pc == K:``
+blocks under a balanced tree of ``if pc < M:`` skip guards.  An arm
+that runs into the next entry sets ``pc`` and falls through; only a
+taken branch or a back edge ``continue``s and descends the tree again.
+
+Compiled code inlines the pass-through of the §4.2 read check (one
+compare of the header's state; the handler runs on a miss only) and
+the §4.4 local-lock fast path (the uncontended ``DSM_ACQUIRE``/
+``DSM_RELEASE`` case), and calls whitelisted pure natives (``Math.*``
+etc.) without materializing the frame.
 
 Exit reasons (second element of the ``(used_ns, reason)`` return):
 """
@@ -49,7 +57,6 @@ from ..jvm.interpreter import (
     java_d2i,
     java_ddiv,
     java_drem,
-    java_eq,
     java_idiv,
     java_irem,
     java_shift,
@@ -75,8 +82,15 @@ REASON_NAMES = (
 )
 N_REASONS = len(REASON_NAMES)
 
-# Hard cap on generated statements; methods beyond it stay interpreted.
+# Hard caps on generated statements and on nesting (skip-tree depth +
+# arm nesting; CPython's tokenizer refuses 100 indentation levels):
+# methods beyond either stay interpreted.
 _MAX_STATEMENTS = 20000
+_MAX_INDENT = 90
+
+# Arms per leaf of the dispatch skip tree: a descent costs log2(arms /
+# leaf) guard compares plus at most this many equality tests.
+_LEAF_ARMS = 4
 
 # Nested compiled-to-compiled call depth cap (Python stack headroom);
 # deeper recursion falls back to one interpreter step per call.
@@ -130,7 +144,7 @@ class _Emitter:
             _JVME=JVMError, _NPE=NullPointerError, _CCE=ClassCastError,
             _idiv=java_idiv, _irem=java_irem, _ddiv=java_ddiv,
             _drem=java_drem, _d2i=java_d2i, _shift=java_shift,
-            _jeq=java_eq, _jstr=jstr,
+            _jstr=jstr,
             _Frame=Frame, _Arr=ArrayObj,
             _RUN=StreamState.RUNNABLE, _NOV=NO_VALUE, _BLK=BLOCK,
             _jvm=self.jvm, _classes=self.jvm.classes,
@@ -154,7 +168,8 @@ class _Emitter:
                 _release=dsm.release, _stats=dsm.stats,
             )
             from ..dsm.objectstate import ObjState
-            self.env["_LOCAL"] = ObjState.LOCAL
+            self.env.update(_LOCAL=ObjState.LOCAL, _INVALID=ObjState.INVALID,
+                            _regions=dsm._regions)
             self._lock_opt = bool(dsm.config.local_lock_opt)
             # Subscribers of the engine's lock_edge point (the race
             # detector's §4.4 local-lock clocks) fire from the inlined
@@ -201,6 +216,12 @@ class _Emitter:
                     self._deopt_pcs.add(pc)
 
     def _entries(self) -> Set[int]:
+        """Every pc the compiled function can be entered at.  A quantum
+        can end anywhere (the interpreter tail runs to the exact budget
+        boundary), but compiled code only *starts* at: method entry,
+        branch targets, and each special op or deopt site and its
+        successor (a blocked thread resumes at, or just after, the op
+        that blocked)."""
         n = len(self.code)
         pcs = {0} | set(self.ana.branch_targets)
         for pc, instr in enumerate(self.code):
@@ -215,7 +236,7 @@ class _Emitter:
     # -- line helpers --------------------------------------------------
     def w(self, ind: int, text: str) -> None:
         self.lines.append("    " * ind + text)
-        if len(self.lines) > _MAX_STATEMENTS:
+        if len(self.lines) > _MAX_STATEMENTS or ind > _MAX_INDENT:
             raise CompileError(
                 f"{self.method.klass}.{self.method.name}: method too "
                 f"large to compile")
@@ -223,9 +244,8 @@ class _Emitter:
     def _cost(self, instr: Instr) -> int:
         return instr_cost(instr, self.interp.cost_tables)
 
-    def _sync(self, ind: int, pc: int, depth: int,
-              set_pc: bool = True) -> None:
-        """Materialize the interpreter frame at (pc, depth)."""
+    def _sync_stack(self, ind: int, pc: int, depth: int,
+                    set_pc: bool = True) -> None:
         if set_pc:
             self.w(ind, f"frame.pc = {pc}")
         if depth:
@@ -234,8 +254,25 @@ class _Emitter:
             self.w(ind, f"st[:] = ({regs}{tail})")
         else:
             self.w(ind, "del st[:]")
+
+    def _sync_locals(self, ind: int) -> None:
         for slot in sorted(self.ana.mutated_locals):
             self.w(ind, f"fl[{slot}] = l{slot}")
+
+    def _sync(self, ind: int, pc: int, depth: int) -> None:
+        """Materialize the interpreter frame at (pc, depth)."""
+        self._sync_stack(ind, pc, depth)
+        self._sync_locals(ind)
+
+    def _leave(self, ind: int, pc: int, depth: int, reason: int,
+               set_pc: bool = True) -> None:
+        """Give the frame at (pc, depth) back to the interpreter: the
+        site stores pc and operand stack, the one epilogue behind the
+        dispatch loop stores the locals and returns ``reason``."""
+        self._sync_stack(ind, pc, depth, set_pc)
+        if reason != R_BUDGET:
+            self.w(ind, f"_why = {reason}")
+        self.w(ind, "break")
 
     def _flush_ret(self, ind: int, reason: str) -> None:
         self.w(ind, "thread.instructions += icount")
@@ -244,26 +281,20 @@ class _Emitter:
     def _guard_special(self, ind: int, pc: int, depth: int) -> None:
         """The interpreter's exact one-instruction budget test."""
         self.w(ind, "if used >= budget:")
-        self._sync(ind + 1, pc, depth)
-        self._flush_ret(ind + 1, "0")
+        self._leave(ind + 1, pc, depth, R_BUDGET)
 
     # ==================================================================
     def compile(self):
         method = self.method
-        fname = "_jit_fn"
-        self.w(0, f"def {fname}(thread, frame, budget, depth):")
-        self.w(1, "used = 0")
-        self.w(1, "icount = 0")
+        self.w(0, "def _jit_fn(thread, frame, budget, depth):")
+        self.w(1, "used = icount = _why = 0")
         self.w(1, "st = frame.stack")
         self.w(1, "fl = frame.locals")
         for slot in sorted(self.ana.used_locals):
             self.w(1, f"l{slot} = fl[{slot}]")
         self.w(1, "pc = frame.pc")
-        entries = sorted(
-            self.entry_set,
-            key=lambda e: (e not in self.ana.loop_headers, e))
-        maxd = max((self.ana.depth_at[e] for e in self.entry_set),
-                   default=0)
+        entries = sorted(self.entry_set)
+        maxd = max((self.ana.depth_at[e] for e in entries), default=0)
         if maxd:
             self.w(1, "_n = len(st)")
             kw = "if"
@@ -273,15 +304,13 @@ class _Emitter:
                 kw = "elif"
         self.w(1, "try:")
         self.w(2, "while True:")
-        kw = "if"
-        for entry in entries:
-            self.w(3, f"{kw} pc == {entry}:")
-            self._emit_arm(entry)
-            kw = "elif"
-        self.w(3, "else:")
-        self.w(4, "raise RuntimeError('jit: pc %d is not a compiled "
+        self._emit_ladder(entries, 0, len(entries), 3)
+        self.w(3, "raise RuntimeError('jit: pc %d is not a compiled "
                   "entry of %s.%s' % (pc, "
                   f"{method.klass!r}, {method.name!r}))")
+        # The shared exit epilogue every _leave() breaks to.
+        self._sync_locals(2)
+        self._flush_ret(2, "_why")
         # The interpreter records the failure against the *innermost*
         # frame only; _jit_failed keeps nested compiled calls from
         # re-recording it on the way out.
@@ -294,11 +323,16 @@ class _Emitter:
         self.w(2, "raise")
 
         src = "\n".join(self.lines) + "\n"
-        code_obj = compile(src, f"<jit {method.klass}.{method.name}>",
-                           "exec")
+        # Same-brand JVMs emit byte-identical text (cost literals and
+        # method ids included): compile() once per cluster, exec per JVM.
+        code_cache = self.agent.manager.code_cache
+        code_obj = code_cache.get(src)
+        if code_obj is None:
+            code_obj = code_cache[src] = compile(
+                src, f"<jit {method.klass}.{method.name}>", "exec")
         ns: Dict[str, Any] = {}
         exec(code_obj, self.env, ns)  # noqa: S102 - this *is* the JIT
-        fn = ns[fname]
+        fn = ns["_jit_fn"]
         fn.entries = frozenset(self.entry_set)
         fn.method = method
         fn.source = src
@@ -307,26 +341,51 @@ class _Emitter:
         return fn
 
     # ==================================================================
-    def _emit_arm(self, entry: int) -> None:
+    def _emit_ladder(self, entries: List[int], lo: int, hi: int,
+                     ind: int) -> None:
+        """Arms ``entries[lo:hi]`` in ascending pc order, as sequential
+        ``if pc == K:`` blocks under a balanced tree of ``if pc < M:``
+        skip guards.  Siblings are sequential, never ``else``: an arm
+        that ends at the next entry in order sets ``pc`` and falls
+        through into it, and only a taken branch or a back edge
+        ``continue``s into the O(log arms) descent from the top."""
+        while hi - lo > _LEAF_ARMS:
+            mid = (lo + hi) // 2
+            self.w(ind, f"if pc < {entries[mid]}:")
+            self._emit_ladder(entries, lo, mid, ind + 1)
+            lo = mid
+        for i in range(lo, hi):
+            self.w(ind, f"if pc == {entries[i]}:")
+            self._emit_arm(entries[i], ind + 1,
+                           entries[i + 1] if i + 1 < len(entries) else None)
+
+    def _jump(self, ind: int, target: int) -> None:
+        """Leave the arm for the arm of ``target``."""
+        self.w(ind, f"pc = {target}")
+        # Falling through is only right when the target's arm is the
+        # textually next one and nothing of this arm is left to skip.
+        if (ind, target) != self._falls_into:
+            self.w(ind, "continue")
+
+    def _emit_arm(self, entry: int, ind: int,
+                  next_entry: Optional[int]) -> None:
         """Tail-duplicate from `entry` until control leaves the arm."""
         code = self.code
-        ind = 4
+        self._falls_into = (ind, next_entry)
         pc = entry
         d = self.ana.depth_at[entry]
         while True:
             instr = code[pc]
             op = instr.op
             if pc != entry and pc in self.entry_set:
-                # Another arm owns this pc: dispatch instead of tail-
+                # Another arm owns this pc: go there instead of tail-
                 # duplicating (keeps generated code linear in method
                 # size; the emitted state is exactly that arm's entry
                 # state, so the jump is free of re-materialization).
-                self.w(ind, f"pc = {pc}")
-                self.w(ind, "continue")
+                self._jump(ind, pc)
                 return
             if pc in self._deopt_pcs:
-                self._sync(ind, pc, d)
-                self._flush_ret(ind, "9")
+                self._leave(ind, pc, d, R_DEOPT)
                 return
             if op in SPECIAL_OPS:
                 res = self._emit_special(ind, pc, instr, d)
@@ -351,8 +410,7 @@ class _Emitter:
                         or code[end].op in SPECIAL_OPS):
                     break
             self.w(ind, f"if used + {total} >= budget:")
-            self._sync(ind + 1, pc, d)
-            self._flush_ret(ind + 1, "0")
+            self._leave(ind + 1, pc, d, R_BUDGET)
             self.w(ind, f"used += {total}")
             self.w(ind, f"icount += {end - pc}")
             arm_done = False
@@ -531,8 +589,7 @@ class _Emitter:
         op = instr.op
         w = self.w
         if op is Op.GOTO:
-            w(ind, f"pc = {instr.a}")
-            w(ind, "continue")
+            self._jump(ind, instr.a)
             return None
         if op is Op.IF:
             cond = instr.a
@@ -547,20 +604,15 @@ class _Emitter:
                            f"({cond})')")
                 pyop = {"lt": "<", "ge": ">=", "gt": ">", "le": "<="}[cond]
                 w(ind, f"if s{d - 1} {pyop} 0:")
-            w(ind + 1, f"pc = {instr.b}")
-            w(ind + 1, "continue")
+            self._jump(ind + 1, instr.b)
             return d - 1
         if op is Op.IF_CMP:
-            cond = instr.a
-            if cond == "eq":
-                w(ind, f"if _jeq(s{d - 2}, s{d - 1}):")
-            elif cond == "ne":
-                w(ind, f"if not _jeq(s{d - 2}, s{d - 1}):")
-            else:
-                pyop = {"lt": "<", "ge": ">=", "gt": ">", "le": "<="}[cond]
-                w(ind, f"if s{d - 2} {pyop} s{d - 1}:")
-            w(ind + 1, f"pc = {instr.b}")
-            w(ind + 1, "continue")
+            # eq/ne: Java identity on references is Python's default
+            # ``==`` because Obj and ArrayObj define no ``__eq__``.
+            pyop = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=",
+                    "gt": ">", "le": "<="}[instr.a]
+            w(ind, f"if s{d - 2} {pyop} s{d - 1}:")
+            self._jump(ind + 1, instr.b)
             return d - 2
         if op in (Op.RETURN, Op.RETVAL):
             val = f"s{d - 1}" if op is Op.RETVAL else "None"
@@ -604,20 +656,31 @@ class _Emitter:
         self._guard_special(ind, pc, d)
         a = instr.a
         w(ind, f"pc = {pc}")
-        w(ind, f"frame.pc = {pc}")
         w(ind, f"_r = s{d - 1 - a}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('read check on null')")
+        cost = self._cost(instr)
+        # §4.2 inline check: the pass-through of DsmEngine.read_check is
+        # one compare of the header's state; only a miss (or a split
+        # array, whose regions carry the state — the engine's live
+        # table, so arrays promoted after this compile still resolve)
+        # calls the handler.
+        w(ind, "_h = _r.header")
+        w(ind, "if _h is None or _h.state == _INVALID or "
+               "(_h.gid and _h.gid in _regions):")
+        w(ind + 1, f"frame.pc = {pc}")
         idx = (f"(s{d - a} if isinstance(_r, _Arr) else None)"
                if a >= 1 else "None")
-        w(ind, f"_ok, _x = _readcheck(thread, _r, {idx})")
-        cost = self._cost(instr)
-        w(ind, f"used += {cost} + _x" if cost else "used += _x")
+        w(ind + 1, f"_ok, _x = _readcheck(thread, _r, {idx})")
+        w(ind + 1, f"used += {cost} + _x" if cost else "used += _x")
+        w(ind + 1, "if not _ok:")
+        w(ind + 2, "icount += 1")
+        w(ind + 2, "thread.block(reexec=True, reason='read miss')")
+        self._leave(ind + 2, pc, d, R_BLOCK_READ, set_pc=False)
+        if cost:
+            w(ind, "else:")
+            w(ind + 1, f"used += {cost}")
         w(ind, "icount += 1")
-        w(ind, "if not _ok:")
-        self._sync(ind + 1, pc, d, set_pc=False)
-        w(ind + 1, "thread.block(reexec=True, reason='read miss')")
-        self._flush_ret(ind + 1, "1")
         return d
 
     def _emit_writecheck(self, ind, pc, instr, d):
@@ -637,9 +700,8 @@ class _Emitter:
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "icount += 1")
         w(ind, "if not _ok:")
-        self._sync(ind + 1, pc, d, set_pc=False)
         w(ind + 1, "thread.block(reexec=True, reason='write miss')")
-        self._flush_ret(ind + 1, "2")
+        self._leave(ind + 1, pc, d, R_BLOCK_WRITE, set_pc=False)
         return d
 
     def _emit_staticref(self, ind, pc, instr, d):
@@ -652,10 +714,9 @@ class _Emitter:
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "icount += 1")
         w(ind, "if _r is None:")
-        self._sync(ind + 1, pc, d, set_pc=False)
         w(ind + 1, "thread.block(reexec=True, "
                    "reason='static holder miss')")
-        self._flush_ret(ind + 1, "3")
+        self._leave(ind + 1, pc, d, R_BLOCK_STATIC, set_pc=False)
         w(ind, f"s{d} = _r")
         return d + 1
 
@@ -692,15 +753,7 @@ class _Emitter:
         w = self.w
         # Complete-style block: the ref is popped before the hook runs,
         # and the waker advances the pc past the instruction.
-        self.w(ind, f"frame.pc = {pc}")
-        if d - 1:
-            regs = ", ".join(f"s{i}" for i in range(d - 1))
-            tail = "," if d - 1 == 1 else ""
-            w(ind, f"st[:] = ({regs}{tail})")
-        else:
-            w(ind, "del st[:]")
-        for slot in sorted(self.ana.mutated_locals):
-            w(ind, f"fl[{slot}] = l{slot}")
+        self._sync(ind, pc, d - 1)
         w(ind, "_ok, _x = _acquire(thread, _r)")
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
         w(ind, "if not _ok:")
@@ -737,15 +790,7 @@ class _Emitter:
 
     def _emit_release_slow(self, ind, pc, d, cost):
         w = self.w
-        self.w(ind, f"frame.pc = {pc}")
-        if d - 1:
-            regs = ", ".join(f"s{i}" for i in range(d - 1))
-            tail = "," if d - 1 == 1 else ""
-            w(ind, f"st[:] = ({regs}{tail})")
-        else:
-            w(ind, "del st[:]")
-        for slot in sorted(self.ana.mutated_locals):
-            w(ind, f"fl[{slot}] = l{slot}")
+        self._sync(ind, pc, d - 1)
         w(ind, "_x = _release(thread, _r)")
         w(ind, f"used += {cost} + _x" if cost else "used += _x")
 
@@ -869,8 +914,7 @@ class _Emitter:
                f"{_MAX_CALL_DEPTH}:")
         # R_CALL: nothing charged, nothing popped — the manager's one
         # forced interpreter step re-executes the whole invoke exactly.
-        self._sync(ind + 1, pc, d)
-        self._flush_ret(ind + 1, "7")
+        self._leave(ind + 1, pc, d, R_CALL)
         self._sync(ind, pc, d - n)
         w(ind, f"used += {base}")
         w(ind, "icount += 1")

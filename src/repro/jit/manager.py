@@ -9,8 +9,9 @@ own specialization bound to its own JVM's hooks and heap.
 
 Tier 0 is the unmodified interpreter.  Tier 1 is the codegen'd Python
 function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
-(``jit_threshold``); compile failures blacklist the method forever
-(``cache[id] = False``) and record the reason.
+(``jit_threshold``); a method the emitter declines (``CompileError``)
+is blacklisted forever (``cache[id] = False``) with the reason recorded;
+any other exception out of the emitter is a bug and propagates.
 
 ``run_quantum`` replaces ``JThread.run_quantum``'s interpret loop:
 
@@ -31,6 +32,7 @@ import time
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..sim.node import StreamState
+from .analysis import CompileError
 from .codegen import (
     N_REASONS,
     R_BUDGET,
@@ -77,20 +79,11 @@ class JitAgent:
         self.interp.jit = self
 
     # -- promotion -----------------------------------------------------
-    def note_invoke(self, method: "MethodInfo") -> None:
-        """Interpreter callback on every non-native frame push."""
-        key = id(method)
-        if key in self.cache:
-            return
-        count = self.counters.get(key, 0) + 1
-        if count >= self.threshold:
-            self._compile(method)
-        else:
-            self.counters[key] = count
-
-    def note_quantum(self, method: "MethodInfo") -> None:
-        """Quantum-entry promotion: loops that never return still get
-        hot (one tick per scheduler quantum spent in the method)."""
+    def tick(self, method: "MethodInfo") -> None:
+        """One promotion tick: the interpreter calls this on every
+        non-native frame push, ``run_quantum`` once per scheduler
+        quantum spent in the method (loops that never return still get
+        hot)."""
         key = id(method)
         if key in self.cache:
             return
@@ -107,7 +100,9 @@ class JitAgent:
         t0 = time.monotonic_ns() if self.wall is not None else 0
         try:
             fn = compile_method(method, self)
-        except Exception as exc:  # noqa: BLE001 - any failure → tier 0
+        except CompileError as exc:
+            # The emitter declined this method; any other exception is
+            # an emitter bug and must fail the run, not hide in tier 0.
             self.cache[key] = False
             self.compile_failures[f"{method.klass}.{method.name}"] = (
                 f"{type(exc).__name__}: {exc}")
@@ -129,7 +124,7 @@ class JitAgent:
         cache = self.cache
         frames = thread.frames
         if frames:
-            self.note_quantum(frames[-1].method)
+            self.tick(frames[-1].method)
         while consumed < budget_ns and thread.state is _RUNNABLE:
             frame = frames[-1]
             fn = cache.get(id(frame.method))
@@ -170,7 +165,7 @@ class JitAgent:
         frames = thread.frames
         clock = time.monotonic_ns
         if frames:
-            self.note_quantum(frames[-1].method)
+            self.tick(frames[-1].method)
         while consumed < budget_ns and thread.state is _RUNNABLE:
             frame = frames[-1]
             fn = cache.get(id(frame.method))
@@ -239,6 +234,9 @@ class JitManager:
         self.runtime = runtime
         self.threshold = runtime.config.jit_threshold
         self.agents: List[JitAgent] = []
+        # Emitted source text -> code object, shared by every agent of
+        # this runtime (same-brand JVMs emit identical text).
+        self.code_cache: Dict[str, Any] = {}
         # Wall-clock registry (obs attaches before jit; None w/o knob).
         obs = getattr(runtime, "obs", None)
         self.wall = None if obs is None else obs.wallclock

@@ -311,7 +311,7 @@ class Interpreter:
             return cost
         thread.frames.append(Frame(target, args))
         if self.jit is not None:
-            self.jit.note_invoke(target)
+            self.jit.tick(target)
         return 0
 
     def _return(self, thread, value: Any, has_value: bool) -> None:

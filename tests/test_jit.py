@@ -18,8 +18,12 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.check.runner import DEFAULT_JITTER_NS, app_source, run_check
+from repro.dsm.protocol import DsmConfig
 from repro.jit import REASON_NAMES, N_REASONS
+from repro.jit.analysis import SPECIAL_OPS
+from repro.jvm.bytecode import BRANCHES, Op
 from repro.jvm.errors import ArithmeticJavaError
+from repro.jvm.heap import ArrayObj, Obj
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime.config import RuntimeConfig
@@ -30,8 +34,8 @@ from test_procnet import heap_fingerprint
 APPS = ("series", "tsp", "raytracer")
 
 
-def run_app(app: str, jit: bool, seed: int = 0, check_elim: int = 0,
-            **overrides) -> Tuple:
+def run_runtime(app: str, jit: bool, seed: int = 0, check_elim: int = 0,
+                **overrides) -> Tuple:
     config = RuntimeConfig(
         num_nodes=3,
         net_jitter_ns=DEFAULT_JITTER_NS,
@@ -42,11 +46,34 @@ def run_app(app: str, jit: bool, seed: int = 0, check_elim: int = 0,
     rewritten = rewrite_application(compile_source(app_source(app)),
                                     check_elim=check_elim)
     runtime = JavaSplitRuntime(rewritten, config)
-    report = runtime.run()
-    return report, heap_fingerprint(runtime)
+    return runtime, runtime.run()
 
 
-def assert_identical(base, base_heap, jit, jit_heap) -> None:
+def run_app(app: str, jit: bool, **kwargs) -> Tuple:
+    runtime, report = run_runtime(app, jit, **kwargs)
+    return report, final_state(runtime)
+
+
+def final_state(runtime) -> Dict:
+    """What a finished runtime holds beyond its report."""
+    return {"heap": heap_fingerprint(runtime),
+            "instructions": [sum(t.instructions for t in w.jvm.threads)
+                             for w in runtime.workers]}
+
+
+def compiled_fns(runtime) -> Dict[str, list]:
+    """Method name -> the tier-1 function of each JVM that compiled it."""
+    out: Dict[str, list] = {}
+    for agent in runtime.jit.agents:
+        for key, fn in agent.cache.items():
+            if fn is not False:
+                method = agent.methods[key]
+                out.setdefault(f"{method.klass}.{method.name}",
+                               []).append(fn)
+    return out
+
+
+def assert_identical(base, base_state, jit, jit_state) -> None:
     """Every observable the interpreter produces, bit-for-bit."""
     assert jit.result == base.result
     assert sorted(jit.console) == sorted(base.console)
@@ -57,34 +84,73 @@ def assert_identical(base, base_heap, jit, jit_heap) -> None:
     # Per-type protocol counts: one reordered fetch or early/late diff
     # (a single mis-charged nanosecond) shows up here.
     assert jit.net.by_type == base.net.by_type
-    assert jit_heap == base_heap
-    assert base_heap, "fingerprint should cover a non-trivial heap"
+    assert jit_state == base_state
+    assert base_state["heap"], "fingerprint should cover a non-trivial heap"
 
 
 # ---------------------------------------------------------------------------
-# The core differential: every app, multiple seeds
+# The core differential: every app, multiple seeds, and quanta that put
+# budget exits and resumes on arms all over the dispatch ladder
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("app", APPS)
-@pytest.mark.parametrize("seed", (0, 3))
-def test_jit_observationally_identical(app, seed):
-    base, base_heap = run_app(app, jit=False, seed=seed)
-    jit, jit_heap = run_app(app, jit=True, seed=seed)
-    assert_identical(base, base_heap, jit, jit_heap)
+# (app, quantum_ns) -> per-reason exits and interpreter steps of seed 0,
+# taken at the parent commit (the ``elif`` chain): a layout change may
+# move neither an exit nor a resume.  None = the default 50 us quantum.
+PARENT_EXITS = {
+    ("series", None): ({"budget": 10, "return": 1052}, 33212),
+    ("series", 997): ({"budget": 1032, "return": 372}, 10615),
+    ("series", 4999): ({"budget": 197, "return": 407}, 11465),
+    ("tsp", None): ({"block_acquire": 10, "block_read": 5, "budget": 243,
+                     "return": 439}, 13541),
+    ("tsp", 997): ({"block_acquire": 15, "block_read": 13, "budget": 10700,
+                    "call_exit": 3, "return": 1204}, 34512),
+    ("tsp", 4999): ({"block_acquire": 13, "block_read": 9, "budget": 2486,
+                     "return": 1113}, 11990),
+    ("raytracer", None): ({"block_read": 2, "budget": 68, "return": 56},
+                          17025),
+    ("raytracer", 997): ({"block_read": 2, "budget": 2716, "return": 68},
+                         28836),
+    ("raytracer", 4999): ({"block_read": 2, "budget": 738, "return": 65},
+                          14032),
+}
+
+
+def check_observationally_identical(app, seed, quantum_ns=None):
+    quantum = {} if quantum_ns is None else {"quantum_ns": quantum_ns}
+    base, base_state = run_app(app, jit=False, seed=seed, **quantum)
+    jit, jit_state = run_app(app, jit=True, seed=seed, **quantum)
+    assert_identical(base, base_state, jit, jit_state)
     # And the run genuinely went through compiled code.
     assert base.jit is None
     assert jit.jit is not None
     assert jit.jit["compiles"] > 0
     assert not jit.jit["blacklisted"]
     assert jit.jit["exit_reasons"].get("return", 0) > 0
+    if seed == 0:
+        steps = sum(node["interp_steps"] for node in jit.jit["nodes"])
+        assert (jit.jit["exit_reasons"], steps) == \
+            PARENT_EXITS[app, quantum_ns]
+
+
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("seed", (0, 3))
+def test_jit_observationally_identical(app, seed):
+    check_observationally_identical(app, seed)
+
+
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("quantum_ns", (997, 4999))
+def test_jit_observationally_identical_at_odd_quanta(app, seed, quantum_ns):
+    check_observationally_identical(app, seed, quantum_ns)
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_jit_identical_on_eliminated_code(app):
     """The JIT consumes level-2 (region + loop-hoisted) check-elim
     output; elimination changes the observables, the JIT must not."""
-    base, base_heap = run_app(app, jit=False, check_elim=2)
-    jit, jit_heap = run_app(app, jit=True, check_elim=2)
-    assert_identical(base, base_heap, jit, jit_heap)
+    base, base_state = run_app(app, jit=False, check_elim=2)
+    jit, jit_state = run_app(app, jit=True, check_elim=2)
+    assert_identical(base, base_state, jit, jit_state)
     assert jit.jit["compiles"] > 0
 
 
@@ -118,10 +184,10 @@ def test_jit_composed_policy():
 def test_jit_proc_backend_identical(proc_guard):
     """Sim + jit must match proc + jit (and therefore sim interpreted,
     by transitivity with the tier-0 cross-backend tests)."""
-    base, base_heap = run_app("series", jit=True)
-    proc, proc_heap = run_app("series", jit=True,
-                              transport_backend="proc")
-    assert_identical(base, base_heap, proc, proc_heap)
+    base, base_state = run_app("series", jit=True)
+    proc, proc_state = run_app("series", jit=True,
+                               transport_backend="proc")
+    assert_identical(base, base_state, proc, proc_state)
     assert proc.jit["compiles"] > 0
 
 
@@ -138,10 +204,21 @@ class Edge {
     int shifts(int a, int b) { return (a >> b) + (a >>> b) + (a << 1); }
     int d2i(double x) { return (int) x; }
     double drem(double a, double b) { return a % b; }
+    int refs(Edge a, Edge b) {
+        int r = 0;
+        if (a == b) { r += 1; }
+        if (a != b) { r += 2; }
+        if (a == null) { r += 4; }
+        if (b != null) { r += 8; }
+        return r;
+    }
 
     int run() {
         int acc = 0;
+        Edge other = new Edge();
         for (int i = 0; i < 12; i++) {
+            acc += refs(this, this) + 16 * refs(this, other);   // identity
+            acc += 256 * refs(null, other) + 4096 * refs(null, null);
             acc += idiv(-7, 2);          // Java truncates toward zero: -3
             acc += idiv(7, -2);
             acc += irem(-7, 2);          // sign follows dividend: -1
@@ -264,13 +341,211 @@ def test_interp_steps_counted_when_budget_tail_fails():
 
 
 # ---------------------------------------------------------------------------
+# Code layout: arms in pc order under a skip tree, no dispatch chain
+# ---------------------------------------------------------------------------
+# Entries per compiled method at the parent commit.
+PARENT_ENTRY_COUNTS = {
+    "javasplit.SeriesWorker.f": 5, "javasplit.SeriesWorker.integrate": 29,
+    "javasplit.TspWorker.run": 105, "javasplit.TspWorker.search": 81,
+    "javasplit.RtWorker.trace": 82, "javasplit.ReqQueue.put": 34,
+    "javasplit.ReqQueue.take": 30, "javasplit.Stripe.record": 27,
+}
+
+
+def entry_set(method) -> set:
+    """Where a compiled function must be enterable: method entry, branch
+    targets, each special op and its successor (none of these apps has
+    unreachable code or a deopt site)."""
+    pcs = {0}
+    for pc, instr in enumerate(method.code):
+        if instr.op in BRANCHES:
+            pcs.add(instr.a if instr.op is Op.GOTO else instr.b)
+        if instr.op in SPECIAL_OPS:
+            pcs |= {pc, pc + 1}
+    return pcs
+
+
+def serve_runtime():
+    from test_serve import SMALL
+    from repro.serve.scenario import run_scenario
+
+    grabbed = []
+    doc = run_scenario(SMALL, seed=0, jit=True, on_runtime=grabbed.append)
+    assert doc["ok"], doc
+    return grabbed[0]
+
+
+@pytest.mark.parametrize("app", APPS + ("serve",))
+def test_every_compiled_method_is_a_ladder_over_the_parents_entries(app):
+    runtime = (serve_runtime() if app == "serve"
+               else run_runtime(app, jit=True)[0])
+    fns = compiled_fns(runtime)
+    assert fns
+    for name, per_jvm in fns.items():
+        for fn in per_jvm:
+            assert "elif pc ==" not in fn.source, name
+            assert fn.entries == entry_set(fn.method), name
+            assert len(fn.entries) == PARENT_ENTRY_COUNTS[name]
+            # Ascending pc order is what makes falling through right.
+            arms = [int(line.split("==")[1].rstrip(":"))
+                    for line in fn.source.splitlines()
+                    if line.lstrip().startswith("if pc == ")]
+            assert arms == sorted(fn.entries), name
+
+
+def test_reference_equality_is_pythons_default():
+    """``IF_CMP eq/ne`` compiles to plain ``==`` / ``!=``: identity on
+    heap references only as long as these define no ``__eq__``."""
+    for cls in (Obj, ArrayObj):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__ne__ is object.__ne__
+
+
+# ---------------------------------------------------------------------------
+# The inlined access-check hit and the per-cluster code cache
+# ---------------------------------------------------------------------------
+def test_inline_check_reads_the_live_region_table():
+    """Threshold 1 compiles every method before the first split array is
+    promoted: the inlined hit must still send its elements to the
+    engine, region by region."""
+    options = dict(dsm=DsmConfig(array_region_elems=4), jit_threshold=1)
+    base, base_state = run_app("tsp", jit=False, **options)
+    jit, jit_state = run_app("tsp", jit=True, **options)
+    assert_identical(base, base_state, jit, jit_state)
+    assert jit.total_dsm().region_fetches > 0
+    assert jit.jit["exit_reasons"]["block_read"] > 0
+    assert not jit.jit["blacklisted"]
+
+
+READ_MISS_SOURCE = """
+class Cell { int v; }
+class Reader extends Thread {
+    Cell c;
+    int got;
+    Reader(Cell c) { this.c = c; }
+    void run() { got = c.v + 1; }
+}
+class Main {
+    static int main() {
+        Cell c = new Cell();
+        c.v = 41;
+        Reader[] rs = new Reader[3];
+        for (int i = 0; i < 3; i++) { rs[i] = new Reader(c); rs[i].start(); }
+        int total = 0;
+        for (int i = 0; i < 3; i++) { rs[i].join(); total += rs[i].got; }
+        return total;
+    }
+}
+"""
+
+
+def test_compiled_read_miss_blocks_where_the_interpreter_does():
+    """The slow path of the inlined check stores ``frame.pc`` before the
+    handler runs, so ``hooks.block`` subscribers see the same position
+    from both tiers."""
+    seen = {}
+    for jit in (False, True):
+        config = RuntimeConfig(num_nodes=2, seed=0, jit_enable=jit,
+                               jit_threshold=1)
+        runtime = JavaSplitRuntime(
+            rewrite_application(compile_source(READ_MISS_SOURCE)), config)
+        fetches = seen[jit] = []
+        for worker in runtime.workers:
+            def on_block(thread, kind, gid, region, carrier,
+                         agent=worker.jvm.jit):
+                if kind == "fetch":
+                    frame = thread.frames[-1]
+                    compiled = bool(agent
+                                    and agent.cache.get(id(frame.method)))
+                    fetches.append((frame.where(), compiled))
+            worker.dsm.hooks.block.append(on_block)
+        report = runtime.run()
+        assert report.result == 3 * 42
+    assert [where for where, _ in seen[True]] == \
+        [where for where, _ in seen[False]]
+    from_compiled = [where for where, compiled in seen[True] if compiled]
+    assert any("Reader.run" in where for where in from_compiled)
+    assert report.jit["exit_reasons"]["block_read"] >= len(from_compiled) > 0
+
+
+def test_same_brand_jvms_share_one_code_object():
+    runtime, report = run_runtime("tsp", jit=True)        # 3 x sun
+    fns = compiled_fns(runtime)
+    assert len(runtime.jit.code_cache) == len(fns)
+    assert report.jit["compiles"] == sum(map(len, fns.values())) > len(fns)
+    for per_jvm in fns.values():
+        assert len({fn.__code__ for fn in per_jvm}) == 1
+        assert len({id(fn.__globals__) for fn in per_jvm}) == len(per_jvm)
+
+
+# ---------------------------------------------------------------------------
+# No silent fallback on an emitter bug
+# ---------------------------------------------------------------------------
+def test_emitter_bug_fails_the_run(monkeypatch):
+    def broken(method, agent):
+        raise KeyError("emitter bug")
+
+    monkeypatch.setattr("repro.jit.manager.compile_method", broken)
+    with pytest.raises(KeyError, match="emitter bug"):
+        run_source(GOLDEN_SOURCE, jit=True)
+
+
+HUGE_SOURCE = """
+class Huge {
+    static int bump(int x) { return x + 1; }
+    static int run() {
+        int acc = 0;
+%s        return acc;
+    }
+}
+class HugeMain {
+    static int main() { return Huge.run() + Huge.run(); }
+}
+"""
+
+
+@pytest.mark.parametrize("calls, lift_cap", [(300, False), (1100, False),
+                                             (1100, True)])
+def test_huge_method_compiles_or_is_declined(calls, lift_cap, monkeypatch):
+    """Two entries per call site.  600 entries compile; 2 200 exceed the
+    statement cap, and the emitter says so itself (``CompileError``)
+    rather than leaving it to ``compile()``; with that cap lifted the
+    2 200-arm ladder (ten skip-tree levels) compiles and runs."""
+    if lift_cap:
+        monkeypatch.setattr("repro.jit.codegen._MAX_STATEMENTS", 10 ** 6)
+    source = HUGE_SOURCE % ("        acc = Huge.bump(acc);\n" * calls)
+    base, _ = run_source(source, jit=False)
+    jit, runtime = run_source(source, jit=True)
+    assert jit.result == base.result == 2 * calls
+    assert jit.simulated_ns == base.simulated_ns
+    fns = compiled_fns(runtime)
+    declined = jit.jit["blacklisted"]
+    assert all(why.startswith("CompileError") for why in declined.values())
+    assert ("javasplit.Huge.run" in declined) == (calls == 1100
+                                                  and not lift_cap)
+    if not declined:
+        assert len(fns["javasplit.Huge.run"][0].entries) >= 2 * calls
+
+
+def test_nesting_past_the_indent_cap_is_declined(monkeypatch):
+    monkeypatch.setattr("repro.jit.codegen._MAX_INDENT", 6)
+    base, _ = run_source(GOLDEN_SOURCE, jit=False)
+    jit, _ = run_source(GOLDEN_SOURCE, jit=True)
+    assert jit.result == base.result
+    assert jit.simulated_ns == base.simulated_ns
+    assert "javasplit.Edge.run" in jit.jit["blacklisted"]
+    assert all(why.startswith("CompileError")
+               for why in jit.jit["blacklisted"].values())
+
+
+# ---------------------------------------------------------------------------
 # Knob-off regression + report shape
 # ---------------------------------------------------------------------------
 def test_jit_off_by_default():
     config = RuntimeConfig()
     assert config.jit_enable is False
     assert config.jit_enable is False
-    base, base_heap = run_app("series", jit=False)
+    base, base_state = run_app("series", jit=False)
     default_cfg = RuntimeConfig(num_nodes=3,
                                 net_jitter_ns=DEFAULT_JITTER_NS, seed=0)
     rewritten = rewrite_application(compile_source(app_source("series")))
@@ -281,7 +556,7 @@ def test_jit_off_by_default():
     assert runtime.workers[0].jvm.jit is None
     assert report.simulated_ns == base.simulated_ns
     assert report.net.by_type == base.net.by_type
-    assert heap_fingerprint(runtime) == base_heap
+    assert final_state(runtime) == base_state
 
 
 def test_jit_report_shape():

@@ -237,6 +237,29 @@ def test_mixed_brands_bill_from_their_own_tables():
         assert m_sun is m_ibm and h_sun is not h_ibm
 
 
+def test_mixed_brands_compile_their_own_tier1_code():
+    """The cluster's code cache is keyed by emitted text, and the text
+    carries the brand's cost literals: the two sun JVMs share one code
+    object per method, the ibm JVM gets its own, and the per-brand
+    simulated times above hold under the JIT."""
+    mixed = _series(brands=("sun", "ibm", "sun"), jit_enable=True)
+    assert mixed.run().simulated_ns == 7_736_390
+    for brand, golden in (("sun", 8_966_278), ("ibm", 1_732_984)):
+        assert _series(brands=(brand,),
+                       jit_enable=True).run().simulated_ns == golden
+    sun, ibm, sun2 = (w.jvm.jit.cache for w in mixed.workers)
+    shared = [key for key in sun if sun[key] and ibm.get(key)
+              and sun2.get(key)]
+    assert shared, "all three JVMs should have compiled a worker method"
+    for key in shared:
+        assert sun[key].__code__ is sun2[key].__code__
+        assert sun[key].__code__ is not ibm[key].__code__
+        assert sun[key].source != ibm[key].source
+    assert len(mixed.jit.code_cache) == len(
+        {fn.__code__ for cache in (sun, ibm, sun2)
+         for fn in cache.values() if fn})
+
+
 def test_late_joiner_reports_every_access_to_the_race_detector():
     """The detector's hook is bound at decode, so it has to be in place
     before a joined JVM first executes.  Per-node observation counts

@@ -5,7 +5,7 @@ import math
 import operator
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 # Wall-clock varies a lot on shared CI machines (and these tests run a
 # whole simulated cluster); keep hypothesis focused on inputs, not time.
@@ -441,18 +441,44 @@ _condition = st.one_of(
     _bin(["<", "<=", ">", ">=", "==", "!="], _int_expr, _int_expr),
     _bin(["<", ">="], _dbl_expr, _dbl_expr))
 # Statements: ("set", target tree, value tree) | ("if", condition,
-# then-statements, else-statements).
+# then-statements, else-statements) | ("loop", variable, trips,
+# statements) | ("sync", statements) | ("ret", condition).
+_set_int = st.tuples(st.just("set"), st.sampled_from(
+    [("var", "acc"), ("var", "box.fi")]), _int_expr)
+_set_dbl = st.tuples(st.just("set"), st.just(("var", "box.fd")), _dbl_expr)
+_set_cell = st.tuples(st.just("set"), st.integers(0, 7).map(
+    lambda k: ("cell", k)), _int_expr)
 _statement = st.recursive(
-    st.one_of(
-        st.tuples(st.just("set"), st.sampled_from(
-            [("var", "acc"), ("var", "box.fi")]), _int_expr),
-        st.tuples(st.just("set"), st.just(("var", "box.fd")), _dbl_expr),
-        st.tuples(st.just("set"), st.integers(0, 7).map(
-            lambda k: ("cell", k)), _int_expr)),
+    st.one_of(_set_int, _set_dbl, _set_cell),
     lambda kid: st.tuples(st.just("if"), _condition,
                           st.lists(kid, min_size=1, max_size=2),
                           st.lists(kid, max_size=2)),
     max_leaves=4)
+# Shapes that put control flow where the tier-1 dispatch ladder has to
+# get it right: a nested loop (a back edge into the middle of the
+# ladder); an early return out of the loop nest; an if/else whose
+# untaken side jumps over three checked stores (>= 3 arms); an if over
+# a check-free body, whose taken target is the textually next arm; and
+# `synchronized` on an object that never left its thread (the inlined
+# local-lock path).
+_check_free = st.recursive(
+    st.one_of(_lit(st.integers(-9, 9)),
+              st.sampled_from(["i", "acc"]).map(lambda n: ("var", n))),
+    lambda kid: _bin("+-*", kid, kid), max_leaves=3)
+_shape = st.one_of(
+    st.tuples(st.just("loop"), st.just("j"), st.integers(1, 3),
+              st.lists(_statement, min_size=1, max_size=2)),
+    st.tuples(st.just("ret"), _condition),
+    st.tuples(st.just("if"), _condition,
+              st.tuples(_set_int, _set_cell, _set_dbl).map(list),
+              st.lists(_statement, max_size=1)),
+    st.tuples(st.just("if"), _condition,
+              st.tuples(st.just("set"), st.just(("var", "acc")),
+                        _check_free).map(lambda stmt: [stmt]),
+              st.just([])),
+    st.tuples(st.just("sync"),
+              st.lists(st.one_of(_set_int, _set_cell), min_size=1,
+                       max_size=2)))
 
 
 def _modulus(target):
@@ -482,6 +508,15 @@ def _java(tree) -> str:
     if kind == "set":
         stored = ("%", tree[2], _modulus(tree[1]))
         return f"{_java(tree[1])} = {_java(stored)};"
+    if kind == "loop":
+        var, trips, inner = tree[1], tree[2], " ".join(map(_java, tree[3]))
+        return (f"for (int {var} = 0; {var} < {trips}; {var} = {var} + 1) "
+                f"{{ {inner} }}")
+    if kind == "sync":
+        return f"synchronized (box) {{ {' '.join(map(_java, tree[1]))} }}"
+    if kind == "ret":
+        cond = f"{_java(tree[1][1])} {tree[1][0]} {_java(tree[1][2])}"
+        return f"if ({cond}) {{ return acc; }}"
     return f"({_java(tree[1])} {kind} {_java(tree[2])})"
 
 
@@ -518,12 +553,26 @@ def _value(tree, env):
     return _OPERATORS[kind](left, right)
 
 
+class _Return(Exception):
+    """An early ``return acc;`` out of the generated loop nest."""
+
+
 def _execute(stmt, env) -> None:
     kind = stmt[0]
-    if kind == "if":
-        taken = stmt[2] if _value(stmt[1], env) else stmt[3]
-        for inner in taken:
-            _execute(inner, env)
+    if kind == "ret":
+        if _value(stmt[1], env):
+            raise _Return
+        return
+    if kind in ("if", "loop", "sync"):
+        if kind == "if":
+            taken, trips = stmt[2] if _value(stmt[1], env) else stmt[3], 1
+        elif kind == "loop":
+            taken, trips = stmt[3], stmt[2]
+        else:
+            taken, trips = stmt[1], 1
+        for _ in range(trips):
+            for inner in taken:
+                _execute(inner, env)
         return
     target, value = stmt[1], _value(("%", stmt[2], _modulus(stmt[1])), env)
     if target[0] == "cell":
@@ -538,9 +587,13 @@ def _expected(body) -> int:
     total = 0
     for rounds in (1, 2, 3):
         env["acc"] = 0
-        for env["i"] in range(4 * rounds):
-            for stmt in body:
-                _execute(stmt, env)
+        try:
+            for env["i"] in range(4 * rounds):
+                for stmt in body:
+                    _execute(stmt, env)
+        except _Return:
+            total += env["acc"]
+            continue
         total += (env["acc"] + sum(env["cells"]) + env["box.fi"]
                   + int(env["box.fd"]))
     return total
@@ -574,28 +627,56 @@ def _fold_increments(method) -> int:
     return sum(i.op is Op.IINC for i in out)
 
 
+_ACC_PLUS_CELL = ("set", ("var", "acc"),
+                  ("+", ("var", "acc"), ("cell", 1)))
+_BUMP_CELL = ("set", ("cell", 0), ("+", ("cell", 0), ("var", "i")))
+_I_IS_ODD = ("==", ("%", ("var", "i"), ("lit", 2)), ("lit", 1))
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(body=st.lists(_statement, min_size=1, max_size=4))
+@given(body=st.lists(st.one_of(_statement, _shape), min_size=1, max_size=4))
+# One pinned program per shape, so each runs on every invocation.
+@example(body=[("loop", "j", 3, [_BUMP_CELL,
+                                 ("loop", "k", 2, [_ACC_PLUS_CELL])])])
+@example(body=[_BUMP_CELL, ("loop", "j", 2, [
+    _ACC_PLUS_CELL, ("ret", (">", ("var", "acc"), ("lit", 40)))])])
+@example(body=[("if", _I_IS_ODD,
+                [("set", ("var", "box.fi"), ("var", "i")), _BUMP_CELL,
+                 ("set", ("var", "box.fd"), ("i2d", ("var", "acc")))],
+                [_ACC_PLUS_CELL])])
+@example(body=[("if", _I_IS_ODD,
+                [("set", ("var", "acc"), ("+", ("var", "acc"), ("lit", 3)))],
+                []), _BUMP_CELL])
+@example(body=[("sync", [_BUMP_CELL, ("set", ("var", "box.fi"),
+                                      ("+", ("var", "box.fi"), ("lit", 1)))])])
 def test_generated_method_same_in_both_tiers_and_direct_evaluation(body):
     from repro.lang import compile_source
     from repro.rewriter import rewrite_application
     from repro.runtime import JavaSplitRuntime, RuntimeConfig
 
     source = _GEN_SRC % "\n".join(_java(stmt) for stmt in body)
-    reports = {}
-    for jit in (False, True):
-        classfiles = compile_source(source)
-        gen = next(cf for cf in classfiles if cf.name == "Gen")
-        assert _fold_increments(gen.methods["run"]) >= 2
-        runtime = JavaSplitRuntime(
-            rewrite_application(classfiles),
-            RuntimeConfig(num_nodes=2, seed=0, jit_enable=jit,
-                          jit_threshold=1))
-        reports[jit] = runtime.run()
-    base, compiled = reports[False], reports[True]
-    assert base.result == _expected(body)
-    assert compiled.result == base.result
-    assert compiled.simulated_ns == base.simulated_ns
-    assert "javasplit.Gen.run" in compiled.jit["compiled_methods"]
-    assert not compiled.jit["blacklisted"]
+    expected = _expected(body)
+    # The default quantum and an odd one that ends quanta, and so
+    # resumes compiled code, on arms all over the method.
+    for quantum_ns in (50_000, 997):
+        reports = {}
+        for jit in (False, True):
+            classfiles = compile_source(source)
+            gen = next(cf for cf in classfiles if cf.name == "Gen")
+            assert _fold_increments(gen.methods["run"]) >= 2
+            runtime = JavaSplitRuntime(
+                rewrite_application(classfiles),
+                RuntimeConfig(num_nodes=2, seed=0, jit_enable=jit,
+                              jit_threshold=1, quantum_ns=quantum_ns))
+            reports[jit] = runtime.run(), sum(
+                t.instructions for w in runtime.workers
+                for t in w.jvm.threads)
+        (base, base_count), (compiled, compiled_count) = \
+            reports[False], reports[True]
+        assert base.result == expected
+        assert compiled.result == base.result
+        assert compiled.simulated_ns == base.simulated_ns
+        assert compiled_count == base_count
+        assert "javasplit.Gen.run" in compiled.jit["compiled_methods"]
+        assert not compiled.jit["blacklisted"]
