@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, TYPE_CHECKING
 
-import numpy as np
-
 from ..net.message import Message
 from ..net.simnet import SimNetwork
 from ..sim.engine import NS_PER_MS
@@ -128,7 +126,8 @@ class FaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self._runtime: Optional["JavaSplitRuntime"] = None
-        self._rng = np.random.default_rng(plan.seed)
+        from numpy.random import default_rng  # lazy: only fault plans do
+        self._rng = default_rng(plan.seed)
         self._orig_send = network.send
         network.send = self._send  # type: ignore[method-assign]
         if plan.detach_node is not None:

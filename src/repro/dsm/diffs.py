@@ -30,6 +30,10 @@ from .serialization import (
 )
 
 
+#: Slots per C-level slice compare in :func:`compute_diff`.
+_CHUNK = 256
+
+
 def make_twin(ref: Any, lo: int = 0, hi: Optional[int] = None) -> list:
     """Snapshot an object's mutable slots (shallow, like the paper's twin)."""
     return _slots_of(ref)[lo:hi]
@@ -73,10 +77,13 @@ def compute_diff(
             f"twin length mismatch for {ref.class_name}: "
             f"{len(twin)} vs {len(slots)}"
         )
-    # Refs compare by identity at the VM level, values by equality.
-    changed = [
-        i for i, (a, b) in enumerate(zip(slots, twin)) if a is not b and a != b
-    ]
+    # Refs compare by identity at the VM level, values by equality.  List
+    # ``!=`` applies that same test per element, in C, so only the chunks
+    # holding a change are scanned slot by slot.
+    changed = [base + i for base in range(0, len(slots), _CHUNK)
+               if (s := slots[base:base + _CHUNK]) != (t := twin[base:base + _CHUNK])
+               for i, (a, b) in enumerate(zip(s, t))
+               if a is not b and a != b]
     if not changed:
         return None
     uniform, kinds = _kinds_of(ref, spec)
@@ -97,20 +104,23 @@ def apply_diff(
     hi: Optional[int] = None,
 ) -> int:
     """Apply an encoded diff of ``ref[lo:hi]`` to a master copy; returns
-    #slots changed."""
+    #slots changed.  A rejected diff installs nothing."""
     slots = _slots_of(ref)
     uniform, kinds = _kinds_of(ref, spec)
     end = len(slots) if hi is None else min(hi, len(slots))
     r = Reader(data)
-    n = r.u32()
-    for _ in range(n):
+    patch = []
+    for _ in range(r.u32()):
         idx = lo + r.u32()
         if idx >= end:
             raise SerializationError(
                 f"diff index {idx} out of range for {ref.class_name}"
             )
-        slots[idx] = read_value(r, uniform or kinds[idx], resolver)
-    return n
+        patch.append((idx, read_value(r, uniform or kinds[idx], resolver)))
+    r.finish()
+    for idx, value in patch:
+        slots[idx] = value
+    return len(patch)
 
 
 def diff_entry_count(data: bytes) -> int:

@@ -36,6 +36,9 @@ _F64 = struct.Struct(">d")
 _INT_MIN = -(1 << 63)
 _INT_MAX = (1 << 63) - 1
 
+#: ``struct`` code of the element kinds an array slice packs in one call.
+_BULK = {K_INT: "q", K_DOUBLE: "d"}
+
 
 class SerializationError(ValueError):
     """Malformed or unserializable data."""
@@ -132,39 +135,55 @@ class Reader:
         self._data = data
         self._pos = 0
 
+    def _short(self) -> SerializationError:
+        return SerializationError(
+            f"payload truncated at byte {self._pos} of {len(self._data)}")
+
     def s64(self) -> int:
         """Signed 64-bit integer."""
-        v = _S64.unpack_from(self._data, self._pos)[0]
+        try:
+            v = _S64.unpack_from(self._data, self._pos)[0]
+        except struct.error:
+            raise self._short() from None
         self._pos += 8
         return v
 
     def u32(self) -> int:
         """Unsigned 32-bit integer."""
-        v = _U32.unpack_from(self._data, self._pos)[0]
+        try:
+            v = _U32.unpack_from(self._data, self._pos)[0]
+        except struct.error:
+            raise self._short() from None
         self._pos += 4
         return v
 
     def f64(self) -> float:
         """IEEE-754 double."""
-        v = _F64.unpack_from(self._data, self._pos)[0]
+        try:
+            v = _F64.unpack_from(self._data, self._pos)[0]
+        except struct.error:
+            raise self._short() from None
         self._pos += 8
         return v
 
     def string(self) -> Optional[str]:
         """Optional UTF-8 string (1-byte null flag + length + bytes)."""
-        flag = self._data[self._pos]
+        flag = self._data[self._pos:self._pos + 1]
         self._pos += 1
-        if flag == 0:
+        if flag == b"\x00":
             return None
         n = self.u32()
         raw = self._data[self._pos:self._pos + n]
+        if len(raw) != n:
+            raise self._short()
         self._pos += n
         return raw.decode("utf-8")
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every byte has been consumed."""
-        return self._pos >= len(self._data)
+    def finish(self) -> None:
+        """The payload must end here: trailing bytes are malformed."""
+        if self._pos < len(self._data):
+            raise SerializationError(
+                f"{len(self._data) - self._pos} bytes after end of payload")
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +247,11 @@ def serialize_object(obj: Obj, spec: ClassSpec, resolver: Resolver) -> bytes:
 
 
 def deserialize_into(obj: Obj, spec: ClassSpec, data: bytes, resolver: Resolver) -> None:
-    """Decode into an existing instance, field by field."""
+    """Decode into an existing instance, field by field (all or nothing)."""
     r = Reader(data)
-    fields = obj.fields
-    for i, kind in enumerate(spec.kinds):
-        fields[i] = read_value(r, kind, resolver)
+    values = [read_value(r, kind, resolver) for kind in spec.kinds]
+    r.finish()
+    obj.fields[:len(values)] = values
 
 
 def serialize_array(arr: ArrayObj, resolver: Resolver, lo: int = 0,
@@ -241,6 +260,12 @@ def serialize_array(arr: ArrayObj, resolver: Resolver, lo: int = 0,
     then elements by kind.  A whole array *is* the slice [0, len)."""
     kind = kind_of_type(arr.elem_type)
     values = arr.data[lo:hi]
+    if kind in _BULK:
+        try:
+            return struct.pack(f">I{len(values)}{_BULK[kind]}",
+                               len(values), *values)
+        except struct.error:
+            pass  # a value to coerce or reject: the loop below owns both
     w = Writer()
     w.u32(len(values))
     for value in values:
@@ -255,7 +280,12 @@ def deserialize_array(arr: ArrayObj, data: bytes, resolver: Resolver,
     kind = kind_of_type(arr.elem_type)
     r = Reader(data)
     n = r.u32()
-    arr.data[lo:lo + n] = [read_value(r, kind, resolver) for _ in range(n)]
+    if kind in _BULK and len(data) == 4 + 8 * n:
+        arr.data[lo:lo + n] = struct.unpack_from(f">{n}{_BULK[kind]}", data, 4)
+        return
+    values = [read_value(r, kind, resolver) for _ in range(n)]
+    r.finish()
+    arr.data[lo:lo + n] = values
 
 
 def serialize_any(ref: Any, spec: Optional[ClassSpec], resolver: Resolver,

@@ -8,17 +8,17 @@ the ``sim`` backend runs it.  The division of labour:
 
 - **Master** (this process): owns the :class:`~repro.sim.engine.SimEngine`
   and all protocol logic.  Every frame accepted by the network is encoded
-  with the versioned wire codec (``repro.net.wire``) and relayed to the
-  *source* node's worker process.
+  once with the versioned wire codec (``repro.net.wire``) and those bytes
+  are written, as they are, to the *source* node's worker process.
 - **Worker** (one per node, :func:`worker_main`): a selector-based event
-  loop that owns that node's listening socket.  It forwards relayed
-  frames to the destination node's worker over a real peer-to-peer
-  socket; frames arriving on its listening socket are handed back to the
-  master over its control connection.
+  loop that owns that node's listening socket.  It routes a data frame on
+  its header (``peek_route``) without decoding it: the same bytes go to
+  the destination node's worker over a real peer-to-peer socket, and that
+  worker hands them back to the master over its control connection.
 - At delivery time the master waits for the physical copy, verifies it
   is byte-identical to what was sent, and dispatches the *decoded*
   message — so every payload a handler sees on this backend has survived
-  a real encode → socket → decode round trip.
+  a real encode → three socket hops → decode round trip.
 
 Delivery *decisions* (ordering, latency, drops on detach) are made purely
 from simulator state, which is what makes the backend differentially
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import selectors
 import shutil
 import signal
@@ -53,17 +54,17 @@ from ..sim.engine import SimEngine
 from .message import Message
 from .simnet import SimNetwork
 from .wire import (FrameDecoder, WireError, decode_frame, encode_frame,
-                   frame_with_prefix, peek_msg_id, set_wire_timer)
+                   frame_with_prefix, peek_msg_id, peek_route, set_wire_timer)
 
-# Control-plane frame types (master <-> worker only; never simulated).
+# Control-plane frame types (master <-> worker only; never simulated):
+# dst == MASTER_ID.  Any other frame on a control lane is data in transit.
 CTRL_HELLO = "proc.hello"
 CTRL_PEERS = "proc.peers"
-CTRL_RELAY = "proc.relay"
-CTRL_ARRIVED = "proc.arrived"
 CTRL_SHUTDOWN = "proc.shutdown"
 CTRL_STATS = "proc.stats"
 # Telemetry-plane frames (only when obs knobs are on; msg_id 0 like all
 # ctrl traffic, so they never perturb the sim schedule).
+CTRL_SIM = "proc.sim"
 CTRL_FLIGHT = "proc.flight"
 CTRL_DELTA = "proc.delta"
 
@@ -115,7 +116,8 @@ def _flush(sock: socket.socket, buf: bytearray) -> bool:
     the connection is gone (buffer is discarded)."""
     while buf:
         try:
-            sent = sock.send(bytes(buf[:262144]))
+            with memoryview(buf) as view:
+                sent = sock.send(view[:262144])
         except (BlockingIOError, InterruptedError):
             return True
         except OSError:
@@ -146,9 +148,9 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     """Entry point of one node's worker process.
 
     Connects back to the master's control listener, binds this node's
-    data listener, then loops: relay requests from the master go out to
-    peer sockets, frames arriving from peers go back to the master.
-    Runs until a ``proc.shutdown`` frame or control-socket EOF.
+    data listener, then loops: data frames from the master go out to
+    peer sockets, frames arriving from peers go back to the master, as
+    they came.  Runs until a ``proc.shutdown`` frame or control-socket EOF.
 
     ``obs`` (from the master's ``obs_plane``) switches on the wall-clock
     telemetry the worker collects locally: a flight-recorder ring
@@ -186,8 +188,8 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     period_s = float(obs.get("period_s", 0.25))
     flight: Deque[Dict[str, Any]] = deque(maxlen=flight_cap)
     flight_pending: Deque[Dict[str, Any]] = deque(maxlen=4 * flight_cap)
-    # Latest sim timestamp seen from the master (stamped on CTRL_RELAY
-    # when the flight knob is on) — pairs every event with both clocks.
+    # Latest sim timestamp seen from the master (a CTRL_SIM before each
+    # data frame, flight knob on) — pairs every event with both clocks.
     last_sim = [0]
     hists: Dict[str, Histogram] = {}
     if wallclock:
@@ -228,10 +230,12 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
         except KeyError:
             sel.register(sock, events)
 
-    def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
-        frame = encode_frame(_ctrl_msg(msg_type, node_id, payload))
+    def ctrl_write(frame: bytes) -> None:
         ctrl_out.extend(frame_with_prefix(frame))
         interest(ctrl, ctrl_out)
+
+    def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
+        ctrl_write(encode_frame(_ctrl_msg(msg_type, node_id, payload)))
 
     def drop_peer(sock: socket.socket) -> None:
         conns.pop(sock, None)
@@ -280,12 +284,13 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
 
     def on_ctrl_frame(raw: bytes) -> None:
         nonlocal running
+        dst = peek_route(raw)[1]
+        if dst != MASTER_ID:
+            relay(dst, raw)  # a data frame: routed, never decoded
+            return
         msg = decode_frame(raw)
-        if msg.msg_type == CTRL_RELAY:
-            sim = msg.payload.get("sim")
-            if sim is not None:
-                last_sim[0] = sim
-            relay(msg.payload["dst"], msg.payload["frame"])
+        if msg.msg_type == CTRL_SIM:
+            last_sim[0] = msg.payload["sim"]
         elif msg.msg_type == CTRL_PEERS:
             peers_addr.update(msg.payload["peers"])
         elif msg.msg_type == CTRL_SHUTDOWN:
@@ -363,7 +368,7 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                         stats["bytes_in"] += len(raw) + 4
                         if flight_on:
                             flight_note("recv", bytes=len(raw) + 4)
-                        ctrl_send(CTRL_ARRIVED, {"frame": raw})
+                        ctrl_write(raw)
             if t_iter:
                 hists["loop_lag_ns"].observe(time.monotonic_ns() - t_iter)
     except Exception:  # pragma: no cover - master detects death via EOF
@@ -452,8 +457,10 @@ class ProcNetwork(SimNetwork):
         self._ctrl_addr: Any = None
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         self._addrs: Dict[int, Any] = {}
-        self._ctrl: Dict[int, Optional[socket.socket]] = {}
-        self._decoders: Dict[int, FrameDecoder] = {}
+        # Open control lanes, both ways round (`_handshake` adds, only
+        # `_close_ctrl` removes): node -> socket, socket -> (node, decoder).
+        self._ctrl: Dict[int, socket.socket] = {}
+        self._lanes: Dict[socket.socket, Tuple[int, FrameDecoder]] = {}
         self._dead_procs: set = set()
         self._worker_stats: Dict[int, Dict[str, Any]] = {}
         # msg_id -> [encoded frame, outstanding deliveries, relays afloat]
@@ -512,9 +519,9 @@ class ProcNetwork(SimNetwork):
     # update (they dial new peers lazily).  With the "fork" start method
     # the late worker inherits the master's already-accepted control
     # descriptors, which can delay EOF-based death detection of *other*
-    # workers — but `_pump` also polls waitpid per drain, and simulator-
-    # driven kills go through `detach` (explicit `_dead_procs` entry),
-    # so failure detection is unaffected.
+    # workers — but `_pump` also polls waitpid whenever a blocking wait
+    # times out, and simulator-driven kills go through `detach`
+    # (explicit `_dead_procs` entry), so failure detection is unaffected.
     # ------------------------------------------------------------------
     def attach(self, node_id: int, cost_model, handler) -> None:
         super().attach(node_id, cost_model, handler)
@@ -549,10 +556,9 @@ class ProcNetwork(SimNetwork):
                         break
             node = hello.payload["node"]
             self._ctrl[node] = conn
-            self._decoders[node] = decoder
+            self._lanes[conn] = (node, decoder)
             addrs[node] = hello.payload["addr"]
-        unknown = set(addrs) - set(nodes)
-        if unknown or set(addrs) != set(nodes):
+        if set(addrs) != set(nodes):
             raise WireError(f"handshake mismatch: got {sorted(addrs)}, "
                             f"expected {nodes}")
         self._addrs.update(addrs)
@@ -560,8 +566,8 @@ class ProcNetwork(SimNetwork):
         # learns just the newcomers (workers merge incrementally).
         for node in nodes:
             self._ctrl_send(node, CTRL_PEERS, {"peers": dict(self._addrs)})
-        for other, conn in list(self._ctrl.items()):
-            if other not in addrs and conn is not None:
+        for other in list(self._ctrl):
+            if other not in addrs:
                 self._ctrl_send(other, CTRL_PEERS, {"peers": addrs})
 
     def stop(self) -> Dict[str, Any]:
@@ -576,11 +582,11 @@ class ProcNetwork(SimNetwork):
             for node in list(self._ctrl):
                 self._ctrl_send(node, CTRL_SHUTDOWN, {})
             deadline = time.monotonic() + min(10.0, self.wait_timeout_s)
-            want = [n for n, c in self._ctrl.items() if c is not None]
+            want = list(self._ctrl)
             while (time.monotonic() < deadline
                    and any(n not in self._worker_stats for n in want)):
                 self._pump(0.05)
-                want = [n for n in want if self._ctrl.get(n) is not None]
+                want = [n for n in want if n in self._ctrl]
             for node, proc in self._procs.items():
                 proc.join(timeout=2.0)
                 if proc.is_alive():
@@ -589,10 +595,8 @@ class ProcNetwork(SimNetwork):
                     except OSError:
                         pass
                     proc.join(timeout=2.0)
-            for conn in self._ctrl.values():
-                if conn is not None:
-                    conn.close()
-            self._ctrl.clear()
+            for node in list(self._ctrl):
+                self._close_ctrl(node)
             if self._listener is not None:
                 self._listener.close()
                 self._listener = None
@@ -664,12 +668,10 @@ class ProcNetwork(SimNetwork):
         if msg.src == msg.dst:
             return  # loopback: no physical hop, decode-proved at delivery
         if self._proc_ok(msg.src) and self._proc_ok(msg.dst):
-            relay_payload = {"dst": msg.dst, "frame": frame}
             if self.obs_plane is not None and self.obs_plane.get("flight"):
-                # Stamp sim time so the worker's flight events carry
-                # both clocks.  Ctrl-plane only: data frames untouched.
-                relay_payload["sim"] = self.engine.now
-            if self._ctrl_send(msg.src, CTRL_RELAY, relay_payload):
+                # Both clocks on worker flight events; data frames untouched.
+                self._ctrl_send(msg.src, CTRL_SIM, {"sim": self.engine.now})
+            if self._write(msg.src, frame):
                 entry[2] += 1
                 if self.wallclock is not None:
                     self._relay_t0.setdefault(
@@ -751,15 +753,18 @@ class ProcNetwork(SimNetwork):
     # Control plane
     # ------------------------------------------------------------------
     def _proc_ok(self, node_id: int) -> bool:
-        return (node_id not in self._dead_procs
-                and self._ctrl.get(node_id) is not None)
+        return node_id not in self._dead_procs and node_id in self._ctrl
 
     def _ctrl_send(self, node_id: int, msg_type: str,
                    payload: Dict[str, Any]) -> bool:
+        return self._write(
+            node_id, encode_frame(_ctrl_msg(msg_type, MASTER_ID, payload)))
+
+    def _write(self, node_id: int, frame: bytes) -> bool:
+        """Put one frame (ctrl or data) on a worker's control lane."""
         conn = self._ctrl.get(node_id)
         if conn is None:
             return False
-        frame = encode_frame(_ctrl_msg(msg_type, MASTER_ID, payload))
         try:
             conn.sendall(frame_with_prefix(frame))
             return True
@@ -768,54 +773,49 @@ class ProcNetwork(SimNetwork):
             return False
 
     def _pump(self, timeout: float) -> None:
-        """Drain worker control sockets and poll process liveness."""
-        if not self._started:
-            return
-        import select as _select
-        while True:
-            by_sock = {conn: node for node, conn in self._ctrl.items()
-                       if conn is not None}
-            if not by_sock:
-                break
+        """Drain worker control sockets; poll process liveness (a waitpid
+        each) only after an EOF or a *blocking* wait that timed out."""
+        poll = False
+        while self._lanes:
             try:
-                readable, _, _ = _select.select(list(by_sock), [], [],
-                                                timeout)
+                readable = select.select(list(self._lanes), [], [], timeout)[0]
             except OSError:
                 break
             for conn in readable:
-                node = by_sock[conn]
+                node, decoder = self._lanes[conn]
                 try:
                     data = conn.recv(_RECV_CHUNK)
                 except OSError:
                     data = b""
-                if not data:
+                if data:
+                    for raw in decoder.feed(data):
+                        self._on_frame(node, raw)
+                else:
+                    poll = True
                     self._note_dead(node)
-                    continue
-                for raw in self._decoders[node].feed(data):
-                    self._on_ctrl_frame(node, decode_frame(raw))
             if not readable:
+                poll = poll or timeout > 0
                 break
             timeout = 0  # keep draining what is already queued
-        for node, proc in self._procs.items():
-            if node not in self._dead_procs and not proc.is_alive():
-                self._note_dead(node)
+        if poll:
+            for node, proc in self._procs.items():
+                if node not in self._dead_procs and not proc.is_alive():
+                    self._note_dead(node)
 
-    def _on_ctrl_frame(self, node: int, msg: Message) -> None:
-        if msg.msg_type == CTRL_ARRIVED:
-            raw = msg.payload["frame"]
+    def _on_frame(self, node: int, raw: bytes) -> None:
+        """A frame off a lane: data that worker hands back, or ctrl."""
+        if peek_route(raw)[1] != MASTER_ID:
             msg_id = peek_msg_id(raw)
-            if self.wallclock is not None:
-                queue = self._relay_t0.get(msg_id)
-                if queue:
-                    t0 = queue.popleft()
-                    self.wallclock.observe(
-                        "net.rtt_ns", node, time.monotonic_ns() - t0)
-                    if not queue:
-                        del self._relay_t0[msg_id]
+            queue = self.wallclock is not None and self._relay_t0.get(msg_id)
+            if queue:
+                self.wallclock.observe(
+                    "net.rtt_ns", node, time.monotonic_ns() - queue.popleft())
             if msg_id in self._sent:
                 self._arrived.setdefault(msg_id, deque()).append(raw)
             # else: a copy whose deliveries were all discarded — expired.
-        elif msg.msg_type == CTRL_STATS:
+            return
+        msg = decode_frame(raw)
+        if msg.msg_type == CTRL_STATS:
             self._worker_stats[node] = dict(msg.payload)
             self._ingest_hists(node, msg.payload.get("hists"))
         elif msg.msg_type == CTRL_DELTA:
@@ -845,10 +845,10 @@ class ProcNetwork(SimNetwork):
         return list(self._flight_mirror.get(node, ()))
 
     def _close_ctrl(self, node_id: int) -> None:
-        conn = self._ctrl.get(node_id)
+        conn = self._ctrl.pop(node_id, None)
         if conn is not None:
+            del self._lanes[conn]
             conn.close()
-            self._ctrl[node_id] = None
 
     def _note_dead(self, node_id: int) -> None:
         """A worker process died under us (EOF / waitpid): close its

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from ..sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS, CostModel
 from ..sim.engine import SimEngine
 from .message import Message
@@ -44,7 +42,12 @@ class SimNetwork:
         self._cost_models: Dict[int, CostModel] = {}
         self._last_delivery: Dict[tuple[int, int], int] = {}
         self._jitter_ns = jitter_ns
-        self._rng = np.random.default_rng(seed)
+        self._rng = None
+        if jitter_ns:
+            # numpy is a third of `import repro`'s time and memory: only
+            # a jittered network pays for it — here, never on the send path.
+            from numpy.random import default_rng
+            self._rng = default_rng(seed)
         # Frames accepted but not yet delivered (or dropped), per type.
         # Recovery uses this to wait out in-flight lock tokens before
         # deciding a token was lost with a dead node.

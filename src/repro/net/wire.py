@@ -340,7 +340,10 @@ class FrameDecoder:
                     f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
             if len(self._buf) < _PREFIX.size + length:
                 return
-            frame = bytes(self._buf[_PREFIX.size:_PREFIX.size + length])
+            # One copy per frame, buffer -> bytes; the view is released
+            # before the ``del`` so the buffer stays resizable.
+            with memoryview(self._buf) as view:
+                frame = bytes(view[_PREFIX.size:_PREFIX.size + length])
             del self._buf[:_PREFIX.size + length]
             yield frame
 

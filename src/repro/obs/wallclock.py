@@ -8,11 +8,14 @@ sim schedule byte-identical (verified by test).
 
 Metric names in play:
 
-- ``net.rtt_ns``          master relay -> CTRL_ARRIVED round trip
+- ``net.rtt_ns``          master writes a data frame to its source's
+  worker -> the same bytes are back at the master from the destination's
+  worker (three socket hops, no codec work in between)
 - ``wire.encode_ns``      frame encode time (master codec)
 - ``wire.decode_ns``      frame decode time (master codec)
 - ``worker.loop_lag_ns``  proc-worker event-loop iteration time
-- ``worker.wire_*_ns``    proc-worker ctrl-plane codec time
+- ``worker.wire_*_ns``    proc-worker codec time (ctrl frames only:
+  hello, stats, telemetry — workers never decode a data frame)
 - ``jit.compile_ns``      per-method bytecode -> Python compile time
 - ``jit.quantum.*_ns``    per-quantum interpreter vs JIT wall time
 """

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Protocol, Sequence
 
-import numpy as np
-
 from ..sim.node import Node
 
 
@@ -52,7 +50,8 @@ class RandomScheduler:
     """Seeded random placement (useful as a load-balancing baseline)."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
+        from numpy.random import default_rng  # lazy: most runs never do
+        self._rng = default_rng(seed)
 
     def choose(self, nodes: Sequence[Node]) -> int:
         """Pick the node id to place a new thread on."""

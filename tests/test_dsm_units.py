@@ -24,6 +24,7 @@ from repro.dsm.serialization import (
     K_REF,
     K_STR,
     deserialize_any,
+    deserialize_array,
     deserialize_into,
     serialize_any,
     serialize_array,
@@ -461,6 +462,58 @@ def test_diff_index_out_of_range_rejected(lo, hi, short):
     master = ArrayObj("int", short)  # shorter than the diff expects
     with pytest.raises(SerializationError, match="out of range"):
         apply_diff(master, None, diff, res, lo, hi)
+
+
+def _malformed_cases():
+    """(label, fresh target, install(target, data), good payload) for every
+    payload decoder: bulk int/double arrays, per-element ref arrays,
+    instances, diffs."""
+    res = FakeResolver()
+    other = FakeObj("Point", [1, 1.0, None, None])
+    obj = FakeObj("Point", [42, 3.25, "hi", other])
+    blank = lambda: FakeObj("Point", [0, 0.0, None, None])
+    cases = []
+    for elem, values in (("int", [1, -2, 3]), ("double", [0.5, 2.0]),
+                         ("Point", [other, None])):
+        arr = ArrayObj(elem, 0)
+        arr.data = list(values)
+        cases.append((f"{elem}[]", lambda elem=elem, n=len(values): ArrayObj(elem, n),
+                      lambda out, data: deserialize_array(out, data, res),
+                      serialize_array(arr, res)))
+    cases.append(("instance", blank,
+                  lambda out, data: deserialize_into(out, POINT_SPEC, data, res),
+                  serialize_object(obj, POINT_SPEC, res)))
+    twin = make_twin(obj)
+    obj.fields[0], obj.fields[2] = 7, "changed"
+    cases.append(("diff", blank,
+                  lambda out, data: apply_diff(out, POINT_SPEC, data, res),
+                  compute_diff(obj, twin, POINT_SPEC, res)))
+    return cases
+
+
+_MALFORMED = _malformed_cases()
+
+
+@pytest.mark.parametrize("label,fresh,install,good", _MALFORMED,
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_payloads_fail_typed_and_install_nothing(
+        label, fresh, install, good):
+    """Short input raises SerializationError (never a raw struct.error or
+    IndexError) at every cut point, trailing bytes are not ignored, and a
+    rejected payload leaves its target as it was."""
+    def slots(out):
+        return list(out.data if isinstance(out, ArrayObj) else out.fields)
+
+    out = fresh()
+    untouched = slots(out)
+    install(out, good)
+    assert slots(out) != untouched          # the good payload does install
+    for bad, why in [(good[:cut], "truncated") for cut in range(len(good))] \
+            + [(good + b"xx", "after end of payload")]:
+        out = fresh()
+        with pytest.raises(SerializationError, match=why):
+            install(out, bad)
+        assert slots(out) == untouched
 
 
 # ---------------------------------------------------------------------------

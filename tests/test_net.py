@@ -1,5 +1,9 @@
 """Unit tests for the simulated network and transport layers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.net import HEADER_BYTES, Message, NetStats, SimNetwork, Transport, estimate_size
@@ -273,6 +277,36 @@ def test_transport_fifo_independent_per_source():
     eng.run_until_idle()
     assert [i for s, i in got if s == 1] == list(range(10))
     assert [i for s, i in got if s == 2] == list(range(10))
+
+
+def test_numpy_loads_only_where_a_generator_is_built():
+    """``import repro`` (and the check / serve packages the benchmark
+    harness imports) must not pull numpy in: a third of the import time
+    and 17 MiB of RSS, for a generator most runs never draw from.  A
+    jittered network, ``--scheduler random`` and a fault plan import it
+    where they build theirs — the same generator on the same seed."""
+    code = """
+import sys, repro, repro.check, repro.serve.scenario
+from repro.check import FaultInjector, FaultPlan
+from repro.net import SimNetwork
+from repro.runtime.scheduler import RandomScheduler, make_scheduler
+from repro.sim import SimEngine
+quiet = SimNetwork(SimEngine())
+make_scheduler("least-loaded")
+assert "numpy" not in sys.modules, "eager numpy import"
+net = SimNetwork(SimEngine(), jitter_ns=1000, seed=7)
+assert "numpy" in sys.modules
+from numpy.random import default_rng
+def same_stream(ours, seed):
+    ref = default_rng(seed)
+    return all(ours.integers(0, 1000) == ref.integers(0, 1000)
+               for _ in range(8))
+assert same_stream(net._rng, 7)
+assert same_stream(RandomScheduler(seed=5)._rng, 5)
+assert same_stream(FaultInjector(quiet, FaultPlan(seed=3))._rng, 3)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,20 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+import struct
+from unittest import mock
+
+import pytest
+
 from repro.dsm import ClassSpec, LockRequest, LockToken, Notice, NoticeTable, VectorClock
+from repro.dsm import diffs, serialization
 from repro.dsm.diffs import apply_diff, compute_diff, make_twin
 from repro.dsm.serialization import (
-    K_DOUBLE, K_INT, K_STR, deserialize_into, serialize_object,
+    K_DOUBLE, K_INT, K_STR, SerializationError, Writer, deserialize_array,
+    deserialize_into, kind_of_type, serialize_array, serialize_object,
+    write_value,
 )
+from repro.jvm.heap import ArrayObj
 from repro.jvm.bytecode import BRANCHES, Instr, Op
 from repro.jvm.interpreter import java_ddiv, java_idiv, java_irem
 
@@ -312,6 +321,174 @@ def test_diff_patch_roundtrip(sf, data):
     if diff is not None:
         apply_diff(master, spec, diff, _NullResolver())
     assert master.fields == obj.fields
+
+
+# ---------------------------------------------------------------------------
+# Bulk array kernel == per-element reference loop
+# ---------------------------------------------------------------------------
+# ``serialize_array`` / ``deserialize_array`` pack an int or double slice
+# with one ``struct`` call and keep the per-element loop as the reference.
+# Emptying ``_BULK`` makes the module run that loop on the same input, so
+# the two paths are compared inside the module, not against a copy of it.
+def _loop_only():
+    return mock.patch.dict(serialization._BULK, clear=True)
+
+
+def _array(elem_type, values):
+    arr = ArrayObj(elem_type, 0)
+    arr.data = list(values)
+    return arr
+
+
+def _bits(values):
+    """Slots as comparable facts: type and exact value (NaN, -0.0 too)."""
+    return [(type(v).__name__, struct.pack(">d", v) if isinstance(v, float)
+             else v) for v in values]
+
+
+_I64_EDGES = [-(1 << 63), -(1 << 63) + 1, -1, 0, 1, (1 << 63) - 1]
+_int_slots = st.lists(
+    st.one_of(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+              st.sampled_from(_I64_EDGES), st.booleans()),
+    max_size=7)
+_double_slots = st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
+              st.integers(min_value=-(1 << 53), max_value=1 << 53),
+              st.booleans()),
+    max_size=7)
+
+
+def _check_kernel_matches_loop(elem_type, values):
+    res = _NullResolver()
+    n = len(values)
+    for lo in range(n + 1):
+        for hi in list(range(lo, n + 1)) + [None]:
+            arr = _array(elem_type, values)
+            fast = serialize_array(arr, res, lo, hi)
+            with _loop_only():
+                slow = serialize_array(arr, res, lo, hi)
+            assert fast == slow
+            count = len(values[lo:hi])
+            assert len(fast) == 4 + 8 * count
+            # Install into a differently sized array, at an offset, and
+            # into an empty stub (which grows): same slots either way.
+            for size, at in ((n + 3, 2), (0, 0)):
+                a = _array(elem_type, [7] * size)
+                b = _array(elem_type, [7] * size)
+                deserialize_array(a, fast, res, at)
+                with _loop_only():
+                    deserialize_array(b, fast, res, at)
+                assert _bits(a.data) == _bits(b.data)
+                assert len(a.data) == max(size, at + count)
+
+
+@given(values=_int_slots, elem=st.sampled_from(["int", "boolean"]))
+@example(values=_I64_EDGES + [True, False], elem="int")
+@example(values=[], elem="int")
+def test_bulk_int_array_kernel_matches_loop(values, elem):
+    _check_kernel_matches_loop(elem, values)
+
+
+@given(values=_double_slots)
+@example(values=[float("nan"), -0.0, float("inf"), float("-inf"), 3, True])
+def test_bulk_double_array_kernel_matches_loop(values):
+    _check_kernel_matches_loop("double", values)
+
+
+def test_bulk_kernel_leaves_coercions_and_range_errors_to_the_loop():
+    res = _NullResolver()
+    # A float in an int array is truncated by the loop's int(), not
+    # rejected by struct; a numeric string in a double array is float()ed.
+    assert serialize_array(_array("int", [1, 2.9, True]), res) \
+        == serialize_array(_array("int", [1, 2, 1]), res)
+    assert serialize_array(_array("double", [1, "2.5"]), res) \
+        == serialize_array(_array("double", [1.0, 2.5]), res)
+    for values in ([1 << 70], [0, 1, -(1 << 63) - 1, 2], [(1 << 63)]):
+        with pytest.raises(SerializationError, match="exceeds 64 bits"):
+            serialize_array(_array("int", values), res)
+        with _loop_only(), pytest.raises(SerializationError,
+                                         match="exceeds 64 bits"):
+            serialize_array(_array("int", values), res)
+
+
+class _RefResolver(_NullResolver):
+    """Refs as (gid = 1 + position in ``pool``, class id 1)."""
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def gid_for(self, ref):
+        return 1 + next(i for i, o in enumerate(self.pool) if o is ref)
+
+    def class_id_for(self, name):
+        return 1
+
+
+def _full_scan_diff(arr, twin, res, lo, hi):
+    """The differ before chunk narrowing: every slot visited in Python."""
+    slots = arr.data[lo:hi]
+    changed = [i for i, (a, b) in enumerate(zip(slots, twin))
+               if a is not b and a != b]
+    if not changed:
+        return None
+    kind = kind_of_type(arr.elem_type)
+    w = Writer()
+    w.u32(len(changed))
+    for i in changed:
+        w.u32(i)
+        write_value(w, kind, slots[i], res)
+    return w.getvalue()
+
+
+_NAN = float("nan")
+_POOL = [_FakeObj([]) for _ in range(3)]
+_slot_values = {
+    "int": st.integers(min_value=-3, max_value=3),
+    # One shared NaN object (unchanged when it stays put) and fresh ones
+    # (NaN != NaN: a changed slot), as the VM would produce either.
+    "double": st.one_of(st.sampled_from([_NAN, 0.0, -0.0, 1.5]),
+                        st.just("fresh-nan")),
+    "T": st.sampled_from(_POOL + [None]),
+}
+
+
+@given(elem=st.sampled_from(["int", "double", "T"]), data=st.data(),
+       n=st.integers(min_value=0, max_value=19),
+       chunk=st.sampled_from([1, 4, 5, 256]))
+def test_chunk_narrowed_diff_matches_full_scan(elem, data, n, chunk):
+    def draw_slot():
+        v = data.draw(_slot_values[elem])
+        return float("nan") if v == "fresh-nan" else v
+
+    values = [draw_slot() for _ in range(n)]
+    arr = _array(elem, values)
+    lo = data.draw(st.integers(min_value=0, max_value=n))
+    hi = data.draw(st.integers(min_value=lo, max_value=n))
+    twin = make_twin(arr, lo, hi)
+    for i in data.draw(st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                                max_size=4)):
+        if i < n:
+            arr.data[i] = draw_slot()
+    res = _RefResolver(_POOL)
+    with mock.patch.object(diffs, "_CHUNK", chunk):
+        got = compute_diff(arr, twin, None, res, lo, hi)
+    assert got == _full_scan_diff(arr, twin, res, lo, hi)
+
+
+def test_chunked_diff_sees_a_change_in_the_last_partial_chunk():
+    n = 2 * diffs._CHUNK + 88            # two full chunks and a partial one
+    arr = _array("int", range(n))
+    twin = make_twin(arr)
+    assert compute_diff(arr, twin, None, _NullResolver()) is None
+    arr.data[n - 1] = -1
+    arr.data[diffs._CHUNK] = -2          # first slot of the second chunk
+    diff = compute_diff(arr, twin, None, _NullResolver())
+    assert diff == _full_scan_diff(arr, twin, _NullResolver(), 0, None)
+    master = _array("int", range(n))
+    assert apply_diff(master, None, diff, _NullResolver()) == 2
+    assert master.data == arr.data
 
 
 # ---------------------------------------------------------------------------
