@@ -245,7 +245,8 @@ class InvariantMonitor:
                     key = unit_key(gid, region)
                     if (loc is not None and region is None
                             and dsm.home_node(gid) == node
-                            and loc.folds_own_diff(gid, writer)):
+                            and loc.folds_own_diff(
+                                gid, writer, p["interval"])):
                         # Dropped, not applied: settle the twin-base
                         # FIFO slot, expect no version movement.
                         fifo = bases.get((writer, key))
@@ -261,6 +262,14 @@ class InvariantMonitor:
             if batch is None or batch is not transport.delivering \
                     or writer is None:
                 return  # the home's own flush, or a grant's pending write
+            if writer == node:
+                # Read-your-writes: a grant install folds the grantee's
+                # in-flight flushes into the master, and drops them when
+                # they come back around.  One applied was missing since
+                # the install and rolls back what was written meanwhile.
+                self.report(node, "own-diff",
+                            f"node applied its own earlier flush of "
+                            f"{[key for key, _v in advanced]!r} to its master")
             for key, after in advanced:
                 before = found.pop(key, None)
                 if before is None:
@@ -325,7 +334,7 @@ class InvariantMonitor:
                                 f"gid {gid:#x} has master copies on "
                                 f"nodes {holders} at install")
                 return
-            was_state, was = before
+            was = before[1]
             version = unit["version"]
             if (gid, region) in dsm._fetch_targets:
                 # The reply to a fetch (or prefetch) this node issued.
@@ -335,15 +344,12 @@ class InvariantMonitor:
                                 f"{was} -> {version}")
             else:
                 # Unsolicited (a policy push / broadcast): never moves
-                # a replica backwards and never touches a master.
+                # a replica backwards.  (No copy, asked for or not, ever
+                # lands on a master: the installer drops it unannounced.)
                 if version < was:
                     self.report(node, "version-monotonic",
                                 f"push moved replica gid {gid:#x} "
                                 f"backwards {was} -> {version}")
-                if was_state == ObjState.HOME:
-                    self.report(node, "single-home",
-                                f"push overwrote the master of gid "
-                                f"{gid:#x}")
             required = self._required.pop((node, key), None)
             if required is not None and version < required:
                 self.report(node, "fetch-version",

@@ -93,6 +93,7 @@ class DsmStats:
     fence_waits: int = 0
     deferred_fetches: int = 0
     region_fetches: int = 0
+    stale_installs: int = 0     # replica copies that found a master here
     # ----- adaptive locality (src/repro/locality) ---------------------
     migrations_out: int = 0     # units this home granted away
     migrations_in: int = 0      # units this node became home of
@@ -485,6 +486,11 @@ class DsmEngine:
         where it went (recovery re-issues the ones a dead home held)."""
         self.stats.fetches += 1
         target = self._fetch_targets[(gid, region)] = self.home_node(gid)
+        if target == self.node_id:
+            # It would install a replica over its own master, or
+            # publish a replica's data as the master's.
+            raise ProtocolError(f"node {target} would fetch "
+                                f"{unit_key(gid, region)!r} from itself")
         self.transport.send(target, M_FETCH_REQ,
                             request or self._fetch_request(gid, region))
 
@@ -952,7 +958,12 @@ class DsmEngine:
         """Install a fetched unit and wake the threads parked on it
         (shared by fetch replies and prefetch bulk replies); returns how
         many were waiting."""
-        gid, region = self._install_unit(p)
+        return self._unit_present(*self._install_unit(p), nbytes)
+
+    def _unit_present(self, gid: int, region: Optional[int],
+                      nbytes: int) -> int:
+        """A unit some thread asked for is readable here: retire the
+        request and wake the threads parked on it."""
         self._fetch_targets.pop((gid, region), None)
         waiters = self._fetch_waiters.pop((gid, region), [])
         if region == 0:
@@ -975,6 +986,14 @@ class DsmEngine:
         gid = p["gid"]
         region = p.get("region")
         master = role == ObjState.HOME
+        key = unit_key(gid, region)
+        held = self.unit(key)
+        if not master and held is not None and held[1].state == ObjState.HOME:
+            # The reply to a fetch issued before this node became the
+            # unit's home (the grant overtook it).  The master is never
+            # older than a copy sent to a reader: drop the copy.
+            self.stats.stale_installs += 1
+            return gid, region
         obj = self.cache.get(gid)
         if obj is None:
             # A master-to-be is homed here already; replica_for would
@@ -991,7 +1010,6 @@ class DsmEngine:
                 from ..jvm.classfile import default_value
                 obj.data = [default_value(obj.elem_type)] * total_len
             obj.header.state = role  # "present"; the regions carry the truth
-        key = unit_key(gid, region)
         _, rec, lo, hi = self.unit(key)
         before = (rec.state, rec.version)
         spec = self.specs.get(obj.class_name)
@@ -1001,6 +1019,10 @@ class DsmEngine:
             local_diff = compute_diff(obj, twin, spec, self, lo, hi)
             self._dirty.discard(key)
         deserialize_any(obj, spec, p["data"], self, lo)
+        for diff in p.get("own_diffs", ()):
+            # This node's flushes the snapshot predates (a grant to
+            # the unit's writer): its master may not lack them.
+            apply_diff(obj, spec, diff, self, lo, hi)
         rec.state = role
         rec.version = max(rec.version, p["version"]) if master else p["version"]
         if local_diff is not None:
@@ -1010,6 +1032,13 @@ class DsmEngine:
             self._replica_vc[key] = dict(p.get("applied", {}))
         for fn in self.hooks.unit_installed:
             fn(key, p, role, before)
+        if master and any(k in self._fetch_targets or k in self._fetch_waiters
+                          for k in {(gid, region), (gid, region or None)}):
+            # Asked for before this node became the home (region 0's
+            # no-index waiters park under ``(gid, None)``).  The unit is
+            # present, which is all a fetch waits for; the reply, if one
+            # still comes, is the stale copy dropped above.
+            self._unit_present(gid, region, len(p["data"]))
         return gid, region
 
     # ==================================================================

@@ -13,7 +13,7 @@ live here:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 SCALAR_TIMESTAMP_BYTES = 4
 # One vector entry = (thread/node id, interval counter).
@@ -81,10 +81,3 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}:{v}" for k, v in self.items())
         return f"VC({inner})"
-
-
-def merge_all(clocks: Iterable[VectorClock]) -> VectorClock:
-    out = VectorClock()
-    for clock in clocks:
-        out.merge(clock)
-    return out

@@ -3,10 +3,11 @@
 The codegen needs exactly what the verifier already proves: a single
 consistent operand-stack depth at every reachable pc.  That invariant is
 what lets the compiler map the operand stack onto Python locals
-(``s0..s{k}``) instead of a list.  This module re-runs the verifier's
-depth dataflow (resolving invoke arities through the *runtime* method
-resolver, so virtual arity matches what the interpreter will use) and
-classifies every instruction for the emitter:
+(``s0..s{k}``) instead of a list.  This module runs the same depth
+dataflow as the verifier (:func:`repro.jvm.cfg.stack_depths`, resolving
+invoke arities through the *runtime* method resolver, so virtual arity
+matches what the interpreter will use) and classifies every instruction
+for the emitter:
 
 * **pure** ops execute entirely inside a compiled run — no hooks, no
   blocking — and have their simulated cost pre-summed per run;
@@ -18,7 +19,7 @@ classifies every instruction for the emitter:
   function materializes the interpreter state and bails out.
 
 Also exported: :func:`pre_summed_runs`, the per-block cost summary the
-``disasm`` annotations and the emitter share.
+``disasm`` annotations print.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..jvm.bytecode import (
     BRANCHES,
-    CONDITIONS,
-    TERMINATORS,
+    INVOKES,
     CostTables,
     Op,
+    branch_target,
     instr_cost,
 )
+from ..jvm.cfg import block_starts, invoke_effect, stack_depths
 from ..jvm.classfile import MethodInfo
+from ..jvm.errors import ClassFormatError
 
 # Ops a compiled run executes inline with no possibility of blocking and
 # no runtime hook other than the race observer (which adds no cost).
@@ -57,30 +60,7 @@ SPECIAL_OPS = frozenset({
     Op.DSM_READCHECK, Op.DSM_WRITECHECK, Op.DSM_STATICREF,
     Op.DSM_ACQUIRE, Op.DSM_RELEASE,
     Op.MONITORENTER, Op.MONITOREXIT,
-    Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL,
-})
-
-_INVOKES = (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL)
-
-# Mirror of the verifier's stack-effect tables (see jvm/verifier.py);
-# invokes are handled separately via the resolved method's arity.
-_SIMPLE_DELTA = {
-    Op.CONST: 1, Op.LOAD: 1, Op.STORE: -1, Op.IINC: 0,
-    Op.ADD: -1, Op.SUB: -1, Op.MUL: -1, Op.DIV: -1, Op.REM: -1,
-    Op.NEG: 0, Op.SHL: -1, Op.SHR: -1, Op.USHR: -1,
-    Op.AND: -1, Op.OR: -1, Op.XOR: -1, Op.CMP: -1,
-    Op.I2D: 0, Op.D2I: 0, Op.CONCAT: -1,
-    Op.POP: -1, Op.DUP: 1, Op.DUP_X1: 1, Op.SWAP: 0,
-    Op.GOTO: 0, Op.IF: -1, Op.IF_CMP: -2,
-    Op.NEW: 1, Op.GETFIELD: 0, Op.PUTFIELD: -2,
-    Op.GETSTATIC: 1, Op.PUTSTATIC: -1,
-    Op.INSTANCEOF: 0, Op.CHECKCAST: 0,
-    Op.RETURN: 0, Op.RETVAL: -1,
-    Op.NEWARRAY: 0, Op.ARRLOAD: -1, Op.ARRSTORE: -3, Op.ARRAYLENGTH: 0,
-    Op.MONITORENTER: -1, Op.MONITOREXIT: -1,
-    Op.DSM_READCHECK: 0, Op.DSM_WRITECHECK: 0,
-    Op.DSM_ACQUIRE: -1, Op.DSM_RELEASE: -1, Op.DSM_STATICREF: 1,
-}
+}) | INVOKES
 
 
 class CompileError(Exception):
@@ -110,88 +90,44 @@ class MethodAnalysis:
 def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
     """Run the depth dataflow and classify every instruction.
 
-    Raises :exc:`CompileError` when the method has no code, is native,
-    or violates any invariant the emitter depends on (none of which can
-    happen for verifier-accepted code — belt and braces).
+    Raises :exc:`CompileError` when the method is native or violates
+    any invariant the emitter depends on (none of which can happen for
+    verifier-accepted code — belt and braces).
     """
-    code = method.code
-    if method.is_native or not code:
-        raise CompileError(f"{method.klass}.{method.name}: no bytecode")
-    n = len(code)
-    if code[-1].op not in TERMINATORS:
-        raise CompileError(f"{method.klass}.{method.name}: no terminator")
+    where = f"{method.klass}.{method.name}"
+    if method.is_native:
+        raise CompileError(f"{where}: no bytecode")
+    ana = MethodAnalysis(method=method, depth_at=[])
 
-    ana = MethodAnalysis(method=method, depth_at=[None] * n)
-    depth_at = ana.depth_at
-    depth_at[0] = 0
-    worklist = [0]
-    while worklist:
-        pc = worklist.pop()
-        depth = depth_at[pc]
-        instr = code[pc]
+    def arity_of(pc, instr):
+        # Resolve through the runtime resolver — the same walk the
+        # interpreter caches — so arity and nativeness match what will
+        # execute.  Unresolvable == deopt site (the forced interpreter
+        # step reproduces the exact LinkError); the depth past it is
+        # unknowable, so the path ends there.
+        try:
+            target = jvm.resolve_method(instr.a, instr.b)
+        except Exception:
+            target = None
+        ana.invoke_targets[pc] = target
+        return None if target is None else invoke_effect(target)
+
+    try:
+        ana.depth_at = stack_depths(method, arity_of)
+    except ClassFormatError as exc:
+        raise CompileError(str(exc)) from None
+    for pc, instr in enumerate(method.code):
+        if ana.depth_at[pc] is None:
+            continue
         op = instr.op
-
         if op not in PURE_OPS and op not in SPECIAL_OPS:
-            raise CompileError(
-                f"{method.klass}.{method.name} pc={pc}: "
-                f"uncompilable op {op.name}")
-        if op in (Op.IF, Op.IF_CMP) and instr.a not in CONDITIONS:
-            raise CompileError(
-                f"{method.klass}.{method.name} pc={pc}: "
-                f"bad condition {instr.a!r}")
-        if op in (Op.LOAD, Op.IINC):
+            raise CompileError(f"{where} pc={pc}: uncompilable op {op.name}")
+        if op in (Op.LOAD, Op.STORE, Op.IINC):
             ana.used_locals.add(instr.a)
-        if op in (Op.STORE, Op.IINC):
-            ana.used_locals.add(instr.a)
-            ana.mutated_locals.add(instr.a)
-
-        if op in _INVOKES:
-            # Resolve through the runtime resolver — the same walk the
-            # interpreter caches — so arity and nativeness match what
-            # will execute.  Unresolvable == deopt site: the forced
-            # interpreter step reproduces the exact LinkError.
-            try:
-                target = jvm.resolve_method(instr.a, instr.b)
-            except Exception:
-                target = None
-            ana.invoke_targets[pc] = target
-            if target is None:
-                # Depth unknowable past an unresolvable invoke; only
-                # safe if nothing follows on this path.  Deopt stubs
-                # return to the interpreter, which will raise — treat
-                # successors as unreachable-from-here.
-                continue
-            pops = target.nargs
-            pushes = 0 if target.ret == "void" else 1
-            if depth < pops:
-                raise CompileError(
-                    f"{method.klass}.{method.name} pc={pc}: underflow")
-            new_depth = depth - pops + pushes
-        else:
-            new_depth = depth + _SIMPLE_DELTA[op]
-            if new_depth < 0 or depth + min(0, _SIMPLE_DELTA[op]) < 0:
-                raise CompileError(
-                    f"{method.klass}.{method.name} pc={pc}: underflow")
-
-        succs = []
+            if op is not Op.LOAD:
+                ana.mutated_locals.add(instr.a)
         if op in BRANCHES:
-            target_pc = instr.a if op is Op.GOTO else instr.b
-            if not isinstance(target_pc, int) or not (0 <= target_pc < n):
-                raise CompileError(
-                    f"{method.klass}.{method.name} pc={pc}: bad target")
-            ana.branch_targets.add(target_pc)
-            succs.append(target_pc)
-        if op not in TERMINATORS:
-            succs.append(pc + 1)
-
-        for s in succs:
-            if depth_at[s] is None:
-                depth_at[s] = new_depth
-                worklist.append(s)
-            elif depth_at[s] != new_depth:
-                raise CompileError(
-                    f"{method.klass}.{method.name} pc={s}: "
-                    f"inconsistent depth")
+            ana.branch_targets.add(branch_target(instr))
     return ana
 
 
@@ -200,40 +136,25 @@ def pre_summed_runs(method: MethodInfo,
     """Straight-line runs of pure ops and their pre-summed cost.
 
     Returns ``[(start_pc, end_pc_exclusive, total_cost_ns), ...]`` —
-    the blocks whose cost the compiled code charges in one addition at
-    block entry.  Runs break at specials (which charge exact per-op
-    cost), at branch targets (block entries), and after control ops.
-    Used by the emitter and by the ``disasm`` cost annotations.
+    the blocks whose cost compiled code charges in one addition at
+    block entry: basic blocks, further cut at specials (which charge
+    exact per-op cost and belong to no run).  The ``disasm`` cost
+    annotations print them.
     """
     code = method.code
     n = len(code)
-    starts = {0}
+    starts = set(block_starts(code))
     for pc, instr in enumerate(code):
-        if instr.op in BRANCHES:
-            starts.add(instr.a if instr.op is Op.GOTO else instr.b)
         if instr.op in SPECIAL_OPS:
-            starts.add(pc)
-            if pc + 1 < n:
-                starts.add(pc + 1)
-        if instr.op in BRANCHES or instr.op in TERMINATORS:
-            if pc + 1 < n:
-                starts.add(pc + 1)
+            starts.update((pc, pc + 1))
     runs: List[Tuple[int, int, int]] = []
     pc = 0
     while pc < n:
-        if code[pc].op in SPECIAL_OPS:
-            pc += 1
-            continue
-        end = pc
-        total = 0
-        while end < n and code[end].op not in SPECIAL_OPS and \
-                (end == pc or end not in starts):
-            total += instr_cost(code[end], tables)
-            is_control = (code[end].op in BRANCHES
-                          or code[end].op in TERMINATORS)
-            end += 1
-            if is_control:
-                break
-        runs.append((pc, end, total))
+        end = pc + 1
+        if code[pc].op not in SPECIAL_OPS:
+            while end < n and end not in starts:
+                end += 1
+            runs.append((pc, end, sum(instr_cost(i, tables)
+                                      for i in code[pc:end])))
         pc = end
     return runs

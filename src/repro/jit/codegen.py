@@ -45,7 +45,15 @@ from typing import Any, Dict, List, Optional, Set
 
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
-from ..jvm.bytecode import BRANCHES, TERMINATORS, Instr, Op, instr_cost
+from ..jvm.bytecode import (
+    BRANCHES,
+    INVOKES,
+    TERMINATORS,
+    Instr,
+    Op,
+    branch_target,
+    instr_cost,
+)
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassCastError, JVMError, NullPointerError
 from ..jvm.frame import Frame
@@ -210,8 +218,7 @@ class _Emitter:
                         instr.a, instr.b)
                 except Exception:
                     self._deopt_pcs.add(pc)
-            elif op in (Op.INVOKEVIRTUAL, Op.INVOKESTATIC,
-                        Op.INVOKESPECIAL):
+            elif op in INVOKES:
                 if self.ana.invoke_targets.get(pc) is None:
                     self._deopt_pcs.add(pc)
 
@@ -589,7 +596,7 @@ class _Emitter:
         op = instr.op
         w = self.w
         if op is Op.GOTO:
-            self._jump(ind, instr.a)
+            self._jump(ind, branch_target(instr))
             return None
         if op is Op.IF:
             cond = instr.a
@@ -604,7 +611,7 @@ class _Emitter:
                            f"({cond})')")
                 pyop = {"lt": "<", "ge": ">=", "gt": ">", "le": "<="}[cond]
                 w(ind, f"if s{d - 1} {pyop} 0:")
-            self._jump(ind + 1, instr.b)
+            self._jump(ind + 1, branch_target(instr))
             return d - 1
         if op is Op.IF_CMP:
             # eq/ne: Java identity on references is Python's default
@@ -612,7 +619,7 @@ class _Emitter:
             pyop = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=",
                     "gt": ">", "le": "<="}[instr.a]
             w(ind, f"if s{d - 2} {pyop} s{d - 1}:")
-            self._jump(ind + 1, instr.b)
+            self._jump(ind + 1, branch_target(instr))
             return d - 2
         if op in (Op.RETURN, Op.RETVAL):
             val = f"s{d - 1}" if op is Op.RETVAL else "None"
@@ -647,7 +654,7 @@ class _Emitter:
             return self._emit_monitorenter(ind, pc, instr, d)
         if op is Op.MONITOREXIT:
             return self._emit_monitorexit(ind, pc, instr, d)
-        if op in (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL):
+        if op in INVOKES:
             return self._emit_invoke(ind, pc, instr, d)
         raise CompileError(f"unhandled special {op.name}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional
 
-from .bytecode import BRANCHES, Instr, Op
+from .bytecode import BRANCHES, Instr, Op, branch_target, retarget
 from .classfile import ClassFile, FieldInfo, MethodInfo
 from .errors import ClassFormatError
 
@@ -116,26 +116,19 @@ class MethodBuilder:
     # ------------------------------------------------------------------
     def build(self) -> MethodInfo:
         """Resolve labels and produce the immutable MethodInfo."""
-        code: List[Instr] = []
-        for instr in self._code:
-            resolved = instr  # instructions are single-use; patch in place
-            if instr.op in BRANCHES:
-                target = instr.b if instr.op in (Op.IF, Op.IF_CMP) else instr.a
-                if isinstance(target, Label):
-                    if target.pc is None:
-                        raise ClassFormatError(
-                            f"unresolved label in {self.name}: {target}"
-                        )
-                    if instr.op is Op.GOTO:
-                        resolved.a = target.pc
-                    else:
-                        resolved.b = target.pc
-            code.append(resolved)
+        for instr in self._code:  # single-use: patch in place
+            target = branch_target(instr) if instr.op in BRANCHES else None
+            if isinstance(target, Label):
+                if target.pc is None:
+                    raise ClassFormatError(
+                        f"unresolved label in {self.name}: {target}"
+                    )
+                retarget(instr, target.pc)
         return MethodInfo(
             name=self.name,
             params=self.params,
             ret=self.ret_type,
-            code=code,
+            code=list(self._code),
             max_locals=max(self._max_locals or 0, self._next_local),
             flags=self.flags,
         )

@@ -25,7 +25,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..sim import cost_model as cm
 
@@ -251,7 +251,47 @@ DSM_OPS = frozenset({
     Op.DSM_RELEASE, Op.DSM_STATICREF,
 })
 
-# Opcodes that terminate or divert straight-line flow (used by the
-# verifier's fall-off-the-end check).
+#: Operand-stack effect ``(pops, pushes)`` of every opcode whose effect
+#: is fixed.  The one stack-effect table: the verifier, the check
+#: eliminator and the tier-1 analysis all read it (:mod:`repro.jvm.cfg`
+#: walks a method with it).  An invoke pops and pushes what the method
+#: it resolves to declares, so ``INVOKES`` have no row.
+STACK_EFFECT: Dict[Op, Tuple[int, int]] = {
+    Op.CONST: (0, 1), Op.LOAD: (0, 1), Op.STORE: (1, 0), Op.IINC: (0, 0),
+    Op.ADD: (2, 1), Op.SUB: (2, 1), Op.MUL: (2, 1), Op.DIV: (2, 1),
+    Op.REM: (2, 1), Op.NEG: (1, 1), Op.SHL: (2, 1), Op.SHR: (2, 1),
+    Op.USHR: (2, 1), Op.AND: (2, 1), Op.OR: (2, 1), Op.XOR: (2, 1),
+    Op.CMP: (2, 1), Op.I2D: (1, 1), Op.D2I: (1, 1), Op.CONCAT: (2, 1),
+    Op.POP: (1, 0), Op.DUP: (1, 2), Op.DUP_X1: (2, 3), Op.SWAP: (2, 2),
+    Op.GOTO: (0, 0), Op.IF: (1, 0), Op.IF_CMP: (2, 0),
+    Op.NEW: (0, 1), Op.GETFIELD: (1, 1), Op.PUTFIELD: (2, 0),
+    Op.GETSTATIC: (0, 1), Op.PUTSTATIC: (1, 0),
+    Op.INSTANCEOF: (1, 1), Op.CHECKCAST: (1, 1),
+    Op.RETURN: (0, 0), Op.RETVAL: (1, 0),
+    Op.NEWARRAY: (1, 1), Op.ARRLOAD: (2, 1), Op.ARRSTORE: (3, 0),
+    Op.ARRAYLENGTH: (1, 1),
+    Op.MONITORENTER: (1, 0), Op.MONITOREXIT: (1, 0),
+    Op.DSM_READCHECK: (0, 0), Op.DSM_WRITECHECK: (0, 0),
+    Op.DSM_ACQUIRE: (1, 0), Op.DSM_RELEASE: (1, 0),
+    Op.DSM_STATICREF: (0, 1),
+}
+INVOKES = frozenset({Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL})
+
+# Opcodes after which control does not fall through to pc + 1, and
+# opcodes that carry a branch target.
 TERMINATORS = frozenset({Op.GOTO, Op.RETURN, Op.RETVAL})
 BRANCHES = frozenset({Op.GOTO, Op.IF, Op.IF_CMP})
+
+
+def branch_target(instr: Instr) -> Any:
+    """Where a ``BRANCHES`` instruction jumps: a pc, or whatever
+    placeholder (assembler label, rewriter sentinel) stands in for one."""
+    return instr.a if instr.op is Op.GOTO else instr.b
+
+
+def retarget(instr: Instr, target: Any) -> None:
+    """Point a ``BRANCHES`` instruction at ``target``."""
+    if instr.op is Op.GOTO:
+        instr.a = target
+    else:
+        instr.b = target

@@ -190,3 +190,26 @@ class ClassFile:
             f"ClassFile({self.name} extends {self.super_name}, "
             f"{len(self.fields)} fields, {len(self.methods)} methods)"
         )
+
+
+def resolve_method(
+    classfiles: Dict[str, ClassFile], class_name: str, method_name: str
+) -> MethodInfo:
+    """The declaration a method reference resolves to: the first one
+    along the superclass chain of ``class_name`` in a class-file table
+    (``.klass`` names the declaring class).  A chain that leaves the
+    table or declares no such method is a :exc:`ClassFormatError` —
+    a rewritten class referring to an un-rewritten one, typically."""
+    current: Optional[str] = class_name
+    while current is not None:
+        cf = classfiles.get(current)
+        if cf is None:
+            raise ClassFormatError(
+                f"reference to unknown class {current!r} "
+                f"(resolving {class_name}.{method_name})"
+            )
+        m = cf.methods.get(method_name)
+        if m is not None:
+            return m
+        current = cf.super_name
+    raise ClassFormatError(f"no method {class_name}.{method_name}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..sim.cost_model import get_brand
-from .bytecode import BRANCHES, CostTables, Instr, Op, cost_tables
+from .bytecode import BRANCHES, CostTables, Instr, Op, branch_target, cost_tables
+from .cfg import branch_targets
 from .classfile import ClassFile, MethodInfo
 
 
@@ -28,10 +29,9 @@ def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
 
 def format_instr(pc: int, instr: Instr) -> str:
     parts = [f"{pc:4d}  {instr.op.name}"]
-    if instr.op is Op.GOTO:
-        parts.append(f"-> {instr.a}")
-    elif instr.op in (Op.IF, Op.IF_CMP):
-        parts.append(f"{instr.a} -> {instr.b}")
+    if instr.op in BRANCHES:
+        cond = "" if instr.op is Op.GOTO else f"{instr.a} "
+        parts.append(f"{cond}-> {branch_target(instr)}")
     else:
         if instr.a is not None:
             parts.append(repr(instr.a))
@@ -50,12 +50,7 @@ def disassemble_method(method: MethodInfo,
     if method.is_native:
         return header + "  [native]"
     lines = [header, f"    max_locals={method.max_locals}"]
-    targets = set()
-    for instr in method.code:
-        if instr.op is Op.GOTO:
-            targets.add(instr.a)
-        elif instr.op in BRANCHES:
-            targets.add(instr.b)
+    targets = branch_targets(method.code)
     elim_notes = getattr(method, "elim_notes", None) or {}
     run_start = {}
     if costs is not None:

@@ -344,11 +344,6 @@ class JVM:
         """Append a line to this JVM's console output."""
         self.output.append(text)
 
-    @property
-    def failed_threads(self) -> List[JThread]:
-        """Threads that died with an error."""
-        return [t for t in self.threads if t.error is not None]
-
     def check_no_failures(self) -> None:
         """Raise the first recorded thread error, if any (test helper)."""
         for t in self.threads:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..jvm.assembler import ClassBuilder, Label, MethodBuilder
-from ..jvm.bytecode import Op
+from ..jvm.bytecode import TERMINATORS, Op
 from ..jvm.classfile import ClassFile
 from ..jvm.intrinsics import bootstrap_classfiles
 from ..jvm.verifier import verify_classfiles
@@ -99,9 +99,7 @@ class _MethodGen:
         else:
             # The checker proved all paths return; terminate any residual
             # unreachable fall-through for the verifier.
-            if not self.mb._code or self.mb._code[-1].op not in (
-                Op.RETURN, Op.RETVAL, Op.GOTO
-            ):
+            if not self.mb._code or self.mb._code[-1].op not in TERMINATORS:
                 self.mb.const(_zero_of(m.ret))
                 self._emit_sync_exits(0, m.line)
                 self.mb.retval()

@@ -21,7 +21,12 @@ Correctness notes for the migration handoff:
   two masters.
 - Directory entries are epoch-guarded: epochs increase strictly along
   a forwarding chain, so stale gossip never rolls a mapping back and
-  chained forwards terminate.
+  chained forwards terminate.  A message that finds no master where a
+  directory says "here" bounces via the unit's origin home, though:
+  that arm follows no epoch and ends when the grant in flight lands —
+  never, if there is none.  So a re-routed message carries the chain
+  of nodes it passed (``via``), and one longer than ``MAX_HOPS`` is a
+  :exc:`ProtocolError`: a corrupt directory fails the run, not spins it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from ..dsm.protocol import (
     M_FT_REDIFF_ACK,
     M_LOCK_REQ,
     M_OWNER_UPDATE,
+    ProtocolError,
 )
 from ..net.message import (
     HEADER_BYTES,
@@ -48,6 +54,7 @@ from ..net.message import (
     M_LOC_FWD_DIFF_ACK,
     M_LOC_HOME_UPDATE,
     Message,
+    estimate_size,
 )
 from .profiler import AccessProfiler
 
@@ -70,6 +77,13 @@ WINDOW = 8
 MIGRATION_THRESHOLD = 3
 #: Max units batched into one bulk-fetch on acquire.
 PREFETCH_DEPTH = 8
+
+#: Re-routes a message may take before it is declared lost.  Not a
+#: function of cluster size: a bounce lasts while the grant it waits
+#: for is in flight — through the fence for a token-borne one (6 hops
+#: seen fault-free), through a 25 ms retransmit timeout or several for
+#: a dropped one (11 seen at 5% drops), at ~2.5 ms per hop.
+MAX_HOPS = 64
 
 #: Wire fields stamped by the transport that must not survive a forward.
 _TRANSPORT_FIELDS = ("__seq__", "__epoch__")
@@ -206,10 +220,11 @@ class LocalityAgent:
         self._next_fwd_id = 0
         # Redirect gossip dedup: (peer, gid) pairs already hinted.
         self._hinted: Set[Tuple[int, int]] = set()
-        # Units whose grant was installed around this node's own VALID
-        # working copy: forwarded copies of its pre-grant diffs are
-        # already folded in and must be dropped, not re-applied.
-        self._self_folded: Set[int] = set()
+        # Units whose grant was installed with this node's own in-flight
+        # diffs folded in, and the flush interval of the install: copies
+        # of its diffs up to then that come back forwarded are dropped,
+        # not re-applied.  Later ones (the unit left and returned) count.
+        self._self_folded: Dict[int, int] = {}
         # Aggregator: sync-scope depth + per-destination buffers.
         self._scope_depth = 0
         self._buffers: Dict[int, List[Message]] = {}
@@ -302,9 +317,26 @@ class LocalityAgent:
             fwd["requester"] = msg.payload.get("requester", msg.src)
         elif mtype == M_LOCK_REQ:
             peer = msg.payload["node"]
-        self.transport.send(home, mtype, fwd)
+        via = self._hop(fwd.pop("via", []), gid)
+        # The chain rides in the fixed header: sized without it.
+        self.transport.send(home, mtype, dict(fwd, via=via),
+                            size_bytes=HEADER_BYTES + estimate_size(fwd))
         self._maybe_hint(peer, gid)
         return True
+
+    def _hop(self, via: List[int], gid: int) -> List[int]:
+        """``via`` plus this node: the chain of a message being
+        re-routed from here.  Too long a chain is a ProtocolError naming
+        the unit, the chain and every node's directory entry."""
+        via = via + [self.node_id]
+        if len(via) > MAX_HOPS:
+            entries = {w.node_id: w.dsm._loc_dir.entry(gid)
+                       for w in self.manager.runtime.workers if not w.dead}
+            raise ProtocolError(
+                f"gid {gid:#x} re-routed {len(via)} times without reaching "
+                f"a master: chain {via}, (home, epoch) directory entries "
+                f"by node {entries}")
+        return via
 
     def _on_fwd_diff(self, msg: Message) -> None:
         """New-home side of a forwarded diff.  Re-splits if some entries
@@ -314,11 +346,12 @@ class LocalityAgent:
             msg, M_LOC_FWD_DIFF_ACK, msg.payload["fwd_id"],
             require_remote=False, ack_field="fwd_id")
 
-    def folds_own_diff(self, gid: int, writer: int) -> bool:
+    def folds_own_diff(self, gid: int, writer: int, interval: int) -> bool:
         """True when a diff entry from ``writer`` for ``gid`` is this
-        node's own pre-grant flush: the grant was installed around the
-        local working copy, so the write is already in the master."""
-        return writer == self.node_id and gid in self._self_folded
+        node's own pre-grant flush: the grant install folded it in, so
+        the write is already in the master."""
+        return (writer == self.node_id
+                and interval <= self._self_folded.get(gid, 0))
 
     def _maybe_proxy(self, msg: Message, ack_type: str, ack_value: int,
                      require_remote: bool,
@@ -340,7 +373,7 @@ class LocalityAgent:
                     by_home.setdefault(home_of(gid), []).append(entry)
                     continue
                 if entry[2] is None and self.folds_own_diff(
-                        gid, p["writer"]):
+                        gid, p["writer"], p["interval"]):
                     # This node's own diff coming back around the old
                     # home: applying it would roll the master back over
                     # newer local releases.  Ack at the current version.
@@ -376,6 +409,7 @@ class LocalityAgent:
                 "writer": p["writer"],
                 "interval": p["interval"],
                 "fwd_id": fwd_id,
+                "via": self._hop(p.get("via", []), entries[0][0]),
             }
             size = HEADER_BYTES + sum(14 + len(d) for _g, d, _r in entries)
             self._fwd_pending[fwd_id] = {
@@ -433,33 +467,29 @@ class LocalityAgent:
         self.manager.note_migration(gid, grantee, epoch)
         return grant
 
-    def install_grant(self, grant: Dict[str, Any],
-                      fold_valid: bool) -> bool:
+    def install_grant(self, grant: Dict[str, Any]) -> bool:
         """Grantee side: become the home of a granted unit.  False when
         a strictly newer migration already moved the unit elsewhere (an
         equal-epoch entry pointing HERE is just this migration's own
         redirect gossip arriving first).
 
-        ``fold_valid`` is for the ack-borne grant only: under the §3.1
-        fence its grantee is the sole writer, so a VALID working copy
-        holds every interval it has produced — including diffs still in
-        flight to the old home, which the grant snapshot predates.  The
-        master is then installed around the LOCAL data (at the grant's
-        version) and those diffs are dropped when they come back
-        forwarded.  A token grantee is not the fenced writer: folding
-        its possibly-stale copy would publish old data."""
+        Flushes of the unit by this node may still be in flight to the
+        old home (the ack-borne grant goes to the very writer the old
+        home was serving).  The grant snapshot predates them, but a
+        local read of the new master must not — this node wrote them:
+        they are applied on top of the snapshot at install, in flush
+        order and at the grant's version, and dropped when they come
+        back forwarded."""
         gid = grant["gid"]
         if (not self.dsm.set_gid_home(gid, self.node_id, grant["epoch"])
                 and self.dsm._loc_dir.get(gid) != self.node_id):
             return False
-        if fold_valid:
-            obj = self.dsm.cache.get(gid)
-            hdr = obj.header if obj is not None else None
-            if hdr is not None and hdr.state == ObjState.VALID:
-                snap = self.dsm.ft_serialize_unit(gid)
-                if snap is not None:
-                    grant = dict(grant, data=snap["data"])
-                    self._self_folded.add(gid)
+        own = [diff for _home, p, _size in self.dsm._pending_diffs.values()
+               for g, diff, region in p["entries"]
+               if g == gid and region is None]
+        if own:
+            grant = dict(grant, own_diffs=own)
+            self._self_folded[gid] = self.dsm._flush_seq
         # Overwrites clean replicas and merges any dirty twin back on
         # top as a pending home write.
         self.dsm.ft_install_master(grant)
@@ -509,7 +539,7 @@ class LocalityAgent:
         if msg.msg_type != M_DIFF_ACK:
             return
         for grant in msg.payload.get("migrate", ()):
-            if self.install_grant(grant, fold_valid=True):
+            if self.install_grant(grant):
                 self.dsm.stats.migrations_in += 1
 
     # ------------------------------------------------------------------

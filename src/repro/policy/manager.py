@@ -485,7 +485,7 @@ class PolicyAgent:
                  if msg.msg_type == M_TOKEN else None)
         if grant is None:
             return
-        if not self.locality.install_grant(grant, fold_valid=False):
+        if not self.locality.install_grant(grant):
             return  # a strictly newer migration moved the unit onward
         self.dsm.stats.pol_grant_installs += 1
         self._emit("policy.grant_install",

@@ -28,7 +28,7 @@ from .static_transform import (
     rewrite_static_accesses,
     strip_statics,
 )
-from .sync_rewrite import MethodResolver, rewrite_synchronization
+from .sync_rewrite import rewrite_synchronization
 from .thread_rewrite import rewrite_thread_starts
 
 __all__ = [
@@ -43,6 +43,6 @@ __all__ = [
     "build_specs",
     "StaticHolderInfo", "generate_holders", "holder_class_name",
     "rewrite_static_accesses", "strip_statics",
-    "MethodResolver", "rewrite_synchronization",
+    "rewrite_synchronization",
     "rewrite_thread_starts",
 ]

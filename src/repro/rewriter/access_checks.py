@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..jvm.bytecode import Instr, Op
+from ..jvm.bytecode import STACK_EFFECT, Instr, Op
 from ..jvm.classfile import ClassFile, FieldInfo, MethodInfo
 from .remap import expand_code
 
@@ -50,40 +50,30 @@ def insert_access_checks(cf: ClassFile, fields: FieldTable) -> Dict[str, int]:
     return counts
 
 
+# Heap accesses and the check each gets.  The checked reference sits
+# under the access's other operands: ``pops - 1`` below the top.
+_ACCESS_KIND = {
+    Op.GETFIELD: "read", Op.ARRLOAD: "read", Op.ARRAYLENGTH: "read",
+    Op.PUTFIELD: "write", Op.ARRSTORE: "write",
+}
+_CHECK_OP = {"read": Op.DSM_READCHECK, "write": Op.DSM_WRITECHECK}
+
+
 def _instrument_method(method: MethodInfo, fields: FieldTable, counts) -> None:
     def expand(instr: Instr, pc: int):
-        op = instr.op
-        if instr.checked:
-            return [instr]  # hand-instrumented (runtime bootstrap code)
-        if op is Op.GETFIELD:
+        kind = _ACCESS_KIND.get(instr.op)
+        if kind is None or instr.checked:
+            return [instr]  # checked: hand-instrumented (bootstrap code)
+        if instr.op in (Op.GETFIELD, Op.PUTFIELD):
             f = fields.find(instr.a, instr.b)
             if f is not None and f.volatile:
                 counts["volatile"] += 1
-                return _volatile_read(instr)
-            counts["read"] += 1
-            instr.checked = True
-            return [Instr(Op.DSM_READCHECK, 0, line=instr.line), instr]
-        if op is Op.PUTFIELD:
-            f = fields.find(instr.a, instr.b)
-            if f is not None and f.volatile:
-                counts["volatile"] += 1
-                return _volatile_write(instr)
-            counts["write"] += 1
-            instr.checked = True
-            return [Instr(Op.DSM_WRITECHECK, 1, line=instr.line), instr]
-        if op is Op.ARRLOAD:
-            counts["read"] += 1
-            instr.checked = True
-            return [Instr(Op.DSM_READCHECK, 1, line=instr.line), instr]
-        if op is Op.ARRSTORE:
-            counts["write"] += 1
-            instr.checked = True
-            return [Instr(Op.DSM_WRITECHECK, 2, line=instr.line), instr]
-        if op is Op.ARRAYLENGTH:
-            counts["read"] += 1
-            instr.checked = True
-            return [Instr(Op.DSM_READCHECK, 0, line=instr.line), instr]
-        return [instr]
+                wrap = _volatile_read if kind == "read" else _volatile_write
+                return wrap(instr)
+        counts[kind] += 1
+        instr.checked = True
+        depth = STACK_EFFECT[instr.op][0] - 1
+        return [Instr(_CHECK_OP[kind], depth, line=instr.line), instr]
 
     expand_code(method, expand)
 

@@ -15,7 +15,9 @@ distributed runtime:
   access checks, marked ``checked`` so the automatic pass skips them.
 * ``javasplit.Sys`` — console output is low-level I/O (§4's change #4):
   the wrapper forwards lines to the master node's console.
-* ``javasplit.Math`` / ``javasplit.String`` — pure functions, aliased.
+* ``javasplit.Math`` / ``javasplit.String`` / ``javasplit.Serve`` — pure
+  functions (or master-side state only), aliased: the twin's native
+  declarations are derived from the original class file.
 * ``javasplit.JavaSplitRT`` — the runtime handler class the rewriter
   targets (read/write misses are fused instructions, so only sync,
   spawn and I/O handlers appear as methods).
@@ -23,14 +25,15 @@ distributed runtime:
 
 from __future__ import annotations
 
-import math
-from typing import Any, List
+from typing import List
 
 from ..jvm.assembler import ClassBuilder
 from ..jvm.bytecode import Instr, Op
 from ..jvm.classfile import ClassFile
 from ..jvm.errors import JavaRuntimeError
 from ..jvm.interpreter import BLOCK, NO_VALUE, jstr
+from ..jvm.intrinsics import bootstrap_classfiles
+from .naming import rename_class
 
 RT = "javasplit.JavaSplitRT"
 JS_OBJECT = "javasplit.Object"
@@ -45,16 +48,6 @@ def _checked(op: Op, a, b=None) -> Instr:
 
 def build_runtime_classes() -> List[ClassFile]:
     """The hand-written javasplit bootstrap class files."""
-    # javasplit.Object ------------------------------------------------------
-    obj = ClassBuilder(JS_OBJECT, super_name=JS_OBJECT, is_bootstrap=True)
-    obj.classfile.super_name = None
-    obj.native_method("wait")
-    obj.native_method("notify")
-    obj.native_method("notifyAll")
-    init = obj.method("<init>")
-    init.ret()
-    obj.finish(init)
-
     # javasplit.JavaSplitRT -------------------------------------------------
     rt = ClassBuilder(RT, super_name=JS_OBJECT, is_bootstrap=True)
     rt.native_method("rtWait", params=[JS_OBJECT], static=True)
@@ -144,43 +137,14 @@ def build_runtime_classes() -> List[ClassFile]:
     wrap.ret()
     th.finish(wrap)
 
-    # javasplit.Math / Sys / String ----------------------------------------
-    m = ClassBuilder("javasplit.Math", super_name=JS_OBJECT, is_bootstrap=True)
-    for name in ("sqrt", "sin", "cos", "tan", "log", "exp", "floor", "ceil", "abs"):
-        m.native_method(name, params=["double"], ret="double", static=True)
-    m.native_method("pow", params=["double", "double"], ret="double", static=True)
-    m.native_method("atan2", params=["double", "double"], ret="double", static=True)
-    m.native_method("iabs", params=["int"], ret="int", static=True)
-    m.native_method("imin", params=["int", "int"], ret="int", static=True)
-    m.native_method("imax", params=["int", "int"], ret="int", static=True)
-    m.native_method("min", params=["double", "double"], ret="double", static=True)
-    m.native_method("max", params=["double", "double"], ret="double", static=True)
-
-    s = ClassBuilder("javasplit.Sys", super_name=JS_OBJECT, is_bootstrap=True)
-    s.native_method("print", params=["str"], static=True)
-    s.native_method("println", params=["str"], static=True)
-    s.native_method("currentTimeMillis", ret="int", static=True)
-    s.native_method("nanoTime", ret="int", static=True)
-
-    st = ClassBuilder("javasplit.String", super_name=JS_OBJECT, is_bootstrap=True)
-    st.native_method("length", ret="int")
-    st.native_method("charAt", params=["int"], ret="int")
-    st.native_method("substring", params=["int", "int"], ret="str")
-    st.native_method("equalsStr", params=["str"], ret="int")
-    st.native_method("indexOf", params=["str"], ret="int")
-
-    # javasplit.Serve: load-feed ingestion natives run master-side state
-    # only (no heap access), so the twin is a plain alias.  Appended last
-    # so the ids of every pre-existing runtime class are unchanged.
-    sv = ClassBuilder("javasplit.Serve", super_name=JS_OBJECT,
-                      is_bootstrap=True)
-    sv.native_method("next", params=["int"], ret="int", static=True)
-    sv.native_method("done", params=["int", "int"], static=True)
-
-    classes = [
-        obj.build(), rt.build(), th.build(),
-        m.build(), s.build(), st.build(), sv.build(),
-    ]
+    # javasplit.Object / Math / Sys / String / Serve declare what the
+    # originals declare — same methods, same order, so class ids stay in
+    # step (Serve is last in both lists: older ids never moved).  Which
+    # natives route through the DSM is register_rewritten_natives' job.
+    originals = {cf.name: cf for cf in bootstrap_classfiles()}
+    twins = [rename_class(originals[name])
+             for name in ("Object", "Math", "Sys", "String", "Serve")]
+    classes = [twins[0], rt.build(), th.build(), *twins[1:]]
     for cf in classes:
         cf.instrumented = True  # DSM ops allowed (Thread uses them)
     return classes
@@ -250,14 +214,11 @@ def register_rewritten_natives(jvm) -> None:
     reg(RT, "setLivePriority", _nat_set_live_priority)
     reg(RT, "error", _nat_error)
 
-    for cls in ("Math", "String", "Serve"):
-        for (owner, name), fn in list(jvm._natives.items()):
-            if owner == cls:
-                reg("javasplit." + cls, name, fn)
+    for (owner, name), fn in list(jvm._natives.items()):
+        if owner in ("Math", "Sys", "String", "Serve"):
+            reg("javasplit." + owner, name, fn)
     reg("javasplit.Sys", "print", _nat_js_print)
     reg("javasplit.Sys", "println", _nat_js_print)
-    reg("javasplit.Sys", "currentTimeMillis", jvm.native("Sys", "currentTimeMillis"))
-    reg("javasplit.Sys", "nanoTime", jvm.native("Sys", "nanoTime"))
     # Defensive: direct virtual wait/notify should never survive the
     # rewrite, but route them to the DSM if they somehow do.
     reg(JS_OBJECT, "wait", _nat_rt_wait)

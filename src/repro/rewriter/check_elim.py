@@ -17,23 +17,25 @@ an LRC-legal stale read.  Write checks are **never** eliminated: they
 create the twin that write collection depends on, and an unchecked write
 to an asynchronously-flushed replica could be lost.
 
-The analysis is deliberately conservative:
+The analysis is deliberately conservative.  One transfer function
+(:func:`_transfer`) walks a region of straight-line code:
 
-* region boundaries: branch targets (leaders), branches themselves,
-  invokes, DSM acquire/release, monitor ops — all clear the known set;
+* invokes, DSM acquire/release and monitor ops clear the known set;
 * provenance is tracked for references loaded from local slots (a store
   to the slot evicts it) and for C_static holder references produced by
   DSM_STATICREF (always the same per-class singleton, so a second check
   on the same class's holder within a region is redundant).
 
-Level 2 (``level=2``, consumed by the tiered JIT) layers two passes on
-top of the straight-line analysis:
+The levels differ only in what a region is and what it knows on entry.
+Level 1 (§6.2's pass): a region runs from one branch target — a merge,
+where we lose track — to the next and starts out knowing nothing.
+Level 2 (``level=2``, consumed by the tiered JIT): regions are basic
+blocks, fed by two passes:
 
-* **region-based dataflow**: validated facts (local slots and C_static
-  holders) flow across basic blocks with set-intersection at merges, so
-  a check dominated by equivalent checks on *every* incoming path is
-  removed even across branches — the classic forward must-analysis of
-  Veldema et al. instead of the per-region reset above;
+* **region-based dataflow**: validated facts flow across basic blocks
+  with set-intersection at merges, so a check dominated by equivalent
+  checks on *every* incoming path is removed even across branches — the
+  classic forward must-analysis of Veldema et al.;
 * **loop hoisting**: a ``LOAD p; DSM_READCHECK; GETFIELD`` in a loop
   body whose slot ``p`` is never stored in the loop and whose body has
   no synchronization barrier is validated once in the loop preheader
@@ -50,48 +52,35 @@ final-pc → note) so the disassembler can annotate the listing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..jvm.bytecode import BRANCHES, Instr, Op
-from ..jvm.classfile import ClassFile, MethodInfo
+from ..jvm.bytecode import (
+    BRANCHES,
+    INVOKES,
+    STACK_EFFECT,
+    TERMINATORS,
+    Instr,
+    Op,
+    branch_target,
+    retarget,
+)
+from ..jvm.cfg import block_starts, branch_targets, invoke_effect, successors
+from ..jvm.classfile import ClassFile, MethodInfo, resolve_method
 from .remap import expand_code
-from .sync_rewrite import MethodResolver
 
-# Stack effect (pops, pushes) for provenance simulation; invokes handled
-# separately via the resolver.
-_EFFECT: Dict[Op, Tuple[int, int]] = {
-    Op.CONST: (0, 1), Op.LOAD: (0, 1), Op.STORE: (1, 0), Op.IINC: (0, 0),
-    Op.ADD: (2, 1), Op.SUB: (2, 1), Op.MUL: (2, 1), Op.DIV: (2, 1),
-    Op.REM: (2, 1), Op.NEG: (1, 1), Op.SHL: (2, 1), Op.SHR: (2, 1),
-    Op.USHR: (2, 1), Op.AND: (2, 1), Op.OR: (2, 1), Op.XOR: (2, 1),
-    Op.CMP: (2, 1), Op.I2D: (1, 1), Op.D2I: (1, 1), Op.CONCAT: (2, 1),
-    Op.POP: (1, 0), Op.GOTO: (0, 0), Op.IF: (1, 0), Op.IF_CMP: (2, 0),
-    Op.NEW: (0, 1), Op.GETFIELD: (1, 1), Op.PUTFIELD: (2, 0),
-    Op.GETSTATIC: (0, 1), Op.PUTSTATIC: (1, 0),
-    Op.INSTANCEOF: (1, 1), Op.CHECKCAST: (1, 1),
-    Op.RETURN: (0, 0), Op.RETVAL: (1, 0),
-    Op.NEWARRAY: (1, 1), Op.ARRLOAD: (2, 1), Op.ARRSTORE: (3, 0),
-    Op.ARRAYLENGTH: (1, 1),
-    Op.MONITORENTER: (1, 0), Op.MONITOREXIT: (1, 0),
-    Op.DSM_READCHECK: (0, 0), Op.DSM_WRITECHECK: (0, 0),
-    Op.DSM_ACQUIRE: (1, 0), Op.DSM_RELEASE: (1, 0),
-    Op.DSM_STATICREF: (0, 1),
-}
-
-_INVOKES = (Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL)
 _BARRIERS = frozenset({
     Op.DSM_ACQUIRE, Op.DSM_RELEASE, Op.MONITORENTER, Op.MONITOREXIT,
-    *_INVOKES,
-})
+}) | INVOKES
 
 
 def eliminate_redundant_read_checks(
-    cf: ClassFile, resolver: MethodResolver, level: int = 1
+    cf: ClassFile, classfiles: Dict[str, ClassFile], level: int = 1
 ) -> int:
     """Remove provably-redundant read checks in one class; returns count.
 
     ``level=1`` is the straight-line pass; ``level=2`` adds loop
-    hoisting followed by the region-based dataflow pass."""
+    hoisting followed by the region-based dataflow pass.  Invoke
+    arities resolve through the ``classfiles`` table."""
     removed = 0
     for method in cf.methods.values():
         if not method.is_native and method.code:
@@ -100,9 +89,7 @@ def eliminate_redundant_read_checks(
             tags: Dict[int, str] = {}
             if level >= 2:
                 _hoist_loop_checks(method, tags)
-                removed += _process_method_regional(method, resolver, tags)
-            else:
-                removed += _process_method(method, resolver, tags)
+            removed += _eliminate(method, classfiles, tags, level)
             if tags:
                 method.elim_notes = {
                     pc: tags[id(instr)]
@@ -112,122 +99,34 @@ def eliminate_redundant_read_checks(
     return removed
 
 
-def _process_method(method: MethodInfo, resolver: MethodResolver,
-                    tags: Dict[int, str]) -> int:
+def _eliminate(method: MethodInfo, classfiles: Dict[str, ClassFile],
+               tags: Dict[int, str], level: int) -> int:
+    """Delete every read check that a region's incoming facts plus its
+    own straight-line code prove redundant."""
     code = method.code
-    leaders: Set[int] = {0}
-    for instr in code:
-        if instr.op is Op.GOTO:
-            leaders.add(instr.a)
-        elif instr.op in (Op.IF, Op.IF_CMP):
-            leaders.add(instr.b)
-
+    starts = (block_starts(code) if level >= 2
+              else sorted({0} | branch_targets(code)))
+    bounds = dict(zip(starts, starts[1:] + [len(code)]))
+    in_facts = (_block_facts(code, bounds, classfiles) if level >= 2
+                else dict.fromkeys(starts, frozenset()))
     to_remove: Set[int] = set()
-    # Provenance stack: each cell is a local slot index (int), a
-    # ("static", class) holder token, or None for unknown.
-    stack: List[Optional[object]] = []
-    validated: Set[object] = set()
-
-    for pc, instr in enumerate(code):
-        if pc in leaders:
-            # Control-flow merge: lose everything (conservative); the
-            # verifier guarantees a consistent depth, which we cannot
-            # know locally, so restart provenance empty — any peek past
-            # the region start simply resolves to "unknown".
-            stack = []
-            validated = set()
-        op = instr.op
-
-        if op is Op.DSM_READCHECK:
-            prov = _peek(stack, instr.a)
-            if prov is not None:
-                guarded = code[pc + 1] if pc + 1 < len(code) else None
-                if prov in validated and guarded is not None and (
-                    guarded.checked in (True, "static")
-                ) and pc + 1 not in leaders:
-                    to_remove.add(pc)
-                    # The access runs at (near-)original speed again — the
-                    # JIT optimization the check was defeating is restored.
-                    # (Holder-field reads then bill plain field cost, a
-                    # close stand-in for the original static read.)
-                    guarded.checked = False
-                else:
-                    validated.add(prov)
-            continue
-        if op is Op.DSM_WRITECHECK:
-            # The write check fetches + twins: the object is then also
-            # valid for reading within this region.
-            prov = _peek(stack, instr.a)
-            if prov is not None:
-                validated.add(prov)
-            continue
-
-        if op in _BARRIERS:
-            validated = set()
-
-        if op is Op.STORE or op is Op.IINC:
-            validated.discard(instr.a)
-
-        # --- provenance stack update -------------------------------
-        if op is Op.LOAD:
-            stack.append(instr.a)
-        elif op is Op.DSM_STATICREF:
-            stack.append(("static", instr.a))
-        elif op is Op.DUP:
-            stack.append(_peek(stack, 0))
-        elif op is Op.DUP_X1:
-            b = _pop(stack); a = _pop(stack)
-            stack.extend((b, a, b))
-        elif op is Op.SWAP:
-            if len(stack) >= 2:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            else:
-                stack = []
-        elif op in _INVOKES:
-            target = resolver.resolve(instr.a, instr.b)
-            pops = target.nargs if target is not None else len(stack)
-            pushes = 0 if target is None or target.ret == "void" else 1
-            _apply(stack, pops, pushes)
-        else:
-            pops, pushes = _EFFECT[op]
-            _apply(stack, pops, pushes)
-
+    for s, facts in in_facts.items():
+        _transfer(code, s, bounds[s], facts, classfiles, collect=to_remove)
     if not to_remove:
         return 0
-    _remove_checks(method, to_remove, tags)
-    return len(to_remove)
-
-
-def _remove_checks(method: MethodInfo, to_remove: Set[int],
-                   tags: Dict[int, str]) -> None:
-    """Delete the checks; tag each now-unguarded access for disasm."""
     for pc in to_remove:
-        tags[id(method.code[pc + 1])] = "check eliminated"
+        # The access runs at (near-)original speed again — the JIT
+        # optimization the check was defeating is restored.  (Holder-
+        # field reads then bill plain field cost, a close stand-in for
+        # the original static read.)  Tag it for disasm.
+        code[pc + 1].checked = False
+        tags[id(code[pc + 1])] = "check eliminated"
 
     def expand(instr: Instr, pc: int):
         return [] if pc in to_remove else [instr]
 
     expand_code(method, expand)
-
-
-# ---------------------------------------------------------------------------
-# Level 2: region-based dataflow over basic blocks
-# ---------------------------------------------------------------------------
-
-def _block_starts(code: List[Instr]) -> List[int]:
-    """Basic-block leaders: entry, branch targets, post-branch pcs."""
-    n = len(code)
-    leaders = {0}
-    for pc, instr in enumerate(code):
-        op = instr.op
-        if op is Op.GOTO:
-            leaders.add(instr.a)
-        elif op in (Op.IF, Op.IF_CMP):
-            leaders.add(instr.b)
-        if op in BRANCHES or op in (Op.RETURN, Op.RETVAL):
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-    return sorted(leaders)
+    return len(to_remove)
 
 
 def _transfer(
@@ -235,31 +134,31 @@ def _transfer(
     start: int,
     end: int,
     facts: Set[object],
-    resolver: MethodResolver,
+    classfiles: Dict[str, ClassFile],
     collect: Optional[Set[int]] = None,
 ) -> Set[object]:
     """Straight-line analysis of ``code[start:end)`` with incoming
     validated ``facts``; returns the outgoing fact set.  With
     ``collect`` (the final walk), removable check pcs are recorded."""
+    # Provenance stack: each cell is a local slot index (int), a
+    # ("static", class) holder token, or None for unknown.  The verifier
+    # guarantees a consistent depth at ``start`` which we cannot know
+    # locally, so provenance restarts empty — a peek or pop past the
+    # region start simply resolves to "unknown".
     stack: List[Optional[object]] = []
     validated = set(facts)
     for pc in range(start, end):
         instr = code[pc]
         op = instr.op
-        if op is Op.DSM_READCHECK:
+        if op is Op.DSM_READCHECK or op is Op.DSM_WRITECHECK:
+            # A write check fetches + twins: the object is then also
+            # valid for reading within this region.
             prov = _peek(stack, instr.a)
             if prov is not None:
-                if collect is not None and prov in validated:
-                    guarded = code[pc + 1] if pc + 1 < end else None
-                    if guarded is not None and guarded.checked in (
-                        True, "static"
-                    ):
-                        collect.add(pc)
-                validated.add(prov)
-            continue
-        if op is Op.DSM_WRITECHECK:
-            prov = _peek(stack, instr.a)
-            if prov is not None:
+                if (collect is not None and op is Op.DSM_READCHECK
+                        and prov in validated and pc + 1 < end
+                        and code[pc + 1].checked in (True, "static")):
+                    collect.add(pc)
                 validated.add(prov)
             continue
 
@@ -282,51 +181,33 @@ def _transfer(
                 stack[-1], stack[-2] = stack[-2], stack[-1]
             else:
                 stack = []
-        elif op in _INVOKES:
-            target = resolver.resolve(instr.a, instr.b)
-            pops = target.nargs if target is not None else len(stack)
-            pushes = 0 if target is None or target.ret == "void" else 1
-            _apply(stack, pops, pushes)
         else:
-            pops, pushes = _EFFECT[op]
-            _apply(stack, pops, pushes)
+            pops, pushes = (
+                invoke_effect(resolve_method(classfiles, instr.a, instr.b))
+                if op in INVOKES else STACK_EFFECT[op])
+            for _ in range(pops):
+                _pop(stack)
+            stack.extend([None] * pushes)
     return validated
 
 
-def _process_method_regional(
-    method: MethodInfo, resolver: MethodResolver, tags: Dict[int, str]
-) -> int:
-    """Forward must-analysis of validated facts with ∩ at merges."""
-    code = method.code
-    starts = _block_starts(code)
-    n = len(code)
-    bounds = {s: (starts[i + 1] if i + 1 < len(starts) else n)
-              for i, s in enumerate(starts)}
-    succ: Dict[int, List[int]] = {}
-    preds: Dict[int, List[int]] = {s: [] for s in starts}
-    for s in starts:
-        e = bounds[s]
-        last = code[e - 1]
-        targets: List[int] = []
-        if last.op is Op.GOTO:
-            targets = [last.a]
-        elif last.op in (Op.IF, Op.IF_CMP):
-            targets = [last.b] + ([e] if e < n else [])
-        elif last.op not in (Op.RETURN, Op.RETVAL) and e < n:
-            targets = [e]
-        succ[s] = targets
+def _block_facts(code: List[Instr], bounds: Dict[int, int],
+                 classfiles: Dict[str, ClassFile]) -> Dict[int, Set[object]]:
+    """Forward must-analysis of validated facts with ∩ at merges: the
+    facts that hold on entry to every reachable basic block."""
+    succ = {s: successors(code, e - 1) for s, e in bounds.items()}
+    preds: Dict[int, List[int]] = {s: [] for s in bounds}
+    for s, targets in succ.items():
         for t in targets:
             preds[t].append(s)
 
     # Optimistic iteration: OUT starts at TOP (None = "all facts"), so
     # loop-carried facts survive the ∩ until proven otherwise.
-    out: Dict[int, Optional[Set[object]]] = {s: None for s in starts}
+    out: Dict[int, Optional[Set[object]]] = {s: None for s in bounds}
     in_: Dict[int, Set[object]] = {}
-    seen: Set[int] = set()
     worklist = [0]
     while worklist:
         s = worklist.pop()
-        seen.add(s)
         facts: Optional[Set[object]] = set() if s == 0 else None
         for p in preds[s]:
             po = out[p]
@@ -336,25 +217,13 @@ def _process_method_regional(
         if facts is None:
             facts = set()
         in_[s] = facts
-        new_out = _transfer(code, s, bounds[s], facts, resolver)
+        new_out = _transfer(code, s, bounds[s], facts, classfiles)
         if out[s] is None or new_out != out[s]:
             out[s] = new_out
             worklist.extend(succ[s])
         else:
-            worklist.extend(t for t in succ[s] if t not in seen)
-
-    to_remove: Set[int] = set()
-    for s in sorted(in_):
-        _transfer(code, s, bounds[s], in_[s], resolver,
-                  collect=to_remove)
-    if not to_remove:
-        return 0
-    for pc in to_remove:
-        # The access runs at (near-)original speed again (see the
-        # straight-line pass above for the cost rationale).
-        code[pc + 1].checked = False
-    _remove_checks(method, to_remove, tags)
-    return len(to_remove)
+            worklist.extend(t for t in succ[s] if t not in in_)
+    return in_
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +240,7 @@ _HOIST_SKIP = object()
 _MAX_HOISTS = 8
 
 
-def _hoist_loop_checks(method: MethodInfo, tags: Dict[int, str]) -> int:
+def _hoist_loop_checks(method: MethodInfo, tags: Dict[int, str]) -> None:
     """Insert null-safe loop-preheader validators for hot read checks.
 
     Inserting a validator is always *sound* — it is a real DSM_READCHECK
@@ -382,19 +251,14 @@ def _hoist_loop_checks(method: MethodInfo, tags: Dict[int, str]) -> int:
     delete from the loop body.
     """
     code = method.code
-    n = len(code)
-    branches = [
-        (pc, instr.a if instr.op is Op.GOTO else instr.b)
-        for pc, instr in enumerate(code)
-        if instr.op in BRANCHES and isinstance(
-            instr.a if instr.op is Op.GOTO else instr.b, int)
-    ]
+    branches = [(pc, branch_target(instr))
+                for pc, instr in enumerate(code) if instr.op in BRANCHES]
     hoists: Dict[int, List[int]] = {}
     total = 0
     for src, h in branches:
         if not (1 <= h <= src):
             continue  # not a back edge (or no preheader instruction)
-        if code[h - 1].op in (Op.GOTO, Op.RETURN, Op.RETVAL):
+        if code[h - 1].op in TERMINATORS:
             continue  # loop not entered by fallthrough: validator dead
         # The loop must only be enterable through the preheader —
         # branches from outside [h, src] into it would bypass the
@@ -421,7 +285,7 @@ def _hoist_loop_checks(method: MethodInfo, tags: Dict[int, str]) -> int:
                 total += 1
     hoists = {h: slots for h, slots in hoists.items() if slots}
     if not hoists:
-        return 0
+        return
 
     def expand(instr: Instr, pc: int):
         slots = hoists.get(pc + 1)
@@ -443,22 +307,13 @@ def _hoist_loop_checks(method: MethodInfo, tags: Dict[int, str]) -> int:
 
     expand_code(method, expand)
     for pc, instr in enumerate(method.code):
-        if instr.op is Op.IF and instr.b is _HOIST_SKIP:
-            instr.b = pc + 4  # past LOAD; DSM_READCHECK; POP
-    return total
+        if instr.op in BRANCHES and branch_target(instr) is _HOIST_SKIP:
+            retarget(instr, pc + 4)  # past LOAD; DSM_READCHECK; POP
 
 
 def _peek(stack: List[Optional[int]], depth: int) -> Optional[int]:
-    if depth < len(stack):
-        return stack[-1 - depth]
-    return None
+    return stack[-1 - depth] if depth < len(stack) else None
 
 
 def _pop(stack: List[Optional[int]]) -> Optional[int]:
     return stack.pop() if stack else None
-
-
-def _apply(stack: List[Optional[int]], pops: int, pushes: int) -> None:
-    for _ in range(pops):
-        _pop(stack)
-    stack.extend([None] * pushes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..jvm.bytecode import Instr, Op
+from ..jvm.bytecode import INVOKES, Instr, Op
 from ..jvm.classfile import ClassFile
 
 PREFIX = "javasplit."
@@ -21,10 +21,8 @@ _PRIMITIVES = frozenset({"int", "double", "boolean", "str", "void"})
 # Instruction operands that name classes / types.
 _CLASS_A_OPS = frozenset({
     Op.NEW, Op.GETFIELD, Op.PUTFIELD, Op.GETSTATIC, Op.PUTSTATIC,
-    Op.INSTANCEOF, Op.CHECKCAST,
-    Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL,
-    Op.DSM_STATICREF,
-})
+    Op.INSTANCEOF, Op.CHECKCAST, Op.DSM_STATICREF,
+}) | INVOKES
 
 
 def rename_type(t: str) -> str:

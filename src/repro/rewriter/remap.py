@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from ..jvm.bytecode import Instr, Op
+from ..jvm.bytecode import BRANCHES, Instr, branch_target, retarget
 from ..jvm.classfile import MethodInfo
 
 ExpandFn = Callable[[Instr, int], Sequence[Instr]]
@@ -35,8 +35,6 @@ def expand_code(method: MethodInfo, expand: ExpandFn) -> None:
         replacement = expand(instr, pc)
         new_code.extend(replacement)
     for instr in new_code:
-        if instr.op is Op.GOTO and isinstance(instr.a, int):
-            instr.a = pc_map[instr.a]
-        elif instr.op in (Op.IF, Op.IF_CMP) and isinstance(instr.b, int):
-            instr.b = pc_map[instr.b]
+        if instr.op in BRANCHES and isinstance(branch_target(instr), int):
+            retarget(instr, pc_map[branch_target(instr)])
     method.code = new_code

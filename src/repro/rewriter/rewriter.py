@@ -38,7 +38,7 @@ from .static_transform import (
     rewrite_static_accesses,
     strip_statics,
 )
-from .sync_rewrite import MethodResolver, rewrite_synchronization
+from .sync_rewrite import rewrite_synchronization
 from .thread_rewrite import rewrite_thread_starts
 
 
@@ -94,10 +94,9 @@ def rewrite_application(
         "volatile_accesses": 0,
     }
 
-    resolver = MethodResolver(table)
     for cf in renamed:
-        stats["thread_starts"] += rewrite_thread_starts(cf, resolver)
-        sync_counts = rewrite_synchronization(cf, resolver)
+        stats["thread_starts"] += rewrite_thread_starts(cf, table)
+        sync_counts = rewrite_synchronization(cf, table)
         stats["monitors"] += sync_counts["monitors"]
         stats["wait_notify"] += sync_counts["wait_notify"]
 
@@ -122,7 +121,7 @@ def rewrite_application(
     if check_elim:
         for cf in renamed:
             stats["checks_eliminated"] += eliminate_redundant_read_checks(
-                cf, resolver, level=check_elim
+                cf, table, level=check_elim
             )
 
     specs = build_specs(table)

@@ -12,10 +12,10 @@ explicit monitor instructions, so this pass covers both forms uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..jvm.bytecode import Instr, Op
-from ..jvm.classfile import ClassFile
+from ..jvm.classfile import ClassFile, resolve_method
 
 RT_CLASS = "javasplit.JavaSplitRT"
 OBJECT_CLASS = "javasplit.Object"
@@ -23,33 +23,11 @@ OBJECT_CLASS = "javasplit.Object"
 _WAIT_NOTIFY = {"wait": "rtWait", "notify": "rtNotify", "notifyAll": "rtNotifyAll"}
 
 
-class MethodResolver:
-    """Find the declaring class of a method along the superclass chain."""
-
-    def __init__(self, classfiles: Dict[str, ClassFile]) -> None:
-        self._classfiles = classfiles
-
-    def declaring_class(self, class_name: str, method: str) -> Optional[str]:
-        current: Optional[str] = class_name
-        while current is not None:
-            cf = self._classfiles.get(current)
-            if cf is None:
-                return None
-            if method in cf.methods:
-                return current
-            current = cf.super_name
-        return None
-
-    def resolve(self, class_name: str, method: str):
-        """The resolved MethodInfo, or None."""
-        declaring = self.declaring_class(class_name, method)
-        if declaring is None:
-            return None
-        return self._classfiles[declaring].methods[method]
-
-
-def rewrite_synchronization(cf: ClassFile, resolver: MethodResolver) -> Dict[str, int]:
-    """In-place rewrite of one class; returns transformation counts."""
+def rewrite_synchronization(
+    cf: ClassFile, classfiles: Dict[str, ClassFile]
+) -> Dict[str, int]:
+    """In-place rewrite of one class; returns transformation counts.
+    Call sites resolve through the ``classfiles`` table."""
     counts = {"monitors": 0, "wait_notify": 0}
     for method in cf.methods.values():
         for instr in method.code:
@@ -60,8 +38,8 @@ def rewrite_synchronization(cf: ClassFile, resolver: MethodResolver) -> Dict[str
                 instr.op = Op.DSM_RELEASE
                 counts["monitors"] += 1
             elif instr.op is Op.INVOKEVIRTUAL and instr.b in _WAIT_NOTIFY:
-                declaring = resolver.declaring_class(instr.a, instr.b)
-                if declaring == OBJECT_CLASS:
+                declaring = resolve_method(classfiles, instr.a, instr.b)
+                if declaring.klass == OBJECT_CLASS:
                     # The receiver on the stack becomes the handler's arg.
                     instr.op = Op.INVOKESTATIC
                     instr.a = RT_CLASS

@@ -14,20 +14,21 @@ from __future__ import annotations
 from typing import Dict
 
 from ..jvm.bytecode import Op
-from ..jvm.classfile import ClassFile
-from .sync_rewrite import MethodResolver, RT_CLASS
+from ..jvm.classfile import ClassFile, resolve_method
+from .sync_rewrite import RT_CLASS
 
 THREAD_CLASS = "javasplit.Thread"
 
 
-def rewrite_thread_starts(cf: ClassFile, resolver: MethodResolver) -> int:
+def rewrite_thread_starts(cf: ClassFile,
+                          classfiles: Dict[str, ClassFile]) -> int:
     """Replace Thread.start call sites with the spawn handler."""
     count = 0
     for method in cf.methods.values():
         for instr in method.code:
             if instr.op is Op.INVOKEVIRTUAL and instr.b == "start":
-                declaring = resolver.declaring_class(instr.a, "start")
-                if declaring == THREAD_CLASS:
+                declaring = resolve_method(classfiles, instr.a, "start")
+                if declaring.klass == THREAD_CLASS:
                     instr.op = Op.INVOKESTATIC
                     instr.a = RT_CLASS
                     instr.b = "startThread"

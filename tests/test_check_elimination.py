@@ -219,3 +219,56 @@ def test_optimization_reduces_simulated_time():
     ).run()
     assert opt.result == plain.result
     assert opt.simulated_ns < plain.simulated_ns
+
+
+# ---------------------------------------------------------------------------
+# The whole toolchain's output, pinned
+# ---------------------------------------------------------------------------
+def toolchain_sha(source, level):
+    """SHA-256 over everything the rewriter hands the runtime as code:
+    every instruction of every class (operands and ``checked`` brand),
+    the check-elimination notes, and the transformation counts."""
+    import hashlib
+
+    rw = rewrite_application(compile_source(source), check_elim=level)
+    h = hashlib.sha256()
+    for name in sorted(rw.classfiles):
+        for m in rw.classfiles[name].methods.values():
+            h.update(f"{name}.{m.name} {m.params} {m.ret} {m.max_locals} "
+                     f"{sorted(m.flags)}\n".encode())
+            for i in m.code:
+                h.update(f" {i.op.name} {i.a!r} {i.b!r} {i.checked!r}\n"
+                         .encode())
+            notes = getattr(m, "elim_notes", None) or {}
+            h.update(repr(sorted(notes.items())).encode())
+    h.update(repr(sorted(rw.stats.items())).encode())
+    return h.hexdigest()[:16], rw.stats["checks_eliminated"]
+
+
+def _program(name):
+    from repro.check.runner import app_source
+    from repro.serve.app import make_source
+    return make_source() if name == "serve" else app_source(name)
+
+
+# (digest, checks eliminated) at check_elim 0 / 1 / 2, taken at the
+# commit before the verifier, the check eliminator and the JIT analysis
+# moved onto one stack-effect table and one CFG (and level 1 became the
+# level-2 transfer function run with empty in-facts): rewritten code is
+# an observable, a toolchain refactor may not move a byte of it.
+TOOLCHAIN_GOLDEN = {
+    "series": [("b8511812d2ea4997", 0), ("ea91893a95f60d6f", 2),
+               ("ea91893a95f60d6f", 2)],
+    "tsp": [("59cfd05d32f6b9de", 0), ("462060121c05fa94", 32),
+            ("873f6202ccdcf76e", 39)],
+    "raytracer": [("99e8fcb61fc6c197", 0), ("64cda5bc0717b127", 15),
+                  ("1ec88347f6ebd39f", 23)],
+    "serve": [("cb244eda963599ff", 0), ("a4d106d957c548e2", 17),
+              ("8d1f909c4ffa0a8f", 21)],
+}
+
+
+@pytest.mark.parametrize("app", ["series", "tsp", "raytracer", "serve"])
+def test_rewritten_bytecode_is_byte_identical_to_the_pinned_toolchain(app):
+    got = [toolchain_sha(_program(app), level) for level in (0, 1, 2)]
+    assert got == TOOLCHAIN_GOLDEN[app]

@@ -45,6 +45,42 @@ def test_every_opcode_decodes(op):
     assert jvm.interpreter.decode(method) is handlers  # cached per JVM
 
 
+def test_every_opcode_is_declared_in_every_table():
+    """The ISA is declared once per concern; a new opcode has a row to
+    add in each, and this names every one that is missing (instead of a
+    ``KeyError`` out of whichever table was forgotten, mid-run)."""
+    from repro.jit.analysis import PURE_OPS, SPECIAL_OPS
+    from repro.jvm.bytecode import (HEAP_ACCESS_COST, INVOKES, OP_COST,
+                                    STACK_EFFECT)
+
+    missing = []
+    for op in Op:
+        if (op in STACK_EFFECT) == (op in INVOKES):
+            missing.append(f"{op.name}: wants a bytecode.STACK_EFFECT row "
+                           f"xor bytecode.INVOKES membership")
+        elif op in STACK_EFFECT and not (
+                len(STACK_EFFECT[op]) == 2 and min(STACK_EFFECT[op]) >= 0):
+            missing.append(f"{op.name}: STACK_EFFECT row is not "
+                           f"(pops, pushes)")
+        if op not in OP_COST and op not in HEAP_ACCESS_COST:
+            missing.append(f"{op.name}: no cost row in bytecode.OP_COST / "
+                           f"HEAP_ACCESS_COST")
+        if (op in PURE_OPS) == (op in SPECIAL_OPS):
+            missing.append(f"{op.name}: wants jit.analysis PURE_OPS xor "
+                           f"SPECIAL_OPS membership")
+    assert not missing, "\n".join(missing)
+    _, _, jvm = make_jvm()  # resolves the cost rows: after they are checked
+    for op in Op:
+        try:
+            jvm.interpreter.decode(MethodInfo(
+                "m", [], "void", code=[Instr(op, *OPERANDS.get(op, ()))]))
+        except JVMError as exc:
+            missing.append(f"{op.name}: no tier-0 arm in "
+                           f"interpreter._decode_instr ({exc})")
+    assert not missing, "\n".join(missing)
+    assert set(STACK_EFFECT) | INVOKES == set(Op)
+
+
 @pytest.mark.parametrize("bad", [Instr(0), Instr(Op.IF, "zz", 0),
                                  Instr(Op.IF_CMP, None, 0)],
                          ids=["opcode", "if-cond", "ifcmp-cond"])

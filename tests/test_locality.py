@@ -351,3 +351,160 @@ def test_monitor_accepts_clean_migration_sweep():
 def test_kill_random_with_locality(app):
     report = run_check(app=app, seeds=4, kill="random", locality="all")
     assert report.ok, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# A grant that lands on a node with requests of its own outstanding
+# ---------------------------------------------------------------------------
+class _Parked:
+    """Stands in for a thread parked on a fetch."""
+
+    woke = False
+
+    def wake(self):
+        self.woke = True
+
+
+def _idle_cluster():
+    """A finished 3-node run with the whole locality stack attached:
+    live engines to drive by hand, with one object mastered on node 0."""
+    rt = _runtime(SOLE_WRITER_SRC, nodes=3, locality_migration=True,
+                  locality_prefetch=True, locality_aggregation=True)
+    monitor = InvariantMonitor.attach(rt)
+    rt.run()
+    dsms = [w.dsm for w in rt.workers]
+    for dsm in dsms:
+        for gid, obj in sorted(dsm.cache.items()):
+            if (obj.header is not None and not hasattr(obj, "data")
+                    and obj.header.state == ObjState.HOME
+                    and obj.class_name.endswith("Counter")):
+                return rt, monitor, dsm.node_id, gid
+    raise AssertionError("no Counter master")
+
+
+def test_grant_overtaking_a_prefetch_keeps_the_master():
+    """Seeds 2 and 7 of the hotset preset: the home grants a unit to a
+    node that has just bulk-prefetched it and parked a reader on it.
+    The grant lands first; the unit is present, so the reader runs and
+    the request is retired — the unserved echo of the prefetch must not
+    send the node fetching from itself, and a reply that does arrive
+    late must not install a replica over the master."""
+    from repro.dsm.protocol import ProtocolError
+    from repro.net.message import M_LOC_BULK_FETCH
+
+    rt, monitor, home, gid = _idle_cluster()
+    agents = rt.locality.agents
+    grantee = (home + 1) % 3
+    old, new = rt.workers[home].dsm, rt.workers[grantee].dsm
+    # The grantee holds an invalidated replica it read before.
+    stale_reply = old.ship_unit(gid)
+    new._install_unit(dict(stale_reply))
+    new.cache[gid].header.state = ObjState.INVALID
+    # Prefetch in flight (on_token_notices), a reader parked on it...
+    new._fetch_targets[(gid, None)] = home
+    new.transport.send(home, M_LOC_BULK_FETCH, {"gids": [gid]})
+    reader = _Parked()
+    new._fetch_waiters[(gid, None)] = [reader]
+    # ...and the grant, cut before the prefetch arrives, lands first.
+    grant = agents[home].grant_out(gid, grantee)
+    assert agents[grantee].install_grant(grant)
+    assert reader.woke
+    assert (gid, None) not in new._fetch_targets
+    assert (gid, None) not in new._fetch_waiters
+    rt.engine.run_until_idle()  # the old home echoes the gid unserved
+    hdr = new.cache[gid].header
+    assert hdr.state == ObjState.HOME
+    # The fetch reply the old home sent before it granted the unit away.
+    new._complete_fetch(dict(stale_reply), 0)
+    assert hdr.state == ObjState.HOME
+    assert new.stats.stale_installs == 1
+    with pytest.raises(ProtocolError, match="from itself"):
+        new._send_fetch(gid, None)
+    assert monitor.ok, monitor.summary()
+
+
+def test_corrupt_directory_fails_within_a_bounded_chain():
+    """A directory entry that names a node holding no master sends a
+    diff bouncing between that node and the origin home.  The chain is
+    bounded: the run fails with the unit, the chain and every node's
+    directory entry named, it does not spin."""
+    from repro.dsm.protocol import M_DIFF, ProtocolError
+    from repro.locality.manager import MAX_HOPS
+
+    rt, _monitor, home, gid = _idle_cluster()
+    liar = (home + 1) % 3
+    writer = rt.workers[(home + 2) % 3].dsm
+    # By hand: every node believes ``liar`` is the home; it is not.
+    master = rt.workers[home].dsm.cache[gid].header
+    master.state = ObjState.INVALID
+    for w in rt.workers:
+        w.dsm._loc_dir._entries[gid] = (liar, 99)
+    entry = (gid, b"\x00\x00\x00\x00", None)
+    writer.transport.send(liar, M_DIFF, {
+        "entries": [entry], "ack_id": 0, "writer": writer.node_id,
+        "interval": 1})
+    fired = rt.engine.events_fired
+    with pytest.raises(ProtocolError) as err:
+        rt.engine.run_until_idle()
+    assert rt.engine.events_fired - fired <= 4 * MAX_HOPS
+    text = str(err.value)
+    assert f"gid {gid:#x}" in text and "chain [" in text
+    assert f"{liar}: ({liar}, 99)" in text
+
+
+def test_grant_install_folds_in_the_grantees_flushes_still_in_flight():
+    """Seed 5 of the hotset preset (wrong result, no violation): the
+    writer's replica was invalidated — by the notice of its own earlier
+    write — while a later flush was still in flight to the old home, so
+    the grant (cut before that flush arrived) was installed without it.
+    A local read then missed the node's own write, and the flush, back
+    around the old home, rolled back what had been written since."""
+    rt, monitor, home, gid = _idle_cluster()
+    agents = rt.locality.agents
+    grantee = (home + 1) % 3
+    old, new = rt.workers[home].dsm, rt.workers[grantee].dsm
+    new._install_unit(old.ship_unit(gid))
+    counter = new.cache[gid]
+    base = counter.fields[0]
+    # A release flushes a write; the ack is not back yet...
+    new.write_check(None, counter, None)
+    counter.fields[0] = base + 5
+    new._flush([gid], flush_home=False)
+    assert new._outstanding_acks == 1
+    # ...when a token's notices invalidate the replica and the grant,
+    # cut before the flush reaches the old home, arrives.
+    counter.header.state = ObjState.INVALID
+    counter.fields[0] = -1
+    forwarded = old.stats.fwd_diffs
+    grant = agents[home].grant_out(gid, grantee)
+    assert agents[grantee].install_grant(grant)
+    assert counter.header.state == ObjState.HOME
+    assert counter.fields[0] == base + 5      # read-your-writes
+    new.write_check(None, counter, None)
+    counter.fields[0] = base + 6              # a newer home write
+    rt.engine.run_until_idle()                # the flush comes back around
+    assert counter.fields[0] == base + 6      # dropped, not re-applied
+    assert new._outstanding_acks == 0         # and acked exactly once
+    assert old.stats.fwd_diffs == forwarded + 1
+    assert monitor.ok, monitor.summary()
+    # The fold covers the flushes made up to the install, not the unit
+    # for ever: should it leave and come back, later ones are new writes.
+    fold = agents[grantee].folds_own_diff
+    assert fold(gid, grantee, new._flush_seq - 1)
+    assert not fold(gid, grantee, new._flush_seq + 1)
+
+
+def test_monitor_reports_a_node_applying_its_own_flush_to_its_master():
+    """The checkers' blind spot on that seed: a master that applies a
+    diff its own node wrote was installed without it."""
+    from repro.dsm.protocol import M_DIFF
+
+    rt, monitor, home, gid = _idle_cluster()
+    dsm = rt.workers[home].dsm
+    version = dsm.cache[gid].header.version
+    dsm.transport.send(home, M_DIFF, {
+        "entries": [(gid, b"\x00\x00\x00\x00", None)], "ack_id": 10 ** 6,
+        "writer": home, "interval": dsm._flush_seq + 1})
+    rt.engine.run_until_idle()
+    assert dsm.cache[gid].header.version == version + 1
+    assert [v.kind for v in monitor.violations] == ["own-diff"]

@@ -30,7 +30,8 @@ from repro.dsm.serialization import (
     write_value,
 )
 from repro.jvm.heap import ArrayObj
-from repro.jvm.bytecode import BRANCHES, Instr, Op
+from repro.jvm.bytecode import BRANCHES, Instr, Op, branch_target, retarget
+from repro.jvm.cfg import branch_targets, invoke_effect, stack_depths
 from repro.jvm.interpreter import java_ddiv, java_idiv, java_irem
 
 # ---------------------------------------------------------------------------
@@ -781,8 +782,7 @@ def _fold_increments(method) -> int:
     ``IINC x c`` — the compiler never emits IINC, so without this no
     program would run it — and renumber the branch targets."""
     code, out, new_pc = method.code, [], {}
-    targets = {i.a if i.op is Op.GOTO else i.b
-               for i in code if i.op in BRANCHES}
+    targets = branch_targets(code)
     pc = 0
     while pc < len(code):
         new_pc[pc] = len(out)
@@ -796,10 +796,8 @@ def _fold_increments(method) -> int:
             out.append(code[pc])
             pc += 1
     for instr in out:
-        if instr.op is Op.GOTO:
-            instr.a = new_pc[instr.a]
-        elif instr.op in BRANCHES:
-            instr.b = new_pc[instr.b]
+        if instr.op in BRANCHES:
+            retarget(instr, new_pc[branch_target(instr)])
     method.code[:] = out
     return sum(i.op is Op.IINC for i in out)
 
@@ -857,3 +855,61 @@ def test_generated_method_same_in_both_tiers_and_direct_evaluation(body):
         assert compiled_count == base_count
         assert "javasplit.Gen.run" in compiled.jit["compiled_methods"]
         assert not compiled.jit["blacklisted"]
+
+
+def _depth_checked(handler, depth, where, executed):
+    """A decoded handler that first holds the operand stack it finds
+    against the depth the static walk computed for its pc."""
+    def check(thread, frame):
+        assert len(frame.stack) == depth, (where, len(frame.stack), depth)
+        executed.add(where)
+        return handler(thread, frame)
+    return check
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(body=st.lists(st.one_of(_statement, _shape), min_size=1, max_size=4))
+@example(body=[_BUMP_CELL, ("loop", "j", 2, [
+    _ACC_PLUS_CELL, ("ret", (">", ("var", "acc"), ("lit", 40)))])])
+@example(body=[("sync", [_BUMP_CELL, ("set", ("var", "box.fi"),
+                                      ("+", ("var", "box.fi"), ("lit", 1)))])])
+def test_stack_depths_are_the_interpreters_operand_stack(body):
+    """The one depth dataflow (``jvm.cfg.stack_depths``, under the one
+    ``STACK_EFFECT`` table) against what executing the code does: at
+    every pc a rewritten generated program executes, on every node, the
+    frame's operand stack is as deep as the walk says.  And the two
+    callers agree: what the verifier accepted, ``jit.analysis.analyze``
+    accepts too, with the same depths (it resolves invokes through the
+    running JVM instead of the class files)."""
+    from repro.jit.analysis import analyze
+    from repro.jvm.classfile import resolve_method
+    from repro.lang import compile_source
+    from repro.rewriter import rewrite_application
+    from repro.runtime import JavaSplitRuntime, RuntimeConfig
+
+    source = _GEN_SRC % "\n".join(_java(stmt) for stmt in body)
+    classfiles = compile_source(source)
+    gen = next(cf for cf in classfiles if cf.name == "Gen")
+    _fold_increments(gen.methods["run"])
+    rewritten = rewrite_application(classfiles)  # verifies its output
+    table = rewritten.classfiles
+    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2, seed=0))
+    executed = set()
+    for worker in runtime.workers:
+        for cf in table.values():
+            for method in cf.methods.values():
+                if method.is_native:
+                    continue
+                depths = stack_depths(method, lambda pc, i: invoke_effect(
+                    resolve_method(table, i.a, i.b)))
+                assert analyze(method, worker.jvm).depth_at == depths
+                handlers = worker.jvm.interpreter.decode(method)
+                for pc, depth in enumerate(depths):
+                    handlers[pc] = _depth_checked(
+                        handlers[pc], depth, (cf.name, method.name, pc),
+                        executed)
+    assert runtime.run().result == _expected(body)
+    assert ("javasplit.Gen", "run", 0) in executed
+    assert {klass for klass, _name, _pc in executed} >= {
+        "javasplit.Main", "javasplit.Gen", "javasplit.Box"}

@@ -221,6 +221,19 @@ def test_churn_preset_oracle_clean_on_sim():
     assert validate_serve_doc(doc) == []
 
 
+@pytest.mark.parametrize("seed", (2, 5, 7))
+def test_hotset_preset_seeds_that_used_to_break(seed):
+    """Full locality x policy under phase-shifted load.  Seeds 2 and 7
+    never finished (a stale fetch reply demoted a freshly granted
+    master, then diffs bounced for ever); seed 5 finished 104 short of
+    the reference with no violation (a grant installed without the
+    grantee's own in-flight flush).  The result must match exactly."""
+    doc = run_scenario(PRESETS["hotset"], seed=seed, backend="sim")
+    assert doc["ok"], doc
+    assert doc["result"]["matches"] and doc["result"]["required"]
+    assert doc["oracle"]["violations"] == []
+
+
 def test_scenario_sweep_document_shape():
     doc = run_scenario_sweep(SMALL, seeds=2, backend="sim")
     assert doc["ok"] and doc["failed_seeds"] == []
