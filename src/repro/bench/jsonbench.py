@@ -278,6 +278,10 @@ def _jit_sources() -> Dict[str, str]:
     }
 
 
+#: Runs behind each jit-bench ``wall_seconds`` (their median), so that
+#: one slow run cannot flip ``speedup_wall`` under the gate's floor.
+_WALL_RUNS = 3
+
 #: Jit-bench modes: name -> the (jit, check_elim) run options it sets.
 JIT_MODES: Dict[str, Tuple[bool, int]] = {
     "interp": (False, 0), "jit": (True, 0), "jit-elim2": (True, 2)}
@@ -293,9 +297,11 @@ def run_jit_bench(apps: Iterable[str] = DEFAULT_APPS,
     check-eliminated bytecode — fewer checks change the simulated
     numbers, which is the point; the mode shows what the JIT+elim stack
     buys end to end).  Wall-clock fields are inherently machine- and
-    load-dependent; the deterministic fields are byte-comparable across
-    commits like every other bench document.
+    load-dependent (``wall_seconds`` is the median of ``wall_runs``);
+    the deterministic fields are byte-comparable across commits like
+    every other bench document.
     """
+    import statistics
     import time
 
     _mode_owns(options, "--jit-bench", "jit", "check_elim")
@@ -314,13 +320,15 @@ def run_jit_bench(apps: Iterable[str] = DEFAULT_APPS,
         programs: Dict[int, Any] = {}
         runs: Dict[str, Any] = {}
         for mode, (jit, elim) in JIT_MODES.items():
-            runtime = build_runtime(programs.get(elim, sources[app]),
-                                    config_from(options, jit_enable=jit),
-                                    check_elim=elim)
-            programs[elim] = runtime.rewritten
-            t0 = time.perf_counter()
-            report = runtime.run()
-            wall = time.perf_counter() - t0
+            walls = []
+            for _ in range(_WALL_RUNS):  # a fresh runtime each, one rewrite
+                runtime = build_runtime(programs.get(elim, sources[app]),
+                                        config_from(options, jit_enable=jit),
+                                        check_elim=elim)
+                programs[elim] = runtime.rewritten
+                t0 = time.perf_counter()
+                report = runtime.run()
+                walls.append(round(time.perf_counter() - t0, 3))
             total = report.total_dsm()
             entry: Dict[str, Any] = {
                 "simulated_ms": round(report.simulated_ns / 1e6, 6),
@@ -328,7 +336,8 @@ def run_jit_bench(apps: Iterable[str] = DEFAULT_APPS,
                 "bytes": report.net.bytes,
                 "fetches": total.fetches,
                 "result": repr(report.result),
-                "wall_seconds": round(wall, 3),
+                "wall_seconds": statistics.median(walls),
+                "wall_runs": walls,
             }
             if report.jit is not None:
                 compiled_entries = sum(

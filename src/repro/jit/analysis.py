@@ -39,21 +39,6 @@ from ..jvm.cfg import block_starts, invoke_effect, stack_depths
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassFormatError
 
-# Ops a compiled run executes inline with no possibility of blocking and
-# no runtime hook other than the race observer (which adds no cost).
-PURE_OPS = frozenset({
-    Op.CONST, Op.LOAD, Op.STORE, Op.IINC,
-    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.REM, Op.NEG,
-    Op.SHL, Op.SHR, Op.USHR, Op.AND, Op.OR, Op.XOR, Op.CMP,
-    Op.I2D, Op.D2I, Op.CONCAT,
-    Op.POP, Op.DUP, Op.DUP_X1, Op.SWAP,
-    Op.NEW, Op.NEWARRAY, Op.ARRAYLENGTH,
-    Op.GETFIELD, Op.PUTFIELD, Op.GETSTATIC, Op.PUTSTATIC,
-    Op.INSTANCEOF, Op.CHECKCAST,
-    Op.ARRLOAD, Op.ARRSTORE,
-    Op.GOTO, Op.IF, Op.IF_CMP, Op.RETURN, Op.RETVAL,
-})
-
 # Ops that can block the thread (or leave the frame) and therefore end a
 # pre-summed run: each gets its own budget guard and exact-cost segment.
 SPECIAL_OPS = frozenset({
@@ -61,6 +46,10 @@ SPECIAL_OPS = frozenset({
     Op.DSM_ACQUIRE, Op.DSM_RELEASE,
     Op.MONITORENTER, Op.MONITOREXIT,
 }) | INVOKES
+
+# Every other op executes inline in a compiled run: no blocking, and no
+# runtime hook other than the race observer (which adds no cost).
+PURE_OPS = frozenset(Op) - SPECIAL_OPS
 
 
 class CompileError(Exception):
@@ -120,8 +109,6 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
         if ana.depth_at[pc] is None:
             continue
         op = instr.op
-        if op not in PURE_OPS and op not in SPECIAL_OPS:
-            raise CompileError(f"{where} pc={pc}: uncompilable op {op.name}")
         if op in (Op.LOAD, Op.STORE, Op.IINC):
             ana.used_locals.add(instr.a)
             if op is not Op.LOAD:

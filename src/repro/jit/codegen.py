@@ -9,8 +9,11 @@ charged with one addition at run entry.
 
 The contract is **bit-identical observable behavior** versus the
 interpreter: same results, same protocol traffic, same simulated time,
-same exceptions.  That falls out of three rules:
+same exceptions.  That falls out of four rules:
 
+* a pure op's text *is* its :data:`~repro.jvm.bytecode.SEMANTICS` row
+  with this site's stack registers substituted — the row tier 0 built
+  its handler from — so the two tiers cannot differ on one;
 * every op that can block or leave the frame (DSM checks, acquire/
   release, monitors, invokes) is a *special*: it gets the interpreter's
   exact budget test (``used >= budget``), calls the very same bound
@@ -41,13 +44,17 @@ Exit reasons (second element of the ``(used_ns, reason)`` return):
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Dict, List, Optional, Set
 
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
 from ..jvm.bytecode import (
     BRANCHES,
+    CONDITIONS,
     INVOKES,
+    SEMANTICS,
+    STACK_EFFECT,
     TERMINATORS,
     Instr,
     Op,
@@ -55,21 +62,10 @@ from ..jvm.bytecode import (
     instr_cost,
 )
 from ..jvm.classfile import MethodInfo
-from ..jvm.errors import ClassCastError, JVMError, NullPointerError
+from ..jvm.errors import JVMError
 from ..jvm.frame import Frame
-from ..jvm.heap import ArrayObj, Obj
-from ..jvm.interpreter import (
-    BLOCK,
-    NO_VALUE,
-    Interpreter,
-    java_d2i,
-    java_ddiv,
-    java_drem,
-    java_idiv,
-    java_irem,
-    java_shift,
-    jstr,
-)
+from ..jvm.heap import ArrayObj
+from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
 from .analysis import SPECIAL_OPS, CompileError, MethodAnalysis, analyze
 
 # Exit reason codes returned by compiled functions.
@@ -104,11 +100,12 @@ _LEAF_ARMS = 4
 # deeper recursion falls back to one interpreter step per call.
 _MAX_CALL_DEPTH = 30
 
-_ARITH_OPS = {
-    Op.ADD: "+", Op.SUB: "-", Op.MUL: "*",
-    Op.AND: "&", Op.OR: "|", Op.XOR: "^",
-}
-_SHIFT_OPS = {Op.SHL: "<<", Op.SHR: ">>"}
+# The ``SEMANTICS`` rows that can raise a ``JVMError`` (one says ``raise``
+# or names a helper that does): ``pc`` is stored before those only.
+_TRAPS = frozenset(
+    op for op, (pushed, first) in SEMANTICS.items()
+    if re.search(r"raise|_(idiv|irem|ddiv|drem|shift|d2i|new)",
+                 "".join(pushed) + (first or "")))
 
 
 def _is_pure_native(m: MethodInfo) -> bool:
@@ -148,17 +145,13 @@ class _Emitter:
     # -- environment ---------------------------------------------------
     def _bind_fixed(self) -> None:
         ip = self.interp
+        self.env.update(HELPERS)
+        self.env.update(ip.bound)
         self.env.update(
-            _JVME=JVMError, _NPE=NullPointerError, _CCE=ClassCastError,
-            _idiv=java_idiv, _irem=java_irem, _ddiv=java_ddiv,
-            _drem=java_drem, _d2i=java_d2i, _shift=java_shift,
-            _jstr=jstr,
-            _Frame=Frame, _Arr=ArrayObj,
+            _JVME=JVMError, _Frame=Frame, _Arr=ArrayObj,
             _RUN=StreamState.RUNNABLE, _NOV=NO_VALUE, _BLK=BLOCK,
-            _jvm=self.jvm, _classes=self.jvm.classes,
-            _isinst=ip._is_instance,
+            _jvm=self.jvm,
             _menter=ip._monitor_enter, _mexit=ip._monitor_exit,
-            _new=self.jvm.new_instance, _newarr=self.jvm.new_array,
             _resolve=self.jvm.resolve_method, _native=self.jvm.native,
             _CACHE=self.agent.cache,
         )
@@ -439,91 +432,27 @@ class _Emitter:
     def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int) -> int:
         op = instr.op
         w = self.w
-        if op is Op.CONST:
-            w(ind, f"s{d} = {self.lit(instr.a)}")
-            return d + 1
-        if op is Op.LOAD:
-            w(ind, f"s{d} = l{instr.a}")
-            return d + 1
-        if op is Op.STORE:
-            w(ind, f"l{instr.a} = s{d - 1}")
-            return d - 1
-        if op is Op.IINC:
-            w(ind, f"l{instr.a} += {self.lit(instr.b)}")
-            return d
-        if op in _ARITH_OPS:
-            w(ind, f"s{d - 2} = s{d - 2} {_ARITH_OPS[op]} s{d - 1}")
-            return d - 1
-        if op is Op.DIV:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if isinstance(s{d - 2}, int) and "
-                   f"isinstance(s{d - 1}, int):")
-            w(ind + 1, f"s{d - 2} = _idiv(s{d - 2}, s{d - 1})")
-            w(ind, "else:")
-            w(ind + 1, f"s{d - 2} = _ddiv(float(s{d - 2}), "
-                       f"float(s{d - 1}))")
-            return d - 1
-        if op is Op.REM:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if isinstance(s{d - 2}, int) and "
-                   f"isinstance(s{d - 1}, int):")
-            w(ind + 1, f"s{d - 2} = _irem(s{d - 2}, s{d - 1})")
-            w(ind, "else:")
-            w(ind + 1, f"s{d - 2} = _drem(s{d - 2}, s{d - 1})")
-            return d - 1
-        if op is Op.NEG:
-            w(ind, f"s{d - 1} = -s{d - 1}")
-            return d
-        if op in _SHIFT_OPS:
-            w(ind, f"pc = {pc}")
-            w(ind, f"s{d - 2} = s{d - 2} {_SHIFT_OPS[op]} "
-                   f"_shift(s{d - 1})")
-            return d - 1
-        if op is Op.USHR:
-            w(ind, f"pc = {pc}")
-            w(ind, f"s{d - 2} = (s{d - 2} & 0xFFFFFFFFFFFFFFFF) "
-                   f">> _shift(s{d - 1})")
-            return d - 1
-        if op is Op.CMP:
-            w(ind, f"s{d - 2} = 0 if s{d - 2} == s{d - 1} else "
-                   f"(-1 if s{d - 2} < s{d - 1} else 1)")
-            return d - 1
-        if op is Op.I2D:
-            w(ind, f"s{d - 1} = float(s{d - 1})")
-            return d
-        if op is Op.D2I:
-            w(ind, f"pc = {pc}")
-            w(ind, f"s{d - 1} = _d2i(s{d - 1})")
-            return d
-        if op is Op.CONCAT:
-            w(ind, f"s{d - 2} = _jstr(s{d - 2}) + _jstr(s{d - 1})")
-            return d - 1
-        if op is Op.POP:
-            return d - 1
-        if op is Op.DUP:
-            w(ind, f"s{d} = s{d - 1}")
-            return d + 1
-        if op is Op.DUP_X1:
-            w(ind, f"s{d - 2}, s{d - 1}, s{d} = "
-                   f"s{d - 1}, s{d - 2}, s{d - 1}")
-            return d + 1
-        if op is Op.SWAP:
-            w(ind, f"s{d - 2}, s{d - 1} = s{d - 1}, s{d - 2}")
-            return d
-        if op is Op.NEW:
-            w(ind, f"pc = {pc}")
-            w(ind, f"s{d} = _new({instr.a!r})")
-            return d + 1
-        if op is Op.NEWARRAY:
-            w(ind, f"pc = {pc}")
-            w(ind, f"s{d - 1} = _newarr({instr.a!r}, s{d - 1})")
-            return d
-        if op is Op.ARRAYLENGTH:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 1} is None:")
-            w(ind + 1, "raise _NPE('arraylength on null')")
-            w(ind, f"s{d - 1} = len(s{d - 1})")
-            return d
+        if op in SEMANTICS:
+            # The row over this site's registers: pops are the top
+            # s-registers, pushes land from the deepest pop upwards.
+            pops, pushes = STACK_EFFECT[op]
+            pushed, first = SEMANTICS[op]
+            base = d - pops
+            names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
+            names.update(a=self.lit(instr.a), b=self.lit(instr.b),
+                         local=f"l{instr.a}")
+            if op in _TRAPS:
+                w(ind, f"pc = {pc}")
+            if first:
+                for line in first.format(**names).split("\n"):
+                    w(ind, line)
+            moves = [(f"s{base + k}", expr.format(**names))
+                     for k, expr in enumerate(pushed)]
+            moves = [move for move in moves if move[0] != move[1]]
+            if moves:
+                regs, values = zip(*moves)
+                w(ind, f"{', '.join(regs)} = {', '.join(values)}")
+            return base + pushes
         if op is Op.GETFIELD:
             w(ind, f"pc = {pc}")
             w(ind, f"if s{d - 1} is None:")
@@ -556,24 +485,6 @@ class _Emitter:
                             "True")
             w(ind, f"s{d - 3}.set(s{d - 2}, s{d - 1})")
             return d - 3
-        if op is Op.GETSTATIC:
-            w(ind, f"s{d} = _classes[{instr.a!r}].statics[{instr.b!r}]")
-            return d + 1
-        if op is Op.PUTSTATIC:
-            w(ind, f"_classes[{instr.a!r}].statics[{instr.b!r}] "
-                   f"= s{d - 1}")
-            return d - 1
-        if op is Op.INSTANCEOF:
-            w(ind, f"s{d - 1} = 1 if _isinst(s{d - 1}, {instr.a!r}) "
-                   f"else 0")
-            return d
-        if op is Op.CHECKCAST:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 1} is not None and "
-                   f"not _isinst(s{d - 1}, {instr.a!r}):")
-            w(ind + 1, f"raise _CCE('%s -> {instr.a}' % getattr(s{d - 1}, "
-                       f"'class_name', type(s{d - 1}).__name__))")
-            return d
         raise CompileError(
             f"{self.method.klass}.{self.method.name} pc={pc}: "
             f"unhandled pure op {op.name}")
@@ -609,16 +520,13 @@ class _Emitter:
                 w(ind, f"if s{d - 1} is None:")
                 w(ind + 1, f"raise _NPE('ordered compare on null "
                            f"({cond})')")
-                pyop = {"lt": "<", "ge": ">=", "gt": ">", "le": "<="}[cond]
-                w(ind, f"if s{d - 1} {pyop} 0:")
+                w(ind, f"if s{d - 1} {CONDITIONS[cond]} 0:")
             self._jump(ind + 1, branch_target(instr))
             return d - 1
         if op is Op.IF_CMP:
             # eq/ne: Java identity on references is Python's default
             # ``==`` because Obj and ArrayObj define no ``__eq__``.
-            pyop = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=",
-                    "gt": ">", "le": "<="}[instr.a]
-            w(ind, f"if s{d - 2} {pyop} s{d - 1}:")
+            w(ind, f"if s{d - 2} {CONDITIONS[instr.a]} s{d - 1}:")
             self._jump(ind + 1, branch_target(instr))
             return d - 2
         if op in (Op.RETURN, Op.RETVAL):

@@ -25,7 +25,7 @@ Design notes
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..sim import cost_model as cm
 
@@ -155,8 +155,10 @@ class Instr:
         return hash((self.op, self.a, self.b, self.checked))
 
 
-# Valid IF / IF_CMP conditions
-CONDITIONS = ("eq", "ne", "lt", "ge", "gt", "le")
+#: The IF / IF_CMP conditions and the comparison each one is.  IF tests
+#: its one operand against 0, where ``eq``/``ne`` also take null for 0.
+CONDITIONS = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=", "gt": ">",
+              "le": "<="}
 
 # Heap-access opcodes and their plain cost keys; the interpreter switches
 # to ``cm.checked(key)`` when ``instr.checked`` is set.
@@ -276,6 +278,67 @@ STACK_EFFECT: Dict[Op, Tuple[int, int]] = {
     Op.DSM_STATICREF: (0, 1),
 }
 INVOKES = frozenset({Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL})
+
+
+def _does(*pushed: str, first: Optional[str] = None
+          ) -> Tuple[Tuple[str, ...], Optional[str]]:
+    return pushed, first
+
+
+#: What every opcode that neither blocks, links lazily nor branches
+#: *does*: ``(pushed, first)`` — run the statement ``first``, then push
+#: the expressions ``pushed``, bottom-most first.  The one semantics
+#: table: tier 0 compiles a handler factory from each row
+#: (:mod:`repro.jvm.interpreter`) and tier 1 substitutes its stack
+#: registers into the same row (:mod:`repro.jit.codegen`).  ``{x} {y}
+#: {z}`` are the ``STACK_EFFECT`` pops, deepest first — names a
+#: statement may assign; ``{a} {b}`` the instruction's operands,
+#: ``{local}`` local ``a``.  ``_names`` are the tiers' shared helpers
+#: (``interpreter.HELPERS``, ``Interpreter.bound``).
+SEMANTICS = {
+    Op.CONST: _does("{a}"),
+    Op.LOAD: _does("{local}"),
+    Op.STORE: _does(first="{local} = {x}"),
+    Op.IINC: _does(first="{local} += {b}"),
+    Op.ADD: _does("{x} + {y}"),
+    Op.SUB: _does("{x} - {y}"),
+    Op.MUL: _does("{x} * {y}"),
+    Op.DIV: _does("_idiv({x}, {y}) if isinstance({x}, int) and "
+                  "isinstance({y}, int) else _ddiv({x}, {y})"),
+    Op.REM: _does("_irem({x}, {y}) if isinstance({x}, int) and "
+                  "isinstance({y}, int) else _drem({x}, {y})"),
+    Op.NEG: _does("-{x}"),
+    Op.SHL: _does("{x} << _shift({y})"),
+    Op.SHR: _does("{x} >> _shift({y})"),
+    Op.USHR: _does("({x} & 0xFFFFFFFFFFFFFFFF) >> _shift({y})"),
+    Op.AND: _does("{x} & {y}"),
+    Op.OR: _does("{x} | {y}"),
+    Op.XOR: _does("{x} ^ {y}"),
+    Op.CMP: _does("0 if {x} == {y} else (-1 if {x} < {y} else 1)"),
+    # float() of an int past the double range is the one Python error a
+    # pure op could leak; the ``try`` is free for every int that fits.
+    Op.I2D: _does("{x}", first="try:\n"
+                  "    {x} = float({x})\n"
+                  "except OverflowError:\n"
+                  "    raise _AE(_TOO_BIG) from None"),
+    Op.D2I: _does("_d2i({x})"),
+    Op.CONCAT: _does("_jstr({x}) + _jstr({y})"),
+    Op.POP: _does(),
+    Op.DUP: _does("{x}", "{x}"),
+    Op.DUP_X1: _does("{y}", "{x}", "{y}"),
+    Op.SWAP: _does("{y}", "{x}"),
+    Op.NEW: _does("_new({a})"),
+    Op.NEWARRAY: _does("_newarr({a}, {x})"),
+    Op.ARRAYLENGTH: _does("len({x})", first="if {x} is None:\n"
+                          "    raise _NPE('arraylength on null')"),
+    Op.GETSTATIC: _does("_classes[{a}].statics[{b}]"),
+    Op.PUTSTATIC: _does(first="_classes[{a}].statics[{b}] = {x}"),
+    Op.INSTANCEOF: _does("1 if _isinst({x}, {a}) else 0"),
+    Op.CHECKCAST: _does("{x}", first=(
+        "if {x} is not None and not _isinst({x}, {a}):\n"
+        "    raise _CCE('%s -> %s' % (getattr({x}, 'class_name', "
+        "type({x}).__name__), {a}))")),
+}
 
 # Opcodes after which control does not fall through to pc + 1, and
 # opcodes that carry a branch target.

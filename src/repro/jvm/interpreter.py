@@ -12,6 +12,13 @@ link state (field slots, call targets) are per JVM.  Link state is
 resolved at a handler's first run, so a reference that cannot link
 fails at the offending instruction and not when its method is decoded.
 
+What an instruction *does* is not written here when it can be said
+once for both tiers: the pure opcodes are the rows of
+:data:`~repro.jvm.bytecode.SEMANTICS`, and each row's handler factory
+is compiled from its text at import (:func:`_pure_factory`).  The arms
+of :func:`_decode_instr` are what is left — the four race-observed heap
+accesses (lazy link), invokes and returns, monitors and DSM hooks.
+
 The interpreter is *steppable*: :meth:`Interpreter.step` calls exactly
 one handler of a thread's top frame and returns its simulated cost in
 nanoseconds, so the node scheduler can timeshare threads over simulated
@@ -33,12 +40,19 @@ Blocking discipline (see DESIGN.md):
 from __future__ import annotations
 
 import math
-import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
-from .bytecode import Instr, Op, cost_tables, instr_cost
+from .bytecode import (
+    CONDITIONS,
+    SEMANTICS,
+    STACK_EFFECT,
+    Instr,
+    Op,
+    cost_tables,
+    instr_cost,
+)
 from .classfile import MethodInfo
 from .errors import (
     ArithmeticJavaError,
@@ -56,6 +70,10 @@ NO_VALUE = object()
 BLOCK = object()
 
 _RUNNABLE = StreamState.RUNNABLE
+
+
+#: Ints are arbitrary-precision (README Limitations), doubles are not.
+TOO_BIG = "(double) of an int beyond the double range"
 
 
 def java_idiv(a: int, b: int) -> int:
@@ -78,15 +96,21 @@ def java_ddiv(a: float, b: float) -> float:
         if a == 0.0:
             return math.nan
         return math.inf if (a > 0) == (b >= 0 and not math.copysign(1, b) < 0) else -math.inf
-    return a / b
+    try:
+        return a / b
+    except OverflowError:  # a mixed operand is an int past the double range
+        raise ArithmeticJavaError(TOO_BIG) from None
 
 
 def java_drem(a: float, b: float) -> float:
     """Java double remainder: never traps.  A zero divisor or an
     infinite dividend yields NaN, an infinite divisor the dividend."""
-    if b == 0 or math.isinf(a):
-        return math.nan
-    return math.fmod(a, b)
+    try:
+        if b == 0 or math.isinf(a):
+            return math.nan
+        return math.fmod(a, b)
+    except OverflowError:
+        raise ArithmeticJavaError(TOO_BIG) from None
 
 
 def java_d2i(v: float) -> int:
@@ -112,13 +136,6 @@ def java_shift(count: int) -> int:
     return count
 
 
-def java_eq(a: Any, b: Any) -> bool:
-    """Java ``==``: identity on heap references, value equality else."""
-    if isinstance(a, (Obj, ArrayObj)) or isinstance(b, (Obj, ArrayObj)):
-        return a is b
-    return a == b
-
-
 def jstr(value: Any) -> str:
     """Stringify a value the way Java's string concatenation would."""
     if value is None:
@@ -126,7 +143,11 @@ def jstr(value: Any) -> str:
     if isinstance(value, bool):  # pragma: no cover - booleans are ints
         return "true" if value else "false"
     if isinstance(value, float):
-        if value == math.floor(value) and abs(value) < 1e16 and not math.isinf(value):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        if value == math.floor(value) and abs(value) < 1e16:
             return f"{value:.1f}"
         return repr(value)
     if isinstance(value, (Obj, ArrayObj)):
@@ -152,6 +173,9 @@ class Interpreter:
         self.jvm = jvm
         self.cost_tables = cost_tables(jvm.cost_model)
         self._native_cost = jvm.cost_model[cm.NATIVE]
+        #: This JVM's share of what a ``SEMANTICS`` row may name.
+        self.bound = dict(zip(BOUND, (jvm.new_instance, jvm.new_array,
+                                      jvm.classes, self._is_instance)))
         # id(method) -> (method, handlers); the entry pins the method so
         # its id stays unique for the life of the cache.
         self._decoded: Dict[int, Tuple[MethodInfo, List[Handler]]] = {}
@@ -359,19 +383,88 @@ class Interpreter:
 
 
 # ----------------------------------------------------------------------
-# Decode: one arm per opcode.  Runs once per instruction per JVM and
-# returns the handler the dispatch loop calls; whatever the instruction
-# alone decides (operands, cost, comparator, hook method, whether the
-# race detector watches) is decided here and captured by the closure.
+# Decode.  Runs once per instruction per JVM and returns the handler the
+# dispatch loop calls; whatever the instruction alone decides (operands,
+# cost, hook method, whether the race detector watches) is decided here
+# and captured by the closure.  An opcode with a ``SEMANTICS`` row and
+# every IF / IF_CMP condition has a handler *factory*, compiled from the
+# row once at import; the rest — accesses that link lazily, everything
+# that can block or leave the frame — has a hand-written arm below.
 # ----------------------------------------------------------------------
-_BITWISE = {Op.AND: operator.and_, Op.OR: operator.or_, Op.XOR: operator.xor}
-_SHIFTS = {
-    Op.SHL: operator.lshift,
-    Op.SHR: operator.rshift,
-    Op.USHR: lambda a, count: (a & 0xFFFFFFFFFFFFFFFF) >> count,
+#: What a ``SEMANTICS`` row may name besides its operands.  Both tiers
+#: bind these, and the ``BOUND`` names per JVM (:attr:`Interpreter.bound`).
+HELPERS = {
+    "_idiv": java_idiv, "_irem": java_irem, "_ddiv": java_ddiv,
+    "_drem": java_drem, "_d2i": java_d2i, "_shift": java_shift,
+    "_jstr": jstr, "_NPE": NullPointerError, "_CCE": ClassCastError,
+    "_AE": ArithmeticJavaError, "_TOO_BIG": TOO_BIG,
 }
-_ORDERED = {"lt": operator.lt, "ge": operator.ge,
-            "gt": operator.gt, "le": operator.le}
+BOUND = ("_new", "_newarr", "_classes", "_isinst")
+_FACTORY_GLOBALS = dict(HELPERS)  # a copy: exec adds __builtins__ to it
+
+
+def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
+    """``make(a, b, nxt, cost, **bound) -> handler`` around ``body``:
+    the closure an arm of :func:`_decode_instr` would have built (one
+    use of the operand stack reads it off the frame, more bind it)."""
+    binds = sum(line.count("stack") for line in body) > 1
+    body = (["stack = frame.stack"] + body if binds else
+            [line.replace("stack", "frame.stack") for line in body])
+    lines = [f"def make(a, b, nxt, cost, {', '.join(BOUND)}):",
+             f"    def {name}(thread, frame):"]
+    lines += ["        " + line for line in "\n".join(body).split("\n")]
+    lines += ["        return cost", f"    return {name}"]
+    scope: Dict[str, Any] = {}
+    exec(compile("\n".join(lines), f"<tier-0 {name}>", "exec"),
+         _FACTORY_GLOBALS, scope)
+    return scope["make"]
+
+
+def _pure_factory(op: Op) -> Callable[..., Handler]:
+    """The handler factory of one ``SEMANTICS`` row.  Operands above the
+    bottom one are popped into locals; the bottom one stays on the stack
+    when something is pushed — the first push overwrites it — and is
+    read in place when the row names it once, before that overwrite."""
+    pops = STACK_EFFECT[op][0]
+    pushed, first = SEMANTICS[op]
+    names = {"a": "a", "b": "b", "local": "frame.locals[a]",
+             "y": "y", "z": "z"}
+    body = [f"{name} = stack.pop()" for name in reversed("xyz"[1:pops])]
+    if pops:
+        names["x"] = "stack[-1]" if pushed else "stack.pop()"
+        if ("".join(pushed) + (first or "")).count("{x}") != 1 \
+                or "{x}" in "".join(pushed[1:]):
+            body.append(f"x = {names['x']}")
+            names["x"] = "x"
+    if first:
+        body.append(first.format(**names))
+    for k, expr in enumerate(pushed):
+        value = expr.format(**names)
+        body.append(f"stack[-1] = {value}" if pops and k == 0
+                    else f"stack.append({value})")
+    return _factory(op.name, body + ["frame.pc = nxt"])
+
+
+def _branch_factory(op: Op, cond: str) -> Callable[..., Handler]:
+    """IF / IF_CMP on one condition: a = the condition, b = the target."""
+    test = CONDITIONS[cond]
+    if op is Op.IF_CMP:
+        # eq/ne: Java identity on references is Python's default ``==``
+        # because Obj and ArrayObj define no ``__eq__``.
+        body = ["y = stack.pop()",
+                f"frame.pc = b if stack.pop() {test} y else nxt"]
+    else:
+        on_null = ("v = 0" if cond in ("eq", "ne") else
+                   "raise _NPE('ordered compare on null (%s)' % a)")
+        body = ["v = stack.pop()",
+                f"if v is None:\n    {on_null}",
+                f"frame.pc = b if v {test} 0 else nxt"]
+    return _factory(f"{op.name}_{cond}", body)
+
+
+_PURE = {op: _pure_factory(op) for op in SEMANTICS}
+_BRANCH = {(op, cond): _branch_factory(op, cond)
+           for op in (Op.IF, Op.IF_CMP) for cond in CONDITIONS}
 
 
 def _fell_off_end(thread: Any, frame: Frame) -> int:
@@ -382,171 +475,9 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
                   cost: int) -> Handler:
     op, a, b, nxt = instr.op, instr.a, instr.b, pc + 1
     jvm = interp.jvm
-
-    # --- constants & locals ---------------------------------------------
-    if op is Op.CONST:
-        def const(thread, frame):
-            frame.stack.append(a)
-            frame.pc = nxt
-            return cost
-        return const
-    if op is Op.LOAD:
-        def load(thread, frame):
-            frame.stack.append(frame.locals[a])
-            frame.pc = nxt
-            return cost
-        return load
-    if op is Op.STORE:
-        def store(thread, frame):
-            frame.locals[a] = frame.stack.pop()
-            frame.pc = nxt
-            return cost
-        return store
-    if op is Op.IINC:
-        def iinc(thread, frame):
-            frame.locals[a] += b
-            frame.pc = nxt
-            return cost
-        return iinc
-
-    # --- arithmetic -----------------------------------------------------
-    if op is Op.ADD:
-        def add(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            stack[-1] = stack[-1] + y
-            frame.pc = nxt
-            return cost
-        return add
-    if op is Op.SUB:
-        def sub(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            stack[-1] = stack[-1] - y
-            frame.pc = nxt
-            return cost
-        return sub
-    if op is Op.MUL:
-        def mul(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            stack[-1] = stack[-1] * y
-            frame.pc = nxt
-            return cost
-        return mul
-    if op is Op.DIV:
-        def div(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            x = stack[-1]
-            if isinstance(x, int) and isinstance(y, int):
-                stack[-1] = java_idiv(x, y)
-            else:
-                stack[-1] = java_ddiv(float(x), float(y))
-            frame.pc = nxt
-            return cost
-        return div
-    if op is Op.REM:
-        def rem(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            x = stack[-1]
-            if isinstance(x, int) and isinstance(y, int):
-                stack[-1] = java_irem(x, y)
-            else:
-                stack[-1] = java_drem(x, y)
-            frame.pc = nxt
-            return cost
-        return rem
-    if op is Op.NEG:
-        def neg(thread, frame):
-            stack = frame.stack
-            stack[-1] = -stack[-1]
-            frame.pc = nxt
-            return cost
-        return neg
-    if op in _BITWISE:
-        bit_op = _BITWISE[op]
-
-        def bitwise(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            stack[-1] = bit_op(stack[-1], y)
-            frame.pc = nxt
-            return cost
-        return bitwise
-    if op in _SHIFTS:
-        shift_op = _SHIFTS[op]
-
-        def shift(thread, frame):
-            stack = frame.stack
-            count = java_shift(stack.pop())
-            stack[-1] = shift_op(stack[-1], count)
-            frame.pc = nxt
-            return cost
-        return shift
-    if op is Op.CMP:
-        def cmp(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            x = stack[-1]
-            stack[-1] = 0 if x == y else (-1 if x < y else 1)
-            frame.pc = nxt
-            return cost
-        return cmp
-    if op is Op.I2D:
-        def i2d(thread, frame):
-            stack = frame.stack
-            stack[-1] = float(stack[-1])
-            frame.pc = nxt
-            return cost
-        return i2d
-    if op is Op.D2I:
-        def d2i(thread, frame):
-            stack = frame.stack
-            stack[-1] = java_d2i(stack[-1])
-            frame.pc = nxt
-            return cost
-        return d2i
-    if op is Op.CONCAT:
-        def concat(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            stack[-1] = jstr(stack[-1]) + jstr(y)
-            frame.pc = nxt
-            return cost
-        return concat
-
-    # --- stack ----------------------------------------------------------
-    if op is Op.POP:
-        def pop(thread, frame):
-            frame.stack.pop()
-            frame.pc = nxt
-            return cost
-        return pop
-    if op is Op.DUP:
-        def dup(thread, frame):
-            stack = frame.stack
-            stack.append(stack[-1])
-            frame.pc = nxt
-            return cost
-        return dup
-    if op is Op.DUP_X1:
-        def dup_x1(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            x = stack.pop()
-            stack.extend((y, x, y))
-            frame.pc = nxt
-            return cost
-        return dup_x1
-    if op is Op.SWAP:
-        def swap(thread, frame):
-            stack = frame.stack
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-            frame.pc = nxt
-            return cost
-        return swap
+    make = _PURE.get(op)
+    if make is not None:
+        return make(a, b, nxt, cost, **interp.bound)
 
     # --- control flow: a = condition, b = target (GOTO: a = target) -----
     if op is Op.GOTO:
@@ -555,50 +486,12 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
             return cost
         return goto
     if op is Op.IF or op is Op.IF_CMP:
-        if a in ("eq", "ne"):
-            want = a == "eq"
-            if op is Op.IF:
-                def if_zero(thread, frame):
-                    v = frame.stack.pop()
-                    frame.pc = b if (v == 0 or v is None) is want else nxt
-                    return cost
-                return if_zero
-
-            def if_same(thread, frame):
-                stack = frame.stack
-                y = stack.pop()
-                frame.pc = b if java_eq(stack.pop(), y) is want else nxt
-                return cost
-            return if_same
-        test = _ORDERED.get(a)
-        if test is None:
+        make = _BRANCH.get((op, a))
+        if make is None:
             raise JVMError(f"bad {op.name} condition {a!r}")
-        if op is Op.IF:
-            def if_ordered(thread, frame):
-                v = frame.stack.pop()
-                if v is None:
-                    raise NullPointerError(
-                        f"ordered compare on null ({a})")
-                frame.pc = b if test(v, 0) else nxt
-                return cost
-            return if_ordered
+        return make(a, b, nxt, cost, **interp.bound)
 
-        def if_cmp(thread, frame):
-            stack = frame.stack
-            y = stack.pop()
-            frame.pc = b if test(stack.pop(), y) else nxt
-            return cost
-        return if_cmp
-
-    # --- objects: a = class name, b = field name ------------------------
-    if op is Op.NEW:
-        new_instance = jvm.new_instance
-
-        def new(thread, frame):
-            frame.stack.append(new_instance(a))
-            frame.pc = nxt
-            return cost
-        return new
+    # --- race-observed heap accesses: a = class name, b = field name ----
     if op is Op.GETFIELD or op is Op.PUTFIELD:
         field_index = jvm.field_index
         slot = None
@@ -633,54 +526,6 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
             frame.pc = nxt
             return cost
         return interp._observed(putfield, instr, -2, True, link)
-    if op is Op.GETSTATIC:
-        classes = jvm.classes
-
-        def getstatic(thread, frame):
-            frame.stack.append(classes[a].statics[b])
-            frame.pc = nxt
-            return cost
-        return getstatic
-    if op is Op.PUTSTATIC:
-        classes = jvm.classes
-
-        def putstatic(thread, frame):
-            classes[a].statics[b] = frame.stack.pop()
-            frame.pc = nxt
-            return cost
-        return putstatic
-    if op is Op.INSTANCEOF:
-        is_instance = interp._is_instance
-
-        def instanceof(thread, frame):
-            stack = frame.stack
-            stack[-1] = 1 if is_instance(stack[-1], a) else 0
-            frame.pc = nxt
-            return cost
-        return instanceof
-    if op is Op.CHECKCAST:
-        is_instance = interp._is_instance
-
-        def checkcast(thread, frame):
-            ref = frame.stack[-1]
-            if ref is not None and not is_instance(ref, a):
-                raise ClassCastError(
-                    f"{getattr(ref, 'class_name', type(ref).__name__)} "
-                    f"-> {a}")
-            frame.pc = nxt
-            return cost
-        return checkcast
-
-    # --- arrays ---------------------------------------------------------
-    if op is Op.NEWARRAY:
-        new_array = jvm.new_array
-
-        def newarray(thread, frame):
-            stack = frame.stack
-            stack[-1] = new_array(a, stack[-1])
-            frame.pc = nxt
-            return cost
-        return newarray
     if op is Op.ARRLOAD:
         def arrload(thread, frame):
             stack = frame.stack
@@ -704,16 +549,6 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
             frame.pc = nxt
             return cost
         return interp._observed(arrstore, instr, -3, True)
-    if op is Op.ARRAYLENGTH:
-        def arraylength(thread, frame):
-            stack = frame.stack
-            ref = stack[-1]
-            if ref is None:
-                raise NullPointerError("arraylength on null")
-            stack[-1] = len(ref)
-            frame.pc = nxt
-            return cost
-        return arraylength
 
     # --- invocation: a = static class name, b = method name -------------
     if op is Op.INVOKEVIRTUAL:

@@ -30,7 +30,7 @@ from .types import ClassTable, TypeError_, check_program
 
 _CMP_OPS = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 _NEG_COND = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "gt": "le", "le": "gt"}
-_ARITH_OPS = {
+_BINARY_OPS = {
     "+": Op.ADD, "-": Op.SUB, "*": Op.MUL, "/": Op.DIV, "%": Op.REM,
     "<<": Op.SHL, ">>": Op.SHR, ">>>": Op.USHR,
     "&": Op.AND, "|": Op.OR, "^": Op.XOR,
@@ -380,7 +380,7 @@ class _MethodGen:
             return
         self.emit_expr(expr.left)
         self.emit_expr(expr.right)
-        mb.emit(_ARITH_OPS[expr.op], line=expr.line)
+        mb.emit(_BINARY_OPS[expr.op], line=expr.line)
 
     def _materialize_bool(self, expr: Expr) -> None:
         mb = self.mb

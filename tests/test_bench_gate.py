@@ -114,3 +114,20 @@ def test_main_exit_codes(tmp_path):
     assert main([str(base_path), "--fresh", str(bad)]) == 1
 
     assert main([str(tmp_path / "nope.json")]) == 2
+
+
+def test_jit_bench_wall_is_a_median_of_three_fresh_runs():
+    """One slow run must not flip ``speedup_wall`` under the floor; the
+    repeats change nothing the snapshot pins."""
+    import statistics
+
+    from repro.bench.jsonbench import run_jit_bench
+
+    base = _load("BENCH_9.json")
+    base["apps"] = {"raytracer": base["apps"]["raytracer"]}
+    del base["apps"]["raytracer"]["speedup_wall"]  # no wall claim in tier 1
+    fresh = run_jit_bench(apps=["raytracer"])
+    assert compare(base, fresh) == []
+    for run in fresh["apps"]["raytracer"]["runs"].values():
+        assert len(run["wall_runs"]) == 3
+        assert run["wall_seconds"] == statistics.median(run["wall_runs"])

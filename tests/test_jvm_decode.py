@@ -11,6 +11,9 @@ race detector's decode-time binding still sees every access.
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
 from repro.check.runner import app_source
@@ -50,8 +53,10 @@ def test_every_opcode_is_declared_in_every_table():
     add in each, and this names every one that is missing (instead of a
     ``KeyError`` out of whichever table was forgotten, mid-run)."""
     from repro.jit.analysis import PURE_OPS, SPECIAL_OPS
+    from repro.jit.codegen import _Emitter
+    from repro.jvm import interpreter
     from repro.jvm.bytecode import (HEAP_ACCESS_COST, INVOKES, OP_COST,
-                                    STACK_EFFECT)
+                                    SEMANTICS, STACK_EFFECT)
 
     missing = []
     for op in Op:
@@ -68,6 +73,28 @@ def test_every_opcode_is_declared_in_every_table():
         if (op in PURE_OPS) == (op in SPECIAL_OPS):
             missing.append(f"{op.name}: wants jit.analysis PURE_OPS xor "
                            f"SPECIAL_OPS membership")
+        # What the op does: said once for both tiers, or by hand in each.
+        arm = re.compile(rf"\bOp\.{op.name}\b")
+        by_hand = [bool(arm.search(inspect.getsource(fn))) for fn in (
+            interpreter._decode_instr, _Emitter._emit_pure,
+            _Emitter._emit_control)]
+        by_hand = (by_hand[0], by_hand[1] or by_hand[2])
+        if op in PURE_OPS and (op in SEMANTICS, *by_hand) not in (
+                (True, False, False), (False, True, True)):
+            missing.append(f"{op.name}: wants a bytecode.SEMANTICS row xor "
+                           f"an arm in interpreter._decode_instr and one in "
+                           f"codegen._emit_pure/_emit_control")
+        if op in SEMANTICS:
+            pushed, first = SEMANTICS[op]
+            pops, pushes = STACK_EFFECT[op]
+            if op in SPECIAL_OPS or len(pushed) != pushes:
+                missing.append(f"{op.name}: SEMANTICS row pushes "
+                               f"{len(pushed)}, STACK_EFFECT says {pushes}")
+            named = set(re.findall(r"\{(\w*)\}",
+                                   "".join(pushed) + (first or "")))
+            if not named <= set("xyz"[:pops]) | {"a", "b", "local"}:
+                missing.append(f"{op.name}: SEMANTICS row names "
+                               f"{sorted(named)} with {pops} pops")
     assert not missing, "\n".join(missing)
     _, _, jvm = make_jvm()  # resolves the cost rows: after they are checked
     for op in Op:

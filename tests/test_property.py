@@ -29,7 +29,7 @@ from repro.dsm.serialization import (
     deserialize_into, kind_of_type, serialize_array, serialize_object,
     write_value,
 )
-from repro.jvm.heap import ArrayObj
+from repro.jvm.heap import ArrayObj, Obj
 from repro.jvm.bytecode import BRANCHES, Instr, Op, branch_target, retarget
 from repro.jvm.cfg import branch_targets, invoke_effect, stack_depths
 from repro.jvm.interpreter import java_ddiv, java_idiv, java_irem
@@ -59,6 +59,15 @@ def test_java_division_truncates_toward_zero(a, b):
 def test_java_ddiv_by_zero_never_raises(a):
     out = java_ddiv(a, 0.0)
     assert math.isnan(out) or math.isinf(out)
+
+
+@given(a=st.one_of(ints, st.floats()), b=st.one_of(ints, st.floats()))
+def test_java_ddiv_converts_a_mixed_operand_like_float(a, b):
+    """DIV hands ``_ddiv`` its operands as they are; until the semantics
+    table it passed ``float(x), float(y)``."""
+    got, want = java_ddiv(a, b), java_ddiv(float(a), float(b))
+    assert (got == want and math.copysign(1, got) == math.copysign(1, want)
+            ) or (got != got and want != want)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +864,87 @@ def test_generated_method_same_in_both_tiers_and_direct_evaluation(body):
         assert compiled_count == base_count
         assert "javasplit.Gen.run" in compiled.jit["compiled_methods"]
         assert not compiled.jit["blacklisted"]
+
+
+# ---------------------------------------------------------------------------
+# One SEMANTICS row, two generators: the tier-0 handler and the tier-1
+# text of a row agree on any operands
+# ---------------------------------------------------------------------------
+_numbers = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.sampled_from([0, -1, 1 << 1100, -(1 << 1100), 0.0, -0.0,
+                     math.nan, math.inf, -math.inf]))
+_refs = st.sampled_from([None, "", "s", "Base", "Sub", "Other", "int[]"])
+_classes = st.sampled_from(["Object", "String", "Base", "Sub", "Other",
+                            "int[]", "Missing"])
+#: What the operands of a row are drawn from; numbers unless said here.
+_OPERANDS = {
+    Op.CONCAT: st.one_of(_numbers, _refs), Op.ARRAYLENGTH: _refs,
+    Op.INSTANCEOF: _refs, Op.CHECKCAST: _refs,
+    Op.NEWARRAY: st.integers(-3, 8),
+    **{op: st.one_of(_numbers, _refs) for op in (
+        Op.LOAD, Op.STORE, Op.POP, Op.DUP, Op.DUP_X1, Op.SWAP, Op.PUTSTATIC)},
+}
+
+
+@st.composite
+def _row_case(draw):
+    from repro.jvm.bytecode import SEMANTICS, STACK_EFFECT
+    op = draw(st.sampled_from(sorted(SEMANTICS)))
+    spare = draw(st.integers(0, 2))  # operands the op must leave alone
+    operands = draw(st.lists(_OPERANDS.get(op, _numbers),
+                             min_size=STACK_EFFECT[op][0] + spare,
+                             max_size=STACK_EFFECT[op][0] + spare))
+    a = b = None
+    if op in (Op.LOAD, Op.STORE, Op.IINC):
+        operands = operands or [draw(_numbers)]
+        a, b = draw(st.integers(0, len(operands) - 1)), draw(
+            st.integers(-9, 9))
+    elif op in (Op.SHL, Op.SHR, Op.USHR):
+        operands[-1] = draw(st.integers(-2, 130))  # 1 << 2**40 is a TiB
+    elif op is Op.CONST:
+        a = draw(st.one_of(_numbers, st.sampled_from([None, "it's"])))
+    elif op in (Op.GETSTATIC, Op.PUTSTATIC):
+        a, b = "Base", "n"
+    elif op is Op.NEWARRAY:
+        a = draw(st.sampled_from(["int", "double", "Base"]))
+    elif op in (Op.NEW, Op.INSTANCEOF, Op.CHECKCAST):
+        a = draw(_classes)
+    return op, operands, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_row_case())
+def test_row_same_as_handler_and_as_compiled_text(case):
+    from test_semantics import _heap, _same, row_jvm, run_row
+
+    op, operands, a, b = case
+    jvm = row_jvm()
+    operands = _heap(jvm, operands)
+    outcomes = []
+    for tier in (0, 1):
+        jvm.classes["Base"].statics["n"] = 5
+        try:
+            out = run_row(jvm, tier, op, operands, a, b)
+        except Exception as exc:  # a raw Python error leaks from both
+            out = exc
+        outcomes.append((out, jvm.classes["Base"].statics["n"]))
+    (base, base_static), (compiled, compiled_static) = outcomes
+    if isinstance(base, Exception):
+        assert (type(compiled), str(compiled)) == (type(base), str(base))
+        return
+    assert not isinstance(compiled, Exception), compiled
+    assert base[2] == compiled[2]                      # simulated cost
+    for mine, theirs in zip(base[:2], compiled[:2]):   # stack, locals
+        assert len(mine) == len(theirs)
+        for x, y in zip(mine, theirs):
+            if isinstance(x, (Obj, ArrayObj)) and x not in operands:
+                assert type(y) is type(x) and y.class_name == x.class_name
+                assert isinstance(x, Obj) or len(x) == len(y)   # allocated
+            else:
+                assert x is y or _same(y, x), (x, y)
+    assert base_static is compiled_static or _same(compiled_static,
+                                                   base_static)
 
 
 def _depth_checked(handler, depth, where, executed):
