@@ -19,6 +19,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 
+#: Bytes one queued request occupies in a token message: node, thread
+#: id, priority, seq, restore count.
+LOCK_REQUEST_BYTES = 4 + 8 + 1 + 4 + 2
+
+
 @dataclass
 class LockRequest:
     """One queued acquire (or parked waiter)."""
@@ -30,7 +35,7 @@ class LockRequest:
     restore_count: int = 1    # re-entrancy depth to restore on grant
     # Causal span id of the acquire chain (None unless a tracer stamps
     # one); travels with the request and is billed by whoever stamped
-    # it, so wire_size stays the bare-protocol figure.
+    # it, so LOCK_REQUEST_BYTES stays the bare-protocol figure.
     obs_span: Optional[int] = None
 
     def wire(self) -> Tuple[Any, ...]:
@@ -43,10 +48,6 @@ class LockRequest:
     def sort_key(self) -> Tuple[int, int]:
         """Ordering key: higher priority first, FIFO within."""
         return (-self.priority, self.seq)
-
-    def wire_size(self) -> int:
-        """Bytes this structure occupies in a token message."""
-        return 4 + 8 + 1 + 4 + 2
 
 
 class LockToken:
@@ -128,9 +129,9 @@ class LockToken:
     def wire_size(self) -> int:
         """Bytes the token occupies when shipped with ownership."""
         size = 8 + 4 + 4  # gid + queue lengths
-        size += sum(r.wire_size() for r in self.queue)
-        size += sum(r.wire_size() for r in self.waitq)
-        size += sum(4 + 12 * len(m) for m in self.seen_notices.values())
+        size += LOCK_REQUEST_BYTES * (len(self.queue) + len(self.waitq))
+        for seen in self.seen_notices.values():
+            size += 4 + 12 * len(seen)
         return size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

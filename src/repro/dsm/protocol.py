@@ -33,6 +33,7 @@ required intervals have been applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..hooks import DsmHooks
@@ -144,6 +145,13 @@ class DsmEngine:
         self.specs = specs
         self.registry = class_registry
         self.config = config or DsmConfig()
+        # Constant for this engine's life and read on every message.
+        self._vector = self.config.timestamp_mode == VECTOR
+        self._handler_ns = self.cost_model[cm.PROTO_HANDLER_NS]
+        self._serialize_ns = self.cost_model[cm.SERIALIZE_PER_BYTE_NS]
+        self._local_lock_ns = self.cost_model[cm.LOCAL_LOCK_OP]
+        self._acquire_ns = self.cost_model[cm.SHARED_ACQUIRE]
+        self._release_ns = self.cost_model[cm.SHARED_RELEASE]
         self.choose_spawn_node = choose_spawn_node or (lambda: self.node_id)
         # class_name -> (gid, holder_class_name) for C_static holders
         self.static_gids = static_gids or {}
@@ -346,7 +354,8 @@ class DsmEngine:
         """Resolve a unit key to ``(obj, record, lo, hi)``: the heap
         object, the unit's state/version/twin record and its slot range
         (``hi`` None = to the end).  None if this node never saw it."""
-        gid, region = split_key(key)
+        # split_key(key), without its frame: every handler comes through here.
+        gid, region = key if key.__class__ is tuple else (key, None)
         obj = self.cache.get(gid)
         if obj is None:
             return None
@@ -423,7 +432,7 @@ class DsmEngine:
         if rec.state != ObjState.INVALID:
             return True, 0
         self._start_fetch(thread, hdr, region)
-        return False, self.cost_model[cm.PROTO_HANDLER_NS]
+        return False, self._handler_ns
 
     def write_check(self, thread: JThread, ref: Any, value: Any, index: Any = None) -> Tuple[bool, int]:
         """Hook behind DSM_WRITECHECK: twin, mark dirty, or fetch."""
@@ -445,7 +454,7 @@ class DsmEngine:
             state = rec.state
         if state == ObjState.INVALID:
             self._start_fetch(thread, hdr, region)
-            return False, self.cost_model[cm.PROTO_HANDLER_NS]
+            return False, self._handler_ns
         if state == ObjState.HOME:
             self._dirty_home.add(key)
             return True, 0
@@ -474,7 +483,7 @@ class DsmEngine:
 
     def _fetch_request(self, gid: int, region: Optional[int]) -> Dict[str, Any]:
         key = unit_key(gid, region)
-        if self.config.timestamp_mode == VECTOR:
+        if self._vector:
             required: Any = self.notice_table.required_vector(key)
         else:
             required = self.notice_table.required_scalar(key)
@@ -509,12 +518,12 @@ class DsmEngine:
                 self.stats.local_acquires += 1
                 for fn in self.hooks.lock_edge:
                     fn(thread.tid, 0, hdr, True)
-                return True, self.cost_model[cm.LOCAL_LOCK_OP]
+                return True, self._local_lock_ns
             # Second thread contends: the object escapes.
             self.promote(ref)
         gid = hdr.gid
         st = self._lock_state(gid)
-        cost = self.cost_model[cm.SHARED_ACQUIRE]
+        cost = self._acquire_ns
         self.stats.shared_acquires += 1
         token = st.token
         if token is not None and not st.transit:
@@ -565,7 +574,7 @@ class DsmEngine:
                 hdr.lock_owner = None
                 for fn in self.hooks.lock_edge:
                     fn(thread.tid, 0, hdr, False)
-            return self.cost_model[cm.LOCAL_LOCK_OP]
+            return self._local_lock_ns
         gid = hdr.gid
         st = self._lock_state(gid)
         if st.holder_tid != thread.tid:
@@ -573,7 +582,7 @@ class DsmEngine:
                 f"monitorexit by non-owner (gid {gid:#x}, thread "
                 f"{thread.tid}, holder {st.holder_tid})"
             )
-        cost = self.cost_model[cm.SHARED_RELEASE]
+        cost = self._release_ns
         st.count -= 1
         if st.count == 0:
             self._release_point(thread, st)
@@ -766,7 +775,7 @@ class DsmEngine:
                 rec = self.unit(key)[1]
                 rec.version += 1
                 advanced.append((key, rec.version))
-                if self.config.timestamp_mode == VECTOR:
+                if self._vector:
                     self._applied.setdefault(key, {})[self.node_id] = interval
                     self.notice_table.add(Notice(key, interval, self.node_id))
                 else:
@@ -788,7 +797,7 @@ class DsmEngine:
             size = HEADER_BYTES + sum(14 + len(d) for _, d, _r in entries)
             self.stats.diff_bytes += size
             self._pending_diffs[ack_id] = (home, payload, size)
-            if self.config.timestamp_mode == VECTOR:
+            if self._vector:
                 # No fence: the notice is known locally right away.
                 for gid, _, region in entries:
                     self.notice_table.add(
@@ -814,7 +823,7 @@ class DsmEngine:
             rec.version += 1
             version = rec.version
             acks.append((key, version))
-            if self.config.timestamp_mode == VECTOR:
+            if self._vector:
                 applied = self._applied.setdefault(key, {})
                 applied[writer] = max(applied.get(writer, 0), interval)
                 self.notice_table.add(Notice(key, interval, writer))
@@ -839,15 +848,14 @@ class DsmEngine:
         p = msg.payload
         ack_payload: Dict[str, Any] = {
             "ack_id": p["ack_id"], "versions": self._apply_diff_entries(p)}
-        delay = self.cost_model[cm.PROTO_HANDLER_NS]
+        delay = self._handler_ns
         ack_type = M_FT_REDIFF_ACK
         if msg.msg_type == M_DIFF:
             ack_type = M_DIFF_ACK
             for fn in self.hooks.diff_applied:
                 fn(msg, ack_payload, delay)
-        self.engine.schedule(delay, lambda: self.transport.send(
-            msg.src, ack_type, ack_payload
-        ))
+        self.engine.schedule(delay, partial(
+            self.transport.send, msg.src, ack_type, ack_payload))
 
     def _on_diff_ack(self, msg: Message) -> None:
         """Writer side: settle one flush.  An M_FT_REDIFF_ACK that lost
@@ -896,7 +904,7 @@ class DsmEngine:
         if gid in self._regions and region is None:
             region = 0  # split array first touched as a whole by a stub
         key = unit_key(gid, region)
-        if self.config.timestamp_mode == VECTOR:
+        if self._vector:
             required: Dict[int, int] = msg.payload["required"]
             applied = self._applied.get(key, {})
             if any(applied.get(w, 0) < v for w, v in required.items()):
@@ -929,17 +937,13 @@ class DsmEngine:
         key = unit_key(obj.header.gid, region)
         payload = self.ship_unit(key)
         data = payload["data"]
-        if self.config.timestamp_mode == VECTOR:
+        if self._vector:
             payload["applied"] = dict(self._applied.get(key, {}))
         size = HEADER_BYTES + 24 + len(data)
         self.stats.fetch_bytes += size
-        delay = (
-            self.cost_model[cm.PROTO_HANDLER_NS]
-            + len(data) * self.cost_model[cm.SERIALIZE_PER_BYTE_NS]
-        )
-        self.engine.schedule(delay, lambda: self.transport.send(
-            requester, M_FETCH_REPLY, payload, size_bytes=size
-        ))
+        delay = self._handler_ns + len(data) * self._serialize_ns
+        self.engine.schedule(delay, partial(
+            self.transport.send, requester, M_FETCH_REPLY, payload, size))
 
     def ship_unit(self, key: Any) -> Optional[Dict[str, Any]]:
         """Serialize a master for a reader or a new home: every copy
@@ -1028,7 +1032,7 @@ class DsmEngine:
         if local_diff is not None:
             apply_diff(obj, spec, local_diff, self, lo, hi)
             self._dirty_home.add(key)
-        if not master and self.config.timestamp_mode == VECTOR:
+        if not master and self._vector:
             self._replica_vc[key] = dict(p.get("applied", {}))
         for fn in self.hooks.unit_installed:
             fn(key, p, role, before)
@@ -1069,13 +1073,9 @@ class DsmEngine:
         size = HEADER_BYTES + sum(24 + len(u["data"]) for u in units)
         self.stats.fetch_bytes += size
         payload = {"requested": list(gids), "units": units}
-        delay = (
-            self.cost_model[cm.PROTO_HANDLER_NS]
-            + total * self.cost_model[cm.SERIALIZE_PER_BYTE_NS]
-        )
-        self.engine.schedule(delay, lambda: self.transport.send(
-            requester, M_LOC_BULK_REPLY, payload, size_bytes=size
-        ))
+        delay = self._handler_ns + total * self._serialize_ns
+        self.engine.schedule(delay, partial(
+            self.transport.send, requester, M_LOC_BULK_REPLY, payload, size))
         return units
 
     def _loc_grant_unit(self, gid: int) -> Optional[Dict[str, Any]]:
@@ -1118,7 +1118,7 @@ class DsmEngine:
             unit = self.unit(key)
             if unit is None or unit[1].state != ObjState.VALID:
                 continue
-            if self.config.timestamp_mode == VECTOR:
+            if self._vector:
                 seen = self._replica_vc.get(key, {})
                 if seen.get(notice.writer, 0) >= notice.version:
                     continue
@@ -1224,7 +1224,7 @@ class DsmEngine:
         """Run ``action`` once all outstanding diffs are acked (§3.1's
         scalar-timestamp lock-transfer delay); true if it had to wait.
         Vector mode never waits."""
-        if self.config.timestamp_mode == VECTOR or self._outstanding_acks == 0:
+        if self._vector or self._outstanding_acks == 0:
             action()
             return False
         self.stats.fence_waits += 1
@@ -1265,7 +1265,7 @@ class DsmEngine:
         # Per-receiver delta: what THIS node's table has that the token
         # has not yet delivered to req.node specifically.
         per_receiver = token.seen_notices.setdefault(req.node, {})
-        if self.config.timestamp_mode == VECTOR:
+        if self._vector:
             delta = self.notice_table.delta_since_vector(per_receiver)
         else:
             delta = self.notice_table.delta_since(per_receiver)

@@ -5,14 +5,15 @@ thousands bytes" over standard Java sockets.  Communication cost in our
 simulation is driven by message size, so every message carries an explicit
 ``size_bytes``; payloads that are real byte strings (serialized objects,
 diffs) are accounted exactly, other payload fields are estimated with
-:func:`estimate_size`.
+:func:`estimate_size`, which looks a value's exact type up in one table
+(``_SIZE_OF``) and walks the same table by ``isinstance`` for the rest.
+:class:`Message` is a slotted plain class: one is built per send.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 # Fixed framing overhead per message: type tag, src/dst, length, seqno.
 HEADER_BYTES = 40
@@ -98,6 +99,57 @@ ALL_MESSAGE_TYPES = (
 _msg_counter = itertools.count()
 
 
+def _size_bytes(value: bytes) -> int:
+    return 4 + len(value)
+
+
+def _size_str(value: str) -> int:
+    return 4 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _size_items(values: Any) -> int:
+    # ``estimate_size`` inlined (here and in ``_size_dict``): one Python
+    # frame per container, not one per scalar in it.
+    total = 4
+    for v in values:
+        size = _SIZE_OF.get(type(v), _size_by_isinstance)
+        total += size if size.__class__ is int else size(v)
+    return total
+
+
+def _size_dict(value: Dict[Any, Any]) -> int:
+    total = 4
+    for k, v in value.items():
+        size = _SIZE_OF.get(type(k), _size_by_isinstance)
+        total += size if size.__class__ is int else size(k)
+        size = _SIZE_OF.get(type(v), _size_by_isinstance)
+        total += size if size.__class__ is int else size(v)
+    return total
+
+
+def _size_by_isinstance(value: Any) -> int:
+    """Sizes of what the exact-type table does not name: subclasses, by
+    the first row they are an instance of (an ``IntEnum`` is an int, 8
+    bytes), and objects with a ``wire_size()``."""
+    for kind, size in _SIZE_OF.items():
+        if isinstance(value, kind):
+            return size if size.__class__ is int else size(value)
+    if hasattr(value, "wire_size"):
+        return int(value.wire_size())
+    raise TypeError(f"cannot estimate wire size of {type(value).__name__}")
+
+
+#: Exact type -> its size in bytes, or the function that sizes a value
+#: of it.  ``bool`` comes before ``int``: it is an int that bills 1.
+_SIZE_OF: Dict[type, Any] = {
+    type(None): 1, bool: 1, int: 8, float: 8,
+    bytes: _size_bytes, str: _size_str,
+    list: _size_items, tuple: _size_items,
+    set: _size_items, frozenset: _size_items,
+    dict: _size_dict,
+}
+
+
 def estimate_size(value: Any) -> int:
     """Estimate the wire size of a payload value, in bytes.
 
@@ -105,43 +157,37 @@ def estimate_size(value: Any) -> int:
     ids and doubles), booleans/None at 1, strings and byte strings at their
     encoded length plus a 4-byte length prefix, and containers recursively.
     """
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, int) or isinstance(value, float):
-        return 8
-    if isinstance(value, bytes):
-        return 4 + len(value)
-    if isinstance(value, str):
-        return 4 + len(value.encode("utf-8"))
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 4 + sum(estimate_size(v) for v in value)
-    if isinstance(value, dict):
-        return 4 + sum(
-            estimate_size(k) + estimate_size(v) for k, v in value.items()
-        )
-    if hasattr(value, "wire_size"):
-        return int(value.wire_size())
-    raise TypeError(f"cannot estimate wire size of {type(value).__name__}")
+    size = _SIZE_OF.get(type(value), _size_by_isinstance)
+    return size if size.__class__ is int else size(value)
 
 
-@dataclass
 class Message:
     """One network message.
 
     ``payload`` is a dict of named fields; the DSM layers put serialized
-    byte strings in it so sizes are exact where it matters.
+    byte strings in it so sizes are exact where it matters.  A
+    ``size_bytes`` of 0 means "header plus the estimated payload".
     """
 
-    msg_type: str
-    src: int
-    dst: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-    size_bytes: int = 0
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    __slots__ = ("msg_type", "src", "dst", "payload", "size_bytes", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            self.size_bytes = HEADER_BYTES + estimate_size(self.payload)
+    def __init__(self, msg_type: str, src: int, dst: int,
+                 payload: Optional[Dict[str, Any]] = None,
+                 size_bytes: int = 0, msg_id: Optional[int] = None) -> None:
+        self.msg_type = msg_type
+        self.src = src
+        self.dst = dst
+        self.payload = {} if payload is None else payload
+        if size_bytes <= 0:
+            size_bytes = HEADER_BYTES + estimate_size(self.payload)
+        self.size_bytes = size_bytes
+        self.msg_id = next(_msg_counter) if msg_id is None else msg_id
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

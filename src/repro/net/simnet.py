@@ -17,7 +17,8 @@ layer's sequence-number reassembly (failure-injection tests).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS, CostModel
 from ..sim.engine import SimEngine
@@ -40,7 +41,10 @@ class SimNetwork:
         self.stats = NetStats()
         self._handlers: Dict[int, Handler] = {}
         self._cost_models: Dict[int, CostModel] = {}
-        self._last_delivery: Dict[tuple[int, int], int] = {}
+        # (src, dst) -> (fixed, per_byte): a link's two terms depend on
+        # its endpoints' brands only, so they are worked out once per
+        # link and dropped whenever an endpoint attaches or detaches.
+        self._link_cost: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._jitter_ns = jitter_ns
         self._rng = None
         if jitter_ns:
@@ -66,11 +70,13 @@ class SimNetwork:
             raise ValueError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
         self._cost_models[node_id] = cost_model
+        self._link_cost.clear()
 
     def detach(self, node_id: int) -> None:
         """Remove an endpoint; in-flight messages to it are dropped."""
         self._handlers.pop(node_id, None)
         self._cost_models.pop(node_id, None)
+        self._link_cost.clear()
 
     def is_attached(self, node_id: int) -> bool:
         """True while the endpoint is registered with the network."""
@@ -86,11 +92,14 @@ class SimNetwork:
     # ------------------------------------------------------------------
     def latency_ns(self, src: int, dst: int, size_bytes: int) -> int:
         """One-way latency for a message of the given size."""
-        cm_src = self._cost_models[src]
-        cm_dst = self._cost_models[dst]
-        fixed = (cm_src[COMM_FIXED_NS] + cm_dst[COMM_FIXED_NS]) // 2
-        per_byte = max(cm_src[COMM_PER_BYTE_NS], cm_dst[COMM_PER_BYTE_NS])
-        return fixed + size_bytes * per_byte
+        link = self._link_cost.get((src, dst))
+        if link is None:
+            cm_src = self._cost_models[src]
+            cm_dst = self._cost_models[dst]
+            link = self._link_cost[(src, dst)] = (
+                (cm_src[COMM_FIXED_NS] + cm_dst[COMM_FIXED_NS]) // 2,
+                max(cm_src[COMM_PER_BYTE_NS], cm_dst[COMM_PER_BYTE_NS]))
+        return link[0] + size_bytes * link[1]
 
     # ------------------------------------------------------------------
     # Sending
@@ -100,27 +109,29 @@ class SimNetwork:
         latency.  Same-node sends are delivered with a minimal loopback
         delay (still asynchronously, to keep handler re-entrancy simple).
         """
-        if msg.dst not in self._handlers:
-            raise KeyError(f"no endpoint attached for node {msg.dst}")
-        if msg.src not in self._cost_models:
-            raise KeyError(f"no endpoint attached for node {msg.src}")
+        src, dst, msg_type = msg.src, msg.dst, msg.msg_type
+        if dst not in self._handlers:
+            raise KeyError(f"no endpoint attached for node {dst}")
+        if src not in self._cost_models:
+            raise KeyError(f"no endpoint attached for node {src}")
         self.stats.record(msg)
-        self._in_flight[msg.msg_type] = self._in_flight.get(msg.msg_type, 0) + 1
-        if msg.src == msg.dst:
+        self._in_flight[msg_type] = self._in_flight.get(msg_type, 0) + 1
+        if src == dst:
             delay = 500  # loopback
         else:
-            delay = self.latency_ns(msg.src, msg.dst, msg.size_bytes)
+            delay = self.latency_ns(src, dst, msg.size_bytes)
             if self._jitter_ns:
                 delay += int(self._rng.integers(0, self._jitter_ns))
         self._outbound(msg)
-        self.engine.schedule(delay, lambda: self._deliver(msg))
+        self.engine.schedule(delay, partial(self._deliver, msg))
 
     def _deliver(self, msg: Message) -> None:
-        left = self._in_flight.get(msg.msg_type, 0) - 1
-        if left > 0:
-            self._in_flight[msg.msg_type] = left
+        msg_type = msg.msg_type
+        left = self._in_flight[msg_type] - 1
+        if left:
+            self._in_flight[msg_type] = left
         else:
-            self._in_flight.pop(msg.msg_type, None)
+            del self._in_flight[msg_type]
         handler = self._handlers.get(msg.dst)
         if handler is None:
             # Endpoint detached while the message was in flight: drop it,

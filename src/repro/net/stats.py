@@ -33,13 +33,14 @@ class NetStats:
 
     def record(self, msg: Message) -> None:
         """Account one sent message (totals, per type, per link)."""
+        size = msg.size_bytes
         self.messages += 1
-        self.bytes += msg.size_bytes
+        self.bytes += size
         n, b = self.by_type.get(msg.msg_type, (0, 0))
-        self.by_type[msg.msg_type] = (n + 1, b + msg.size_bytes)
+        self.by_type[msg.msg_type] = (n + 1, b + size)
         link = (msg.src, msg.dst)
         n, b = self.by_link.get(link, (0, 0))
-        self.by_link[link] = (n + 1, b + msg.size_bytes)
+        self.by_link[link] = (n + 1, b + size)
 
     def reset(self) -> None:
         """Zero every counter, including the per-type/per-link breakdowns

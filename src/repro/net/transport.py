@@ -24,6 +24,7 @@ simulated net never duplicates and silence would hide protocol bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from ..hooks import TransportHooks
@@ -124,13 +125,8 @@ class Transport:
         size_bytes: int = 0,
     ) -> Message:
         """Send a typed message; FIFO per destination via sequence numbers."""
-        msg = Message(
-            msg_type=msg_type,
-            src=self.node_id,
-            dst=dst,
-            payload=dict(payload or {}),
-            size_bytes=size_bytes,
-        )
+        msg = Message(msg_type, self.node_id, dst,
+                      dict(payload) if payload else {}, size_bytes)
         held = False
         for fn in self.hooks.outbound:
             if fn(msg):
@@ -152,23 +148,23 @@ class Transport:
             # Declared dead by recovery: don't buffer, don't retransmit.
             self.stats.to_dead_dropped += 1
             return
-        if self.reliable and dst != self.node_id:
+        if not self.reliable:
+            self.network.send(msg)      # a detached peer raises
+            return
+        if dst != self.node_id:
             # Buffer until cumulatively acked; loopback cannot be lost.
             self._unacked.setdefault(dst, {})[seq] = msg
             self._ensure_timer(dst)
-        # A detached peer's buffered copy (if any) is dropped by the
-        # give-up path; unreliable mode re-raises.
+        # A detached peer's buffered copy is dropped by the give-up path.
         self._net_send(msg)
 
     def _net_send(self, msg: Message) -> bool:
-        """Hand a frame to the network; tolerate detached peers when
-        reliable (sockets see a reset, not an exception storm)."""
+        """Reliable mode's hand-over to the network: a detached peer is
+        tolerated (sockets see a reset, not an exception storm)."""
         try:
             self.network.send(msg)
             return True
         except KeyError:
-            if not self.reliable:
-                raise
             self.stats.to_dead_dropped += 1
             return False
 
@@ -180,8 +176,7 @@ class Transport:
         if timer is not None and not timer.cancelled:
             return
         self._retrans_timer[dst] = self.network.engine.schedule(
-            self.rto_ns, lambda: self._on_rto(dst)
-        )
+            self.rto_ns, partial(self._on_rto, dst))
 
     def _on_rto(self, dst: int) -> None:
         self._retrans_timer.pop(dst, None)
@@ -268,15 +263,14 @@ class Transport:
         if msg.src in self.dead_peers:
             return True
         floor = self._min_epoch.get(msg.src)
-        if floor is not None and msg.payload.get("__epoch__", 0) < floor:
-            return True
-        return False
+        return floor is not None and msg.payload.get("__epoch__", 0) < floor
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
     def _on_raw(self, msg: Message) -> None:
-        if self._stale(msg):
+        # No peer died and no epoch is quarantined: nothing can be stale.
+        if (self.dead_peers or self._min_epoch) and self._stale(msg):
             self.stats.stale_dropped += 1
             return
         if msg.msg_type == ACK_TYPE:

@@ -4,7 +4,10 @@ This is the clock substrate for the whole reproduction.  The paper runs on
 real wall-clock time over a real cluster; we replace that with a single
 event heap keyed by ``(time, sequence)`` so that every experiment is
 exactly replayable.  Simulated time is kept in integer **nanoseconds** to
-avoid floating-point drift in long runs.
+avoid floating-point drift in long runs.  A heap entry is the list
+``[time, seq, callback]``: the key is unique, so ``heapq`` compares
+entries in C and never looks at a callback; one loop (:meth:`SimEngine.run`)
+pops and fires them.
 
 The engine knows nothing about JVMs, networks or DSM protocols: those
 layers schedule callbacks here.
@@ -13,8 +16,7 @@ layers schedule callbacks here.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -25,35 +27,26 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+class EventHandle(list):
+    """One heap entry ``[time, seq, callback]``, returned by
+    :meth:`SimEngine.schedule` as the handle that cancels it."""
 
-
-class EventHandle:
-    """Handle returned by :meth:`SimEngine.schedule`; allows cancellation."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    __slots__ = ()
 
     def cancel(self) -> None:
-        """Cancel the event.  Cancelling an already-fired event is a no-op."""
-        self._event.cancelled = True
+        """Cancel the event.  Cancelling an already-fired event is a no-op.
+        The callback is dropped, so a cancelled timer pins nothing."""
+        self[2] = None
 
     @property
     def cancelled(self) -> bool:
         """True once cancel() was called."""
-        return self._event.cancelled
+        return self[2] is None
 
     @property
     def time(self) -> int:
         """Absolute simulated firing time of the event."""
-        return self._event.time
+        return self[0]
 
 
 class SimEngine:
@@ -66,9 +59,8 @@ class SimEngine:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._heap: list[_Event] = []
+        self._heap: list[EventHandle] = []
         self._events_fired: int = 0
-        self._running = False
 
     # ------------------------------------------------------------------
     # Clock
@@ -99,10 +91,10 @@ class SimEngine:
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        event = _Event(self._now + int(delay_ns), self._seq, callback)
+        event = EventHandle((self._now + int(delay_ns), self._seq, callback))
         self._seq += 1
         heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        return event
 
     def schedule_at(self, time_ns: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at an absolute simulated time."""
@@ -120,17 +112,7 @@ class SimEngine:
 
         Returns ``False`` when the heap is empty (nothing fired).
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if event.time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event heap time went backwards")
-            self._now = event.time
-            self._events_fired += 1
-            event.callback()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -144,7 +126,9 @@ class SimEngine:
         ----------
         until_ns:
             Stop before firing any event with ``time > until_ns``; the
-            clock is advanced to ``until_ns`` on a clean timeout.
+            clock is advanced to ``until_ns`` on a clean timeout (no
+            event at or before it is left, and ``stop_when`` did not
+            ask to stop).
         max_events:
             Fire at most this many events (a runaway-loop backstop).
         stop_when:
@@ -152,26 +136,26 @@ class SimEngine:
 
         Returns the number of events fired during this call.
         """
+        heap = self._heap
+        pop = heapq.heappop
+        limit = float("inf") if max_events is None else max_events
         fired = 0
-        self._running = True
         try:
-            while self._heap:
-                if max_events is not None and fired >= max_events:
+            while heap and fired < limit:
+                if until_ns is not None and heap[0][0] > until_ns:
                     break
-                head = self._heap[0]
-                if head.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until_ns is not None and head.time > until_ns:
-                    self._now = max(self._now, until_ns)
-                    break
-                if not self.step():  # pragma: no cover - head checked above
-                    break
+                when, _, callback = pop(heap)
+                if callback is None:
+                    continue  # cancelled
+                self._now = when
                 fired += 1
+                callback()
                 if stop_when is not None and stop_when():
-                    break
+                    return fired
         finally:
-            self._running = False
+            self._events_fired += fired
+        if until_ns is not None and (not heap or heap[0][0] > until_ns):
+            self._now = max(self._now, until_ns)
         return fired
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
@@ -185,8 +169,8 @@ class SimEngine:
 
     @property
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        """Number of queued events, cancelled ones excluded."""
+        return sum(1 for e in self._heap if e[2] is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimEngine(now={self._now}ns, pending={self.pending})"

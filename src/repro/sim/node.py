@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import partial
 from typing import Deque, Optional, Protocol, Set
 
 from .cost_model import CostModel
@@ -116,7 +117,7 @@ class Node:
         """Dispatch idle CPUs onto the runnable queue."""
         while self._idle_cpus and self._runnable:
             cpu = self._idle_cpus.pop()
-            self.engine.schedule(0, lambda c=cpu: self._cpu_loop(c))
+            self.engine.schedule(0, partial(self._cpu_loop, cpu))
 
     def _cpu_loop(self, cpu: int) -> None:
         if self.halted or not self._runnable:
@@ -134,13 +135,13 @@ class Node:
         # registered synchronously so protocol wake-ups are never lost.
         delay = max(consumed, 1)
         if state is StreamState.RUNNABLE:
-            self.engine.schedule(delay, lambda: self._requeue(stream))
+            self.engine.schedule(delay, partial(self._requeue, stream))
         elif state is StreamState.BLOCKED:
             self._blocked.add(id(stream))
         else:  # FINISHED
             self._streams_alive -= 1
             self.finished_streams += 1
-        self.engine.schedule(delay, lambda: self._cpu_loop(cpu))
+        self.engine.schedule(delay, partial(self._cpu_loop, cpu))
 
     def _requeue(self, stream: ExecStream) -> None:
         if self.halted:

@@ -1,0 +1,181 @@
+"""The message path's observables, pinned.
+
+A change to the per-message path (event heap, wire sizes, link latency,
+transport, DSM handlers) that is meant to move wall-clock only must
+leave every number here alone.  The literals were recorded on the
+commit *before* the event heap, ``estimate_size``, ``Message``, the link
+cost cache and the DSM cost look-ups were rewritten for speed (PR 22).
+"""
+
+import os
+import weakref
+
+import pytest
+
+from repro.lang import compile_source
+from repro.net import Message, SimNetwork
+from repro.rewriter import rewrite_application
+from repro.runtime import JavaSplitRuntime, RuntimeConfig
+from repro.sim import IBM, SUN, SimEngine
+from repro.sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS
+
+_LOCKS_MJ = os.path.join(os.path.dirname(__file__), os.pardir,
+                         "benchmarks", "e2e", "programs", "locks.mj")
+
+# locks.mj, 4 threads x 50 hand-overs, 3 nodes x 2 CPUs.
+GOLDEN = {
+    ("sun",): dict(
+        result=200, simulated_ns=313324570, events_fired=1648,
+        messages=736, bytes=76849,
+        by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
+                 "dsm.fetch_reply": (104, 7596), "dsm.fetch_req": (104, 9360),
+                 "dsm.lock_fwd": (2, 296), "dsm.lock_req": (6, 774),
+                 "dsm.owner_update": (104, 7904), "dsm.spawn": (3, 351),
+                 "dsm.token": (107, 24864)},
+        by_link={(0, 1): (162, 14968), (0, 2): (104, 9022),
+                 (1, 0): (214, 16942), (1, 2): (50, 11717),
+                 (2, 0): (156, 12538), (2, 1): (50, 11662)},
+        instructions=[[288, 1127], [1178, 1129], [1178]]),
+    # Mixed brands: other link latencies, so another schedule (and one
+    # loopback frame, which no brand prices).
+    ("sun", "ibm", "sun"): dict(
+        result=200, simulated_ns=9052605, events_fired=657,
+        messages=342, bytes=30398,
+        by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
+                 "dsm.fetch_reply": (5, 468), "dsm.fetch_req": (5, 450),
+                 "dsm.lock_fwd": (3, 444), "dsm.lock_req": (7, 903),
+                 "dsm.owner_update": (5, 380), "dsm.spawn": (3, 351),
+                 "dsm.token": (8, 1698)},
+        by_link={(0, 0): (1, 129), (0, 1): (113, 11497), (0, 2): (55, 5494),
+                 (1, 0): (114, 8642), (1, 2): (1, 232), (2, 0): (58, 4404)},
+        instructions=[[281, 1127], [1129, 1128], [1129]]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("brands", sorted(GOLDEN))
+def test_locks_observables_are_the_recorded_ones(brands, seed):
+    with open(_LOCKS_MJ) as fh:
+        source = fh.read().replace("@THREADS@", "4").replace("@ITERS@", "50")
+    rt = JavaSplitRuntime(
+        rewrite_application(list(compile_source(source))),
+        RuntimeConfig(num_nodes=3, cpus_per_node=2, brands=brands, seed=seed))
+    report = rt.run()
+    net = rt.network.stats
+    assert dict(
+        result=report.result, simulated_ns=report.simulated_ns,
+        events_fired=rt.engine.events_fired,
+        messages=net.messages, bytes=net.bytes,
+        by_type=net.by_type, by_link=net.by_link,
+        instructions=[[t.instructions for t in w.jvm.threads]
+                      for w in rt.workers],
+    ) == GOLDEN[brands]
+
+
+# ---------------------------------------------------------------------------
+# Event heap
+# ---------------------------------------------------------------------------
+class _Unorderable:
+    """A callback that raises if the heap ever compares it."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def __call__(self):
+        self.log.append(self.tag)
+
+    def __lt__(self, other):
+        raise AssertionError("heap compared two callbacks")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_callbacks_at_one_timestamp_fire_fifo_and_are_never_compared():
+    eng = SimEngine()
+    log = []
+    for tag in "abcdefgh":
+        eng.schedule(5, _Unorderable(log, tag))
+    eng.run_until_idle()
+    assert log == list("abcdefgh")
+
+
+def test_cancel_after_firing_is_a_noop():
+    eng = SimEngine()
+    log = []
+    handle = eng.schedule(1, lambda: log.append(1))
+    eng.schedule(2, lambda: log.append(2))
+    assert eng.step() and not handle.cancelled
+    handle.cancel()
+    assert handle.cancelled
+    assert eng.run_until_idle() == 1
+    assert log == [1, 2] and eng.events_fired == 2
+
+
+def test_cancelled_head_under_run_until():
+    eng = SimEngine()
+    log = []
+    eng.schedule(10, lambda: log.append("head")).cancel()
+    eng.schedule(20, lambda: log.append("live"))
+    eng.schedule(90, lambda: log.append("late"))
+    assert eng.run(until_ns=50) == 1
+    assert log == ["live"] and eng.now == 50 and eng.pending == 1
+
+
+def test_handle_reports_its_firing_time_and_pending_skips_cancelled():
+    eng = SimEngine()
+    eng.schedule(7, lambda: None)
+    eng.run_until_idle()
+    handle = eng.schedule(5, lambda: None)
+    other = eng.schedule(9, lambda: None)
+    assert handle.time == 12 and other.time == 16
+    assert eng.pending == 2
+    other.cancel()
+    assert eng.pending == 1
+
+
+def test_cancelled_timer_stops_pinning_its_callback():
+    class Callback:
+        def __call__(self):
+            pass
+
+    eng = SimEngine()
+    callback = Callback()
+    ref = weakref.ref(callback)
+    eng.schedule(5, callback).cancel()
+    del callback
+    assert ref() is None and eng.pending == 0
+
+
+# ---------------------------------------------------------------------------
+# Link cost cache
+# ---------------------------------------------------------------------------
+def _latency(a, b, size):
+    return ((a[COMM_FIXED_NS] + b[COMM_FIXED_NS]) // 2
+            + size * max(a[COMM_PER_BYTE_NS], b[COMM_PER_BYTE_NS]))
+
+
+def test_brand_attached_after_traffic_gets_its_own_latency():
+    eng = SimEngine()
+    net = SimNetwork(eng)
+    arrivals = {}
+    for node in (0, 1):
+        net.attach(node, SUN, lambda m: arrivals.__setitem__(m.dst, eng.now))
+    net.send(Message("t", 0, 1, size_bytes=100))
+    eng.run_until_idle()
+    assert arrivals[1] == _latency(SUN, SUN, 100)
+
+    net.attach(2, IBM, lambda m: arrivals.__setitem__(m.dst, eng.now))
+    t0 = eng.now
+    net.send(Message("t", 0, 2, size_bytes=100))
+    eng.run_until_idle()
+    assert arrivals[2] - t0 == _latency(SUN, IBM, 100)
+    assert _latency(SUN, IBM, 100) != _latency(SUN, SUN, 100)
+
+    # The same node id under another brand: the old link cost is gone.
+    net.detach(1)
+    net.attach(1, IBM, lambda m: arrivals.__setitem__(m.dst, eng.now))
+    t0 = eng.now
+    net.send(Message("t", 0, 1, size_bytes=100))
+    eng.run_until_idle()
+    assert arrivals[1] - t0 == _latency(SUN, IBM, 100)
+    assert net.latency_ns(1, 2, 100) == _latency(IBM, IBM, 100)

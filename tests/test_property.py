@@ -1003,3 +1003,75 @@ def test_stack_depths_are_the_interpreters_operand_stack(body):
     assert ("javasplit.Gen", "run", 0) in executed
     assert {klass for klass, _name, _pc in executed} >= {
         "javasplit.Main", "javasplit.Gen", "javasplit.Box"}
+
+
+# ---------------------------------------------------------------------------
+# Wire-size estimate: the type table agrees with the recursive definition
+# ---------------------------------------------------------------------------
+def _reference_size(value):
+    """``estimate_size`` as it was before it dispatched on ``type(value)``:
+    every simulated latency was computed from these sizes."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, int) or isinstance(value, float):
+        return 8
+    if isinstance(value, bytes):
+        return 4 + len(value)
+    if isinstance(value, str):
+        return 4 + len(value.encode("utf-8"))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 4 + sum(_reference_size(v) for v in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            _reference_size(k) + _reference_size(v) for k, v in value.items()
+        )
+    if hasattr(value, "wire_size"):
+        return int(value.wire_size())
+    raise TypeError(f"cannot estimate wire size of {type(value).__name__}")
+
+
+_hashable_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), st.binary(max_size=12),
+              st.text(alphabet="abcXYZ_09 ", max_size=12),
+              st.text(max_size=6)),
+    lambda inner: st.one_of(st.tuples(inner, inner), st.frozensets(inner, max_size=3)),
+    max_leaves=6)
+_payloads = st.recursive(
+    _hashable_payloads,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.sets(_hashable_payloads, max_size=3),
+        st.dictionaries(_hashable_payloads, inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(value=_payloads)
+@example(value={"gid": 7, "region": None, "ok": True, "w": 1.5, "d": b"\x00"})
+@example(value=[True, 1, (False, 0), {"é": "ü"}])
+def test_estimate_size_matches_reference(value):
+    from repro.net.message import estimate_size
+    assert estimate_size(value) == _reference_size(value)
+
+
+def test_estimate_size_literals_off_the_exact_type_table():
+    import enum
+    from repro.net.message import estimate_size
+
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    class Payload(dict):
+        pass
+
+    class Sized:
+        def wire_size(self):
+            return 19
+
+    assert estimate_size(Colour.RED) == 8          # an int, not a bool
+    assert estimate_size(True) == 1 and estimate_size(1) == 8
+    assert estimate_size(Payload(a=Colour.RED)) == 4 + 5 + 8
+    assert estimate_size([Sized(), Sized()]) == 4 + 19 + 19
+    assert estimate_size("naïve") == 4 + 6
+    with pytest.raises(TypeError, match="cannot estimate wire size of object"):
+        estimate_size({"x": object()})

@@ -80,6 +80,19 @@ def test_run_until_bound_advances_clock():
     assert eng.now == 100
 
 
+def test_run_until_bound_advances_clock_when_the_heap_drains_first():
+    eng = SimEngine()
+    eng.schedule(10, lambda: None)
+    assert eng.run(until_ns=50) == 1
+    assert eng.now == 50
+    # ... but not past events a bound left behind, nor after stop_when.
+    eng.schedule(10, lambda: None)
+    eng.schedule(20, lambda: None)
+    assert eng.run(until_ns=100, max_events=1) == 1 and eng.now == 60
+    assert eng.run(until_ns=100, stop_when=lambda: True) == 1
+    assert eng.now == 70
+
+
 def test_run_max_events():
     eng = SimEngine()
     count = [0]
