@@ -35,7 +35,7 @@ from ..jvm.bytecode import (
     branch_target,
     instr_cost,
 )
-from ..jvm.cfg import block_starts, invoke_effect, stack_depths
+from ..jvm.cfg import invoke_effect, stack_depths, straight_runs
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassFormatError
 
@@ -129,19 +129,5 @@ def pre_summed_runs(method: MethodInfo,
     annotations print them.
     """
     code = method.code
-    n = len(code)
-    starts = set(block_starts(code))
-    for pc, instr in enumerate(code):
-        if instr.op in SPECIAL_OPS:
-            starts.update((pc, pc + 1))
-    runs: List[Tuple[int, int, int]] = []
-    pc = 0
-    while pc < n:
-        end = pc + 1
-        if code[pc].op not in SPECIAL_OPS:
-            while end < n and end not in starts:
-                end += 1
-            runs.append((pc, end, sum(instr_cost(i, tables)
-                                      for i in code[pc:end])))
-        pc = end
-    return runs
+    return [(start, end, sum(instr_cost(i, tables) for i in code[start:end]))
+            for start, end in straight_runs(code, SPECIAL_OPS)]

@@ -43,8 +43,6 @@ Exit reasons (second element of the ``(used_ns, reason)`` return):
 
 from __future__ import annotations
 
-import math
-import re
 from typing import Any, Dict, List, Optional, Set
 
 from ..sim import cost_model as cm
@@ -56,10 +54,13 @@ from ..jvm.bytecode import (
     SEMANTICS,
     STACK_EFFECT,
     TERMINATORS,
+    TRAPS,
     Instr,
     Op,
     branch_target,
+    instantiate,
     instr_cost,
+    literal,
 )
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import JVMError
@@ -99,13 +100,6 @@ _LEAF_ARMS = 4
 # Nested compiled-to-compiled call depth cap (Python stack headroom);
 # deeper recursion falls back to one interpreter step per call.
 _MAX_CALL_DEPTH = 30
-
-# The ``SEMANTICS`` rows that can raise a ``JVMError`` (one says ``raise``
-# or names a helper that does): ``pc`` is stored before those only.
-_TRAPS = frozenset(
-    op for op, (pushed, first) in SEMANTICS.items()
-    if re.search(r"raise|_(idiv|irem|ddiv|drem|shift|d2i|new)",
-                 "".join(pushed) + (first or "")))
 
 
 def _is_pure_native(m: MethodInfo) -> bool:
@@ -192,11 +186,7 @@ class _Emitter:
         return name
 
     def lit(self, v: Any) -> str:
-        if v is None or isinstance(v, (int, str)):
-            return repr(v)
-        if isinstance(v, float) and math.isfinite(v):
-            return repr(v)
-        return self.const(v)
+        return literal(v) or self.const(v)
 
     # -- compile-time resolution --------------------------------------
     def _resolve_sites(self) -> None:
@@ -436,18 +426,17 @@ class _Emitter:
             # The row over this site's registers: pops are the top
             # s-registers, pushes land from the deepest pop upwards.
             pops, pushes = STACK_EFFECT[op]
-            pushed, first = SEMANTICS[op]
             base = d - pops
             names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
             names.update(a=self.lit(instr.a), b=self.lit(instr.b),
                          local=f"l{instr.a}")
-            if op in _TRAPS:
+            if op in TRAPS:
                 w(ind, f"pc = {pc}")
-            if first:
-                for line in first.format(**names).split("\n"):
-                    w(ind, line)
-            moves = [(f"s{base + k}", expr.format(**names))
-                     for k, expr in enumerate(pushed)]
+            first, pushed = instantiate(SEMANTICS[op], names)
+            for line in first:
+                w(ind, line)
+            moves = [(f"s{base + k}", value)
+                     for k, value in enumerate(pushed)]
             moves = [move for move in moves if move[0] != move[1]]
             if moves:
                 regs, values = zip(*moves)

@@ -25,6 +25,8 @@ Design notes
 from __future__ import annotations
 
 import enum
+import math
+import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..sim import cost_model as cm
@@ -159,6 +161,18 @@ class Instr:
 #: its one operand against 0, where ``eq``/``ne`` also take null for 0.
 CONDITIONS = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=", "gt": ">",
               "le": "<="}
+
+
+def branch_row(op: Op, cond: str) -> Tuple[Tuple[str], Optional[str]]:
+    """IF / IF_CMP on ``cond`` in the shape of a ``SEMANTICS`` row: the
+    one "pushed" expression is the test the branch is taken on."""
+    if op is Op.IF_CMP:  # references: identity, Obj defines no ``__eq__``
+        return (f"{{x}} {CONDITIONS[cond]} {{y}}",), None
+    on_null = ("{x} = 0" if cond in ("eq", "ne") else
+               "raise _NPE('ordered compare on null (%s)' % {a})")
+    return ((f"{{x}} {CONDITIONS[cond]} 0",),
+            f"if {{x}} is None:\n    {on_null}")
+
 
 # Heap-access opcodes and their plain cost keys; the interpreter switches
 # to ``cm.checked(key)`` when ``instr.checked`` is set.
@@ -339,6 +353,33 @@ SEMANTICS = {
         "    raise _CCE('%s -> %s' % (getattr({x}, 'class_name', "
         "type({x}).__name__), {a}))")),
 }
+
+def traps(row: Tuple[Tuple[str, ...], Optional[str]]) -> bool:
+    """Whether a row can raise a ``JVMError`` — it says ``raise`` or
+    names a helper that does: both tiers store the pc before it."""
+    return bool(re.search(r"raise|_(idiv|irem|ddiv|drem|shift|d2i|new)",
+                          "".join(row[0]) + (row[1] or "")))
+
+
+TRAPS = frozenset(op for op, row in SEMANTICS.items() if traps(row))
+
+
+def instantiate(row: Tuple[Tuple[str, ...], Optional[str]],
+                names: Mapping[str, str]) -> Tuple[List[str], List[str]]:
+    """A row over ``names``: its statement's lines, its pushed values."""
+    pushed, first = row
+    return (first.format(**names).split("\n") if first else [],
+            [expr.format(**names) for expr in pushed])
+
+
+def literal(value: Any) -> Optional[str]:
+    """A CONST operand as source text; None when it is not one."""
+    if value is None or isinstance(value, (int, str)):
+        return repr(value)
+    if isinstance(value, float):
+        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
+    return None
+
 
 # Opcodes after which control does not fall through to pc + 1, and
 # opcodes that carry a branch target.

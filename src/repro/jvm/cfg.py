@@ -8,7 +8,7 @@ instruction *does* to the stack is :data:`~repro.jvm.bytecode.STACK_EFFECT`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Container, List, Optional, Sequence, Set, Tuple
 
 from .bytecode import (
     BRANCHES,
@@ -50,6 +50,20 @@ def block_starts(code: Sequence[Instr]) -> List[int]:
     starts.update(pc + 1 for pc, i in enumerate(code)
                   if i.op in BRANCHES or i.op in TERMINATORS)
     return sorted(s for s in starts if s < len(code))
+
+
+def straight_runs(code: Sequence[Instr],
+                  cut: Container[Op]) -> List[Tuple[int, int]]:
+    """Straight-line runs ``(start_pc, end_pc_exclusive)`` in pc order:
+    basic blocks, further cut around every opcode in ``cut``, which
+    belongs to no run.  Tier 1 pre-sums a run's cost, tier 0 fuses it."""
+    bounds = set(block_starts(code)) | {len(code)}
+    for pc, instr in enumerate(code):
+        if instr.op in cut:
+            bounds.update((pc, pc + 1))
+    bounds = sorted(bounds)
+    return [(start, end) for start, end in zip(bounds, bounds[1:])
+            if code[start].op not in cut]
 
 
 def stack_depths(

@@ -83,6 +83,8 @@ class MethodInfo:
     flags: frozenset = frozenset()
     klass: str = ""  # owning class name, set by ClassFile.add_method
     native_cache: Any = None  # resolved native fn (interpreter cache)
+    #: (factory, runs) of tier 0's fused runs (interpreter cache)
+    fused: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.flags = frozenset(self.flags)

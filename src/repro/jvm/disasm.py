@@ -4,12 +4,13 @@ Primarily a rewriter-inspection tool: diffing the listing of an original
 class against its ``javasplit.*`` twin shows exactly what the
 instrumentation did (the paper's Figure 2/3, regenerable for any class).
 
-With ``costs=<brand>`` the listing additionally shows what the tiered
-JIT sees: each straight-line run of pure ops is bracketed with its
+With ``costs=<brand>`` the listing additionally shows what each tier
+runs: every straight-line run of pure ops is bracketed with its
 pre-summed simulated cost (the one addition tier-1 code charges at run
-entry), and check-elimination notes (``method.elim_notes``, written by
-the level-1/2 passes) annotate the instructions whose access checks
-were removed or hoisted.
+entry), every run tier 0 fuses with what its one handler bills, and
+check-elimination notes (``method.elim_notes``, written by the level-1/2
+passes) annotate the instructions whose access checks were removed or
+hoisted.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..sim.cost_model import get_brand
-from .bytecode import BRANCHES, CostTables, Instr, Op, branch_target, cost_tables
+from .bytecode import (BRANCHES, CostTables, Instr, Op, branch_target,
+                       cost_tables, instr_cost)
 from .cfg import branch_targets
 from .classfile import ClassFile, MethodInfo
+from .fuse import fused_runs
 
 
 def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
@@ -52,9 +55,10 @@ def disassemble_method(method: MethodInfo,
     lines = [header, f"    max_locals={method.max_locals}"]
     targets = branch_targets(method.code)
     elim_notes = getattr(method, "elim_notes", None) or {}
-    run_start = {}
+    run_start, fused = {}, {}
     if costs is not None:
         from ..jit.analysis import pre_summed_runs
+        fused = dict(fused_runs(method.code))
         for start, end, total in pre_summed_runs(method, costs):
             run_start[start] = (end, total)
     for pc, instr in enumerate(method.code):
@@ -64,6 +68,9 @@ def disassemble_method(method: MethodInfo,
             span = (f"pc {pc}" if end == pc + 1
                     else f"pc {pc}..{end - 1}")
             lines.append(f"      ; run {span}: {total} ns pre-summed")
+        if pc in fused:
+            total = sum(instr_cost(i, costs) for i in method.code[pc:fused[pc]])
+            lines.append(f"      ; fused pc {pc}..{fused[pc] - 1}: {total} ns")
         marker = ">" if pc in targets else " "
         text = f"   {marker}{format_instr(pc, instr)}"
         note = elim_notes.get(pc)

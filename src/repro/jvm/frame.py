@@ -12,12 +12,12 @@ class Frame:
 
     Locals layout follows the JVM convention: for instance methods slot 0
     is ``this`` and parameters occupy slots 1..n; for static methods
-    parameters start at slot 0.  ``decoded`` is the executing JVM's
-    handler list for ``method`` (see :mod:`repro.jvm.interpreter`),
-    filled in when the frame first runs.
+    parameters start at slot 0.  ``decoded`` and ``fused`` are the
+    executing JVM's handler lists for ``method`` (per instruction, per
+    run: :mod:`repro.jvm.interpreter`), filled in when the frame runs.
     """
 
-    __slots__ = ("method", "locals", "stack", "pc", "decoded")
+    __slots__ = ("method", "locals", "stack", "pc", "decoded", "fused")
 
     def __init__(self, method: MethodInfo, args: List[Any]) -> None:
         self.method = method
@@ -26,6 +26,7 @@ class Frame:
         self.stack: List[Any] = []
         self.pc: int = 0
         self.decoded: Any = None
+        self.fused: Any = None
 
     def push(self, value: Any) -> None:
         """Push onto the operand stack."""

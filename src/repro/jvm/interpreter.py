@@ -1,16 +1,27 @@
-"""The bytecode interpreter: decode once, dispatch once.
+"""The bytecode interpreter: decode once, dispatch once per run.
 
 One :class:`Interpreter` per JVM instance.  A method is *decoded* the
 first time this JVM executes it: every instruction becomes one bound
 handler ``h(thread, frame) -> cost_ns`` — a closure holding the
 operands, the brand-resolved simulated cost, the branch comparator and
-the DSM hook method — and :meth:`Interpreter.run` is the single loop
-that calls ``decoded[pc]`` until a quantum's budget is spent.  The
-decoded list is cached per interpreter, never on the ``MethodInfo``:
-methods are shared by every worker JVM of a cluster, costs (brands) and
-link state (field slots, call targets) are per JVM.  Link state is
-resolved at a handler's first run, so a reference that cannot link
-fails at the offending instruction and not when its method is decoded.
+the DSM hook method.  It is then *fused*: the first pc of every
+straight-line run of pure opcodes (:mod:`repro.jvm.fuse`) gets one
+handler that does the whole run, bills its summed cost and counts its
+instructions, and :meth:`Interpreter.run` is the loop that calls
+``fused[pc]`` until a quantum's budget is spent.  Both lists are cached
+per interpreter: methods are shared by every worker JVM of a cluster,
+costs (brands) and link state (field slots, call targets) are per JVM —
+only the fused runs' compiled *text* hangs off the ``MethodInfo``.  Link
+state is resolved at a handler's first run, so a reference that cannot
+link fails at the offending instruction and not when its method is
+decoded.
+
+Fusing is exact.  The budget is tested before every instruction, so a
+fused handler runs only where each test inside it would have passed
+(``consumed + margin < budget_ns``; ``margin`` is the most any run bills
+before its last instruction); the quantum's tail, ``step`` and a resume
+inside a run need the per-instruction list.  A row that can raise stores
+``frame.pc`` first: error text, position and instruction count are kept.
 
 What an instruction *does* is not written here when it can be said
 once for both tiers: the pure opcodes are the rows of
@@ -50,7 +61,9 @@ from .bytecode import (
     STACK_EFFECT,
     Instr,
     Op,
+    branch_row,
     cost_tables,
+    instantiate,
     instr_cost,
 )
 from .classfile import MethodInfo
@@ -62,6 +75,7 @@ from .errors import (
     NullPointerError,
 )
 from .frame import Frame
+from .fuse import fused_source
 from .heap import ArrayObj, Obj, monitor_of
 
 # Sentinel returned by native methods that produce no value (void).
@@ -179,6 +193,9 @@ class Interpreter:
         # id(method) -> (method, handlers); the entry pins the method so
         # its id stays unique for the life of the cache.
         self._decoded: Dict[int, Tuple[MethodInfo, List[Handler]]] = {}
+        self._fused: Dict[int, List[Handler]] = {}  # id(method) -> fuse()
+        #: The most any fused run here bills before its last instruction.
+        self.margin = 0
         self._race_hook: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
@@ -225,15 +242,48 @@ class Interpreter:
         thread.instructions += 1
         return cost
 
+    def fuse(self, method: MethodInfo) -> List[Handler]:
+        """``decode(method)`` with one handler at the first pc of every
+        fused run; the pcs inside a run keep their own.  The text is
+        compiled once per method and hangs off it, like a native."""
+        fused = self._fused.get(id(method))
+        if fused is None:
+            fused = self._fused[id(method)] = list(self.decode(method))
+            if method.fused is None:
+                text, runs = fused_source(method.code, BOUND)
+                scope: Dict[str, Any] = {}
+                exec(compile(text, f"<tier-0 {method.klass}.{method.name}>",
+                             "exec"), _FACTORY_GLOBALS, scope)
+                method.fused = scope["make"], runs
+            make, runs = method.fused
+            costs = [[instr_cost(i, self.cost_tables)
+                      for i in method.code[start:end]] for start, end in runs]
+            for (start, _), handler in zip(runs, make(
+                    [sum(c) for c in costs], **self.bound)):
+                fused[start] = handler
+            self.margin = max([self.margin, *(sum(c[:-1]) for c in costs)])
+        return fused
+
     def run(self, thread: "JThread", budget_ns: int,  # noqa: F821
             consumed: int = 0) -> int:
         """The dispatch loop: execute until ``budget_ns`` is spent or the
         thread stops being runnable; returns the nanoseconds consumed,
         counting from ``consumed``.  The budget is tested before every
-        instruction, so a quantum overshoots by at most one."""
+        instruction, so a quantum overshoots by at most one: fused runs
+        while ``consumed + margin < budget_ns``, then one by one."""
         frames = thread.frames
         steps = 0
         try:
+            fused_until = budget_ns - self.margin
+            while consumed < fused_until and thread.state is _RUNNABLE:
+                frame = frames[-1]
+                code = frame.fused
+                if code is None:
+                    frame.fused = self.fuse(frame.method)
+                    fused_until = budget_ns - self.margin
+                    continue
+                consumed += code[frame.pc](thread, frame)
+                steps += 1
             while consumed < budget_ns and thread.state is _RUNNABLE:
                 frame = frames[-1]
                 code = frame.decoded
@@ -400,7 +450,15 @@ HELPERS = {
     "_AE": ArithmeticJavaError, "_TOO_BIG": TOO_BIG,
 }
 BOUND = ("_new", "_newarr", "_classes", "_isinst")
-_FACTORY_GLOBALS = dict(HELPERS)  # a copy: exec adds __builtins__ to it
+# A copy: exec adds __builtins__ to it.  A fused run catches ``_JVME``.
+_FACTORY_GLOBALS = dict(HELPERS, _JVME=JVMError)
+
+
+def _make(text: str, name: str) -> Callable[..., Any]:
+    """The ``make`` that generated tier-0 ``text`` defines."""
+    scope: Dict[str, Any] = {}
+    exec(compile(text, f"<tier-0 {name}>", "exec"), _FACTORY_GLOBALS, scope)
+    return scope["make"]
 
 
 def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
@@ -414,10 +472,7 @@ def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
              f"    def {name}(thread, frame):"]
     lines += ["        " + line for line in "\n".join(body).split("\n")]
     lines += ["        return cost", f"    return {name}"]
-    scope: Dict[str, Any] = {}
-    exec(compile("\n".join(lines), f"<tier-0 {name}>", "exec"),
-         _FACTORY_GLOBALS, scope)
-    return scope["make"]
+    return _make("\n".join(lines), name)
 
 
 def _pure_factory(op: Op) -> Callable[..., Handler]:
@@ -436,10 +491,9 @@ def _pure_factory(op: Op) -> Callable[..., Handler]:
                 or "{x}" in "".join(pushed[1:]):
             body.append(f"x = {names['x']}")
             names["x"] = "x"
-    if first:
-        body.append(first.format(**names))
-    for k, expr in enumerate(pushed):
-        value = expr.format(**names)
+    lines, values = instantiate(SEMANTICS[op], names)
+    body += lines
+    for k, value in enumerate(values):
         body.append(f"stack[-1] = {value}" if pops and k == 0
                     else f"stack.append({value})")
     return _factory(op.name, body + ["frame.pc = nxt"])
@@ -447,19 +501,11 @@ def _pure_factory(op: Op) -> Callable[..., Handler]:
 
 def _branch_factory(op: Op, cond: str) -> Callable[..., Handler]:
     """IF / IF_CMP on one condition: a = the condition, b = the target."""
-    test = CONDITIONS[cond]
-    if op is Op.IF_CMP:
-        # eq/ne: Java identity on references is Python's default ``==``
-        # because Obj and ArrayObj define no ``__eq__``.
-        body = ["y = stack.pop()",
-                f"frame.pc = b if stack.pop() {test} y else nxt"]
-    else:
-        on_null = ("v = 0" if cond in ("eq", "ne") else
-                   "raise _NPE('ordered compare on null (%s)' % a)")
-        body = ["v = stack.pop()",
-                f"if v is None:\n    {on_null}",
-                f"frame.pc = b if v {test} 0 else nxt"]
-    return _factory(f"{op.name}_{cond}", body)
+    body = ["y = stack.pop()"] if op is Op.IF_CMP else ["x = stack.pop()"]
+    lines, (test,) = instantiate(branch_row(op, cond), {
+        "a": "a", "x": "x" if op is Op.IF else "stack.pop()", "y": "y"})
+    return _factory(f"{op.name}_{cond}",
+                    body + lines + [f"frame.pc = b if {test} else nxt"])
 
 
 _PURE = {op: _pure_factory(op) for op in SEMANTICS}

@@ -356,9 +356,9 @@ class _MethodGen:
             src = expr.operand.type
             dst = expr.target_type
             if dst == "int" and src == "double":
-                mb.emit(Op.D2I)
+                mb.emit(Op.D2I, line=expr.line)
             elif dst == "double" and src == "int":
-                mb.emit(Op.I2D)
+                mb.emit(Op.I2D, line=expr.line)
             elif dst not in ("int", "double"):
                 mb.emit(Op.CHECKCAST, dst, line=expr.line)
         elif isinstance(expr, InstanceOf):

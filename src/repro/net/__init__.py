@@ -10,12 +10,19 @@ physical plane over real sockets (:mod:`repro.net.procnet`).
 """
 
 from .message import ALL_MESSAGE_TYPES, HEADER_BYTES, Message, estimate_size
-from .procnet import ProcNetwork
 from .simnet import SimNetwork
 from .stats import NetStats
 from .transport import Transport, TransportStats
 from .wire import (FrameDecoder, WireError, decode_frame, encode_frame,
                    frame_with_prefix)
+
+
+def __getattr__(name: str):
+    if name == "ProcNetwork":  # lazy: multiprocessing, tempfile, selectors
+        from .procnet import ProcNetwork
+        return ProcNetwork
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALL_MESSAGE_TYPES",

@@ -284,7 +284,9 @@ def test_numpy_loads_only_where_a_generator_is_built():
     harness imports) must not pull numpy in: a third of the import time
     and 17 MiB of RSS, for a generator most runs never draw from.  A
     jittered network, ``--scheduler random`` and a fault plan import it
-    where they build theirs — the same generator on the same seed."""
+    where they build theirs — the same generator on the same seed.
+    Likewise the proc plane (``multiprocessing``, ``tempfile``,
+    ``selectors``): loaded by the first proc run, not by a sim one."""
     code = """
 import sys, repro, repro.check, repro.serve.scenario
 from repro.check import FaultInjector, FaultPlan
@@ -294,6 +296,9 @@ from repro.sim import SimEngine
 quiet = SimNetwork(SimEngine())
 make_scheduler("least-loaded")
 assert "numpy" not in sys.modules, "eager numpy import"
+import repro.runtime
+for proc_only in ("repro.net.procnet", "multiprocessing"):
+    assert proc_only not in sys.modules, "eager import of " + proc_only
 net = SimNetwork(SimEngine(), jitter_ns=1000, seed=7)
 assert "numpy" in sys.modules
 from numpy.random import default_rng
@@ -304,6 +309,15 @@ def same_stream(ours, seed):
 assert same_stream(net._rng, 7)
 assert same_stream(RandomScheduler(seed=5)._rng, 5)
 assert same_stream(FaultInjector(quiet, FaultPlan(seed=3))._rng, 3)
+from repro.lang import compile_source
+from repro.rewriter import rewrite_application
+proc = repro.runtime.JavaSplitRuntime(
+    rewrite_application(compile_source(
+        "class Main { static int main() { return 7; } }")),
+    repro.runtime.RuntimeConfig(num_nodes=2, transport_backend="proc"))
+assert proc.run().result == 7
+assert "repro.net.procnet" in sys.modules and "multiprocessing" in sys.modules
+assert repro.net.ProcNetwork is type(proc.network)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and the
 end-to-end coherence guarantee."""
 
+import collections
 import math
 import operator
 from fractions import Fraction
@@ -952,7 +953,7 @@ def _depth_checked(handler, depth, where, executed):
     against the depth the static walk computed for its pc."""
     def check(thread, frame):
         assert len(frame.stack) == depth, (where, len(frame.stack), depth)
-        executed.add(where)
+        executed[where] += 1
         return handler(thread, frame)
     return check
 
@@ -984,8 +985,11 @@ def test_stack_depths_are_the_interpreters_operand_stack(body):
     _fold_increments(gen.methods["run"])
     rewritten = rewrite_application(classfiles)  # verifies its output
     table = rewritten.classfiles
-    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2, seed=0))
-    executed = set()
+    # A 1 ns quantum is below any fused run's margin: every instruction
+    # is dispatched on its own, through the handlers wrapped below.
+    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(
+        num_nodes=2, seed=0, quantum_ns=1))
+    executed = collections.Counter()
     for worker in runtime.workers:
         for cf in table.values():
             for method in cf.methods.values():
@@ -1000,6 +1004,9 @@ def test_stack_depths_are_the_interpreters_operand_stack(body):
                         handlers[pc], depth, (cf.name, method.name, pc),
                         executed)
     assert runtime.run().result == _expected(body)
+    assert sum(executed.values()) == sum(
+        thread.instructions for worker in runtime.workers
+        for thread in worker.jvm.threads)
     assert ("javasplit.Gen", "run", 0) in executed
     assert {klass for klass, _name, _pc in executed} >= {
         "javasplit.Main", "javasplit.Gen", "javasplit.Box"}

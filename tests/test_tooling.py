@@ -141,6 +141,35 @@ def test_cli_disasm(src_file, capsys):
     assert "DSM_ACQUIRE" in capsys.readouterr().out
 
 
+def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
+    """``--costs`` on the benchmark's lock program: a ``; fused`` line
+    sits exactly where this JVM dispatches one handler for a whole run,
+    beside the tier-1 bracket from the same walk."""
+    import re
+    from repro.jvm.disasm import resolve_cost_tables
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "benchmarks", "e2e", "programs", "locks.mj")) as fh:
+        source = fh.read().replace("@THREADS@", "4").replace("@ITERS@", "50")
+    path = tmp_path / "locks.mj"
+    path.write_text(source)
+    assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
+    assert ("      ; run pc 10..12: 10 ns pre-summed\n"
+            "      ; fused pc 10..12: 10 ns\n"
+            "   >  10  LOAD 3\n") in capsys.readouterr().out
+    rewritten = rewrite_application(compile_source(source))
+    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2))
+    interp = runtime.workers[0].jvm.interpreter
+    for cf in rewritten.classfiles.values():
+        for method in cf.methods.values():
+            if method.is_native:
+                continue
+            per_instr, per_run = interp.decode(method), interp.fuse(method)
+            listing = disassemble_method(method, resolve_cost_tables("sun"))
+            assert [int(pc) for pc in re.findall(r"; fused pc (\d+)", listing)
+                    ] == [pc for pc in range(len(method.code))
+                          if per_run[pc] is not per_instr[pc]]
+
+
 def test_cli_trace(src_file, capsys):
     assert cli_main(["trace", src_file, "--nodes", "2", "--limit", "10"]) == 0
     out = capsys.readouterr().out
