@@ -382,7 +382,8 @@ def _jit_detail(report) -> None:
         exits = info["exits"]
         deopts = exits.get("deopt", 0)
         detail = ", ".join(f"{r}={n}" for r, n in sorted(exits.items()))
-        print(f"  {name:40s} tier={info['tier']} deopts={deopts}  "
+        print(f"  {name:40s} tier={info['tier']} deopts={deopts} "
+              f"lines/bytecode={info['lines'] / info['bytecodes']:.1f}  "
               f"({detail or 'never entered'})")
     for name, why in sorted(j["blacklisted"].items()):
         print(f"  {name:40s} tier=0 (blacklisted: {why})")

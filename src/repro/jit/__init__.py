@@ -3,13 +3,14 @@
 Tier 0 is the stock interpreter; tier 1 translates a method's bytecode
 into one specialized Python function (codegen + ``exec``) with the
 operand stack in locals, constants folded, per-run costs pre-summed,
-the §4.4 local-lock fast path inlined, and deoptimization back to the
+each head's straight line run as one pre-charged trace, the §4.4
+local-lock fast path inlined, and deoptimization back to the
 interpreter at every blocking point.  Observable behavior (results,
 protocol traffic, simulated time, exceptions) is bit-identical to
 tier 0 — see ``tests/test_jit.py`` for the differential proof.
 """
 
-from .analysis import CompileError, analyze, pre_summed_runs
+from .analysis import CompileError, analyze, pre_summed_runs, traces
 from .codegen import (
     N_REASONS,
     R_BLOCK_ACQUIRE,
@@ -46,4 +47,5 @@ __all__ = [
     "analyze",
     "compile_method",
     "pre_summed_runs",
+    "traces",
 ]

@@ -19,22 +19,29 @@ for the emitter:
   function materializes the interpreter state and bails out.
 
 Also exported: :func:`pre_summed_runs`, the per-block cost summary the
-``disasm`` annotations print.
+``disasm`` annotations print, and :func:`traces`, the straight lines
+compiled code runs without a budget test — the emitter prints its
+traces from it, ``disasm --costs`` its ``; trace`` brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import count
+from typing import Container, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..jvm.bytecode import (
     BRANCHES,
     INVOKES,
+    SEMANTICS,
+    STACK_EFFECT,
+    TRAPS,
     CostTables,
     Op,
     branch_target,
     instr_cost,
 )
+from ..jvm import cfg
 from ..jvm.cfg import invoke_effect, stack_depths, straight_runs
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassFormatError
@@ -46,6 +53,11 @@ SPECIAL_OPS = frozenset({
     Op.DSM_ACQUIRE, Op.DSM_RELEASE,
     Op.MONITORENTER, Op.MONITOREXIT,
 }) | INVOKES
+
+# The two access checks: a trace runs through them on their hit test,
+# and ends at any other special.
+CHECKS = frozenset({Op.DSM_READCHECK, Op.DSM_WRITECHECK})
+_ENDS_TRACE = SPECIAL_OPS - CHECKS
 
 # Every other op executes inline in a compiled run: no blocking, and no
 # runtime hook other than the race observer (which adds no cost).
@@ -131,3 +143,135 @@ def pre_summed_runs(method: MethodInfo,
     code = method.code
     return [(start, end, sum(instr_cost(i, tables) for i in code[start:end]))
             for start, end in straight_runs(code, SPECIAL_OPS)]
+
+
+# How far below the top of the stack a heap access finds its reference.
+_REF_BELOW = {Op.GETFIELD: 1, Op.PUTFIELD: 2, Op.ARRLOAD: 2, Op.ARRSTORE: 3}
+
+# A jump is followed through a block of at most this many rows that
+# cannot trap, closed by a GOTO — a loop's ``i++`` latch.
+_LATCH_OPS = 6
+
+
+@dataclass
+class Trace:
+    """The straight line compiled code runs from ``head`` behind one
+    budget test: where ``used + total < budget`` holds, no test of the
+    arms it covers can fire."""
+
+    head: int
+    #: ``(pc, ns, count, known)`` per instruction: cost and instructions
+    #: charged *before* pc, and whether its value already passed this
+    #: check's test / this access's null test.
+    steps: List[Tuple[int, int, int, bool]]
+    #: The pc whose arm takes over at the end of the line; None when it
+    #: returned or closed on its own head.
+    stop: Optional[int]
+    #: Latch blocks a taken branch of the line runs through: first pc ->
+    #: pc of the closing GOTO.
+    latches: Dict[int, int]
+    total: int
+
+
+def traces(method: MethodInfo, tables: CostTables,
+           targets: Optional[Iterable[int]] = None,
+           deopt: Container[int] = ()) -> Dict[int, Trace]:
+    """Per *head* — method entry, branch target, successor of a deopt
+    site or of a special that is not an access check — the line from it:
+    through pure runs, the fall-through side of IF / IF_CMP, both access
+    checks and one small latch block, until a call / lock / monitor /
+    static-ref, a return, a deopt site, the next head or its own head
+    again.  Nothing on the line calls a handler, so what a check or a
+    null test proved about a value holds to the end of the line: values
+    are numbered along it (LOAD / STORE copy, anything else is fresh)
+    and a repeated test is ``known``.  A line that covers no more than
+    one arm's one budget test is left out."""
+    code = method.code
+    cost = [instr_cost(i, tables) for i in code]
+    ends = [instr.op in _ENDS_TRACE or pc in deopt
+            for pc, instr in enumerate(code)]
+    heads = {0} | set(cfg.branch_targets(code) if targets is None else targets)
+    heads.update(pc + 1 for pc in range(len(code) - 1) if ends[pc])
+
+    def latch(start: int) -> Optional[int]:
+        for pc in range(start, min(start + _LATCH_OPS, len(code))):
+            op = code[pc].op
+            if pc > start and pc in heads:
+                return None
+            if op is Op.GOTO:
+                return pc
+            if op not in SEMANTICS or op in TRAPS:
+                return None
+        return None
+
+    out: Dict[int, Trace] = {}
+    for head in sorted(h for h in heads if code[h].op not in CHECKS):
+        fresh = count()
+        number: Dict[object, int] = {}   # stack slot / "l<n>" -> value
+
+        def value(where: object) -> int:
+            return number.setdefault(where, next(fresh))
+
+        checked: Set[int] = set()
+        nonnull: Set[int] = set()
+        trace = Trace(head, [], None, {}, 0)
+        pc, ns, n, d, followed = head, 0, 0, 0, False
+        while True:
+            instr = code[pc]
+            op = instr.op
+            if ends[pc]:
+                trace.stop = pc
+                break
+            known = False
+            if op in CHECKS:
+                v = value(d - 1 - instr.a)
+                known = op is Op.DSM_READCHECK and v in checked
+                nonnull.add(v)
+                if op is Op.DSM_READCHECK:
+                    checked.add(v)
+            elif op in _REF_BELOW:
+                v = value(d - _REF_BELOW[op])
+                known = v in nonnull
+                nonnull.add(v)
+            trace.steps.append((pc, ns, n, known))
+            ns += cost[pc]
+            n += 1
+            pops, pushes = STACK_EFFECT[op]
+            d -= pops
+            if op is Op.STORE:
+                number[f"l{instr.a}"] = value(d)
+            elif op is Op.IINC:
+                number[f"l{instr.a}"] = next(fresh)
+            for slot in range(d, d + pushes):
+                number[slot] = (value(f"l{instr.a}") if op is Op.LOAD
+                                else next(fresh))
+            d += pushes
+            if op is Op.RETURN or op is Op.RETVAL:
+                break
+            if op is Op.GOTO:
+                pc = branch_target(instr)
+                if pc == head:
+                    break
+            else:
+                if op in BRANCHES and branch_target(instr) != head:
+                    target = branch_target(instr)
+                    end = latch(target)
+                    if end is not None:
+                        trace.latches[target] = end
+                        trace.total = max(trace.total,
+                                          ns + sum(cost[target:end + 1]))
+                pc += 1
+                if pc not in heads:
+                    continue
+            # At a head, by fall-through or GOTO: through one latch block.
+            if followed or latch(pc) is None:
+                trace.stop = pc
+                break
+            followed = True
+        if trace.stop in trace.latches:  # the exit runs through it again
+            ns += sum(cost[trace.stop:trace.latches[trace.stop] + 1])
+        trace.total = max(trace.total, ns)
+        if any(code[pc].op in CHECKS or code[pc].op in (Op.IF, Op.IF_CMP)
+               for pc, *_ in trace.steps[:-1]):
+            out[head] = trace
+    return out

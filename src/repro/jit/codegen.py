@@ -31,6 +31,21 @@ entry pc, emitted in ascending pc order as sequential ``if pc == K:``
 blocks under a balanced tree of ``if pc < M:`` skip guards.  An arm
 that runs into the next entry sets ``pc`` and falls through; only a
 taken branch or a back edge ``continue``s and descends the tree again.
+A leave site says only ``pc`` and why; the one epilogue behind the loop
+materializes the frame from ``pc`` and a depth table.  In front of a
+head's arm stands its *trace* (:func:`.analysis.traces`): ``while used +
+TOTAL < budget:`` and then the whole straight line with no ``if pc ==``
+and no budget test, ``used`` and ``icount`` charged once per exit from
+compile-time prefixes.  ``TOTAL`` is at least every ``used + prefix``
+the covered arms test, so where it holds none of their tests can fire,
+and where it does not the ``else:`` runs the arm as ever.  A check in a
+trace is its hit test only; on anything else the trace sets ``pc`` and
+breaks to the check's arm, which redoes it with the handler — so a trace
+calls no handler, and a test the analysis marks ``known`` is skipped.  A
+jump to the trace's own head is the inner ``continue``; every other exit
+breaks and falls forward to its arm.  A row that can trap stores ``pc``
+first (``~pc`` in a trace, which has not counted its instructions yet)
+and the ``except`` epilogue counts the instructions before it.
 
 Compiled code inlines the pass-through of the §4.2 read check (one
 compare of the header's state; the handler runs on a miss only) and
@@ -43,13 +58,14 @@ Exit reasons (second element of the ``(used_ns, reason)`` return):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
 from ..jvm.bytecode import (
     BRANCHES,
     CONDITIONS,
+    DSM_OPS,
     INVOKES,
     SEMANTICS,
     STACK_EFFECT,
@@ -67,7 +83,8 @@ from ..jvm.errors import JVMError
 from ..jvm.frame import Frame
 from ..jvm.heap import ArrayObj
 from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
-from .analysis import SPECIAL_OPS, CompileError, MethodAnalysis, analyze
+from .analysis import (CHECKS, SPECIAL_OPS, CompileError, MethodAnalysis,
+                       Trace, analyze, traces)
 
 # Exit reason codes returned by compiled functions.
 R_BUDGET = 0          # quantum budget exhausted (interpreter tail runs)
@@ -97,6 +114,12 @@ _MAX_INDENT = 90
 # leaf) guard compares plus at most this many equality tests.
 _LEAF_ARMS = 4
 
+# Lines of trace text a method may carry per bytecode (a short method
+# counts as 32), hottest heads first: compile() holds ~2.75 KB per
+# emitted line until it returns, so the largest method's text is the
+# process's peak.
+_TRACE_LINES = 2
+
 # Nested compiled-to-compiled call depth cap (Python stack headroom);
 # deeper recursion falls back to one interpreter step per call.
 _MAX_CALL_DEPTH = 30
@@ -114,75 +137,90 @@ def _is_pure_native(m: MethodInfo) -> bool:
         "currentTimeMillis", "nanoTime")
 
 
-class _Emitter:
-    """Builds the source + globals of one compiled method."""
+def _switches(jvm) -> Tuple[bool, bool, bool]:
+    """What emitted text depends on besides the method and the brand's
+    costs: whether accesses are observed (race detector), whether the
+    §4.4 local-lock fast path is inlined, and whether it has
+    ``lock_edge`` subscribers to call."""
+    dsm = jvm.hooks
+    return (jvm.interpreter.race_hook is not None,
+            dsm is not None and bool(dsm.config.local_lock_opt),
+            dsm is not None and bool(dsm.hooks.lock_edge))
 
-    def __init__(self, method: MethodInfo, agent) -> None:
-        self.method = method
-        self.agent = agent
-        self.jvm = agent.jvm
-        self.interp: Interpreter = self.jvm.interpreter
-        self.ana: MethodAnalysis = analyze(method, self.jvm)
-        self.code = method.code
-        self.lines: List[str] = []
-        self.env: Dict[str, Any] = {}
-        self._const_names: Dict[int, str] = {}
-        self._const_objs: List[Any] = []   # keep consts alive (id-keyed)
-        self._const_seq = 0
-        self._race = self.interp.race_hook
-        self._deopt_pcs: Set[int] = set()
-        self._field_idx: Dict[int, int] = {}
-        self._bind_fixed()
-        self._resolve_sites()
-        self.entry_set = self._entries()
 
-    # -- environment ---------------------------------------------------
-    def _bind_fixed(self) -> None:
-        ip = self.interp
-        self.env.update(HELPERS)
-        self.env.update(ip.bound)
-        self.env.update(
-            _JVME=JVMError, _Frame=Frame, _Arr=ArrayObj,
-            _RUN=StreamState.RUNNABLE, _NOV=NO_VALUE, _BLK=BLOCK,
-            _jvm=self.jvm,
-            _menter=ip._monitor_enter, _mexit=ip._monitor_exit,
-            _resolve=self.jvm.resolve_method, _native=self.jvm.native,
-            _CACHE=self.agent.cache,
-        )
-        if self._race is not None:
-            self.env["_race"] = self._race
-        dsm = self.jvm.hooks
-        ops = {i.op for i in self.code}
-        if ops & {Op.DSM_READCHECK, Op.DSM_WRITECHECK, Op.DSM_STATICREF,
-                  Op.DSM_ACQUIRE, Op.DSM_RELEASE}:
-            if dsm is None:
-                raise CompileError("DSM op without hooks installed")
-            self.env.update(
-                _readcheck=dsm.read_check, _writecheck=dsm.write_check,
-                _staticref=dsm.static_ref, _acquire=dsm.acquire,
-                _release=dsm.release, _stats=dsm.stats,
-            )
-            from ..dsm.objectstate import ObjState
-            self.env.update(_LOCAL=ObjState.LOCAL, _INVALID=ObjState.INVALID,
-                            _regions=dsm._regions)
-            self._lock_opt = bool(dsm.config.local_lock_opt)
+def _env(agent) -> Dict[str, Any]:
+    """What compiled text names besides its own constants: the shared
+    helpers and this JVM's bound hooks."""
+    jvm = agent.jvm
+    ip = jvm.interpreter
+    env = dict(
+        HELPERS, **ip.bound,
+        _JVME=JVMError, _Frame=Frame, _Arr=ArrayObj,
+        _RUN=StreamState.RUNNABLE, _NOV=NO_VALUE, _BLK=BLOCK, _jvm=jvm,
+        _menter=ip._monitor_enter, _mexit=ip._monitor_exit,
+        _resolve=jvm.resolve_method, _native=jvm.native, _CACHE=agent.cache,
+        _race=ip.race_hook,
+    )
+    dsm = jvm.hooks
+    if dsm is not None:
+        from ..dsm.objectstate import ObjState
+        env.update(
+            _readcheck=dsm.read_check, _writecheck=dsm.write_check,
+            _staticref=dsm.static_ref, _acquire=dsm.acquire,
+            _release=dsm.release, _stats=dsm.stats,
+            _LOCAL=ObjState.LOCAL, _INVALID=ObjState.INVALID,
+            # The engine's live table: arrays promoted after a compile
+            # still resolve.
+            _regions=dsm._regions,
             # Subscribers of the engine's lock_edge point (the race
             # detector's §4.4 local-lock clocks) fire from the inlined
             # fast path too.
-            self.env["_lock_edge"] = dsm.hooks.lock_edge
-            self._lock_edge = bool(dsm.hooks.lock_edge)
-        else:
-            self._lock_opt = False
-            self._lock_edge = False
+            _lock_edge=dsm.hooks.lock_edge,
+        )
+    return env
+
+
+# A read check misses on a header that is absent, INVALID, or a split
+# array's (its regions carry the state); a write check hits on LOCAL.
+_READ_MISS = ("_h is None or _h.state == _INVALID or "
+              "(_h.gid and _h.gid in _regions)")
+
+
+_Text = List[Tuple[int, str]]  # (indent, line) pairs
+
+
+class _Emitter:
+    """Builds the source of one compiled method."""
+
+    def __init__(self, method: MethodInfo, jvm, switches) -> None:
+        self.method = method
+        self.jvm = jvm
+        self.interp: Interpreter = jvm.interpreter
+        self.ana: MethodAnalysis = analyze(method, jvm)
+        self.code = method.code
+        self.lines: _Text = []
+        self.consts: Dict[str, Any] = {}       # name in the text -> object
+        self._const_names: Dict[int, str] = {}
+        self._race, self._lock_opt, self._lock_edge = switches
+        if jvm.hooks is None and DSM_OPS & {i.op for i in self.code}:
+            raise CompileError("DSM op without hooks installed")
+        self._deopt_pcs: Set[int] = set()
+        self._field_idx: Dict[int, int] = {}
+        self._trace: Optional[Trace] = None    # the one being printed
+        self._left: Set[int] = set()           # stack depths at leave sites
+        # Trapping pc of an arm -> instructions counted but not run (an
+        # arm counts a run before it runs); pc of a trace -> instructions
+        # run but not counted (a trace counts at its exits).
+        self._unrun: Dict[int, int] = {}
+        self._traced: Dict[int, int] = {}
+        self._resolve_sites()
+        self.entry_set = self._entries()
 
     def const(self, obj: Any, prefix: str = "K") -> str:
         name = self._const_names.get(id(obj))
         if name is None:
-            name = f"_{prefix}{self._const_seq}"
-            self._const_seq += 1
-            self._const_names[id(obj)] = name
-            self._const_objs.append(obj)
-            self.env[name] = obj
+            name = self._const_names[id(obj)] = f"_{prefix}{len(self.consts)}"
+            self.consts[name] = obj
         return name
 
     def lit(self, v: Any) -> str:
@@ -225,7 +263,7 @@ class _Emitter:
 
     # -- line helpers --------------------------------------------------
     def w(self, ind: int, text: str) -> None:
-        self.lines.append("    " * ind + text)
+        self.lines.append((ind, text))
         if len(self.lines) > _MAX_STATEMENTS or ind > _MAX_INDENT:
             raise CompileError(
                 f"{self.method.klass}.{self.method.name}: method too "
@@ -234,10 +272,7 @@ class _Emitter:
     def _cost(self, instr: Instr) -> int:
         return instr_cost(instr, self.interp.cost_tables)
 
-    def _sync_stack(self, ind: int, pc: int, depth: int,
-                    set_pc: bool = True) -> None:
-        if set_pc:
-            self.w(ind, f"frame.pc = {pc}")
+    def _sync_stack(self, ind: int, depth: int) -> None:
         if depth:
             regs = ", ".join(f"s{i}" for i in range(depth))
             tail = "," if depth == 1 else ""
@@ -251,15 +286,17 @@ class _Emitter:
 
     def _sync(self, ind: int, pc: int, depth: int) -> None:
         """Materialize the interpreter frame at (pc, depth)."""
-        self._sync_stack(ind, pc, depth)
+        self.w(ind, f"frame.pc = {pc}")
+        self._sync_stack(ind, depth)
         self._sync_locals(ind)
 
-    def _leave(self, ind: int, pc: int, depth: int, reason: int,
-               set_pc: bool = True) -> None:
-        """Give the frame at (pc, depth) back to the interpreter: the
-        site stores pc and operand stack, the one epilogue behind the
-        dispatch loop stores the locals and returns ``reason``."""
-        self._sync_stack(ind, pc, depth, set_pc)
+    def _leave(self, ind: int, pc: int, reason: int) -> None:
+        """Give the frame at ``pc`` back to the interpreter: the site
+        says where and why, the one epilogue behind the dispatch loop
+        stores pc, operand stack and locals and returns ``reason``."""
+        self._left.add(self.ana.depth_at[pc])
+        if pc != self._arm:
+            self.w(ind, f"pc = {pc}")
         if reason != R_BUDGET:
             self.w(ind, f"_why = {reason}")
         self.w(ind, "break")
@@ -268,13 +305,26 @@ class _Emitter:
         self.w(ind, "thread.instructions += icount")
         self.w(ind, f"return used, {reason}")
 
-    def _guard_special(self, ind: int, pc: int, depth: int) -> None:
+    def _guard_special(self, ind: int, pc: int) -> None:
         """The interpreter's exact one-instruction budget test."""
         self.w(ind, "if used >= budget:")
-        self._leave(ind + 1, pc, depth, R_BUDGET)
+        self._leave(ind + 1, pc, R_BUDGET)
+
+    def _trap(self, ind: int, pc: int) -> None:
+        """A row that can raise stores where it is first, and the
+        ``except`` epilogue counts the instructions before it: an arm
+        has counted its whole run, a trace (which stores ``~pc``)
+        nothing since its head."""
+        if self._trace is not None:
+            self.w(ind, f"pc = {~pc}")
+            return
+        self._unrun[pc] = self._run_end - pc
+        if pc != self._arm:
+            self.w(ind, f"pc = {pc}")
 
     # ==================================================================
     def compile(self):
+        """``(code object, text, entry pcs, constants)`` of the method."""
         method = self.method
         self.w(0, "def _jit_fn(thread, frame, budget, depth):")
         self.w(1, "used = icount = _why = 0")
@@ -294,41 +344,131 @@ class _Emitter:
                 kw = "elif"
         self.w(1, "try:")
         self.w(2, "while True:")
+        self._traces = self._fitting_traces()
         self._emit_ladder(entries, 0, len(entries), 3)
         self.w(3, "raise RuntimeError('jit: pc %d is not a compiled "
                   "entry of %s.%s' % (pc, "
                   f"{method.klass!r}, {method.name!r}))")
-        # The shared exit epilogue every _leave() breaks to.
+        # The shared exit epilogue every _leave() breaks to.  Its tables
+        # are constants, not text: compile() would hold a node per entry.
+        depths = self.const(tuple(d or 0 for d in self.ana.depth_at), "D")
+        self.w(2, "frame.pc = pc")
+        self.w(2, f"_n = {depths}[pc]")
+        kw = "if"
+        for depth in sorted(self._left):
+            self.w(2, f"{kw} _n == {depth}:")
+            self._sync_stack(3, depth)
+            kw = "elif"
         self._sync_locals(2)
         self._flush_ret(2, "_why")
         # The interpreter records the failure against the *innermost*
         # frame only; _jit_failed keeps nested compiled calls from
         # re-recording it on the way out.
         self.w(1, "except _JVME as exc:")
+        if self._traced:
+            self.w(2, "if pc < 0:")
+            self.w(3, "pc = ~pc")
+            self.w(3, f"icount += {self.const(self._traced, 'T')}[pc]")
+            self.w(2, "else:")
+        self.w(2 + bool(self._traced),
+               f"icount -= {self.const(self._unrun, 'U')}.get(pc, 0)")
         self.w(2, "thread.instructions += icount")
         self.w(2, "if not getattr(exc, '_jit_failed', False):")
         self.w(3, "exc._jit_failed = True")
         self.w(3, "frame.pc = pc")
         self.w(3, "thread.fail(exc, frame.where())")
         self.w(2, "raise")
+        src = "".join(f"{'    ' * ind}{text}\n" for ind, text in self.lines)
+        return (compile(src, f"<jit {method.klass}.{method.name}>", "exec"),
+                src, frozenset(self.entry_set), self.consts)
 
-        src = "\n".join(self.lines) + "\n"
-        # Same-brand JVMs emit byte-identical text (cost literals and
-        # method ids included): compile() once per cluster, exec per JVM.
-        code_cache = self.agent.manager.code_cache
-        code_obj = code_cache.get(src)
-        if code_obj is None:
-            code_obj = code_cache[src] = compile(
-                src, f"<jit {method.klass}.{method.name}>", "exec")
-        ns: Dict[str, Any] = {}
-        exec(code_obj, self.env, ns)  # noqa: S102 - this *is* the JIT
-        fn = ns["_jit_fn"]
-        fn.entries = frozenset(self.entry_set)
-        fn.method = method
-        fn.source = src
-        fn.stats = [0] * N_REASONS
-        fn.consts = self._const_objs
-        return fn
+    # ==================================================================
+    def _fitting_traces(self) -> Dict[int, Tuple[_Text, bool]]:
+        """Head -> what ``_emit_trace`` made of its trace, for the hottest heads — deepest
+        static loop first, then pc order, so the method entry leads its
+        depth — whose text fits ``_TRACE_LINES`` per bytecode."""
+        code = self.code
+        found = traces(self.method, self.interp.cost_tables,
+                       self.ana.branch_targets, self._deopt_pcs)
+        loops = [(branch_target(i), pc) for pc, i in enumerate(code)
+                 if i.op in BRANCHES and branch_target(i) <= pc]
+        room = _TRACE_LINES * max(len(code), 32)
+        out = {}
+        for head in sorted(
+                found.keys() & self.entry_set, key=lambda h: (
+                    -sum(first <= h <= last for first, last in loops), h)):
+            text = self._emit_trace(found[head])
+            room -= len(text[0])
+            if room < 0:
+                break
+            out[head] = text
+            self._traced.update((pc, n) for pc, _, n, _ in found[head].steps)
+        return out
+
+    def _emit_trace(self, t: Trace) -> Tuple[_Text, bool]:
+        """One trace at indent 0, up to the ``else:`` its head's arm goes
+        under, and whether an exit of it goes backwards."""
+        code = self.code
+        arms, self.lines = self.lines, []
+        self._trace, self._loops, self._back = t, False, False
+        self.w(0, f"while used + {t.total} < budget:")
+        d = self.ana.depth_at[t.head]
+        steps = t.steps
+        i = 0
+        while i < len(steps):
+            pc, ns, n, known = steps[i]
+            instr = code[pc]
+            op = instr.op
+            self._at = ns, n     # what an exit from here charges
+            i += 1
+            if op in CHECKS:
+                if not known:
+                    ref = f"s{d - 1 - instr.a}"
+                    miss = (_READ_MISS if op is Op.DSM_READCHECK
+                            else "_h is None or _h.state != _LOCAL")
+                    miss = miss.replace("_h", f"(_h := {ref}.header)", 1)
+                    self.w(1, f"if {ref} is None or {miss}:")
+                    self._jump(2, pc)
+            elif op in BRANCHES or op in TERMINATORS:
+                self._at = ns + self._cost(instr), n + 1
+                if op is not Op.GOTO:
+                    d = self._emit_control(1, pc, instr, d)
+            else:
+                folded = self._folded(steps, i) if op is Op.LOAD else 0
+                if folded:
+                    # LOAD; check; null test; GETFIELD, all but the last
+                    # known: one statement.
+                    i = folded
+                    field = self._field_idx[steps[i - 1][0]]
+                    self.w(1, f"s{d} = l{instr.a}.fields[{field}]")
+                    d += 1
+                else:
+                    d = self._emit_pure(1, pc, instr, d, known)
+        pc, ns, n, _ = steps[-1]
+        if code[pc].op not in (Op.RETURN, Op.RETVAL):
+            self._at = ns + self._cost(code[pc]), n + 1
+            self._jump(1, t.head if t.stop is None else t.stop)
+        self.w(0, "else:")
+        if self._loops:  # the last trip's trap rows left ``~pc``
+            self.w(1, f"pc = {t.head}")
+        self._trace = None
+        text, self.lines = self.lines, arms
+        return text, self._back
+
+    def _folded(self, steps, i: int) -> int:
+        """After a LOAD before ``steps[i]``: the index past ``[known
+        check of it;] GETFIELD past its null test``, else 0."""
+        code = self.code
+        if i < len(steps) and steps[i][3] and \
+                code[steps[i][0]].op is Op.DSM_READCHECK and \
+                code[steps[i][0]].a == 0:
+            i += 1
+        if i < len(steps) and steps[i][3]:
+            access = code[steps[i][0]]
+            if access.op is Op.GETFIELD and not (self._race
+                                                 and access.checked):
+                return i + 1
+        return 0
 
     # ==================================================================
     def _emit_ladder(self, entries: List[int], lo: int, hi: int,
@@ -338,19 +478,52 @@ class _Emitter:
         skip guards.  Siblings are sequential, never ``else``: an arm
         that ends at the next entry in order sets ``pc`` and falls
         through into it, and only a taken branch or a back edge
-        ``continue``s into the O(log arms) descent from the top."""
+        ``continue``s into the O(log arms) descent from the top.  A
+        head's trace stands in front of its arm; what it breaks out of
+        falls forward the same way."""
         while hi - lo > _LEAF_ARMS:
             mid = (lo + hi) // 2
             self.w(ind, f"if pc < {entries[mid]}:")
             self._emit_ladder(entries, lo, mid, ind + 1)
             lo = mid
         for i in range(lo, hi):
-            self.w(ind, f"if pc == {entries[i]}:")
-            self._emit_arm(entries[i], ind + 1,
+            entry = entries[i]
+            self.w(ind, f"if pc == {entry}:")
+            text, back = self._traces.get(entry, ((), False))
+            for rel, line in text:
+                self.w(ind + 1 + rel, line)
+            self._emit_arm(entry, ind + 1 + bool(text),
                            entries[i + 1] if i + 1 < len(entries) else None)
+            if back:
+                self.w(ind + 1, f"if pc < {entry}:")
+                self.w(ind + 2, "continue")
 
     def _jump(self, ind: int, target: int) -> None:
-        """Leave the arm for the arm of ``target``."""
+        """Leave the arm for the arm of ``target``; in a trace, charge
+        what ran, then ``continue`` at its own head or break to fall
+        forward — through the latch block, if ``target`` is one."""
+        t = self._trace
+        if t is not None:
+            ns, n = self._at
+            end = t.latches.get(target)
+            if end is not None:
+                d = self.ana.depth_at[target]
+                for pc in range(target, end):
+                    d = self._emit_pure(ind, pc, self.code[pc], d)
+                ns += sum(map(self._cost, self.code[target:end + 1]))
+                n += end + 1 - target
+                target = branch_target(self.code[end])
+            if ns:
+                self.w(ind, f"used += {ns}")
+            self.w(ind, f"icount += {n}")
+            if target == t.head:
+                self._loops = True
+                self.w(ind, "continue")
+            else:
+                self._back |= target < t.head
+                self.w(ind, f"pc = {target}")
+                self.w(ind, "break")
+            return
         self.w(ind, f"pc = {target}")
         # Falling through is only right when the target's arm is the
         # textually next one and nothing of this arm is left to skip.
@@ -362,6 +535,7 @@ class _Emitter:
         """Tail-duplicate from `entry` until control leaves the arm."""
         code = self.code
         self._falls_into = (ind, next_entry)
+        self._arm = entry
         pc = entry
         d = self.ana.depth_at[entry]
         while True:
@@ -375,7 +549,7 @@ class _Emitter:
                 self._jump(ind, pc)
                 return
             if pc in self._deopt_pcs:
-                self._leave(ind, pc, d, R_DEOPT)
+                self._leave(ind, pc, R_DEOPT)
                 return
             if op in SPECIAL_OPS:
                 res = self._emit_special(ind, pc, instr, d)
@@ -400,9 +574,10 @@ class _Emitter:
                         or code[end].op in SPECIAL_OPS):
                     break
             self.w(ind, f"if used + {total} >= budget:")
-            self._leave(ind + 1, pc, d, R_BUDGET)
+            self._leave(ind + 1, pc, R_BUDGET)
             self.w(ind, f"used += {total}")
             self.w(ind, f"icount += {end - pc}")
+            self._run_end = end
             arm_done = False
             for rpc in range(pc, end):
                 ri = code[rpc]
@@ -419,7 +594,10 @@ class _Emitter:
             pc = end
 
     # -- pure ops ------------------------------------------------------
-    def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int) -> int:
+    def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int,
+                   known: bool = False) -> int:
+        """One pure op; ``known``: its reference already passed a null
+        test on this trip through the trace."""
         op = instr.op
         w = self.w
         if op in SEMANTICS:
@@ -431,7 +609,7 @@ class _Emitter:
             names.update(a=self.lit(instr.a), b=self.lit(instr.b),
                          local=f"l{instr.a}")
             if op in TRAPS:
-                w(ind, f"pc = {pc}")
+                self._trap(ind, pc)
             first, pushed = instantiate(SEMANTICS[op], names)
             for line in first:
                 w(ind, line)
@@ -443,33 +621,37 @@ class _Emitter:
                 w(ind, f"{', '.join(regs)} = {', '.join(values)}")
             return base + pushes
         if op is Op.GETFIELD:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 1} is None:")
-            w(ind + 1, f"raise _NPE('getfield {instr.a}.{instr.b}')")
+            if not known:
+                self._trap(ind, pc)
+                w(ind, f"if s{d - 1} is None:")
+                w(ind + 1, f"raise _NPE('getfield {instr.a}.{instr.b}')")
             self._emit_race(ind, pc, instr, f"s{d - 1}",
                             repr(instr.b), "False")
             w(ind, f"s{d - 1} = s{d - 1}.fields[{self._field_idx[pc]}]")
             return d
         if op is Op.PUTFIELD:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 2} is None:")
-            w(ind + 1, f"raise _NPE('putfield {instr.a}.{instr.b}')")
+            if not known:
+                self._trap(ind, pc)
+                w(ind, f"if s{d - 2} is None:")
+                w(ind + 1, f"raise _NPE('putfield {instr.a}.{instr.b}')")
             self._emit_race(ind, pc, instr, f"s{d - 2}",
                             repr(instr.b), "True")
             w(ind, f"s{d - 2}.fields[{self._field_idx[pc]}] = s{d - 1}")
             return d - 2
         if op is Op.ARRLOAD:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 2} is None:")
-            w(ind + 1, "raise _NPE('arrload on null')")
+            self._trap(ind, pc)
+            if not known:
+                w(ind, f"if s{d - 2} is None:")
+                w(ind + 1, "raise _NPE('arrload on null')")
             self._emit_race(ind, pc, instr, f"s{d - 2}", f"s{d - 1}",
                             "False")
             w(ind, f"s{d - 2} = s{d - 2}.get(s{d - 1})")
             return d - 1
         if op is Op.ARRSTORE:
-            w(ind, f"pc = {pc}")
-            w(ind, f"if s{d - 3} is None:")
-            w(ind + 1, "raise _NPE('arrstore on null')")
+            self._trap(ind, pc)
+            if not known:
+                w(ind, f"if s{d - 3} is None:")
+                w(ind + 1, "raise _NPE('arrstore on null')")
             self._emit_race(ind, pc, instr, f"s{d - 3}", f"s{d - 2}",
                             "True")
             w(ind, f"s{d - 3}.set(s{d - 2}, s{d - 1})")
@@ -482,7 +664,7 @@ class _Emitter:
                    slot: str, is_write: str) -> None:
         # Mirror the interpreter's race observer exactly: only when a
         # detector is installed and the access carries a check brand.
-        if self._race is None or not instr.checked:
+        if not (self._race and instr.checked):
             return
         iname = self.const(instr, "I")
         self.w(ind, f"frame.pc = {pc}")
@@ -505,7 +687,7 @@ class _Emitter:
             elif cond == "ne":
                 w(ind, f"if not (s{d - 1} == 0 or s{d - 1} is None):")
             else:
-                w(ind, f"pc = {pc}")
+                self._trap(ind, pc)
                 w(ind, f"if s{d - 1} is None:")
                 w(ind + 1, f"raise _NPE('ordered compare on null "
                            f"({cond})')")
@@ -520,6 +702,9 @@ class _Emitter:
             return d - 2
         if op in (Op.RETURN, Op.RETVAL):
             val = f"s{d - 1}" if op is Op.RETVAL else "None"
+            if self._trace is not None:
+                w(ind, f"used += {self._at[0]}")
+                w(ind, f"icount += {self._at[1]}")
             w(ind, "thread.frames.pop()")
             w(ind, "if not thread.frames:")
             w(ind + 1, f"thread.finish({val})")
@@ -536,30 +721,14 @@ class _Emitter:
     def _emit_special(self, ind: int, pc: int, instr: Instr,
                       d: int) -> Optional[int]:
         """One blocking-capable op; returns depth after, None = arm ends."""
-        op = instr.op
-        if op is Op.DSM_READCHECK:
-            return self._emit_readcheck(ind, pc, instr, d)
-        if op is Op.DSM_WRITECHECK:
-            return self._emit_writecheck(ind, pc, instr, d)
-        if op is Op.DSM_STATICREF:
-            return self._emit_staticref(ind, pc, instr, d)
-        if op is Op.DSM_ACQUIRE:
-            return self._emit_acquire(ind, pc, instr, d)
-        if op is Op.DSM_RELEASE:
-            return self._emit_release(ind, pc, instr, d)
-        if op is Op.MONITORENTER:
-            return self._emit_monitorenter(ind, pc, instr, d)
-        if op is Op.MONITOREXIT:
-            return self._emit_monitorexit(ind, pc, instr, d)
-        if op in INVOKES:
-            return self._emit_invoke(ind, pc, instr, d)
-        raise CompileError(f"unhandled special {op.name}")
+        name = "invoke" if instr.op in INVOKES else instr.op.name.lower()
+        emit = getattr(self, "_emit_" + name.replace("dsm_", ""))
+        return emit(ind, pc, instr, d)
 
     def _emit_readcheck(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
+        self._guard_special(ind, pc)
         a = instr.a
-        w(ind, f"pc = {pc}")
         w(ind, f"_r = s{d - 1 - a}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('read check on null')")
@@ -570,8 +739,7 @@ class _Emitter:
         # table, so arrays promoted after this compile still resolve)
         # calls the handler.
         w(ind, "_h = _r.header")
-        w(ind, "if _h is None or _h.state == _INVALID or "
-               "(_h.gid and _h.gid in _regions):")
+        w(ind, f"if {_READ_MISS}:")
         w(ind + 1, f"frame.pc = {pc}")
         idx = (f"(s{d - a} if isinstance(_r, _Arr) else None)"
                if a >= 1 else "None")
@@ -580,7 +748,7 @@ class _Emitter:
         w(ind + 1, "if not _ok:")
         w(ind + 2, "icount += 1")
         w(ind + 2, "thread.block(reexec=True, reason='read miss')")
-        self._leave(ind + 2, pc, d, R_BLOCK_READ, set_pc=False)
+        self._leave(ind + 2, pc, R_BLOCK_READ)
         if cost:
             w(ind, "else:")
             w(ind + 1, f"used += {cost}")
@@ -589,9 +757,8 @@ class _Emitter:
 
     def _emit_writecheck(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
+        self._guard_special(ind, pc)
         a = instr.a
-        w(ind, f"pc = {pc}")
         w(ind, f"frame.pc = {pc}")
         w(ind, f"_r = s{d - 1 - a}")
         w(ind, "if _r is None:")
@@ -605,13 +772,12 @@ class _Emitter:
         w(ind, "icount += 1")
         w(ind, "if not _ok:")
         w(ind + 1, "thread.block(reexec=True, reason='write miss')")
-        self._leave(ind + 1, pc, d, R_BLOCK_WRITE, set_pc=False)
+        self._leave(ind + 1, pc, R_BLOCK_WRITE)
         return d
 
     def _emit_staticref(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
-        w(ind, f"pc = {pc}")
+        self._guard_special(ind, pc)
         w(ind, f"frame.pc = {pc}")
         w(ind, f"_r, _x = _staticref(thread, {instr.a!r})")
         cost = self._cost(instr)
@@ -620,14 +786,13 @@ class _Emitter:
         w(ind, "if _r is None:")
         w(ind + 1, "thread.block(reexec=True, "
                    "reason='static holder miss')")
-        self._leave(ind + 1, pc, d, R_BLOCK_STATIC, set_pc=False)
+        self._leave(ind + 1, pc, R_BLOCK_STATIC)
         w(ind, f"s{d} = _r")
         return d + 1
 
     def _emit_acquire(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
-        w(ind, f"pc = {pc}")
+        self._guard_special(ind, pc)
         w(ind, f"_r = s{d - 1}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('acquire on null')")
@@ -667,8 +832,7 @@ class _Emitter:
 
     def _emit_release(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
-        w(ind, f"pc = {pc}")
+        self._guard_special(ind, pc)
         w(ind, f"_r = s{d - 1}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('release on null')")
@@ -700,8 +864,7 @@ class _Emitter:
 
     def _emit_monitorenter(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
-        w(ind, f"pc = {pc}")
+        self._guard_special(ind, pc)
         w(ind, f"_r = s{d - 1}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('monitorenter on null')")
@@ -715,8 +878,7 @@ class _Emitter:
 
     def _emit_monitorexit(self, ind, pc, instr, d):
         w = self.w
-        self._guard_special(ind, pc, d)
-        w(ind, f"pc = {pc}")
+        self._guard_special(ind, pc)
         w(ind, f"_r = s{d - 1}")
         w(ind, "if _r is None:")
         w(ind + 1, "raise _NPE('monitorexit on null')")
@@ -730,16 +892,14 @@ class _Emitter:
         static_m = self.ana.invoke_targets[pc]
         n = static_m.nargs
         base = self._cost(instr)
-        self._guard_special(ind, pc, d)
+        self._guard_special(ind, pc)
         w = self.w
         if instr.op is Op.INVOKEVIRTUAL:
             p = len(static_m.params)
             w(ind, f"_rcv = s{d - 1 - p}")
             w(ind, "if _rcv is None:")
-            w(ind + 1, f"pc = {pc}")
             w(ind + 1, f"raise _NPE('invoke {instr.a}.{instr.b} "
                        f"on null')")
-            w(ind, f"pc = {pc}")
             w(ind, "if isinstance(_rcv, str):")
             w(ind + 1, f"_t = _resolve({self.jvm.string_class!r}, "
                        f"{instr.b!r})")
@@ -759,13 +919,11 @@ class _Emitter:
             return d - n + (0 if static_m.ret == "void" else 1)
         # INVOKESTATIC / INVOKESPECIAL: target known at compile time.
         tname = self.const(static_m, "M")
-        w(ind, f"pc = {pc}")
         w(ind, f"_t = {tname}")
         if static_m.is_native:
             self._emit_native(ind, pc, d, n, static_m, base,
                               pure=_is_pure_native(static_m))
         else:
-            self.agent.methods[id(static_m)] = static_m
             self._emit_direct_call(ind, pc, d, n, static_m, base,
                                    cache_key=str(id(static_m)),
                                    target_expr=tname)
@@ -818,7 +976,7 @@ class _Emitter:
                f"{_MAX_CALL_DEPTH}:")
         # R_CALL: nothing charged, nothing popped — the manager's one
         # forced interpreter step re-executes the whole invoke exactly.
-        self._leave(ind + 1, pc, d, R_CALL)
+        self._leave(ind + 1, pc, R_CALL)
         self._sync(ind, pc, d - n)
         w(ind, f"used += {base}")
         w(ind, "icount += 1")
@@ -836,5 +994,24 @@ class _Emitter:
 
 
 def compile_method(method: MethodInfo, agent):
-    """Compile one method for one worker's JVM; raises CompileError."""
-    return _Emitter(method, agent).compile()
+    """Compile one method for one worker's JVM; raises CompileError.
+    The text depends on the method, the brand's costs and three
+    switches: it is emitted and compiled once per runtime for each such
+    key, and every JVM execs the shared code object over its own hooks."""
+    jvm = agent.jvm
+    switches = _switches(jvm)
+    code_cache = agent.manager.code_cache
+    key = (id(method), tuple(sorted(jvm.cost_model.costs.items())), switches)
+    emitted = code_cache.get(key)
+    if emitted is None:
+        emitted = code_cache[key] = _Emitter(method, jvm, switches).compile()
+    code_obj, src, entries, consts = emitted
+    ns: Dict[str, Any] = {}
+    exec(code_obj, {**_env(agent), **consts}, ns)  # noqa: S102 - the JIT
+    fn = ns["_jit_fn"]
+    fn.entries = entries
+    fn.method = method
+    fn.source = src
+    fn.stats = [0] * N_REASONS
+    fn.consts = consts
+    return fn

@@ -4,8 +4,9 @@ One :class:`JitManager` attaches to the runtime (same pattern as the
 ft/locality/policy/race/obs managers); it installs one :class:`JitAgent`
 per worker.  The agent owns the per-node code cache — ``MethodInfo``
 objects are *shared* across worker JVMs (one ``RewriteResult``), so the
-cache is keyed by ``id(method)`` per agent, and each agent compiles its
-own specialization bound to its own JVM's hooks and heap.
+cache is keyed by ``id(method)`` per agent, and each agent holds its own
+function bound to its own JVM's hooks and heap; the text and code object
+behind it are emitted once per brand (``JitManager.code_cache``).
 
 Tier 0 is the unmodified interpreter.  Tier 1 is the codegen'd Python
 function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
@@ -215,6 +216,8 @@ class JitAgent:
                 "tier": 1,
                 "exits": {REASON_NAMES[i]: n
                           for i, n in enumerate(fn.stats) if n},
+                "lines": fn.source.count("\n"),
+                "bytecodes": len(fn.method.code),
             }
         return {
             "node": self.worker.node_id,
@@ -234,9 +237,10 @@ class JitManager:
         self.runtime = runtime
         self.threshold = runtime.config.jit_threshold
         self.agents: List[JitAgent] = []
-        # Emitted source text -> code object, shared by every agent of
-        # this runtime (same-brand JVMs emit identical text).
-        self.code_cache: Dict[str, Any] = {}
+        # (method, brand costs, text switches) -> what the emitter made
+        # of it, shared by every agent of this runtime: a same-brand JVM
+        # only execs the code object over its own hooks.
+        self.code_cache: Dict[Any, Any] = {}
         # Wall-clock registry (obs attaches before jit; None w/o knob).
         obs = getattr(runtime, "obs", None)
         self.wall = None if obs is None else obs.wallclock
@@ -300,7 +304,7 @@ class JitManager:
         methods: Dict[str, Dict[str, Any]] = {}
         for rep in per_node:
             for name, info in rep["methods"].items():
-                agg = methods.setdefault(name, {"tier": 1, "exits": {}})
+                agg = methods.setdefault(name, {**info, "exits": {}})
                 for r, n in info["exits"].items():
                     agg["exits"][r] = agg["exits"].get(r, 0) + n
         out: Dict[str, Any] = {

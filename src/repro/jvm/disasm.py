@@ -7,7 +7,9 @@ instrumentation did (the paper's Figure 2/3, regenerable for any class).
 With ``costs=<brand>`` the listing additionally shows what each tier
 runs: every straight-line run of pure ops is bracketed with its
 pre-summed simulated cost (the one addition tier-1 code charges at run
-entry), every run tier 0 fuses with what its one handler bills, and
+entry), every trace with what its one budget test pre-charges and how
+many of its checks are already proven when reached, every run tier 0
+fuses with what its one handler bills, and
 check-elimination notes (``method.elim_notes``, written by the level-1/2
 passes) annotate the instructions whose access checks were removed or
 hoisted.
@@ -45,6 +47,23 @@ def format_instr(pc: int, instr: Instr) -> str:
     return " ".join(parts)
 
 
+def _describe_trace(method: MethodInfo, trace) -> str:
+    """``trace pc 81..134 (+143..147): 3653 ns pre-charged, 6 of 12
+    checks proven`` — the line from the head, then the latch blocks it
+    runs through."""
+    from ..jit.analysis import CHECKS
+    pcs = [pc for pc, *_ in trace.steps]
+    cut = next((k for k in range(1, len(pcs)) if pcs[k] != pcs[k - 1] + 1),
+               len(pcs))
+    latches = set(trace.latches.items()) | {(pc, pcs[-1]) for pc in pcs[cut:cut + 1]}
+    proven = [known for pc, _, _, known in trace.steps
+              if method.code[pc].op in CHECKS]
+    return (f"trace pc {pcs[0]}..{pcs[cut - 1]}"
+            + "".join(f" (+{a}..{b})" for a, b in sorted(latches))
+            + f": {trace.total} ns pre-charged, {sum(proven)} of "
+              f"{len(proven)} checks proven")
+
+
 def disassemble_method(method: MethodInfo,
                        costs: Optional[CostTables] = None) -> str:
     flags = " ".join(sorted(method.flags))
@@ -55,13 +74,16 @@ def disassemble_method(method: MethodInfo,
     lines = [header, f"    max_locals={method.max_locals}"]
     targets = branch_targets(method.code)
     elim_notes = getattr(method, "elim_notes", None) or {}
-    run_start, fused = {}, {}
+    run_start, fused, traced = {}, {}, {}
     if costs is not None:
-        from ..jit.analysis import pre_summed_runs
+        from ..jit.analysis import pre_summed_runs, traces
         fused = dict(fused_runs(method.code))
         for start, end, total in pre_summed_runs(method, costs):
             run_start[start] = (end, total)
+        traced = traces(method, costs)
     for pc, instr in enumerate(method.code):
+        if pc in traced:
+            lines.append("      ; " + _describe_trace(method, traced[pc]))
         run = run_start.get(pc)
         if run is not None:
             end, total = run

@@ -13,6 +13,8 @@ with golden interpreter-vs-compiled runs.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from typing import Dict, Tuple
 
 import pytest
@@ -20,8 +22,10 @@ import pytest
 from repro.check.runner import DEFAULT_JITTER_NS, app_source, run_check
 from repro.dsm.protocol import DsmConfig
 from repro.jit import REASON_NAMES, N_REASONS
-from repro.jit.analysis import SPECIAL_OPS
+from repro.jit.analysis import CHECKS, SPECIAL_OPS, traces
+from repro.jvm import Instr, MethodInfo
 from repro.jvm.bytecode import BRANCHES, Op
+from repro.jvm.disasm import resolve_cost_tables
 from repro.jvm.errors import ArithmeticJavaError
 from repro.jvm.heap import ArrayObj, Obj
 from repro.lang import compile_source
@@ -265,20 +269,30 @@ class BoomMain {
 }
 """
 
+# The same failure behind a branch: ``hot`` then runs as one trace.
+TRACED_FAILING_SOURCE = FAILING_SOURCE.replace(
+    "return %s;", "if (d < 9) { return %s; } return 0;")
+
 # Expression over ``d`` that fails at d == 0 -> the error's message.
-# The last two used to leak OverflowError / ValueError out of the engine.
+# The middle two used to leak OverflowError / ValueError out of the
+# engine; the last fails in the middle of a pre-summed run.
 FAILING_EXPRS = {
     "100 / d": "/ by zero",
     "(int) (1.0 / d)": "(int) of infinite double",
     "1 << (d - 1)": "negative shift count",
+    "100 / d + d * 3 - d": "/ by zero",
 }
 
 
-def run_source(source: str, jit: bool, **overrides):
+def source_runtime(source: str, jit: bool, **overrides):
     config = RuntimeConfig(num_nodes=2, seed=0, jit_enable=jit,
                            jit_threshold=1, **overrides)
     rewritten = rewrite_application(compile_source(source))
-    runtime = JavaSplitRuntime(rewritten, config)
+    return JavaSplitRuntime(rewritten, config)
+
+
+def run_source(source: str, jit: bool, **overrides):
+    runtime = source_runtime(source, jit, **overrides)
     return runtime.run(), runtime
 
 
@@ -293,18 +307,30 @@ def test_golden_opcode_edges():
     assert jit.jit["exit_reasons"].get("return", 0) > 0
 
 
+def failing_run(source: str, jit: bool):
+    runtime = source_runtime(source, jit)
+    with pytest.raises(ArithmeticJavaError) as failure:
+        runtime.run()
+    return runtime, str(failure.value), [
+        t.instructions for w in runtime.workers for t in w.jvm.threads]
+
+
 def test_golden_exception_identical():
     """A JVMError raised from compiled code must fail the thread with
-    the interpreter's exact message (same pc, same frame.where())."""
-    for expr, message in FAILING_EXPRS.items():
-        source = FAILING_SOURCE % expr
-        with pytest.raises(ArithmeticJavaError) as base_exc:
-            run_source(source, jit=False)
-        with pytest.raises(ArithmeticJavaError) as jit_exc:
-            run_source(source, jit=True)
-        assert str(jit_exc.value) == str(base_exc.value), expr
-        assert str(base_exc.value).startswith(
-            message + " at javasplit.Boom.hot pc="), expr
+    the interpreter's exact message (same pc, same frame.where()) and
+    having counted the instructions before it — in an arm, which counts
+    a run before running it, and in a trace, which counts at its exits."""
+    for template, expr in itertools.product(
+            (FAILING_SOURCE, TRACED_FAILING_SOURCE), FAILING_EXPRS):
+        _, base_error, base_count = failing_run(template % expr, jit=False)
+        runtime, error, count = failing_run(template % expr, jit=True)
+        assert error == base_error, expr
+        assert count == base_count, expr
+        assert error.startswith(
+            FAILING_EXPRS[expr] + " at javasplit.Boom.hot pc="), expr
+        (hot,) = compiled_fns(runtime)["javasplit.Boom.hot"]
+        assert ("while used" in hot.source) == (
+            template is TRACED_FAILING_SOURCE), expr
 
 
 TAIL_FAILING_SOURCE = """
@@ -352,6 +378,17 @@ PARENT_ENTRY_COUNTS = {
 }
 
 
+# Emitted lines per compiled method at the parent commit (arms only).
+# ``compile()`` holds ~2.75 KB per line until it returns, so the largest
+# text is the process's peak RSS: a layout change may add a fifth.
+PARENT_LINES = {
+    "javasplit.SeriesWorker.f": 97, "javasplit.SeriesWorker.integrate": 805,
+    "javasplit.TspWorker.run": 1925, "javasplit.TspWorker.search": 1565,
+    "javasplit.RtWorker.trace": 1672, "javasplit.ReqQueue.put": 618,
+    "javasplit.ReqQueue.take": 558, "javasplit.Stripe.record": 496,
+}
+
+
 def entry_set(method) -> set:
     """Where a compiled function must be enterable: method entry, branch
     targets, each special op and its successor (none of these apps has
@@ -386,11 +423,28 @@ def test_every_compiled_method_is_a_ladder_over_the_parents_entries(app):
             assert "elif pc ==" not in fn.source, name
             assert fn.entries == entry_set(fn.method), name
             assert len(fn.entries) == PARENT_ENTRY_COUNTS[name]
+            assert fn.source.count("\n") <= 1.2 * PARENT_LINES[name], name
             # Ascending pc order is what makes falling through right.
             arms = [int(line.split("==")[1].rstrip(":"))
                     for line in fn.source.splitlines()
                     if line.lstrip().startswith("if pc == ")]
             assert arms == sorted(fn.entries), name
+
+
+def test_traces_are_cut_hottest_first(monkeypatch):
+    """A method's traces fit ``_TRACE_LINES`` lines per bytecode or go,
+    the deepest static loop last and the method entry after it; the
+    arms behind them do not care which."""
+    for per_bytecode, kept in (1, [0, 81, 136]), (0.7, [81]), (0, []):
+        monkeypatch.setattr("repro.jit.codegen._TRACE_LINES", per_bytecode)
+        runtime, report = run_runtime("tsp", jit=True)
+        lines = compiled_fns(runtime)[
+            "javasplit.TspWorker.search"][0].source.splitlines()
+        assert [int(lines[i - 1].split("==")[1].rstrip(":"))
+                for i, line in enumerate(lines)
+                if line.lstrip().startswith("while used + ")] == kept
+        steps = sum(node["interp_steps"] for node in report.jit["nodes"])
+        assert (report.jit["exit_reasons"], steps) == PARENT_EXITS["tsp", None]
 
 
 def test_reference_equality_is_pythons_default():
@@ -468,14 +522,255 @@ def test_compiled_read_miss_blocks_where_the_interpreter_does():
     assert report.jit["exit_reasons"]["block_read"] >= len(from_compiled) > 0
 
 
-def test_same_brand_jvms_share_one_code_object():
-    runtime, report = run_runtime("tsp", jit=True)        # 3 x sun
-    fns = compiled_fns(runtime)
-    assert len(runtime.jit.code_cache) == len(fns)
-    assert report.jit["compiles"] == sum(map(len, fns.values())) > len(fns)
-    for per_jvm in fns.values():
-        assert len({fn.__code__ for fn in per_jvm}) == 1
-        assert len({id(fn.__globals__) for fn in per_jvm}) == len(per_jvm)
+def test_same_brand_jvms_share_one_code_object(monkeypatch):
+    """The emitter runs once per (method, brand) of a runtime; a JVM of
+    a brand already seen only execs the code object over its hooks."""
+    from repro.jit.codegen import _Emitter
+
+    emitted = []
+    emit = _Emitter.compile
+    monkeypatch.setattr(_Emitter, "compile", lambda self: (
+        emitted.append(self.method.name), emit(self))[1])
+    for brands, texts in (("sun", "sun", "sun"), 1), (("sun", "ibm", "sun"), 2):
+        del emitted[:]
+        runtime, report = run_runtime("tsp", jit=True, brands=brands)
+        fns = compiled_fns(runtime)
+        assert len(emitted) == len(runtime.jit.code_cache) == texts * len(fns)
+        assert report.jit["compiles"] == sum(map(len, fns.values())) > len(fns)
+        for per_jvm in fns.values():
+            assert len({fn.__code__ for fn in per_jvm}) == texts
+            assert len({id(fn.source) for fn in per_jvm}) == texts
+            assert len({id(fn.__globals__) for fn in per_jvm}) == len(per_jvm)
+
+
+# ---------------------------------------------------------------------------
+# What a trace may assume
+# ---------------------------------------------------------------------------
+SWEEP_SOURCE = """
+class Cell { int v; int[] a; }
+class Loop {
+    Cell c;
+    int run(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++) {
+            if (c.a[i % 4] > 1) { s += c.v; }
+            c.a[i % 4] = (s + i) % 5;
+        }
+        return s + c.v;
+    }
+}
+class Main {
+    static int main() {
+        Loop l = new Loop();
+        l.c = new Cell();
+        l.c.v = 3;
+        l.c.a = new int[4];
+        int t = 0;
+        for (int k = 0; k < 3; k++) { t += l.run(6 + k); }
+        return t;
+    }
+}
+"""
+
+# quantum_ns -> exits and interpreter steps of SWEEP_SOURCE at the
+# parent commit (arms only), and a digest over the rows of all 403
+# quanta: a trace may move neither a budget exit nor a resume.
+PARENT_SWEEP = {
+    1: ({"budget": 225, "call_exit": 4}, 782),
+    7: ({"budget": 199, "call_exit": 4}, 753),
+    60: ({"budget": 163, "call_exit": 4, "return": 4}, 614),
+    150: ({"budget": 155, "call_exit": 4, "return": 4}, 588),
+    400: ({"budget": 91, "call_exit": 4, "return": 5}, 431),
+    997: ({"budget": 39, "call_exit": 4, "return": 4}, 133),
+    4999: ({"budget": 8, "call_exit": 4, "return": 7}, 48),
+    50000: ({"call_exit": 4, "return": 5}, 4),
+}
+PARENT_SWEEP_DIGEST = "46266fabb6f37b5c"
+
+
+def test_budget_sweep_a_trace_moves_no_exit():
+    """Every quantum from 1 to 400 ns (each trace of ``Loop.run`` is
+    entered with every remainder of the budget, its guard failing at
+    every prefix) and three long ones: result, simulated time and
+    per-thread instructions are the interpreter's, the exit histogram
+    and interpreter steps the parent's."""
+    rewritten = rewrite_application(compile_source(SWEEP_SOURCE))
+    digest = hashlib.sha256()
+    for quantum_ns in (*range(1, 401), 997, 4999, 50000):
+        seen = []
+        for jit in (False, True):
+            runtime = JavaSplitRuntime(rewritten, RuntimeConfig(
+                num_nodes=2, seed=0, jit_enable=jit, jit_threshold=1,
+                quantum_ns=quantum_ns))
+            report = runtime.run()
+            seen.append((report.result, report.simulated_ns,
+                         [t.instructions for w in runtime.workers
+                          for t in w.jvm.threads]))
+        assert seen[0] == seen[1], quantum_ns
+        assert seen[0][0] == 36
+        exits = report.jit["exit_reasons"]
+        steps = sum(node["interp_steps"] for node in report.jit["nodes"])
+        if quantum_ns in PARENT_SWEEP:
+            assert (exits, steps) == PARENT_SWEEP[quantum_ns]
+        digest.update(repr((quantum_ns, sorted(exits.items()),
+                            steps)).encode())
+    (run,) = compiled_fns(runtime)["javasplit.Loop.run"]
+    assert "while used" in run.source and "continue" in run.source
+    assert digest.hexdigest()[:16] == PARENT_SWEEP_DIGEST
+
+
+def trace_of(code, head=0):
+    """The trace from ``head`` of a static ``T.m(Cell, Cell)``."""
+    method = MethodInfo("m", ["Cell", "Cell"], "int", code=code,
+                        flags={"static"}, klass="T")
+    return traces(method, resolve_cost_tables("sun"))[head]
+
+
+def line_of(code, head=0):
+    """``[(op, known), ...]`` of the checks and field reads on it."""
+    return [(code[pc].op, known)
+            for pc, _, _, known in trace_of(code, head).steps
+            if code[pc].op in CHECKS or code[pc].op is Op.GETFIELD]
+
+
+def read_v(local):
+    """``<local>.v`` under its read check, value left on the stack."""
+    return [Instr(Op.LOAD, local), Instr(Op.DSM_READCHECK, 0),
+            Instr(Op.GETFIELD, "Cell", "v", checked=True)]
+
+
+RC, GF = Op.DSM_READCHECK, Op.GETFIELD
+TAIL = [Instr(Op.ADD), Instr(Op.RETVAL)]
+
+
+def test_value_numbering_keeps_a_check_it_cannot_prove():
+    # The same local twice: the second check and both null tests go.
+    assert line_of(read_v(0) + read_v(0) + TAIL) == [
+        (RC, False), (GF, True), (RC, True), (GF, True)]
+    # A copy of the checked value is the checked value ...
+    assert line_of(read_v(0) + [Instr(Op.LOAD, 0), Instr(Op.STORE, 1)]
+                   + read_v(1) + TAIL)[2:] == [(RC, True), (GF, True)]
+    # ... a STORE over the checked local, or an IINC of it, is not.
+    for clobber in ([Instr(Op.LOAD, 1), Instr(Op.STORE, 0)],
+                    [Instr(Op.IINC, 0, 1)]):
+        assert line_of(read_v(0) + clobber + read_v(0) + TAIL)[2:] == [
+            (RC, False), (GF, True)]
+    # A write check proves the null test, not the read check.
+    assert line_of([Instr(Op.LOAD, 0), Instr(Op.CONST, 1),
+                    Instr(Op.DSM_WRITECHECK, 1),
+                    Instr(Op.PUTFIELD, "Cell", "v", checked=True)]
+                   + read_v(0) + read_v(0) + TAIL) == [
+        (Op.DSM_WRITECHECK, False), (RC, False), (GF, True),
+        (RC, True), (GF, True)]
+    # A call, an acquire and a static-ref end the line: what follows is
+    # another trace, which knows nothing.
+    for special in ([Instr(Op.INVOKESTATIC, "T", "m")],
+                    [Instr(Op.LOAD, 1), Instr(Op.DSM_ACQUIRE)],
+                    [Instr(Op.DSM_STATICREF, "T"), Instr(Op.POP)]):
+        code = read_v(0) + special + read_v(0) + read_v(0) + [
+            Instr(Op.ADD)] + TAIL
+        assert line_of(code) == [(RC, False), (GF, True)]
+        after = 3 + len(special) - (special[-1].op is Op.POP)
+        assert line_of(code, head=after)[:3] == [
+            (RC, False), (GF, True), (RC, True)]
+    # A loop that closes on its own head re-proves per trip.
+    loop = read_v(0) + [Instr(Op.POP)] + read_v(0) + [
+        Instr(Op.IF, "eq", 9), Instr(Op.GOTO, 0), Instr(Op.CONST, 0),
+        Instr(Op.RETVAL)]
+    assert line_of(loop) == [(RC, False), (GF, True), (RC, True), (GF, True)]
+    assert trace_of(loop).stop is None
+
+
+TWO_OBJECTS_SOURCE = """
+class Cell { int v; }
+class Reader extends Thread {
+    Cell a; Cell b;
+    int got;
+    Reader(Cell a, Cell b) { this.a = a; this.b = b; }
+    void run() {
+        int s = 0;
+        for (int i = 0; i < 3; i++) { s += a.v + b.v; }
+        got = s;
+    }
+}
+class Main {
+    static int main() {
+        Cell a = new Cell();
+        Cell b = new Cell();
+        a.v = 40;
+        b.v = 2;
+        Reader[] rs = new Reader[3];
+        for (int i = 0; i < 3; i++) { rs[i] = new Reader(a, b); rs[i].start(); }
+        int total = 0;
+        for (int i = 0; i < 3; i++) { rs[i].join(); total += rs[i].got; }
+        return total;
+    }
+}
+"""
+
+
+def test_a_miss_inside_a_trace_blocks_at_the_arms_pc():
+    """``b`` is the second object on the loop's trace: its miss leaves
+    the trace for the check's arm, which blocks where the interpreter
+    does, having charged what the interpreter charged."""
+    seen = {}
+    for jit in (False, True):
+        runtime = source_runtime(TWO_OBJECTS_SOURCE, jit)
+        fetches = []
+        for worker in runtime.workers:
+            worker.dsm.hooks.block.append(
+                lambda thread, kind, *_, fetches=fetches: kind == "fetch"
+                and fetches.append(thread.frames[-1].where()))
+        report = runtime.run()
+        assert report.result == 3 * 3 * 42
+        seen[jit] = (fetches, report.simulated_ns,
+                     final_state(runtime)["instructions"])
+    assert seen[True] == seen[False]
+    assert sum("Reader.run" in where for where in seen[True][0]) >= 2
+    (run, *_) = compiled_fns(runtime)["javasplit.Reader.run"]
+    assert "while used" in run.source
+
+
+def test_a_split_array_is_never_proven():
+    """Every read check of a split array's element goes to the engine,
+    region by region — from an arm, never folded into a trace's hit
+    test or skipped as already passed: the handler sees a split array
+    as often as under the interpreter."""
+    calls = {}
+    for jit in (False, True):
+        config = RuntimeConfig(num_nodes=3, seed=0, jit_enable=jit,
+                               net_jitter_ns=DEFAULT_JITTER_NS,
+                               jit_threshold=1,
+                               dsm=DsmConfig(array_region_elems=4))
+        runtime = JavaSplitRuntime(rewrite_application(
+            compile_source(app_source("tsp"))), config)
+        count = calls[jit] = []
+        for worker in runtime.workers:
+            def counted(thread, ref, index=None, dsm=worker.dsm,
+                        real=worker.dsm.read_check):
+                if ref.header is not None and ref.header.gid in dsm._regions:
+                    count.append(index)
+                return real(thread, ref, index)
+            worker.dsm.read_check = counted
+        runtime.run()
+    assert sorted(calls[True], key=repr) == sorted(calls[False], key=repr)
+    assert len(calls[True]) > 1000
+
+
+def test_the_race_observer_sees_every_checked_access_of_a_trace():
+    seen = {}
+    for jit in (False, True):
+        runtime = source_runtime(SWEEP_SOURCE, jit)
+        observed = seen[jit] = []
+        for worker in runtime.workers:
+            worker.jvm.interpreter.race_hook = (
+                lambda thread, ref, slot, is_write, frame, instr:
+                observed.append((frame.where(), slot, is_write)))
+        assert runtime.run().result == 36
+    assert seen[True] == seen[False] and len(seen[True]) > 100
+    (run,) = compiled_fns(runtime)["javasplit.Loop.run"]
+    traced = run.source[run.source.index("while used"):]
+    assert "_race(" in traced[:traced.index("else:")]
 
 
 # ---------------------------------------------------------------------------

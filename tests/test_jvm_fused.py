@@ -97,7 +97,8 @@ def _gen_thread(jvm):
     cells = jvm.new_array("int", 8)
     cells.data[:] = [5, -2, 0, 7, 1, 1, -9, 4]
     method = jvm.resolve_method("Gen", "run")
-    return JThread(jvm, Frame(method, [gen, box, cells, 2]))
+    return JThread(jvm, Frame(method, [gen, box, jvm.new_instance("Box"),
+                                       cells, 2]))
 
 
 @settings(max_examples=10, deadline=None,

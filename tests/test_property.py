@@ -568,7 +568,7 @@ def test_lrc_counter_coherence(ncells, threads, reps, nodes):
 _GEN_SRC = """
 class Box { int fi; double fd; }
 class Gen {
-    int run(Box box, int[] cells, int n) {
+    int run(Box box, Box other, int[] cells, int n) {
         int acc = 0;
         for (int i = 0; i < n; i = i + 1) {
 %s
@@ -581,10 +581,11 @@ class Main {
     static int main() {
         Gen g = new Gen();
         Box box = new Box();
+        Box other = new Box();
         int[] cells = new int[8];
         int total = 0;
         for (int round = 1; round <= 3; round = round + 1) {
-            total = total + g.run(box, cells, 4 * round);
+            total = total + g.run(box, other, cells, 4 * round);
         }
         return total;
     }
@@ -630,7 +631,7 @@ _condition = st.one_of(
     _bin(["<", ">="], _dbl_expr, _dbl_expr))
 # Statements: ("set", target tree, value tree) | ("if", condition,
 # then-statements, else-statements) | ("loop", variable, trips,
-# statements) | ("sync", statements) | ("ret", condition).
+# statements) | ("sync", statements) | ("ret", condition) | ("alias",).
 _set_int = st.tuples(st.just("set"), st.sampled_from(
     [("var", "acc"), ("var", "box.fi")]), _int_expr)
 _set_dbl = st.tuples(st.just("set"), st.just(("var", "box.fd")), _dbl_expr)
@@ -644,11 +645,13 @@ _statement = st.recursive(
     max_leaves=4)
 # Shapes that put control flow where the tier-1 dispatch ladder has to
 # get it right: a nested loop (a back edge into the middle of the
-# ladder); an early return out of the loop nest; an if/else whose
-# untaken side jumps over three checked stores (>= 3 arms); an if over
-# a check-free body, whose taken target is the textually next arm; and
-# `synchronized` on an object that never left its thread (the inlined
-# local-lock path).
+# ladder, and a trace that closes on its own head); an early return out
+# of the loop nest; an if/else whose untaken side jumps over three
+# checked stores (>= 3 arms); an if over a check-free body, whose taken
+# target is the textually next arm; `synchronized` on an object that
+# never left its thread (the inlined local-lock path); and `box` and
+# `other` swapped between two field reads (what a check proved about
+# the old `box` says nothing about the new one).
 _check_free = st.recursive(
     st.one_of(_lit(st.integers(-9, 9)),
               st.sampled_from(["i", "acc"]).map(lambda n: ("var", n))),
@@ -666,7 +669,8 @@ _shape = st.one_of(
               st.just([])),
     st.tuples(st.just("sync"),
               st.lists(st.one_of(_set_int, _set_cell), min_size=1,
-                       max_size=2)))
+                       max_size=2)),
+    st.just(("alias",)))
 
 
 def _modulus(target):
@@ -705,6 +709,8 @@ def _java(tree) -> str:
     if kind == "ret":
         cond = f"{_java(tree[1][1])} {tree[1][0]} {_java(tree[1][2])}"
         return f"if ({cond}) {{ return acc; }}"
+    if kind == "alias":
+        return "{ Box swap = box; box = other; other = swap; }"
     return f"({_java(tree[1])} {kind} {_java(tree[2])})"
 
 
@@ -751,6 +757,12 @@ def _execute(stmt, env) -> None:
         if _value(stmt[1], env):
             raise _Return
         return
+    if kind == "alias":  # env holds the fields of whichever is `box`
+        other = env["other"]
+        env["other"] = {name: env[name] for name in other}
+        env.update(other)
+        env["swapped"] = not env["swapped"]
+        return
     if kind in ("if", "loop", "sync"):
         if kind == "if":
             taken, trips = stmt[2] if _value(stmt[1], env) else stmt[3], 1
@@ -771,9 +783,12 @@ def _execute(stmt, env) -> None:
 
 def _expected(body) -> int:
     """What ``Main.main`` of ``_GEN_SRC`` returns for this loop body."""
-    env = {"box.fi": 0, "box.fd": 0.0, "cells": [0] * 8}
+    env = {"box.fi": 0, "box.fd": 0.0, "cells": [0] * 8, "swapped": False,
+           "other": {"box.fi": 0, "box.fd": 0.0}}
     total = 0
     for rounds in (1, 2, 3):
+        if env["swapped"]:  # ``run``'s parameters start out unswapped
+            _execute(("alias",), env)
         env["acc"] = 0
         try:
             for env["i"] in range(4 * rounds):
@@ -835,6 +850,10 @@ _I_IS_ODD = ("==", ("%", ("var", "i"), ("lit", 2)), ("lit", 1))
                 []), _BUMP_CELL])
 @example(body=[("sync", [_BUMP_CELL, ("set", ("var", "box.fi"),
                                       ("+", ("var", "box.fi"), ("lit", 1)))])])
+@example(body=[("set", ("var", "box.fi"), ("+", ("var", "box.fi"), ("var", "i"))),
+               ("alias",),
+               ("set", ("var", "acc"), ("+", ("var", "acc"), ("var", "box.fi")))])
+@example(body=[("loop", "j", 3, [("if", _I_IS_ODD, [_ACC_PLUS_CELL], [])])])
 def test_generated_method_same_in_both_tiers_and_direct_evaluation(body):
     from repro.lang import compile_source
     from repro.rewriter import rewrite_application

@@ -144,7 +144,8 @@ def test_cli_disasm(src_file, capsys):
 def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
     """``--costs`` on the benchmark's lock program: a ``; fused`` line
     sits exactly where this JVM dispatches one handler for a whole run,
-    beside the tier-1 bracket from the same walk."""
+    beside the tier-1 bracket from the same walk; a ``; trace`` line at
+    every head tier 1 runs a trace from, with the guard it tests."""
     import re
     from repro.jvm.disasm import resolve_cost_tables
     with open(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -153,12 +154,27 @@ def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
     path = tmp_path / "locks.mj"
     path.write_text(source)
     assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
-    assert ("      ; run pc 10..12: 10 ns pre-summed\n"
+    out = capsys.readouterr().out
+    assert ("      ; trace pc 10..15: 19 ns pre-charged, 0 of 0 checks proven\n"
+            "      ; run pc 10..12: 10 ns pre-summed\n"
             "      ; fused pc 10..12: 10 ns\n"
-            "   >  10  LOAD 3\n") in capsys.readouterr().out
+            "   >  10  LOAD 3\n") in out
+    assert "      ; trace pc 0..9: 382 ns pre-charged, 1 of 2 checks proven\n" in out
     rewritten = rewrite_application(compile_source(source))
-    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2))
+    runtime = JavaSplitRuntime(rewritten, RuntimeConfig(
+        num_nodes=2, jit_enable=True, jit_threshold=1))
+    runtime.run()
     interp = runtime.workers[0].jvm.interpreter
+    worker_run = next(fn for fn in runtime.jit.agents[0].cache.values()
+                      if fn and fn.method.klass.endswith("LockWorker")
+                      and fn.method.name == "run")
+    listed = re.findall(r"; trace pc (\d+)\.\.\S+(?: \(\S+\))*: (\d+) ns",
+                        disassemble_method(worker_run.method,
+                                           resolve_cost_tables("sun")))
+    assert len(listed) >= 3
+    for head, total in listed:
+        assert re.search(rf"if pc == {head}:\n +while used \+ {total} < budget:",
+                         worker_run.source)
     for cf in rewritten.classfiles.values():
         for method in cf.methods.values():
             if method.is_native:
