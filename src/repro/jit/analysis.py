@@ -31,6 +31,7 @@ from itertools import count
 from typing import Container, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..jvm.bytecode import (
+    ACCESSES,
     BRANCHES,
     INVOKES,
     SEMANTICS,
@@ -40,11 +41,12 @@ from ..jvm.bytecode import (
     Op,
     branch_target,
     instr_cost,
+    ref_below,
 )
 from ..jvm import cfg
 from ..jvm.cfg import invoke_effect, stack_depths, straight_runs
 from ..jvm.classfile import MethodInfo
-from ..jvm.errors import ClassFormatError
+from ..jvm.errors import ClassFormatError, LinkError
 
 # Ops that can block the thread (or leave the frame) and therefore end a
 # pre-summed run: each gets its own budget guard and exact-cost segment.
@@ -108,7 +110,7 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
         # unknowable, so the path ends there.
         try:
             target = jvm.resolve_method(instr.a, instr.b)
-        except Exception:
+        except LinkError:
             target = None
         ana.invoke_targets[pc] = target
         return None if target is None else invoke_effect(target)
@@ -144,9 +146,6 @@ def pre_summed_runs(method: MethodInfo,
     return [(start, end, sum(instr_cost(i, tables) for i in code[start:end]))
             for start, end in straight_runs(code, SPECIAL_OPS)]
 
-
-# How far below the top of the stack a heap access finds its reference.
-_REF_BELOW = {Op.GETFIELD: 1, Op.PUTFIELD: 2, Op.ARRLOAD: 2, Op.ARRSTORE: 3}
 
 # A jump is followed through a block of at most this many rows that
 # cannot trap, closed by a GOTO — a loop's ``i++`` latch.
@@ -229,8 +228,8 @@ def traces(method: MethodInfo, tables: CostTables,
                 nonnull.add(v)
                 if op is Op.DSM_READCHECK:
                     checked.add(v)
-            elif op in _REF_BELOW:
-                v = value(d - _REF_BELOW[op])
+            elif op in ACCESSES:
+                v = value(d - ref_below(op))
                 known = v in nonnull
                 nonnull.add(v)
             trace.steps.append((pc, ns, n, known))

@@ -67,6 +67,7 @@ from ..jvm.bytecode import (
     CONDITIONS,
     DSM_OPS,
     INVOKES,
+    LINKED,
     SEMANTICS,
     STACK_EFFECT,
     TERMINATORS,
@@ -76,7 +77,9 @@ from ..jvm.bytecode import (
     branch_target,
     instantiate,
     instr_cost,
+    link_slots,
     literal,
+    traps,
 )
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import JVMError
@@ -192,7 +195,8 @@ _Text = List[Tuple[int, str]]  # (indent, line) pairs
 class _Emitter:
     """Builds the source of one compiled method."""
 
-    def __init__(self, method: MethodInfo, jvm, switches) -> None:
+    def __init__(self, method: MethodInfo, jvm, switches,
+                 slots: Dict[int, int]) -> None:
         self.method = method
         self.jvm = jvm
         self.interp: Interpreter = jvm.interpreter
@@ -201,11 +205,12 @@ class _Emitter:
         self.lines: _Text = []
         self.consts: Dict[str, Any] = {}       # name in the text -> object
         self._const_names: Dict[int, str] = {}
-        self._race, self._lock_opt, self._lock_edge = switches
+        # The race switch: ``Interpreter.observes``, per access.
+        _, self._lock_opt, self._lock_edge = switches
         if jvm.hooks is None and DSM_OPS & {i.op for i in self.code}:
             raise CompileError("DSM op without hooks installed")
         self._deopt_pcs: Set[int] = set()
-        self._field_idx: Dict[int, int] = {}
+        self._slots = slots
         self._trace: Optional[Trace] = None    # the one being printed
         self._left: Set[int] = set()           # stack depths at leave sites
         # Trapping pc of an arm -> instructions counted but not run (an
@@ -228,20 +233,14 @@ class _Emitter:
 
     # -- compile-time resolution --------------------------------------
     def _resolve_sites(self) -> None:
-        """Bind field indices and invoke targets; failures deopt."""
+        """A field slot or invoke target that does not link makes its
+        site a deopt: the interpreter raises the ``LinkError`` there."""
         for pc, instr in enumerate(self.code):
-            if self.ana.depth_at[pc] is None:
-                continue
-            op = instr.op
-            if op in (Op.GETFIELD, Op.PUTFIELD):
-                try:
-                    self._field_idx[pc] = self.jvm.field_index(
-                        instr.a, instr.b)
-                except Exception:
-                    self._deopt_pcs.add(pc)
-            elif op in INVOKES:
-                if self.ana.invoke_targets.get(pc) is None:
-                    self._deopt_pcs.add(pc)
+            if self.ana.depth_at[pc] is not None and (
+                    instr.op in LINKED and pc not in self._slots
+                    or instr.op in INVOKES
+                    and self.ana.invoke_targets.get(pc) is None):
+                self._deopt_pcs.add(pc)
 
     def _entries(self) -> Set[int]:
         """Every pc the compiled function can be entered at.  A quantum
@@ -433,17 +432,14 @@ class _Emitter:
                 self._at = ns + self._cost(instr), n + 1
                 if op is not Op.GOTO:
                     d = self._emit_control(1, pc, instr, d)
+            elif op is Op.LOAD and (folded := self._folded(steps, i)):
+                # LOAD; check; null test; GETFIELD, all but the last
+                # known: one statement.
+                i, access = folded, steps[folded - 1][0]
+                d = self._emit_pure(1, access, code[access], d + 1, True,
+                                    x=f"l{instr.a}")
             else:
-                folded = self._folded(steps, i) if op is Op.LOAD else 0
-                if folded:
-                    # LOAD; check; null test; GETFIELD, all but the last
-                    # known: one statement.
-                    i = folded
-                    field = self._field_idx[steps[i - 1][0]]
-                    self.w(1, f"s{d} = l{instr.a}.fields[{field}]")
-                    d += 1
-                else:
-                    d = self._emit_pure(1, pc, instr, d, known)
+                d = self._emit_pure(1, pc, instr, d, known)
         pc, ns, n, _ = steps[-1]
         if code[pc].op not in (Op.RETURN, Op.RETVAL):
             self._at = ns + self._cost(code[pc]), n + 1
@@ -465,8 +461,7 @@ class _Emitter:
             i += 1
         if i < len(steps) and steps[i][3]:
             access = code[steps[i][0]]
-            if access.op is Op.GETFIELD and not (self._race
-                                                 and access.checked):
+            if access.op is Op.GETFIELD and not self.interp.observes(access):
                 return i + 1
         return 0
 
@@ -595,81 +590,41 @@ class _Emitter:
 
     # -- pure ops ------------------------------------------------------
     def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int,
-                   known: bool = False) -> int:
-        """One pure op; ``known``: its reference already passed a null
-        test on this trip through the trace."""
+                   known: bool = False, x: Optional[str] = None) -> int:
+        """One ``SEMANTICS`` row over this site's registers: pops are
+        the top s-registers (or ``x`` for ``{x}``), pushes land from the
+        deepest pop upwards.  ``known``: its reference passed a null test
+        on this trip through the trace, so the row's null test goes."""
         op = instr.op
-        w = self.w
-        if op in SEMANTICS:
-            # The row over this site's registers: pops are the top
-            # s-registers, pushes land from the deepest pop upwards.
-            pops, pushes = STACK_EFFECT[op]
-            base = d - pops
-            names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
-            names.update(a=self.lit(instr.a), b=self.lit(instr.b),
-                         local=f"l{instr.a}")
-            if op in TRAPS:
-                self._trap(ind, pc)
-            first, pushed = instantiate(SEMANTICS[op], names)
-            for line in first:
-                w(ind, line)
-            moves = [(f"s{base + k}", value)
-                     for k, value in enumerate(pushed)]
-            moves = [move for move in moves if move[0] != move[1]]
-            if moves:
-                regs, values = zip(*moves)
-                w(ind, f"{', '.join(regs)} = {', '.join(values)}")
-            return base + pushes
-        if op is Op.GETFIELD:
-            if not known:
-                self._trap(ind, pc)
-                w(ind, f"if s{d - 1} is None:")
-                w(ind + 1, f"raise _NPE('getfield {instr.a}.{instr.b}')")
-            self._emit_race(ind, pc, instr, f"s{d - 1}",
-                            repr(instr.b), "False")
-            w(ind, f"s{d - 1} = s{d - 1}.fields[{self._field_idx[pc]}]")
-            return d
-        if op is Op.PUTFIELD:
-            if not known:
-                self._trap(ind, pc)
-                w(ind, f"if s{d - 2} is None:")
-                w(ind + 1, f"raise _NPE('putfield {instr.a}.{instr.b}')")
-            self._emit_race(ind, pc, instr, f"s{d - 2}",
-                            repr(instr.b), "True")
-            w(ind, f"s{d - 2}.fields[{self._field_idx[pc]}] = s{d - 1}")
-            return d - 2
-        if op is Op.ARRLOAD:
+        row = SEMANTICS.get(op)
+        if row is None:
+            raise CompileError(
+                f"{self.method.klass}.{self.method.name} pc={pc}: "
+                f"unhandled pure op {op.name}")
+        if known:
+            row = row._replace(first=None)
+        pops, pushes = STACK_EFFECT[op]
+        base = d - pops
+        names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
+        names.update(a=self.lit(instr.a), b=self.lit(instr.b),
+                     local=f"l{instr.a}", slot=self._slots.get(pc))
+        if x is not None:
+            names["x"] = x
+        if op in TRAPS and (not known or traps(row)):
             self._trap(ind, pc)
-            if not known:
-                w(ind, f"if s{d - 2} is None:")
-                w(ind + 1, "raise _NPE('arrload on null')")
-            self._emit_race(ind, pc, instr, f"s{d - 2}", f"s{d - 1}",
-                            "False")
-            w(ind, f"s{d - 2} = s{d - 2}.get(s{d - 1})")
-            return d - 1
-        if op is Op.ARRSTORE:
-            self._trap(ind, pc)
-            if not known:
-                w(ind, f"if s{d - 3} is None:")
-                w(ind + 1, "raise _NPE('arrstore on null')")
-            self._emit_race(ind, pc, instr, f"s{d - 3}", f"s{d - 2}",
-                            "True")
-            w(ind, f"s{d - 3}.set(s{d - 2}, s{d - 1})")
-            return d - 3
-        raise CompileError(
-            f"{self.method.klass}.{self.method.name} pc={pc}: "
-            f"unhandled pure op {op.name}")
-
-    def _emit_race(self, ind: int, pc: int, instr: Instr, ref: str,
-                   slot: str, is_write: str) -> None:
-        # Mirror the interpreter's race observer exactly: only when a
-        # detector is installed and the access carries a check brand.
-        if not (self._race and instr.checked):
-            return
-        iname = self.const(instr, "I")
-        self.w(ind, f"frame.pc = {pc}")
-        self.w(ind, f"_race(thread, {ref}, {slot}, {is_write}, "
-                    f"frame, {iname})")
+        site = None
+        if self.interp.observes(instr):  # the observer reads ``frame.pc``
+            site = self.const(instr, "I")
+            self.w(ind, f"frame.pc = {pc}")
+        first, pushed = instantiate(row, names, site)
+        for line in first:
+            self.w(ind, line)
+        moves = [(f"s{base + k}", value) for k, value in enumerate(pushed)]
+        moves = [move for move in moves if move[0] != move[1]]
+        if moves:
+            regs, values = zip(*moves)
+            self.w(ind, f"{', '.join(regs)} = {', '.join(values)}")
+        return base + pushes
 
     # -- control -------------------------------------------------------
     def _emit_control(self, ind: int, pc: int, instr: Instr,
@@ -995,16 +950,20 @@ class _Emitter:
 
 def compile_method(method: MethodInfo, agent):
     """Compile one method for one worker's JVM; raises CompileError.
-    The text depends on the method, the brand's costs and three
-    switches: it is emitted and compiled once per runtime for each such
-    key, and every JVM execs the shared code object over its own hooks."""
+    The text depends on the method, the brand's costs, three switches
+    and the field slots it links: it is emitted and compiled once per
+    runtime for each such key, and every JVM execs the shared code
+    object over its own hooks."""
     jvm = agent.jvm
     switches = _switches(jvm)
+    slots = link_slots(method.code, jvm.field_index)
     code_cache = agent.manager.code_cache
-    key = (id(method), tuple(sorted(jvm.cost_model.costs.items())), switches)
+    key = (id(method), tuple(sorted(jvm.cost_model.costs.items())), switches,
+           tuple(slots.items()))
     emitted = code_cache.get(key)
     if emitted is None:
-        emitted = code_cache[key] = _Emitter(method, jvm, switches).compile()
+        emitted = code_cache[key] = _Emitter(method, jvm, switches,
+                                             slots).compile()
     code_obj, src, entries, consts = emitted
     ns: Dict[str, Any] = {}
     exec(code_obj, {**_env(agent), **consts}, ns)  # noqa: S102 - the JIT

@@ -27,9 +27,12 @@ from __future__ import annotations
 import enum
 import math
 import re
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from contextlib import suppress
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 from ..sim import cost_model as cm
+from .errors import LinkError
 
 
 class Op(enum.IntEnum):
@@ -163,15 +166,27 @@ CONDITIONS = {"eq": "==", "ne": "!=", "lt": "<", "ge": ">=", "gt": ">",
               "le": "<="}
 
 
-def branch_row(op: Op, cond: str) -> Tuple[Tuple[str], Optional[str]]:
+class Row(NamedTuple):
+    """What one opcode does: run ``first``, then ``then``, then push
+    ``pushed``, bottom-most first.  ``observe`` marks a heap access:
+    ``(reference, slot, is_write)`` for the race detector's call, which
+    goes after ``first`` (its null test)."""
+
+    pushed: Tuple[str, ...]
+    first: Optional[str] = None
+    then: Optional[str] = None
+    observe: Optional[Tuple[str, str, bool]] = None
+
+
+def branch_row(op: Op, cond: str) -> Row:
     """IF / IF_CMP on ``cond`` in the shape of a ``SEMANTICS`` row: the
     one "pushed" expression is the test the branch is taken on."""
     if op is Op.IF_CMP:  # references: identity, Obj defines no ``__eq__``
-        return (f"{{x}} {CONDITIONS[cond]} {{y}}",), None
+        return Row((f"{{x}} {CONDITIONS[cond]} {{y}}",))
     on_null = ("{x} = 0" if cond in ("eq", "ne") else
                "raise _NPE('ordered compare on null (%s)' % {a})")
-    return ((f"{{x}} {CONDITIONS[cond]} 0",),
-            f"if {{x}} is None:\n    {on_null}")
+    return Row((f"{{x}} {CONDITIONS[cond]} 0",),
+               f"if {{x}} is None:\n    {on_null}")
 
 
 # Heap-access opcodes and their plain cost keys; the interpreter switches
@@ -294,20 +309,23 @@ STACK_EFFECT: Dict[Op, Tuple[int, int]] = {
 INVOKES = frozenset({Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL})
 
 
-def _does(*pushed: str, first: Optional[str] = None
-          ) -> Tuple[Tuple[str, ...], Optional[str]]:
-    return pushed, first
+def _does(*pushed: str, **rest: Any) -> Row:
+    return Row(pushed, **rest)
 
 
-#: What every opcode that neither blocks, links lazily nor branches
-#: *does*: ``(pushed, first)`` — run the statement ``first``, then push
-#: the expressions ``pushed``, bottom-most first.  The one semantics
-#: table: tier 0 compiles a handler factory from each row
-#: (:mod:`repro.jvm.interpreter`) and tier 1 substitutes its stack
+def _on_null(message: str) -> str:
+    return f"if {{x}} is None:\n    raise _NPE({message})"
+
+
+#: What every opcode that neither blocks, calls nor branches *does*: a
+#: :class:`Row`.  The one semantics table: tier 0 compiles a handler
+#: factory from each row (:mod:`repro.jvm.interpreter`), fuses runs of
+#: them (:mod:`repro.jvm.fuse`), and tier 1 substitutes its stack
 #: registers into the same row (:mod:`repro.jit.codegen`).  ``{x} {y}
 #: {z}`` are the ``STACK_EFFECT`` pops, deepest first — names a
 #: statement may assign; ``{a} {b}`` the instruction's operands,
-#: ``{local}`` local ``a``.  ``_names`` are the tiers' shared helpers
+#: ``{local}`` local ``a``, ``{slot}`` the layout slot of field ``a.b``
+#: (:func:`link_slots`).  ``_names`` are the tiers' shared helpers
 #: (``interpreter.HELPERS``, ``Interpreter.bound``).
 SEMANTICS = {
     Op.CONST: _does("{a}"),
@@ -343,8 +361,7 @@ SEMANTICS = {
     Op.SWAP: _does("{y}", "{x}"),
     Op.NEW: _does("_new({a})"),
     Op.NEWARRAY: _does("_newarr({a}, {x})"),
-    Op.ARRAYLENGTH: _does("len({x})", first="if {x} is None:\n"
-                          "    raise _NPE('arraylength on null')"),
+    Op.ARRAYLENGTH: _does("len({x})", first=_on_null("'arraylength on null'")),
     Op.GETSTATIC: _does("_classes[{a}].statics[{b}]"),
     Op.PUTSTATIC: _does(first="_classes[{a}].statics[{b}] = {x}"),
     Op.INSTANCEOF: _does("1 if _isinst({x}, {a}) else 0"),
@@ -352,24 +369,76 @@ SEMANTICS = {
         "if {x} is not None and not _isinst({x}, {a}):\n"
         "    raise _CCE('%s -> %s' % (getattr({x}, 'class_name', "
         "type({x}).__name__), {a}))")),
+    # The four accesses the rewriter puts a check in front of (§4).
+    Op.GETFIELD: _does("{x}.fields[{slot}]",
+                       first=_on_null("'getfield %s.%s' % ({a}, {b})"),
+                       observe=("{x}", "{b}", False)),
+    Op.PUTFIELD: _does(first=_on_null("'putfield %s.%s' % ({a}, {b})"),
+                       then="{x}.fields[{slot}] = {y}",
+                       observe=("{x}", "{b}", True)),
+    Op.ARRLOAD: _does("{x}.get({y})", first=_on_null("'arrload on null'"),
+                      observe=("{x}", "{y}", False)),
+    Op.ARRSTORE: _does(first=_on_null("'arrstore on null'"),
+                       then="{x}.set({y}, {z})",
+                       observe=("{x}", "{y}", True)),
 }
 
-def traps(row: Tuple[Tuple[str, ...], Optional[str]]) -> bool:
-    """Whether a row can raise a ``JVMError`` — it says ``raise`` or
-    names a helper that does: both tiers store the pc before it."""
-    return bool(re.search(r"raise|_(idiv|irem|ddiv|drem|shift|d2i|new)",
-                          "".join(row[0]) + (row[1] or "")))
+
+def row_text(row: Row) -> str:
+    """Everything a row says, for the questions asked of it by name."""
+    return "".join(row.pushed) + (row.first or "") + (row.then or "")
+
+
+#: The heap accesses, and those of them that name a field ``{slot}``.
+ACCESSES = frozenset(op for op, row in SEMANTICS.items() if row.observe)
+LINKED = frozenset(op for op, row in SEMANTICS.items()
+                   if "{slot}" in row_text(row))
+
+
+def traps(row: Row) -> bool:
+    """Whether a row can raise a ``JVMError`` — it says ``raise``, names
+    a helper that does or indexes an array: both tiers store the pc
+    before it."""
+    return bool(re.search(r"raise|_(idiv|irem|ddiv|drem|shift|d2i|new)|"
+                          r"\.(get|set)\(", row_text(row)))
 
 
 TRAPS = frozenset(op for op, row in SEMANTICS.items() if traps(row))
 
 
-def instantiate(row: Tuple[Tuple[str, ...], Optional[str]],
-                names: Mapping[str, str]) -> Tuple[List[str], List[str]]:
-    """A row over ``names``: its statement's lines, its pushed values."""
-    pushed, first = row
-    return (first.format(**names).split("\n") if first else [],
-            [expr.format(**names) for expr in pushed])
+def ref_below(op: Op) -> int:
+    """How far below the top of the stack an access finds its reference:
+    the one its ``observe`` marker names, counted over its pops."""
+    ref = SEMANTICS[op].observe[0].strip("{}")
+    return STACK_EFFECT[op][0] - "xyz".index(ref)
+
+
+def link_slots(code: List[Instr],
+               field_index: Callable[[str, str], int]) -> Dict[int, int]:
+    """``pc -> {slot}`` of every access in ``code`` that names one, in
+    the JVM of ``field_index``: the one link rule, tier 0's at decode and
+    tier 1's at compile time.  One that does not link has no entry."""
+    slots = {}
+    for pc, instr in enumerate(code):
+        if instr.op in LINKED:
+            with suppress(LinkError):
+                slots[pc] = field_index(instr.a, instr.b)
+    return slots
+
+
+def instantiate(row: Row, names: Mapping[str, str],
+                site: Optional[str] = None) -> Tuple[List[str], List[str]]:
+    """A row over ``names``: its statement lines, its pushed values.
+    ``site`` names the access's ``Instr`` where the race detector
+    observes it: the call goes after the null test, before the effect."""
+    lines = row.first.format(**names).split("\n") if row.first else []
+    if site is not None:
+        ref, slot, is_write = row.observe
+        lines.append(f"_race(thread, {ref}, {slot}, {is_write}, frame, "
+                      f"{site})".format(**names))
+    if row.then:
+        lines += row.then.format(**names).split("\n")
+    return lines, [expr.format(**names) for expr in row.pushed]
 
 
 def literal(value: Any) -> Optional[str]:

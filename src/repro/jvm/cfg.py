@@ -52,18 +52,17 @@ def block_starts(code: Sequence[Instr]) -> List[int]:
     return sorted(s for s in starts if s < len(code))
 
 
-def straight_runs(code: Sequence[Instr],
-                  cut: Container[Op]) -> List[Tuple[int, int]]:
+def straight_runs(code: Sequence[Instr], cut: Container[Op],
+                  at: Container[int] = ()) -> List[Tuple[int, int]]:
     """Straight-line runs ``(start_pc, end_pc_exclusive)`` in pc order:
-    basic blocks, further cut around every opcode in ``cut``, which
-    belongs to no run.  Tier 1 pre-sums a run's cost, tier 0 fuses it."""
-    bounds = set(block_starts(code)) | {len(code)}
-    for pc, instr in enumerate(code):
-        if instr.op in cut:
-            bounds.update((pc, pc + 1))
-    bounds = sorted(bounds)
+    basic blocks, further cut around every opcode in ``cut`` and every
+    pc in ``at``, which belong to no run.  Tier 1 pre-sums a run's cost,
+    tier 0 fuses it."""
+    cuts = {pc for pc, instr in enumerate(code) if instr.op in cut or pc in at}
+    bounds = sorted({*block_starts(code), len(code), *cuts,
+                     *(pc + 1 for pc in cuts)})
     return [(start, end) for start, end in zip(bounds, bounds[1:])
-            if code[start].op not in cut]
+            if start not in cuts]
 
 
 def stack_depths(

@@ -1,11 +1,13 @@
 """Tier 0's fused runs: one handler for a straight line of pure opcodes.
 
 A run is ≥ 2 ``SEMANTICS`` rows of one basic block, the last instruction
-possibly the GOTO / IF / IF_CMP that closes the block.  Heap accesses
-(lazy link, race observation), invokes, returns, monitors and DSM ops
-end a run: what can block, link or leave the frame keeps its own handler.
-A run's function is the rows' own text over a *virtual* operand stack of
-Python expressions:
+possibly the GOTO / IF / IF_CMP that closes the block.  Invokes,
+returns, monitors and DSM ops end a run: what can block or leave the
+frame keeps its own handler.  A heap access ends one only when it is
+observed (a race detector is attached and the access is checked) or did
+not link at decode — the pcs the interpreter passes as ``cut``.  A run's
+function is the rows' own text over a *virtual* operand stack of Python
+expressions:
 
 * a value stays unevaluated only if its row cannot raise and has no side
   effect (``_FORWARDED``); any other is evaluated where it stands;
@@ -14,17 +16,18 @@ Python expressions:
   it (``I2D``) as a fresh local — a DUP may have aliased it;
 * pops below the virtual stack come off ``frame.stack``; what is left at
   the end goes back on it, in order;
-* a row that can raise a ``JVMError`` stores ``frame.pc`` first and the
-  handler counts the instructions before it: a trap reads as unfused.
+* a row that can raise a ``JVMError`` stores ``frame.pc`` first, and
+  ``Interpreter.run`` counts the instructions from the run's first pc
+  to it: a trap reads as unfused.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Container, List, Sequence, Tuple
 
-from .bytecode import (BRANCHES, SEMANTICS, STACK_EFFECT, Instr, Op,
-                       branch_row, instantiate, literal, traps)
+from .bytecode import (BRANCHES, LINKED, SEMANTICS, STACK_EFFECT, Instr, Op,
+                       branch_row, instantiate, literal, row_text, traps)
 from .cfg import straight_runs
 
 NOT_FUSED = frozenset(Op) - set(SEMANTICS) - BRANCHES
@@ -33,9 +36,11 @@ _FORWARDED = frozenset({Op.CONST, Op.LOAD, Op.ADD, Op.SUB, Op.MUL, Op.NEG,
 _BARE = re.compile(r"\{\w+\}$").match  # a pushed value that is an operand
 
 
-def fused_runs(code: Sequence[Instr]) -> List[Tuple[int, int]]:
-    """``(start_pc, end_pc_exclusive)`` of every run tier 0 fuses."""
-    return [(start, end) for start, end in straight_runs(code, NOT_FUSED)
+def fused_runs(code: Sequence[Instr],
+               cut: Container[int] = ()) -> List[Tuple[int, int]]:
+    """``(start_pc, end_pc_exclusive)`` of every run tier 0 fuses when
+    the pcs in ``cut`` may not join one."""
+    return [(start, end) for start, end in straight_runs(code, NOT_FUSED, cut)
             if end - start > 1]
 
 
@@ -44,12 +49,10 @@ def _operand(value: Any) -> str:
     return f"({text})" if text[0] == "-" else text
 
 
-def _run_body(code: Sequence[Instr], start: int,
-              end: int) -> Tuple[List[str], bool]:
-    """The statements of one run, and whether one of them can trap."""
+def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
+    """The statements of one run."""
     lines: List[str] = []
     vstack: List[str] = []  # expressions not evaluated yet, top last
-    can_trap = False
 
     def bind(expr: str) -> str:
         name = f"t{len(lines)}"
@@ -63,9 +66,9 @@ def _run_body(code: Sequence[Instr], start: int,
             lines.append(f"frame.pc = {instr.a}")
             break
         row = SEMANTICS.get(op) or branch_row(op, instr.a)
-        text = "".join(row[0]) + (row[1] or "")
+        text = row_text(row)
         names = {"a": _operand(instr.a), "b": _operand(instr.b),
-                 "local": f"L[{instr.a}]"}
+                 "local": f"L[{instr.a}]", "slot": f"f{pc}"}
         for name in reversed("xyz"[:STACK_EFFECT[op][0]]):
             value = vstack.pop() if vstack else "stack.pop()"
             assigned = re.search(r"\{%s\} =[^=]" % name, text)
@@ -77,9 +80,8 @@ def _run_body(code: Sequence[Instr], start: int,
         if op is Op.STORE or op is Op.IINC:
             vstack[:] = [bind(v) if names["local"] in v else v
                          for v in vstack]
-        if traps(row):
+        if traps(row) and pc != start:  # the run is entered at ``start``
             lines.append(f"frame.pc = {pc}")
-            can_trap = True
         first, pushed = instantiate(row, names)
         lines += first
         if op in BRANCHES:
@@ -87,33 +89,35 @@ def _run_body(code: Sequence[Instr], start: int,
             break
         vstack += [value if _BARE(template) else
                    f"({value})" if op in _FORWARDED else bind(value)
-                   for template, value in zip(row[0], pushed)]
+                   for template, value in zip(row.pushed, pushed)]
     else:
         lines.append(f"frame.pc = {end}")
     if vstack:
         lines.append(f"stack.append({vstack[0]})" if len(vstack) == 1 else
                      f"stack.extend(({', '.join(vstack)}))")
-    return lines, can_trap
+    return lines
 
 
-def fused_source(code: Sequence[Instr], bound: Sequence[str]
+def fused_source(code: Sequence[Instr], bound: Sequence[str],
+                 cut: Container[int] = ()
                  ) -> Tuple[str, List[Tuple[int, int]]]:
-    """``make(C, *bound) -> handlers`` as source text, and the runs.  What
-    differs between the JVMs that share a method — ``C``, the runs'
-    summed costs — is an argument, so the text is compiled once."""
-    runs = fused_runs(code)
-    out = [f"def make(C, {', '.join(bound)}):",
+    """``make(C, S, *bound) -> handlers`` as source text, and the runs.
+    What differs between the JVMs that share a method is an argument —
+    ``C``, the runs' summed costs; ``S``, the field slots by pc — or
+    decides ``cut``, so the text is compiled once per ``cut``."""
+    runs = fused_runs(code, cut)
+    slots = [pc for start, end in runs for pc in range(start, end)
+             if code[pc].op in LINKED]
+    out = [f"def make(C, S, {', '.join(bound)}):",
            f"    [{', '.join(f'c{k}' for k in range(len(runs)))}] = C"]
+    if slots:
+        out.append(f"    {', '.join(f'f{pc}' for pc in slots)}, = "
+                   f"{', '.join(f'S[{pc}]' for pc in slots)},")
     for k, (start, end) in enumerate(runs):
-        body, can_trap = _run_body(code, start, end)
+        body = _run_body(code, start, end)
         head = [f"{name} = frame.{attr}"
                 for name, attr in (("stack", "stack"), ("L", "locals"))
                 if any(re.search(rf"\b{name}\W", line) for line in body)]
-        if can_trap:
-            body = ["try:", *("    " + line for line in body),
-                    "except _JVME:",
-                    f"    thread.instructions += frame.pc - {start}",
-                    "    raise"]
         out.append(f"    def run_{start}(thread, frame):")
         out += ["        " + line for line in (
             *head, *body, f"thread.instructions += {end - start - 1}",

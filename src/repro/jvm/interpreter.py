@@ -3,18 +3,20 @@
 One :class:`Interpreter` per JVM instance.  A method is *decoded* the
 first time this JVM executes it: every instruction becomes one bound
 handler ``h(thread, frame) -> cost_ns`` — a closure holding the
-operands, the brand-resolved simulated cost, the branch comparator and
-the DSM hook method.  It is then *fused*: the first pc of every
-straight-line run of pure opcodes (:mod:`repro.jvm.fuse`) gets one
-handler that does the whole run, bills its summed cost and counts its
-instructions, and :meth:`Interpreter.run` is the loop that calls
-``fused[pc]`` until a quantum's budget is spent.  Both lists are cached
-per interpreter: methods are shared by every worker JVM of a cluster,
-costs (brands) and link state (field slots, call targets) are per JVM —
-only the fused runs' compiled *text* hangs off the ``MethodInfo``.  Link
-state is resolved at a handler's first run, so a reference that cannot
-link fails at the offending instruction and not when its method is
-decoded.
+operands, the linked field slot, the brand-resolved simulated cost, the
+branch comparator and the DSM hook method.  It is then *fused*: the
+first pc of every straight-line run of pure opcodes
+(:mod:`repro.jvm.fuse`) gets one handler that does the whole run, bills
+its summed cost and counts its instructions, and :meth:`Interpreter.run`
+is the loop that calls ``fused[pc]`` until a quantum's budget is spent.
+Both lists are cached per interpreter: methods are shared by every
+worker JVM of a cluster, costs (brands) and link state (field slots,
+call targets) are per JVM — only the fused runs' compiled *text* hangs
+off the ``MethodInfo``.  Field slots are linked at decode
+(:func:`~repro.jvm.bytecode.link_slots`); an access that does not link
+then, and every call target, links at its first run, so a reference
+that cannot link fails at the offending instruction and not when its
+method is decoded.
 
 Fusing is exact.  The budget is tested before every instruction, so a
 fused handler runs only where each test inside it would have passed
@@ -26,9 +28,10 @@ inside a run need the per-instruction list.  A row that can raise stores
 What an instruction *does* is not written here when it can be said
 once for both tiers: the pure opcodes are the rows of
 :data:`~repro.jvm.bytecode.SEMANTICS`, and each row's handler factory
-is compiled from its text at import (:func:`_pure_factory`).  The arms
-of :func:`_decode_instr` are what is left — the four race-observed heap
-accesses (lazy link), invokes and returns, monitors and DSM hooks.
+is compiled from its text at import (:func:`_pure_factory`) — the four
+heap accesses too, with and without the race detector's call.  The arms
+of :func:`_decode_instr` are what is left — invokes and returns,
+monitors and DSM hooks, and the wrapper of an access that did not link.
 
 The interpreter is *steppable*: :meth:`Interpreter.step` calls exactly
 one handler of a thread's top frame and returns its simulated cost in
@@ -56,7 +59,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
 from .bytecode import (
+    ACCESSES,
     CONDITIONS,
+    LINKED,
     SEMANTICS,
     STACK_EFFECT,
     Instr,
@@ -65,6 +70,9 @@ from .bytecode import (
     cost_tables,
     instantiate,
     instr_cost,
+    link_slots,
+    ref_below,
+    row_text,
 )
 from .classfile import MethodInfo
 from .errors import (
@@ -190,9 +198,10 @@ class Interpreter:
         #: This JVM's share of what a ``SEMANTICS`` row may name.
         self.bound = dict(zip(BOUND, (jvm.new_instance, jvm.new_array,
                                       jvm.classes, self._is_instance)))
-        # id(method) -> (method, handlers); the entry pins the method so
-        # its id stays unique for the life of the cache.
-        self._decoded: Dict[int, Tuple[MethodInfo, List[Handler]]] = {}
+        # id(method) -> (method, handlers, linked slots); the entry pins
+        # the method so its id stays unique for the life of the cache.
+        self._decoded: Dict[
+            int, Tuple[MethodInfo, List[Handler], Dict[int, int]]] = {}
         self._fused: Dict[int, List[Handler]] = {}  # id(method) -> fuse()
         #: The most any fused run here bills before its last instruction.
         self.margin = 0
@@ -204,7 +213,8 @@ class Interpreter:
         """Race-detector access observer (repro.race), or None:
         ``(thread, ref, slot, is_write, frame, instr)``.  Handlers bind
         it at decode — an access costs nothing while no detector is
-        installed — so it must be set before this JVM first executes."""
+        installed, and an observed one is never fused — so it must be
+        set before this JVM first executes."""
         return self._race_hook
 
     @race_hook.setter
@@ -221,11 +231,13 @@ class Interpreter:
         entry = self._decoded.get(id(method))
         if entry is None:
             tables = self.cost_tables
+            slots = link_slots(method.code, self.jvm.field_index)
             handlers = [
-                _decode_instr(self, instr, pc, instr_cost(instr, tables))
+                _decode_instr(self, instr, pc, instr_cost(instr, tables),
+                              slots.get(pc))
                 for pc, instr in enumerate(method.code)]
             handlers.append(_fell_off_end)
-            entry = self._decoded[id(method)] = (method, handlers)
+            entry = self._decoded[id(method)] = (method, handlers, slots)
         return entry[1]
 
     def step(self, thread: "JThread") -> int:  # noqa: F821
@@ -244,22 +256,28 @@ class Interpreter:
 
     def fuse(self, method: MethodInfo) -> List[Handler]:
         """``decode(method)`` with one handler at the first pc of every
-        fused run; the pcs inside a run keep their own.  The text is
-        compiled once per method and hangs off it, like a native."""
+        fused run; the pcs inside a run keep their own.  An access joins
+        a run unless it is observed or did not link (the ``cut``).  The
+        text is compiled once per method and hangs off it, like a
+        native: every JVM of a runtime loads the same classes and has
+        the same race switch, so all of them cut a method alike."""
         fused = self._fused.get(id(method))
         if fused is None:
             fused = self._fused[id(method)] = list(self.decode(method))
+            code = method.code
+            slots = self._decoded[id(method)][2]
+            cut = frozenset(pc for pc, i in enumerate(code) if self.observes(i)
+                            or i.op in LINKED and pc not in slots)
             if method.fused is None:
-                text, runs = fused_source(method.code, BOUND)
-                scope: Dict[str, Any] = {}
-                exec(compile(text, f"<tier-0 {method.klass}.{method.name}>",
-                             "exec"), _FACTORY_GLOBALS, scope)
-                method.fused = scope["make"], runs
-            make, runs = method.fused
+                text, runs = fused_source(code, BOUND, cut)
+                method.fused = (
+                    cut, _make(text, f"{method.klass}.{method.name}"), runs)
+            shared_cut, make, runs = method.fused
+            assert shared_cut == cut, "JVMs sharing a method cut it apart"
             costs = [[instr_cost(i, self.cost_tables)
-                      for i in method.code[start:end]] for start, end in runs]
+                      for i in code[start:end]] for start, end in runs]
             for (start, _), handler in zip(runs, make(
-                    [sum(c) for c in costs], **self.bound)):
+                    [sum(c) for c in costs], slots, **self.bound)):
                 fused[start] = handler
             self.margin = max([self.margin, *(sum(c[:-1]) for c in costs)])
         return fused
@@ -270,28 +288,33 @@ class Interpreter:
         thread stops being runnable; returns the nanoseconds consumed,
         counting from ``consumed``.  The budget is tested before every
         instruction, so a quantum overshoots by at most one: fused runs
-        while ``consumed + margin < budget_ns``, then one by one."""
+        while ``consumed + margin < budget_ns``, then one by one.  A run
+        that traps has stored the trapping pc: what it ran before that
+        counts, as it would have unfused."""
         frames = thread.frames
         steps = 0
         try:
             fused_until = budget_ns - self.margin
             while consumed < fused_until and thread.state is _RUNNABLE:
                 frame = frames[-1]
+                pc = frame.pc
                 code = frame.fused
                 if code is None:
                     frame.fused = self.fuse(frame.method)
                     fused_until = budget_ns - self.margin
                     continue
-                consumed += code[frame.pc](thread, frame)
+                consumed += code[pc](thread, frame)
                 steps += 1
             while consumed < budget_ns and thread.state is _RUNNABLE:
                 frame = frames[-1]
+                pc = frame.pc
                 code = frame.decoded
                 if code is None:
                     code = frame.decoded = self.decode(frame.method)
-                consumed += code[frame.pc](thread, frame)
+                consumed += code[pc](thread, frame)
                 steps += 1
         except JVMError as exc:
+            steps += frame.pc - pc
             thread.fail(exc, frame.where())
             raise
         finally:
@@ -310,32 +333,12 @@ class Interpreter:
             return missing
         return getattr(hooks, name)
 
-    def _observed(self, plain: Handler, instr: Instr, ref_at: int,
-                  is_write: bool, link: Optional[Callable[[], Any]] = None
-                  ) -> Handler:
-        """``plain`` behind the race detector's access observation —
-        chosen here, at decode: only when a detector is installed and
-        the access carries a check brand.  ``ref_at`` is the stack
-        position of the accessed reference; the slot is the field name,
-        or for arrays the index just above the reference.  ``link``
-        resolves a field reference first, so a link error still precedes
-        the observation."""
-        race = self._race_hook
-        if race is None or not instr.checked:
-            return plain
-
-        def observed(thread: Any, frame: Frame) -> int:
-            stack = frame.stack
-            ref = stack[ref_at]
-            if ref is not None:  # on null, ``plain`` raises unobserved
-                if link is None:
-                    slot = stack[ref_at + 1]
-                else:
-                    link()
-                    slot = instr.b
-                race(thread, ref, slot, is_write, frame, instr)
-            return plain(thread, frame)
-        return observed
+    def observes(self, instr: Instr) -> bool:
+        """Whether the race detector watches this instruction — decided
+        at decode: a detector is installed, and it is an access that
+        carries a check brand."""
+        return (self._race_hook is not None and instr.op in ACCESSES
+                and bool(instr.checked))
 
     def _is_instance(self, ref: Any, class_name: str) -> bool:
         if ref is None:
@@ -438,8 +441,8 @@ class Interpreter:
 # cost, hook method, whether the race detector watches) is decided here
 # and captured by the closure.  An opcode with a ``SEMANTICS`` row and
 # every IF / IF_CMP condition has a handler *factory*, compiled from the
-# row once at import; the rest — accesses that link lazily, everything
-# that can block or leave the frame — has a hand-written arm below.
+# row once at import; the rest — everything that can block or leave the
+# frame — has a hand-written arm below.
 # ----------------------------------------------------------------------
 #: What a ``SEMANTICS`` row may name besides its operands.  Both tiers
 #: bind these, and the ``BOUND`` names per JVM (:attr:`Interpreter.bound`).
@@ -450,8 +453,7 @@ HELPERS = {
     "_AE": ArithmeticJavaError, "_TOO_BIG": TOO_BIG,
 }
 BOUND = ("_new", "_newarr", "_classes", "_isinst")
-# A copy: exec adds __builtins__ to it.  A fused run catches ``_JVME``.
-_FACTORY_GLOBALS = dict(HELPERS, _JVME=JVMError)
+_FACTORY_GLOBALS = dict(HELPERS)  # a copy: exec adds __builtins__ to it
 
 
 def _make(text: str, name: str) -> Callable[..., Any]:
@@ -462,36 +464,39 @@ def _make(text: str, name: str) -> Callable[..., Any]:
 
 
 def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
-    """``make(a, b, nxt, cost, **bound) -> handler`` around ``body``:
-    the closure an arm of :func:`_decode_instr` would have built (one
-    use of the operand stack reads it off the frame, more bind it)."""
+    """``make(a, b, nxt, cost, **bound, slot=, instr=, _race=) ->
+    handler`` around ``body``: the closure an arm of
+    :func:`_decode_instr` would have built (one use of the operand stack
+    reads it off the frame, more bind it)."""
     binds = sum(line.count("stack") for line in body) > 1
     body = (["stack = frame.stack"] + body if binds else
             [line.replace("stack", "frame.stack") for line in body])
-    lines = [f"def make(a, b, nxt, cost, {', '.join(BOUND)}):",
+    lines = [f"def make(a, b, nxt, cost, {', '.join(BOUND)}, slot=None, "
+             f"instr=None, _race=None):",
              f"    def {name}(thread, frame):"]
     lines += ["        " + line for line in "\n".join(body).split("\n")]
     lines += ["        return cost", f"    return {name}"]
     return _make("\n".join(lines), name)
 
 
-def _pure_factory(op: Op) -> Callable[..., Handler]:
-    """The handler factory of one ``SEMANTICS`` row.  Operands above the
-    bottom one are popped into locals; the bottom one stays on the stack
-    when something is pushed — the first push overwrites it — and is
-    read in place when the row names it once, before that overwrite."""
+def _pure_factory(op: Op, observed: bool = False) -> Callable[..., Handler]:
+    """The handler factory of one ``SEMANTICS`` row, ``observed`` with
+    the race detector's call.  Operands above the bottom one are popped
+    into locals; the bottom one stays on the stack when something is
+    pushed — the first push overwrites it — and is read in place when
+    the row names it once, before that overwrite."""
     pops = STACK_EFFECT[op][0]
-    pushed, first = SEMANTICS[op]
+    row = SEMANTICS[op]
     names = {"a": "a", "b": "b", "local": "frame.locals[a]",
-             "y": "y", "z": "z"}
+             "y": "y", "z": "z", "slot": "slot"}
     body = [f"{name} = stack.pop()" for name in reversed("xyz"[1:pops])]
     if pops:
-        names["x"] = "stack[-1]" if pushed else "stack.pop()"
-        if ("".join(pushed) + (first or "")).count("{x}") != 1 \
-                or "{x}" in "".join(pushed[1:]):
+        names["x"] = "stack[-1]" if row.pushed else "stack.pop()"
+        if observed or row_text(row).count("{x}") != 1 \
+                or "{x}" in "".join(row.pushed[1:]):
             body.append(f"x = {names['x']}")
             names["x"] = "x"
-    lines, values = instantiate(SEMANTICS[op], names)
+    lines, values = instantiate(row, names, "instr" if observed else None)
     body += lines
     for k, value in enumerate(values):
         body.append(f"stack[-1] = {value}" if pops and k == 0
@@ -509,6 +514,7 @@ def _branch_factory(op: Op, cond: str) -> Callable[..., Handler]:
 
 
 _PURE = {op: _pure_factory(op) for op in SEMANTICS}
+_OBSERVED = {op: _pure_factory(op, observed=True) for op in ACCESSES}
 _BRANCH = {(op, cond): _branch_factory(op, cond)
            for op in (Op.IF, Op.IF_CMP) for cond in CONDITIONS}
 
@@ -517,13 +523,34 @@ def _fell_off_end(thread: Any, frame: Frame) -> int:
     raise JVMError("pc fell off method end")
 
 
-def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
-                  cost: int) -> Handler:
+def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
+                  slot: Optional[int]) -> Handler:
     op, a, b, nxt = instr.op, instr.a, instr.b, pc + 1
     jvm = interp.jvm
     make = _PURE.get(op)
     if make is not None:
-        return make(a, b, nxt, cost, **interp.bound)
+        if op not in ACCESSES:
+            return make(a, b, nxt, cost, **interp.bound)
+        if interp.observes(instr):
+            make = _OBSERVED[op]
+
+        def build(slot):
+            return make(a, b, nxt, cost, slot=slot, instr=instr,
+                        _race=interp.race_hook, **interp.bound)
+        if slot is not None or op not in LINKED:
+            return build(slot)
+        # A field that did not link: a path never taken never fails, and
+        # the first run tests for null, links and becomes the row.
+        below, linked = ref_below(op), None
+
+        def link_first(thread, frame):
+            nonlocal linked
+            if linked is None:
+                if frame.stack[-below] is None:  # the row's NPE comes first
+                    return build(None)(thread, frame)
+                linked = build(jvm.field_index(a, b))
+            return linked(thread, frame)
+        return link_first
 
     # --- control flow: a = condition, b = target (GOTO: a = target) -----
     if op is Op.GOTO:
@@ -536,65 +563,6 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int,
         if make is None:
             raise JVMError(f"bad {op.name} condition {a!r}")
         return make(a, b, nxt, cost, **interp.bound)
-
-    # --- race-observed heap accesses: a = class name, b = field name ----
-    if op is Op.GETFIELD or op is Op.PUTFIELD:
-        field_index = jvm.field_index
-        slot = None
-
-        def link():
-            nonlocal slot
-            if slot is None:
-                slot = field_index(a, b)
-
-        if op is Op.GETFIELD:
-            def getfield(thread, frame):
-                stack = frame.stack
-                ref = stack[-1]
-                if ref is None:
-                    raise NullPointerError(f"getfield {a}.{b}")
-                if slot is None:
-                    link()
-                stack[-1] = ref.fields[slot]
-                frame.pc = nxt
-                return cost
-            return interp._observed(getfield, instr, -1, False, link)
-
-        def putfield(thread, frame):
-            stack = frame.stack
-            value = stack.pop()
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError(f"putfield {a}.{b}")
-            if slot is None:
-                link()
-            ref.fields[slot] = value
-            frame.pc = nxt
-            return cost
-        return interp._observed(putfield, instr, -2, True, link)
-    if op is Op.ARRLOAD:
-        def arrload(thread, frame):
-            stack = frame.stack
-            index = stack.pop()
-            ref = stack[-1]
-            if ref is None:
-                raise NullPointerError("arrload on null")
-            stack[-1] = ref.get(index)
-            frame.pc = nxt
-            return cost
-        return interp._observed(arrload, instr, -2, False)
-    if op is Op.ARRSTORE:
-        def arrstore(thread, frame):
-            stack = frame.stack
-            value = stack.pop()
-            index = stack.pop()
-            ref = stack.pop()
-            if ref is None:
-                raise NullPointerError("arrstore on null")
-            ref.set(index, value)
-            frame.pc = nxt
-            return cost
-        return interp._observed(arrstore, instr, -3, True)
 
     # --- invocation: a = static class name, b = method name -------------
     if op is Op.INVOKEVIRTUAL:

@@ -350,7 +350,7 @@ class _MethodGen:
             self.emit_assign(expr, want_value=True)
         elif isinstance(expr, Conv):
             self.emit_expr(expr.operand)
-            mb.emit(Op.I2D if expr.kind == "i2d" else Op.D2I)
+            mb.emit(Op.I2D if expr.kind == "i2d" else Op.D2I, line=expr.line)
         elif isinstance(expr, Cast):
             self.emit_expr(expr.operand)
             src = expr.operand.type

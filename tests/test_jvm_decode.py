@@ -55,8 +55,9 @@ def test_every_opcode_is_declared_in_every_table():
     from repro.jit.analysis import PURE_OPS, SPECIAL_OPS
     from repro.jit.codegen import _Emitter
     from repro.jvm import interpreter
-    from repro.jvm.bytecode import (HEAP_ACCESS_COST, INVOKES, OP_COST,
-                                    SEMANTICS, STACK_EFFECT)
+    from repro.jvm.bytecode import (ACCESSES, HEAP_ACCESS_COST, INVOKES,
+                                    OP_COST, SEMANTICS, STACK_EFFECT,
+                                    ref_below, row_text)
 
     missing = []
     for op in Op:
@@ -85,16 +86,26 @@ def test_every_opcode_is_declared_in_every_table():
                            f"an arm in interpreter._decode_instr and one in "
                            f"codegen._emit_pure/_emit_control")
         if op in SEMANTICS:
-            pushed, first = SEMANTICS[op]
+            row = SEMANTICS[op]
             pops, pushes = STACK_EFFECT[op]
-            if op in SPECIAL_OPS or len(pushed) != pushes:
+            if op in SPECIAL_OPS or len(row.pushed) != pushes:
                 missing.append(f"{op.name}: SEMANTICS row pushes "
-                               f"{len(pushed)}, STACK_EFFECT says {pushes}")
-            named = set(re.findall(r"\{(\w*)\}",
-                                   "".join(pushed) + (first or "")))
-            if not named <= set("xyz"[:pops]) | {"a", "b", "local"}:
+                               f"{len(row.pushed)}, STACK_EFFECT says "
+                               f"{pushes}")
+            named = set(re.findall(r"\{(\w*)\}", row_text(row)))
+            if not named <= set("xyz"[:pops]) | {"a", "b", "local", "slot"}:
                 missing.append(f"{op.name}: SEMANTICS row names "
                                f"{sorted(named)} with {pops} pops")
+            # An access: a null test of the reference it tells the race
+            # detector about, which is one of its pops.
+            if row.observe and not (
+                    row.first.startswith(f"if {row.observe[0]} is None:")
+                    and set(row.observe[:2]) <= {"{%s}" % n for n in named}
+                    and 0 < ref_below(op) <= pops):
+                missing.append(f"{op.name}: observe marker {row.observe} "
+                               f"is not a null-tested operand of its row")
+    assert set(SEMANTICS) >= {Op.GETFIELD, Op.PUTFIELD, Op.ARRLOAD,
+                              Op.ARRSTORE} == ACCESSES
     assert not missing, "\n".join(missing)
     _, _, jvm = make_jvm()  # resolves the cost rows: after they are checked
     for op in Op:
@@ -120,7 +131,8 @@ def test_undecodable_instruction_fails_at_decode(bad):
 
 
 def test_unreachable_missing_field_still_runs():
-    """Link state resolves at a handler's first run, not at decode."""
+    """A field that does not link at decode, or a call target, fails
+    when it runs, not when its method is decoded."""
     cb = ClassBuilder("Main")
     mb = cb.method("main", ret="int", flags=["static"])
     mb.const(7)
@@ -296,7 +308,8 @@ def test_mixed_brands_bill_from_their_own_tables():
     shared = set(sun._decoded) & set(ibm._decoded)
     assert shared, "both JVMs should have run the same worker methods"
     for key in shared:
-        (m_sun, h_sun), (m_ibm, h_ibm) = sun._decoded[key], ibm._decoded[key]
+        (m_sun, h_sun, _), (m_ibm, h_ibm, _) = (sun._decoded[key],
+                                                ibm._decoded[key])
         assert m_sun is m_ibm and h_sun is not h_ibm
 
 

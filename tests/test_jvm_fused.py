@@ -5,9 +5,9 @@ of pure opcodes (``repro.jvm.fuse``).  That is a bytecode-to-bytecode
 transformation, so it is held to what the per-instruction handlers do —
 they stay, behind ``Interpreter.step`` and the quantum's tail, and are
 the reference here: same state at every budget, same error at every
-trap, same values through every alias, same simulated time on whole
-programs, one compiled text per method whatever the brand, and no heap
-access ever inside a run.
+trap, same values through every alias (through the heap too), same
+simulated time on whole programs, one compiled text per method whatever
+the brand, and no observed access ever inside a run.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from repro.check.runner import app_source
-from repro.jvm import Instr, JVMError, MethodInfo, Op
+from repro.jvm import ClassBuilder, Instr, JVMError, MethodInfo, Op
 from repro.jvm import interpreter as tier0
-from repro.jvm.bytecode import SEMANTICS
+from repro.jvm.bytecode import ACCESSES, DSM_OPS, INVOKES, SEMANTICS
 from repro.jvm.frame import Frame
 from repro.jvm.fuse import NOT_FUSED, fused_runs, fused_source
 from repro.jvm.heap import ArrayObj, Obj
@@ -206,6 +206,57 @@ class Main {
     assert 41 in fused[4]
 
 
+# A loop of field and array traffic whose fifth trip fails in mid-run:
+# ``c.a[4]`` is out of bounds, or ``c`` went null at the end of the
+# fourth.
+ACCESS_TRAP_SOURCE = """
+class Cell { int v; int[] a; Cell next; }
+class Main {
+    static int main() {
+        Cell c = new Cell();
+        c.a = new int[4];
+        int s = 0;
+        for (int i = 0; i < 9; i++) {
+            c.v = c.v + i;
+            s = s + c.a[%s] * 2 + c.v;
+            if (i == 3) { c = %s; }
+        }
+        return s;
+    }
+}
+"""
+ACCESS_TRAPS = {  # error -> the index, the next c, the line it fails on
+    "index 4, length 4": ("i", "c", 10),
+    "getfield Cell.v": ("i % 4", "c.next", 9),
+}
+
+
+@pytest.mark.parametrize("text", ACCESS_TRAPS)
+def test_an_access_trap_in_mid_run_counts_exactly_at_any_quantum(text):
+    """The NPE of a GETFIELD and the out-of-bounds ARRLOAD each inside a
+    fused run: per-quantum consumption, error, pc and instruction count
+    are stepping's at every one of the seven quantum sizes."""
+    index, after, line = ACCESS_TRAPS[text]
+    classfiles = compile_source(ACCESS_TRAP_SOURCE % (index, after))
+    main = next(cf for cf in classfiles if cf.name == "Main").methods["main"]
+    for quantum_ns in (1, 7, 53, 400, 1000, 4999, 50000):
+        outcomes = []
+        for quantum in (_by_run, _by_step):
+            _, _, jvm = make_jvm()
+            jvm.load_classes(classfiles)
+            thread = jvm.start_main("Main")
+            frame, spent = thread.frames[-1], []
+            with pytest.raises(JVMError) as failure:
+                while True:
+                    spent.append(quantum(thread, quantum_ns))
+            outcomes.append((spent, str(failure.value), frame.pc,
+                             thread.instructions))
+        assert outcomes[0] == outcomes[1], quantum_ns
+        spent, error, pc, _ = outcomes[0]
+        assert error.startswith(f"{text} at Main.main pc={pc} (line {line})")
+        assert any(start < pc < end for start, end in fused_runs(main.code))
+
+
 # ---------------------------------------------------------------------------
 # (c) Aliasing: a forwarded expression is never observed stale or twice
 # ---------------------------------------------------------------------------
@@ -253,6 +304,45 @@ def test_aliases_and_pending_reads(name):
     stack = outcomes[0][3]
     assert stack == expected
     assert [type(value) for value in stack] == [type(v) for v in expected]
+
+
+BOX, CELLS, SEVEN = (Instr(Op.LOAD, k) for k in range(3))
+GET, PUT = Instr(Op.GETFIELD, "Box", "f"), Instr(Op.PUTFIELD, "Box", "f")
+AT_2 = Instr(Op.CONST, 2)
+HEAP_ALIASING = {
+    # body over locals (a Box with f = 0, an int[4] of zeros, 7) -> the
+    # operand stack it leaves over the 100 already there.
+    "write-then-read": ([BOX, SEVEN, PUT, BOX, GET], [100, 7]),
+    "read-write-read": ([BOX, GET, BOX, SEVEN, PUT, BOX, GET, Instr(Op.SUB)],
+                        [100, -7]),
+    "dup-ref": ([BOX, Instr(Op.DUP), SEVEN, PUT, GET], [100, 7]),
+    "array": ([CELLS, AT_2, SEVEN, Instr(Op.ARRSTORE),
+               CELLS, AT_2, Instr(Op.ARRLOAD), CELLS, AT_2, Instr(Op.ARRLOAD),
+               Instr(Op.MUL)], [100, 49]),
+    "array-read-write-read": ([CELLS, AT_2, Instr(Op.ARRLOAD),
+                               CELLS, AT_2, SEVEN, Instr(Op.ARRSTORE),
+                               CELLS, AT_2, Instr(Op.ARRLOAD), Instr(Op.SUB)],
+                              [100, -7]),
+}
+
+
+@pytest.mark.parametrize("name", HEAP_ALIASING)
+def test_a_run_reads_what_it_just_wrote(name):
+    """Accesses join a run: a field or element read after a write in the
+    same run sees the write, one read before it does not."""
+    body, expected = HEAP_ALIASING[name]
+    code = body + [Instr(Op.RETURN)]
+    assert fused_runs(code) == [(0, len(body))]
+    outcomes = []
+    for quantum in (_by_run, _by_step):
+        _, _, jvm = make_jvm()
+        jvm.load_classes([ClassBuilder("Box").field("f", "int").build()])
+        thread = _method_thread(code, args=[
+            jvm.new_instance("Box"), jvm.new_array("int", 4), 7], jvm=jvm)
+        thread.frames[-1].stack.append(100)
+        outcomes.append(_outcome(thread, quantum))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][3] == expected
 
 
 _STRAIGHT_OPS = [Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.REM, Op.NEG, Op.AND,
@@ -349,8 +439,8 @@ def test_whole_programs_keep_the_parents_numbers_at_any_quantum(app):
 # ---------------------------------------------------------------------------
 def test_brands_share_the_text_and_bill_their_own_sum(monkeypatch):
     compiled = []
-    monkeypatch.setattr(tier0, "fused_source", lambda code, bound: (
-        compiled.append(code), fused_source(code, bound))[1])
+    monkeypatch.setattr(tier0, "fused_source", lambda code, *rest: (
+        compiled.append(code), fused_source(code, *rest))[1])
     code = [Instr(Op.CONST, 6), Instr(Op.STORE, 0), Instr(Op.LOAD, 0),
             Instr(Op.LOAD, 0), Instr(Op.MUL), Instr(Op.I2D),
             Instr(Op.RETVAL)]
@@ -377,19 +467,30 @@ def test_brands_share_the_text_and_bill_their_own_sum(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (f) What is installed is never skipped: heap accesses end a run
+# (f) What is installed is never skipped: an observed access ends a run
 # ---------------------------------------------------------------------------
+def _fused_instructions(race_detect):
+    """Every instruction inside a run tier 0 fused on a tsp run."""
+    rewritten = rewrite_application(compile_source(app_source("tsp")))
+    JavaSplitRuntime(rewritten, RuntimeConfig(
+        num_nodes=3, seed=0, race_detect=race_detect)).run()
+    return [i for cf in rewritten.classfiles.values()
+            for method in cf.methods.values() if method.fused
+            for start, end in method.fused[2] for i in method.code[start:end]]
+
+
 def test_no_observed_or_blocking_opcode_is_ever_fused():
     assert NOT_FUSED == set(Op) - set(SEMANTICS) - {Op.GOTO, Op.IF, Op.IF_CMP}
-    assert NOT_FUSED >= {Op.GETFIELD, Op.PUTFIELD, Op.ARRLOAD, Op.ARRSTORE,
-                         Op.RETURN, Op.RETVAL}
-    rewritten = rewrite_application(compile_source(app_source("tsp")))
-    for cf in rewritten.classfiles.values():
-        for method in cf.methods.values():
-            for start, end in fused_runs(method.code):
-                assert end - start >= 2
-                assert not {i.op for i in method.code[start:end]} & NOT_FUSED
-                assert not any(i.checked for i in method.code[start:end])
+    assert not NOT_FUSED & ACCESSES
+    assert NOT_FUSED >= {Op.RETURN, Op.RETVAL, Op.MONITORENTER,
+                         Op.MONITOREXIT} | INVOKES | DSM_OPS
+    for race_detect in (False, True):
+        fused = _fused_instructions(race_detect)
+        assert not {i.op for i in fused} & NOT_FUSED
+        # The rewriter checks every access of tsp: each is observed
+        # while a detector is attached, and only then kept out of runs.
+        observed = [i for i in fused if i.op in ACCESSES and i.checked]
+        assert bool(observed) != race_detect, race_detect
 
 
 def test_race_detector_still_observes_every_checked_access():

@@ -4,8 +4,9 @@ Both tiers build a pure opcode from its ``SEMANTICS`` row, so tier 0 is
 no longer an independent reference for tier 1 on those opcodes.  These
 tests are: every row, run as a one-op method through a tier-0 handler
 *and* through compiled text, against a literal result or a literal
-error; and the emitted text of the three apps, pinned at the parent
-commit.
+error; what an observed access tells the race detector, and where an
+access that does not link fails, in both tiers; and the emitted text of
+the three apps, pinned at the parent commit.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import pytest
 
 from repro.jit.codegen import R_DEOPT, compile_method
 from repro.jvm import ClassBuilder, Instr, JVMError, MethodInfo, Op
-from repro.jvm.bytecode import SEMANTICS, STACK_EFFECT
+from repro.jvm.bytecode import LINKED, SEMANTICS, STACK_EFFECT, link_slots
 from repro.jvm.errors import (
     ArithmeticJavaError,
+    ArrayIndexError,
     ClassCastError,
     LinkError,
     NegativeArraySizeError,
@@ -39,25 +41,34 @@ NAN, INF = math.nan, math.inf
 
 
 def row_jvm():
-    """A JVM holding ``Base``, ``Sub extends Base`` (static ``Base.n``
-    = 5) and ``Other``."""
+    """A JVM holding ``Base`` (static ``Base.n`` = 5, instance field
+    ``v`` = 3), ``Sub extends Base`` and ``Other``."""
     _, _, jvm = make_jvm()
     base = ClassBuilder("Base")
     base.field("n", "int", is_static=True, init=5)
+    base.field("v", "int", init=3)
     jvm.load_classes([base.build(),
                       ClassBuilder("Sub", super_name="Base").build(),
                       ClassBuilder("Other").build()])
     return jvm
 
 
-def run_row(jvm, tier, op, operands=(), a=None, b=None):
+def tier1(jvm):
+    """Tier 1 of ``jvm`` as a function: ``method -> fn(thread, frame,
+    budget, depth)``, as the JIT manager calls it."""
+    agent = SimpleNamespace(jvm=jvm, cache={}, methods={},
+                            manager=SimpleNamespace(code_cache={}))
+    return lambda method: compile_method(method, agent)
+
+
+def run_row(jvm, tier, op, operands=(), a=None, b=None, checked=False):
     """Execute ``op`` on ``operands`` (deepest first; they start out as
     the locals, so ``a`` may name one) in tier 0 or tier 1.  Returns
     ``(stack, locals, cost_ns)`` after the op, or the ``JVMError`` it
     raised — attributed, like any failure, to ``T.m pc=<the op>``."""
     n = len(operands)
     code = [Instr(Op.LOAD, k) for k in range(n)] + [
-        Instr(op, a, b, line=7),
+        Instr(op, a, b, checked=checked, line=7),
         # Unresolvable, so a deopt site: compiled code hands the frame
         # back right after the op, operand stack materialized.
         Instr(Op.INVOKESTATIC, "NoSuchClass", "m"), Instr(Op.RETURN)]
@@ -65,15 +76,18 @@ def run_row(jvm, tier, op, operands=(), a=None, b=None):
                         flags={"static"}, klass="T")
     frame = Frame(method, list(operands))
     thread = JThread(jvm, frame, name="t")
+    # Only a field that does not link is a deopt site at the op itself.
+    unlinked = op in LINKED and not link_slots(code[n:n + 1], jvm.field_index)
     try:
         if tier == 0:
             cost = sum(jvm.interpreter.step(thread) for _ in range(n + 1))
         else:
-            agent = SimpleNamespace(jvm=jvm, cache={}, methods={},
-                                    manager=SimpleNamespace(code_cache={}))
-            cost, why = compile_method(method, agent)(
-                thread, frame, 10 ** 9, 0)
-            assert why == R_DEOPT and thread.instructions == n + 1
+            cost, why = tier1(jvm)(method)(thread, frame, 10 ** 9, 0)
+            assert why == R_DEOPT
+            if unlinked:  # compiled code stops at it; the interpreter runs it
+                assert frame.pc == thread.instructions == n
+                cost += jvm.interpreter.step(thread)
+            assert thread.instructions == n + 1
     except JVMError as exc:
         assert thread.error is exc
         return exc
@@ -169,6 +183,27 @@ ROWS = [
     (Op.CHECKCAST, ("Sub",), "Other", None,
      (ClassCastError, "Sub -> Other")),
     (Op.CHECKCAST, ("s",), "Other", None, (ClassCastError, "str -> Other")),
+    (Op.GETFIELD, ("Sub",), "Base", "v", [3]),
+    (Op.GETFIELD, (None,), "Base", "v",
+     (NullPointerError, "getfield Base.v")),
+    # A field that does not link fails where it runs, after the null test.
+    (Op.GETFIELD, ("Sub",), "Sub", "nope", (LinkError, "no field Sub.nope")),
+    (Op.GETFIELD, (None,), "Sub", "nope",
+     (NullPointerError, "getfield Sub.nope")),
+    (Op.PUTFIELD, ("Sub", 9), "Base", "v", []),  # field checked below
+    (Op.PUTFIELD, (None, 9), "Base", "v",
+     (NullPointerError, "putfield Base.v")),
+    (Op.PUTFIELD, ("Sub", 9), "Missing", "v",
+     (LinkError, "class Missing not loaded")),
+    (Op.ARRLOAD, ("int[]", 3), None, None, [0]),
+    (Op.ARRLOAD, ("int[]", 4), None, None,
+     (ArrayIndexError, "index 4, length 4")),
+    (Op.ARRLOAD, (None, 0), None, None, (NullPointerError, "arrload on null")),
+    (Op.ARRSTORE, ("int[]", 1, 5), None, None, []),  # element checked below
+    (Op.ARRSTORE, ("int[]", -1, 5), None, None,
+     (ArrayIndexError, "index -1, length 4")),
+    (Op.ARRSTORE, (None, 0, 5), None, None,
+     (NullPointerError, "arrstore on null")),
 ]
 
 
@@ -220,6 +255,10 @@ def test_row_against_literal(op, operands, a, b, want, tier):
         assert all(map(_same, local_vars, operands))
     assert jvm.classes["Base"].statics["n"] == (
         9 if op is Op.PUTSTATIC else 5)
+    if op is Op.PUTFIELD:
+        assert operands[0].fields[jvm.field_index("Base", "v")] == 9
+    elif op is Op.ARRSTORE:
+        assert operands[0].data == [0, 5, 0, 0]
 
 
 def test_every_row_has_a_literal():
@@ -228,6 +267,95 @@ def test_every_row_has_a_literal():
         # LOAD and SWAP get spare operands: something to load, something
         # that must stay where it is.
         assert len(operands) >= STACK_EFFECT[op][0]
+
+
+# (op, operands, a, b) of a checked access -> what the race detector is
+# told: (the reference operand, slot, is_write); None = not told (NPE).
+OBSERVED = [
+    (Op.GETFIELD, ("Sub",), "Base", "v", (0, "v", False)),
+    (Op.PUTFIELD, ("Sub", 9), "Base", "v", (0, "v", True)),
+    (Op.ARRLOAD, ("int[]", 3), None, None, (0, 3, False)),
+    (Op.ARRSTORE, ("int[]", 1, 5), None, None, (0, 1, True)),
+    (Op.ARRLOAD, ("int[]", 4), None, None, (0, 4, False)),  # then AIOOBE
+    (Op.GETFIELD, (None,), "Base", "v", None),
+    (Op.ARRSTORE, (None, 1, 5), None, None, None),
+]
+
+
+@pytest.mark.parametrize("tier", (0, 1))
+@pytest.mark.parametrize("op, operands, a, b, told", OBSERVED,
+                         ids=[f"{r[0].name}{list(r[1])}" for r in OBSERVED])
+def test_an_observed_access_tells_what_its_marker_names(
+        op, operands, a, b, told, tier):
+    """One ``observe`` marker per row: both tiers build the race call
+    from it, after the null test and before the effect."""
+    jvm = row_jvm()
+    seen = []
+    jvm.interpreter.race_hook = (
+        lambda thread, ref, slot, is_write, frame, instr:
+        seen.append((ref, slot, is_write, frame.pc, instr.line)))
+    operands = _heap(jvm, operands)
+    got = run_row(jvm, tier, op, operands, a, b, checked=True)
+    if told is None:
+        assert isinstance(got, NullPointerError) and seen == []
+        return
+    ref, slot, is_write = told
+    assert seen == [(operands[ref], slot, is_write, len(operands), 7)]
+    assert isinstance(got, ArrayIndexError) == (slot == 4)
+
+
+# T.m(flag, ref): ``if (flag != 0) return ref.nope; return 7;`` — a
+# field of a loaded class that the class does not declare.
+OFF_PATH = [Instr(Op.LOAD, 0), Instr(Op.IF, "eq", 5), Instr(Op.LOAD, 1),
+            Instr(Op.GETFIELD, "Sub", "nope", line=7), Instr(Op.RETVAL),
+            Instr(Op.CONST, 7), Instr(Op.RETVAL)]
+
+
+def _run_off_path(tier, flag, ref):
+    """The result of ``T.m(flag, ref)`` run to its end, or its error."""
+    jvm = row_jvm()
+    method = MethodInfo("m", ["int", "Base"], "int", code=OFF_PATH,
+                        max_locals=2, flags={"static"}, klass="T")
+    frame = Frame(method, [flag, ref and jvm.new_instance(ref)])
+    thread = JThread(jvm, frame, name="t")
+    try:
+        if tier == 0:
+            jvm.interpreter.run(thread, 10 ** 9)
+        else:
+            fn = tier1(jvm)(method)
+            while thread.result is None:
+                if fn(thread, frame, 10 ** 9, 0)[1] == R_DEOPT:
+                    jvm.interpreter.step(thread)
+    except JVMError as exc:
+        return str(exc)
+    return thread.result
+
+
+@pytest.mark.parametrize("tier", (0, 1))
+def test_an_unlinkable_field_fails_only_where_it_runs(tier):
+    """Tier 0 links at decode and tier 1 at compile time; a field that
+    does not link then is a wrapper / a deopt site, so a path that never
+    reaches it runs clean, and the one that does fails there — on a
+    null receiver with the NPE, as an access that linked would."""
+    assert _run_off_path(tier, 0, "Sub") == 7
+    assert _run_off_path(tier, 1, "Sub") == \
+        "no field Sub.nope at T.m pc=3 (line 7) [t]"
+    assert _run_off_path(tier, 1, None) == \
+        "getfield Sub.nope at T.m pc=3 (line 7) [t]"
+
+
+def test_a_link_rule_that_breaks_is_not_a_link_error(monkeypatch):
+    """Only ``LinkError`` means "does not link": anything else out of the
+    link rule is a bug, and fails the decode / the compile instead of
+    quietly becoming a wrapper or a deopt site."""
+    jvm = row_jvm()
+    monkeypatch.setattr(jvm, "field_index", lambda a, b: {}[a])
+    method = MethodInfo("m", [], "void", code=OFF_PATH, max_locals=2,
+                        flags={"static"}, klass="T")
+    with pytest.raises(KeyError):
+        jvm.interpreter.decode(method)
+    with pytest.raises(KeyError):
+        tier1(jvm)(method)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +411,8 @@ def test_widening_an_int_no_double_holds_is_a_java_error(how):
     prefix = "" if how == "original" else "javasplit."
     assert re.fullmatch(
         r"\(double\) of an int beyond the double range at "
-        + prefix + r"Main\.widen pc=1 \[main\]", str(failure.value))
+        + prefix + r"Main\.widen pc=1 \(line 3\) \[main\]",
+        str(failure.value))
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +421,21 @@ def test_widening_an_int_no_double_holds_is_a_java_error(how):
 # SHA-256 over every compiled method's text (sorted by method, the
 # ``_CACHE.get(<id>)`` keys normalised) of seed 0 on 3 nodes, the
 # per-reason exits and the interpreter steps.  The hashes were re-pinned
-# when tier 1 gained traces; the exits and steps beside them are still
-# the parent's of the semantics table.
+# when tier 1 gained traces, and when the heap accesses became rows —
+# the one line that changed is an access's NPE, now formatted from its
+# operands where it is raised (``'getfield %s.%s' % ('C', 'f')``); the
+# exits and steps beside them are still the parent's of the semantics
+# table.
 PARENT_TEXT = {
-    ("series", 0): ("6de89f2583b22373", {"budget": 10, "return": 1052}, 33212),
-    ("series", 2): ("6de89f2583b22373", {"budget": 13, "return": 1011}, 32037),
-    ("tsp", 0): ("0c7190e58209347e", {"block_acquire": 10, "block_read": 5,
+    ("series", 0): ("17a3dad9d5019383", {"budget": 10, "return": 1052}, 33212),
+    ("series", 2): ("17a3dad9d5019383", {"budget": 13, "return": 1011}, 32037),
+    ("tsp", 0): ("ba223321d22ae929", {"block_acquire": 10, "block_read": 5,
                                       "budget": 243, "return": 439}, 13541),
-    ("tsp", 2): ("8c4ce1ade622a6e5", {"block_acquire": 5, "block_read": 3,
+    ("tsp", 2): ("be92bec1e4cc8f49", {"block_acquire": 5, "block_read": 3,
                                       "budget": 195, "return": 382}, 13939),
-    ("raytracer", 0): ("e21a122199a04e7d", {"block_read": 2, "budget": 68,
+    ("raytracer", 0): ("e4b627b270a42a3e", {"block_read": 2, "budget": 68,
                                             "return": 56}, 17025),
-    ("raytracer", 2): ("46ecbebb25829b20", {"block_read": 2, "budget": 64,
+    ("raytracer", 2): ("866c71fe0139a90c", {"block_read": 2, "budget": 64,
                                             "return": 56}, 16811),
 }
 
