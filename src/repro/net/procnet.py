@@ -2,37 +2,37 @@
 
 The ``proc`` backend runs one OS process per simulated node and pushes
 every protocol frame through real sockets (Unix-domain by default, TCP
-optional), while the *control plane* — the event schedule, the JVM
-interpreters, the DSM protocol — stays in the master process exactly as
-the ``sim`` backend runs it.  The division of labour:
+optional); the event schedule, the JVM interpreters and the DSM protocol
+stay in the master process exactly as the ``sim`` backend runs them.
 
 - **Master** (this process): owns the :class:`~repro.sim.engine.SimEngine`
-  and all protocol logic.  Every frame accepted by the network is encoded
-  once with the versioned wire codec (``repro.net.wire``) and those bytes
-  are written, as they are, to the *source* node's worker process.
-- **Worker** (one per node, :func:`worker_main`): a selector-based event
-  loop that owns that node's listening socket.  It routes a data frame on
-  its header (``peek_route``) without decoding it: the same bytes go to
-  the destination node's worker over a real peer-to-peer socket, and that
-  worker hands them back to the master over its control connection.
-- At delivery time the master waits for the physical copy, verifies it
-  is byte-identical to what was sent, and dispatches the *decoded*
-  message — so every payload a handler sees on this backend has survived
-  a real encode → three socket hops → decode round trip.
+  and all protocol logic.  It encodes each frame once with the wire codec
+  (``repro.net.wire``) and writes those bytes to the *source* node's worker.
+- **Worker** (one per node, :func:`worker_main`): a selector loop that
+  owns that node's listening socket.  It routes a data frame on its
+  header (``peek_route``) without decoding it: the same bytes go to the
+  destination node's worker over a peer-to-peer socket, and that worker
+  hands them back to the master over its control lane.
+- At delivery the master waits for the physical copy, checks that it is
+  byte-identical to what was sent, and dispatches the *decoded* message.
 
-Delivery *decisions* (ordering, latency, drops on detach) are made purely
-from simulator state, which is what makes the backend differentially
-testable: with identical configs, ``sim`` and ``proc`` produce identical
-schedules, identical per-type message counts, and identical final heaps.
-What ``proc`` adds is genuine process-level failure semantics —
-``detach`` SIGKILLs the worker process, so the fault injector's
-``--kill NODE@TIME`` exercises recovery against real process death, and
-an externally killed worker is detected (control-socket EOF / waitpid)
-and surfaced to the runtime via ``on_proc_death``.
+What one frame costs: one encode and one decode, both in the master;
+three socket hops (master -> source worker -> destination worker ->
+master), each one ``send`` by its writer; one wake-up of each worker,
+which writes the frame on before it selects again (write interest is
+taken only for bytes a socket refused); and one ``recv`` by the master
+off the ``poll`` set of its control lanes, which it drains on every
+send and blocks on only while a delivery waits for its copy.
 
-If a relay becomes impossible because one endpoint's process is dead,
-the master decodes its own encoded copy instead (counted as
-``wire_fallback``) so delivery semantics never diverge from ``sim``.
+Delivery *decisions* (ordering, latency, drops on detach) come from
+simulator state alone, so with identical configs ``sim`` and ``proc``
+give identical schedules, per-type message counts and final heaps.
+``proc`` adds real process death: ``detach`` SIGKILLs the worker (the
+fault injector's ``--kill NODE@TIME``), and an externally killed worker
+is detected (control-lane EOF / waitpid) and surfaced to the runtime via
+``on_proc_death``.  If a relay is impossible because an endpoint's
+process is dead, the master decodes its own copy instead (counted as
+``wire_fallback``), so delivery never diverges from ``sim``.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def _flush(sock: socket.socket, buf: bytearray) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Peer:
-    """One data-plane connection inside a worker (accepted or dialed)."""
+    """One connection inside a worker: the control lane to the master,
+    or a data-plane connection to another worker (accepted or dialed)."""
 
     __slots__ = ("sock", "outbuf", "decoder")
 
@@ -169,13 +170,13 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     sel = selectors.DefaultSelector()
     ctrl.setblocking(False)
     listener.setblocking(False)
-    ctrl_out = bytearray()
-    ctrl_dec = FrameDecoder()
+    lane = _Peer(ctrl)
     peers_addr: Dict[int, Any] = {}
     conns: Dict[socket.socket, _Peer] = {}
     dialed: Dict[int, socket.socket] = {}
     stats = {"node": node_id, "frames_relayed": 0, "frames_received": 0,
-             "bytes_out": 0, "bytes_in": 0, "relay_failures": 0}
+             "bytes_out": 0, "bytes_in": 0, "relay_failures": 0,
+             "wakeups": 0}
     running = True
 
     # -- wall-clock telemetry (all off when obs is None) ----------------
@@ -193,19 +194,13 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     last_sim = [0]
     hists: Dict[str, Histogram] = {}
     if wallclock:
-        hists["loop_lag_ns"] = Histogram()
-        hists["wire_encode_ns"] = Histogram()
-        hists["wire_decode_ns"] = Histogram()
+        hists = {name: Histogram() for name in (
+            "loop_lag_ns", "wire_encode_ns", "wire_decode_ns")}
         set_wire_timer(lambda op, ns: hists[f"wire_{op}_ns"].observe(ns))
 
     def flight_note(event_kind: str, **detail: Any) -> None:
-        event: Dict[str, Any] = {
-            "kind": event_kind,
-            "wall_ns": time.monotonic_ns(),
-            "sim_ns": last_sim[0],
-        }
-        if detail:
-            event.update(detail)
+        event = {"kind": event_kind, "wall_ns": time.monotonic_ns(),
+                 "sim_ns": last_sim[0], **detail}
         flight.append(event)
         flight_pending.append(event)
 
@@ -221,18 +216,37 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                           if h.count},
             })
 
-    def interest(sock: socket.socket, outbuf: bytearray) -> None:
-        events = selectors.EVENT_READ
-        if outbuf:
-            events |= selectors.EVENT_WRITE
+    def write(peer: _Peer, data: bytes) -> bool:
+        """Send ``data`` behind what ``peer`` has queued: at once when
+        nothing is, watching for writability only for what the socket
+        did not take.  False if the connection is gone."""
+        if peer.outbuf:
+            peer.outbuf.extend(data)    # write interest is already on
+            return True
         try:
-            sel.modify(sock, events)
-        except KeyError:
-            sel.register(sock, events)
+            sent = peer.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            return False
+        if sent < len(data):
+            peer.outbuf.extend(memoryview(data)[sent:])
+            sel.modify(peer.sock,
+                       selectors.EVENT_READ | selectors.EVENT_WRITE)
+        return True
+
+    def drain(peer: _Peer) -> bool:
+        """Writable: send what is queued; read-only interest once empty."""
+        if not _flush(peer.sock, peer.outbuf):
+            return False
+        if not peer.outbuf:
+            sel.modify(peer.sock, selectors.EVENT_READ)
+        return True
 
     def ctrl_write(frame: bytes) -> None:
-        ctrl_out.extend(frame_with_prefix(frame))
-        interest(ctrl, ctrl_out)
+        nonlocal running
+        if not write(lane, frame_with_prefix(frame)):
+            running = False     # master is gone
 
     def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
         ctrl_write(encode_frame(_ctrl_msg(msg_type, node_id, payload)))
@@ -248,46 +262,38 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             pass
         sock.close()
 
+    def relay_failed(dst: int, why: str) -> None:
+        stats["relay_failures"] += 1
+        if flight_on:
+            flight_note("relay.fail", dst=dst, why=why)
+
     def relay(dst: int, frame: bytes) -> None:
         sock = dialed.get(dst)
         if sock is None:
             addr = peers_addr.get(dst)
             if addr is None:
-                stats["relay_failures"] += 1
-                if flight_on:
-                    flight_note("relay.fail", dst=dst, why="no-addr")
-                return
+                return relay_failed(dst, "no-addr")
             try:
                 sock = _dial(kind, addr)
             except OSError:
-                stats["relay_failures"] += 1
-                if flight_on:
-                    flight_note("relay.fail", dst=dst, why="dial")
-                return
+                return relay_failed(dst, "dial")
             sock.setblocking(False)
             dialed[dst] = sock
             conns[sock] = _Peer(sock)
             sel.register(sock, selectors.EVENT_READ)
-        peer = conns[sock]
-        peer.outbuf.extend(frame_with_prefix(frame))
         stats["frames_relayed"] += 1
         stats["bytes_out"] += len(frame) + 4
         if flight_on:
             flight_note("relay", dst=dst, bytes=len(frame) + 4)
-        if not _flush(sock, peer.outbuf):
-            stats["relay_failures"] += 1
-            if flight_on:
-                flight_note("relay.fail", dst=dst, why="send")
+        if not write(conns[sock], frame_with_prefix(frame)):
+            relay_failed(dst, "send")
             drop_peer(sock)
-            return
-        interest(sock, peer.outbuf)
 
     def on_ctrl_frame(raw: bytes) -> None:
         nonlocal running
         dst = peek_route(raw)[1]
         if dst != MASTER_ID:
-            relay(dst, raw)  # a data frame: routed, never decoded
-            return
+            return relay(dst, raw)  # a data frame: routed, never decoded
         msg = decode_frame(raw)
         if msg.msg_type == CTRL_SIM:
             last_sim[0] = msg.payload["sim"]
@@ -297,6 +303,13 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             if flight_on:
                 flight_note("shutdown")
             running = False
+
+    def on_peer_frame(raw: bytes) -> None:
+        stats["frames_received"] += 1
+        stats["bytes_in"] += len(raw) + 4
+        if flight_on:
+            flight_note("recv", bytes=len(raw) + 4)
+        ctrl_write(raw)
 
     sel.register(ctrl, selectors.EVENT_READ)
     sel.register(listener, selectors.EVENT_READ)
@@ -314,6 +327,8 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                     next_flush = now + period_s
                 timeout = min(1.0, max(0.001, next_flush - now))
             ready = sel.select(timeout=timeout)
+            if ready:
+                stats["wakeups"] += 1
             t_iter = time.monotonic_ns() if (wallclock and ready) else 0
             for key, events in ready:
                 sock = key.fileobj
@@ -326,49 +341,26 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                     conns[accepted] = _Peer(accepted)
                     sel.register(accepted, selectors.EVENT_READ)
                     continue
-                if sock is ctrl:
-                    if events & selectors.EVENT_WRITE:
-                        if not _flush(ctrl, ctrl_out):
-                            running = False
-                            break
-                        interest(ctrl, ctrl_out)
-                    if events & selectors.EVENT_READ:
-                        try:
-                            data = ctrl.recv(_RECV_CHUNK)
-                        except (BlockingIOError, InterruptedError):
-                            continue
-                        except OSError:
-                            data = b""
-                        if not data:
-                            running = False  # master is gone
-                            break
-                        for raw in ctrl_dec.feed(data):
-                            on_ctrl_frame(raw)
-                    continue
-                peer = conns.get(sock)
+                peer = lane if sock is ctrl else conns.get(sock)
                 if peer is None:
                     continue
-                if events & selectors.EVENT_WRITE:
-                    if not _flush(sock, peer.outbuf):
-                        drop_peer(sock)
-                        continue
-                    interest(sock, peer.outbuf)
-                if events & selectors.EVENT_READ:
+                ok = not events & selectors.EVENT_WRITE or drain(peer)
+                if ok and events & selectors.EVENT_READ:
                     try:
                         data = sock.recv(_RECV_CHUNK)
                     except (BlockingIOError, InterruptedError):
                         continue
                     except OSError:
                         data = b""
-                    if not data:
-                        drop_peer(sock)
-                        continue
+                    ok = bool(data)
+                    on_frame = on_ctrl_frame if peer is lane else on_peer_frame
                     for raw in peer.decoder.feed(data):
-                        stats["frames_received"] += 1
-                        stats["bytes_in"] += len(raw) + 4
-                        if flight_on:
-                            flight_note("recv", bytes=len(raw) + 4)
-                        ctrl_write(raw)
+                        on_frame(raw)
+                if not ok:
+                    if peer is lane:
+                        running = False  # master is gone
+                        break
+                    drop_peer(sock)
             if t_iter:
                 hists["loop_lag_ns"].observe(time.monotonic_ns() - t_iter)
     except Exception:  # pragma: no cover - master detects death via EOF
@@ -384,13 +376,12 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                                   for name, h in hists.items() if h.count}
     ctrl_send(CTRL_STATS, stats_payload)
     deadline = time.monotonic() + 5.0
-    pending: List[Tuple[socket.socket, bytearray]] = (
-        [(ctrl, ctrl_out)] + [(p.sock, p.outbuf) for p in conns.values()])
-    while time.monotonic() < deadline and any(b for _, b in pending):
-        for sock, buf in pending:
-            if buf:
-                _flush(sock, buf)
-        if any(b for _, b in pending):
+    pending = [lane] + list(conns.values())
+    while time.monotonic() < deadline and any(p.outbuf for p in pending):
+        for peer in pending:
+            if peer.outbuf:
+                _flush(peer.sock, peer.outbuf)
+        if any(p.outbuf for p in pending):
             time.sleep(0.005)
     for sock in list(conns):
         sock.close()
@@ -458,9 +449,11 @@ class ProcNetwork(SimNetwork):
         self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
         self._addrs: Dict[int, Any] = {}
         # Open control lanes, both ways round (`_handshake` adds, only
-        # `_close_ctrl` removes): node -> socket, socket -> (node, decoder).
+        # `_close_ctrl` removes): node -> socket, and fd -> (socket, node,
+        # decoder) for the fds `_poll` watches.
         self._ctrl: Dict[int, socket.socket] = {}
-        self._lanes: Dict[socket.socket, Tuple[int, FrameDecoder]] = {}
+        self._lanes: Dict[int, Tuple[socket.socket, int, FrameDecoder]] = {}
+        self._poll = select.poll()
         self._dead_procs: set = set()
         self._worker_stats: Dict[int, Dict[str, Any]] = {}
         # msg_id -> [encoded frame, outstanding deliveries, relays afloat]
@@ -556,7 +549,8 @@ class ProcNetwork(SimNetwork):
                         break
             node = hello.payload["node"]
             self._ctrl[node] = conn
-            self._lanes[conn] = (node, decoder)
+            self._lanes[conn.fileno()] = (conn, node, decoder)
+            self._poll.register(conn, select.POLLIN)
             addrs[node] = hello.payload["addr"]
         if set(addrs) != set(nodes):
             raise WireError(f"handshake mismatch: got {sorted(addrs)}, "
@@ -775,14 +769,17 @@ class ProcNetwork(SimNetwork):
     def _pump(self, timeout: float) -> None:
         """Drain worker control sockets; poll process liveness (a waitpid
         each) only after an EOF or a *blocking* wait that timed out."""
-        poll = False
+        reap = False
         while self._lanes:
             try:
-                readable = select.select(list(self._lanes), [], [], timeout)[0]
+                readable = self._poll.poll(timeout * 1000)
             except OSError:
                 break
-            for conn in readable:
-                node, decoder = self._lanes[conn]
+            for fd, _ in readable:
+                lane = self._lanes.get(fd)
+                if lane is None:
+                    continue    # closed by an earlier frame of this batch
+                conn, node, decoder = lane
                 try:
                     data = conn.recv(_RECV_CHUNK)
                 except OSError:
@@ -791,13 +788,13 @@ class ProcNetwork(SimNetwork):
                     for raw in decoder.feed(data):
                         self._on_frame(node, raw)
                 else:
-                    poll = True
+                    reap = True
                     self._note_dead(node)
             if not readable:
-                poll = poll or timeout > 0
+                reap = reap or timeout > 0
                 break
             timeout = 0  # keep draining what is already queued
-        if poll:
+        if reap:
             for node, proc in self._procs.items():
                 if node not in self._dead_procs and not proc.is_alive():
                     self._note_dead(node)
@@ -847,7 +844,8 @@ class ProcNetwork(SimNetwork):
     def _close_ctrl(self, node_id: int) -> None:
         conn = self._ctrl.pop(node_id, None)
         if conn is not None:
-            del self._lanes[conn]
+            del self._lanes[conn.fileno()]
+            self._poll.unregister(conn)
             conn.close()
 
     def _note_dead(self, node_id: int) -> None:

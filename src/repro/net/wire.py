@@ -16,9 +16,11 @@ Design constraints, in order:
   because the differential harness asserts that a run whose every frame
   goes through this codec behaves byte-for-byte like the sim backend.
 * **Hostile-input safety.**  Frames arrive from a socket; a truncated
-  or corrupt frame must raise :class:`WireError`, never an unbounded
-  allocation or a silent mis-parse (the version byte exists so a future
-  layout change is detected instead of mis-decoded).
+  or corrupt frame must raise :class:`WireError` and nothing else —
+  never an unbounded allocation, a silent mis-parse, a ``TypeError``
+  from an unhashable key or a ``RecursionError`` from deep nesting
+  (:data:`MAX_DEPTH` bounds both directions).  The version byte exists
+  so a future layout change is detected instead of mis-decoded.
 * **Relay cheapness.**  The per-node worker processes route frames by
   destination without decoding payloads, so ``src``/``dst`` live at
   fixed offsets readable with one ``struct`` call (:func:`peek_route`).
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import struct
 import time
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .message import Message
 
@@ -60,6 +62,10 @@ _HEADER = struct.Struct(">2sBBQiiIH")   # magic ver flags msg_id src dst size ty
 _U32 = struct.Struct(">I")
 _S64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+# A tag and its fixed-width value, packed by one call.
+_TAG_S64 = struct.Struct(">cq")
+_TAG_F64 = struct.Struct(">cd")
+_TAG_U32 = struct.Struct(">cI")   # u32 is a length or an element count
 
 #: Offset of (src, dst) within a frame (after the length prefix).
 _ROUTE = struct.Struct(">ii")
@@ -83,6 +89,13 @@ _T_DICT = b"m"
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+#: Most containers a value may nest, the payload dict included.  The
+#: deepest payload the protocol sends nests 7 (a ``loc.agg`` sub-frame's
+#: diff entry keyed by ``(gid, region)``: dict > list > tuple > dict >
+#: list > tuple > tuple); the bound turns a hostile 5 000-deep frame
+#: into a WireError, not a RecursionError, on either side of the codec.
+MAX_DEPTH = 32
+
 
 class WireError(ValueError):
     """A frame could not be encoded or decoded."""
@@ -91,120 +104,218 @@ class WireError(ValueError):
 # ---------------------------------------------------------------------------
 # Value codec
 # ---------------------------------------------------------------------------
-def _encode_value(out: List[bytes], value: Any) -> None:
-    # bool before int: bool is an int subclass.
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_T_INT)
-            out.append(_S64.pack(value))
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_T_BIGINT)
-            out.append(_U32.pack(len(raw)))
-            out.append(raw)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_T_BYTES)
-        out.append(_U32.pack(len(value)))
-        out.append(bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_value(out, item)
-    elif isinstance(value, (set, frozenset)):
-        out.append(_T_SET if isinstance(value, set) else _T_FROZENSET)
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_value(out, item)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        out.append(_U32.pack(len(value)))
-        for k, v in value.items():
-            _encode_value(out, k)
-            _encode_value(out, v)
+# The encoder looks ``type(value)`` up in ``_ENCODERS``; a subclass
+# (an ``IntEnum``, a named tuple) takes the first row it is an instance
+# of.  Every encoder is ``(out, value, depth)``, ``depth`` being the
+# containers already open around ``value``.
+def _encode_by_isinstance(out: List[bytes], value: Any, depth: int) -> None:
+    for kind, encode in _ENCODERS.items():
+        if isinstance(value, kind):
+            encode(out, value, depth)
+            return
+    raise WireError(
+        f"cannot encode {type(value).__name__} on the wire "
+        f"(payloads must be flattened to plain data first)")
+
+
+def _enc_none(out: List[bytes], value: None, depth: int) -> None:
+    out.append(_T_NONE)
+
+
+def _enc_bool(out: List[bytes], value: bool, depth: int) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _enc_int(out: List[bytes], value: int, depth: int) -> None:
+    if _INT64_MIN <= value <= _INT64_MAX:
+        out.append(_TAG_S64.pack(_T_INT, value))
     else:
-        raise WireError(
-            f"cannot encode {type(value).__name__} on the wire "
-            f"(payloads must be flattened to plain data first)")
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+        out.append(_TAG_U32.pack(_T_BIGINT, len(raw)))
+        out.append(raw)
 
 
-class _Cursor:
-    """Bounds-checked sequential reader over one frame's bytes."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise WireError(
-                f"truncated frame: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+def _enc_float(out: List[bytes], value: float, depth: int) -> None:
+    out.append(_TAG_F64.pack(_T_FLOAT, value))
 
 
-def _decode_value(cur: _Cursor) -> Any:
-    tag = cur.take(1)
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return _S64.unpack(cur.take(8))[0]
-    if tag == _T_BIGINT:
-        return int.from_bytes(cur.take(cur.u32()), "big", signed=True)
-    if tag == _T_FLOAT:
-        return _F64.unpack(cur.take(8))[0]
-    if tag == _T_STR:
-        raw = cur.take(cur.u32())
+def _enc_str(out: List[bytes], value: str, depth: int) -> None:
+    raw = value.encode("utf-8")
+    out.append(_TAG_U32.pack(_T_STR, len(raw)))
+    out.append(raw)
+
+
+def _enc_bytes(out: List[bytes], value: bytes, depth: int) -> None:
+    out.append(_TAG_U32.pack(_T_BYTES, len(value)))
+    out.append(bytes(value))
+
+
+def _opened(depth: int) -> int:
+    """The depth inside one more container; WireError past MAX_DEPTH."""
+    if depth >= MAX_DEPTH:
+        raise WireError(f"value nests deeper than {MAX_DEPTH} containers")
+    return depth + 1
+
+
+def _enc_items(tag: bytes) -> Callable[[List[bytes], Any, int], None]:
+    def encode(out: List[bytes], value: Any, depth: int) -> None:
+        depth = _opened(depth)
+        out.append(_TAG_U32.pack(tag, len(value)))
+        for item in value:
+            _ENCODERS.get(type(item), _encode_by_isinstance)(out, item, depth)
+    return encode
+
+
+def _enc_dict(out: List[bytes], value: Dict[Any, Any], depth: int) -> None:
+    depth = _opened(depth)
+    out.append(_TAG_U32.pack(_T_DICT, len(value)))
+    get = _ENCODERS.get
+    for k, v in value.items():
+        get(type(k), _encode_by_isinstance)(out, k, depth)
+        get(type(v), _encode_by_isinstance)(out, v, depth)
+
+
+#: Exact type -> encoder.  ``bool`` before ``int``: for the isinstance
+#: walk, a bool is an int that encodes as its own tag.
+_ENCODERS: Dict[type, Callable[[List[bytes], Any, int], None]] = {
+    type(None): _enc_none, bool: _enc_bool, int: _enc_int,
+    float: _enc_float, str: _enc_str, bytes: _enc_bytes,
+    bytearray: _enc_bytes, list: _enc_items(_T_LIST),
+    tuple: _enc_items(_T_TUPLE), set: _enc_items(_T_SET),
+    frozenset: _enc_items(_T_FROZENSET), dict: _enc_dict,
+}
+
+
+# The decoder walks ``(data, pos)``: every decoder takes the position
+# just past its tag and returns ``(value, next position)``, checking
+# the bounds of each read before it makes it.
+def _truncated(data: bytes, pos: int, need: int) -> WireError:
+    return WireError(f"truncated frame: need {need} bytes at offset {pos}, "
+                     f"have {len(data) - pos}")
+
+
+def _decode_value(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    if pos >= len(data):
+        raise _truncated(data, pos, 1)
+    return _DECODERS[data[pos]](data, pos + 1, depth)
+
+
+def _dec_const(value: Any) -> Callable[[bytes, int, int], Tuple[Any, int]]:
+    """A tag that is its whole value (None, True, False)."""
+    def decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+        return value, pos
+    return decode
+
+
+def _dec_fixed(fmt: struct.Struct) -> Callable[[bytes, int, int],
+                                               Tuple[Any, int]]:
+    """A tag followed by one fixed-width number."""
+    size, unpack_from = fmt.size, fmt.unpack_from
+
+    def decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+        if pos + size > len(data):
+            raise _truncated(data, pos, size)
+        return unpack_from(data, pos)[0], pos + size
+    return decode
+
+
+def _dec_count(data: bytes, pos: int) -> Tuple[int, int]:
+    """A u32 length or count, and the position after it."""
+    if pos + 4 > len(data):
+        raise _truncated(data, pos, 4)
+    return _U32.unpack_from(data, pos)[0], pos + 4
+
+
+def _dec_bytes(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """A u32-length-prefixed byte run (also under big ints and strings)."""
+    n, pos = _dec_count(data, pos)
+    end = pos + n
+    if end > len(data):
+        raise _truncated(data, pos, n)
+    return data[pos:end], end
+
+
+def _dec_bigint(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    raw, pos = _dec_bytes(data, pos, depth)
+    return int.from_bytes(raw, "big", signed=True), pos
+
+
+def _dec_str(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    raw, pos = _dec_bytes(data, pos, depth)
+    try:
+        return raw.decode("utf-8"), pos
+    except UnicodeDecodeError as exc:
+        raise WireError(f"invalid utf-8 in string: {exc}") from None
+
+
+def _dec_open(data: bytes, pos: int, depth: int) -> Tuple[int, int, int]:
+    """A container's count, first item's position and depth inside it.
+
+    Every item takes at least one byte, so a count larger than the
+    bytes left is truncation, caught before any item is read.
+    """
+    n, pos = _dec_count(data, pos)
+    if n > len(data) - pos:
+        raise _truncated(data, pos, n)
+    return n, pos, _opened(depth)
+
+
+def _dec_list(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    n, pos, depth = _dec_open(data, pos, depth)
+    items = []
+    for _ in range(n):
+        item, pos = _decode_value(data, pos, depth)
+        items.append(item)
+    return items, pos
+
+
+def _dec_tuple(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    items, pos = _dec_list(data, pos, depth)
+    return tuple(items), pos
+
+
+def _dec_hashed(kind: type) -> Callable[[bytes, int, int], Tuple[Any, int]]:
+    def decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+        items, pos = _dec_list(data, pos, depth)
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"invalid utf-8 in string: {exc}") from None
-    if tag == _T_BYTES:
-        return cur.take(cur.u32())
-    if tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
-        n = cur.u32()
-        items = [_decode_value(cur) for _ in range(n)]
-        if tag == _T_LIST:
-            return items
-        if tag == _T_TUPLE:
-            return tuple(items)
-        if tag == _T_SET:
-            return set(items)
-        return frozenset(items)
-    if tag == _T_DICT:
-        n = cur.u32()
-        out = {}
+            return kind(items), pos
+        except TypeError as exc:     # an unhashable element
+            raise WireError(f"bad set element: {exc}") from None
+    return decode
+
+
+def _dec_dict(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    n, pos, depth = _dec_open(data, pos, depth)
+    out = {}
+    try:
         for _ in range(n):
-            k = _decode_value(cur)
-            out[k] = _decode_value(cur)
-        return out
-    raise WireError(f"unknown value tag {tag!r} at offset {cur.pos - 1}")
+            k, pos = _decode_value(data, pos, depth)
+            out[k], pos = _decode_value(data, pos, depth)
+    except TypeError as exc:         # an unhashable key
+        raise WireError(f"bad dict key: {exc}") from None
+    return out, pos
+
+
+def _dec_unknown(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    raise WireError(f"unknown value tag {data[pos - 1:pos]!r} "
+                    f"at offset {pos - 1}")
+
+
+#: Tag byte -> decoder; every other byte is an unknown tag.
+_DECODERS: List[Callable[[bytes, int, int], Tuple[Any, int]]] = \
+    [_dec_unknown] * 256
+for _tag, _decode in ((_T_NONE, _dec_const(None)),
+                      (_T_TRUE, _dec_const(True)),
+                      (_T_FALSE, _dec_const(False)),
+                      (_T_INT, _dec_fixed(_S64)),
+                      (_T_BIGINT, _dec_bigint),
+                      (_T_FLOAT, _dec_fixed(_F64)),
+                      (_T_STR, _dec_str), (_T_BYTES, _dec_bytes),
+                      (_T_LIST, _dec_list), (_T_TUPLE, _dec_tuple),
+                      (_T_SET, _dec_hashed(set)),
+                      (_T_FROZENSET, _dec_hashed(frozenset)),
+                      (_T_DICT, _dec_dict)):
+    _DECODERS[_tag[0]] = _decode
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +359,8 @@ def _encode_frame(msg: Message) -> bytes:
                      msg.size_bytes, len(type_raw)),
         type_raw,
     ]
-    _encode_value(parts, msg.payload)
+    _ENCODERS.get(type(msg.payload), _encode_by_isinstance)(
+        parts, msg.payload, 0)
     body = b"".join(parts)
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame too large ({len(body)} bytes)")
@@ -278,20 +390,19 @@ def _decode_frame(data: bytes) -> Message:
         raise WireError(f"bad magic {magic!r}")
     if version != VERSION:
         raise WireError(f"unsupported wire version {version}")
-    cur = _Cursor(data)
-    cur.pos = _HEADER.size
+    pos = _HEADER.size + type_len
+    if pos > len(data):
+        raise _truncated(data, _HEADER.size, type_len)
     try:
-        type_raw = cur.take(type_len)
-        msg_type = type_raw.decode("utf-8")
+        msg_type = data[_HEADER.size:pos].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"invalid utf-8 in message type: {exc}") from None
-    payload = _decode_value(cur)
+    payload, pos = _decode_value(data, pos, 0)
     if not isinstance(payload, dict):
         raise WireError(
             f"frame payload must be a dict, got {type(payload).__name__}")
-    if cur.pos != len(data):
-        raise WireError(
-            f"{len(data) - cur.pos} trailing bytes after payload")
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes after payload")
     return Message(msg_type=msg_type, src=src, dst=dst, payload=payload,
                    size_bytes=size_bytes, msg_id=msg_id)
 

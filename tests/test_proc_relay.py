@@ -6,8 +6,9 @@ the frame header (``peek_route``) and never decode it.  These tests put
 large array payloads — the shape of ``benchmarks/e2e/programs/bulk.mj``
 — through that path and hold it to the sim backend byte for byte, then
 check what the relay must still do: reject a corrupted copy, keep
-retransmitted and duplicated copies of one ``msg_id`` in FIFO order, and
-stamp worker flight events with simulated time.
+retransmitted and duplicated copies of one ``msg_id`` in FIFO order,
+stamp worker flight events with simulated time, and pass each frame on
+in the worker wake-up that brought it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.javasplit import JavaSplitRuntime
 from repro.sim import SUN, SimEngine
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+LOCKS = ROOT / "benchmarks" / "e2e" / "programs" / "locks.mj"
 
 CELLS = 4096
 ROUNDS = 5
@@ -143,6 +146,26 @@ def test_large_array_frames_identical_on_sim_and_proc(proc_guard):
     assert relayed == received == wire["wire_delivered"] > 0
     assert sum(w["bytes_out"] for w in wire["workers"].values()) \
         == sum(w["bytes_in"] for w in wire["workers"].values())
+
+
+def test_a_frame_costs_one_worker_wakeup_per_hop(proc_guard):
+    """The source worker writes a frame to the peer, and the destination
+    worker to the master, in the wake-up that read it: write interest is
+    only taken for bytes a socket refused.  So small frames cost two
+    worker wake-ups (``select`` calls that returned ready keys) in all,
+    plus a few per worker for the peer map, accepts and shutdown."""
+    source = LOCKS.read_text().replace("@THREADS@", "4") \
+        .replace("@ITERS@", "25")
+    config = RuntimeConfig(num_nodes=3, seed=0, transport_backend="proc")
+    report = JavaSplitRuntime(
+        rewrite_application(compile_source(source)), config).run()
+    assert report.result == 100
+    workers = report.proc["workers"].values()
+    relayed = sum(w["frames_relayed"] for w in workers)
+    wakeups = sum(w["wakeups"] for w in workers)
+    assert relayed > 300
+    assert 0 < wakeups <= 2 * relayed + 4 * len(workers), \
+        (wakeups, relayed)
 
 
 def _proc_pair():
