@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..dsm.objectstate import ObjState, split_key, unit_key
 from ..dsm.protocol import M_DIFF, M_FT_REDIFF, DsmEngine
-from ..jvm.heap import ArrayObj, Obj
+from ..heap import ArrayObj, Obj
 from .monitor import Violation
 
 if TYPE_CHECKING:  # pragma: no cover

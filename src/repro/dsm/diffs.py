@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from ..jvm.heap import ArrayObj
+from ..heap import ArrayObj
 from .serialization import (
     ClassSpec,
     Reader,

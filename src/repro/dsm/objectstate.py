@@ -4,7 +4,7 @@ The paper's rewriter augments the top of each instrumented inheritance
 tree with synthetic fields — ``__javasplit__state``,
 ``__javasplit__version``, ``__javasplit__locking_status``,
 ``__javasplit__global_id`` (Figure 2).  Our heap objects carry the same
-information in a ``header`` slot (see :mod:`repro.jvm.heap` for why this
+information in a ``header`` slot (see :mod:`repro.heap` for why this
 is equivalent); the access-check fast path reads ``header.state``.
 
 States:

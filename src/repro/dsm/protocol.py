@@ -2,10 +2,11 @@
 
 One :class:`DsmEngine` per node.  It plays three roles at once:
 
-1. **JVM hooks** — the DSM pseudo-instructions of rewritten bytecode
+1. **Host hooks** — the DSM pseudo-instructions of rewritten bytecode
    land here: access checks (read/write miss handling), acquire/release
    (distributed monitors), static-holder resolution, allocation headers,
-   thread spawn, wait/notify.
+   thread spawn, wait/notify.  The engine names no JVM module: what it
+   asks of its host is the constructor's seam.
 2. **Home node** — serves fetches from the master copies it hosts,
    applies incoming diffs (bumping per-object scalar versions), routes
    lock requests to current owners.
@@ -36,10 +37,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..heap import ArrayObj, Obj, default_value
 from ..hooks import DsmHooks
-from ..jvm.heap import ArrayObj, Obj
-from ..jvm.interpreter import NO_VALUE
-from ..jvm.jvm import JThread, JVM
 from ..net.message import (HEADER_BYTES, M_LOC_BULK_REPLY, OBS_SPAN_KEY,
                            Message)
 from ..net.message import (  # canonical registry lives with the codec
@@ -60,10 +59,13 @@ from .write_notices import MODE_BOUNDED, Notice, NoticeTable
 SCALAR = "scalar"
 VECTOR = "vector"
 
+#: A host thread, duck-typed: ``tid``, ``priority``, ``wake()`` (a miss
+#: re-executes) and ``complete()`` (a grant finishes the blocked op).
+Thread = Any
+
 
 class ProtocolError(RuntimeError):
     """A DSM invariant was violated (always a bug, never data)."""
-    pass
 
 
 @dataclass
@@ -116,19 +118,12 @@ class DsmStats:
     pol_grant_installs: int = 0  # migratory grants installed
 
 
-@dataclass
-class ThreadDsm:
-    """Per-thread DSM state: the local interval counter."""
-
-    interval: int = 0
-
-
 class DsmEngine:
-    """Per-node DSM: JVM hooks + protocol message handlers."""
+    """Per-node DSM: host hooks + protocol message handlers."""
 
     def __init__(
         self,
-        jvm: JVM,
+        host: Any,
         transport: Transport,
         specs: Dict[str, ClassSpec],
         class_registry: ClassIdRegistry,
@@ -137,11 +132,17 @@ class DsmEngine:
         static_gids: Optional[Dict[str, Tuple[int, str]]] = None,
         console: Optional[List[str]] = None,
     ) -> None:
-        self.jvm = jvm
+        """The seam: ``host`` runs this node's threads (the JVM, or a
+        test's script host) and supplies ``engine`` (simulated time),
+        ``cost_model``, ``lookup(class_name)`` (a stub's or static
+        holder's layout) and ``start_thread_obj(obj, method, priority,
+        name, before_start)`` for spawn arrivals.  Threads are called
+        directly (:data:`Thread`): a grant costs no host call."""
+        self.host = host
         self.node_id = transport.node_id
         self.transport = transport
-        self.engine = jvm.node.engine
-        self.cost_model = jvm.cost_model
+        self.engine = host.engine
+        self.cost_model = host.cost_model
         self.specs = specs
         self.registry = class_registry
         self.config = config or DsmConfig()
@@ -171,10 +172,10 @@ class DsmEngine:
         self.lock_states: Dict[int, NodeLockState] = {}
         self.lock_owner: Dict[int, int] = {}     # home role: gid -> owner node
         # keyed (gid, region); region None = whole object
-        self._fetch_waiters: Dict[Tuple[int, Optional[int]], List[JThread]] = {}
+        self._fetch_waiters: Dict[Tuple[int, Optional[int]], List[Thread]] = {}
         self._dirty: Set[Any] = set()            # keys of twinned replicas
         self._dirty_home: Set[Any] = set()       # keys of home-written masters
-        self._threads: Dict[int, JThread] = {}
+        self._threads: Dict[int, Thread] = {}
         # Node-level flush sequence: tags diffs/notices in vector mode (a
         # per-node monotonic interval id shared by all local threads).
         self._flush_seq = 0
@@ -249,7 +250,7 @@ class DsmEngine:
     # ==================================================================
     def install_static_holder(self, class_name: str, gid: int, holder_class: str) -> Any:
         """Create a C_static master copy on this (the master) node."""
-        rtc = self.jvm.lookup(holder_class)
+        rtc = self.host.lookup(holder_class)
         obj = Obj(rtc)
         hdr = attach_header(obj)
         hdr.gid = gid
@@ -265,12 +266,6 @@ class DsmEngine:
         """Skip gids that were pre-assigned (static holders on master)."""
         for _ in range(count):
             self.gids.allocate()
-
-    def thread_dsm(self, thread: JThread) -> ThreadDsm:
-        """Per-thread DSM state, created on first use."""
-        if thread.dsm is None:
-            thread.dsm = ThreadDsm()
-        return thread.dsm
 
     # ==================================================================
     # Resolver protocol (serialization callbacks)
@@ -304,7 +299,7 @@ class DsmEngine:
         if class_name.endswith("[]"):
             obj = ArrayObj(class_name[:-2], 0)
         else:
-            obj = Obj(self.jvm.lookup(class_name))
+            obj = Obj(self.host.lookup(class_name))
         hdr = attach_header(obj)
         hdr.gid = gid
         hdr.state = ObjState.INVALID
@@ -388,22 +383,21 @@ class DsmEngine:
         return reg.region_of(index)
 
     # ==================================================================
-    # JVM hooks: allocation / threads
+    # Host hooks: allocation / threads
     # ==================================================================
     def on_new(self, obj: Any) -> None:
         """Allocation hook: attach a LOCAL DSM header."""
         attach_header(obj)  # starts LOCAL
 
-    def on_thread_started(self, thread: JThread) -> None:
+    def on_thread_started(self, thread: Thread) -> None:
         """Track live threads for lock-grant completion."""
         self._threads[thread.tid] = thread
-        self.thread_dsm(thread)
 
-    def on_thread_finished(self, thread: JThread) -> None:
+    def on_thread_finished(self, thread: Thread) -> None:
         """Drop finished threads from the live-thread map."""
         self._threads.pop(thread.tid, None)
 
-    def _thread(self, tid: int) -> JThread:
+    def _thread(self, tid: int) -> Thread:
         try:
             return self._threads[tid]
         except KeyError:
@@ -412,9 +406,9 @@ class DsmEngine:
             ) from None
 
     # ==================================================================
-    # JVM hooks: access checks
+    # Host hooks: access checks
     # ==================================================================
-    def read_check(self, thread: JThread, ref: Any, index: Any = None) -> Tuple[bool, int]:
+    def read_check(self, thread: Thread, ref: Any, index: Any = None) -> Tuple[bool, int]:
         """Hook behind DSM_READCHECK: pass through or fetch-and-block."""
         hdr: DSMHeader = ref.header
         if hdr is None:
@@ -434,7 +428,7 @@ class DsmEngine:
         self._start_fetch(thread, hdr, region)
         return False, self._handler_ns
 
-    def write_check(self, thread: JThread, ref: Any, value: Any, index: Any = None) -> Tuple[bool, int]:
+    def write_check(self, thread: Thread, ref: Any, value: Any, index: Any = None) -> Tuple[bool, int]:
         """Hook behind DSM_WRITECHECK: twin, mark dirty, or fetch."""
         hdr: DSMHeader = ref.header
         if hdr is None:
@@ -465,7 +459,7 @@ class DsmEngine:
             self._dirty.add(key)
         return True, 0
 
-    def _start_fetch(self, thread: JThread, hdr: DSMHeader,
+    def _start_fetch(self, thread: Thread, hdr: DSMHeader,
                      region: Optional[int] = None) -> None:
         gid = hdr.gid
         self._fetch_waiters.setdefault((gid, region), []).append(thread)
@@ -504,9 +498,9 @@ class DsmEngine:
                             request or self._fetch_request(gid, region))
 
     # ==================================================================
-    # JVM hooks: synchronization
+    # Host hooks: synchronization
     # ==================================================================
-    def acquire(self, thread: JThread, ref: Any) -> Tuple[bool, int]:
+    def acquire(self, thread: Thread, ref: Any) -> Tuple[bool, int]:
         """Hook behind DSM_ACQUIRE: counter fast path, local grant, queueing, or a lock request to the home node."""
         hdr: DSMHeader = ref.header
         if hdr.is_local:
@@ -563,7 +557,7 @@ class DsmEngine:
             payload[OBS_SPAN_KEY] = req.obs_span
         self.transport.send(self.home_node(gid), M_LOCK_REQ, payload)
 
-    def release(self, thread: JThread, ref: Any) -> int:
+    def release(self, thread: Thread, ref: Any) -> int:
         """Hook behind DSM_RELEASE: end the interval (flush diffs) and hand the token to the next requester."""
         hdr: DSMHeader = ref.header
         if hdr.is_local:
@@ -588,7 +582,7 @@ class DsmEngine:
             self._release_point(thread, st)
         return cost
 
-    def _release_point(self, thread: JThread, st: NodeLockState) -> None:
+    def _release_point(self, thread: Thread, st: NodeLockState) -> None:
         """The monitor is free: end the interval, then hand the token to
         the next requester (shared by release and wait)."""
         st.holder_tid = None
@@ -604,7 +598,7 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # wait / notify (invoked through rewritten natives)
     # ------------------------------------------------------------------
-    def dsm_wait(self, thread: JThread, ref: Any) -> None:
+    def dsm_wait(self, thread: Thread, ref: Any) -> None:
         """Object.wait over the token's wait queue (communication-free, §3.2)."""
         hdr: DSMHeader = ref.header
         if hdr.is_local:
@@ -627,7 +621,7 @@ class DsmEngine:
         # wait() is a release point.
         self._release_point(thread, st)
 
-    def dsm_notify(self, thread: JThread, ref: Any, all_: bool) -> None:
+    def dsm_notify(self, thread: Thread, ref: Any, all_: bool) -> None:
         """Object.notify/notifyAll over the token's wait queue."""
         hdr: DSMHeader = ref.header
         if hdr.is_local:
@@ -647,10 +641,9 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # Thread spawn (rewritten Thread.start)
     # ------------------------------------------------------------------
-    def spawn(self, thread: JThread, tobj: Any, priority: int) -> int:
-        """Ship a Thread object to the node chosen by the load balancer."""
+    def spawn(self, thread: Thread, tobj: Any, priority: int) -> int:
+        """Ship a started Thread object to the node the balancer picks."""
         gid = self.promote(tobj)
-        self._check_and_set_started(thread, tobj)
         target = self.choose_spawn_node()
         payload = {
             "gid": gid,
@@ -660,7 +653,7 @@ class DsmEngine:
         for fn in self.hooks.spawn:
             fn(thread, payload, target)
         if target == self.node_id:
-            self._local_spawn(payload)
+            self.start_spawned(payload)
         else:
             # Spawning publishes the Thread object's current state: flush
             # it so the remote node's fetch observes the constructor's
@@ -669,49 +662,29 @@ class DsmEngine:
             self.transport.send(target, M_SPAWN, payload)
         return target
 
-    def _check_and_set_started(self, thread: JThread, tobj: Any) -> None:
-        """Double-start detection on the rewritten Thread's ``started``
-        flag.  The starter is almost always the creator (home), so the
-        flag is locally readable; for the exotic case of starting a
-        stale remote replica the check is best-effort."""
-        from ..jvm.errors import JavaRuntimeError
-
-        hdr: DSMHeader = tobj.header
-        try:
-            idx = self.jvm.field_index("javasplit.Thread", "started")
-        except Exception:  # pragma: no cover - Thread class always linked
-            return
-        if hdr.state != ObjState.INVALID and tobj.fields[idx]:
-            raise JavaRuntimeError("thread already started")
-        ok, _ = self.write_check(thread, tobj, 1)
-        if ok:
-            tobj.fields[idx] = 1
-
-    def _local_spawn(self, p: Dict[str, Any]) -> None:
-        """Start the thread a spawn payload describes on this node."""
+    def start_spawned(self, p: Dict[str, Any]) -> None:
+        """Start the thread a spawn payload describes on this node (a
+        spawn arrival, a local placement or a recovery re-spawn)."""
         gid, class_name = p["gid"], p["class_name"]
-        obj = self.replica_for(gid, class_name)
-        run = obj.rtclass.method("__runWrapper")
-        from ..jvm.frame import Frame
-        jt = JThread(self.jvm, Frame(run, [obj]), thread_obj=obj,
-                     priority=p["priority"],
-                     name=f"{class_name}-{gid & 0xFFFF:x}")
-        self.jvm.live_jthreads[id(obj)] = jt
-        for fn in self.hooks.thread_begin:
-            fn(jt, p)
-        self.jvm.call_function(jt)
+
+        def begin(thread: Thread) -> None:
+            for fn in self.hooks.thread_begin:
+                fn(thread, p)
+
+        self.host.start_thread_obj(
+            self.replica_for(gid, class_name), "__runWrapper", p["priority"],
+            f"{class_name}-{gid & 0xFFFF:x}", begin)
         if self.on_spawn_arrival is not None:
             self.on_spawn_arrival(self.node_id)
 
     def _on_spawn(self, msg: Message) -> None:
-        self._local_spawn(msg.payload)
+        self.start_spawned(msg.payload)
 
     # ------------------------------------------------------------------
     # Console forwarding (rewritten Sys.print — §4.1 wrapped native I/O)
     # ------------------------------------------------------------------
     def print_line(self, text: str) -> None:
         """Console output wrapper: forwards lines to the master node."""
-        self.jvm.println(text)
         if self.node_id == MASTER_NODE:
             self.console.append(text)
         else:
@@ -723,7 +696,7 @@ class DsmEngine:
     # ------------------------------------------------------------------
     # Static holders (§4.2)
     # ------------------------------------------------------------------
-    def static_ref(self, thread: JThread, class_name: str) -> Tuple[Any, int]:
+    def static_ref(self, thread: Thread, class_name: str) -> Tuple[Any, int]:
         """Hook behind DSM_STATICREF: the node's cached C_static replica."""
         entry = self.static_gids.get(class_name)
         if entry is None:
@@ -737,10 +710,8 @@ class DsmEngine:
     # ==================================================================
     # Interval end: diff flush (multiple-writer LRC)
     # ==================================================================
-    def end_interval(self, thread: JThread) -> None:
+    def end_interval(self, thread: Thread) -> None:
         """Release point: flush this node's pending diffs (§3)."""
-        tds = self.thread_dsm(thread)
-        tds.interval += 1
         self._flush(list(self._dirty), flush_home=True)
         for fn in self.hooks.interval_end:
             fn(thread)
@@ -1011,7 +982,6 @@ class DsmEngine:
                 self._regions[gid] = RegionInfo(
                     total_len, p["region_elems"], ObjState.INVALID, 0)
             if len(obj.data) != total_len:
-                from ..jvm.classfile import default_value
                 obj.data = [default_value(obj.elem_type)] * total_len
             obj.header.state = role  # "present"; the regions carry the truth
         _, rec, lo, hi = self.unit(key)
@@ -1244,7 +1214,7 @@ class DsmEngine:
         st.count = entry[1]
         for fn in self.hooks.lock_edge:
             fn(tid, st.gid, None, True)
-        self._thread(tid).complete(NO_VALUE)
+        self._thread(tid).complete()
         return True
 
     def _send_token(self, st: NodeLockState, req: LockRequest) -> None:
@@ -1438,10 +1408,3 @@ class DsmEngine:
                 self._send_lock_req(gid, req)
             reissued += 1
         return reissued
-
-    # ==================================================================
-    # Introspection / testing helpers
-    # ==================================================================
-    def quiesced(self) -> bool:
-        """No fences pending and no parked fetch waiters."""
-        return self._outstanding_acks == 0 and not self._fetch_waiters

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
-from ..jvm.heap import ArrayObj, Obj
+from ..heap import ArrayObj, Obj
 
 # Field kinds
 K_INT = "i"      # ints and booleans

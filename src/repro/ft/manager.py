@@ -189,7 +189,7 @@ class FtManager:
                 "priority": rec.priority,
             }
             if target == self.coordinator:
-                master_dsm._local_spawn(payload)
+                master_dsm.start_spawned(payload)
             else:
                 master_dsm.transport.send(target, M_SPAWN, payload)
             respawned += 1

@@ -1,4 +1,10 @@
-"""Heap object model: instances, arrays, and local monitors.
+"""Heap records: instances, arrays, local monitors, and the errors they raise.
+
+Both sides of the DSM seam touch these records: the mini-JVM executes
+on them, the DSM engine (:mod:`repro.dsm`) twins, diffs, serializes and
+installs them.  So they live in this core module, which imports neither
+side, with the root of the VM error hierarchy that they raise (the rest
+is :mod:`repro.jvm.errors`).
 
 Every heap object carries two lazily-populated slots:
 
@@ -17,21 +23,46 @@ Every heap object carries two lazily-populated slots:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, List, Optional
 
-from .classfile import default_value
-from .errors import ArrayIndexError, NegativeArraySizeError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .jvm import RuntimeClass
+class JVMError(Exception):
+    """Base class for all mini-JVM errors (load-time and run-time)."""
+
+
+class JavaRuntimeError(JVMError):
+    """Base for errors a Java program would see as a runtime exception."""
+
+    java_name = "java.lang.RuntimeException"
+
+
+class ArrayIndexError(JavaRuntimeError):
+    """Array index outside [0, length)."""
+    java_name = "java.lang.ArrayIndexOutOfBoundsException"
+
+
+class NegativeArraySizeError(JavaRuntimeError):
+    """Array allocation with a negative length."""
+    java_name = "java.lang.NegativeArraySizeException"
+
+
+def default_value(t: str) -> Any:
+    """Java default field/array-element value for a declared type."""
+    if t == "int" or t == "boolean":
+        return 0
+    if t == "double":
+        return 0.0
+    return None  # refs and strings
 
 
 class Obj:
-    """An instance: fixed field slots laid out by the linked class."""
+    """An instance: fixed field slots laid out by its class.  ``rtclass``
+    is any layout with a ``name`` and ``field_defaults`` (``(type,
+    initializer)`` per slot): a linked ``RuntimeClass`` in the JVM."""
 
     __slots__ = ("rtclass", "fields", "header", "monitor")
 
-    def __init__(self, rtclass: "RuntimeClass") -> None:
+    def __init__(self, rtclass: Any) -> None:
         self.rtclass = rtclass
         self.fields: List[Any] = [
             default_value(t) if init is None else init
@@ -90,9 +121,6 @@ class ArrayObj:
 
     def __repr__(self) -> str:
         return f"<{self.elem_type}[{len(self.data)}]@{id(self):#x}>"
-
-
-HeapRef = Obj  # refs are Obj | ArrayObj | str | None; alias for docs
 
 
 class LocalMonitor:

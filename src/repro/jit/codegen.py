@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..heap import ArrayObj, JVMError
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
 from ..jvm.bytecode import (
@@ -82,9 +83,7 @@ from ..jvm.bytecode import (
     traps,
 )
 from ..jvm.classfile import MethodInfo
-from ..jvm.errors import JVMError
 from ..jvm.frame import Frame
-from ..jvm.heap import ArrayObj
 from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
 from .analysis import (CHECKS, SPECIAL_OPS, CompileError, MethodAnalysis,
                        Trace, analyze, traces)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..heap import default_value
 from .bytecode import Instr
 from .errors import ClassFormatError
 
@@ -45,15 +46,6 @@ def array_elem_type(t: str) -> str:
 def is_ref_type(t: str) -> bool:
     """True for reference types (classes, arrays, strings)."""
     return t == "str" or is_array_type(t) or t not in PRIMITIVES + ("void",)
-
-
-def default_value(t: str) -> Any:
-    """Java default field/array-element value for a declared type."""
-    if t == "int" or t == "boolean":
-        return 0
-    if t == "double":
-        return 0.0
-    return None  # refs and strings
 
 
 @dataclass

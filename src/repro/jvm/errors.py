@@ -5,13 +5,14 @@ would throw (NPE, bounds, arithmetic...).  They abort the offending
 simulated thread; the benchmark programs in this repo are written not to
 trigger them, so surfacing them as Python exceptions keeps failures loud
 in tests instead of silently corrupting results.
+
+The root and the two errors a heap record raises (bad index, negative
+length) live in the core :mod:`repro.heap`, shared with the DSM engine.
 """
 
 from __future__ import annotations
 
-
-class JVMError(Exception):
-    """Base class for all mini-JVM errors (load-time and run-time)."""
+from ..heap import JavaRuntimeError, JVMError
 
 
 class ClassFormatError(JVMError):
@@ -22,25 +23,9 @@ class LinkError(JVMError):
     """Unresolvable class, field or method reference."""
 
 
-class JavaRuntimeError(JVMError):
-    """Base for errors a Java program would see as a runtime exception."""
-
-    java_name = "java.lang.RuntimeException"
-
-
 class NullPointerError(JavaRuntimeError):
     """Heap access through a null reference."""
     java_name = "java.lang.NullPointerException"
-
-
-class ArrayIndexError(JavaRuntimeError):
-    """Array index outside [0, length)."""
-    java_name = "java.lang.ArrayIndexOutOfBoundsException"
-
-
-class NegativeArraySizeError(JavaRuntimeError):
-    """Array allocation with a negative length."""
-    java_name = "java.lang.NegativeArraySizeException"
 
 
 class ArithmeticJavaError(JavaRuntimeError):

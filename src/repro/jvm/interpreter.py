@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..heap import ArrayObj, JVMError, Obj, monitor_of
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
 from .bytecode import (
@@ -79,12 +80,10 @@ from .errors import (
     ArithmeticJavaError,
     ClassCastError,
     IllegalMonitorStateError,
-    JVMError,
     NullPointerError,
 )
 from .frame import Frame
 from .fuse import fused_source
-from .heap import ArrayObj, Obj, monitor_of
 
 # Sentinel returned by native methods that produce no value (void).
 NO_VALUE = object()

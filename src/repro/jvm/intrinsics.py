@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from typing import Any, List
 
+from ..heap import JavaRuntimeError, monitor_of
 from .assembler import ClassBuilder
 from .bytecode import Op
 from .classfile import ClassFile
-from .errors import IllegalMonitorStateError, JavaRuntimeError
-from .heap import monitor_of
+from .errors import IllegalMonitorStateError
 from .interpreter import BLOCK, NO_VALUE, jstr
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ scheduler's :class:`~repro.sim.node.ExecStream` interface.
 ``hooks`` is the DSM integration point: ``None`` for plain local
 execution; the distributed runtime installs an object implementing the
 hook methods used by the DSM pseudo-instructions (see
-:mod:`repro.jvm.interpreter`).
+:mod:`repro.jvm.interpreter`).  In the other direction the JVM is the
+engine's *host*: ``engine``, ``cost_model``, ``lookup`` and
+``start_thread_obj`` are all the engine asks of it (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..heap import ArrayObj, JVMError, Obj
 from ..sim.cost_model import CostModel
 from ..sim.node import Node, StreamState
 from .classfile import CONSTRUCTOR, ClassFile, FieldInfo, MethodInfo, is_array_type
-from .errors import ClassFormatError, JVMError, LinkError
+from .errors import ClassFormatError, LinkError
 from .frame import Frame
-from .heap import ArrayObj, Obj
 from .interpreter import NO_VALUE, Interpreter
 
 
@@ -102,8 +104,6 @@ class JThread:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.joiners: List["JThread"] = []
-        # DSM per-thread state is attached by the distributed runtime.
-        self.dsm: Any = None
         self.started_at = jvm.node.engine.now
         self.finished_at: Optional[int] = None
 
@@ -180,6 +180,7 @@ class JVM:
 
     def __init__(self, node: Node) -> None:
         self.node = node
+        self.engine = node.engine
         self.cost_model: CostModel = node.cost_model
         self.classes: Dict[str, RuntimeClass] = {}
         self._classfiles: Dict[str, ClassFile] = {}
@@ -305,23 +306,29 @@ class JVM:
         self._register_thread(thread)
         return thread
 
-    def start_thread_obj(self, thread_obj: Obj, priority: int = 5) -> JThread:
-        """Start a Thread subclass instance: runs its ``run`` method."""
-        run = thread_obj.rtclass.method("run")
+    def start_thread_obj(
+        self,
+        thread_obj: Obj,
+        method: str = "run",
+        priority: int = 5,
+        name: str = "",
+        before_start: Optional[Callable[[JThread], None]] = None,
+    ) -> JThread:
+        """Start a Thread object here: a thread running its ``method``.
+        ``before_start`` sees the thread before it is registered (the
+        DSM engine's ``thread_begin`` hook on a spawn arrival)."""
         thread = JThread(
             self,
-            Frame(run, [thread_obj]),
+            Frame(thread_obj.rtclass.method(method), [thread_obj]),
             thread_obj=thread_obj,
             priority=priority,
-            name=f"{thread_obj.rtclass.name}-{id(thread_obj) & 0xFFFF:x}",
+            name=name or f"{thread_obj.rtclass.name}-{id(thread_obj) & 0xFFFF:x}",
         )
         self.live_jthreads[id(thread_obj)] = thread
+        if before_start is not None:
+            before_start(thread)
         self._register_thread(thread)
         return thread
-
-    def call_function(self, thread: JThread) -> None:
-        """Register an externally-constructed thread (DSM spawn)."""
-        self._register_thread(thread)
 
     def _register_thread(self, thread: JThread) -> None:
         self.threads.append(thread)

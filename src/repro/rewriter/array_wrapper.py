@@ -4,7 +4,7 @@ Java arrays cannot be subclassed, so the paper wraps each utilized array
 type in a generated ``javasplit.array.T`` class that carries the DSM
 header fields plus a reference to the underlying array.  In this VM,
 array objects can carry DSM headers directly (see
-:mod:`repro.jvm.heap`), so the wrapper's *data* role disappears — but
+:mod:`repro.heap`), so the wrapper's *data* role disappears — but
 its *type* role remains: the DSM needs a per-element-type descriptor to
 serialize, diff and identify array coherency units on the wire.
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from typing import List
 
+from ..dsm.objectstate import ObjState
+from ..heap import JavaRuntimeError, JVMError
 from ..jvm.assembler import ClassBuilder
 from ..jvm.bytecode import Instr, Op
 from ..jvm.classfile import ClassFile
-from ..jvm.errors import JavaRuntimeError
 from ..jvm.interpreter import BLOCK, NO_VALUE, jstr
 from ..jvm.intrinsics import bootstrap_classfiles
 from .naming import rename_class
@@ -170,16 +171,48 @@ def _nat_rt_notify_all(jvm, thread, args):
 
 
 def _nat_start_thread(jvm, thread, args):
-    tobj = args[0]
-    # Best-effort priority read: the starter is almost always the creator
-    # (home), so the field is locally readable; a stale replica only
-    # degrades the scheduling hint, never correctness.
-    try:
-        prio = tobj.fields[jvm.field_index(JS_THREAD, "priority")]
-    except Exception:  # pragma: no cover - defensive
-        prio = 5
-    jvm.hooks.spawn(thread, tobj, prio)
+    jvm.hooks.promote(args[0])
+    return _start(jvm, thread, args[0])
+
+
+def _start(jvm, thread, tobj):
+    """Java's rule, then the spawn: a Thread object starts once.  Setting
+    ``started`` is a write, so a starter holding an INVALID replica
+    blocks on its fetch like any write miss and re-runs this on the
+    fetched data (:class:`_StartAfterFetch`)."""
+    started = jvm.field_index(JS_THREAD, "started")
+    if tobj.header.state != ObjState.INVALID and tobj.fields[started]:
+        raise JavaRuntimeError("thread already started")
+    ok, _ = jvm.hooks.write_check(_StartAfterFetch(jvm, thread, tobj), tobj, 1)
+    if not ok:
+        return BLOCK
+    tobj.fields[started] = 1
+    jvm.hooks.spawn(thread, tobj,
+                    tobj.fields[jvm.field_index(JS_THREAD, "priority")])
     return NO_VALUE
+
+
+class _StartAfterFetch:
+    """The fetch waiter of a start from an INVALID replica: when the
+    Thread object is present, start it and finish the starter's blocked
+    ``startThread`` call.  Block observers see the starter's tid and
+    frames."""
+
+    __slots__ = ("jvm", "thread", "tobj", "tid", "frames")
+
+    def __init__(self, jvm, thread, tobj):
+        self.jvm, self.thread, self.tobj = jvm, thread, tobj
+        self.tid, self.frames = thread.tid, thread.frames
+
+    def wake(self):
+        thread = self.thread
+        try:
+            done = _start(self.jvm, thread, self.tobj) is NO_VALUE
+        except JVMError as exc:
+            thread.fail(exc, thread.frames[-1].where())
+            raise
+        if done:
+            thread.complete()
 
 
 def _nat_set_live_priority(jvm, thread, args):

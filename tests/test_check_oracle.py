@@ -16,6 +16,8 @@ from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
 
+from dsm_script import ScriptRuntime
+
 COUNTER_SRC = """
 class Counter { int v; }
 class W extends Thread {
@@ -96,40 +98,56 @@ def _skip_flush(dsm):
     """Protocol mutation: a release that 'forgets' the diff flush."""
 
     def broken_end_interval(thread):
-        tds = dsm.thread_dsm(thread)
-        tds.interval += 1
-        # BUG under test: no _flush before the release completes.
+        pass  # BUG under test: no _flush before the release completes.
 
     dsm.end_interval = broken_end_interval
 
 
-def test_skipped_flush_is_caught():
-    rt = _runtime()
+#: Each mutant is caught on two program forms: the MiniJava counter on
+#: the full runtime, and six script ops straight against the engine —
+#: node 1 writes x (homed on node 0) under L (homed on node 1) while
+#: node 0 waits for L.
+FORMS = {
+    "minijava": _runtime,
+    "script": lambda: ScriptRuntime(
+        2, {"Box": ("v",)}, {"x": ("Box", 0), "L": ("Box", 1)}, [
+            (1, [("acquire", "L"), ("write", "x", "v", 1),
+                 ("release", "L")]),
+            (0, [("acquire", "L"), ("read", "x", "v"), ("release", "L")]),
+        ]),
+}
+
+
+def _mutated_run(form, mutate):
+    rt = FORMS[form]()
     for w in rt.workers:
-        _skip_flush(w.dsm)
+        mutate(w.dsm)
     monitor = InvariantMonitor.attach(rt)
     try:
         rt.run(allow_blocked=True)
     except Exception:
         pass  # a crash under a broken protocol is acceptable
     monitor.finalize()
+    return monitor
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_skipped_flush_is_caught(form):
+    monitor = _mutated_run(form, _skip_flush)
     assert not monitor.ok
     assert any(v.kind == "release-flush" for v in monitor.violations), \
         monitor.summary()
 
 
-def test_skipped_fence_is_caught():
-    """Sending the lock token without waiting for diff acks violates the
-    scalar-timestamp fence (§3.1)."""
-    rt = _runtime()
-    for w in rt.workers:
-        w.dsm._when_fence_clear = lambda action: action()
-    monitor = InvariantMonitor.attach(rt)
-    try:
-        rt.run(allow_blocked=True)
-    except Exception:
-        pass
-    monitor.finalize()
+def _skip_fence(dsm):
+    """Protocol mutation: send the lock token without waiting for diff
+    acks, violating the scalar-timestamp fence (§3.1)."""
+    dsm._when_fence_clear = lambda action: action()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_skipped_fence_is_caught(form):
+    monitor = _mutated_run(form, _skip_fence)
     assert any(v.kind == "fence" for v in monitor.violations), \
         monitor.summary()
 
@@ -234,7 +252,7 @@ def test_normalize_slots_refs_by_gid():
         def __init__(self, gid):
             self.gid = gid
 
-    from repro.jvm.heap import ArrayObj
+    from repro.heap import ArrayObj
 
     def arr(gid):
         a = ArrayObj("int", 1)

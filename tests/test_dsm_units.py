@@ -31,7 +31,7 @@ from repro.dsm.serialization import (
     serialize_object,
 )
 from repro.dsm.write_notices import MODE_FULL
-from repro.jvm.heap import ArrayObj
+from repro.heap import ArrayObj
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.jvm import Instr, MethodInfo
 from repro.jvm.bytecode import BRANCHES, Op
 from repro.jvm.disasm import resolve_cost_tables
 from repro.jvm.errors import ArithmeticJavaError
-from repro.jvm.heap import ArrayObj, Obj
+from repro.heap import ArrayObj, Obj
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime.config import RuntimeConfig

@@ -17,7 +17,8 @@ import re
 import pytest
 
 from repro.check.runner import app_source
-from repro.jvm import ClassBuilder, Instr, JVMError, MethodInfo, Op
+from repro.heap import JVMError
+from repro.jvm import ClassBuilder, Instr, MethodInfo, Op
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig

@@ -19,12 +19,12 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from repro.check.runner import app_source
-from repro.jvm import ClassBuilder, Instr, JVMError, MethodInfo, Op
+from repro.heap import ArrayObj, JVMError, Obj
+from repro.jvm import ClassBuilder, Instr, MethodInfo, Op
 from repro.jvm import interpreter as tier0
 from repro.jvm.bytecode import ACCESSES, DSM_OPS, INVOKES, SEMANTICS
 from repro.jvm.frame import Frame
 from repro.jvm.fuse import NOT_FUSED, fused_runs, fused_source
-from repro.jvm.heap import ArrayObj, Obj
 from repro.jvm.jvm import JThread
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from repro.heap import ArrayIndexError
 from repro.jvm import (
     ArithmeticJavaError,
-    ArrayIndexError,
     ClassBuilder,
     ClassCastError,
     NullPointerError,

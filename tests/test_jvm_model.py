@@ -3,8 +3,14 @@ linking, serialization edges."""
 
 import pytest
 
-from repro.jvm import (
+from repro.heap import (
+    ArrayIndexError,
     ArrayObj,
+    NegativeArraySizeError,
+    Obj,
+    default_value,
+)
+from repro.jvm import (
     ClassBuilder,
     ClassFile,
     ClassFormatError,
@@ -13,16 +19,13 @@ from repro.jvm import (
     JVM,
     LinkError,
     MethodInfo,
-    Obj,
     Op,
     bootstrap_classfiles,
-    default_value,
     is_array_type,
     is_ref_type,
     jstr,
 )
 from repro.jvm.classfile import array_elem_type
-from repro.jvm.errors import ArrayIndexError, NegativeArraySizeError
 from repro.sim import SUN, Node, SimEngine
 
 from conftest import make_jvm

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.jvm import ClassBuilder, IllegalMonitorStateError, JavaRuntimeError, Op
+from repro.heap import JavaRuntimeError
+from repro.jvm import ClassBuilder, IllegalMonitorStateError, Op
 
 from conftest import run_main
 

@@ -30,7 +30,7 @@ from repro.dsm.serialization import (
     deserialize_into, kind_of_type, serialize_array, serialize_object,
     write_value,
 )
-from repro.jvm.heap import ArrayObj, Obj
+from repro.heap import ArrayObj, Obj
 from repro.jvm.bytecode import BRANCHES, Instr, Op, branch_target, retarget
 from repro.jvm.cfg import branch_targets, invoke_effect, stack_depths
 from repro.jvm.interpreter import java_ddiv, java_idiv, java_irem

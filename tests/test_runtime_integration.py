@@ -262,9 +262,49 @@ def test_double_start_detected_distributed():
         }
     }
     """
-    from repro.jvm import JavaRuntimeError
+    from repro.heap import JavaRuntimeError
     with pytest.raises(JavaRuntimeError, match="already started"):
         run_distributed(source=src, num_nodes=2)
+
+
+# S reads w (a VALID replica), waits until main has written w, then starts
+# it: setting ``started`` is a write miss on an INVALID replica.  With
+# MAIN_STARTS_W, main has started w first (happens-before via ``phase``).
+START_FROM_INVALID = """
+class Box { int v; }
+class W extends Thread { Box b; int tag; W(Box b) { this.b = b; }
+    void run() { synchronized (b) { b.v += 1; } } }
+class S extends Thread { W w; Box phase; S(W w, Box p) { this.w = w; phase = p; }
+    void run() { int seen = w.tag;
+        synchronized (phase) { phase.v = 1; }
+        int p = 1; while (p < 2) { synchronized (phase) { p = phase.v; } }
+        w.start(); w.join(); } }
+class Main { static int main() { Box b = new Box(); Box phase = new Box();
+    W w = new W(b); S s = new S(w, phase); s.start();
+    int p = 0; while (p < 1) { synchronized (phase) { p = phase.v; } }
+    MAIN_STARTS_W
+    synchronized (phase) { w.tag = 5; phase.v = 2; }
+    s.join(); return b.v; } }
+"""
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_start_from_invalid_replica_fetches_first(nodes):
+    """The starter blocks on the Thread object's fetch like any write
+    miss, then starts it."""
+    src = START_FROM_INVALID.replace("MAIN_STARTS_W", "")
+    both(src, nodes=nodes)
+
+
+@pytest.mark.parametrize("nodes", [2, 3])
+def test_double_start_from_invalid_replica_detected(nodes):
+    """The double-start rule runs on the fetched data, not the stale
+    replica: the second start is Java's error, not the VM's."""
+    from repro.heap import JavaRuntimeError
+    src = START_FROM_INVALID.replace("MAIN_STARTS_W", "w.start();")
+    with pytest.raises(JavaRuntimeError, match="already started") as info:
+        run_distributed(source=src, num_nodes=nodes)
+    assert "javasplit.S.run" in str(info.value)
 
 
 def test_mixed_brand_cluster():

@@ -19,18 +19,22 @@ from types import SimpleNamespace
 import pytest
 
 from repro.jit.codegen import R_DEOPT, compile_method
-from repro.jvm import ClassBuilder, Instr, JVMError, MethodInfo, Op
+from repro.heap import (
+    ArrayIndexError,
+    ArrayObj,
+    JVMError,
+    NegativeArraySizeError,
+    Obj,
+)
+from repro.jvm import ClassBuilder, Instr, MethodInfo, Op
 from repro.jvm.bytecode import LINKED, SEMANTICS, STACK_EFFECT, link_slots
 from repro.jvm.errors import (
     ArithmeticJavaError,
-    ArrayIndexError,
     ClassCastError,
     LinkError,
-    NegativeArraySizeError,
     NullPointerError,
 )
 from repro.jvm.frame import Frame
-from repro.jvm.heap import ArrayObj, Obj
 from repro.jvm.jvm import JThread
 from repro.runtime import RuntimeConfig, build_runtime, run_original
 
