@@ -26,9 +26,10 @@ Invariants checked (violations are collected, or raised with
     A diff is only applied to a master that is at least as new as the
     twin the diff was computed against.
 ``single-home``
-    Every shared object has exactly one master copy, resident on the
-    node its gid names (``home_of``) — or, once the adaptive-locality
-    subsystem has migrated it, on the node the home directory names.
+    Every shared object a live node caches has exactly one live master
+    copy — never none, never two — resident on the node its gid names
+    (``home_of``) or, once a grant or a recovery moved it, on the node
+    the runtime's home directory names.
     Each migration handoff and recovery adoption is additionally
     checked *at the instant it installs*: no two live nodes may hold a
     master of the same unit, ever.
@@ -382,8 +383,11 @@ class InvariantMonitor:
         """Post-run structural checks; returns all violations so far.
 
         Workers that died mid-run are skipped: their frozen cache is no
-        longer part of the system (recovery re-homed their masters)."""
+        longer part of the system (recovery re-homed their masters).
+        Every unit a live node caches has exactly one live master, on
+        the node the runtime's home directory names."""
         holders: Dict[int, List[int]] = {}
+        cached: Dict[int, int] = {}   # gid -> a live node caching it
         for worker in self._workers:
             if getattr(worker, "dead", False):
                 continue
@@ -393,10 +397,11 @@ class InvariantMonitor:
                 hdr = obj.header
                 if hdr is None:
                     continue
+                cached.setdefault(gid, node)
                 if hdr.state == ObjState.HOME:
                     holders.setdefault(gid, []).append(node)
-                    # home_node() follows recovery's re-homing redirects
-                    # (it is home_of() when no node has died).
+                    # The master's own node knows it is home (a grant
+                    # or a recovery wrote its view).
                     if dsm.home_node(gid) != node:
                         self.report(node, "single-home",
                                     f"master for gid {gid:#x} resident at "
@@ -406,9 +411,19 @@ class InvariantMonitor:
                 self.report(node, "fence",
                             f"{dsm._outstanding_acks} diff ack(s) "
                             "outstanding at end of run")
-        for gid, nodes in holders.items():
-            if len(nodes) != 1:
+        homes = self._runtime.homes
+        for gid in sorted(cached):
+            nodes = holders.get(gid)
+            if nodes is None:
+                self.report(cached[gid], "single-home",
+                            f"gid {gid:#x} is cached with no live master")
+            elif len(nodes) != 1:
                 self.report(nodes[0], "single-home",
                             f"gid {gid:#x} has {len(nodes)} master copies "
                             f"(nodes {nodes})")
+            elif homes.home(gid) != nodes[0]:
+                self.report(nodes[0], "single-home",
+                            f"master for gid {gid:#x} resident at node "
+                            f"{nodes[0]}, the home directory names "
+                            f"{homes.home(gid)}")
         return self.violations

@@ -14,7 +14,7 @@ time, so every node agrees without negotiation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 NODE_SHIFT = 40
 COUNTER_MASK = (1 << NODE_SHIFT) - 1
@@ -52,21 +52,32 @@ def home_of(gid: int) -> int:
 
 
 class HomeDirectory:
-    """Per-gid home redirect entries for migrated coherency units.
+    """Per-gid home entries for coherency units whose master moved.
 
-    Plain ``home_of(gid)`` stays the common case (a miss here); a
-    redirect entry exists only for units that were re-homed.  Each
-    entry carries a monotonically increasing migration epoch so redirect
-    gossip arriving out of order can never roll a mapping backwards.
+    Plain ``home_of(gid)`` stays the common case (a miss here); an entry
+    exists only for units that were re-homed, by a migration grant or a
+    failure recovery.  Each entry carries a monotonically increasing
+    epoch so news arriving out of order can never roll a mapping back.
+
+    One type, two roles: every engine routes by its own view
+    (``DsmEngine.homes``, updated by grants and redirect gossip), and
+    the runtime keeps the authoritative copy (``runtime.homes``),
+    written wherever a master moves.  Only that copy uses ``in_flight``.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[int, Tuple[int, int]] = {}  # gid -> (home, epoch)
+        # gid -> (granter, grant) for a grant sent but not yet installed:
+        # if its grantee dies, the master goes back to the granter.
+        self.in_flight: Dict[int, Tuple[int, Dict[str, Any]]] = {}
 
     def set(self, gid: int, home: int, epoch: int) -> bool:
-        """Install a redirect; returns False for stale (old-epoch) news."""
+        """Install an entry; False for stale news: an older epoch, or
+        this one naming another node.  The entry already held is news
+        to accept again (a grant overtaken by its own redirect gossip)."""
         current = self._entries.get(gid)
-        if current is not None and current[1] >= epoch:
+        if (current is not None and current[1] >= epoch
+                and current != (home, epoch)):
             return False
         self._entries[gid] = (home, epoch)
         return True
@@ -74,6 +85,11 @@ class HomeDirectory:
     def get(self, gid: int) -> Optional[int]:
         entry = self._entries.get(gid)
         return entry[0] if entry is not None else None
+
+    def home(self, gid: int) -> int:
+        """Where the unit's master lives: its entry, else its origin."""
+        entry = self._entries.get(gid)
+        return home_of(gid) if entry is None else entry[0]
 
     def epoch(self, gid: int) -> int:
         entry = self._entries.get(gid)
@@ -88,8 +104,13 @@ class HomeDirectory:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, gid: int) -> bool:
-        return gid in self._entries
+    def granted(self, grant: Dict[str, Any], granter: int,
+                grantee: int) -> None:
+        """A master left ``granter`` for ``grantee``: record the move and
+        keep the grant until it is installed (no other grant of the unit
+        can be cut meanwhile: the master is in this one)."""
+        self.set(grant["gid"], grantee, grant["epoch"])
+        self.in_flight[grant["gid"]] = (granter, grant)
 
 
 class ClassIdRegistry:

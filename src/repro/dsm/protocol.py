@@ -191,13 +191,12 @@ class DsmEngine:
         # Tap points for the services that ride on the protocol (ft,
         # locality, policy, race, obs, tracing); see repro.hooks.
         self.hooks = DsmHooks()
-        # Per-gid home redirects for migrated units (epoch-guarded).
-        self._loc_dir = HomeDirectory()
+        # This node's view of where re-homed units live (epoch-guarded).
+        self.homes = HomeDirectory()
         # Where each in-flight fetch (or prefetch) was sent; a unit with
         # an entry here has a request outstanding.
         self._fetch_targets: Dict[Tuple[int, Optional[int]], int] = {}
         # Failure-recovery state, inert until repro.ft drives it:
-        #   _home_map        origin node -> adoptive home after a failure
         #   _pending_diffs   ack_id -> (home, payload, size) of unacked
         #                    flushes, so recovery can redirect them
         #   _blocked_on      tid -> (gid, restore) while a thread is blocked
@@ -205,7 +204,6 @@ class DsmEngine:
         #                    re-issued and stale re-grants detected
         #   _ft_token_freeze recovery is scanning for live tokens; no token
         #                    may leave this node until it finishes
-        self._home_map: Dict[int, int] = {}
         self._pending_diffs: Dict[int, Tuple[int, Dict[str, Any], int]] = {}
         self._blocked_on: Dict[int, Tuple[int, int]] = {}
         self._ft_token_freeze = False
@@ -228,22 +226,13 @@ class DsmEngine:
             transport.on(mtype, handler)
 
     # ==================================================================
-    # Home-table indirection (fault tolerance)
+    # Home lookup
     # ==================================================================
     def home_node(self, gid: int) -> int:
-        """Current home of a gid: its origin node unless the locality
-        subsystem migrated the unit, or the home died and its coherency
-        units were adopted by a buddy (the two compose: a migrated
-        unit's new home can itself die and be re-homed)."""
-        home = self._loc_dir.get(gid)
-        if home is None:
-            home = home_of(gid)
-        return self._home_map.get(home, home)
-
-    def set_gid_home(self, gid: int, home: int, epoch: int) -> bool:
-        """Install a per-gid home redirect (locality migration).  Epoch-
-        guarded: stale news never rolls a newer mapping back."""
-        return self._loc_dir.set(gid, home, epoch)
+        """Current home of a gid as this node knows it: its entry in
+        ``homes`` if the master moved (a migration grant or a failure
+        recovery re-homed it), else its origin node."""
+        return self.homes.home(gid)
 
     # ==================================================================
     # Setup helpers
@@ -489,11 +478,14 @@ class DsmEngine:
         where it went (recovery re-issues the ones a dead home held)."""
         self.stats.fetches += 1
         target = self._fetch_targets[(gid, region)] = self.home_node(gid)
-        if target == self.node_id:
-            # It would install a replica over its own master, or
-            # publish a replica's data as the master's.
-            raise ProtocolError(f"node {target} would fetch "
-                                f"{unit_key(gid, region)!r} from itself")
+        if target == self.node_id or target in self.transport.dead_peers:
+            # From itself it would install a replica over its own master,
+            # or publish a replica's data as the master's; a dead node
+            # never answers.  Either way the directory lost the master.
+            where = ("itself" if target == self.node_id
+                     else f"dead node {target}")
+            raise ProtocolError(f"node {self.node_id} would fetch "
+                                f"{unit_key(gid, region)!r} from {where}")
         self.transport.send(target, M_FETCH_REQ,
                             request or self._fetch_request(gid, region))
 
@@ -1336,10 +1328,6 @@ class DsmEngine:
         one door through which a master ever moves (migration grants and
         recovery adoptions)."""
         self._install_unit(unit, ObjState.HOME)
-
-    def ft_set_home(self, origin: int, new_home: int) -> None:
-        """Point the home table of a failed origin node at its buddy."""
-        self._home_map[origin] = new_home
 
     def ft_set_token_freeze(self, frozen: bool) -> None:
         """Freeze/unfreeze outbound token transfers.  Unfreezing flushes

@@ -64,7 +64,6 @@ class FtManager:
         self.orchestrator = RecoveryOrchestrator(self)
         self.dead_nodes: Set[int] = set()
         self.recovering: Set[int] = set()
-        self.home_redirects: Dict[int, int] = {}
         self.threads: Dict[int, ThreadRecord] = {}
         self.failures_detected = 0
         self.stopped = False
@@ -94,8 +93,6 @@ class FtManager:
             buddy_of(worker.node_id, num_nodes, self.dead_nodes),
         )
         agent.attach()
-        for origin, target in self.home_redirects.items():
-            worker.dsm.ft_set_home(origin, target)
         for dead in self.dead_nodes:
             worker.transport.mark_dead(dead)
         hb = HeartbeatAgent(self, worker, self.coordinator)

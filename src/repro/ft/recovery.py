@@ -11,8 +11,10 @@ heap and releases every survivor that was blocked on the dead node:
    from it, and dead-epoch stragglers, are discarded), the node's CPUs
    halt, and its endpoint leaves the network.
 3. **Re-home** — the buddy adopts the dead node's coherency units from
-   its replica store (merging its own uncommitted local writes on top)
-   and every survivor's home table is redirected.
+   its replica store (merging its own uncommitted local writes on top),
+   a grant lost in flight to the dead node goes back to its granter,
+   and the runtime's home directory and every survivor's view are
+   pointed at the new homes.
 4. **Lock repair** — tokens that died with the node are re-issued at
    the (possibly adoptive) home; owner tables are pointed at the actual
    holders; queued requests from dead threads are purged; survivors'
@@ -132,41 +134,40 @@ class RecoveryOrchestrator:
         manager.detector.last_seen.pop(dead, None)
         manager.detector.suspected.discard(dead)
 
-        # Phase 3: the buddy adopts the dead node's units.  With the
-        # locality subsystem on, the store may hold units the dead node
-        # migrated AWAY before dying — those have a live master
-        # elsewhere, and adopting them would mint a second one.  Units
-        # migrated TO the dead node stay: the dead node replicated them
-        # after adopting, so the buddy is their rightful heir.
+        # Phase 3: re-home, reading the runtime's home directory.  The
+        # buddy adopts the stored units whose master lived at the dead
+        # node (the store may also hold units the dead node granted away:
+        # they have a live master elsewhere).  A grant still in flight
+        # to the dead node died on the wire, so its granter takes the
+        # master back from the grant.  One loop then points the
+        # directory and every survivor's view at each new home.
+        homes = runtime.homes
+        lost = {gid: homes.in_flight.pop(gid)
+                for gid in sorted(homes.in_flight) if homes.get(gid) == dead}
         buddy_id = buddy_of(dead, len(workers), manager.dead_nodes)
         buddy = workers[buddy_id]
         agent_b = manager.agents[buddy_id]
-        units = agent_b.store.units_of(dead)
-        locality = getattr(runtime, "locality", None)
-        if locality is not None:
-            units = [u for u in units
-                     if locality.current_home(u["gid"]) == dead]
+        units = [u for u in agent_b.store.units_of(dead)
+                 if homes.home(u["gid"]) == dead and u["gid"] not in lost]
+        rehomed: Dict[int, int] = {}
         for unit in units:
             buddy.dsm.ft_install_master(unit)
             agent_b.note_adopted(key_of(unit))
-        manager.home_redirects[dead] = buddy_id
-        # Chained failure hardening: redirects that pointed at the node
-        # that just died now follow it to the new adoptive home.
-        for origin, target in list(manager.home_redirects.items()):
-            if target == dead:
-                manager.home_redirects[origin] = buddy_id
-        for w in live:
-            for origin, target in manager.home_redirects.items():
-                w.dsm.ft_set_home(origin, target)
-        if locality is not None:
-            # Units migrated TO the dead node now live at the buddy:
-            # bump their directory entries on every survivor.
-            locality.on_node_dead(dead, buddy_id)
+            rehomed[unit["gid"]] = buddy_id
+        for gid, (granter, grant) in lost.items():
+            workers[granter].dsm.ft_install_master(grant)
+            manager.agents[granter].protect_adopted(gid, grant["version"])
+            rehomed[gid] = granter
+        for gid in sorted(rehomed):
+            epoch = homes.epoch(gid) + 1
+            homes.set(gid, rehomed[gid], epoch)
+            for w in live:
+                w.dsm.homes.set(gid, rehomed[gid], epoch)
 
         # Phase 4: lock repair.  After the drain, every surviving token
         # sits at exactly one node; a candidate gid with no live holder
         # lost its token with the dead node (promote always minted one).
-        candidates = set(u["gid"] for u in units)
+        candidates = set(rehomed)
         for w in live:
             candidates.update(w.dsm.lock_states)
             candidates.update(w.dsm.lock_owner)
@@ -177,14 +178,7 @@ class RecoveryOrchestrator:
                 if (st := w.dsm.lock_states.get(gid)) is not None
                 and st.token is not None
             ]
-            if locality is not None:
-                # live[0]'s directory may lack a migrated gid's redirect
-                # (gossip is lazy); the registry always knows.
-                home_id = locality.current_home(gid)
-                home_id = live[0].dsm._home_map.get(home_id, home_id)
-                home_w = workers[home_id]
-            else:
-                home_w = workers[live[0].dsm.home_node(gid)]
+            home_w = workers[homes.home(gid)]
             if holders:
                 owner = holders[0].node_id
             else:
@@ -202,10 +196,10 @@ class RecoveryOrchestrator:
             w.dsm.ft_redirect_pending(dead, buddy_id) for w in live)
         refetches = sum(w.dsm.ft_reissue_fetches(dead) for w in live)
         relocks = sum(w.dsm.ft_reissue_blocked() for w in live)
-        if locality is not None:
+        if runtime.locality is not None:
             # Re-aim pending forwarded diffs and drop unanswerable
             # prefetches on every survivor.
-            locality.on_peer_dead_all(dead)
+            runtime.locality.on_peer_dead_all(dead)
 
         # Phase 6: invalidate unprovable replicas.
         notices = [(key_of(u), u["version"]) for u in units]

@@ -203,6 +203,12 @@ class FtNodeAgent:
         self._adopted.add(key)
         self._published.add(split_key(key)[0])
 
+    def protect_adopted(self, gid: int, version: int) -> None:
+        """A granted master was installed here: mirror it to the buddy
+        now, before anyone can come to depend on it."""
+        self.note_adopted(gid)
+        self.on_home_advance([(gid, version)])
+
     def set_buddy(self, buddy: int) -> None:
         """Re-point replication after the ring changed (a node died)."""
         if buddy == self.buddy:

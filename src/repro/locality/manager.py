@@ -1,9 +1,11 @@
 """LocalityManager / LocalityAgent: the adaptive-locality runtime.
 
 One :class:`LocalityManager` per runtime (when any ``locality_*`` knob
-is on) owns a per-node :class:`LocalityAgent` and a harness-level
-migration registry (which unit lives where now) mirroring what the
-paper's coordinator would track.  All actual adaptation traffic —
+is on) owns a per-node :class:`LocalityAgent`; each grant out and grant
+install is also written to the runtime's home directory
+(``runtime.homes``), the harness-level record of which unit lives where
+now, mirroring what the paper's coordinator would track.  All actual
+adaptation traffic —
 migration grants, forwarded diffs, redirect gossip, bulk fetches,
 aggregate frames — flows through the simulated network and is accounted
 like any other protocol message.
@@ -105,11 +107,6 @@ class LocalityManager:
         self.agents: Dict[int, "LocalityAgent"] = {}
         # Optional tracer callback: (node, kind, detail).
         self.event_sink: Optional[Callable[[int, str, str], None]] = None
-        # Harness-level registry: gid -> (current home, epoch) for every
-        # migrated unit.  Recovery consults it to decide which of a dead
-        # node's replicated units the buddy should adopt (units that
-        # migrated away have a live master elsewhere).
-        self.migrations: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -117,62 +114,16 @@ class LocalityManager:
     def attach(self) -> None:
         for w in self.runtime.workers:
             self._attach_worker(w)
-        self.runtime.worker_added_hooks.append(self.on_worker_added)
+        self.runtime.worker_added_hooks.append(self._attach_worker)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = LocalityAgent(self, worker)
         self.agents[worker.node_id] = agent
         agent.attach()
 
-    def on_worker_added(self, worker: "WorkerNode") -> None:
-        """Dynamic join: the newcomer's directory starts from the
-        registry so it never fetches through a demoted old home."""
-        self._attach_worker(worker)
-        for gid in sorted(self.migrations):
-            home, epoch = self.migrations[gid]
-            worker.dsm.set_gid_home(gid, home, epoch)
-
-    # ------------------------------------------------------------------
-    # Registry
-    # ------------------------------------------------------------------
-    def note_migration(self, gid: int, home: int, epoch: int) -> None:
-        current = self.migrations.get(gid)
-        if current is not None and current[1] >= epoch:
-            return
-        self.migrations[gid] = (home, epoch)
-
-    def note_adopted(self, gid: int, node: int, epoch: int,
-                     version: int) -> None:
-        """``node`` installed a granted master: record the move and have
-        the new home's buddy protect the unit from now on."""
-        self.note_migration(gid, node, epoch)
-        ft = self.runtime.ft
-        if ft is not None:
-            ft.agents[node].note_adopted(gid)
-            ft.agents[node].on_home_advance([(gid, version)])
-
-    def current_home(self, gid: int) -> int:
-        entry = self.migrations.get(gid)
-        return entry[0] if entry is not None else home_of(gid)
-
     # ------------------------------------------------------------------
     # Failure-recovery hooks (driven by repro.ft.recovery)
     # ------------------------------------------------------------------
-    def on_node_dead(self, dead: int, buddy: int) -> None:
-        """Units that migrated TO the dead node are adopted by its buddy
-        (their data is in the buddy's replica store); point every live
-        directory at the buddy, with a fresh epoch."""
-        for gid in sorted(self.migrations):
-            home, epoch = self.migrations[gid]
-            if home != dead:
-                continue
-            self.migrations[gid] = (buddy, epoch + 1)
-            for node_id in sorted(self.agents):
-                if self.runtime.workers[node_id].dead:
-                    continue
-                self.agents[node_id].dsm.set_gid_home(
-                    gid, buddy, epoch + 1)
-
     def on_peer_dead_all(self, dead: int) -> None:
         """Per-agent cleanup after a peer death (recovery phase 5)."""
         for node_id in sorted(self.agents):
@@ -185,7 +136,7 @@ class LocalityManager:
         """Locality summary for RunReport."""
         stats = [a.dsm.stats for a in self.agents.values()]
         return {
-            "migrated_units": len(self.migrations),
+            "migrated_units": len(self.runtime.homes),
             "migrations_out": sum(s.migrations_out for s in stats),
             "fwd_diffs": sum(s.fwd_diffs for s in stats),
             "home_forwards": sum(s.home_forwards for s in stats),
@@ -268,7 +219,7 @@ class LocalityAgent:
         next message goes straight to the current home."""
         if peer == self.node_id or (peer, gid) in self._hinted:
             return
-        entry = self.dsm._loc_dir.entry(gid)
+        entry = self.dsm.homes.entry(gid)
         if entry is None:
             return
         home, epoch = entry
@@ -286,7 +237,7 @@ class LocalityAgent:
     def _on_home_update(self, msg: Message) -> None:
         p = msg.payload
         gid = p["gid"]
-        self.dsm.set_gid_home(gid, p["home"], p["epoch"])
+        self.dsm.homes.set(gid, p["home"], p["epoch"])
         # A prefetch aimed at the old home will echo the gid back
         # unserved; nothing else to do here.
 
@@ -330,7 +281,7 @@ class LocalityAgent:
         the unit, the chain and every node's directory entry."""
         via = via + [self.node_id]
         if len(via) > MAX_HOPS:
-            entries = {w.node_id: w.dsm._loc_dir.entry(gid)
+            entries = {w.node_id: w.dsm.homes.entry(gid)
                        for w in self.manager.runtime.workers if not w.dead}
             raise ProtocolError(
                 f"gid {gid:#x} re-routed {len(via)} times without reaching "
@@ -452,26 +403,25 @@ class LocalityAgent:
                   with_lock_owner: bool = True) -> Optional[Dict[str, Any]]:
         """Old-home side: serialize + demote the local master into a
         grant for ``grantee``, under the next directory epoch, and point
-        this node's directory and the registry at the new home.  None
-        when this node holds no master of the unit.  A token-borne grant
-        goes without ``lock_owner``: its grantee is the new lock owner."""
+        this node's view and the runtime's directory at the new home.
+        None when this node holds no master of the unit.  A token-borne
+        grant goes without ``lock_owner``: its grantee is the new lock
+        owner."""
         unit = self.dsm._loc_grant_unit(gid)
         if unit is None:
             return None
-        epoch = self.dsm._loc_dir.epoch(gid) + 1
+        epoch = self.dsm.homes.epoch(gid) + 1
         grant = dict(unit)
         grant["epoch"] = epoch
         if with_lock_owner:
             grant["lock_owner"] = self.dsm.lock_owner.get(gid, self.node_id)
-        self.dsm.set_gid_home(gid, grantee, epoch)
-        self.manager.note_migration(gid, grantee, epoch)
+        self.dsm.homes.set(gid, grantee, epoch)
+        self.manager.runtime.homes.granted(grant, self.node_id, grantee)
         return grant
 
     def install_grant(self, grant: Dict[str, Any]) -> bool:
         """Grantee side: become the home of a granted unit.  False when
-        a strictly newer migration already moved the unit elsewhere (an
-        equal-epoch entry pointing HERE is just this migration's own
-        redirect gossip arriving first).
+        this node's view holds newer news of the unit.
 
         Flushes of the unit by this node may still be in flight to the
         old home (the ack-borne grant goes to the very writer the old
@@ -481,8 +431,7 @@ class LocalityAgent:
         order and at the grant's version, and dropped when they come
         back forwarded."""
         gid = grant["gid"]
-        if (not self.dsm.set_gid_home(gid, self.node_id, grant["epoch"])
-                and self.dsm._loc_dir.get(gid) != self.node_id):
+        if not self.dsm.homes.set(gid, self.node_id, grant["epoch"]):
             return False
         own = [diff for _home, p, _size in self.dsm._pending_diffs.values()
                for g, diff, region in p["entries"]
@@ -494,8 +443,11 @@ class LocalityAgent:
         # top as a pending home write.
         self.dsm.ft_install_master(grant)
         self.dsm.lock_owner[gid] = grant.get("lock_owner", self.node_id)
-        self.manager.note_adopted(gid, self.node_id, grant["epoch"],
-                                  grant["version"])
+        runtime = self.manager.runtime
+        runtime.homes.in_flight.pop(gid, None)  # the grant is home
+        if runtime.ft is not None:
+            runtime.ft.agents[self.node_id].protect_adopted(
+                gid, grant["version"])
         return True
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..dsm.directory import MASTER_NODE
+from ..dsm.directory import MASTER_NODE, HomeDirectory
 from ..dsm.protocol import DsmStats
 from ..jvm.classfile import ClassFile
 from ..jvm.intrinsics import bootstrap_classfiles
@@ -179,6 +179,10 @@ class JavaSplitRuntime:
         for class_name, (gid, holder) in rewritten.static_gids.items():
             master.dsm.install_static_holder(class_name, gid, holder)
         self._main_thread: Optional[JThread] = None
+        # Where every re-homed unit's master lives: written wherever a
+        # master moves (a grant out, its install, a recovery), read by
+        # recovery and the checkers, and a joiner's first view.
+        self.homes = HomeDirectory()
         # The one way to hear about a late joiner: whatever attaches to
         # the workers (subsystem managers, the serve manager, the
         # checkers, the tracer) appends a callable in its ``attach`` and
@@ -243,6 +247,8 @@ class JavaSplitRuntime:
     # ------------------------------------------------------------------
     def add_worker(self, brand: Optional[str] = None) -> WorkerNode:
         worker = self._new_worker(brand or self.config.brand_of(0))
+        for gid, (home, epoch) in self.homes.items():
+            worker.dsm.homes.set(gid, home, epoch)
         for hook in self.worker_added_hooks:
             hook(worker)
         return worker

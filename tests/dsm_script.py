@@ -23,7 +23,7 @@ of the class (``classes``: name -> int field names) or an array index.
 An op runs as one simulated event, the next one after the op's cost.
 
 The runtime exposes ``engine``, ``workers`` (each with ``dsm``,
-``node_id`` and ``dead``) and ``worker_added_hooks``, so
+``node_id`` and ``dead``), ``homes`` and ``worker_added_hooks``, so
 ``InvariantMonitor.attach`` works on it as on a ``JavaSplitRuntime``.
 """
 
@@ -33,6 +33,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsm import ClassIdRegistry, ClassSpec, DsmConfig, DsmEngine
+from repro.dsm.directory import HomeDirectory
 from repro.heap import ArrayObj, Obj
 from repro.net.simnet import SimNetwork
 from repro.net.transport import Transport
@@ -204,6 +205,7 @@ class ScriptRuntime:
         self.threads: List[ScriptThread] = []
         self.spawn_to = 0
         self.worker_added_hooks: List[Any] = []
+        self.homes = HomeDirectory()
         self.workers = [ScriptHost(self, n) for n in range(nodes)]
 
     def run(self, allow_blocked: bool = False) -> Dict[str, List[Any]]:

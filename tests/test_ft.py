@@ -5,13 +5,19 @@ sweeps over the benchmark apps."""
 import pytest
 
 from repro.check.faults import FaultInjector, FaultPlan, parse_time_ns
-from repro.check.runner import app_source, parse_kill, run_check
+from repro.check.monitor import InvariantMonitor
+from repro.check.oracle import SingleCopyOracle
+from repro.check.runner import (DEFAULT_JITTER_NS, app_source, parse_kill,
+                                run_check)
+from repro.dsm.directory import HomeDirectory, home_of
 from repro.ft import MasterFailedError, ReplicaStore, buddy_of
 from repro.lang import compile_source
 from repro.net import NetStats, SimNetwork, Transport
 from repro.net.message import Message
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig, run_distributed
+from repro.runtime.config import config_from
+from repro.runtime.javasplit import build_runtime, run_original
 from repro.sim import SUN, NS_PER_MS, SimEngine
 
 
@@ -302,3 +308,87 @@ def test_detach_without_runtime_does_not_halt_anything():
     inj.detach_now(1)
     assert inj.stats.detached == [1]
     assert not net.is_attached(1)
+
+
+# ---------------------------------------------------------------------------
+# One home directory: re-homing across failures, joins and lost grants
+# ---------------------------------------------------------------------------
+def _checked_ft_runtime(program, seed, **options):
+    """A cluster with ft (and ARQ) on, under a fault injector with no
+    scheduled faults, the invariant monitor and the single-copy oracle."""
+    config = config_from(options, seed=seed, net_jitter_ns=DEFAULT_JITTER_NS,
+                         reliable_transport=True, ft_enabled=True)
+    rt = build_runtime(program, config)
+    injector = FaultInjector.attach(rt, FaultPlan(seed=seed))
+    return rt, injector, InvariantMonitor.attach(rt), SingleCopyOracle.attach(rt)
+
+
+def test_chained_failure_rehomes_the_adopted_units_again():
+    """Node 2 dies; its buddy 3 adopts its units; then 3 dies too: the
+    units 3 adopted move on to 3's buddy, 4, and nothing points at a dead
+    node.  (Node 2 owns units by 20 ms on seeds 0 and 3; at 5 ms it owns
+    none and the chain would go unexercised.)"""
+    program = compile_source(app_source("tsp"))
+    reference = run_original(classfiles=program)
+    chained = 0
+    for seed in range(4):
+        rt, injector, monitor, oracle = _checked_ft_runtime(
+            program, seed, nodes=5, locality="all")
+        program = rt.rewritten  # rewrite once, reuse for every seed
+        rt.engine.schedule_at(20 * NS_PER_MS, lambda: injector.detach_now(2))
+        rt.engine.schedule_at(70 * NS_PER_MS, lambda: injector.detach_now(3))
+        report = rt.run()
+        first, second = report.ft["recoveries"]
+        assert (first["dead"], second["dead"], second["buddy"]) == (2, 3, 4)
+        assert report.result == reference.result
+        assert monitor.finalize() == [] and oracle.finalize() == []
+        homes = {gid: home for gid, (home, _e) in rt.homes.items()}
+        assert not set(homes.values()) & {2, 3}
+        from_2 = [home for gid, home in homes.items() if home_of(gid) == 2]
+        assert len(from_2) == first["units_adopted"]
+        chained += len(from_2)
+    assert chained > 0
+
+
+def test_a_joiner_sees_every_home_recovery_moved():
+    """A worker joining after a recovery starts from the runtime's home
+    directory: it routes every re-homed unit where the survivors do."""
+    rt, injector, monitor, oracle = _checked_ft_runtime(
+        app_source("tsp"), 0, nodes=3)
+    rt.engine.schedule_at(35 * NS_PER_MS, lambda: injector.detach_now(1))
+    rt.ft.orchestrator.on_recovered = (
+        lambda _rec: rt.schedule_join(rt.engine.now + NS_PER_MS))
+    rt.run()
+    newcomer = rt.workers[3]
+    assert len(rt.homes) >= 1
+    for gid, (home, _epoch) in rt.homes.items():
+        assert home == 2
+        for w in (rt.workers[0], rt.workers[2]):
+            assert newcomer.dsm.home_node(gid) == w.dsm.home_node(gid)
+    assert monitor.finalize() == [] and oracle.finalize() == []
+
+
+def test_a_grant_lost_with_its_grantee_goes_back_to_its_granter():
+    """tsp, 4 nodes, seed 4: node 0 grants gid 0x6 to node 2 after node
+    2 was killed, and the grant dies on the wire.  Recovery re-installs
+    the master at its granter from the kept grant."""
+    report = run_check(app="tsp", locality="all", kill="random", nodes=4,
+                       seed=4, seeds=1)
+    assert report.ok, report.summary()
+
+
+def test_a_lost_grant_not_given_back_is_flagged(monkeypatch):
+    """Mutant: the directory forgets each grant once it is sent, so
+    recovery has nothing to give back.  The unit is left with no master
+    at all: the next fetch of it fails loudly, and the monitor sees the
+    unit with no live master."""
+    monkeypatch.setattr(
+        HomeDirectory, "granted",
+        lambda self, grant, granter, grantee: self.set(
+            grant["gid"], grantee, grant["epoch"]))
+    report = run_check(app="tsp", locality="all", kill="random", nodes=4,
+                       seed=4, seeds=1)
+    sr = report.results[0]
+    assert "from dead node" in (sr.error or ""), report.summary()
+    assert [v.kind for v in sr.violations] == ["single-home"]
+    assert "no live master" in sr.violations[0].detail

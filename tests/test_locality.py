@@ -183,7 +183,7 @@ def test_object_unit_migrates_to_sole_writer():
     # forwarded by the old home (then redirect gossip corrected it).
     assert loc["fwd_diffs"] >= 1
     # The migrated master lives where the directory says it lives.
-    gid, (home, _epoch) = next(iter(rt.locality.migrations.items()))
+    gid, (home, _epoch) = next(iter(rt.homes.items()))
     obj = rt.workers[home].dsm.cache.get(gid)
     assert obj is not None and obj.header.state == ObjState.HOME
 
@@ -339,6 +339,27 @@ def test_monitor_catches_double_master_at_install():
         monitor.summary()
 
 
+@pytest.mark.parametrize("corrupt", ["no-master", "wrong-directory"])
+def test_monitor_sees_a_unit_with_no_master_or_misplaced(corrupt):
+    """End-of-run single-home: every cached unit has exactly one live
+    master, on the node the runtime's home directory names."""
+    rt = _runtime(SOLE_WRITER_SRC, locality_migration=True)
+    monitor = InvariantMonitor.attach(rt)
+    rt.run()
+    assert monitor.finalize() == []
+    gid, (home, epoch) = next(iter(rt.homes.items()))
+    if corrupt == "no-master":
+        # BUG under test: a master lost with no one to take it over.
+        rt.workers[home].dsm.cache[gid].header.state = ObjState.INVALID
+        expected = "no live master"
+    else:
+        # BUG under test: the move was recorded to the wrong node.
+        rt.homes.set(gid, 1 - home, epoch + 1)
+        expected = f"the home directory names {1 - home}"
+    assert [v.kind for v in monitor.finalize()] == ["single-home"]
+    assert expected in monitor.violations[0].detail
+
+
 def test_monitor_accepts_clean_migration_sweep():
     report = run_check(app="tsp", seeds=3, locality="all")
     assert report.ok, report.summary()
@@ -438,7 +459,7 @@ def test_corrupt_directory_fails_within_a_bounded_chain():
     master = rt.workers[home].dsm.cache[gid].header
     master.state = ObjState.INVALID
     for w in rt.workers:
-        w.dsm._loc_dir._entries[gid] = (liar, 99)
+        w.dsm.homes._entries[gid] = (liar, 99)
     entry = (gid, b"\x00\x00\x00\x00", None)
     writer.transport.send(liar, M_DIFF, {
         "entries": [entry], "ack_id": 0, "writer": writer.node_id,

@@ -371,9 +371,8 @@ def test_migratory_ownership_travels_with_token():
     # the remote diff round-trips disappear.
     assert report.total_dsm().diffs_sent < base.total_dsm().diffs_sent
     assert report.net.messages < base.net.messages
-    # The unit's master lives where the (epoch-guarded) registry says.
-    gid, (home, _epoch) = next(
-        iter(rt.locality.migrations.items()))
+    # The unit's master lives where the runtime's home directory says.
+    gid, (home, _epoch) = next(iter(rt.homes.items()))
     obj = rt.workers[home].dsm.cache.get(gid)
     assert obj is not None and obj.header.state == ObjState.HOME
 
