@@ -50,8 +50,9 @@ and the ``except`` epilogue counts the instructions before it.
 Compiled code inlines the pass-through of the §4.2 read check (one
 compare of the header's state; the handler runs on a miss only) and
 the §4.4 local-lock fast path (the uncontended ``DSM_ACQUIRE``/
-``DSM_RELEASE`` case), and calls whitelisted pure natives (``Math.*``
-etc.) without materializing the frame.
+``DSM_RELEASE`` case), runs a call to a ``Math`` method as its row,
+and calls the other whitelisted pure natives without materializing the
+frame.
 
 Exit reasons (second element of the ``(used_ns, reason)`` return):
 """
@@ -69,8 +70,6 @@ from ..jvm.bytecode import (
     DSM_OPS,
     INVOKES,
     LINKED,
-    SEMANTICS,
-    STACK_EFFECT,
     TERMINATORS,
     TRAPS,
     Instr,
@@ -80,6 +79,8 @@ from ..jvm.bytecode import (
     instr_cost,
     link_slots,
     literal,
+    native_of,
+    row_of,
     traps,
 )
 from ..jvm.classfile import MethodInfo
@@ -130,10 +131,11 @@ _MAX_CALL_DEPTH = 30
 def _is_pure_native(m: MethodInfo) -> bool:
     """Natives that are pure functions of (jvm, thread, args): never
     block, never return NO_VALUE, touch no frame — safe to call from
-    compiled code without materializing the interpreter frame."""
+    compiled code without materializing the interpreter frame.  (A
+    ``Math`` call is no call but its ``bytecode.MATH`` row.)"""
     if m.ret == "void":
         return False
-    if m.klass in ("Math", "javasplit.Math", "String", "javasplit.String"):
+    if m.klass in ("String", "javasplit.String"):
         return True
     return m.klass in ("Sys", "javasplit.Sys") and m.name in (
         "currentTimeMillis", "nanoTime")
@@ -590,19 +592,19 @@ class _Emitter:
     # -- pure ops ------------------------------------------------------
     def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int,
                    known: bool = False, x: Optional[str] = None) -> int:
-        """One ``SEMANTICS`` row over this site's registers: pops are
+        """One row (``row_of``) over this site's registers: pops are
         the top s-registers (or ``x`` for ``{x}``), pushes land from the
         deepest pop upwards.  ``known``: its reference passed a null test
         on this trip through the trace, so the row's null test goes."""
         op = instr.op
-        row = SEMANTICS.get(op)
-        if row is None:
+        found = row_of(instr)
+        if found is None:
             raise CompileError(
                 f"{self.method.klass}.{self.method.name} pc={pc}: "
                 f"unhandled pure op {op.name}")
+        row, pops = found
         if known:
             row = row._replace(first=None)
-        pops, pushes = STACK_EFFECT[op]
         base = d - pops
         names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
         names.update(a=self.lit(instr.a), b=self.lit(instr.b),
@@ -623,7 +625,7 @@ class _Emitter:
         if moves:
             regs, values = zip(*moves)
             self.w(ind, f"{', '.join(regs)} = {', '.join(values)}")
-        return base + pushes
+        return base + len(pushed)
 
     # -- control -------------------------------------------------------
     def _emit_control(self, ind: int, pc: int, instr: Instr,
@@ -872,6 +874,11 @@ class _Emitter:
                                    cache_key="id(_t)", target_expr="_t")
             return d - n + (0 if static_m.ret == "void" else 1)
         # INVOKESTATIC / INVOKESPECIAL: target known at compile time.
+        if native_of(instr) is not None:  # a ``MATH`` row, billed as the call
+            d = self._emit_pure(ind, pc, instr, d)
+            w(ind, f"used += {base}")
+            w(ind, "icount += 1")
+            return d
         tname = self.const(static_m, "M")
         w(ind, f"_t = {tname}")
         if static_m.is_native:

@@ -234,8 +234,9 @@ OP_COST = {
     Op.DSM_STATICREF: cm.CHECK_HIT,
 }
 
-#: Per-opcode cost tables ``(plain, checked, static)``, indexed by ``Op``.
-CostTables = Tuple[List[int], List[int], List[int]]
+#: Per-opcode cost tables ``(plain, checked, static)``, indexed by ``Op``,
+#: and what a native's body bills on top of its invoke.
+CostTables = Tuple[List[int], List[int], List[int], int]
 
 
 def cost_tables(cost_model: Mapping[str, int]) -> CostTables:
@@ -245,6 +246,7 @@ def cost_tables(cost_model: Mapping[str, int]) -> CostTables:
     behind a DSM check (the ``*_checked`` rows of Table 1), ``static`` a
     checked access to a C_static holder field: rewritten static accesses
     are GETFIELD/PUTFIELD on the holder (§4.2) and bill the static rows.
+    The fourth entry is the native rate a ``MATH`` row adds to its invoke.
     """
     n_ops = max(Op) + 1
     plain = [0] * n_ops
@@ -259,7 +261,7 @@ def cost_tables(cost_model: Mapping[str, int]) -> CostTables:
     static = list(checked)
     static[Op.GETFIELD] = cost_model[cm.checked(cm.STATIC_READ)]
     static[Op.PUTFIELD] = cost_model[cm.checked(cm.STATIC_WRITE)]
-    return plain, checked, static
+    return plain, checked, static, cost_model[cm.NATIVE]
 
 
 def instr_cost(instr: Instr, tables: CostTables) -> int:
@@ -267,12 +269,15 @@ def instr_cost(instr: Instr, tables: CostTables) -> int:
 
     The one cost resolver: tier-0 decode, the tier-1 compiler and
     ``disasm --costs`` all bill through it, which is what keeps their
-    simulated time identical.
+    simulated time identical.  A call that is a ``MATH`` row bills what
+    the call did: the invoke and the native.
     """
-    plain, checked, static = tables
-    if not instr.checked:
-        return plain[instr.op]
-    return (static if instr.checked == "static" else checked)[instr.op]
+    plain, checked, static, native = tables
+    if instr.checked:
+        return (static if instr.checked == "static" else checked)[instr.op]
+    if native_of(instr) is not None:
+        return plain[instr.op] + native
+    return plain[instr.op]
 
 
 # Opcodes only the rewriter may emit; the verifier rejects them in
@@ -382,6 +387,81 @@ SEMANTICS = {
                        then="{x}.set({y}, {z})",
                        observe=("{x}", "{y}", True)),
 }
+
+
+class Native(NamedTuple):
+    """A pure native method as a row: ``arity`` arguments of type
+    ``kind`` (``{x}`` the first, ``{y}`` the second) and one result of
+    that type, the row's pushed value."""
+
+    kind: str
+    arity: int
+    row: Row
+
+
+def _ieee(call: str, error: str, otherwise: str) -> Native:
+    """``{x} = call``, and ``otherwise`` where Python raises ``error`` on
+    an argument Java has a result for.  The ``try`` is free while
+    nothing is raised, so an in-domain argument costs the one call."""
+    return Native("double", 1, _does("{x}", first=(
+        f"try:\n    {{x}} = {call}\nexcept {error}:\n    {otherwise}")))
+
+
+#: The ``Math`` natives, each one row with Java's IEEE results.  Tier 0
+#: fuses a call to one into a run and decodes it to the row's handler;
+#: tier 1 emits the row where the call was; the bootstrap class declares
+#: its methods from here (:mod:`repro.jvm.intrinsics`).  ``floor`` /
+#: ``ceil`` keep a zero result's sign from the argument (``or {x} * 0.0``)
+#: and hand back an infinity or NaN unchanged, as Java does.
+MATH = {
+    "sqrt": _ieee("_sqrt({x})", "ValueError", "{x} = _NAN"),
+    "sin": _ieee("_sin({x})", "ValueError", "{x} = _NAN"),
+    "cos": _ieee("_cos({x})", "ValueError", "{x} = _NAN"),
+    "tan": _ieee("_tan({x})", "ValueError", "{x} = _NAN"),
+    "log": _ieee("_log({x})", "ValueError",
+                 "{x} = -_INF if {x} == 0 else _NAN"),
+    "exp": _ieee("_exp({x})", "OverflowError", "{x} = _INF"),
+    "floor": _ieee("float(_floor({x})) or {x} * 0.0",
+                   "(ValueError, OverflowError)", "pass"),
+    "ceil": _ieee("float(_ceil({x})) or {x} * 0.0",
+                  "(ValueError, OverflowError)", "pass"),
+    "abs": Native("double", 1, _does("abs({x})")),
+    "pow": Native("double", 2, _does("_pow({x}, {y})")),
+    "atan2": Native("double", 2, _does("_atan2({x}, {y})")),
+    "iabs": Native("int", 1, _does("abs({x})")),
+    "imin": Native("int", 2, _does("min({x}, {y})")),
+    "imax": Native("int", 2, _does("max({x}, {y})")),
+    # NaN if either is one, and -0.0 below 0.0.
+    "min": Native("double", 2, _does(
+        "{x} if {x} < {y} or {x} != {x} or {x} == {y} and "
+        "_copysign(1.0, {x}) < 0 else {y}")),
+    "max": Native("double", 2, _does(
+        "{x} if {x} > {y} or {x} != {x} or {x} == {y} and "
+        "_copysign(1.0, {x}) > 0 else {y}")),
+}
+#: The classes whose ``MATH`` methods are rows: the bootstrap ``Math``
+#: and its rewritten twin.  A program cannot declare a ``Math`` of its
+#: own (the compiler rejects a duplicate class), so the instruction
+#: alone decides, with no JVM at hand.
+MATH_CLASSES = frozenset({"Math", "javasplit.Math"})
+
+
+def native_of(instr: Instr) -> Optional[Native]:
+    """The ``MATH`` entry ``instr`` calls; None when it calls none."""
+    if instr.op is Op.INVOKESTATIC and instr.a in MATH_CLASSES:
+        return MATH.get(instr.b)
+    return None
+
+
+def row_of(instr: Instr) -> Optional[Tuple[Row, int]]:
+    """What ``instr`` does as a row, and how many operands it pops: its
+    opcode's ``SEMANTICS`` row or the ``MATH`` row it calls.  None for
+    whatever can block, call, branch or return."""
+    native = native_of(instr)
+    if native is not None:
+        return native.row, native.arity
+    row = SEMANTICS.get(instr.op)
+    return None if row is None else (row, STACK_EFFECT[instr.op][0])
 
 
 def row_text(row: Row) -> str:

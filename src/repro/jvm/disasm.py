@@ -28,7 +28,7 @@ from .fuse import fused_runs
 
 
 def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
-    """(plain, checked, static) per-opcode tables for a JVM brand."""
+    """The :func:`~repro.jvm.bytecode.cost_tables` of a JVM brand."""
     return cost_tables(get_brand(brand, profile))
 
 

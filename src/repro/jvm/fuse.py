@@ -1,13 +1,14 @@
 """Tier 0's fused runs: one handler for a straight line of pure opcodes.
 
-A run is ≥ 2 ``SEMANTICS`` rows of one basic block, the last instruction
-possibly the GOTO / IF / IF_CMP that closes the block.  Invokes,
-returns, monitors and DSM ops end a run: what can block or leave the
-frame keeps its own handler.  A heap access ends one only when it is
-observed (a race detector is attached and the access is checked) or did
-not link at decode — the pcs the interpreter passes as ``cut``.  A run's
-function is the rows' own text over a *virtual* operand stack of Python
-expressions:
+A run is ≥ 2 rows of one basic block (``bytecode.row_of``: ``SEMANTICS``
+rows, and calls to a ``Math`` method, each a ``MATH`` row), the last
+instruction possibly the GOTO / IF / IF_CMP that closes the block.
+Other invokes, returns, monitors and DSM ops end a run: what can block
+or leave the frame keeps its own handler.  A heap access ends one only
+when it is observed (a race detector is attached and the access is
+checked) or did not link at decode — the pcs the interpreter passes as
+``cut``.  A run's function is the rows' own text over a *virtual*
+operand stack of Python expressions:
 
 * a value stays unevaluated only if its row cannot raise and has no side
   effect (``_FORWARDED``); any other is evaluated where it stands;
@@ -27,9 +28,11 @@ import re
 from typing import Any, Container, List, Sequence, Tuple
 
 from .bytecode import (BRANCHES, LINKED, SEMANTICS, STACK_EFFECT, Instr, Op,
-                       branch_row, instantiate, literal, row_text, traps)
+                       branch_row, instantiate, literal, native_of, row_of,
+                       row_text, traps)
 from .cfg import straight_runs
 
+#: Never in a run, but for an INVOKESTATIC that is a ``MATH`` row.
 NOT_FUSED = frozenset(Op) - set(SEMANTICS) - BRANCHES
 _FORWARDED = frozenset({Op.CONST, Op.LOAD, Op.ADD, Op.SUB, Op.MUL, Op.NEG,
                         Op.AND, Op.OR, Op.XOR})
@@ -40,7 +43,9 @@ def fused_runs(code: Sequence[Instr],
                cut: Container[int] = ()) -> List[Tuple[int, int]]:
     """``(start_pc, end_pc_exclusive)`` of every run tier 0 fuses when
     the pcs in ``cut`` may not join one."""
-    return [(start, end) for start, end in straight_runs(code, NOT_FUSED, cut)
+    cuts = {pc for pc, instr in enumerate(code) if pc in cut
+            or instr.op in NOT_FUSED and native_of(instr) is None}
+    return [(start, end) for start, end in straight_runs(code, (), cuts)
             if end - start > 1]
 
 
@@ -65,11 +70,12 @@ def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
         if op is Op.GOTO:
             lines.append(f"frame.pc = {instr.a}")
             break
-        row = SEMANTICS.get(op) or branch_row(op, instr.a)
+        row, pops = row_of(instr) or (branch_row(op, instr.a),
+                                      STACK_EFFECT[op][0])
         text = row_text(row)
         names = {"a": _operand(instr.a), "b": _operand(instr.b),
                  "local": f"L[{instr.a}]", "slot": f"f{pc}"}
-        for name in reversed("xyz"[:STACK_EFFECT[op][0]]):
+        for name in reversed("xyz"[:pops]):
             value = vstack.pop() if vstack else "stack.pop()"
             assigned = re.search(r"\{%s\} =[^=]" % name, text)
             simple = value.isidentifier() or value.startswith("L[")

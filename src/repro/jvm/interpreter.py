@@ -28,10 +28,12 @@ inside a run need the per-instruction list.  A row that can raise stores
 What an instruction *does* is not written here when it can be said
 once for both tiers: the pure opcodes are the rows of
 :data:`~repro.jvm.bytecode.SEMANTICS`, and each row's handler factory
-is compiled from its text at import (:func:`_pure_factory`) — the four
-heap accesses too, with and without the race detector's call.  The arms
-of :func:`_decode_instr` are what is left — invokes and returns,
-monitors and DSM hooks, and the wrapper of an access that did not link.
+is compiled from its text at import (:func:`_row_factory`) — the four
+heap accesses too, with and without the race detector's call, and a
+call to a ``Math`` method, which is a row of
+:data:`~repro.jvm.bytecode.MATH`.  The arms of :func:`_decode_instr` are
+what is left — invokes and returns, monitors and DSM hooks, and the
+wrapper of an access that did not link.
 
 The interpreter is *steppable*: :meth:`Interpreter.step` calls exactly
 one handler of a thread's top frame and returns its simulated cost in
@@ -63,15 +65,18 @@ from .bytecode import (
     ACCESSES,
     CONDITIONS,
     LINKED,
+    MATH,
     SEMANTICS,
     STACK_EFFECT,
     Instr,
     Op,
+    Row,
     branch_row,
     cost_tables,
     instantiate,
     instr_cost,
     link_slots,
+    native_of,
     ref_below,
     row_text,
 )
@@ -155,6 +160,21 @@ def java_shift(count: int) -> int:
     if count < 0:
         raise ArithmeticJavaError("negative shift count")
     return count
+
+
+def java_pow(x: float, y: float) -> float:
+    """Java ``Math.pow``: C's ``pow``, except that a NaN exponent, or ±1
+    to an infinite power, is NaN, and that no argument raises."""
+    if y != y or math.isinf(y) and abs(x) == 1.0:
+        return math.nan
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        pass
+    except ValueError:  # a negative base to a fraction, or 0 to y < 0
+        if x != 0:
+            return math.nan
+    return math.copysign(math.inf, x) if y % 2 == 1 else math.inf
 
 
 def jstr(value: Any) -> str:
@@ -438,10 +458,10 @@ class Interpreter:
 # Decode.  Runs once per instruction per JVM and returns the handler the
 # dispatch loop calls; whatever the instruction alone decides (operands,
 # cost, hook method, whether the race detector watches) is decided here
-# and captured by the closure.  An opcode with a ``SEMANTICS`` row and
-# every IF / IF_CMP condition has a handler *factory*, compiled from the
-# row once at import; the rest — everything that can block or leave the
-# frame — has a hand-written arm below.
+# and captured by the closure.  An opcode with a ``SEMANTICS`` row, a
+# ``MATH`` method and every IF / IF_CMP condition has a handler
+# *factory*, compiled from the row once at import; the rest — everything
+# that can block or leave the frame — has a hand-written arm below.
 # ----------------------------------------------------------------------
 #: What a ``SEMANTICS`` row may name besides its operands.  Both tiers
 #: bind these, and the ``BOUND`` names per JVM (:attr:`Interpreter.bound`).
@@ -450,6 +470,11 @@ HELPERS = {
     "_drem": java_drem, "_d2i": java_d2i, "_shift": java_shift,
     "_jstr": jstr, "_NPE": NullPointerError, "_CCE": ClassCastError,
     "_AE": ArithmeticJavaError, "_TOO_BIG": TOO_BIG,
+    # What the ``MATH`` rows call.
+    **{f"_{name}": getattr(math, name) for name in (
+        "sqrt", "sin", "cos", "tan", "log", "exp", "floor", "ceil", "atan2",
+        "copysign")},
+    "_pow": java_pow, "_NAN": math.nan, "_INF": math.inf,
 }
 BOUND = ("_new", "_newarr", "_classes", "_isinst")
 _FACTORY_GLOBALS = dict(HELPERS)  # a copy: exec adds __builtins__ to it
@@ -478,14 +503,13 @@ def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
     return _make("\n".join(lines), name)
 
 
-def _pure_factory(op: Op, observed: bool = False) -> Callable[..., Handler]:
-    """The handler factory of one ``SEMANTICS`` row, ``observed`` with
-    the race detector's call.  Operands above the bottom one are popped
-    into locals; the bottom one stays on the stack when something is
-    pushed — the first push overwrites it — and is read in place when
-    the row names it once, before that overwrite."""
-    pops = STACK_EFFECT[op][0]
-    row = SEMANTICS[op]
+def _row_factory(name: str, row: Row, pops: int,
+                 observed: bool = False) -> Callable[..., Handler]:
+    """The handler factory of one row that pops ``pops`` operands,
+    ``observed`` with the race detector's call.  Operands above the
+    bottom one are popped into locals; the bottom one stays on the stack
+    when something is pushed — the first push overwrites it — and is
+    read in place when the row names it once, before that overwrite."""
     names = {"a": "a", "b": "b", "local": "frame.locals[a]",
              "y": "y", "z": "z", "slot": "slot"}
     body = [f"{name} = stack.pop()" for name in reversed("xyz"[1:pops])]
@@ -500,7 +524,7 @@ def _pure_factory(op: Op, observed: bool = False) -> Callable[..., Handler]:
     for k, value in enumerate(values):
         body.append(f"stack[-1] = {value}" if pops and k == 0
                     else f"stack.append({value})")
-    return _factory(op.name, body + ["frame.pc = nxt"])
+    return _factory(name, body + ["frame.pc = nxt"])
 
 
 def _branch_factory(op: Op, cond: str) -> Callable[..., Handler]:
@@ -512,8 +536,12 @@ def _branch_factory(op: Op, cond: str) -> Callable[..., Handler]:
                     body + lines + [f"frame.pc = b if {test} else nxt"])
 
 
-_PURE = {op: _pure_factory(op) for op in SEMANTICS}
-_OBSERVED = {op: _pure_factory(op, observed=True) for op in ACCESSES}
+_PURE = {op: _row_factory(op.name, row, STACK_EFFECT[op][0])
+         for op, row in SEMANTICS.items()}
+_OBSERVED = {op: _row_factory(op.name, SEMANTICS[op], STACK_EFFECT[op][0],
+                              observed=True) for op in ACCESSES}
+_MATH = {name: _row_factory(f"Math_{name}", native.row, native.arity)
+         for name, native in MATH.items()}
 _BRANCH = {(op, cond): _branch_factory(op, cond)
            for op in (Op.IF, Op.IF_CMP) for cond in CONDITIONS}
 
@@ -526,7 +554,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
                   slot: Optional[int]) -> Handler:
     op, a, b, nxt = instr.op, instr.a, instr.b, pc + 1
     jvm = interp.jvm
-    make = _PURE.get(op)
+    make = _MATH[b] if native_of(instr) else _PURE.get(op)
     if make is not None:
         if op not in ACCESSES:
             return make(a, b, nxt, cost, **interp.bound)

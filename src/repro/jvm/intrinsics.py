@@ -7,7 +7,9 @@ and clock — the low-level I/O the rewriter cannot transform) and
 ``(class, method)``; the distributed runtime supplies *rewritten*
 versions of these classes whose natives route through the DSM (see
 :mod:`repro.rewriter.bootstrap`), exactly as the paper hand-wraps native
-bootstrap classes.
+bootstrap classes.  ``Math`` registers none: each of its methods is a
+row of :data:`~repro.jvm.bytecode.MATH` that both tiers run in place
+of the call.
 
 A native returns a value, ``NO_VALUE`` (void), or ``BLOCK`` if it parked
 the calling thread after arranging its own completion.
@@ -15,12 +17,11 @@ the calling thread after arranging its own completion.
 
 from __future__ import annotations
 
-import math
-from typing import Any, List
+from typing import List
 
 from ..heap import JavaRuntimeError, monitor_of
 from .assembler import ClassBuilder
-from .bytecode import Op
+from .bytecode import MATH, Op
 from .classfile import ClassFile
 from .errors import IllegalMonitorStateError
 from .interpreter import BLOCK, NO_VALUE, jstr
@@ -60,17 +61,11 @@ def bootstrap_classfiles() -> List[ClassFile]:
     run.ret()
     th.finish(run)
 
-    # Math ----------------------------------------------------------------
+    # Math: declared from its rows, which both tiers run in place of a call.
     m = ClassBuilder("Math", is_bootstrap=True)
-    for name in ("sqrt", "sin", "cos", "tan", "log", "exp", "floor", "ceil", "abs"):
-        m.native_method(name, params=["double"], ret="double", static=True)
-    m.native_method("pow", params=["double", "double"], ret="double", static=True)
-    m.native_method("atan2", params=["double", "double"], ret="double", static=True)
-    m.native_method("iabs", params=["int"], ret="int", static=True)
-    m.native_method("imin", params=["int", "int"], ret="int", static=True)
-    m.native_method("imax", params=["int", "int"], ret="int", static=True)
-    m.native_method("min", params=["double", "double"], ret="double", static=True)
-    m.native_method("max", params=["double", "double"], ret="double", static=True)
+    for name, native in MATH.items():
+        m.native_method(name, params=[native.kind] * native.arity,
+                        ret=native.kind, static=True)
 
     # Sys -----------------------------------------------------------------
     s = ClassBuilder("Sys", is_bootstrap=True)
@@ -218,13 +213,6 @@ def _nat_serve_done(jvm, thread, args):
     return NO_VALUE
 
 
-_MATH_UNARY = {
-    "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "log": math.log, "exp": math.exp,
-    "floor": math.floor, "ceil": math.ceil, "abs": abs,
-}
-
-
 def register_standard_natives(jvm) -> None:
     """Install the bootstrap natives into a JVM instance."""
     reg = jvm.register_native
@@ -236,19 +224,6 @@ def register_standard_natives(jvm) -> None:
     reg("Thread", "join", _nat_thread_join)
     reg("Thread", "setPriority", _nat_set_priority)
     reg("Thread", "getPriority", _nat_get_priority)
-
-    for name, fn in _MATH_UNARY.items():
-        if name in ("floor", "ceil"):
-            reg("Math", name, lambda j, t, a, f=fn: float(f(a[0])))
-        else:
-            reg("Math", name, lambda j, t, a, f=fn: f(a[0]))
-    reg("Math", "pow", lambda j, t, a: math.pow(a[0], a[1]))
-    reg("Math", "atan2", lambda j, t, a: math.atan2(a[0], a[1]))
-    reg("Math", "iabs", lambda j, t, a: abs(a[0]))
-    reg("Math", "imin", lambda j, t, a: min(a[0], a[1]))
-    reg("Math", "imax", lambda j, t, a: max(a[0], a[1]))
-    reg("Math", "min", lambda j, t, a: min(a[0], a[1]))
-    reg("Math", "max", lambda j, t, a: max(a[0], a[1]))
 
     reg("Sys", "print", _nat_print)
     reg("Sys", "println", _nat_print)

@@ -173,6 +173,12 @@ class MetricsRegistry:
                 merged.merge(hist)
         return merged
 
+    def series(self, name: str) -> Dict[int, int]:
+        """One time series, in time order: bucket start (sim ns) ->
+        updates in that bucket (empty if never updated)."""
+        return {bucket * self.bucket_ns: count for bucket, count
+                in sorted(self._series.get(name, {}).items())}
+
     def as_dict(self) -> Dict[str, Any]:
         """Full JSON-ready export (``repro stats --json``)."""
         counters: Dict[str, Dict[str, Any]] = {}
@@ -187,11 +193,9 @@ class MetricsRegistry:
         for (name, _node) in sorted(self._hists):
             if name not in hists:
                 hists[name] = self.histogram(name).as_dict()
-        series = {
-            name: {str(bucket * self.bucket_ns): count
-                   for bucket, count in sorted(buckets.items())}
-            for name, buckets in sorted(self._series.items())
-        }
+        series = {name: {str(t): count
+                         for t, count in self.series(name).items()}
+                  for name in sorted(self._series)}
         return {
             "bucket_ns": self.bucket_ns,
             "counters": counters,

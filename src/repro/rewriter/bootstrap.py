@@ -17,7 +17,8 @@ distributed runtime:
   the wrapper forwards lines to the master node's console.
 * ``javasplit.Math`` / ``javasplit.String`` / ``javasplit.Serve`` — pure
   functions (or master-side state only), aliased: the twin's native
-  declarations are derived from the original class file.
+  declarations are derived from the original class file.  A call to a
+  ``Math`` method is a row (:data:`repro.jvm.bytecode.MATH`) in either.
 * ``javasplit.JavaSplitRT`` — the runtime handler class the rewriter
   targets (read/write misses are fused instructions, so only sync,
   spawn and I/O handlers appear as methods).
@@ -238,7 +239,8 @@ def register_rewritten_natives(jvm) -> None:
     """Install natives for the javasplit bootstrap classes on one JVM.
 
     Must run after the standard natives (JVM construction) — the pure
-    Math/String/Sys-clock natives are aliased from their originals."""
+    String/Sys-clock natives are aliased from their originals (Math has
+    none: its calls are rows)."""
     reg = jvm.register_native
     reg(RT, "rtWait", _nat_rt_wait)
     reg(RT, "rtNotify", _nat_rt_notify)
@@ -248,7 +250,7 @@ def register_rewritten_natives(jvm) -> None:
     reg(RT, "error", _nat_error)
 
     for (owner, name), fn in list(jvm._natives.items()):
-        if owner in ("Math", "Sys", "String", "Serve"):
+        if owner in ("Sys", "String", "Serve"):
             reg("javasplit." + owner, name, fn)
     reg("javasplit.Sys", "print", _nat_js_print)
     reg("javasplit.Sys", "println", _nat_js_print)

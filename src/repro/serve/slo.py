@@ -28,12 +28,8 @@ def _phase_entry(metrics: Any, suffix: str, injected: int,
     completed = metrics.counter_total(f"serve.completed{suffix}")
     hist = metrics.histogram(f"serve.latency_ns{suffix}")
     duration_ns = max(1, end_ns - start_ns)
-    series = metrics.as_dict()["series"].get(f"serve.completed{suffix}", {})
-    if series:
-        times = sorted(int(t) for t in series)
-        active_ns = times[-1] - times[0] + metrics.bucket_ns
-    else:
-        active_ns = 0
+    times = list(metrics.series(f"serve.completed{suffix}"))
+    active_ns = times[-1] - times[0] + metrics.bucket_ns if times else 0
     # Offered load is normalized to the arrival window; achieved
     # throughput to the window in which completions actually landed —
     # under open-loop saturation the two diverge, which is the point.

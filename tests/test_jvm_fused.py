@@ -22,7 +22,8 @@ from repro.check.runner import app_source
 from repro.heap import ArrayObj, JVMError, Obj
 from repro.jvm import ClassBuilder, Instr, MethodInfo, Op
 from repro.jvm import interpreter as tier0
-from repro.jvm.bytecode import ACCESSES, DSM_OPS, INVOKES, SEMANTICS
+from repro.jvm.bytecode import (ACCESSES, DSM_OPS, INVOKES, MATH, SEMANTICS,
+                                STACK_EFFECT, native_of)
 from repro.jvm.frame import Frame
 from repro.jvm.fuse import NOT_FUSED, fused_runs, fused_source
 from repro.jvm.jvm import JThread
@@ -112,12 +113,22 @@ def _gen_thread(jvm):
                 [("set", ("var", "box.fi"), ("var", "i")), _BUMP_CELL,
                  ("set", ("var", "box.fd"), ("i2d", ("var", "acc")))],
                 [_ACC_PLUS_CELL])], brand="sun")
+@example(body=[_BUMP_CELL, ("set", ("var", "box.fd"), (
+    "+", ("math", "sqrt", ("math", "abs", ("i2d", ("var", "acc")))),
+    ("math", "max", ("var", "box.fd"), ("lit", 1.5)))),
+    ("set", ("var", "acc"), ("math", "imin", ("var", "acc"), ("cell", 3)))],
+    brand="ibm")
 def test_every_budget_leaves_the_state_stepping_leaves(body, brand):
     classfiles = compile_source(
         _GEN_SRC % "\n".join(_java(stmt) for stmt in body))
     method = next(cf for cf in classfiles if cf.name == "Gen").methods["run"]
     _fold_increments(method)  # IINC, which the compiler never emits
-    assert fused_runs(method.code)
+    runs = fused_runs(method.code)
+    assert runs
+    # Every Math call is a row inside a run: the budgets below cut those
+    # runs through their natives too.
+    assert all(any(start < pc < end for start, end in runs)
+               for pc, instr in enumerate(method.code) if native_of(instr))
     # The reference once: the state after every instruction, and what
     # the quantum had consumed when it got there.
     _, _, jvm = make_jvm(brand)
@@ -352,19 +363,24 @@ _STRAIGHT_OPS = [Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.REM, Op.NEG, Op.AND,
 
 @st.composite
 def _straight_line(draw):
-    """A run of pure opcodes that never underflows a 3-deep stack."""
-    from repro.jvm.bytecode import STACK_EFFECT
+    """A run of rows — pure opcodes and ``Math`` calls — that never
+    underflows a 3-deep stack."""
     code, depth = [], 3
     for _ in range(draw(st.integers(2, 14))):
         instr = draw(st.one_of(
             st.sampled_from(_STRAIGHT_OPS).map(Instr),
-            st.sampled_from([-3, -1, 0, 1, 2, 7, 0.5, -2.0, math.inf, None,
-                             "s"]).map(lambda v: Instr(Op.CONST, v)),
+            st.sampled_from([-3, -1, 0, 1, 2, 7, 0.5, -2.0, 1e3, math.inf,
+                             math.nan, None, "s"]).map(
+                                 lambda v: Instr(Op.CONST, v)),
             st.builds(Instr, st.sampled_from([Op.LOAD, Op.STORE]),
                       st.integers(0, 2)),
             st.builds(Instr, st.just(Op.IINC), st.integers(0, 2),
-                      st.integers(-2, 2))))
-        pops, pushes = STACK_EFFECT[instr.op]
+                      st.integers(-2, 2)),
+            st.builds(Instr, st.just(Op.INVOKESTATIC),
+                      st.sampled_from(["Math", "javasplit.Math"]),
+                      st.sampled_from(sorted(MATH)))))
+        native = native_of(instr)
+        pops, pushes = (native.arity, 1) if native else STACK_EFFECT[instr.op]
         if pops <= depth:
             code.append(instr)
             depth += pushes - pops
@@ -377,6 +393,13 @@ _ONE_JVM = make_jvm()[2]  # 600 bootstraps would be most of the test
 @settings(max_examples=200, deadline=None)
 @given(body=_straight_line(), operands=st.lists(
     st.sampled_from([-5, 0, 1, 3, 64, 2.5, -0.0]), min_size=6, max_size=6))
+@example(body=[Instr(Op.LOAD, 0), Instr(Op.INVOKESTATIC, "Math", "log"),
+               Instr(Op.CONST, 1e3),
+               Instr(Op.INVOKESTATIC, "javasplit.Math", "exp"),
+               Instr(Op.INVOKESTATIC, "Math", "min"), Instr(Op.DUP),
+               Instr(Op.INVOKESTATIC, "Math", "floor"), Instr(Op.LOAD, 1),
+               Instr(Op.INVOKESTATIC, "Math", "imax")],
+         operands=[-5, 0, 1, 3, 64, 2.5])
 def test_any_straight_line_is_its_instructions_one_by_one(body, operands):
     code = body + [Instr(Op.RETURN)]
     outcomes = []
@@ -486,7 +509,12 @@ def test_no_observed_or_blocking_opcode_is_ever_fused():
                          Op.MONITOREXIT} | INVOKES | DSM_OPS
     for race_detect in (False, True):
         fused = _fused_instructions(race_detect)
-        assert not {i.op for i in fused} & NOT_FUSED
+        # The one invoke inside a run is a call that is a MATH row:
+        # tsp's Math.sqrt.
+        calls = [i for i in fused if i.op in NOT_FUSED]
+        assert calls and all(native_of(i) for i in calls)
+        assert {(i.op, i.a, i.b) for i in calls} == {
+            (Op.INVOKESTATIC, "javasplit.Math", "sqrt")}
         # The rewriter checks every access of tsp: each is observed
         # while a detector is attached, and only then kept out of runs.
         observed = [i for i in fused if i.op in ACCESSES and i.checked]

@@ -601,10 +601,24 @@ def _bin(ops, left, right):
     return st.tuples(st.sampled_from(ops), left, right)
 
 
+def _call(names, *args):
+    """A call to one of the ``Math`` methods ``names``."""
+    return st.tuples(st.just("math"), st.sampled_from(names), *args)
+
+
+#: The ``Math`` methods a tree calls, evaluated directly.  Every argument
+#: a generated program passes is finite (``sqrt``'s is an ``abs``), and
+#: no zero's sign can reach a result, so Python's functions are Java's.
+_MATH = {"abs": abs, "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos,
+         "floor": lambda v: float(math.floor(v)),
+         "ceil": lambda v: float(math.ceil(v)), "min": min, "max": max,
+         "iabs": abs, "imin": min, "imax": max}
+
 # Trees: ("lit", v) | ("var", name) | ("cell", k) | ("i2d", int tree)
-# | ("d2i", double tree) | (operator, left, right).  Divisors are
-# non-zero literals and every store is reduced modulo a constant, so no
-# generated program can trap or overflow a double.
+# | ("d2i", double tree) | ("math", method, argument trees) | (operator,
+# left, right).  Divisors are non-zero literals and every store is
+# reduced modulo a constant, so no generated program can trap or
+# overflow a double.
 _int_core = st.recursive(
     st.one_of(_lit(st.integers(-9, 9)),
               st.sampled_from(["i", "acc", "box.fi"]).map(
@@ -613,7 +627,8 @@ _int_core = st.recursive(
     lambda kid: st.one_of(
         _bin("+-*", kid, kid),
         _bin("/%", kid, _lit(st.integers(1, 9).flatmap(
-            lambda v: st.sampled_from([v, -v]))))),
+            lambda v: st.sampled_from([v, -v])))),
+        _call(["iabs"], kid), _call(["imin", "imax"], kid, kid)),
     max_leaves=5)
 _dbl_expr = st.recursive(
     st.one_of(_lit(st.sampled_from([0.5, 1.5, -2.25, 3.0])),
@@ -621,7 +636,9 @@ _dbl_expr = st.recursive(
               _int_core.map(lambda e: ("i2d", e))),
     lambda kid: st.one_of(
         _bin("+-*", kid, kid),
-        _bin("/", kid, _lit(st.sampled_from([0.5, -4.0, 3.0])))),
+        _bin("/", kid, _lit(st.sampled_from([0.5, -4.0, 3.0]))),
+        _call(["abs", "floor", "ceil", "sin", "cos"], kid),
+        _call(["sqrt"], _call(["abs"], kid)), _call(["min", "max"], kid, kid)),
     max_leaves=4)
 _int_expr = st.one_of(
     _int_core, _dbl_expr.map(lambda e: ("d2i", e)),
@@ -692,6 +709,8 @@ def _java(tree) -> str:
         return f"({_java(tree[1])} * 1.0)"
     if kind == "d2i":
         return f"((int) {_java(tree[1])})"
+    if kind == "math":
+        return f"Math.{tree[1]}({', '.join(map(_java, tree[2:]))})"
     if kind == "if":
         then = " ".join(map(_java, tree[2]))
         other = " ".join(map(_java, tree[3]))
@@ -738,6 +757,8 @@ def _value(tree, env):
         return float(_value(tree[1], env))
     if kind == "d2i":
         return int(_value(tree[1], env))
+    if kind == "math":
+        return _MATH[tree[1]](*(_value(arg, env) for arg in tree[2:]))
     left, right = _value(tree[1], env), _value(tree[2], env)
     if kind in "/%" and isinstance(left, int):
         quotient = _int_div(left, right)
@@ -909,9 +930,13 @@ _OPERANDS = {
 
 @st.composite
 def _row_case(draw):
-    from repro.jvm.bytecode import SEMANTICS, STACK_EFFECT
-    op = draw(st.sampled_from(sorted(SEMANTICS)))
+    from repro.jvm.bytecode import MATH, SEMANTICS, STACK_EFFECT
+    op = draw(st.sampled_from(sorted(SEMANTICS) + sorted(MATH)))
     spare = draw(st.integers(0, 2))  # operands the op must leave alone
+    if op in MATH:  # a call that is a MATH row
+        return Op.INVOKESTATIC, draw(st.lists(
+            _numbers, min_size=MATH[op].arity + spare,
+            max_size=MATH[op].arity + spare)), "Math", op
     operands = draw(st.lists(_OPERANDS.get(op, _numbers),
                              min_size=STACK_EFFECT[op][0] + spare,
                              max_size=STACK_EFFECT[op][0] + spare))

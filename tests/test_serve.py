@@ -199,6 +199,42 @@ def test_small_scenario_slo_sections_are_consistent():
     assert overall["throughput_rps"] > 0
 
 
+def test_slo_reads_one_series_and_reports_what_the_whole_export_gave():
+    """``build_slo`` reads each completion series on its own
+    (``MetricsRegistry.series``), never the whole registry export; its
+    document is byte for byte the one computed from that export."""
+    from repro.obs import MetricsRegistry
+    from repro.serve import build_slo
+
+    clock = [0]
+    metrics = MetricsRegistry(lambda: clock[0], bucket_ns=250_000)
+    # (sim ns, node, phase, latency ns); phase 2 completes nothing.
+    for t, node, phase, latency in [
+            (40_000, 0, 0, 900_000), (260_000, 1, 0, 1_300_000),
+            (2_900_000, 1, 0, 250_000), (3_100_000, 0, 1, 4_000_000),
+            (3_100_500, 1, 1, 70_000), (6_999_999, 0, 1, 123_456)]:
+        clock[0] = t
+        for suffix in (f".p{phase}", ""):
+            metrics.inc(f"serve.completed{suffix}", node)
+            metrics.observe(f"serve.latency_ns{suffix}", node, latency)
+    bounds = [(0, 3_000_000), (3_000_000, 7_000_000), (7_000_000, 9_000_000)]
+    injected = {0: 4, 1: 3, 2: 2}
+    export = metrics.as_dict()
+
+    def from_export(name):  # the parent's read: int() of the JSON keys
+        return {t: export["series"][name][str(t)] for t in sorted(
+            int(t) for t in export["series"].get(name, {}))}
+
+    metrics.as_dict = None  # build_slo must not call it
+    new = build_slo(metrics, bounds, injected)
+    metrics.series = from_export
+    old = build_slo(metrics, bounds, injected)
+    assert json.dumps(new) == json.dumps(old)
+    assert [p["completed"] for p in new["phases"]] == [3, 3, 0]
+    assert new["phases"][0]["active_ms"] == 3.0 and \
+        new["phases"][2]["active_ms"] == 0.0
+
+
 def test_reference_runner_consumes_full_schedule():
     gen = LoadGenerator((PhaseSpec(duration_ms=2, rate_per_ms=4),),
                         sessions=16, seed=0)

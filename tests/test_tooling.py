@@ -186,6 +186,23 @@ def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
                           if per_run[pc] is not per_instr[pc]]
 
 
+def test_cli_disasm_costs_bills_a_math_row_like_both_tiers(tmp_path, capsys):
+    """``SeriesWorker.f`` is one fused run through ``Math.log`` and
+    ``Math.exp``: each call is a row billed INVOKE + NATIVE, what the
+    call cost when it went through the native registry."""
+    from repro.apps.series import make_source
+    from repro.sim import cost_model as cm
+    path = tmp_path / "series.mj"
+    path.write_text(make_source())
+    assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
+    assert ("  double f(double)\n"
+            "    max_locals=2\n"
+            "      ; run pc 0..3: 13 ns pre-summed\n"
+            "      ; fused pc 0..6: 177 ns\n") in capsys.readouterr().out
+    sun = cm.get_brand("sun")
+    assert 177 == 13 + sun[cm.ARITH] + 2 * (sun[cm.INVOKE] + sun[cm.NATIVE])
+
+
 def test_cli_trace(src_file, capsys):
     assert cli_main(["trace", src_file, "--nodes", "2", "--limit", "10"]) == 0
     out = capsys.readouterr().out
