@@ -13,7 +13,7 @@ its endpoints by wrapping ``network.send``:
 * **detach** — a node is unplugged mid-protocol at a chosen simulated
   time (its in-flight messages are dropped by the network).
 
-All randomness comes from one ``numpy`` generator seeded by
+All randomness comes from one :class:`~repro.sim.rng.PCG64` seeded by
 :class:`FaultPlan.seed`, so a failing schedule replays exactly.
 
 Loopback frames (``src == dst``) are never faulted — a workstation does
@@ -31,6 +31,7 @@ from typing import List, Optional, Set, TYPE_CHECKING
 from ..net.message import Message
 from ..net.simnet import SimNetwork
 from ..sim.engine import NS_PER_MS
+from ..sim.rng import PCG64
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.javasplit import JavaSplitRuntime
@@ -126,8 +127,7 @@ class FaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self._runtime: Optional["JavaSplitRuntime"] = None
-        from numpy.random import default_rng  # lazy: only fault plans do
-        self._rng = default_rng(plan.seed)
+        self._rng = PCG64(plan.seed)
         self._orig_send = network.send
         network.send = self._send  # type: ignore[method-assign]
         if plan.detach_node is not None:
@@ -179,16 +179,15 @@ class FaultInjector:
         extra = 0
         if self._rng.random() < p.delay_rate:
             self.stats.delayed += 1
-            extra += int(self._rng.integers(1, max(2, p.delay_ns)))
+            extra += self._rng.integers(1, max(2, p.delay_ns))
         if self._rng.random() < p.reorder_rate:
             self.stats.reordered += 1
-            extra += int(self._rng.integers(
-                1, max(2, p.reorder_window_ns)))
+            extra += self._rng.integers(1, max(2, p.reorder_window_ns))
         self._dispatch(msg, extra)
         if self._rng.random() < p.dup_rate:
             self.stats.duplicated += 1
-            dup_extra = int(self._rng.integers(
-                1, max(2, p.reorder_window_ns or p.delay_ns)))
+            dup_extra = self._rng.integers(
+                1, max(2, p.reorder_window_ns or p.delay_ns))
             self._dispatch(msg, extra + dup_extra)
 
     def _dispatch(self, msg: Message, extra_ns: int) -> None:

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS, CostModel
 from ..sim.engine import SimEngine
+from ..sim.rng import PCG64
 from .message import Message
 from .stats import NetStats
 
@@ -46,12 +47,7 @@ class SimNetwork:
         # link and dropped whenever an endpoint attaches or detaches.
         self._link_cost: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._jitter_ns = jitter_ns
-        self._rng = None
-        if jitter_ns:
-            # numpy is a third of `import repro`'s time and memory: only
-            # a jittered network pays for it — here, never on the send path.
-            from numpy.random import default_rng
-            self._rng = default_rng(seed)
+        self._rng = PCG64(seed) if jitter_ns else None
         # Frames accepted but not yet delivered (or dropped), per type.
         # Recovery uses this to wait out in-flight lock tokens before
         # deciding a token was lost with a dead node.
@@ -121,7 +117,7 @@ class SimNetwork:
         else:
             delay = self.latency_ns(src, dst, msg.size_bytes)
             if self._jitter_ns:
-                delay += int(self._rng.integers(0, self._jitter_ns))
+                delay += self._rng.integers(0, self._jitter_ns)
         self._outbound(msg)
         self.engine.schedule(delay, partial(self._deliver, msg))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Protocol, Sequence
 
 from ..sim.node import Node
+from ..sim.rng import PCG64
 
 
 class Scheduler(Protocol):
@@ -50,12 +51,11 @@ class RandomScheduler:
     """Seeded random placement (useful as a load-balancing baseline)."""
 
     def __init__(self, seed: int = 0) -> None:
-        from numpy.random import default_rng  # lazy: most runs never do
-        self._rng = default_rng(seed)
+        self._rng = PCG64(seed)
 
     def choose(self, nodes: Sequence[Node]) -> int:
         """Pick the node id to place a new thread on."""
-        return nodes[int(self._rng.integers(0, len(nodes)))].node_id
+        return nodes[self._rng.integers(0, len(nodes))].node_id
 
 
 class PinnedScheduler:

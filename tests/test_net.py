@@ -279,36 +279,30 @@ def test_transport_fifo_independent_per_source():
     assert [i for s, i in got if s == 2] == list(range(10))
 
 
-def test_numpy_loads_only_where_a_generator_is_built():
-    """``import repro`` (and the check / serve packages the benchmark
-    harness imports) must not pull numpy in: a third of the import time
-    and 17 MiB of RSS, for a generator most runs never draw from.  A
-    jittered network, ``--scheduler random`` and a fault plan import it
-    where they build theirs — the same generator on the same seed.
-    Likewise the proc plane (``multiprocessing``, ``tempfile``,
-    ``selectors``): loaded by the first proc run, not by a sim one."""
+def test_numpy_is_never_imported():
+    """The runtime needs no numpy: every generator it builds — a
+    jittered network, ``--scheduler random``, a fault plan — is the
+    pure-Python :class:`~repro.sim.rng.PCG64`, so a checked run under
+    jitter and faults works with numpy made unimportable (its draws are
+    numpy's, ``tests/test_rng.py``).  The proc plane (``multiprocessing``,
+    ``tempfile``, ``selectors``) is loaded by the first proc run, not by
+    a sim one."""
     code = """
-import sys, repro, repro.check, repro.serve.scenario
-from repro.check import FaultInjector, FaultPlan
+import sys
+sys.modules["numpy"] = None          # any `import numpy` now raises
+import repro, repro.check, repro.serve.scenario
+from repro.check import FaultInjector, FaultPlan, run_check
 from repro.net import SimNetwork
-from repro.runtime.scheduler import RandomScheduler, make_scheduler
+from repro.runtime.scheduler import make_scheduler
 from repro.sim import SimEngine
-quiet = SimNetwork(SimEngine())
-make_scheduler("least-loaded")
-assert "numpy" not in sys.modules, "eager numpy import"
 import repro.runtime
 for proc_only in ("repro.net.procnet", "multiprocessing"):
     assert proc_only not in sys.modules, "eager import of " + proc_only
-net = SimNetwork(SimEngine(), jitter_ns=1000, seed=7)
-assert "numpy" in sys.modules
-from numpy.random import default_rng
-def same_stream(ours, seed):
-    ref = default_rng(seed)
-    return all(ours.integers(0, 1000) == ref.integers(0, 1000)
-               for _ in range(8))
-assert same_stream(net._rng, 7)
-assert same_stream(RandomScheduler(seed=5)._rng, 5)
-assert same_stream(FaultInjector(quiet, FaultPlan(seed=3))._rng, 3)
+SimNetwork(SimEngine(), jitter_ns=1000, seed=7)
+make_scheduler("random", seed=5)
+FaultInjector(SimNetwork(SimEngine()), FaultPlan(seed=3))
+report = run_check(app="series", seeds=1, faults="drop,reorder,dup")
+assert report.ok, report
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 proc = repro.runtime.JavaSplitRuntime(
