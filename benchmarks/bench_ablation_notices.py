@@ -5,12 +5,13 @@ global GC); MTS-HLRC keeps just the latest notice per coherency unit.
 This ablation runs a long sharing workload and compares per-node notice
 storage: the HLRC log grows with the number of *writes*, the MTS-HLRC
 table stays bounded by the number of *live shared objects* — the
-memory-overflow argument of §3.1, made countable.
+memory-overflow argument of §3.1, made countable.  Both rows come from
+one run: every notice table also counts what the uncollected log of the
+same notices would hold.
 """
 
 import pytest
 
-from repro.dsm import MODE_BOUNDED, MODE_FULL, DsmConfig
 from repro.bench import emit
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
@@ -41,25 +42,31 @@ class Main {
 """
 
 
-def _run(mode):
-    cfg = RuntimeConfig(num_nodes=3, dsm=DsmConfig(notice_mode=mode))
+def _run():
+    """One run; per storage policy, (report, max stored notices, max
+    bytes, max shared objects) over the nodes."""
     rt = JavaSplitRuntime(
-        rewrite_application(compile_source(WORKLOAD)), cfg
+        rewrite_application(compile_source(WORKLOAD)),
+        RuntimeConfig(num_nodes=3),
     )
     report = rt.run()
-    stored = max(w.dsm.notice_table.stored_notices for w in rt.workers)
-    storage = max(w.dsm.notice_table.storage_bytes() for w in rt.workers)
+    tables = [w.dsm.notice_table for w in rt.workers]
     shared_objects = max(len(w.dsm.cache) for w in rt.workers)
-    return report, stored, storage, shared_objects
+    return {
+        "bounded": (report, max(t.stored_notices for t in tables),
+                    max(t.storage_bytes() for t in tables), shared_objects),
+        "full": (report, max(t.logged for t in tables),
+                 max(t.logged_bytes for t in tables), shared_objects),
+    }
 
 
 @pytest.fixture(scope="module")
 def notice_results():
-    return {mode: _run(mode) for mode in (MODE_BOUNDED, MODE_FULL)}
+    return _run()
 
 
 def test_ablation_notices_regenerate(notice_results, benchmark):
-    benchmark.pedantic(lambda: _run(MODE_BOUNDED), rounds=1, iterations=1)
+    benchmark.pedantic(_run, rounds=1, iterations=1)
     lines = [f"{'mode':<12}{'max notices':>13}{'bytes':>9}"
              f"{'shared objs':>13}{'result':>9}"]
     for mode, (rep, stored, storage, objs) in notice_results.items():
@@ -75,12 +82,12 @@ def test_results_identical(notice_results):
 
 
 def test_full_mode_storage_grows_with_writes(notice_results):
-    _, bounded_stored, bounded_bytes, _ = notice_results[MODE_BOUNDED]
-    _, full_stored, full_bytes, _ = notice_results[MODE_FULL]
+    _, bounded_stored, bounded_bytes, _ = notice_results["bounded"]
+    _, full_stored, full_bytes, _ = notice_results["full"]
     assert full_stored > 3 * bounded_stored
     assert full_bytes > 3 * bounded_bytes
 
 
 def test_bounded_mode_capped_by_live_objects(notice_results):
-    _, stored, _, shared_objects = notice_results[MODE_BOUNDED]
+    _, stored, _, shared_objects = notice_results["bounded"]
     assert stored <= shared_objects

@@ -162,17 +162,16 @@ class InvariantMonitor:
         unacked = self._unacked.setdefault(node, set())
         bases = self._bases
         table = dsm.notice_table
-        # The one-notice-per-CU bound is the MTS (scalar) claim; vector
-        # timestamps legitimately keep one notice per (CU, writer).
-        bounded = table.mode == "bounded" and scalar
         keys = self._cu_keys.setdefault(node, set())
         # The diff batch being delivered here and the versions it found.
         batch = found = None
 
         def note_noticed(noticed):
             """Coherency units this node is being told about; the table
-            must not hold more notices than units it has heard of."""
-            if not bounded:
+            must not hold more notices than units it has heard of.  That
+            bound is the MTS (scalar) claim; HLRC's vector timestamps
+            legitimately keep one notice per (CU, writer)."""
+            if not scalar:
                 return
             keys.update(noticed)
             if table.stored_notices > len(keys):

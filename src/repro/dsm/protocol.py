@@ -25,10 +25,8 @@ Protocol summary (scalar-timestamp MTS-HLRC, the default):
   it already delivered (bounded per-CU notices, §3.1), plus the request
   and wait queues (§3.2), so wait/notify stay communication-free.
 
-The vector-timestamp baseline mode (``timestamp_mode="vector"``,
-classic HLRC) skips the fence: notices name (writer, interval) pairs,
-fetches carry the required vector and homes defer replies until the
-required intervals have been applied.
+Nothing else: the HLRC baseline of ablations A1/A2 is a subclass in
+:mod:`.hlrc` that overrides the steps under "Timestamp steps".
 """
 
 from __future__ import annotations
@@ -54,10 +52,9 @@ from .locks import LockRequest, LockToken, NodeLockState
 from .objectstate import (DSMHeader, ObjState, RegionInfo, Unit,
                           attach_header, split_key, unit_key)
 from .serialization import ClassSpec, deserialize_any, serialize_any
-from .write_notices import MODE_BOUNDED, Notice, NoticeTable
+from .write_notices import Notice, NoticeTable
 
 SCALAR = "scalar"
-VECTOR = "vector"
 
 #: A host thread, duck-typed: ``tid``, ``priority``, ``wake()`` (a miss
 #: re-executes) and ``complete()`` (a grant finishes the blocked op).
@@ -70,9 +67,8 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class DsmConfig:
-    """Protocol configuration: timestamp mode, notice storage, the local-lock fast path, and the array-region extension."""
-    timestamp_mode: str = SCALAR          # 'scalar' (MTS-HLRC) | 'vector' (HLRC)
-    notice_mode: str = MODE_BOUNDED       # 'bounded' | 'full' (A2 ablation)
+    """Protocol configuration: the engine (timestamp mode), the local-lock fast path, and the array-region extension."""
+    timestamp_mode: str = SCALAR          # dsm.engine_class picks the engine
     local_lock_opt: bool = True           # §4.4 lock-counter fast path
     # §4.3 extension: arrays longer than this many elements become
     # multiple coherency units of this region size (None = paper default,
@@ -146,8 +142,6 @@ class DsmEngine:
         self.specs = specs
         self.registry = class_registry
         self.config = config or DsmConfig()
-        # Constant for this engine's life and read on every message.
-        self._vector = self.config.timestamp_mode == VECTOR
         self._handler_ns = self.cost_model[cm.PROTO_HANDLER_NS]
         self._serialize_ns = self.cost_model[cm.SERIALIZE_PER_BYTE_NS]
         self._local_lock_ns = self.cost_model[cm.LOCAL_LOCK_OP]
@@ -168,7 +162,7 @@ class DsmEngine:
         # §4.3 extension: gid -> RegionInfo of the arrays split into
         # several coherency units (every other object is one unit).
         self._regions: Dict[int, RegionInfo] = {}
-        self.notice_table = NoticeTable(self.config.notice_mode)
+        self.notice_table = NoticeTable()
         self.lock_states: Dict[int, NodeLockState] = {}
         self.lock_owner: Dict[int, int] = {}     # home role: gid -> owner node
         # keyed (gid, region); region None = whole object
@@ -176,18 +170,13 @@ class DsmEngine:
         self._dirty: Set[Any] = set()            # keys of twinned replicas
         self._dirty_home: Set[Any] = set()       # keys of home-written masters
         self._threads: Dict[int, Thread] = {}
-        # Node-level flush sequence: tags diffs/notices in vector mode (a
-        # per-node monotonic interval id shared by all local threads).
+        # Node-level flush sequence: a per-node monotonic interval id
+        # shared by all local threads, carried by every diff batch.
         self._flush_seq = 0
-        # Scalar-mode fence: outstanding diff-flush acks + deferred sends.
+        # The §3.1 fence: outstanding diff-flush acks + deferred sends.
         self._outstanding_acks = 0
         self._fence_queue: List[Callable[[], None]] = []
         self._next_ack_id = 0
-        # Vector mode: home-side applied intervals + deferred fetches,
-        # cache-side seen intervals.
-        self._applied: Dict[int, Dict[int, int]] = {}
-        self._deferred_fetch: Dict[int, List[Message]] = {}
-        self._replica_vc: Dict[int, Dict[int, int]] = {}
         # Tap points for the services that ride on the protocol (ft,
         # locality, policy, race, obs, tracing); see repro.hooks.
         self.hooks = DsmHooks()
@@ -465,11 +454,8 @@ class DsmEngine:
             self._send_fetch(gid, region, request)
 
     def _fetch_request(self, gid: int, region: Optional[int]) -> Dict[str, Any]:
-        key = unit_key(gid, region)
-        if self._vector:
-            required: Any = self.notice_table.required_vector(key)
-        else:
-            required = self.notice_table.required_scalar(key)
+        """What a fetch requires: the unit's version in the table."""
+        required = self.notice_table.required_scalar(unit_key(gid, region))
         return {"gid": gid, "region": region, "required": required}
 
     def _send_fetch(self, gid: int, region: Optional[int],
@@ -738,11 +724,7 @@ class DsmEngine:
                 rec = self.unit(key)[1]
                 rec.version += 1
                 advanced.append((key, rec.version))
-                if self._vector:
-                    self._applied.setdefault(key, {})[self.node_id] = interval
-                    self.notice_table.add(Notice(key, interval, self.node_id))
-                else:
-                    self.notice_table.add(Notice(key, rec.version))
+                self._note_advance(key, rec.version, self.node_id, interval)
             if advanced:
                 for fn in self.hooks.home_advance:
                     fn(advanced, self.node_id)
@@ -760,11 +742,7 @@ class DsmEngine:
             size = HEADER_BYTES + sum(14 + len(d) for _, d, _r in entries)
             self.stats.diff_bytes += size
             self._pending_diffs[ack_id] = (home, payload, size)
-            if self._vector:
-                # No fence: the notice is known locally right away.
-                for gid, _, region in entries:
-                    self.notice_table.add(
-                        Notice(unit_key(gid, region), interval, self.node_id))
+            self._note_flush(entries, interval)
             self.transport.send(home, M_DIFF, payload, size_bytes=size)
 
     def _apply_diff_entries(self, p: Dict[str, Any]) -> List[Tuple[Any, int]]:
@@ -784,15 +762,8 @@ class DsmEngine:
             obj, rec, lo, hi = unit
             apply_diff(obj, self.specs.get(obj.class_name), diff, self, lo, hi)
             rec.version += 1
-            version = rec.version
-            acks.append((key, version))
-            if self._vector:
-                applied = self._applied.setdefault(key, {})
-                applied[writer] = max(applied.get(writer, 0), interval)
-                self.notice_table.add(Notice(key, interval, writer))
-                self._retry_deferred_fetches(key)
-            else:
-                self.notice_table.add(Notice(key, version))
+            acks.append((key, rec.version))
+            self._note_advance(key, rec.version, writer, interval)
         for fn in self.hooks.home_advance:
             fn(acks, writer)
         return acks
@@ -825,8 +796,7 @@ class DsmEngine:
         the race against the original home's ack is already settled."""
         if self._pending_diffs.pop(msg.payload["ack_id"], None) is None:
             return
-        for key, version in msg.payload["versions"]:
-            self.notice_table.add(Notice(key, version))
+        self._note_ack(msg.payload["versions"])
         self._outstanding_acks -= 1
         if self._outstanding_acks == 0:
             queue, self._fence_queue = self._fence_queue, []
@@ -866,32 +836,10 @@ class DsmEngine:
             )
         if gid in self._regions and region is None:
             region = 0  # split array first touched as a whole by a stub
-        key = unit_key(gid, region)
-        if self._vector:
-            required: Dict[int, int] = msg.payload["required"]
-            applied = self._applied.get(key, {})
-            if any(applied.get(w, 0) < v for w, v in required.items()):
-                self.stats.deferred_fetches += 1
-                self._deferred_fetch.setdefault(key, []).append(msg)
-                return
-        # A forwarded request names the original requester; a direct one
-        # is answered to its sender.
-        self._serve_fetch(msg.payload.get("requester", msg.src), obj, region)
-
-    def _retry_deferred_fetches(self, key: Any) -> None:
-        queue = self._deferred_fetch.get(key)
-        if not queue:
-            return
-        applied = self._applied.get(key, {})
-        gid, region = split_key(key)
-        still = []
-        for msg in queue:
-            required = msg.payload["required"]
-            if any(applied.get(w, 0) < v for w, v in required.items()):
-                still.append(msg)
-            else:
-                self._serve_fetch(msg.src, self.cache[gid], region)
-        self._deferred_fetch[key] = still
+        if self._fetch_ready(msg, unit_key(gid, region)):
+            # A forwarded request names the original requester.
+            self._serve_fetch(msg.payload.get("requester", msg.src), obj,
+                              region)
 
     def _serve_fetch(self, requester: int, obj: Any,
                      region: Optional[int] = None) -> None:
@@ -900,8 +848,6 @@ class DsmEngine:
         key = unit_key(obj.header.gid, region)
         payload = self.ship_unit(key)
         data = payload["data"]
-        if self._vector:
-            payload["applied"] = dict(self._applied.get(key, {}))
         size = HEADER_BYTES + 24 + len(data)
         self.stats.fetch_bytes += size
         delay = self._handler_ns + len(data) * self._serialize_ns
@@ -994,8 +940,6 @@ class DsmEngine:
         if local_diff is not None:
             apply_diff(obj, spec, local_diff, self, lo, hi)
             self._dirty_home.add(key)
-        if not master and self._vector:
-            self._replica_vc[key] = dict(p.get("applied", {}))
         for fn in self.hooks.unit_installed:
             fn(key, p, role, before)
         if master and any(k in self._fetch_targets or k in self._fetch_waiters
@@ -1078,13 +1022,8 @@ class DsmEngine:
         for notice in notices:
             key = notice.gid
             unit = self.unit(key)
-            if unit is None or unit[1].state != ObjState.VALID:
-                continue
-            if self._vector:
-                seen = self._replica_vc.get(key, {})
-                if seen.get(notice.writer, 0) >= notice.version:
-                    continue
-            elif unit[1].version >= notice.version:
+            if (unit is None or unit[1].state != ObjState.VALID
+                    or not self._stale(key, unit[1], notice)):
                 continue
             # A dirty replica's pending local writes are committed program
             # actions: flush the diff home *before* invalidating, or the
@@ -1100,6 +1039,32 @@ class DsmEngine:
             rec.state = ObjState.INVALID
             rec.twin = None
             self.stats.invalidations += 1
+
+    # ==================================================================
+    # Timestamp steps: dsm.hlrc overrides these, _fetch_request,
+    # ship_unit, _install_unit and _when_fence_clear.
+    # ==================================================================
+    def _note_advance(self, key: Any, version: int, writer: int,
+                      interval: int) -> None:
+        """A master here reached ``version`` (``writer``'s ``interval``)."""
+        self.notice_table.add(Notice(key, version))
+
+    def _note_flush(self, entries: List[Any], interval: int) -> None:
+        """Diffs left for a home: their notices wait for its ack."""
+
+    def _note_ack(self, versions: List[Tuple[Any, int]]) -> None:
+        """A home acked a flush: the versions it made are notices now."""
+        for key, version in versions:
+            self.notice_table.add(Notice(key, version))
+
+    def _fetch_ready(self, msg: Message, key: Any) -> bool:
+        """Whether a home may serve a fetch now: a master is never older
+        than the version a notice names (the fence saw to that)."""
+        return True
+
+    def _stale(self, key: Any, rec: Unit, notice: Notice) -> bool:
+        """Whether a notice makes a valid replica stale."""
+        return rec.version < notice.version
 
     # ==================================================================
     # Lock choreography
@@ -1184,9 +1149,8 @@ class DsmEngine:
 
     def _when_fence_clear(self, action: Callable[[], None]) -> bool:
         """Run ``action`` once all outstanding diffs are acked (§3.1's
-        scalar-timestamp lock-transfer delay); true if it had to wait.
-        Vector mode never waits."""
-        if self._vector or self._outstanding_acks == 0:
+        scalar-timestamp lock-transfer delay); true if it had to wait."""
+        if self._outstanding_acks == 0:
             action()
             return False
         self.stats.fence_waits += 1
@@ -1226,11 +1190,8 @@ class DsmEngine:
             return
         # Per-receiver delta: what THIS node's table has that the token
         # has not yet delivered to req.node specifically.
-        per_receiver = token.seen_notices.setdefault(req.node, {})
-        if self._vector:
-            delta = self.notice_table.delta_since_vector(per_receiver)
-        else:
-            delta = self.notice_table.delta_since(per_receiver)
+        delta = self.notice_table.delta_since(
+            token.seen_notices.setdefault(req.node, {}))
         payload = {
             "gid": token.gid,
             "grant": (req.node, req.thread_id, req.priority, req.restore_count),

@@ -1,126 +1,82 @@
 """Write-notice maintenance.
 
-A write notice records "object G was modified; you need at least version
-V (or the writes of interval I of writer W)".  HLRC keeps every notice a
-node has ever seen, which grows without bound unless globally collected;
-MTS-HLRC's refinement (§3.1) keeps only the most recent notice per
-coherency unit, bounding storage by the number of live shared objects and
-eliminating the global collection requirement.
+A write notice records "coherency unit G was modified; you need at least
+version V".  HLRC keeps every notice a node has ever seen, which grows
+without bound unless globally collected; MTS-HLRC's refinement (§3.1)
+keeps only the most recent notice per coherency unit, bounding storage
+by the number of live shared objects and eliminating the global
+collection requirement.
 
-:class:`NoticeTable` implements both policies behind one interface so the
-A2 ablation can measure the storage difference on identical workloads:
-
-* ``bounded`` (MTS-HLRC): latest notice per gid only.
-* ``full`` (HLRC): additionally appends every notice to a log that is
-  never collected (the paper's memory-overflow concern, made countable).
-
-Timestamp forms (§3.1, A1 ablation):
-
-* scalar — notice is ``(gid, version)``; 12 bytes on the wire.
-* vector — notice is ``(gid, writer, interval)``; a node's requirement
-  for an object is the per-writer max, so the stored form grows with the
-  number of writers per object.
+:class:`NoticeTable` is MTS-HLRC's table.  It also counts what an
+unbounded HLRC log would hold had it seen the same notices (``logged``,
+``logged_bytes``), so ablation A2 reads both storage policies off one
+run.  The HLRC baseline's per-writer table lives in :mod:`.hlrc`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List
 
 GID_BYTES = 8
-SCALAR_NOTICE_BYTES = GID_BYTES + 4
-VECTOR_NOTICE_BYTES = GID_BYTES + 4 + 4
-
-MODE_BOUNDED = "bounded"
-MODE_FULL = "full"
+NOTICE_BYTES = GID_BYTES + 4
+#: A notice that names its writer carries the writer's node id too.
+WRITER_BYTES = 4
 
 
 @dataclass(frozen=True)
 class Notice:
-    """One write notice (vector form carries writer; scalar sets it -1)."""
+    """One write notice: unit ``gid`` reached ``version``.  ``writer`` is
+    -1 under MTS-HLRC; the HLRC baseline names the writing node and
+    counts ``version`` in that writer's intervals."""
 
-    gid: int
+    gid: Any
     version: int
     writer: int = -1
 
-    @property
-    def is_scalar(self) -> bool:
-        """True for scalar-timestamp notices."""
-        return self.writer < 0
-
     def wire_size(self) -> int:
         """Bytes this notice occupies in a message."""
-        return SCALAR_NOTICE_BYTES if self.is_scalar else VECTOR_NOTICE_BYTES
+        return NOTICE_BYTES if self.writer < 0 else NOTICE_BYTES + WRITER_BYTES
 
 
 class NoticeTable:
-    """Per-node write-notice store."""
+    """Per-node write-notice store: the latest version per unit."""
 
-    def __init__(self, mode: str = MODE_BOUNDED) -> None:
-        if mode not in (MODE_BOUNDED, MODE_FULL):
-            raise ValueError(f"bad notice mode {mode!r}")
-        self.mode = mode
-        # gid -> scalar version (scalar notices)
-        self._scalar: Dict[int, int] = {}
-        # gid -> writer -> interval (vector notices)
-        self._vector: Dict[int, Dict[int, int]] = {}
-        # HLRC-style uncollected log (``full`` mode only)
-        self._log: List[Notice] = []
+    def __init__(self) -> None:
+        self._latest: Dict[Any, int] = {}
+        # What an uncollected HLRC log of the same notices would hold.
+        self.logged = 0
+        self.logged_bytes = 0
 
     # ------------------------------------------------------------------
     def add(self, notice: Notice) -> bool:
         """Merge a notice; returns True if it advanced the table."""
-        advanced = False
-        if notice.is_scalar:
-            if notice.version > self._scalar.get(notice.gid, 0):
-                self._scalar[notice.gid] = notice.version
-                advanced = True
-        else:
-            per_writer = self._vector.setdefault(notice.gid, {})
-            if notice.version > per_writer.get(notice.writer, 0):
-                per_writer[notice.writer] = notice.version
-                advanced = True
-        if self.mode == MODE_FULL:
-            self._log.append(notice)
-        return advanced
+        self.logged += 1
+        self.logged_bytes += notice.wire_size()
+        if notice.version > self._latest.get(notice.gid, 0):
+            self._latest[notice.gid] = notice.version
+            return True
+        return False
 
     def add_all(self, notices: Iterable[Notice]) -> List[Notice]:
         """Merge many; returns those that advanced the table (i.e. that
         require invalidations)."""
         return [n for n in notices if self.add(n)]
 
-    # ------------------------------------------------------------------
-    def required_scalar(self, gid: int) -> int:
+    def required_scalar(self, gid: Any) -> int:
         """Scalar version required for a coherency unit."""
-        return self._scalar.get(gid, 0)
+        return self._latest.get(gid, 0)
 
-    def required_vector(self, gid: int) -> Dict[int, int]:
-        """Per-writer intervals required for a coherency unit."""
-        return dict(self._vector.get(gid, {}))
-
-    # ------------------------------------------------------------------
-    def delta_since(self, seen: Dict[int, int]) -> List[Notice]:
-        """Scalar-mode delta: notices newer than the ``seen`` snapshot.
+    def delta_since(self, seen: Dict[Any, int]) -> List[Notice]:
+        """Notices newer than the ``seen`` snapshot.
 
         ``seen`` is updated in place (it travels with the lock token, so
         the next releaser only sends what this acquirer hasn't got)."""
         delta = []
-        for gid, version in self._scalar.items():
+        for gid, version in self._latest.items():
             if version > seen.get(gid, 0):
                 delta.append(Notice(gid, version))
                 seen[gid] = version
-        return delta
-
-    def delta_since_vector(
-        self, seen: Dict[Tuple[int, int], int]
-    ) -> List[Notice]:
-        """Vector-mode delta keyed by (gid, writer)."""
-        delta = []
-        for gid, per_writer in self._vector.items():
-            for writer, interval in per_writer.items():
-                if interval > seen.get((gid, writer), 0):
-                    delta.append(Notice(gid, interval, writer))
-                    seen[(gid, writer)] = interval
         return delta
 
     # ------------------------------------------------------------------
@@ -129,21 +85,12 @@ class NoticeTable:
     @property
     def stored_notices(self) -> int:
         """How many notices this node currently stores (A2 metric)."""
-        if self.mode == MODE_FULL:
-            return len(self._log)
-        return len(self._scalar) + sum(len(v) for v in self._vector.values())
+        return len(self._latest)
 
     def storage_bytes(self) -> int:
-        """Approximate bytes of stored notices (A2 metric)."""
-        if self.mode == MODE_FULL:
-            return sum(n.wire_size() for n in self._log)
-        return (
-            len(self._scalar) * SCALAR_NOTICE_BYTES
-            + sum(len(v) for v in self._vector.values()) * VECTOR_NOTICE_BYTES
-        )
+        """Bytes of stored notices (A2 metric)."""
+        return len(self._latest) * NOTICE_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NoticeTable({self.mode}, scalar={len(self._scalar)}, "
-            f"vector={len(self._vector)}, log={len(self._log)})"
-        )
+        return (f"NoticeTable(stored={len(self._latest)}, "
+                f"logged={self.logged})")

@@ -13,7 +13,8 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from ..dsm.protocol import DsmConfig
+from ..dsm import engine_class
+from ..dsm.protocol import SCALAR, DsmConfig
 from ..sim.cost_model import PROFILE_APP, PROFILE_MICRO
 from ..sim.node import DEFAULT_QUANTUM_NS
 from .scheduler import SCHEDULERS
@@ -224,7 +225,8 @@ class RuntimeConfig:
         if region_elems is not None and region_elems < 1:
             raise ValueError(
                 "dsm.array_region_elems (--region-elems) must be >= 1")
-        if self.dsm.timestamp_mode != "scalar":
+        engine_class(self.dsm.timestamp_mode)  # an unknown mode raises
+        if self.dsm.timestamp_mode != SCALAR:
             # Everything beyond the base protocol is built on MTS-HLRC.
             for knob, on in (("ft_enabled", self.ft_enabled),
                              ("locality_*", self.locality_enabled),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
+from ..dsm import engine_class
 from ..dsm.protocol import DsmEngine
 from ..jvm.jvm import JVM
 from ..net.simnet import SimNetwork
@@ -56,7 +57,7 @@ def build_worker(
     register_rewritten_natives(jvm)
     transport = Transport(network, node_id, cost_model,
                           reliable=config.reliable_transport)
-    dsm = DsmEngine(
+    dsm = engine_class(config.dsm.timestamp_mode)(
         jvm,
         transport,
         specs=rewritten.specs,

@@ -1,9 +1,10 @@
 """Drive the DSM engine with per-node scripts: no compiler, no bytecode.
 
-:class:`ScriptRuntime` runs one :class:`~repro.dsm.protocol.DsmEngine`
-per node over the real ``Transport`` and ``SimNetwork``, each hosted by
-a :class:`ScriptHost` instead of a JVM.  Threads are lists of ops, each
-served by the engine hook the rewritten bytecode would call:
+:class:`ScriptRuntime` runs one DSM engine per node (``engine_class`` of
+the config's timestamp mode) over the real ``Transport`` and
+``SimNetwork``, each hosted by a :class:`ScriptHost` instead of a JVM.
+Threads are lists of ops, each served by the engine hook the rewritten
+bytecode would call:
 
 =============================  ==========================================
 ``("read", obj, field)``       ``read_check``, then record the value
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.dsm import ClassIdRegistry, ClassSpec, DsmConfig, DsmEngine
+from repro.dsm import ClassIdRegistry, ClassSpec, DsmConfig, engine_class
 from repro.dsm.directory import HomeDirectory
 from repro.heap import ArrayObj, Obj
 from repro.net.simnet import SimNetwork
@@ -146,9 +147,10 @@ class ScriptHost:
         self.engine = runtime.engine
         self.cost_model = runtime.cost_model
         self.transport = Transport(runtime.network, node_id, self.cost_model)
-        self.dsm = DsmEngine(self, self.transport, runtime.specs,
-                             runtime.registry, config=runtime.config,
-                             choose_spawn_node=lambda: runtime.spawn_to)
+        engine = engine_class(runtime.config.timestamp_mode)
+        self.dsm = engine(self, self.transport, runtime.specs,
+                          runtime.registry, config=runtime.config,
+                          choose_spawn_node=lambda: runtime.spawn_to)
 
     def lookup(self, class_name: str) -> Layout:
         """The layout a stub or a new object of ``class_name`` gets."""

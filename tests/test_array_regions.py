@@ -203,15 +203,9 @@ def test_regions_with_synchronized_counter_array():
 
 
 def test_regions_compose_with_vector_mode():
-    from repro.dsm import HLRC_BASELINE
-
     cfg = RuntimeConfig(
         num_nodes=3,
-        dsm=DsmConfig(
-            timestamp_mode="vector",
-            notice_mode="full",
-            array_region_elems=32,
-        ),
+        dsm=DsmConfig(timestamp_mode="vector", array_region_elems=32),
     )
     rep = JavaSplitRuntime(
         rewrite_application(compile_source(BLOCK_WRITE)), cfg

@@ -1,9 +1,16 @@
 """DSM protocol behaviour tests: notice propagation, invalidation,
-fences, vector mode, and failure injection."""
+fences, the HLRC baseline (vector mode), and failure injection."""
+
+import dataclasses
+import pathlib
+import re
 
 import pytest
 
-from repro.dsm import HLRC_BASELINE, DsmConfig, ObjState
+import repro.dsm
+from repro.dsm import (HLRC_BASELINE, DsmConfig, DsmEngine, ObjState,
+                       engine_class)
+from repro.dsm.hlrc import HlrcEngine
 from repro.runtime import RuntimeConfig, run_distributed, run_original
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
@@ -121,6 +128,31 @@ def test_vector_mode_never_fences():
     report = rt.run()
     assert report.result == 240
     assert report.total_dsm().fence_waits == 0
+
+
+def test_unknown_timestamp_mode_is_rejected():
+    """A misspelt mode once ran scalar MTS-HLRC while the composition
+    guard treated it as the baseline: it must not run at all."""
+    with pytest.raises(ValueError, match="'scalar' or 'vector'"):
+        RuntimeConfig(dsm=DsmConfig(timestamp_mode="Vector")).validate()
+    with pytest.raises(ValueError, match="'hlrc'"):
+        engine_class("hlrc")
+    assert engine_class("scalar") is DsmEngine
+    assert engine_class("vector") is HlrcEngine
+
+
+def test_engine_and_notice_table_are_the_paper_protocol_only():
+    """The HLRC baseline lives in dsm/hlrc.py: the engine and the notice
+    table name none of its modes or state."""
+    dsm = pathlib.Path(repro.dsm.__file__).parent
+    for name in ("protocol.py", "write_notices.py"):
+        text = (dsm / name).read_text()
+        assert "vector" not in text.lower(), name
+        assert not re.findall(
+            r"\b(_applied|_replica_vc|_deferred_fetch)\b", text), name
+    assert not (dsm / "timestamps.py").exists()
+    assert [f.name for f in dataclasses.fields(DsmConfig)] == [
+        "timestamp_mode", "local_lock_opt", "array_region_elems"]
 
 
 def test_scalar_mode_fences_under_contention():

@@ -2,7 +2,11 @@
 the messages one protocol exchange costs, per type, with the invariant
 monitor attached and clean."""
 
+from functools import partial
+
 from repro.check import InvariantMonitor
+from repro.dsm import DsmConfig
+from repro.net.message import M_DIFF, M_FETCH_REQ
 
 from dsm_script import ScriptRuntime
 
@@ -82,3 +86,45 @@ def test_spawn_to_the_other_node():
     assert begun == ["T-1"] and reads["T-1"] == [7]
     assert sent == {"dsm.spawn": 1, "dsm.fetch_req": 1,
                     "dsm.fetch_reply": 1}
+
+
+def test_hlrc_home_defers_a_fetch_until_its_diff_is_applied():
+    """The HLRC baseline has no fence: node 1's release hands the token
+    to node 2 at once, with a notice naming node 1's interval.  Node 1's
+    diff is held back, so node 2's fetch reaches x's home first: the home
+    defers it, and serves it, with the new value, once the diff lands."""
+    rt = ScriptRuntime(3, BOX, {"x": ("Box", 0)}, [
+        (1, [("acquire", "x"), ("write", "x", "v", 7), ("release", "x")]),
+        (2, [("acquire", "x"), ("read", "x", "v"), ("release", "x")]),
+    ], config=DsmConfig(timestamp_mode="vector"))
+    writer, home = rt.workers[1], rt.workers[0]
+    held = []
+
+    def hold_diff(msg):
+        if msg.msg_type == M_DIFF:
+            held.append(msg)
+            return True
+        return False
+
+    def release_on_fetch(msg):
+        if msg.msg_type == M_FETCH_REQ and held:
+            # The fetch overtook the diff; let the diff go after it.
+            rt.engine.schedule(0, partial(writer.transport.send_frame,
+                                          held.pop()))
+
+    writer.transport.hooks.outbound.append(hold_diff)
+    home.transport.hooks.deliver.append(release_on_fetch)
+    seen = []
+    home.dsm.hooks.home_advance.append(
+        lambda advanced, by: seen.append(("applied", by)))
+    home.dsm.hooks.fetch_serve.append(
+        lambda to, obj, region, bulk: seen.append(
+            ("served", to, obj.fields[0])))
+    reads, sent = _run(rt)
+    assert home.dsm.stats.deferred_fetches == 1
+    # Served with the diff's value, from inside the apply (before the
+    # advance is announced; the reply leaves after the handler's delay).
+    assert seen == [("served", 1, 0), ("served", 2, 7), ("applied", 1)]
+    assert reads["n2.t1"] == [7]
+    assert _total(rt, "fence_waits") == 0
+    assert sent["dsm.fetch_req"] == sent["dsm.fetch_reply"] == 2

@@ -11,7 +11,6 @@ from repro.dsm import (
     Notice,
     NoticeTable,
     SerializationError,
-    VectorClock,
     attach_header,
     home_of,
 )
@@ -30,7 +29,7 @@ from repro.dsm.serialization import (
     serialize_array,
     serialize_object,
 )
-from repro.dsm.write_notices import MODE_FULL
+from repro.dsm.hlrc import WriterNoticeTable, advance, covers
 from repro.heap import ArrayObj
 
 
@@ -72,35 +71,39 @@ def test_class_id_registry_unknown_raises():
 
 
 # ---------------------------------------------------------------------------
-# Vector clocks
+# Vector clocks: the HLRC baseline's per-writer intervals (dsm.hlrc)
 # ---------------------------------------------------------------------------
 def test_vector_clock_tick_and_merge():
-    a = VectorClock()
-    a.tick(1); a.tick(1); a.tick(2)
-    b = VectorClock()
-    b.tick(2); b.tick(2); b.tick(3)
-    a.merge(b)
-    assert a.get(1) == 2 and a.get(2) == 2 and a.get(3) == 1
+    a = {}
+    advance(a, 1, 1); advance(a, 1, 2); advance(a, 2, 1)
+    b = {}
+    advance(b, 2, 1); advance(b, 2, 2); advance(b, 3, 1)
+    for writer, interval in b.items():
+        advance(a, writer, interval)
+    assert a == {1: 2, 2: 2, 3: 1}
 
 
 def test_vector_clock_dominates():
-    a = VectorClock({1: 2, 2: 1})
-    b = VectorClock({1: 1})
-    assert a.dominates(b)
-    assert not b.dominates(a)
-    assert a.dominates(a.copy())
+    a, b = {1: 2, 2: 1}, {1: 1}
+    assert covers(a, b)
+    assert not covers(b, a)
+    assert covers(a, dict(a)) and covers(a, {})
 
 
 def test_vector_clock_never_decreases():
-    a = VectorClock({1: 5})
-    with pytest.raises(ValueError):
-        a.set(1, 3)
+    a = {1: 5}
+    assert not advance(a, 1, 3)
+    assert a == {1: 5}
 
 
 def test_vector_clock_wire_size_grows_with_entries():
-    a = VectorClock({i: 1 for i in range(10)})
-    b = VectorClock({1: 1})
-    assert a.wire_size() > b.wire_size()
+    """A token ships one notice per writer of a unit under HLRC."""
+    many, one = WriterNoticeTable(), WriterNoticeTable()
+    for writer in range(10):
+        many.add(Notice(7, 1, writer))
+    one.add(Notice(7, 1, 1))
+    size = lambda t: sum(n.wire_size() for n in t.delta_since({}))
+    assert size(many) == 10 * size(one) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +119,15 @@ def test_bounded_table_keeps_latest_only():
 
 
 def test_full_mode_log_grows_without_bound():
-    t = NoticeTable(MODE_FULL)
+    """What HLRC's uncollected log would hold grows with every notice;
+    the table itself keeps one per unit."""
+    t = NoticeTable()
     for v in range(100):
         t.add(Notice(7, v + 1))
-    assert t.stored_notices == 100
-    bounded = NoticeTable()
-    for v in range(100):
-        bounded.add(Notice(7, v + 1))
-    assert bounded.stored_notices == 1
-    assert t.storage_bytes() > bounded.storage_bytes()
+    t.add(Notice(7, 50))  # stale: still logged
+    assert t.logged == 101 and t.logged_bytes == 101 * 12
+    assert t.stored_notices == 1
+    assert t.logged_bytes > t.storage_bytes() == 12
 
 
 def test_delta_since_updates_snapshot():
@@ -142,14 +145,14 @@ def test_delta_since_updates_snapshot():
 
 
 def test_vector_notices_track_per_writer():
-    t = NoticeTable()
+    t = WriterNoticeTable()
     t.add(Notice(1, 3, writer=0))
     t.add(Notice(1, 2, writer=1))
-    assert t.required_vector(1) == {0: 3, 1: 2}
+    assert t.required(1) == {0: 3, 1: 2}
     seen = {}
-    delta = t.delta_since_vector(seen)
+    delta = t.delta_since(seen)
     assert len(delta) == 2
-    assert t.delta_since_vector(seen) == []
+    assert t.delta_since(seen) == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from repro.dsm import DsmConfig
 from repro.lang import compile_source
 from repro.net import Message, SimNetwork
 from repro.rewriter import rewrite_application
@@ -22,9 +23,10 @@ from repro.sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS
 _LOCKS_MJ = os.path.join(os.path.dirname(__file__), os.pardir,
                          "benchmarks", "e2e", "programs", "locks.mj")
 
-# locks.mj, 4 threads x 50 hand-overs, 3 nodes x 2 CPUs.
+# locks.mj, 4 threads x 50 hand-overs, 3 nodes x 2 CPUs, keyed by
+# (timestamp mode, brands).
 GOLDEN = {
-    ("sun",): dict(
+    ("scalar", ("sun",)): dict(
         result=200, simulated_ns=313324570, events_fired=1648,
         messages=736, bytes=76849,
         by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
@@ -38,7 +40,7 @@ GOLDEN = {
         instructions=[[288, 1127], [1178, 1129], [1178]]),
     # Mixed brands: other link latencies, so another schedule (and one
     # loopback frame, which no brand prices).
-    ("sun", "ibm", "sun"): dict(
+    ("scalar", ("sun", "ibm", "sun")): dict(
         result=200, simulated_ns=9052605, events_fired=657,
         messages=342, bytes=30398,
         by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
@@ -49,27 +51,70 @@ GOLDEN = {
         by_link={(0, 0): (1, 129), (0, 1): (113, 11497), (0, 2): (55, 5494),
                  (1, 0): (114, 8642), (1, 2): (1, 232), (2, 0): (58, 4404)},
         instructions=[[281, 1127], [1129, 1128], [1129]]),
+    # The HLRC baseline (ablations A1/A2): no fence, fetches and tokens
+    # carry per-writer intervals.  Recorded before it left DsmEngine.
+    ("vector", ("sun",)): dict(
+        result=200, simulated_ns=193210590, events_fired=1946,
+        messages=1034, bytes=124969,
+        by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
+                 "dsm.fetch_reply": (104, 7596), "dsm.fetch_req": (104, 12128),
+                 "dsm.lock_fwd": (200, 29600), "dsm.lock_req": (106, 13674),
+                 "dsm.owner_update": (104, 7904), "dsm.spawn": (3, 351),
+                 "dsm.token": (107, 28012)},
+        by_link={(0, 0): (2, 258), (0, 1): (212, 22517),
+                 (0, 2): (154, 16479), (1, 0): (263, 24963),
+                 (1, 2): (99, 20214), (2, 0): (205, 20367),
+                 (2, 1): (99, 20171)},
+        instructions=[[274, 1127], [1130, 1177], [1178]]),
+    ("vector", ("sun", "ibm", "sun")): dict(
+        result=200, simulated_ns=7204702, events_fired=657,
+        messages=342, bytes=30866,
+        by_type={"dsm.diff": (153, 10710), "dsm.diff_ack": (153, 14994),
+                 "dsm.fetch_reply": (5, 468), "dsm.fetch_req": (5, 446),
+                 "dsm.lock_fwd": (3, 444), "dsm.lock_req": (7, 903),
+                 "dsm.owner_update": (5, 380), "dsm.spawn": (3, 351),
+                 "dsm.token": (8, 2170)},
+        by_link={(0, 0): (1, 129), (0, 1): (113, 11553), (0, 2): (55, 5598),
+                 (1, 0): (114, 8754), (1, 2): (1, 252), (2, 0): (58, 4580)},
+        instructions=[[281, 1127], [1129, 1128], [1129]]),
 }
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("brands", sorted(GOLDEN))
-def test_locks_observables_are_the_recorded_ones(brands, seed):
+def _locks_observables(brands, seed, timestamp_mode):
     with open(_LOCKS_MJ) as fh:
         source = fh.read().replace("@THREADS@", "4").replace("@ITERS@", "50")
     rt = JavaSplitRuntime(
         rewrite_application(list(compile_source(source))),
-        RuntimeConfig(num_nodes=3, cpus_per_node=2, brands=brands, seed=seed))
+        RuntimeConfig(num_nodes=3, cpus_per_node=2, brands=brands, seed=seed,
+                      dsm=DsmConfig(timestamp_mode=timestamp_mode)))
     report = rt.run()
     net = rt.network.stats
-    assert dict(
+    return dict(
         result=report.result, simulated_ns=report.simulated_ns,
         events_fired=rt.engine.events_fired,
         messages=net.messages, bytes=net.bytes,
         by_type=net.by_type, by_link=net.by_link,
         instructions=[[t.instructions for t in w.jvm.threads]
                       for w in rt.workers],
-    ) == GOLDEN[brands]
+    )
+
+
+def _brands(mode):
+    return sorted(brands for m, brands in GOLDEN if m == mode)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("brands", _brands("scalar"))
+def test_locks_observables_are_the_recorded_ones(brands, seed):
+    assert _locks_observables(brands, seed, "scalar") \
+        == GOLDEN["scalar", brands]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("brands", _brands("vector"))
+def test_hlrc_locks_observables_are_the_recorded_ones(brands, seed):
+    assert _locks_observables(brands, seed, "vector") \
+        == GOLDEN["vector", brands]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from unittest import mock
 
 import pytest
 
-from repro.dsm import ClassSpec, LockRequest, LockToken, Notice, NoticeTable, VectorClock
+from repro.dsm import ClassSpec, LockRequest, LockToken, Notice, NoticeTable
+from repro.dsm.hlrc import WriterNoticeTable, advance, covers
 from repro.dsm import diffs, serialization
 from repro.dsm.diffs import apply_diff, compute_diff, make_twin
 from repro.dsm.serialization import (
@@ -72,7 +73,7 @@ def test_java_ddiv_converts_a_mixed_operand_like_float(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Vector clocks
+# Vector clocks: the HLRC baseline's per-writer intervals (dsm.hlrc)
 # ---------------------------------------------------------------------------
 clock_entries = st.dictionaries(
     st.integers(min_value=0, max_value=8),
@@ -81,34 +82,35 @@ clock_entries = st.dictionaries(
 )
 
 
+def _merged(*vectors):
+    """Pointwise max, the way a home's applied intervals accumulate."""
+    out = {}
+    for vector in vectors:
+        for writer, interval in vector.items():
+            advance(out, writer, interval)
+    return out
+
+
 @given(a=clock_entries, b=clock_entries)
 def test_vector_clock_merge_commutative(a, b):
-    x = VectorClock(a); x.merge(VectorClock(b))
-    y = VectorClock(b); y.merge(VectorClock(a))
-    assert x == y
+    assert _merged(a, b) == _merged(b, a)
 
 
 @given(a=clock_entries)
 def test_vector_clock_merge_idempotent(a):
-    x = VectorClock(a)
-    x.merge(VectorClock(a))
-    assert x == VectorClock(a)
+    assert _merged(a, a) == _merged(a) == a
 
 
 @given(a=clock_entries, b=clock_entries)
 def test_vector_clock_merge_dominates_both(a, b):
-    x = VectorClock(a)
-    x.merge(VectorClock(b))
-    assert x.dominates(VectorClock(a))
-    assert x.dominates(VectorClock(b))
+    x = _merged(a, b)
+    assert covers(x, a)
+    assert covers(x, b)
 
 
 @given(a=clock_entries, b=clock_entries, c=clock_entries)
 def test_vector_clock_merge_associative(a, b, c):
-    x = VectorClock(a); x.merge(VectorClock(b)); x.merge(VectorClock(c))
-    y = VectorClock(b); y.merge(VectorClock(c))
-    z = VectorClock(a); z.merge(y)
-    assert x == z
+    assert _merged(_merged(a, b), c) == _merged(a, _merged(b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +150,33 @@ def test_notice_delta_never_resends(batch):
 
 @given(a=clock_entries, b=clock_entries)
 def test_vector_clock_dominance_antisymmetric(a, b):
-    x, y = VectorClock(a), VectorClock(b)
-    if x.dominates(y) and y.dominates(x):
-        assert x == y
+    if covers(a, b) and covers(b, a):
+        assert a == b
 
 
 @given(a=clock_entries, ticks=st.lists(
     st.integers(min_value=0, max_value=8), max_size=20))
 def test_vector_clock_tick_strictly_monotonic(a, ticks):
-    x = VectorClock(a)
+    """Each flush is a writer's next interval: its notice advances that
+    writer's entry by one, and a node stores one notice per writer."""
+    x = dict(a)
+    t = WriterNoticeTable()
+    for writer, interval in a.items():
+        t.add(Notice(7, interval, writer))
     for tid in ticks:
-        before = x.get(tid)
-        assert x.tick(tid) == before + 1
-    assert x.wire_size() == 4 + 8 * len(x)
+        before = x.get(tid, 0)
+        assert advance(x, tid, before + 1) and x[tid] == before + 1
+        assert t.add(Notice(7, before + 1, tid))
+    assert t.required(7) == x and t.stored_notices == len(x)
 
 
 @given(a=clock_entries, tid=st.integers(min_value=0, max_value=8),
        value=st.integers(min_value=0, max_value=100))
 def test_vector_clock_set_never_decreases(a, value, tid):
-    x = VectorClock(a)
-    if value < x.get(tid):
-        import pytest
-        with pytest.raises(ValueError):
-            x.set(tid, value)
-    else:
-        x.set(tid, value)
-        assert x.get(tid) == value
+    x = dict(a)
+    before = x.get(tid, 0)
+    assert advance(x, tid, value) == (value > before)
+    assert x.get(tid, 0) == max(before, value)
 
 
 @given(batch=st.lists(
@@ -183,15 +186,15 @@ def test_vector_clock_set_never_decreases(a, value, tid):
     min_size=1, max_size=40,
 ))
 def test_bounded_vector_notices_one_per_gid_writer(batch):
-    """Bounded vector storage: at most one notice per (CU, writer)."""
-    t = NoticeTable()
+    """HLRC's per-writer storage: at most one notice per (CU, writer)."""
+    t = WriterNoticeTable()
     for gid, writer, interval in batch:
         t.add(Notice(gid, interval, writer))
     pairs = {(gid, w) for gid, w, _ in batch}
     assert t.stored_notices == len(pairs)
     for gid, writer in pairs:
         best = max(i for g, w, i in batch if (g, w) == (gid, writer))
-        assert t.required_vector(gid)[writer] == best
+        assert t.required(gid)[writer] == best
 
 
 @given(batch=st.lists(
@@ -200,13 +203,14 @@ def test_bounded_vector_notices_one_per_gid_writer(batch):
     min_size=1, max_size=40,
 ))
 def test_full_mode_log_grows_per_add(batch):
-    """HLRC 'full' mode keeps the whole uncollected log (the storage
-    cost MTS's bounded mode eliminates)."""
-    t = NoticeTable(mode="full")
+    """HLRC's uncollected log would hold every notice (the storage cost
+    MTS's bounded table eliminates); the table counts it alongside."""
+    t = NoticeTable()
     for gid, v in batch:
         t.add(Notice(gid, v))
-    assert t.stored_notices == len(batch)
-    assert t.storage_bytes() > 0
+    assert t.logged == len(batch)
+    assert t.logged_bytes == len(batch) * Notice(0, 0).wire_size() > 0
+    assert t.stored_notices == len({gid for gid, _ in batch})
 
 
 @given(batch=st.lists(
@@ -216,15 +220,15 @@ def test_full_mode_log_grows_per_add(batch):
     min_size=1, max_size=30,
 ))
 def test_vector_delta_never_resends(batch):
-    t = NoticeTable()
+    t = WriterNoticeTable()
     seen = {}
     sent = {}
     for gid, writer, interval in batch:
         t.add(Notice(gid, interval, writer))
-        for n in t.delta_since_vector(seen):
+        for n in t.delta_since(seen):
             assert n.version > sent.get((n.gid, n.writer), 0)
             sent[(n.gid, n.writer)] = n.version
-    assert t.delta_since_vector(seen) == []
+    assert t.delta_since(seen) == []
 
 
 @given(versions=st.lists(st.integers(min_value=1, max_value=100),
