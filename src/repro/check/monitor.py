@@ -41,6 +41,11 @@ Invariants checked (violations are collected, or raised with
     A fetch reply's version satisfies the version the cache's notice
     table required when the fetch was issued, and never moves a replica
     backwards in time.
+``transition``
+    Every state change observed — an install, an invalidation, a
+    demotion — is one some row of :data:`repro.dsm.transitions.TABLE`
+    allows for its event, judged from the unit's state as the monitor
+    reads it just before the change.  The monitor never executes a row.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from ..dsm.objectstate import ObjState, split_key, unit_key
 from ..dsm.directory import home_of
 from ..dsm.protocol import (M_DIFF, M_DIFF_ACK, M_FT_REDIFF,
                             M_FT_REDIFF_ACK, SCALAR, DsmEngine)
+from ..dsm.transitions import allows, label
 from ..net.message import M_FT_NOTICES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -345,7 +351,8 @@ class InvariantMonitor:
             else:
                 # Unsolicited (a policy push / broadcast): never moves
                 # a replica backwards.  (No copy, asked for or not, ever
-                # lands on a master: the installer drops it unannounced.)
+                # lands on a master: the ``transition`` check holds the
+                # engine to the table, whose rows drop it.)
                 if version < was:
                     self.report(node, "version-monotonic",
                                 f"push moved replica gid {gid:#x} "
@@ -356,7 +363,23 @@ class InvariantMonitor:
                             f"reply for {key!r} at version {version} "
                             f"below required {required}")
 
+        # --- every state change against the transition table ---------
+        def on_transition(event, key, after):
+            unit = dsm.unit(key)
+            if unit is None:
+                before = (None, False, False)
+            else:
+                rec = unit[1]
+                before = (rec.state, rec.twin is not None,
+                          (key if key.__class__ is tuple else (key, None))
+                          in dsm._fetch_targets)
+            if not allows(event, before, after):
+                self.report(node, "transition",
+                            f"{event} took {key!r} from {label(before)} "
+                            f"to {after.name}: no row allows it")
+
         hooks = dsm.hooks
+        hooks.transition.append(on_transition)
         hooks.promote.append(on_promote)
         hooks.sync_scope.append(on_sync_scope)
         hooks.home_advance.append(on_home_advance)

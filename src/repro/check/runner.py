@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..apps import raytracer, series, tsp
+from ..dsm.transitions import TABLE
 from ..lang import compile_source
 from ..runtime.config import RuntimeConfig, config_from, option
 from ..runtime.javasplit import build_runtime, run_original
@@ -72,6 +73,8 @@ class SeedResult:
     # is a detector false positive (or a real regression) and fails the
     # seed.
     race: Optional[Dict[str, Any]] = None
+    # Transition-table row hits, summed over the nodes (index = TABLE's).
+    rows: List[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -105,6 +108,13 @@ class CheckReport:
     @property
     def failed_seeds(self) -> List[int]:
         return [r.seed for r in self.results if not r.ok]
+
+    @property
+    def rows_reached(self) -> Dict[str, int]:
+        """Hits per transition-table row over the sweep, by row name
+        (rows no seed took are left out)."""
+        hits = [sum(col) for col in zip(*(r.rows for r in self.results))]
+        return {row.name: n for row, n in zip(TABLE, hits) if n}
 
     def summary(self) -> str:
         n = len(self.results)
@@ -144,6 +154,10 @@ class CheckReport:
         if self.kill or kills:
             lines.append(f"  nodes killed        : {kills} "
                          f"({recovered} recovered)")
+        reached = self.rows_reached
+        lines.append(f"  rows reached        : {len(reached)} of {len(TABLE)}")
+        lines += [f"    unreached: {row.name}" for row in TABLE
+                  if row.name not in reached]
         if self.ok:
             lines.append(f"  verdict             : OK "
                          f"({n}/{n} seeds consistent)")
@@ -317,6 +331,8 @@ def run_check(
             if strict:
                 raise
             sr.error = f"{type(exc).__name__}: {exc}"
+        sr.rows = [sum(col) for col in
+                   zip(*(w.dsm.row_hits for w in runtime.workers))]
         monitor.finalize()
         if sr.error is None:
             # A crashed run leaves the heap mid-protocol; skip the

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..net.message import Message
-from .objectstate import ObjState, Unit, split_key, unit_key
+from .objectstate import ObjState, split_key, unit_key
 from .protocol import DsmEngine
 from .write_notices import Notice
 
@@ -96,14 +96,14 @@ class HlrcEngine(DsmEngine):
         required = self.notice_table.required(unit_key(gid, region))
         return {"gid": gid, "region": region, "required": required}
 
-    def _fetch_ready(self, msg: Message, key: Any) -> bool:
-        """Serve only a master that has applied every required interval;
-        defer the fetch otherwise (its diff is still on the way)."""
-        if covers(self._applied.get(key, {}), msg.payload["required"]):
-            return True
-        self.stats.deferred_fetches += 1
+    def _fetch_ready(self, key: Any, unit: Any, msg: Message) -> bool:
+        """Serve only a master that has applied every required interval
+        (else the table's ``defer`` row: its diff is still on the way)."""
+        return covers(self._applied.get(key, {}), msg.payload["required"])
+
+    def _fx_defer(self, event: str, key: Any, unit: Any, msg: Message) -> None:
+        """Park a fetch until ``_note_advance`` has the intervals it names."""
         self._deferred_fetch.setdefault(key, []).append(msg)
-        return False
 
     def _note_advance(self, key: Any, version: int, writer: int,
                       interval: int) -> None:
@@ -139,13 +139,13 @@ class HlrcEngine(DsmEngine):
             unit["applied"] = dict(self._applied.get(key, {}))
         return unit
 
-    def _install_unit(self, p: Dict[str, Any],
-                      role: ObjState = ObjState.VALID) -> Tuple[int, Optional[int]]:
+    def _install_unit(self, p: Dict[str, Any], role: ObjState,
+                      event: str) -> bool:
         if role != ObjState.HOME:
             self._replica_vc[unit_key(p["gid"], p.get("region"))] = \
                 dict(p.get("applied", {}))
-        return super()._install_unit(p, role)
+        return super()._install_unit(p, role, event)
 
-    def _stale(self, key: Any, rec: Unit, notice: Notice) -> bool:
+    def _stale(self, key: Any, unit: Any, notice: Notice) -> bool:
         return self._replica_vc.get(key, {}).get(notice.writer, 0) \
             < notice.version

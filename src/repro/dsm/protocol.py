@@ -25,8 +25,16 @@ Protocol summary (scalar-timestamp MTS-HLRC, the default):
   it already delivered (bounded per-CU notices, §3.1), plus the request
   and wait queues (§3.2), so wait/notify stay communication-free.
 
+What an arrival does to a coherency unit is its ``(event, state)`` row
+in :mod:`.transitions`: each arrival site looks the row up once
+(``_row``/``arrive``, with the guards and effects the rows name, mixed
+in from :class:`~.transitions.Arrivals`) and runs its effect, or batches
+it (diff entries, notices).  The access checks' hit paths stay inline (a miss
+is a fetch, whose reply is a row); lock choreography has no rows.
+
 Nothing else: the HLRC baseline of ablations A1/A2 is a subclass in
-:mod:`.hlrc` that overrides the steps under "Timestamp steps".
+:mod:`.hlrc` that overrides the steps under "Timestamp steps" and the
+guards ``_stale`` and ``_fetch_ready``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from .locks import LockRequest, LockToken, NodeLockState
 from .objectstate import (DSMHeader, ObjState, RegionInfo, Unit,
                           attach_header, split_key, unit_key)
 from .serialization import ClassSpec, deserialize_any, serialize_any
+from .transitions import (DIFF, FETCH_REPLY, FETCH_REQ, NOTICE, TABLE,
+                          Arrivals, ProtocolError, bind)
 from .write_notices import Notice, NoticeTable
 
 SCALAR = "scalar"
@@ -59,10 +69,6 @@ SCALAR = "scalar"
 #: A host thread, duck-typed: ``tid``, ``priority``, ``wake()`` (a miss
 #: re-executes) and ``complete()`` (a grant finishes the blocked op).
 Thread = Any
-
-
-class ProtocolError(RuntimeError):
-    """A DSM invariant was violated (always a bug, never data)."""
 
 
 @dataclass
@@ -114,7 +120,7 @@ class DsmStats:
     pol_grant_installs: int = 0  # migratory grants installed
 
 
-class DsmEngine:
+class DsmEngine(Arrivals):
     """Per-node DSM: host hooks + protocol message handlers."""
 
     def __init__(
@@ -156,6 +162,9 @@ class DsmEngine:
         # Optional runtime callback: a shipped thread began on this node
         # (used by the load balancer to retire in-flight placements).
         self.on_spawn_arrival: Optional[Callable[[int], None]] = None
+        # The locality agent, if attached: what forward / bounce / fold
+        # rows hand over (messages for units that moved, diff batches).
+        self.proxy: Any = None
 
         self.gids = GidAllocator(self.node_id)
         self.cache: Dict[int, Any] = {}
@@ -197,6 +206,11 @@ class DsmEngine:
         self._blocked_on: Dict[int, Tuple[int, int]] = {}
         self._ft_token_freeze = False
         self._ft_frozen_sends: List[Callable[[], None]] = []
+
+        # Row hits, one counter per TABLE row (``repro check`` sums them).
+        self.row_hits = [0] * len(TABLE)
+        self._counters = vars(self.stats)  # what a row's counter names
+        self._rows = bind(type(self))
 
         for mtype, handler in (
             (M_FETCH_REQ, self._on_fetch_req),
@@ -745,21 +759,26 @@ class DsmEngine:
             self._note_flush(entries, interval)
             self.transport.send(home, M_DIFF, payload, size_bytes=size)
 
-    def _apply_diff_entries(self, p: Dict[str, Any]) -> List[Tuple[Any, int]]:
-        """Apply one diff payload's entries to local masters and announce
-        the new versions (``home_advance``); returns the (key,
-        new_version) acks."""
+    def _diff_rows(self, p: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
+        """Each entry of a diff batch with its row's effect and its unit."""
+        rows = []
+        for entry in p["entries"]:
+            gid, _diff, region = entry
+            row, unit, _fx = self._row(
+                DIFF, gid if region is None else (gid, region), p)
+            rows.append((row.effect, entry, unit))
+        return rows
+
+    def _apply_diff_entries(self, p: Dict[str, Any],
+                            rows: List[Tuple[str, Any, Any]]) -> List[Tuple[Any, int]]:
+        """The ``apply_diff`` effect for the ``rows`` of a diff payload's
+        entries: apply them to local masters and announce the new
+        versions (``home_advance``); returns the (key, new_version) acks."""
         acks: List[Tuple[Any, int]] = []
         writer = p["writer"]
         interval = p["interval"]
-        for gid, diff, region in p["entries"]:
-            key = unit_key(gid, region)
-            unit = self.unit(key)
-            if unit is None:
-                raise ProtocolError(
-                    f"diff for unknown master {key!r} at node {self.node_id}"
-                )
-            obj, rec, lo, hi = unit
+        for _effect, (gid, diff, region), (obj, rec, lo, hi) in rows:
+            key = gid if region is None else (gid, region)
             apply_diff(obj, self.specs.get(obj.class_name), diff, self, lo, hi)
             rec.version += 1
             acks.append((key, rec.version))
@@ -774,14 +793,16 @@ class DsmEngine:
         acknowledging it: content-idempotent even if the dead home had
         already applied it (diffs carry absolute slot values), so at
         worst the version inflates — versions only need be monotonic."""
-        for fn in self.hooks.home_msg:
-            if fn(msg):
-                # Some entries name units migrated away: the interceptor
-                # split the batch and will send one combined ack.
-                return
         p = msg.payload
+        rows = self._diff_rows(p)
+        for effect, _entry, _unit in rows:
+            if effect != "apply_diff":
+                # Forwarded, bounced or folded entries: the proxy splits
+                # the batch and will send one combined ack.
+                self.proxy.split(msg, rows)
+                return
         ack_payload: Dict[str, Any] = {
-            "ack_id": p["ack_id"], "versions": self._apply_diff_entries(p)}
+            "ack_id": p["ack_id"], "versions": self._apply_diff_entries(p, rows)}
         delay = self._handler_ns
         ack_type = M_FT_REDIFF_ACK
         if msg.msg_type == M_DIFF:
@@ -824,22 +845,13 @@ class DsmEngine:
     # Fetch handling
     # ==================================================================
     def _on_fetch_req(self, msg: Message) -> None:
-        for fn in self.hooks.home_msg:
-            if fn(msg):
-                return  # unit migrated away: forwarded to the current home
         gid = msg.payload["gid"]
         region = msg.payload.get("region")
-        obj = self.cache.get(gid)
-        if obj is None:
-            raise ProtocolError(
-                f"fetch for unknown gid {gid:#x} at home {self.node_id}"
-            )
         if gid in self._regions and region is None:
             region = 0  # split array first touched as a whole by a stub
-        if self._fetch_ready(msg, unit_key(gid, region)):
-            # A forwarded request names the original requester.
-            self._serve_fetch(msg.payload.get("requester", msg.src), obj,
-                              region)
+        key = gid if region is None else (gid, region)
+        _row, unit, effect = self._row(FETCH_REQ, key, msg)
+        effect(self, FETCH_REQ, key, unit, msg)
 
     def _serve_fetch(self, requester: int, obj: Any,
                      region: Optional[int] = None) -> None:
@@ -865,13 +877,14 @@ class DsmEngine:
         return unit
 
     def _on_fetch_reply(self, msg: Message) -> None:
-        self._complete_fetch(msg.payload, msg.size_bytes)
-
-    def _complete_fetch(self, p: Dict[str, Any], nbytes: int) -> int:
-        """Install a fetched unit and wake the threads parked on it
-        (shared by fetch replies and prefetch bulk replies); returns how
-        many were waiting."""
-        return self._unit_present(*self._install_unit(p), nbytes)
+        """Install the unit (or drop it, per its row) and wake the
+        threads parked on it."""
+        p = msg.payload
+        gid, region = p["gid"], p.get("region")
+        key = gid if region is None else (gid, region)
+        _row, unit, effect = self._row(FETCH_REPLY, key, p)
+        effect(self, FETCH_REPLY, key, unit, p)
+        self._unit_present(gid, region, msg.size_bytes)
 
     def _unit_present(self, gid: int, region: Optional[int],
                       nbytes: int) -> int:
@@ -888,25 +901,22 @@ class DsmEngine:
             thread.wake()
         return len(waiters)
 
-    def _install_unit(self, p: Dict[str, Any],
-                      role: ObjState = ObjState.VALID) -> Tuple[int, Optional[int]]:
+    def _install_unit(self, p: Dict[str, Any], role: ObjState,
+                      event: str) -> bool:
         """Install one serialized coherency unit into the local cache:
-        as a ``VALID`` replica (fetch replies, prefetch bulk replies,
-        policy pushes), or as the ``HOME`` master (migration grants and
-        recovery adoptions), which merges local uncommitted writes to a
-        cached replica of the unit back on top — they are program
-        actions the multiple-writer protocol has not lost yet."""
+        as a ``VALID`` replica (``install_replica``: fetch replies,
+        prefetch bulk replies, policy pushes), or as the ``HOME`` master
+        (``install_master``: grants and recovery adoptions), which merges
+        local uncommitted writes to a cached replica of the unit back on
+        top, and the node's own in-flight flushes a grant carries in
+        ``own_diffs`` under them — they are program actions the
+        multiple-writer protocol has not lost yet."""
         gid = p["gid"]
         region = p.get("region")
         master = role == ObjState.HOME
         key = unit_key(gid, region)
-        held = self.unit(key)
-        if not master and held is not None and held[1].state == ObjState.HOME:
-            # The reply to a fetch issued before this node became the
-            # unit's home (the grant overtook it).  The master is never
-            # older than a copy sent to a reader: drop the copy.
-            self.stats.stale_installs += 1
-            return gid, region
+        for fn in self.hooks.transition:
+            fn(event, key, role)
         obj = self.cache.get(gid)
         if obj is None:
             # A master-to-be is homed here already; replica_for would
@@ -947,9 +957,9 @@ class DsmEngine:
             # Asked for before this node became the home (region 0's
             # no-index waiters park under ``(gid, None)``).  The unit is
             # present, which is all a fetch waits for; the reply, if one
-            # still comes, is the stale copy dropped above.
+            # still comes, is a stale copy its row drops.
             self._unit_present(gid, region, len(p["data"]))
-        return gid, region
+        return True
 
     # ==================================================================
     # Adaptive-locality primitives (driven by repro.locality)
@@ -984,30 +994,6 @@ class DsmEngine:
             self.transport.send, requester, M_LOC_BULK_REPLY, payload, size))
         return units
 
-    def _loc_grant_unit(self, gid: int) -> Optional[Dict[str, Any]]:
-        """Serialize a mastered unit for a migration grant and demote
-        the local copy to an invalid replica (the grantee becomes the
-        home).  A pending home write is published first so the grant
-        carries a committed version, mirroring the release-time flush."""
-        obj = self.cache.get(gid)
-        if obj is None:
-            return None
-        hdr: DSMHeader = obj.header
-        if hdr is None or hdr.state != ObjState.HOME:
-            return None
-        if gid in self._dirty_home:
-            self._dirty_home.discard(gid)
-            hdr.version += 1
-            self.notice_table.add(Notice(gid, hdr.version))
-            for fn in self.hooks.home_advance:
-                fn([(gid, hdr.version)], None)
-        unit = self.ship_unit(gid)
-        if unit is None:  # pragma: no cover - defensive
-            return None
-        hdr.state = ObjState.INVALID
-        hdr.twin = None
-        return unit
-
     # ==================================================================
     # Invalidation
     # ==================================================================
@@ -1016,33 +1002,34 @@ class DsmEngine:
         # invalidation against each REPLICA's version, never the table:
         # diff acks advance the table without refreshing the replica, so
         # table advancement is not a proxy for replica freshness.
+        # Rows batch here: every flush a delta demands leaves in one
+        # interval, ahead of the invalidations.
         self.notice_table.add_all(notices)
         to_flush = []
         to_invalidate = []
         for notice in notices:
             key = notice.gid
-            unit = self.unit(key)
-            if (unit is None or unit[1].state != ObjState.VALID
-                    or not self._stale(key, unit[1], notice)):
+            if to_invalidate and key in to_invalidate:
                 continue
-            # A dirty replica's pending local writes are committed program
-            # actions: flush the diff home *before* invalidating, or the
-            # multiple-writer merge loses them.
-            if key in self._dirty:
+            effect = self._row(NOTICE, key, notice)[0].effect
+            if effect == "drop":
+                continue
+            if effect == "flush_then_invalidate":
                 to_flush.append(key)
-            if key not in to_invalidate:
-                to_invalidate.append(key)
+            to_invalidate.append(key)
         if to_flush:
             self._flush(to_flush, flush_home=False)
         for key in to_invalidate:
+            for fn in self.hooks.transition:
+                fn(NOTICE, key, ObjState.INVALID)
             rec = self.unit(key)[1]
             rec.state = ObjState.INVALID
             rec.twin = None
-            self.stats.invalidations += 1
 
     # ==================================================================
     # Timestamp steps: dsm.hlrc overrides these, _fetch_request,
-    # ship_unit, _install_unit and _when_fence_clear.
+    # ship_unit, _install_unit and _when_fence_clear.  _fetch_ready and
+    # _stale are guards of the transition table.
     # ==================================================================
     def _note_advance(self, key: Any, version: int, writer: int,
                       interval: int) -> None:
@@ -1057,14 +1044,14 @@ class DsmEngine:
         for key, version in versions:
             self.notice_table.add(Notice(key, version))
 
-    def _fetch_ready(self, msg: Message, key: Any) -> bool:
+    def _fetch_ready(self, key: Any, unit: Any, msg: Message) -> bool:
         """Whether a home may serve a fetch now: a master is never older
         than the version a notice names (the fence saw to that)."""
         return True
 
-    def _stale(self, key: Any, rec: Unit, notice: Notice) -> bool:
+    def _stale(self, key: Any, unit: Any, notice: Notice) -> bool:
         """Whether a notice makes a valid replica stale."""
-        return rec.version < notice.version
+        return unit[1].version < notice.version
 
     # ==================================================================
     # Lock choreography
@@ -1078,11 +1065,11 @@ class DsmEngine:
 
     def _on_lock_req(self, msg: Message) -> None:
         """Home role: route the request to the current owner (§3.2)."""
-        for fn in self.hooks.home_msg:
-            if fn(msg):
-                return  # unit migrated away: re-routed to the current home
         p = msg.payload
         gid = p["gid"]
+        if self.proxy is not None and self.home_node(gid) != self.node_id:
+            self.proxy.forward(msg)  # re-routed to the current home
+            return
         owner = self.lock_owner.get(gid)
         if owner is None:
             raise ProtocolError(
@@ -1244,10 +1231,11 @@ class DsmEngine:
             fn(False)
 
     def _on_owner_update(self, msg: Message) -> None:
-        for fn in self.hooks.home_msg:
-            if fn(msg):
-                return  # unit migrated away: re-routed to the current home
-        self.lock_owner[msg.payload["gid"]] = msg.payload["owner"]
+        gid = msg.payload["gid"]
+        if self.proxy is not None and self.home_node(gid) != self.node_id:
+            self.proxy.forward(msg)  # re-routed to the current home
+            return
+        self.lock_owner[gid] = msg.payload["owner"]
 
     # ==================================================================
     # Fault-tolerance recovery primitives (driven by repro.ft.recovery)
@@ -1283,12 +1271,6 @@ class DsmEngine:
             if gid in self._regions or hdr.state == ObjState.HOME:
                 keys.extend(self.unit_keys(gid))
         return keys
-
-    def ft_install_master(self, unit: Dict[str, Any]) -> None:
-        """Adopt one serialized coherency unit as a local master: the
-        one door through which a master ever moves (migration grants and
-        recovery adoptions)."""
-        self._install_unit(unit, ObjState.HOME)
 
     def ft_set_token_freeze(self, frozen: bool) -> None:
         """Freeze/unfreeze outbound token transfers.  Unfreezing flushes

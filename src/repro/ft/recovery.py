@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..dsm.locks import LockToken
 from ..dsm.protocol import M_SPAWN, M_TOKEN
+from ..dsm.transitions import ADOPT, REGRANT
 from ..net.message import HEADER_BYTES
 from ..sim.engine import NS_PER_MS
 from .replication import M_FT_NOTICES, buddy_of, key_of
@@ -151,11 +152,11 @@ class RecoveryOrchestrator:
                  if homes.home(u["gid"]) == dead and u["gid"] not in lost]
         rehomed: Dict[int, int] = {}
         for unit in units:
-            buddy.dsm.ft_install_master(unit)
+            buddy.dsm.arrive(ADOPT, key_of(unit), unit)
             agent_b.note_adopted(key_of(unit))
             rehomed[unit["gid"]] = buddy_id
         for gid, (granter, grant) in lost.items():
-            workers[granter].dsm.ft_install_master(grant)
+            workers[granter].dsm.arrive(REGRANT, gid, grant)
             manager.agents[granter].protect_adopted(gid, grant["version"])
             rehomed[gid] = granter
         for gid in sorted(rehomed):

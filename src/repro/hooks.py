@@ -58,7 +58,8 @@ token_notices   an arrived token's notice delta was applied                obser
 interval_end    a release point flushed this node's diffs ``(thread)``     observer
 sync_scope      a release / wait / token arrival begins or ends            observer
                 ``(entering)``
-home_msg        a home-role message arrived; first true wins ``(msg)``     interceptor
+transition      a transition-table row is about to move a unit to a new    observer
+                state ``(event, key, after)``
 ==============  =========================================================  ===========
 
 ==============  =========================================================  ===========
@@ -105,7 +106,7 @@ class DsmHooks(HookPoints):
         "promote", "spawn", "thread_begin", "block", "lock_edge",
         "fetch_serve", "fetch_done", "unit_shipped", "unit_installed",
         "home_advance", "diff_applied", "token_send", "token_notices",
-        "interval_end", "sync_scope", "home_msg",
+        "interval_end", "sync_scope", "transition",
     )
 
 

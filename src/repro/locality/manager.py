@@ -41,12 +41,12 @@ from ..dsm.protocol import (
     M_DIFF,
     M_DIFF_ACK,
     M_FETCH_REQ,
-    M_FT_REDIFF,
     M_FT_REDIFF_ACK,
     M_LOCK_REQ,
     M_OWNER_UPDATE,
     ProtocolError,
 )
+from ..dsm.transitions import ACK_GRANT, BULK_UNIT, GRANT_OUT
 from ..net.message import (
     HEADER_BYTES,
     M_LOC_AGG,
@@ -192,7 +192,7 @@ class LocalityAgent:
         t.on(M_LOC_BULK_REPLY, self._on_bulk_reply)
         t.on(M_LOC_AGG, self._on_agg)
         hooks = self.dsm.hooks
-        hooks.home_msg.append(self.intercept)
+        self.dsm.proxy = self
         t.hooks.deliver.append(self.on_deliver)
         if self.migration:
             hooks.diff_applied.append(self.consider_migration)
@@ -244,21 +244,13 @@ class LocalityAgent:
     # ------------------------------------------------------------------
     # Stale-directory forwarding (old-home side)
     # ------------------------------------------------------------------
-    def intercept(self, msg: Message) -> bool:
-        """``home_msg`` interceptor: a home-role message for a unit that
-        migrated away is re-routed to its current home (and the sender
-        hinted); a diff batch naming such units is split — the local
-        part applied, the rest forwarded — with exactly one combined
-        ack promised to the writer."""
+    def forward(self, msg: Message) -> None:
+        """The engine's proxy for a home-role message (fetch, lock
+        request, owner update) whose unit migrated away: re-route it to
+        the current home, and hint the sender."""
         mtype = msg.msg_type
-        if mtype == M_DIFF or mtype == M_FT_REDIFF:
-            return self._maybe_proxy(
-                msg, M_DIFF_ACK if mtype == M_DIFF else M_FT_REDIFF_ACK,
-                msg.payload["ack_id"], require_remote=True)
         gid = msg.payload["gid"]
         home = self.dsm.home_node(gid)
-        if home == self.node_id:
-            return False
         self.dsm.stats.home_forwards += 1
         fwd = _strip(msg.payload)
         peer = msg.src
@@ -273,7 +265,6 @@ class LocalityAgent:
         self.transport.send(home, mtype, dict(fwd, via=via),
                             size_bytes=HEADER_BYTES + estimate_size(fwd))
         self._maybe_hint(peer, gid)
-        return True
 
     def _hop(self, via: List[int], gid: int) -> List[int]:
         """``via`` plus this node: the chain of a message being
@@ -293,9 +284,7 @@ class LocalityAgent:
         """New-home side of a forwarded diff.  Re-splits if some entries
         migrated onward (chained migration): epochs increase along the
         chain, so forwarding terminates."""
-        self._maybe_proxy(
-            msg, M_LOC_FWD_DIFF_ACK, msg.payload["fwd_id"],
-            require_remote=False, ack_field="fwd_id")
+        self.split(msg, self.dsm._diff_rows(msg.payload))
 
     def folds_own_diff(self, gid: int, writer: int, interval: int) -> bool:
         """True when a diff entry from ``writer`` for ``gid`` is this
@@ -304,55 +293,47 @@ class LocalityAgent:
         return (writer == self.node_id
                 and interval <= self._self_folded.get(gid, 0))
 
-    def _maybe_proxy(self, msg: Message, ack_type: str, ack_value: int,
-                     require_remote: bool,
-                     ack_field: str = "ack_id") -> bool:
+    def split(self, msg: Message, rows: List[Tuple[str, Any, Any]]) -> None:
+        """The engine's proxy for a diff batch (direct, recovery re-sent
+        or forwarded) whose entries' rows are not all ``apply_diff``:
+        apply the local part, ack a ``fold`` at the master's current
+        version, send ``forward`` entries to their home and ``bounce``
+        ones via the origin home — with exactly one combined ack
+        promised to the writer."""
         p = msg.payload
-        local: List[Tuple[Any, bytes, Optional[int]]] = []
+        if msg.msg_type == M_LOC_FWD_DIFF:
+            ack_type, ack_field = M_LOC_FWD_DIFF_ACK, "fwd_id"
+        else:
+            ack_field = "ack_id"
+            ack_type = (M_DIFF_ACK if msg.msg_type == M_DIFF
+                        else M_FT_REDIFF_ACK)
+        local: List[Tuple[str, Any, Any]] = []
         folded: List[Tuple[int, int]] = []
         by_home: Dict[int, List[Tuple[Any, bytes, Optional[int]]]] = {}
-        for entry in p["entries"]:
+        for row in rows:
+            effect, entry, unit = row
             gid = entry[0]
-            home = self.dsm.home_node(gid)
-            if home == self.node_id:
-                obj = self.dsm.cache.get(gid)
-                hdr = None if obj is None else obj.header
-                if hdr is None or hdr.state != ObjState.HOME:
-                    # Directory says "here" but the master has not been
-                    # installed yet (grant still in flight): bounce via
-                    # the origin home, whose redirect chain is current.
-                    by_home.setdefault(home_of(gid), []).append(entry)
-                    continue
-                if entry[2] is None and self.folds_own_diff(
-                        gid, p["writer"], p["interval"]):
-                    # This node's own diff coming back around the old
-                    # home: applying it would roll the master back over
-                    # newer local releases.  Ack at the current version.
-                    folded.append((gid, hdr.version))
-                    continue
-                local.append(entry)
+            if effect == "apply_diff":
+                local.append(row)
+            elif effect == "fold":
+                folded.append((gid, unit[1].version))
+            elif effect == "bounce":
+                by_home.setdefault(home_of(gid), []).append(entry)
             else:
-                by_home.setdefault(home, []).append(entry)
-        if require_remote and not by_home and not folded:
-            return False  # clean batch: the normal handler runs
+                by_home.setdefault(self.dsm.home_node(gid), []).append(entry)
         state: Dict[str, Any] = {
             "src": msg.src,
             "ack_type": ack_type,
             "ack_field": ack_field,
-            "ack_value": ack_value,
+            "ack_value": p[ack_field],
             "versions": [],
             "pending": 0,
         }
         state["versions"].extend(folded)
         if local:
-            state["versions"].extend(self.dsm._apply_diff_entries({
-                "entries": local,
-                "writer": p["writer"],
-                "interval": p["interval"],
-            }))
+            state["versions"].extend(self.dsm._apply_diff_entries(p, local))
         for home in sorted(by_home):
             entries = by_home[home]
-            self.dsm.stats.fwd_diffs += len(entries)
             fwd_id = self._next_fwd_id
             self._next_fwd_id += 1
             fpayload = {
@@ -374,7 +355,6 @@ class LocalityAgent:
                 self._maybe_hint(p["writer"], gid)
         if state["pending"] == 0:
             self._finish_proxy(state)
-        return True
 
     def _on_fwd_diff_ack(self, msg: Message) -> None:
         rec = self._fwd_pending.pop(msg.payload["fwd_id"], None)
@@ -400,16 +380,13 @@ class LocalityAgent:
     # migration and the migratory coherence policy both use it)
     # ------------------------------------------------------------------
     def grant_out(self, gid: int, grantee: int,
-                  with_lock_owner: bool = True) -> Optional[Dict[str, Any]]:
+                  with_lock_owner: bool = True) -> Dict[str, Any]:
         """Old-home side: serialize + demote the local master into a
-        grant for ``grantee``, under the next directory epoch, and point
-        this node's view and the runtime's directory at the new home.
-        None when this node holds no master of the unit.  A token-borne
-        grant goes without ``lock_owner``: its grantee is the new lock
-        owner."""
-        unit = self.dsm._loc_grant_unit(gid)
-        if unit is None:
-            return None
+        grant for ``grantee`` (its ``grant_out`` row), under the next
+        directory epoch, and point this node's view and the runtime's
+        directory at the new home.  A token-borne grant goes without
+        ``lock_owner``: its grantee is the new lock owner."""
+        unit = self.dsm.arrive(GRANT_OUT, gid, None)
         epoch = self.dsm.homes.epoch(gid) + 1
         grant = dict(unit)
         grant["epoch"] = epoch
@@ -419,8 +396,10 @@ class LocalityAgent:
         self.manager.runtime.homes.granted(grant, self.node_id, grantee)
         return grant
 
-    def install_grant(self, grant: Dict[str, Any]) -> bool:
-        """Grantee side: become the home of a granted unit.  False when
+    def install_grant(self, grant: Dict[str, Any],
+                      event: str = ACK_GRANT) -> bool:
+        """Grantee side: become the home of a granted unit (its
+        ``event`` row: ``grant.ack`` or ``grant.token``).  False when
         this node's view holds newer news of the unit.
 
         Flushes of the unit by this node may still be in flight to the
@@ -441,7 +420,7 @@ class LocalityAgent:
             self._self_folded[gid] = self.dsm._flush_seq
         # Overwrites clean replicas and merges any dirty twin back on
         # top as a pending home write.
-        self.dsm.ft_install_master(grant)
+        self.dsm.arrive(event, gid, grant)
         self.dsm.lock_owner[gid] = grant.get("lock_owner", self.node_id)
         runtime = self.manager.runtime
         runtime.homes.in_flight.pop(gid, None)  # the grant is home
@@ -473,8 +452,6 @@ class LocalityAgent:
                     gid, writer, MIGRATION_THRESHOLD):
                 continue
             grant = self.grant_out(gid, writer)
-            if grant is None:
-                continue
             self.dsm.stats.migrations_out += 1
             self.profiler.reset(gid)
             self._emit("locality.migrate",
@@ -491,8 +468,7 @@ class LocalityAgent:
         if msg.msg_type != M_DIFF_ACK:
             return
         for grant in msg.payload.get("migrate", ()):
-            if self.install_grant(grant):
-                self.dsm.stats.migrations_in += 1
+            self.install_grant(grant)
 
     # ------------------------------------------------------------------
     # Sharing-pattern prefetch
@@ -546,16 +522,10 @@ class LocalityAgent:
         served = {u["gid"]: u for u in p["units"]}
         for gid in p["requested"]:
             unit = served.get(gid)
-            obj = self.dsm.cache.get(gid)
-            hdr = obj.header if obj is not None else None
-            if (unit is not None and hdr is not None
-                    and hdr.state == ObjState.INVALID
-                    and unit["version"]
-                    >= self.dsm.notice_table.required_scalar(gid)):
-                self.dsm.stats.prefetch_units += 1
-                # Installs (the request is outstanding until then),
-                # and wakes the demand misses it satisfied.
-                if self.dsm._complete_fetch(unit, len(unit["data"])):
+            if unit is not None and self.dsm.arrive(BULK_UNIT, gid, unit):
+                # Installed (the request is outstanding until then):
+                # wake the demand misses it satisfied.
+                if self.dsm._unit_present(gid, None, len(unit["data"])):
                     self.dsm.stats.prefetch_hits += 1
                 continue
             self.dsm._fetch_targets.pop((gid, None), None)

@@ -16,18 +16,20 @@ Correctness notes:
   (``_apply_notices`` skips replicas already at the noticed version).
   A lost or skipped push therefore degrades performance, never
   correctness.
-- A push is installed only when it moves the replica strictly forward,
-  the replica has no pending local writes (twin/dirty), no demand
-  fetch for the unit is in flight (the reply must not find the replica
-  ahead of it), and the pushed version satisfies the notice table (a
-  push must not resurrect a VALID copy older than a seen notice).
+- Whether a push or broadcast is installed is its ``pol.push`` /
+  ``pol.bcast`` row in :mod:`repro.dsm.transitions`: only over a
+  replica with no pending local writes (no twin), when it moves the
+  replica strictly forward, no demand waiter is parked on the unit (the
+  reply must not find the replica ahead of it), and the pushed version
+  satisfies the notice table (a push must not resurrect a VALID copy
+  older than a seen notice).
 - The migratory grant reuses the locality migration machinery.  The
   bootstrap grant rides the M_DIFF_ACK of the promoting diff (under
   the §3.1 fence, exactly like a locality migration grant) and is
   installed by ``LocalityAgent.on_deliver``.  Steady-state grants
   ride the lock token itself (``pol_grant`` payload field): the old
-  home demotes its master in ``_loc_grant_unit`` inside the token-send
-  handler, the new holder installs it via ``ft_install_master`` before
+  home demotes its master (its ``grant_out`` row) inside the token-send
+  handler, the new holder installs it (its ``grant.token`` row) before
   applying the token's notice delta — so the delta's own notice for
   the unit is a no-op against the fresh master and the owner update
   resolves locally.  Directory entries stay epoch-guarded.
@@ -43,6 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..dsm.objectstate import ObjState, split_key
+from ..dsm.transitions import TOKEN_GRANT
 from ..locality.profiler import (
     DIFF,
     FETCH,
@@ -292,7 +295,7 @@ class PolicyAgent:
                         region: Optional[int], bulk: bool) -> None:
         """A demand fetch is being served from this home."""
         hdr = obj.header
-        if bulk or hdr is None or hdr.state != ObjState.HOME:
+        if bulk:
             return
         gid = hdr.gid
         if self.dsm.is_split(gid):
@@ -326,9 +329,7 @@ class PolicyAgent:
             elif policy == POLICY_BROADCAST:
                 self._push_unit(gid, exclude=writer, broadcast=True)
             elif policy == POLICY_MIGRATORY and writer != self.node_id:
-                grant = self._make_grant(gid, writer)
-                if grant is not None:
-                    grants.append(grant)
+                grants.append(self._make_grant(gid, writer))
         if grants:
             ack_payload.setdefault("migrate", []).extend(grants)
 
@@ -355,10 +356,6 @@ class PolicyAgent:
                    broadcast: bool) -> None:
         """Ship the local master to the unit's readers (push) or to
         every live node (broadcast)."""
-        obj = self.dsm.cache.get(gid)
-        if obj is None or obj.header is None \
-                or obj.header.state != ObjState.HOME:
-            return
         unit = self.dsm.ship_unit(gid)
         version = unit["version"]
         if broadcast:
@@ -403,43 +400,15 @@ class PolicyAgent:
     # ------------------------------------------------------------------
     # Push / broadcast install (receiver side)
     # ------------------------------------------------------------------
-    def _install_ok(self, gid: int, version: int) -> bool:
-        if self.dsm.is_split(gid):
-            return False
-        if (gid, None) in self.dsm._fetch_waiters:
-            # A demand fetch is in flight; its reply must not find the
-            # replica already ahead of it.
-            return False
-        obj = self.dsm.cache.get(gid)
-        if obj is None or obj.header is None:
-            return False  # never seen here: this node is not a reader
-        hdr = obj.header
-        if hdr.state == ObjState.HOME:
-            return False
-        if hdr.twin is not None or gid in self.dsm._dirty:
-            return False  # pending local writes would be overwritten
-        if version <= hdr.version:
-            return False
-        # Never resurrect a copy older than a notice already seen: the
-        # next acquire's invalidation decision is version-based.
-        return version >= self.dsm.notice_table.required_scalar(gid)
-
     def _on_push(self, msg: Message) -> None:
-        p = msg.payload
-        gid = p["gid"]
-        if not self._install_ok(gid, p["version"]):
-            return
-        self.dsm._install_unit(p)
-        if msg.msg_type == M_POL_BCAST:
-            self.dsm.stats.pol_bcast_installs += 1
-        else:
-            self.dsm.stats.pol_push_installs += 1
+        """Installed or dropped, as the unit's row says."""
+        self.dsm.arrive(msg.msg_type, msg.payload["gid"], msg.payload)
 
     # ------------------------------------------------------------------
     # Migratory grants
     # ------------------------------------------------------------------
     def _make_grant(self, gid: int, grantee: int,
-                    on_token: bool = False) -> Optional[Dict[str, Any]]:
+                    on_token: bool = False) -> Dict[str, Any]:
         """Hand the local master to ``grantee`` through the locality
         agent's grant-out path and forget what this node had learnt
         about the unit.  A bootstrap grant rides the M_DIFF_ACK (same
@@ -448,8 +417,6 @@ class PolicyAgent:
         rides the lock token."""
         grant = self.locality.grant_out(gid, grantee,
                                         with_lock_owner=not on_token)
-        if grant is None:
-            return None
         self.dsm.stats.pol_grants += 1
         self.profiler.reset(gid)
         if not on_token:
@@ -472,8 +439,6 @@ class PolicyAgent:
         if self.dsm.home_node(gid) != self.node_id:
             return 0
         grant = self._make_grant(gid, req.node, on_token=True)
-        if grant is None:
-            return 0
         payload["pol_grant"] = grant
         return 24 + len(grant["data"])
 
@@ -485,9 +450,8 @@ class PolicyAgent:
                  if msg.msg_type == M_TOKEN else None)
         if grant is None:
             return
-        if not self.locality.install_grant(grant):
+        if not self.locality.install_grant(grant, TOKEN_GRANT):
             return  # a strictly newer migration moved the unit onward
-        self.dsm.stats.pol_grant_installs += 1
         self._emit("policy.grant_install",
                    f"gid={grant['gid']:#x} v{grant['version']} "
                    f"epoch {grant['epoch']}")

@@ -26,15 +26,21 @@ An op runs as one simulated event, the next one after the op's cost.
 The runtime exposes ``engine``, ``workers`` (each with ``dsm``,
 ``node_id`` and ``dead``), ``homes`` and ``worker_added_hooks``, so
 ``InvariantMonitor.attach`` works on it as on a ``JavaSplitRuntime``.
+``locality=True`` attaches the locality subsystem with every knob off:
+its agents then only proxy (forward, split, bounce and fold what the
+transition table hands them) and install grants.  :func:`rows_hit`
+names the transition-table rows a run took.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsm import ClassIdRegistry, ClassSpec, DsmConfig, engine_class
 from repro.dsm.directory import HomeDirectory
+from repro.dsm.transitions import TABLE
 from repro.heap import ArrayObj, Obj
 from repro.net.simnet import SimNetwork
 from repro.net.transport import Transport
@@ -176,10 +182,26 @@ class ScriptHost:
         return self.dsm.replica_for(gid, class_name)
 
 
+@dataclass
+class ScriptConfig(DsmConfig):
+    """The engines' configuration, answering the locality knobs too."""
+
+    locality_migration: bool = False
+    locality_prefetch: bool = False
+    locality_aggregation: bool = False
+
+
+def rows_hit(rt: Any) -> Dict[str, int]:
+    """Transition-table rows taken on every node, by row name."""
+    hits = [sum(col) for col in zip(*(w.dsm.row_hits for w in rt.workers))]
+    return {row.name: n for row, n in zip(TABLE, hits) if n}
+
+
 class ScriptRuntime:
     """A cluster of script hosts running one protocol script."""
 
     locality = None  # what InvariantMonitor.attach looks for
+    ft = None
 
     def __init__(
         self,
@@ -189,11 +211,14 @@ class ScriptRuntime:
         threads: Sequence[Tuple[int, Sequence[Op]]],
         bodies: Optional[Dict[str, Sequence[Op]]] = None,
         config: Optional[DsmConfig] = None,
+        locality: bool = False,
     ) -> None:
         self.engine = SimEngine()
         self.network = SimNetwork(self.engine)
         self.cost_model = get_brand("sun", "app")
-        self.config = config or DsmConfig()
+        config = config or DsmConfig()
+        self.config = ScriptConfig(**{f.name: getattr(config, f.name)
+                                      for f in fields(DsmConfig)})
         self.layouts = {name: Layout(name, fields)
                         for name, fields in classes.items()}
         self.specs = {name: ClassSpec(name, ("i",) * len(fields),
@@ -209,6 +234,10 @@ class ScriptRuntime:
         self.worker_added_hooks: List[Any] = []
         self.homes = HomeDirectory()
         self.workers = [ScriptHost(self, n) for n in range(nodes)]
+        if locality:
+            from repro.locality import LocalityManager
+            self.locality = LocalityManager(self)
+            self.locality.attach()
 
     def run(self, allow_blocked: bool = False) -> Dict[str, List[Any]]:
         """Promote the objects on their homes, start the scripts, run to

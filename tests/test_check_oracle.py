@@ -12,6 +12,7 @@ from repro.check import (
 )
 from repro.dsm import DsmConfig
 from repro.dsm.objectstate import ObjState
+from repro.dsm.transitions import PUSH
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
@@ -232,7 +233,7 @@ def test_backwards_install_is_caught():
     unit = d0.ft_serialize_unit(gid)
     # BUG under test: a replica is overwritten with an older version.
     unit["version"] = d1.cache[gid].header.version - 1
-    d1._install_unit(unit)
+    d1._install_unit(unit, ObjState.VALID, PUSH)
     assert any(v.kind == "version-monotonic" and "backwards" in v.detail
                for v in monitor.violations), monitor.summary()
     assert not oracle.ok  # oracle-version, or oracle-state if v-1 existed

@@ -8,7 +8,7 @@ from repro.check import InvariantMonitor
 from repro.dsm import DsmConfig
 from repro.net.message import M_DIFF, M_FETCH_REQ
 
-from dsm_script import ScriptRuntime
+from dsm_script import ScriptRuntime, rows_hit
 
 BOX = {"Box": ("v",)}
 
@@ -122,6 +122,9 @@ def test_hlrc_home_defers_a_fetch_until_its_diff_is_applied():
             ("served", to, obj.fields[0])))
     reads, sent = _run(rt)
     assert home.dsm.stats.deferred_fetches == 1
+    hits = rows_hit(rt)
+    assert hits["fetch_req HOME defer"] == 1
+    assert hits["fetch_req HOME serve"] == 1  # the deferred one: served late
     # Served with the diff's value, from inside the apply (before the
     # advance is announced; the reply leaves after the handler's delay).
     assert seen == [("served", 1, 0), ("served", 2, 7), ("applied", 1)]

@@ -9,6 +9,7 @@ from repro.check.oracle import normalize_slots
 from repro.check.runner import app_source
 from repro.runtime.config import parse_locality
 from repro.dsm.objectstate import ObjState
+from repro.dsm.transitions import ACK_GRANT, FETCH_REPLY, GRANT_OUT
 from repro.lang import compile_source
 from repro.locality import AccessProfiler
 from repro.rewriter import rewrite_application
@@ -224,11 +225,11 @@ def _grant_round_trip(src, pick):
     before = normalize_slots(
         obj.data if hasattr(obj, "data") else obj.fields)
     version = obj.header.version
-    unit = d0._loc_grant_unit(gid)
-    assert unit is not None and unit["version"] == version
+    unit = d0.arrive(GRANT_OUT, gid, None)
+    assert unit["version"] == version
     # The old home demoted itself as part of serializing the grant.
     assert obj.header.state == ObjState.INVALID
-    d1.ft_install_master(unit)
+    d1.arrive(ACK_GRANT, gid, unit)
     installed = d1.cache.get(gid)
     assert installed.header.state == ObjState.HOME
     assert installed.header.version == version
@@ -334,7 +335,7 @@ def test_monitor_catches_double_master_at_install():
     unit = d0.ft_serialize_unit(gid)
     # BUG under test: install a second master without demoting the
     # first (a grant handoff that skipped the demote).
-    d1.ft_install_master(unit)
+    d1.arrive(ACK_GRANT, gid, unit)
     assert any(v.kind == "single-home" for v in monitor.violations), \
         monitor.summary()
 
@@ -419,7 +420,7 @@ def test_grant_overtaking_a_prefetch_keeps_the_master():
     old, new = rt.workers[home].dsm, rt.workers[grantee].dsm
     # The grantee holds an invalidated replica it read before.
     stale_reply = old.ship_unit(gid)
-    new._install_unit(dict(stale_reply))
+    new.arrive(FETCH_REPLY, gid, dict(stale_reply))
     new.cache[gid].header.state = ObjState.INVALID
     # Prefetch in flight (on_token_notices), a reader parked on it...
     new._fetch_targets[(gid, None)] = home
@@ -436,7 +437,7 @@ def test_grant_overtaking_a_prefetch_keeps_the_master():
     hdr = new.cache[gid].header
     assert hdr.state == ObjState.HOME
     # The fetch reply the old home sent before it granted the unit away.
-    new._complete_fetch(dict(stale_reply), 0)
+    new.arrive(FETCH_REPLY, gid, dict(stale_reply))
     assert hdr.state == ObjState.HOME
     assert new.stats.stale_installs == 1
     with pytest.raises(ProtocolError, match="from itself"):
@@ -484,7 +485,7 @@ def test_grant_install_folds_in_the_grantees_flushes_still_in_flight():
     agents = rt.locality.agents
     grantee = (home + 1) % 3
     old, new = rt.workers[home].dsm, rt.workers[grantee].dsm
-    new._install_unit(old.ship_unit(gid))
+    new.arrive(FETCH_REPLY, gid, old.ship_unit(gid))
     counter = new.cache[gid]
     base = counter.fields[0]
     # A release flushes a write; the ack is not back yet...
