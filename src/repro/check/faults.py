@@ -1,7 +1,10 @@
 """Deterministic fault injection under the simulated network.
 
 Layers seeded faults between :class:`~repro.net.simnet.SimNetwork` and
-its endpoints by wrapping ``network.send``:
+its endpoints.  The four per-frame kinds wrap ``network.send``; the
+wrapper exists only when the plan asks for one of them
+(:attr:`FaultPlan.per_frame`), so a detach-only plan — every ``--kill``
+run — leaves the send path as it is and costs nothing per frame:
 
 * **drop** — the frame silently disappears;
 * **duplicate** — the frame is delivered twice (second copy after a
@@ -14,7 +17,9 @@ its endpoints by wrapping ``network.send``:
   time (its in-flight messages are dropped by the network).
 
 All randomness comes from one :class:`~repro.sim.rng.PCG64` seeded by
-:class:`FaultPlan.seed`, so a failing schedule replays exactly.
+:class:`FaultPlan.seed`, so a failing schedule replays exactly.  The
+generator is the injector's own and only the filter draws from it, so a
+plan with every rate at 0 draws nothing: no ``r < rate`` could be true.
 
 Loopback frames (``src == dst``) are never faulted — a workstation does
 not lose messages to itself — and drop/duplicate faults require the
@@ -101,6 +106,13 @@ class FaultPlan:
         return plan
 
     @property
+    def per_frame(self) -> bool:
+        """True when the plan may touch a frame in flight (drop, dup,
+        delay or reorder), so the injector must see every send."""
+        return (self.drop_rate > 0 or self.dup_rate > 0
+                or self.delay_rate > 0 or self.reorder_rate > 0)
+
+    @property
     def lossy(self) -> bool:
         """True when the plan can lose or duplicate frames (needs ARQ)."""
         return (self.drop_rate > 0 or self.dup_rate > 0
@@ -109,18 +121,28 @@ class FaultPlan:
 
 @dataclass
 class FaultStats:
-    """What the injector actually did."""
+    """What the injector actually did.
+
+    ``seen`` counts the frames the per-frame filter saw: 0 for a
+    detach-only plan, which installs no filter.  ``held_lost`` counts
+    frames the injector held back (delay, reorder, dup) whose source or
+    destination was detached before they were due: the network never
+    accepted them, so they are no :attr:`NetStats.dropped
+    <repro.net.stats.NetStats.dropped>`, which counts frames the wire
+    carried."""
 
     seen: int = 0
     dropped: int = 0
     duplicated: int = 0
     delayed: int = 0
     reordered: int = 0
+    held_lost: int = 0
     detached: List[int] = field(default_factory=list)
 
 
 class FaultInjector:
-    """Wraps one :class:`SimNetwork`'s send path with seeded faults."""
+    """Seeded faults on one :class:`SimNetwork`: a scheduled detach, and
+    a wrap of its send path when the plan is per-frame."""
 
     def __init__(self, network: SimNetwork, plan: FaultPlan) -> None:
         self.network = network
@@ -129,7 +151,8 @@ class FaultInjector:
         self._runtime: Optional["JavaSplitRuntime"] = None
         self._rng = PCG64(plan.seed)
         self._orig_send = network.send
-        network.send = self._send  # type: ignore[method-assign]
+        if plan.per_frame:
+            network.send = self._send  # type: ignore[method-assign]
         if plan.detach_node is not None:
             at = plan.detach_at_ns if plan.detach_at_ns is not None else 0
             network.engine.schedule_at(
@@ -170,23 +193,23 @@ class FaultInjector:
         if msg.src == msg.dst:
             self._orig_send(msg)
             return
-        self.stats.seen += 1
-        p = self.plan
-        r = self._rng.random()
-        if r < p.drop_rate:
-            self.stats.dropped += 1
+        stats, p, rng = self.stats, self.plan, self._rng
+        random = rng.random
+        stats.seen += 1
+        if random() < p.drop_rate:
+            stats.dropped += 1
             return
         extra = 0
-        if self._rng.random() < p.delay_rate:
-            self.stats.delayed += 1
-            extra += self._rng.integers(1, max(2, p.delay_ns))
-        if self._rng.random() < p.reorder_rate:
-            self.stats.reordered += 1
-            extra += self._rng.integers(1, max(2, p.reorder_window_ns))
+        if random() < p.delay_rate:
+            stats.delayed += 1
+            extra += rng.integers(1, max(2, p.delay_ns))
+        if random() < p.reorder_rate:
+            stats.reordered += 1
+            extra += rng.integers(1, max(2, p.reorder_window_ns))
         self._dispatch(msg, extra)
-        if self._rng.random() < p.dup_rate:
-            self.stats.duplicated += 1
-            dup_extra = self._rng.integers(
+        if random() < p.dup_rate:
+            stats.duplicated += 1
+            dup_extra = rng.integers(
                 1, max(2, p.reorder_window_ns or p.delay_ns))
             self._dispatch(msg, extra + dup_extra)
 
@@ -198,11 +221,14 @@ class FaultInjector:
             try:
                 self._orig_send(msg)
             except KeyError:
-                # Destination (or source) detached while held back.
-                self.network.stats.dropped += 1
+                # Destination (or source) detached while held back: the
+                # network never accepted the frame.
+                self.stats.held_lost += 1
         self.network.engine.schedule(extra_ns, later)
 
     # ------------------------------------------------------------------
     def detach_injector(self) -> None:
-        """Restore the network's original send path."""
-        self.network.send = self._orig_send  # type: ignore[method-assign]
+        """Restore the network's original send path, if this injector
+        wrapped it."""
+        if self.network.send == self._send:
+            self.network.send = self._orig_send  # type: ignore[method-assign]

@@ -30,13 +30,16 @@ from typing import Any, Callable, Dict, Optional
 from ..hooks import TransportHooks
 from ..sim.cost_model import CostModel
 from ..sim.engine import NS_PER_MS, EventHandle, SimEngine
-from .message import M_TRANSPORT_ACK, Message
+from .message import HEADER_BYTES, M_TRANSPORT_ACK, Message, estimate_size
 from .simnet import SimNetwork
 
 Handler = Callable[[Message], None]
 
 #: Control frame type for cumulative acks (never seq-numbered).
 ACK_TYPE = M_TRANSPORT_ACK
+#: What every ack bills: its payload is always ``{"next": int}``, and
+#: an int is 8 bytes whatever its value, so it is sized once, here.
+_ACK_BYTES = HEADER_BYTES + estimate_size({"next": 0})
 #: Retransmission timeout.  Must exceed the worst one-way latency plus
 #: any injected jitter/delay, or spurious (harmless but noisy)
 #: retransmissions occur.
@@ -232,8 +235,8 @@ class Transport:
     def _send_ack(self, dst: int) -> None:
         self.stats.acks_sent += 1
         self._net_send(Message(
-            ACK_TYPE, self.node_id, dst, {"next": self._recv_next[dst]}
-        ))
+            ACK_TYPE, self.node_id, dst, {"next": self._recv_next[dst]},
+            _ACK_BYTES))
 
     # ------------------------------------------------------------------
     # Failure epochs

@@ -106,7 +106,11 @@ class PCG64:
 
     def random(self) -> float:
         """A float in [0, 1) from the top 53 bits of one output."""
-        return (self.next64() >> 11) * _TWO_53
+        # next64, inline: one Python frame per draw.
+        state = self._state = (self._state * _MULT + self._inc) & _M128
+        x = ((state >> 64) ^ state) & _M64
+        rot = state >> 122
+        return ((((x >> rot) | (x << (-rot & 63))) & _M64) >> 11) * _TWO_53
 
     def integers(self, low: int, high: int) -> int:
         """A uniform int in [low, high): ``Generator.integers(low, high)``
@@ -117,17 +121,32 @@ class PCG64:
         if span == 0:
             return low
         if span < _M32:
+            # The network's jitter, once per frame: the first draw is
+            # next32 inline (the buffered half, else the low half of a
+            # fresh output); only a Lemire rejection calls out.
             draw, bits, mask = self.next32, 32, _M32
+            first = self._half
+            if first is not None:
+                self._half = None
+            else:
+                state = self._state = \
+                    (self._state * _MULT + self._inc) & _M128
+                x = ((state >> 64) ^ state) & _M64
+                rot = state >> 122
+                x = ((x >> rot) | (x << (-rot & 63))) & _M64
+                self._half = x >> 32
+                first = x & _M32
         elif span == _M32:
             return low + self.next32()
         elif span < _M64:
             draw, bits, mask = self.next64, 64, _M64
+            first = self.next64()
         elif span == _M64:
             return low + self.next64()
         else:
             raise ValueError("range wider than 64 bits")
         excl = span + 1
-        m = draw() * excl
+        m = first * excl
         if m & mask < excl:
             threshold = (mask - span) % excl
             while m & mask < threshold:

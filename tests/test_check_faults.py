@@ -35,7 +35,10 @@ def test_fault_plan_from_spec():
     assert plan.seed == 7
     assert plan.drop_rate == plan.dup_rate == plan.delay_rate == 0.1
     assert plan.reorder_rate >= 0.1
-    assert plan.lossy
+    assert plan.lossy and plan.per_frame
+    for kind in ("drop", "dup", "delay", "reorder"):
+        assert FaultPlan.from_spec(kind).per_frame
+    assert not FaultPlan.from_spec("detach:2@5ms").per_frame
 
 
 def test_fault_plan_rejects_unknown_kind():
@@ -167,6 +170,34 @@ def test_detach_mid_stream_gives_up_cleanly():
     # were recorded as dropped, not silently vanished.
     assert net.stats.dropped >= 20
     assert net.stats.messages >= 40
+
+
+def test_held_back_frames_lost_to_a_detach_are_no_network_drops():
+    # Every frame is held back, then its destination dies: the network
+    # never carried one, so it drops none; the injector counts them.
+    eng, net, ta, tb = _pair()
+    inj = FaultInjector(net, FaultPlan(seed=3, delay_rate=1.0))
+    for i in range(10):
+        ta.send(1, "seq", {"i": i})
+    inj.detach_now(1)
+    eng.run_until_idle()
+    assert net.stats.dropped <= net.stats.messages
+    assert (net.stats.messages, net.stats.dropped) == (0, 0)
+    # Ten frames, each sent once and retransmitted max_retries times.
+    assert inj.stats.held_lost == 10 * (1 + ta.max_retries)
+
+
+def test_a_detach_only_plan_leaves_the_send_path_alone():
+    eng, net, ta, tb = _pair()
+    plan = FaultPlan(seed=0, detach_node=1, detach_at_ns=NS_PER_MS)
+    assert plan.lossy and not plan.per_frame
+    inj = FaultInjector(net, plan)
+    assert "send" not in vars(net)
+    inj.detach_injector()              # nothing of its own to restore
+    assert "send" not in vars(net)
+    got = _stream(ta, tb, eng, n=5)
+    assert got == list(range(5)) and inj.stats.seen == 0
+    assert inj.stats.detached == [1]
 
 
 def test_detach_now_is_idempotent():

@@ -7,18 +7,25 @@ commit *before* the event heap, ``estimate_size``, ``Message``, the link
 cost cache and the DSM cost look-ups were rewritten for speed (PR 22).
 """
 
+import hashlib
 import os
 import weakref
 
 import pytest
+from test_procnet import heap_fingerprint
 
+from repro.check import FaultInjector
+from repro.check import runner as check_runner
 from repro.dsm import DsmConfig
 from repro.lang import compile_source
 from repro.net import Message, SimNetwork
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
+from repro.serve import PRESETS, run_scenario
+from repro.serve import scenario as serve_scenario
 from repro.sim import IBM, SUN, SimEngine
 from repro.sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS
+from repro.sim.rng import PCG64
 
 _LOCKS_MJ = os.path.join(os.path.dirname(__file__), os.pardir,
                          "benchmarks", "e2e", "programs", "locks.mj")
@@ -115,6 +122,178 @@ def test_locks_observables_are_the_recorded_ones(brands, seed):
 def test_hlrc_locks_observables_are_the_recorded_ones(brands, seed):
     assert _locks_observables(brands, seed, "vector") \
         == GOLDEN["vector", brands]
+
+
+# ---------------------------------------------------------------------------
+# Kill path: a node killed mid-run, over the reliable transport
+# ---------------------------------------------------------------------------
+#: The two sweeps that kill a node: ``repro serve --preset churn --seeds
+#: 2`` and ``repro check --app tsp --kill random --nodes 4 --seeds 3``.
+KILL_SWEEPS = {
+    "serve churn": lambda: [run_scenario(PRESETS["churn"], seed=seed)
+                            for seed in (0, 1)],
+    "check tsp kill": lambda: check_runner.run_check(
+        app="tsp", seeds=3, kill="random", nodes=4),
+}
+
+#: Per seed of each sweep: the result, simulated ns, messages and bytes
+#: (in total and per type), frames the wire carried to a dead node, the
+#: killed node, the recovery records and a digest of the master heap.
+#: Recorded before the kill path stopped filtering every frame.
+GOLDEN_KILL = {
+    "check tsp kill": [
+        dict(result=2511, simulated_ns=240000000, messages=642, bytes=79008,
+             dropped=8,
+             by_type={"dsm.diff": (29, 2514), "dsm.diff_ack": (29, 3122),
+                      "dsm.fetch_reply": (40, 4744),
+                      "dsm.fetch_req": (40, 3600), "dsm.lock_fwd": (29, 4901),
+                      "dsm.lock_req": (33, 4257),
+                      "dsm.owner_update": (23, 1748), "dsm.spawn": (3, 348),
+                      "dsm.token": (41, 19950), "ft.ping": (23, 92),
+                      "ft.repl": (82, 17532), "transport.ack": (270, 16200)},
+             killed=[1],
+             recoveries=[dict(dead=1, detected_ns=40000000, drain_ticks=0,
+                              recovered_ns=40000000, buddy=2, units_adopted=0,
+                              tokens_reissued=0, diffs_redirected=0,
+                              fetches_reissued=0, lock_requests_reissued=1,
+                              threads_respawned=1)],
+             heap="d5722126b00ad230"),
+        dict(result=2511, simulated_ns=220000000, messages=655, bytes=79126,
+             dropped=2,
+             by_type={"dsm.diff": (29, 2424), "dsm.diff_ack": (29, 3062),
+                      "dsm.fetch_reply": (41, 4820),
+                      "dsm.fetch_req": (41, 3690), "dsm.lock_fwd": (29, 4901),
+                      "dsm.lock_req": (30, 3870),
+                      "dsm.owner_update": (24, 1824), "dsm.spawn": (3, 348),
+                      "dsm.token": (39, 18671), "ft.ping": (20, 80),
+                      "ft.repl": (90, 18636), "transport.ack": (280, 16800)},
+             killed=[2],
+             recoveries=[dict(dead=2, detected_ns=40000000, drain_ticks=1,
+                              recovered_ns=41000000, buddy=3, units_adopted=0,
+                              tokens_reissued=0, diffs_redirected=0,
+                              fetches_reissued=0, lock_requests_reissued=0,
+                              threads_respawned=1)],
+             heap="59c8de3d013d4c73"),
+        dict(result=2511, simulated_ns=280000000, messages=670, bytes=81003,
+             dropped=0,
+             by_type={"dsm.diff": (29, 2424), "dsm.diff_ack": (29, 3062),
+                      "dsm.fetch_reply": (39, 4692),
+                      "dsm.fetch_req": (39, 3510), "dsm.lock_fwd": (26, 4394),
+                      "dsm.lock_req": (31, 3999),
+                      "dsm.owner_update": (24, 1824), "dsm.spawn": (3, 348),
+                      "dsm.token": (40, 20102), "ft.ping": (26, 104),
+                      "ft.repl": (90, 18960), "ft.suspect": (1, 4),
+                      "transport.ack": (293, 17580)},
+             killed=[3],
+             recoveries=[dict(dead=3, detected_ns=60000000, drain_ticks=0,
+                              recovered_ns=60000000, buddy=0, units_adopted=0,
+                              tokens_reissued=1, diffs_redirected=0,
+                              fetches_reissued=0, lock_requests_reissued=2,
+                              threads_respawned=1)],
+             heap="1867a6b5ee37c1d5"),
+    ],
+    "serve churn": [
+        dict(result=8334, simulated_ns=966000000, messages=3494, bytes=598035,
+             dropped=22,
+             by_type={"dsm.diff": (141, 15384), "dsm.diff_ack": (143, 16634),
+                      "dsm.fetch_reply": (286, 42384),
+                      "dsm.fetch_req": (287, 25830),
+                      "dsm.lock_fwd": (134, 22646),
+                      "dsm.lock_req": (143, 18447),
+                      "dsm.owner_update": (147, 11172), "dsm.spawn": (6, 696),
+                      "dsm.token": (285, 276102), "ft.ping": (94, 376),
+                      "ft.repl": (417, 83704), "transport.ack": (1411, 84660)},
+             killed=[1],
+             recoveries=[dict(dead=1, detected_ns=40000000, drain_ticks=0,
+                              recovered_ns=40000000, buddy=2, units_adopted=0,
+                              tokens_reissued=0, diffs_redirected=0,
+                              fetches_reissued=0, lock_requests_reissued=2,
+                              threads_respawned=2)],
+             heap="c88b8313aa8e91b5"),
+        dict(result=7368, simulated_ns=846000000, messages=2986, bytes=488289,
+             dropped=2,
+             by_type={"dsm.diff": (125, 13652), "dsm.diff_ack": (126, 14648),
+                      "dsm.fetch_reply": (251, 37500),
+                      "dsm.fetch_req": (252, 22680),
+                      "dsm.lock_fwd": (116, 19604),
+                      "dsm.lock_req": (129, 16641),
+                      "dsm.owner_update": (125, 9500), "dsm.spawn": (6, 702),
+                      "dsm.token": (247, 211738), "ft.ping": (83, 332),
+                      "ft.repl": (371, 71992), "transport.ack": (1155, 69300)},
+             killed=[2],
+             recoveries=[dict(dead=2, detected_ns=40000000, drain_ticks=0,
+                              recovered_ns=40000000, buddy=3, units_adopted=0,
+                              tokens_reissued=2, diffs_redirected=0,
+                              fetches_reissued=0, lock_requests_reissued=4,
+                              threads_respawned=2)],
+             heap="413a8535e7fe8b45"),
+    ],
+}
+
+
+def _kill_runs(monkeypatch, sweep, filter_every_frame=False):
+    """Run one kill sweep; return ``(runtime, report, injector)`` per
+    seed.  ``filter_every_frame`` puts the injector's per-frame filter
+    on the send path although the plan has no per-frame fault."""
+    built, injectors = [], {}
+    for module in (check_runner, serve_scenario):
+        def build(*args, _real=module.build_runtime, **kwargs):
+            rt = _real(*args, **kwargs)
+            run = rt.run
+            def run_and_keep():
+                built.append((rt, run()))
+                return built[-1][1]
+            rt.run = run_and_keep
+            return rt
+        monkeypatch.setattr(module, "build_runtime", build)
+    real_attach = FaultInjector.attach.__func__
+
+    def attach(cls, runtime, plan):
+        inj = real_attach(cls, runtime, plan)
+        if filter_every_frame:
+            inj.network.send = inj._send
+        injectors[id(runtime)] = inj
+        return inj
+    monkeypatch.setattr(FaultInjector, "attach", classmethod(attach))
+    KILL_SWEEPS[sweep]()
+    monkeypatch.undo()
+    return [(rt, report, injectors[id(rt)]) for rt, report in built]
+
+
+def _kill_observables(rt, report, inj):
+    net = rt.network.stats
+    heap = repr(sorted(heap_fingerprint(rt).items())).encode()
+    return dict(
+        result=report.result, simulated_ns=report.simulated_ns,
+        messages=net.messages, bytes=net.bytes, dropped=net.dropped,
+        by_type=dict(sorted(net.by_type.items())),
+        killed=list(inj.stats.detached),
+        recoveries=report.ft["recoveries"],
+        heap=hashlib.sha256(heap).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("sweep", sorted(KILL_SWEEPS))
+def test_kill_path_observables_are_the_recorded_ones(monkeypatch, sweep):
+    assert [_kill_observables(*run) for run in _kill_runs(monkeypatch, sweep)] \
+        == GOLDEN_KILL[sweep]
+
+
+@pytest.mark.parametrize("sweep", sorted(KILL_SWEEPS))
+def test_a_detach_only_plan_pays_nothing_per_frame(monkeypatch, sweep):
+    """The per-frame filter's draws were dead: forcing it onto the send
+    path of a detach-only plan changes no observable, and without it the
+    injector neither wraps ``network.send`` nor draws once."""
+    filtered = _kill_runs(monkeypatch, sweep, filter_every_frame=True)
+    plain = _kill_runs(monkeypatch, sweep)
+    assert [_kill_observables(*run) for run in plain] \
+        == [_kill_observables(*run) for run in filtered]
+    for (_, _, forced), (rt, _, inj) in zip(filtered, plain):
+        assert not inj.plan.per_frame and inj.stats.detached
+        assert forced.stats.seen > 0 and inj.stats.seen == 0
+        assert "send" not in vars(rt.network)
+        fresh = PCG64(inj.plan.seed)
+        assert (inj._rng._state, inj._rng._half) == (fresh._state, fresh._half)
+        assert forced._rng._state != fresh._state
 
 
 # ---------------------------------------------------------------------------

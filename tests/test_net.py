@@ -8,6 +8,7 @@ import pytest
 
 from repro.net import HEADER_BYTES, Message, NetStats, SimNetwork, Transport, estimate_size
 from repro.net.message import estimate_size as est
+from repro.net.transport import _ACK_BYTES
 from repro.sim import IBM, SUN, NS_PER_MS, SimEngine
 from repro.sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS
 
@@ -277,6 +278,11 @@ def test_transport_fifo_independent_per_source():
     eng.run_until_idle()
     assert [i for s, i in got if s == 1] == list(range(10))
     assert [i for s, i in got if s == 2] == list(range(10))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**40])
+def test_an_ack_bills_what_its_payload_estimates(n):
+    assert _ACK_BYTES == HEADER_BYTES + estimate_size({"next": n})
 
 
 def test_numpy_is_never_imported():
