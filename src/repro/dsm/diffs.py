@@ -36,11 +36,7 @@ _CHUNK = 256
 
 def make_twin(ref: Any, lo: int = 0, hi: Optional[int] = None) -> list:
     """Snapshot an object's mutable slots (shallow, like the paper's twin)."""
-    return _slots_of(ref)[lo:hi]
-
-
-def _slots_of(ref: Any) -> list:
-    return ref.data if isinstance(ref, ArrayObj) else ref.fields
+    return (ref.data if isinstance(ref, ArrayObj) else ref.fields)[lo:hi]
 
 
 def _kinds_of(ref: Any, spec: Optional[ClassSpec]) -> Tuple[str, Tuple[str, ...]]:
@@ -67,7 +63,7 @@ def compute_diff(
     per entry a 4-byte slot index (relative to ``lo``) and the value in
     its field kind.
     """
-    slots = _slots_of(ref)
+    slots = ref.data if isinstance(ref, ArrayObj) else ref.fields
     if lo or hi is not None:
         slots = slots[lo:hi]
     if len(slots) != len(twin):
@@ -105,7 +101,7 @@ def apply_diff(
 ) -> int:
     """Apply an encoded diff of ``ref[lo:hi]`` to a master copy; returns
     #slots changed.  A rejected diff installs nothing."""
-    slots = _slots_of(ref)
+    slots = ref.data if isinstance(ref, ArrayObj) else ref.fields
     uniform, kinds = _kinds_of(ref, spec)
     end = len(slots) if hi is None else min(hi, len(slots))
     r = Reader(data)

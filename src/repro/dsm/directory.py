@@ -66,7 +66,8 @@ class HomeDirectory:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[int, int]] = {}  # gid -> (home, epoch)
+        # gid -> (home, epoch); ``DsmEngine.home_node`` probes it directly.
+        self._entries: Dict[int, Tuple[int, int]] = {}
         # gid -> (granter, grant) for a grant sent but not yet installed:
         # if its grantee dies, the master goes back to the granter.
         self.in_flight: Dict[int, Tuple[int, Dict[str, Any]]] = {}

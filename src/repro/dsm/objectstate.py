@@ -106,10 +106,6 @@ class DSMHeader(Unit):
         # the detector is enabled and the object has been observed.
         self.race: Any = None
 
-    @property
-    def is_local(self) -> bool:
-        return self.state == ObjState.LOCAL
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DSMHeader({self.class_name}, {self.state.name}, gid={self.gid:#x},"

@@ -54,17 +54,21 @@ from ..net.message import (  # canonical registry lives with the codec
 from ..net.transport import Transport
 from ..sim import cost_model as cm
 from .diffs import apply_diff, compute_diff, make_twin
-from .directory import (MASTER_NODE, ClassIdRegistry, GidAllocator,
-                        HomeDirectory, home_of)
+from .directory import (MASTER_NODE, NODE_SHIFT, ClassIdRegistry,
+                        GidAllocator, HomeDirectory, home_of)
 from .locks import LockRequest, LockToken, NodeLockState
 from .objectstate import (DSMHeader, ObjState, RegionInfo, Unit,
                           attach_header, split_key, unit_key)
 from .serialization import ClassSpec, deserialize_any, serialize_any
 from .transitions import (DIFF, FETCH_REPLY, FETCH_REQ, NOTICE, TABLE,
                           Arrivals, ProtocolError, bind)
-from .write_notices import Notice, NoticeTable
+from .write_notices import NOTICE_BYTES, WRITER_BYTES, Notice, NoticeTable
 
 SCALAR = "scalar"
+
+#: Unit states the access and lock hooks test: ``ObjState.X`` is a class
+#: attribute look-up, paid on every check.
+_LOCAL, _HOME, _INVALID = ObjState.LOCAL, ObjState.HOME, ObjState.INVALID
 
 #: A host thread, duck-typed: ``tid``, ``priority``, ``wake()`` (a miss
 #: re-executes) and ``complete()`` (a grant finishes the blocked op).
@@ -234,8 +238,10 @@ class DsmEngine(Arrivals):
     def home_node(self, gid: int) -> int:
         """Current home of a gid as this node knows it: its entry in
         ``homes`` if the master moved (a migration grant or a failure
-        recovery re-homed it), else its origin node."""
-        return self.homes.home(gid)
+        recovery re-homed it), else its origin node.  ``homes.home(gid)``
+        inline: one probe of the entries, then the gid's origin bits."""
+        entry = self.homes._entries.get(gid)
+        return gid >> NODE_SHIFT if entry is None else entry[0]
 
     # ==================================================================
     # Setup helpers
@@ -415,7 +421,7 @@ class DsmEngine(Arrivals):
                 # out of bounds (let the access raise).
                 return True, 0
             rec = self._regions[hdr.gid].units[region]
-        if rec.state != ObjState.INVALID:
+        if rec.state != _INVALID:
             return True, 0
         self._start_fetch(thread, hdr, region)
         return False, self._handler_ns
@@ -427,7 +433,7 @@ class DsmEngine(Arrivals):
             attach_header(ref)
             return True, 0
         state = hdr.state
-        if state == ObjState.LOCAL:
+        if state == _LOCAL:
             return True, 0
         key = hdr.gid
         rec, region = hdr, None
@@ -438,10 +444,10 @@ class DsmEngine(Arrivals):
             key = (key, region)
             rec = self.unit(key)[1]
             state = rec.state
-        if state == ObjState.INVALID:
+        if state == _INVALID:
             self._start_fetch(thread, hdr, region)
             return False, self._handler_ns
-        if state == ObjState.HOME:
+        if state == _HOME:
             self._dirty_home.add(key)
             return True, 0
         # VALID cached copy: twin before first write (multiple-writer).
@@ -495,7 +501,7 @@ class DsmEngine(Arrivals):
     def acquire(self, thread: Thread, ref: Any) -> Tuple[bool, int]:
         """Hook behind DSM_ACQUIRE: counter fast path, local grant, queueing, or a lock request to the home node."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == _LOCAL:
             # §4.4 fast path: a counter, cheaper than original Java.
             if self.config.local_lock_opt and (
                     hdr.lock_owner is None or hdr.lock_owner is thread):
@@ -552,7 +558,7 @@ class DsmEngine(Arrivals):
     def release(self, thread: Thread, ref: Any) -> int:
         """Hook behind DSM_RELEASE: end the interval (flush diffs) and hand the token to the next requester."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == _LOCAL:
             if hdr.lock_owner is not thread or hdr.lock_count <= 0:
                 raise ProtocolError("release of unheld local lock")
             hdr.lock_count -= 1
@@ -593,7 +599,7 @@ class DsmEngine(Arrivals):
     def dsm_wait(self, thread: Thread, ref: Any) -> None:
         """Object.wait over the token's wait queue (communication-free, §3.2)."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == _LOCAL:
             # wait() implies another thread will notify: the object
             # escapes its creating thread now.
             if hdr.lock_owner is not thread or hdr.lock_count <= 0:
@@ -616,7 +622,7 @@ class DsmEngine(Arrivals):
     def dsm_notify(self, thread: Thread, ref: Any, all_: bool) -> None:
         """Object.notify/notifyAll over the token's wait queue."""
         hdr: DSMHeader = ref.header
-        if hdr.is_local:
+        if hdr.state == _LOCAL:
             # Owner notifying a local object: no one can be waiting on a
             # never-escaped object, so this is a no-op.
             if hdr.lock_owner is not thread or hdr.lock_count <= 0:
@@ -753,7 +759,9 @@ class DsmEngine(Arrivals):
                 "interval": interval,
             }
             self.stats.diffs_sent += len(entries)
-            size = HEADER_BYTES + sum(14 + len(d) for _, d, _r in entries)
+            size = HEADER_BYTES + 14 * len(entries)
+            for _gid, diff, _region in entries:
+                size += len(diff)
             self.stats.diff_bytes += size
             self._pending_diffs[ack_id] = (home, payload, size)
             self._note_flush(entries, interval)
@@ -1185,9 +1193,11 @@ class DsmEngine(Arrivals):
             "queue": [r.wire() for r in token.queue],
             "waitq": [r.wire() for r in token.waitq],
             "seen": {n: dict(m) for n, m in token.seen_notices.items()},
-            "delta": [(n.gid, n.version, n.writer) for n in delta],
+            "delta": list(map(tuple, delta)),   # (gid, version, writer)
         }
-        size = HEADER_BYTES + token.wire_size() + sum(n.wire_size() for n in delta)
+        size = HEADER_BYTES + token.wire_size()
+        for n in delta:     # ``n.wire_size()``, inline
+            size += NOTICE_BYTES if n.writer < 0 else NOTICE_BYTES + WRITER_BYTES
         for fn in self.hooks.token_send:
             size += fn(token.gid, req, payload)
         st.token = None

@@ -10,6 +10,11 @@ kinds matching the class's field layout; :func:`serialize_object` /
 kind.  Everything produces real ``bytes`` so network cost accounting is
 exact.
 
+An instance whose fields are all ``int``/``boolean``/``double`` is
+(de)serialized by one ``struct.Struct`` its spec builds once: the same
+bytes as the per-field loop, which still owns every value the struct
+refuses (a float in an int slot, an int beyond 64 bits).
+
 Reference fields need the environment to map refs ↔ gids and to create
 invalid stub replicas for not-yet-seen objects; that is the
 :class:`Resolver` protocol, implemented by the DSM engine.
@@ -18,7 +23,7 @@ invalid stub replicas for not-yet-seen objects; that is the
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
 from ..heap import ArrayObj, Obj
@@ -64,11 +69,17 @@ class ClassSpec:
     class_name: str
     kinds: Tuple[str, ...]
     field_names: Tuple[str, ...] = ()
+    #: The whole layout in one ``struct``, when every kind is ``i``/``d``.
+    packer: Optional[struct.Struct] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bad = [k for k in self.kinds if k not in (K_INT, K_DOUBLE, K_STR, K_REF)]
         if bad:
             raise SerializationError(f"bad field kinds {bad}")
+        if all(k in _BULK for k in self.kinds):
+            object.__setattr__(self, "packer", struct.Struct(
+                ">" + "".join(_BULK[k] for k in self.kinds)))
 
 
 class Resolver(Protocol):
@@ -240,6 +251,11 @@ def serialize_object(obj: Obj, spec: ClassSpec, resolver: Resolver) -> bytes:
             f"{spec.class_name}: layout has {len(obj.fields)} fields but "
             f"spec has {len(spec.kinds)}"
         )
+    if spec.packer is not None:
+        try:
+            return spec.packer.pack(*obj.fields)
+        except struct.error:
+            pass  # a value to coerce or reject: the loop below owns both
     w = Writer()
     for kind, value in zip(spec.kinds, obj.fields):
         write_value(w, kind, value, resolver)
@@ -248,6 +264,10 @@ def serialize_object(obj: Obj, spec: ClassSpec, resolver: Resolver) -> bytes:
 
 def deserialize_into(obj: Obj, spec: ClassSpec, data: bytes, resolver: Resolver) -> None:
     """Decode into an existing instance, field by field (all or nothing)."""
+    packer = spec.packer
+    if packer is not None and len(data) == packer.size:
+        obj.fields[:len(spec.kinds)] = packer.unpack(data)
+        return
     r = Reader(data)
     values = [read_value(r, kind, resolver) for kind in spec.kinds]
     r.finish()

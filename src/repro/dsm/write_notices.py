@@ -15,8 +15,7 @@ run.  The HLRC baseline's per-writer table lives in :mod:`.hlrc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, NamedTuple
 
 GID_BYTES = 8
 NOTICE_BYTES = GID_BYTES + 4
@@ -24,11 +23,11 @@ NOTICE_BYTES = GID_BYTES + 4
 WRITER_BYTES = 4
 
 
-@dataclass(frozen=True)
-class Notice:
+class Notice(NamedTuple):
     """One write notice: unit ``gid`` reached ``version``.  ``writer`` is
     -1 under MTS-HLRC; the HLRC baseline names the writing node and
-    counts ``version`` in that writer's intervals."""
+    counts ``version`` in that writer's intervals.  A tuple: one is
+    built per notice a token carries or a master publishes."""
 
     gid: Any
     version: int
@@ -52,7 +51,9 @@ class NoticeTable:
     def add(self, notice: Notice) -> bool:
         """Merge a notice; returns True if it advanced the table."""
         self.logged += 1
-        self.logged_bytes += notice.wire_size()
+        # ``notice.wire_size()``, inline.
+        self.logged_bytes += NOTICE_BYTES if notice.writer < 0 \
+            else NOTICE_BYTES + WRITER_BYTES
         if notice.version > self._latest.get(notice.gid, 0):
             self._latest[notice.gid] = notice.version
             return True

@@ -118,12 +118,21 @@ def _size_items(values: Any) -> int:
 
 
 def _size_dict(value: Dict[Any, Any]) -> int:
+    # Payload dicts are str-keyed and mostly int-valued: those two are
+    # sized here (``_size_str``'s ASCII arm, ``int``'s 8), the rest by
+    # the table.
     total = 4
     for k, v in value.items():
-        size = _SIZE_OF.get(type(k), _size_by_isinstance)
-        total += size if size.__class__ is int else size(k)
-        size = _SIZE_OF.get(type(v), _size_by_isinstance)
-        total += size if size.__class__ is int else size(v)
+        if k.__class__ is str and k.isascii():
+            total += 4 + len(k)
+        else:
+            size = _SIZE_OF.get(type(k), _size_by_isinstance)
+            total += size if size.__class__ is int else size(k)
+        if v.__class__ is int:
+            total += 8
+        else:
+            size = _SIZE_OF.get(type(v), _size_by_isinstance)
+            total += size if size.__class__ is int else size(v)
     return total
 
 

@@ -402,11 +402,13 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
 class ProcNetwork(SimNetwork):
     """The simulated network with a real multiprocess wire plane.
 
-    Subclasses :class:`SimNetwork` and overrides only its three
-    physical-plane hooks, so timing, ordering, accounting, and the jitter
-    RNG stream are untouched — a run on this backend follows the exact
-    event schedule of the sim backend while every frame crosses a real
-    socket between worker processes.
+    Subclasses :class:`SimNetwork` and wraps only its ``send`` (the
+    frame goes onto the sockets once the simulated network accepted it)
+    and its ``_deliver`` (the wire-decoded copy is what gets delivered),
+    so timing, ordering, accounting, and the jitter RNG stream are
+    untouched — a run on this backend follows the exact event schedule
+    of the sim backend while every frame crosses a real socket between
+    worker processes.
     """
 
     def __init__(
@@ -642,9 +644,21 @@ class ProcNetwork(SimNetwork):
         self._close_ctrl(node_id)
 
     # ------------------------------------------------------------------
-    # Physical-plane hooks (called by SimNetwork.send / _deliver)
+    # The physical plane, around SimNetwork.send / _deliver
     # ------------------------------------------------------------------
+    def send(self, msg: Message) -> None:
+        super().send(msg)       # a detached endpoint raises here
+        self._outbound(msg)
+
+    def _deliver(self, msg: Message) -> None:
+        if msg.dst in self._handlers:
+            super()._deliver(self._resolve(msg))
+        else:
+            self._discard(msg)
+            super()._deliver(msg)   # counted as dropped
+
     def _outbound(self, msg: Message) -> None:
+        """Put an accepted frame on the source node's control lane."""
         if not self._started:
             self.start()
         self._pump(0)
@@ -674,6 +688,7 @@ class ProcNetwork(SimNetwork):
         # master's copy so the schedule never diverges from sim.
 
     def _resolve(self, msg: Message) -> Message:
+        """The wire-decoded copy of an in-flight frame, to deliver."""
         entry = self._sent.get(msg.msg_id)
         if entry is None:  # not ours (never outbound); deliver as-is
             return msg
@@ -700,6 +715,7 @@ class ProcNetwork(SimNetwork):
         return decoded
 
     def _discard(self, msg: Message) -> None:
+        """Retire a frame dropped in flight (its endpoint detached)."""
         entry = self._sent.get(msg.msg_id)
         if entry is None:
             return

@@ -18,10 +18,11 @@ layer's sequence-number reassembly (failure-injection tests).
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.cost_model import COMM_FIXED_NS, COMM_PER_BYTE_NS, CostModel
-from ..sim.engine import SimEngine
+from ..sim.engine import EventHandle, SimEngine
 from ..sim.rng import PCG64
 from .message import Message
 from .stats import NetStats
@@ -88,14 +89,17 @@ class SimNetwork:
     # ------------------------------------------------------------------
     def latency_ns(self, src: int, dst: int, size_bytes: int) -> int:
         """One-way latency for a message of the given size."""
-        link = self._link_cost.get((src, dst))
-        if link is None:
-            cm_src = self._cost_models[src]
-            cm_dst = self._cost_models[dst]
-            link = self._link_cost[(src, dst)] = (
-                (cm_src[COMM_FIXED_NS] + cm_dst[COMM_FIXED_NS]) // 2,
-                max(cm_src[COMM_PER_BYTE_NS], cm_dst[COMM_PER_BYTE_NS]))
+        link = self._link_cost.get((src, dst)) or self._link(src, dst)
         return link[0] + size_bytes * link[1]
+
+    def _link(self, src: int, dst: int) -> Tuple[int, int]:
+        """Work out and cache a link's ``(fixed, per_byte)`` terms."""
+        cm_src = self._cost_models[src]
+        cm_dst = self._cost_models[dst]
+        link = self._link_cost[(src, dst)] = (
+            (cm_src[COMM_FIXED_NS] + cm_dst[COMM_FIXED_NS]) // 2,
+            max(cm_src[COMM_PER_BYTE_NS], cm_dst[COMM_PER_BYTE_NS]))
+        return link
 
     # ------------------------------------------------------------------
     # Sending
@@ -104,22 +108,44 @@ class SimNetwork:
         """Send a message; the destination handler fires after the modelled
         latency.  Same-node sends are delivered with a minimal loopback
         delay (still asynchronously, to keep handler re-entrancy simple).
+
+        Accounting (the :meth:`NetStats.record` tuples), the link cost,
+        the in-flight count and the delivery event are all worked out
+        here, in one frame: this runs once per message.
         """
         src, dst, msg_type = msg.src, msg.dst, msg.msg_type
-        if dst not in self._handlers:
-            raise KeyError(f"no endpoint attached for node {dst}")
-        if src not in self._cost_models:
-            raise KeyError(f"no endpoint attached for node {src}")
-        self.stats.record(msg)
-        self._in_flight[msg_type] = self._in_flight.get(msg_type, 0) + 1
+        # A cached link means both ends are attached: attach and detach
+        # drop the cache.
+        link = self._link_cost.get((src, dst))
+        if link is None:
+            if dst not in self._handlers:
+                raise KeyError(f"no endpoint attached for node {dst}")
+            if src not in self._cost_models:
+                raise KeyError(f"no endpoint attached for node {src}")
+            link = self._link(src, dst)
+        size = msg.size_bytes
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
+        by = stats.by_type
+        n, b = by.get(msg_type, (0, 0))
+        by[msg_type] = (n + 1, b + size)
+        by = stats.by_link
+        n, b = by.get((src, dst), (0, 0))
+        by[(src, dst)] = (n + 1, b + size)
+        in_flight = self._in_flight
+        in_flight[msg_type] = in_flight.get(msg_type, 0) + 1
         if src == dst:
             delay = 500  # loopback
         else:
-            delay = self.latency_ns(src, dst, msg.size_bytes)
+            delay = link[0] + size * link[1]
             if self._jitter_ns:
                 delay += self._rng.integers(0, self._jitter_ns)
-        self._outbound(msg)
-        self.engine.schedule(delay, partial(self._deliver, msg))
+        # ``engine.schedule``, inline: the delay is never negative.
+        engine = self.engine
+        heappush(engine._heap, EventHandle(
+            (engine._now + delay, engine._seq, partial(self._deliver, msg))))
+        engine._seq += 1
 
     def _deliver(self, msg: Message) -> None:
         msg_type = msg.msg_type
@@ -132,28 +158,14 @@ class SimNetwork:
         if handler is None:
             # Endpoint detached while the message was in flight: drop it,
             # but keep the accounting consistent (the wire carried it).
-            self._discard(msg)
             self.stats.dropped += 1
             return
-        handler(self._resolve(msg))
+        handler(msg)
 
-    # ------------------------------------------------------------------
-    # Physical-plane hooks.  The simulated network delivers the very
-    # object that was sent; a real transport plane (``repro.net.procnet``)
-    # overrides these to push every accepted frame onto actual sockets at
-    # send time and to substitute the wire-decoded copy at delivery time.
-    # All three are no-ops here, keeping sim behaviour byte-identical.
-    # ------------------------------------------------------------------
-    def _outbound(self, msg: Message) -> None:
-        """Called once per accepted frame, after accounting."""
-
-    def _resolve(self, msg: Message) -> Message:
-        """Map an in-flight frame to the instance to deliver."""
-        return msg
-
-    def _discard(self, msg: Message) -> None:
-        """Called instead of :meth:`_resolve` for dropped frames."""
-
+    # The simulated network delivers the very object that was sent.  A
+    # real transport plane (``repro.net.procnet``) overrides ``send`` to
+    # push each accepted frame onto actual sockets and ``_deliver`` to
+    # hand over the wire-decoded copy, and has this to shut down.
     def stop(self) -> Optional[dict]:
         """Shut down the physical plane, returning its summary.  The
         simulated network has none; the proc backend overrides this."""

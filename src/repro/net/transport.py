@@ -127,20 +127,32 @@ class Transport:
         payload: Optional[Dict[str, Any]] = None,
         size_bytes: int = 0,
     ) -> Message:
-        """Send a typed message; FIFO per destination via sequence numbers."""
+        """Send a typed message; FIFO per destination via sequence numbers.
+
+        A plain frame (no filter holds it, no ARQ, no epoch stamp, no
+        dead peer) is sequenced here and handed straight to the network;
+        everything else goes through :meth:`send_frame`."""
         msg = Message(msg_type, self.node_id, dst,
                       dict(payload) if payload else {}, size_bytes)
         held = False
         for fn in self.hooks.outbound:
             if fn(msg):
                 held = True
-        if not held:
+        if held:
+            return msg
+        if self.reliable or self.stamp_epoch or self.dead_peers:
             self.send_frame(msg)
+            return msg
+        seq = self._send_seq.get(dst, 0)
+        self._send_seq[dst] = seq + 1
+        msg.payload["__seq__"] = seq
+        self.network.send(msg)      # a detached peer raises
         return msg
 
     def send_frame(self, msg: Message) -> None:
         """Sequence a frame and put it on the link, past the outbound
-        filters (a filter that held a frame back re-enters here)."""
+        filters: the path of a frame a filter held back, of the ARQ and
+        epoch-stamped modes, and of any frame once a peer died."""
         dst = msg.dst
         seq = self._send_seq.get(dst, 0)
         self._send_seq[dst] = seq + 1
@@ -287,7 +299,16 @@ class Transport:
         expected = self._recv_next.get(src, 0)
         if seq == expected:
             self._recv_next[src] = expected + 1
-            self._dispatch(msg)
+            handler = self._handlers.get(msg.msg_type)
+            if handler is None or self.hooks.deliver:
+                self._dispatch(msg)
+            else:
+                # ``_dispatch`` inline: the in-order frame nothing taps.
+                outer, self.delivering = self.delivering, msg
+                try:
+                    handler(msg)
+                finally:
+                    self.delivering = outer
             # Drain any buffered successors.
             buf = self._reassembly.get(src)
             while buf:
@@ -334,6 +355,8 @@ class Transport:
             self._dispatch(inner)
 
     def _dispatch(self, msg: Message) -> None:
+        """Run a frame's handler past the deliver taps (an in-order,
+        untapped frame is dispatched inline by :meth:`_on_raw`)."""
         handler = self._handlers.get(msg.msg_type)
         if handler is None:
             raise RuntimeError(

@@ -19,6 +19,7 @@ from repro.check import runner as check_runner
 from repro.dsm import DsmConfig
 from repro.lang import compile_source
 from repro.net import Message, SimNetwork
+from repro.net.message import HEADER_BYTES, M_LOCK_FWD, estimate_size
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
 from repro.serve import PRESETS, run_scenario
@@ -87,13 +88,16 @@ GOLDEN = {
 }
 
 
-def _locks_observables(brands, seed, timestamp_mode):
+def _locks_observables(brands, seed, timestamp_mode, tap=None):
     with open(_LOCKS_MJ) as fh:
         source = fh.read().replace("@THREADS@", "4").replace("@ITERS@", "50")
     rt = JavaSplitRuntime(
         rewrite_application(list(compile_source(source))),
         RuntimeConfig(num_nodes=3, cpus_per_node=2, brands=brands, seed=seed,
                       dsm=DsmConfig(timestamp_mode=timestamp_mode)))
+    if tap is not None:
+        for worker in rt.workers:
+            tap(worker.transport)
     report = rt.run()
     net = rt.network.stats
     return dict(
@@ -122,6 +126,39 @@ def test_locks_observables_are_the_recorded_ones(brands, seed):
 def test_hlrc_locks_observables_are_the_recorded_ones(brands, seed):
     assert _locks_observables(brands, seed, "vector") \
         == GOLDEN["vector", brands]
+
+
+def _idle_taps(transport):
+    """A deliver tap and an outbound filter that do nothing: they only
+    move every frame off the inline path onto ``_dispatch``."""
+    transport.hooks.deliver.append(lambda msg: None)
+    transport.hooks.outbound.append(lambda msg: False)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode,brands", sorted(GOLDEN))
+def test_tapped_and_untapped_paths_agree(mode, brands, seed):
+    assert _locks_observables(brands, seed, mode, tap=_idle_taps) \
+        == GOLDEN[mode, brands]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_on_lock_req/_on_lock_fwd forward dict(msg.payload): the received "
+    "frame's __seq__ (19 bytes) is billed again"))
+def test_a_forwarded_lock_request_bills_only_protocol_fields():
+    forwarded = []
+
+    def watch(transport):
+        transport.hooks.outbound.append(
+            lambda msg: msg.msg_type == M_LOCK_FWD and forwarded.append(msg))
+
+    _locks_observables(("sun",), 0, "scalar", tap=watch)
+    assert forwarded
+    for msg in forwarded:
+        fields = {k: v for k, v in msg.payload.items()
+                  if not k.startswith("__")}
+        assert msg.size_bytes == HEADER_BYTES + estimate_size(fields), \
+            sorted(msg.payload)
 
 
 # ---------------------------------------------------------------------------

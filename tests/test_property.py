@@ -27,7 +27,7 @@ from repro.dsm.hlrc import WriterNoticeTable, advance, covers
 from repro.dsm import diffs, serialization
 from repro.dsm.diffs import apply_diff, compute_diff, make_twin
 from repro.dsm.serialization import (
-    K_DOUBLE, K_INT, K_STR, SerializationError, Writer, deserialize_array,
+    K_DOUBLE, K_INT, K_REF, K_STR, SerializationError, Writer, deserialize_array,
     deserialize_into, kind_of_type, serialize_array, serialize_object,
     write_value,
 )
@@ -426,6 +426,91 @@ def test_bulk_kernel_leaves_coercions_and_range_errors_to_the_loop():
         with _loop_only(), pytest.raises(SerializationError,
                                          match="exceeds 64 bits"):
             serialize_array(_array("int", values), res)
+
+
+# ---------------------------------------------------------------------------
+# Per-class codec == per-field reference loop
+# ---------------------------------------------------------------------------
+# A ClassSpec whose kinds are all int/double packs an instance with one
+# cached ``struct.Struct`` (``spec.packer``); the per-field
+# ``write_value`` loop is the reference it must match byte for byte.
+def _field_loop(spec, values):
+    w = Writer()
+    for kind, value in zip(spec.kinds, values):
+        write_value(w, kind, value, _NullResolver())
+    return w.getvalue()
+
+
+_numeric_field = {
+    K_INT: st.one_of(
+        st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+        st.sampled_from(_I64_EDGES), st.booleans()),
+    K_DOUBLE: st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([float("nan"), -0.0, 5e-324]),
+        st.integers(min_value=-(1 << 53), max_value=1 << 53), st.booleans()),
+}
+
+
+@st.composite
+def numeric_spec_and_fields(draw):
+    kinds = draw(st.lists(st.sampled_from([K_INT, K_DOUBLE]), max_size=8))
+    return (ClassSpec("T", tuple(kinds)),
+            [draw(_numeric_field[k]) for k in kinds])
+
+
+@given(sf=numeric_spec_and_fields())
+@example(sf=(ClassSpec("T", ()), []))
+@example(sf=(ClassSpec("T", (K_INT, K_DOUBLE, K_INT)), [True, False, -1]))
+def test_class_codec_matches_the_field_loop(sf):
+    spec, values = sf
+    assert spec.packer is not None
+    data = serialize_object(_FakeObj(list(values)), spec, _NullResolver())
+    assert data == _field_loop(spec, values)
+    out = _FakeObj([None] * len(values))
+    deserialize_into(out, spec, data, _NullResolver())
+    assert _bits(out.fields) == _bits(
+        [int(v) if k == K_INT else float(v)
+         for k, v in zip(spec.kinds, values)])
+
+
+def test_class_codec_named_cases():
+    res = _NullResolver()
+    ints = ClassSpec("T", (K_INT, K_INT))
+    # A bool in an int slot packs as the int it is.
+    assert serialize_object(_FakeObj([True, 5]), ints, res) \
+        == _field_loop(ints, [1, 5])
+    # A float in an int slot: struct refuses it, the loop truncates it.
+    with pytest.raises(struct.error):
+        ints.packer.pack(2.9, 5)
+    assert serialize_object(_FakeObj([2.9, 5]), ints, res) \
+        == _field_loop(ints, [2, 5])
+    # Past 64 bits: the loop's error, not struct's.
+    with pytest.raises(SerializationError, match="exceeds 64 bits"):
+        serialize_object(_FakeObj([1 << 70, 0]), ints, res)
+    # An int no double holds: the loop's float() raises.
+    doubles = ClassSpec("T", (K_DOUBLE,))
+    with pytest.raises(OverflowError):
+        serialize_object(_FakeObj([1 << 2000]), doubles, res)
+    # Short and long payloads: the loop's errors, and nothing installed.
+    data = serialize_object(_FakeObj([3, 4]), ints, res)
+    for bad, match in ((data[:-1], "truncated"), (data[:3], "truncated"),
+                       (data + b"\0", "after end of payload")):
+        out = _FakeObj([7, 7])
+        with pytest.raises(SerializationError, match=match):
+            deserialize_into(out, ints, bad, res)
+        assert out.fields == [7, 7]
+
+
+@pytest.mark.parametrize("kinds", [(K_INT, K_STR), (K_REF,),
+                                   (K_DOUBLE, K_REF, K_INT)])
+def test_a_str_or_ref_kind_never_takes_the_struct_path(kinds):
+    spec = ClassSpec("T", kinds)
+    assert spec.packer is None
+    values = [{K_INT: 3, K_DOUBLE: 1.5, K_STR: "x", K_REF: None}[k]
+              for k in kinds]
+    assert serialize_object(_FakeObj(values), spec, _NullResolver()) \
+        == _field_loop(spec, values)
 
 
 class _RefResolver(_NullResolver):
