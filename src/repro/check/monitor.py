@@ -89,10 +89,6 @@ class InvariantMonitor:
     def __init__(self, strict: bool = False) -> None:
         self.strict = strict
         self.violations: List[Violation] = []
-        # Optional callback fired on every violation with (node, kind,
-        # detail) — before the strict-mode raise, so the flight recorder
-        # dumps its postmortem even when the violation aborts the run.
-        self.on_violation: Optional[Any] = None
         self._engine = None               # sim engine, for timestamps
         self._runtime = None
         self._workers: List[Any] = []
@@ -123,10 +119,7 @@ class InvariantMonitor:
         for worker in runtime.workers:
             monitor._subscribe(worker)
         # Late joiners too (the same invariants apply to them).
-        runtime.worker_added_hooks.append(monitor._subscribe)
-        obs = getattr(runtime, "obs", None)
-        if obs is not None and getattr(obs, "flight_enabled", False):
-            monitor.on_violation = obs.dump_on_violation
+        runtime.hooks.worker_added.append(monitor._subscribe)
         return monitor
 
     # ------------------------------------------------------------------
@@ -134,8 +127,11 @@ class InvariantMonitor:
         v = Violation(self._engine.now if self._engine else 0,
                       node, kind, detail)
         self.violations.append(v)
-        if self.on_violation is not None:
-            self.on_violation(node, kind, detail)
+        # Before the strict-mode raise, so the flight recorder dumps its
+        # postmortem even when the violation aborts the run.
+        if self._runtime is not None:
+            for fn in self._runtime.hooks.violation:
+                fn(node, kind, detail)
         if self.strict:
             raise MonitorError(str(v))
 

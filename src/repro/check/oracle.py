@@ -40,7 +40,7 @@ result and console output against an un-instrumented single-JVM run.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from ..dsm.objectstate import ObjState, split_key, unit_key
 from ..dsm.protocol import M_DIFF, M_FT_REDIFF, DsmEngine
@@ -76,10 +76,8 @@ class SingleCopyOracle:
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
-        # Optional callback fired on every violation with (node, kind,
-        # detail) — the flight recorder hooks in here to dump postmortems.
-        self.on_violation: Optional[Any] = None
         self._engine = None
+        self._runtime = None
         self._workers: List[Any] = []
         # key -> version -> list of acceptable normalized snapshots.
         self._golden: Dict[Any, Dict[int, List[Tuple[Any, ...]]]] = {}
@@ -93,15 +91,13 @@ class SingleCopyOracle:
     def attach(cls, runtime: "JavaSplitRuntime") -> "SingleCopyOracle":
         oracle = cls()
         oracle._engine = runtime.engine
+        oracle._runtime = runtime
         for worker in runtime.workers:
             oracle._subscribe(worker)
         # Workers that join mid-run publish versions too; unobserved,
         # their diffs would look "never published" to every install
         # check on the original nodes.
-        runtime.worker_added_hooks.append(oracle._subscribe)
-        obs = getattr(runtime, "obs", None)
-        if obs is not None and getattr(obs, "flight_enabled", False):
-            oracle.on_violation = obs.dump_on_violation
+        runtime.hooks.worker_added.append(oracle._subscribe)
         return oracle
 
     # ------------------------------------------------------------------
@@ -109,8 +105,9 @@ class SingleCopyOracle:
         self.violations.append(Violation(
             self._engine.now if self._engine else 0, node, kind, detail
         ))
-        if self.on_violation is not None:
-            self.on_violation(node, kind, detail)
+        if self._runtime is not None:
+            for fn in self._runtime.hooks.violation:
+                fn(node, kind, detail)
 
     @property
     def ok(self) -> bool:

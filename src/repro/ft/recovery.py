@@ -32,7 +32,7 @@ heap and releases every survivor that was blocked on the dead node:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..dsm.locks import LockToken
 from ..dsm.protocol import M_SPAWN, M_TOKEN
@@ -61,12 +61,11 @@ class RecoveryOrchestrator:
     def __init__(self, manager: "FtManager") -> None:
         self.manager = manager
         self.records: List[Dict[str, Any]] = []
-        # Observers (DsmTracer / obs subsystem).  ``event_sink`` gets
-        # (time_ns, kind, detail) lines for the flat event log;
-        # ``on_recovered`` gets each completed recovery record so the
-        # telemetry layer can turn its phases into spans.
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
-        self.on_recovered: Optional[Callable[[Dict[str, Any]], None]] = None
+        self.hooks = manager.runtime.hooks
+
+    def _narrate(self, kind: str, detail: str) -> None:
+        for fn in self.hooks.narrate:
+            fn(self.manager.coordinator, kind, detail)
 
     # ------------------------------------------------------------------
     def begin(self, dead: int) -> None:
@@ -80,9 +79,7 @@ class RecoveryOrchestrator:
             "detected_ns": runtime.engine.now,
             "drain_ticks": 0,
         }
-        if self.event_sink is not None:
-            self.event_sink(runtime.engine.now, "ft.detect",
-                            f"node {dead} declared failed")
+        self._narrate("ft.detect", f"node {dead} declared failed")
         for w in self._live(dead):
             w.dsm.ft_set_token_freeze(True)
         self._drain(dead, record)
@@ -197,10 +194,10 @@ class RecoveryOrchestrator:
             w.dsm.ft_redirect_pending(dead, buddy_id) for w in live)
         refetches = sum(w.dsm.ft_reissue_fetches(dead) for w in live)
         relocks = sum(w.dsm.ft_reissue_blocked() for w in live)
-        if runtime.locality is not None:
-            # Re-aim pending forwarded diffs and drop unanswerable
-            # prefetches on every survivor.
-            runtime.locality.on_peer_dead_all(dead)
+        # Per-peer subsystem state follows (the locality agents re-aim
+        # forwarded diffs and drop unanswerable prefetches).
+        for fn in self.hooks.peer_dead:
+            fn(dead)
 
         # Phase 6: invalidate unprovable replicas.
         notices = [(key_of(u), u["version"]) for u in units]
@@ -228,21 +225,6 @@ class RecoveryOrchestrator:
         for w in live:
             w.dsm.ft_set_token_freeze(False)
 
-        policy = getattr(runtime, "policy", None)
-        if policy is not None:
-            # Every classification was built partly from the dead node's
-            # accesses and a promoted unit's reader set may name it:
-            # wipe all policy state back to plain invalidation (degraded
-            # mode) and re-learn from live traffic.
-            policy.on_recovery(dead)
-
-        race = getattr(runtime, "race", None)
-        if race is not None:
-            # Lock clocks and buffered access events on the dead node are
-            # gone; analyzing across the recovery would fabricate races.
-            # Wipe all detector metadata and run degraded from here on.
-            race.on_recovery(dead)
-
         manager.recovering.discard(dead)
         record.update({
             "recovered_ns": runtime.engine.now,
@@ -255,10 +237,11 @@ class RecoveryOrchestrator:
             "threads_respawned": respawned,
         })
         self.records.append(record)
-        if self.event_sink is not None:
-            self.event_sink(
-                runtime.engine.now, "ft.recovered",
-                f"node {dead} recovered via buddy {buddy_id}: "
-                f"{len(units)} units, {respawned} threads")
-        if self.on_recovered is not None:
-            self.on_recovered(record)
+        # State the dead node fed is wiped (policy classifications, race
+        # clocks: both run degraded from here on); telemetry turns the
+        # record into spans.
+        for fn in self.hooks.recovered:
+            fn(dead, record)
+        self._narrate("ft.recovered",
+                      f"node {dead} recovered via buddy {buddy_id}: "
+                      f"{len(units)} units, {respawned} threads")

@@ -1,5 +1,5 @@
-"""The one tap mechanism: named hook points on the DSM engine and the
-transport.
+"""The one tap mechanism: named hook points on the DSM engine, the
+transport and the runtime.
 
 The coherence core (:mod:`repro.dsm.protocol`, :mod:`repro.net.transport`)
 knows nothing about the services that ride on it.  It fires a small,
@@ -11,9 +11,16 @@ empty the engine runs the bare paper protocol.  Nothing rebinds an
 engine or transport method; ``tests/test_hooks.py`` enforces that over
 the whole tree.
 
+The subsystems reach one another the same way, through the runtime's
+own points (``runtime.hooks``, :class:`RuntimeHooks`): a late joiner,
+a line of narration, a peer death, a finished recovery, a checker's
+violation and the end of a run are each one declared point, fired by
+whoever owns the event and heard by whoever subscribed — the fault
+tolerance recovery and ``JavaSplitRuntime.run`` name no subsystem.
+
 Subscribers run in registration order, which is the attach order fixed
 by ``runtime.javasplit.SUBSYSTEMS`` (ft, locality, policy, race, obs,
-then anything attached afterwards: checkers, tracer).  Three roles:
+jit, then anything attached afterwards: checkers, tracer).  Three roles:
 
 * **observer** — called for its side effects; the return value is ignored.
 * **interceptor** — returns true to take the event over.
@@ -72,6 +79,32 @@ outbound        a logical frame is about to be sequenced; every filter     inter
 deliver         a frame is about to be dispatched to its handler           observer
                 ``(msg)``
 ==============  =========================================================  ===========
+
+==============  =========================================================  ===========
+RuntimeHooks    fired when (arguments)                                     role
+==============  =========================================================  ===========
+worker_added    a worker joined after the runtime was built, once its      observer
+                home view is seeded ``(worker)``
+narrate         a subsystem tells the flat event log what it did (a        observer
+                migration, a promotion, a race report, a recovery step)
+                ``(node, kind, detail)``
+peer_dead       recovery phase 5: survivors' DSM state is repaired, and    observer
+                what a subsystem keeps per peer must follow ``(dead)``
+recovered       a recovery finished and its record is complete; a          observer
+                subsystem whose state the dead node fed resets here
+                ``(dead, record)``
+violation       a checker found a violation, before a strict raise         observer
+                ``(node, kind, detail)``
+finished        the run quiesced with no thread blocked; drain what is     observer
+                still buffered before the report ``()``
+==============  =========================================================  ===========
+
+Four control callbacks stay single slots on purpose: each has exactly
+one consumer and drives behaviour rather than observing it
+(``ProcNetwork.on_proc_death`` and ``on_flight_dump``,
+``Transport.on_peer_unreachable``, ``DsmEngine.on_spawn_arrival``); so
+does the interpreter's ``race_hook``, the race detector's tap on the
+per-access path.
 """
 
 from __future__ import annotations
@@ -114,3 +147,11 @@ class TransportHooks(HookPoints):
     """Hook points fired by :class:`repro.net.transport.Transport`."""
 
     __slots__ = ("outbound", "deliver")
+
+
+class RuntimeHooks(HookPoints):
+    """Hook points fired by :class:`repro.runtime.javasplit.JavaSplitRuntime`
+    and the subsystems riding on it (``runtime.hooks``)."""
+
+    __slots__ = ("worker_added", "narrate", "peer_dead", "recovered",
+                 "violation", "finished")

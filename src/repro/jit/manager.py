@@ -262,7 +262,8 @@ class JitManager:
     def attach(self) -> None:
         for worker in self.runtime.workers:
             self._attach_worker(worker)
-        self.runtime.worker_added_hooks.append(self._attach_worker)
+        self.runtime.hooks.worker_added.append(self._attach_worker)
+        self.runtime.hooks.finished.append(self.finalize_metrics)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         self.agents.append(JitAgent(self, worker))
@@ -282,7 +283,7 @@ class JitManager:
                               method=f"{method.klass}.{method.name}")
 
     def finalize_metrics(self) -> None:
-        """Publish cumulative jit.* counters (called from run())."""
+        """Publish cumulative jit.* counters (at the end of the run)."""
         metrics = self._metrics()
         if metrics is None:
             return

@@ -33,7 +33,7 @@ Correctness notes for the migration handoff:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..dsm.directory import home_of
 from ..dsm.objectstate import ObjState, split_key
@@ -105,8 +105,6 @@ class LocalityManager:
         self.prefetch = cfg.locality_prefetch
         self.aggregation = cfg.locality_aggregation
         self.agents: Dict[int, "LocalityAgent"] = {}
-        # Optional tracer callback: (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -114,22 +112,12 @@ class LocalityManager:
     def attach(self) -> None:
         for w in self.runtime.workers:
             self._attach_worker(w)
-        self.runtime.worker_added_hooks.append(self._attach_worker)
+        self.runtime.hooks.worker_added.append(self._attach_worker)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = LocalityAgent(self, worker)
         self.agents[worker.node_id] = agent
         agent.attach()
-
-    # ------------------------------------------------------------------
-    # Failure-recovery hooks (driven by repro.ft.recovery)
-    # ------------------------------------------------------------------
-    def on_peer_dead_all(self, dead: int) -> None:
-        """Per-agent cleanup after a peer death (recovery phase 5)."""
-        for node_id in sorted(self.agents):
-            if self.runtime.workers[node_id].dead or node_id == dead:
-                continue
-            self.agents[node_id].on_peer_dead(dead)
 
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, Any]:
@@ -160,6 +148,7 @@ class LocalityAgent:
         self.dsm = worker.dsm
         self.transport = worker.transport
         self.node_id = worker.node_id
+        self.narrate = manager.runtime.hooks.narrate
         self.migration = manager.migration
         self.prefetch = manager.prefetch
         self.aggregation = manager.aggregation
@@ -194,6 +183,7 @@ class LocalityAgent:
         hooks = self.dsm.hooks
         self.dsm.proxy = self
         t.hooks.deliver.append(self.on_deliver)
+        self.manager.runtime.hooks.peer_dead.append(self.on_peer_dead)
         if self.migration:
             hooks.diff_applied.append(self.consider_migration)
         if self.prefetch:
@@ -208,8 +198,8 @@ class LocalityAgent:
             t.hooks.outbound.append(self._agg_filter)
 
     def _emit(self, kind: str, detail: str) -> None:
-        if self.manager.event_sink is not None:
-            self.manager.event_sink(self.node_id, kind, detail)
+        for fn in self.narrate:
+            fn(self.node_id, kind, detail)
 
     # ------------------------------------------------------------------
     # Redirect gossip
@@ -587,9 +577,12 @@ class LocalityAgent:
     # Failure recovery
     # ------------------------------------------------------------------
     def on_peer_dead(self, dead: int) -> None:
-        """A peer died: re-aim pending forwarded diffs at the adoptive
-        home and drop prefetches that can never be answered (parked
-        demand waiters were already re-issued by ft_reissue_fetches)."""
+        """A peer died (recovery phase 5): re-aim pending forwarded
+        diffs at the adoptive home and drop prefetches that can never be
+        answered (parked demand waiters were already re-issued by
+        ft_reissue_fetches).  Survivors only."""
+        if self.worker.dead or self.node_id == dead:
+            return
         for fwd_id in sorted(self._fwd_pending):
             rec = self._fwd_pending[fwd_id]
             if rec["dst"] != dead:

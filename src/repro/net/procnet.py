@@ -54,7 +54,7 @@ from ..sim.engine import SimEngine
 from .message import Message
 from .simnet import SimNetwork
 from .wire import (FrameDecoder, WireError, decode_frame, encode_frame,
-                   frame_with_prefix, peek_msg_id, peek_route, set_wire_timer)
+                   frame_with_prefix, peek_msg_id, peek_route)
 
 # Control-plane frame types (master <-> worker only; never simulated):
 # dst == MASTER_ID.  Any other frame on a control lane is data in transit.
@@ -70,6 +70,9 @@ CTRL_DELTA = "proc.delta"
 
 #: Master's node id on the control plane (never a simulated node).
 MASTER_ID = -1
+#: Node the master process's codec time is billed to: the master node,
+#: whose process runs the simulation.
+CODEC_NODE = 0
 
 _RECV_CHUNK = 1 << 16
 
@@ -196,7 +199,15 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     if wallclock:
         hists = {name: Histogram() for name in (
             "loop_lag_ns", "wire_encode_ns", "wire_decode_ns")}
-        set_wire_timer(lambda op, ns: hists[f"wire_{op}_ns"].observe(ns))
+
+    def codec(op: str, fn: Callable[[Any], Any], arg: Any) -> Any:
+        """``fn(arg)``, the frame codec, timed into ``wire_<op>_ns``."""
+        if not wallclock:
+            return fn(arg)
+        t0 = time.monotonic_ns()
+        out = fn(arg)
+        hists[f"wire_{op}_ns"].observe(time.monotonic_ns() - t0)
+        return out
 
     def flight_note(event_kind: str, **detail: Any) -> None:
         event = {"kind": event_kind, "wall_ns": time.monotonic_ns(),
@@ -249,7 +260,8 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             running = False     # master is gone
 
     def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
-        ctrl_write(encode_frame(_ctrl_msg(msg_type, node_id, payload)))
+        ctrl_write(codec("encode", encode_frame,
+                         _ctrl_msg(msg_type, node_id, payload)))
 
     def drop_peer(sock: socket.socket) -> None:
         conns.pop(sock, None)
@@ -294,7 +306,7 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
         dst = peek_route(raw)[1]
         if dst != MASTER_ID:
             return relay(dst, raw)  # a data frame: routed, never decoded
-        msg = decode_frame(raw)
+        msg = codec("decode", decode_frame, raw)
         if msg.msg_type == CTRL_SIM:
             last_sim[0] = msg.payload["sim"]
         elif msg.msg_type == CTRL_PEERS:
@@ -545,7 +557,7 @@ class ProcNetwork(SimNetwork):
                 if not data:
                     raise WireError("worker died during handshake")
                 for raw in decoder.feed(data):
-                    msg = decode_frame(raw)
+                    msg = self._codec("decode", decode_frame, raw)
                     if msg.msg_type == CTRL_HELLO:
                         hello = msg
                         break
@@ -666,7 +678,8 @@ class ProcNetwork(SimNetwork):
         if entry is None:
             # Encode once per msg_id: retransmissions of the same frame
             # (ARQ, injected duplicates) relay the original bytes.
-            entry = self._sent[msg.msg_id] = [encode_frame(msg), 0, 0]
+            entry = self._sent[msg.msg_id] = [
+                self._codec("encode", encode_frame, msg), 0, 0]
         entry[1] += 1
         frame = entry[0]
         self.stats.wire_frames += 1
@@ -710,7 +723,7 @@ class ProcNetwork(SimNetwork):
                 raise self._wire_error(
                     f"wire corruption: frame {msg.msg_id} arrived "
                     f"{len(data)}B, sent {len(frame)}B")
-        decoded = decode_frame(data)
+        decoded = self._codec("decode", decode_frame, data)
         self._consume(msg.msg_id, entry)
         return decoded
 
@@ -724,6 +737,17 @@ class ProcNetwork(SimNetwork):
             queue.popleft()
             entry[2] -= 1
         self._consume(msg.msg_id, entry)
+
+    def _codec(self, op: str, fn: Callable[[Any], Any], arg: Any) -> Any:
+        """``fn(arg)``, the frame codec, timed into ``wallclock``'s
+        ``wire.<op>_ns`` while the run is live (not during ``stop``)."""
+        if self.wallclock is None or self._stopping:
+            return fn(arg)
+        t0 = time.monotonic_ns()
+        out = fn(arg)
+        self.wallclock.observe(f"wire.{op}_ns", CODEC_NODE,
+                               time.monotonic_ns() - t0)
+        return out
 
     def _consume(self, msg_id: int, entry: List[Any]) -> None:
         entry[1] -= 1
@@ -767,8 +791,8 @@ class ProcNetwork(SimNetwork):
 
     def _ctrl_send(self, node_id: int, msg_type: str,
                    payload: Dict[str, Any]) -> bool:
-        return self._write(
-            node_id, encode_frame(_ctrl_msg(msg_type, MASTER_ID, payload)))
+        return self._write(node_id, self._codec(
+            "encode", encode_frame, _ctrl_msg(msg_type, MASTER_ID, payload)))
 
     def _write(self, node_id: int, frame: bytes) -> bool:
         """Put one frame (ctrl or data) on a worker's control lane."""
@@ -827,7 +851,7 @@ class ProcNetwork(SimNetwork):
                 self._arrived.setdefault(msg_id, deque()).append(raw)
             # else: a copy whose deliveries were all discarded — expired.
             return
-        msg = decode_frame(raw)
+        msg = self._codec("decode", decode_frame, raw)
         if msg.msg_type == CTRL_STATS:
             self._worker_stats[node] = dict(msg.payload)
             self._ingest_hists(node, msg.payload.get("hists"))

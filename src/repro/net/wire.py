@@ -42,8 +42,7 @@ Frame layout (all integers big-endian)::
 from __future__ import annotations
 
 import struct
-import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from .message import Message
 
@@ -321,36 +320,14 @@ for _tag, _decode in ((_T_NONE, _dec_const(None)),
 # ---------------------------------------------------------------------------
 # Frame codec
 # ---------------------------------------------------------------------------
-#: Optional wall-clock probe: ``cb(kind, elapsed_ns)`` with kind
-#: "encode" or "decode".  Module-level on purpose — the codec has no
-#: instance to hang state on, and only one observer (the active
-#: ObsManager, or a proc worker's local timer) ever arms it.  ``None``
-#: keeps the fast path at a single falsy check.
-_timer: Optional[Callable[[str, int], None]] = None
-
-
-def set_wire_timer(cb: Optional[Callable[[str, int], None]]) -> None:
-    """Arm (or with ``None`` disarm) the codec wall-clock probe."""
-    global _timer
-    _timer = cb
-
-
 def encode_frame(msg: Message) -> bytes:
     """Encode one message as a frame (*without* the length prefix).
 
     The prefix is stream framing, attached at socket-write time with
     :func:`frame_with_prefix`; everything else — storage, comparison,
-    :func:`decode_frame` — works on the bare frame.
+    :func:`decode_frame` — works on the bare frame.  The codec keeps no
+    state: a caller that wants its wall time measures its own calls.
     """
-    if _timer is not None:
-        t0 = time.monotonic_ns()
-        body = _encode_frame(msg)
-        _timer("encode", time.monotonic_ns() - t0)
-        return body
-    return _encode_frame(msg)
-
-
-def _encode_frame(msg: Message) -> bytes:
     type_raw = msg.msg_type.encode("utf-8")
     if len(type_raw) > 0xFFFF:
         raise WireError(f"message type too long ({len(type_raw)} bytes)")
@@ -373,15 +350,6 @@ def decode_frame(data: bytes) -> Message:
     Raises :class:`WireError` for bad magic, an unsupported version,
     truncation anywhere, or trailing garbage after the payload.
     """
-    if _timer is not None:
-        t0 = time.monotonic_ns()
-        msg = _decode_frame(data)
-        _timer("decode", time.monotonic_ns() - t0)
-        return msg
-    return _decode_frame(data)
-
-
-def _decode_frame(data: bytes) -> Message:
     if len(data) < _HEADER.size:
         raise WireError(f"frame too short for header ({len(data)} bytes)")
     magic, version, _flags, msg_id, src, dst, size_bytes, type_len = \

@@ -27,7 +27,6 @@ from ..dsm.directory import MASTER_NODE
 from ..net.message import (M_DIFF, M_DIFF_ACK, M_FETCH_REPLY, M_FT_REDIFF_ACK,
                            M_LOCK_FWD, M_LOCK_REQ, M_TOKEN, OBS_SPAN_KEY,
                            Message, estimate_size)
-from ..net.wire import set_wire_timer
 from .flight import FlightRecorder, build_dump, write_dump
 from .metrics import MetricsRegistry
 from .profiler import StallProfiler, site_label
@@ -94,7 +93,6 @@ class ObsManager:
         self.flight_dumps: List[str] = []
         self._flight_dir: Optional[str] = cfg.obs_flight_dir
         self._violation_dumped = False
-        self._wire_timer_armed = False
 
     # ------------------------------------------------------------------
     # Wiring
@@ -102,10 +100,11 @@ class ObsManager:
     def attach(self) -> None:
         for worker in self.runtime.workers:
             self._attach_worker(worker)
-        self.runtime.worker_added_hooks.append(self._attach_worker)
-        ft = self.runtime.ft
-        if ft is not None:
-            ft.orchestrator.on_recovered = self._on_ft_recovered
+        hooks = self.runtime.hooks
+        hooks.worker_added.append(self._attach_worker)
+        hooks.recovered.append(self._on_ft_recovered)
+        hooks.violation.append(self.dump_violation)
+        hooks.finished.append(self.finalize)
         # Arm the proc backend's telemetry plane (no-op on sim: plain
         # SimNetwork has no obs_plane attribute).
         net = self.runtime.network
@@ -121,20 +120,6 @@ class ObsManager:
             }
             net.wallclock = self.wallclock
             net.on_flight_dump = self.dump_flight
-        if self.wallclock is not None:
-            set_wire_timer(self._wire_cb)
-            self._wire_timer_armed = True
-
-    def _wire_cb(self, kind: str, elapsed_ns: int) -> None:
-        """Codec probe (master process): attribute to the master node."""
-        self.wallclock.observe(f"wire.{kind}_ns", MASTER_NODE, elapsed_ns)
-
-    def release_wire_timer(self) -> None:
-        """Disarm the module-level codec probe (run() finally block —
-        the probe must never outlive the run that armed it)."""
-        if self._wire_timer_armed:
-            set_wire_timer(None)
-            self._wire_timer_armed = False
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = ObsAgent(self, worker)
@@ -150,7 +135,7 @@ class ObsManager:
     # one simulated instant, so the record's timestamps bound the whole
     # transaction: detection -> drain -> repair.
     # ------------------------------------------------------------------
-    def _on_ft_recovered(self, record: Dict[str, Any]) -> None:
+    def _on_ft_recovered(self, _dead: int, record: Dict[str, Any]) -> None:
         master = MASTER_NODE
         if self.metrics is not None:
             self.metrics.inc("ft.recoveries", master)
@@ -208,9 +193,9 @@ class ObsManager:
         self.flight_dumps.append(path)
         return path
 
-    def dump_on_violation(self, node: int, kind: str, detail: Any) -> None:
-        """Oracle/monitor callback: one postmortem per run, on the
-        first violation (later ones would dump near-identical rings)."""
+    def dump_violation(self, node: int, kind: str, detail: Any) -> None:
+        """A checker's violation: one postmortem per run, on the first
+        one (later ones would dump near-identical rings)."""
         if self._violation_dumped:
             return
         self._violation_dumped = True

@@ -42,7 +42,7 @@ Correctness notes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..dsm.objectstate import ObjState, split_key
 from ..dsm.transitions import TOKEN_GRANT
@@ -96,8 +96,6 @@ class PolicyManager:
         self.migratory = cfg.policy_migratory
         self.broadcast = cfg.policy_broadcast
         self.agents: Dict[int, "PolicyAgent"] = {}
-        # Optional tracer callback: (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
         # Harness-level registry: gid -> active policy for every promoted
         # unit.  It lives here (not in an agent) because the deciding
         # node changes when a migratory unit's home travels: whichever
@@ -122,7 +120,8 @@ class PolicyManager:
             self.runtime.locality.attach()
         for w in self.runtime.workers:
             self._attach_worker(w)
-        self.runtime.worker_added_hooks.append(self._attach_worker)
+        self.runtime.hooks.worker_added.append(self._attach_worker)
+        self.runtime.hooks.recovered.append(self.on_recovery)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = PolicyAgent(self, worker)
@@ -145,9 +144,10 @@ class PolicyManager:
         return [w.node_id for w in self.runtime.workers if not w.dead]
 
     # ------------------------------------------------------------------
-    # Failure-recovery hooks (driven by repro.ft.recovery)
+    # Failure recovery (the ``recovered`` hook point)
     # ------------------------------------------------------------------
-    def on_recovery(self, dead: int) -> None:
+    def on_recovery(self, dead: int,
+                    _record: Optional[Dict[str, Any]] = None) -> None:
         """A node died: every classification was built partly from its
         accesses, and a promoted unit's reader set may name it.  Wipe
         ALL policy state back to plain invalidation and re-learn from
@@ -193,6 +193,7 @@ class PolicyAgent:
         self.dsm = worker.dsm
         self.transport = worker.transport
         self.node_id = worker.node_id
+        self.narrate = manager.runtime.hooks.narrate
         # This node's locality agent: grants go out and come in there.
         self.locality = manager.runtime.locality.agents[worker.node_id]
         self.profiler = AccessProfiler(WINDOW)
@@ -219,8 +220,8 @@ class PolicyAgent:
         self.transport.hooks.deliver.append(self.on_deliver)
 
     def _emit(self, kind: str, detail: str) -> None:
-        if self.manager.event_sink is not None:
-            self.manager.event_sink(self.node_id, kind, detail)
+        for fn in self.narrate:
+            fn(self.node_id, kind, detail)
 
     # ------------------------------------------------------------------
     # Classification (home side)

@@ -66,7 +66,7 @@ Precision notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..dsm.protocol import M_DIFF, M_TOKEN
 from ..net.message import M_RACE_SYNC, Message, estimate_size
@@ -237,8 +237,6 @@ class RaceManager:
         self.mode = cfg.race_mode
         self.suppress = tuple(cfg.race_suppress)
         self.agents: Dict[int, "RaceAgent"] = {}
-        # Optional tracer callback: (node, kind, detail).
-        self.event_sink: Optional[Callable[[int, str, str], None]] = None
         self.reports: List[RaceReport] = []
         self.suppressed_count = 0
         self.dropped_reports = 0
@@ -253,7 +251,10 @@ class RaceManager:
     def attach(self) -> None:
         for w in self.runtime.workers:
             self._attach_worker(w)
-        self.runtime.worker_added_hooks.append(self._attach_worker)
+        hooks = self.runtime.hooks
+        hooks.worker_added.append(self._attach_worker)
+        hooks.recovered.append(self.on_recovery)
+        hooks.finished.append(self.finalize)
 
     def _attach_worker(self, worker: "WorkerNode") -> None:
         agent = RaceAgent(self, worker)
@@ -295,7 +296,11 @@ class RaceManager:
     # ------------------------------------------------------------------
     # Failure recovery: wipe — never analyze across a recovery epoch.
     # ------------------------------------------------------------------
-    def on_recovery(self, dead: int) -> None:
+    def on_recovery(self, dead: int,
+                    _record: Optional[Dict[str, Any]] = None) -> None:
+        """A node died: its lock clocks and buffered access events are
+        gone, and analyzing across the recovery would fabricate races.
+        Wipe all detector metadata and run degraded from here on."""
         self.degraded = True
         for agent in self.agents.values():
             agent.wipe()
@@ -361,6 +366,7 @@ class RaceAgent:
         self.dsm = worker.dsm
         self.engine = worker.dsm.engine
         self.node_id = worker.node_id
+        self.narrate = manager.runtime.hooks.narrate
         self.mode = manager.mode
         self.hb = manager.mode in ("hb", "both")
         self.eraser = manager.mode in ("lockset", "both")
@@ -434,8 +440,8 @@ class RaceAgent:
                 (dict(pair[0]), dict(pair[1])) if pair else ({}, {}))
 
     def emit(self, kind: str, detail: str) -> None:
-        if self.manager.event_sink is not None:
-            self.manager.event_sink(self.node_id, kind, detail)
+        for fn in self.narrate:
+            fn(self.node_id, kind, detail)
 
     def wipe(self) -> None:
         """Recovery epoch boundary: drop all analysis state."""

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..dsm.directory import MASTER_NODE, HomeDirectory
 from ..dsm.protocol import DsmStats
+from ..hooks import RuntimeHooks
 from ..jvm.classfile import ClassFile
 from ..jvm.intrinsics import bootstrap_classfiles
 from ..jvm.jvm import JThread, JVM
@@ -111,9 +112,12 @@ class RunReport:
     backend: str = "sim"
     wall_seconds: float = 0.0
     proc: Optional[Dict[str, Any]] = None
-    # Paths of flight-recorder postmortems written during the run
-    # (empty unless obs_flight_recorder caught a death/violation/error).
-    flight_dumps: List[str] = field(default_factory=list)
+
+    @property
+    def flight_dumps(self) -> List[str]:
+        """Paths of flight-recorder postmortems written during the run
+        (empty unless obs_flight_recorder caught a death/violation/error)."""
+        return list((self.obs or {}).get("flight_dumps", ()))
 
     @property
     def simulated_seconds(self) -> float:
@@ -183,11 +187,10 @@ class JavaSplitRuntime:
         # master moves (a grant out, its install, a recovery), read by
         # recovery and the checkers, and a joiner's first view.
         self.homes = HomeDirectory()
-        # The one way to hear about a late joiner: whatever attaches to
-        # the workers (subsystem managers, the serve manager, the
-        # checkers, the tracer) appends a callable in its ``attach`` and
-        # ``add_worker`` calls them in that order.
-        self.worker_added_hooks: List[Callable[[WorkerNode], None]] = []
+        # How the subsystems, the serve manager, the checkers and the
+        # tracer hear about one another (repro.hooks.RuntimeHooks): each
+        # subscribes in its ``attach``, in attach order.
+        self.hooks = RuntimeHooks()
         for name, switch, manager_class in SUBSYSTEMS:
             if getattr(self.config, switch):
                 module = importlib.import_module(f"..{name}", __package__)
@@ -249,8 +252,8 @@ class JavaSplitRuntime:
         worker = self._new_worker(brand or self.config.brand_of(0))
         for gid, (home, epoch) in self.homes.items():
             worker.dsm.homes.set(gid, home, epoch)
-        for hook in self.worker_added_hooks:
-            hook(worker)
+        for fn in self.hooks.worker_added:
+            fn(worker)
         return worker
 
     def schedule_join(self, at_ns: int, brand: Optional[str] = None) -> None:
@@ -283,11 +286,6 @@ class JavaSplitRuntime:
             events = self.engine.run_until_idle(max_events=max_events)
         finally:
             wall_seconds = time.perf_counter() - wall_start
-            # Disarm the module-level wire-codec probe before teardown
-            # so it cannot observe into a dead registry (or leak into
-            # the next run in this process).
-            if self.obs is not None:
-                self.obs.release_wire_timer()
             # Tear down the physical plane (proc backend) even on
             # failure, so no worker processes outlive the run.
             proc_summary = self.network.stop()
@@ -305,14 +303,8 @@ class JavaSplitRuntime:
             raise DeadlockError(
                 f"simulation quiesced with blocked threads: {blocked}"
             )
-        if self.race is not None:
-            # Analyze events still buffered on the accessor side (a
-            # thread's trailing accesses never reach a release point).
-            self.race.finalize()
-        if self.jit is not None:
-            self.jit.finalize_metrics()
-        if self.obs is not None:
-            self.obs.finalize()
+        for fn in self.hooks.finished:
+            fn()
         assert self._main_thread is not None
         return RunReport(
             simulated_ns=self.engine.now,
@@ -331,8 +323,6 @@ class JavaSplitRuntime:
             backend=self.config.transport_backend,
             wall_seconds=wall_seconds,
             proc=proc_summary,
-            flight_dumps=([] if self.obs is None
-                          else list(self.obs.flight_dumps)),
         )
 
 

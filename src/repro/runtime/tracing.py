@@ -43,6 +43,7 @@ class DsmTracer:
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self._limit: Optional[int] = None
+        self._engine: Any = None
         # Events refused once the max-events cap was hit: a truncated
         # trace must never read as a quiet run.
         self.dropped = 0
@@ -65,27 +66,21 @@ class DsmTracer:
         tracer = cls()
         tracer._limit = max_events
         runtime._dsm_tracer = tracer
-        engine = runtime.engine
+        tracer._engine = runtime.engine
         for worker in runtime.workers:
-            tracer._subscribe(worker, engine)
-        runtime.worker_added_hooks.append(
-            lambda worker: tracer._subscribe(worker, engine))
-        # Subsystem narration (migrations, promotions, race reports...)
-        # lands in the same flat event log.
-        for sub in (runtime.locality, runtime.policy, runtime.race):
-            if sub is not None:
-                sub.event_sink = (
-                    lambda node, kind, detail:
-                    tracer.record(engine.now, node, kind, detail))
-        if runtime.ft is not None:
-            master = runtime.ft.coordinator
-            runtime.ft.orchestrator.event_sink = (
-                lambda time_ns, kind, detail:
-                tracer.record(time_ns, master, kind, detail))
+            tracer._subscribe(worker)
+        runtime.hooks.worker_added.append(tracer._subscribe)
+        # Subsystem narration (migrations, promotions, race reports,
+        # recovery steps) lands in the same flat event log.
+        runtime.hooks.narrate.append(tracer._narrate)
         return tracer
 
-    def _subscribe(self, worker, engine) -> None:
+    def _narrate(self, node: int, kind: str, detail: str) -> None:
+        self.record(self._engine.now, node, kind, detail)
+
+    def _subscribe(self, worker) -> None:
         node_id = worker.node_id
+        engine = self._engine
 
         def on_outbound(msg: Message) -> bool:
             # Registered last, so the size is the decorated one.

@@ -164,7 +164,7 @@ class ServeManager:
         mgr = cls(runtime, schedules)
         for worker in runtime.workers:
             mgr.on_worker_added(worker)
-        runtime.worker_added_hooks.append(mgr.on_worker_added)
+        runtime.hooks.worker_added.append(mgr.on_worker_added)
         return mgr
 
     def on_worker_added(self, worker: Any) -> None:

@@ -24,8 +24,8 @@ of the class (``classes``: name -> int field names) or an array index.
 An op runs as one simulated event, the next one after the op's cost.
 
 The runtime exposes ``engine``, ``workers`` (each with ``dsm``,
-``node_id`` and ``dead``), ``homes`` and ``worker_added_hooks``, so
-``InvariantMonitor.attach`` works on it as on a ``JavaSplitRuntime``.
+``node_id`` and ``dead``), ``homes`` and ``hooks`` (a ``RuntimeHooks``),
+so ``InvariantMonitor.attach`` works on it as on a ``JavaSplitRuntime``.
 ``locality=True`` attaches the locality subsystem with every knob off:
 its agents then only proxy (forward, split, bounce and fold what the
 transition table hands them) and install grants.  :func:`rows_hit`
@@ -42,6 +42,7 @@ from repro.dsm import ClassIdRegistry, ClassSpec, DsmConfig, engine_class
 from repro.dsm.directory import HomeDirectory
 from repro.dsm.transitions import TABLE
 from repro.heap import ArrayObj, Obj
+from repro.hooks import RuntimeHooks
 from repro.net.simnet import SimNetwork
 from repro.net.transport import Transport
 from repro.sim.cost_model import get_brand
@@ -231,7 +232,7 @@ class ScriptRuntime:
         self.gids: Dict[str, Tuple[int, str]] = {}
         self.threads: List[ScriptThread] = []
         self.spawn_to = 0
-        self.worker_added_hooks: List[Any] = []
+        self.hooks = RuntimeHooks()
         self.homes = HomeDirectory()
         self.workers = [ScriptHost(self, n) for n in range(nodes)]
         if locality:

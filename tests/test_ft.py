@@ -356,8 +356,8 @@ def test_a_joiner_sees_every_home_recovery_moved():
     rt, injector, monitor, oracle = _checked_ft_runtime(
         app_source("tsp"), 0, nodes=3)
     rt.engine.schedule_at(35 * NS_PER_MS, lambda: injector.detach_now(1))
-    rt.ft.orchestrator.on_recovered = (
-        lambda _rec: rt.schedule_join(rt.engine.now + NS_PER_MS))
+    rt.hooks.recovered.append(
+        lambda _dead, _rec: rt.schedule_join(rt.engine.now + NS_PER_MS))
     rt.run()
     newcomer = rt.workers[3]
     assert len(rt.homes) >= 1

@@ -1,7 +1,8 @@
-"""The hook contract: the closed set of tap points on ``DsmEngine`` and
-``Transport`` is what every subsystem and checker rides on, the core
-names none of them, nothing rebinds an engine or transport method, and a
-new observer needs no edit to the core."""
+"""The hook contract: the closed set of tap points on ``DsmEngine``,
+``Transport`` and the runtime is what every subsystem and checker rides
+on, the core names none of them, nothing rebinds an engine or transport
+method or plugs a callback into another object's slot, and a new
+observer needs no edit to the core."""
 
 import ast
 import pathlib
@@ -12,10 +13,11 @@ import pytest
 import repro
 from repro.check import InvariantMonitor, SingleCopyOracle
 from repro.check.runner import app_source
-from repro.hooks import DsmHooks, TransportHooks
+from repro.hooks import DsmHooks, RuntimeHooks, TransportHooks
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
+from repro.runtime.tracing import DsmTracer
 
 from test_procnet import heap_fingerprint
 
@@ -53,8 +55,20 @@ def test_hook_set_is_closed_and_small():
         TransportHooks().inbound = []
 
 
+def test_runtime_hook_set_is_closed():
+    assert RuntimeHooks.names() == (
+        "worker_added", "narrate", "peer_dead", "recovered", "violation",
+        "finished")
+    with pytest.raises(AttributeError):
+        RuntimeHooks().worker_joined.append(print)  # a typo'd point raises
+    with pytest.raises(AttributeError):
+        RuntimeHooks().on_violation = print
+
+
 def test_knobs_off_registers_nothing():
-    assert all(not subs for _cls, _name, subs in _hook_lists(_runtime()))
+    rt = _runtime()
+    assert all(not subs for _cls, _name, subs in _hook_lists(rt))
+    assert all(not getattr(rt.hooks, name) for name in RuntimeHooks.names())
 
 
 def test_every_point_is_fired_and_subscribed():
@@ -72,6 +86,23 @@ def test_every_point_is_fired_and_subscribed():
     empty = {(cls, name) for cls, name, subs in _hook_lists(rt) if not subs}
     assert not empty, \
         f"no subscriber with every subsystem and checker on: {empty}"
+
+
+def test_every_runtime_point_is_fired_and_subscribed():
+    """Each runtime point has a call site somewhere in ``src/repro``, and
+    with every subsystem, the tracer and both checkers attached, each
+    has a subscriber."""
+    text = "\n".join(p.read_text() for p in sorted(SRC.rglob("*.py")))
+    for name in RuntimeHooks.names():
+        assert re.search(rf"for \w+ in [\w.]*hooks\.{name}:", text), \
+            f"RuntimeHooks.{name} has no call site"
+    rt = _runtime(**ALL_ON, jit_enable=True, obs_flight_recorder=True)
+    InvariantMonitor.attach(rt)
+    SingleCopyOracle.attach(rt)
+    DsmTracer.attach(rt)
+    empty = [name for name in RuntimeHooks.names()
+             if not getattr(rt.hooks, name)]
+    assert not empty, f"no subscriber with everything attached: {empty}"
 
 
 CORE = ("dsm", "net", "sim", "hooks", "heap",
@@ -152,22 +183,51 @@ def _tapped_methods():
     return names
 
 
+#: Single-consumer control slots a subsystem may still plug a callback
+#: into: each has one consumer and drives behaviour rather than
+#: observing it (the interpreter's ``race_hook`` is bound into decoded
+#: access handlers, so it stays a slot on the per-access path).
+CONTROL_SLOTS = {"on_proc_death", "on_peer_unreachable", "on_flight_dump",
+                 "on_spawn_arrival", "race_hook"}
+
+
+def _callbacks(tree):
+    """ids of the expressions in ``tree`` that make a callback: a lambda,
+    or a method of the enclosing class bound through ``self``."""
+    out = {id(n) for n in ast.walk(tree) if isinstance(n, ast.Lambda)}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {f.name for f in cls.body
+                   if isinstance(f, ast.FunctionDef)}
+        out.update(id(n) for n in ast.walk(cls)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"
+                   and n.attr in methods)
+    return out
+
+
 def test_nothing_rebinds_engine_or_transport_methods():
     """The only way to tap the engine is a hook point: no module in
     ``src/repro`` assigns to another object's engine / transport /
     notice-table / agent method (``dsm.write_check = ...``,
     ``x.transport.send = ...``) or to a transport's handler table.  The
     one exception sits below the transport: the fault injector's wrap of
-    ``network.send`` (``check/faults.py``)."""
+    ``network.send`` (``check/faults.py``).  Nor does one plug a lambda
+    or a bound method into another object's attribute (``mgr.event_sink
+    = lambda ...``): subsystems hear one another through
+    ``runtime.hooks``, and only the ``CONTROL_SLOTS`` remain."""
     methods = _tapped_methods()
     assert {"write_check", "send", "add", "consider_migration"} <= methods
     offenders = []
+    slots_used = set()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         tree = ast.parse(path.read_text())
         registrars = {id(n) for f in ast.walk(tree)
                       if isinstance(f, ast.FunctionDef)
                       and f.name in ("on", "attach") for n in ast.walk(f)}
+        callbacks = _callbacks(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -185,14 +245,51 @@ def test_nothing_rebinds_engine_or_transport_methods():
                     elif isinstance(t, ast.Attribute):
                         own = (isinstance(t.value, ast.Name)
                                and t.value.id == "self")
-                        bad = (not own and t.attr in methods and
-                               (rel, t.attr) != ("check/faults.py", "send"))
+                        wrap = (rel, t.attr) == ("check/faults.py", "send")
+                        plugged = not own and id(node.value) in callbacks
+                        if plugged and t.attr in CONTROL_SLOTS:
+                            slots_used.add(t.attr)
+                        bad = not own and not wrap and (
+                            t.attr in methods
+                            or (plugged and t.attr not in CONTROL_SLOTS))
                     else:
                         continue
                     if bad:
                         offenders.append(f"{rel}:{node.lineno} "
                                          f"{ast.unparse(t)}")
     assert not offenders, f"rebinding outside repro.hooks: {offenders}"
+    assert slots_used == CONTROL_SLOTS, "stale CONTROL_SLOTS entry"
+
+
+_OPTIONAL = ("locality", "policy", "race", "obs", "jit")
+
+
+def _names_optional(node):
+    """Where ``node`` reads an optional subsystem, by attribute or by a
+    literal ``getattr``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr in _OPTIONAL:
+            yield f"{n.lineno}: {ast.unparse(n)}"
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "getattr" and len(n.args) > 1
+              and isinstance(n.args[1], ast.Constant)
+              and n.args[1].value in _OPTIONAL):
+            yield f"{n.lineno}: {ast.unparse(n)}"
+
+
+def test_recovery_and_run_name_no_subsystem():
+    """Fault-tolerance recovery and ``JavaSplitRuntime.run`` reach the
+    optional subsystems only through ``runtime.hooks`` (``peer_dead``,
+    ``recovered``, ``finished``), never by name."""
+    recovery = ast.parse((SRC / "ft" / "recovery.py").read_text())
+    assert not list(_names_optional(recovery))
+    runtime = ast.parse((SRC / "runtime" / "javasplit.py").read_text())
+    run = [f for c in ast.walk(runtime)
+           if isinstance(c, ast.ClassDef) and c.name == "JavaSplitRuntime"
+           for f in c.body
+           if isinstance(f, ast.FunctionDef) and f.name == "run"]
+    assert len(run) == 1
+    assert not list(_names_optional(run[0]))
 
 
 def _observables(rt):

@@ -159,3 +159,59 @@ def test_separate_runtimes_get_separate_tracers():
     tr_a = DsmTracer.attach(rt_a)
     tr_b = DsmTracer.attach(rt_b)
     assert tr_a is not tr_b
+
+
+# ---------------------------------------------------------------------------
+# Narration: one hook point, any number of listeners
+# ---------------------------------------------------------------------------
+#: sha256 of ``json.dumps(tracer.as_dicts(), sort_keys=True)`` for tsp on
+#: 4 nodes, ``--locality all --race``, a random kill, per seed; recorded
+#: before subsystem narration moved onto ``runtime.hooks.narrate``.
+NARRATION_DIGESTS = {
+    0: "bdf181d8a5502187633e7100bc63e0f1013c32ef2f20da2ab15ff7bbbf17bfbd",
+    1: "bca570fc4d3ea8db47e5d009645dc2cca45af4bf0afd051e3565e1ba14c6f616",
+}
+
+
+def _traced_kill_run(seed, listener=None):
+    import hashlib
+    import json
+
+    from repro.check.faults import FaultInjector, FaultPlan
+    from repro.check.runner import DEFAULT_JITTER_NS, parse_kill
+    from repro.runtime import build_runtime, config_from
+
+    config = config_from({"nodes": 4, "locality": "all", "race": True},
+                         seed=seed, net_jitter_ns=DEFAULT_JITTER_NS,
+                         reliable_transport=True, ft_enabled=True)
+    rt = build_runtime(app_source("tsp"), config)
+    plan = FaultPlan(seed=seed)
+    plan.detach_node, plan.detach_at_ns = parse_kill(
+        "random", seed=seed, nodes=4)
+    FaultInjector.attach(rt, plan)
+    tracer = DsmTracer.attach(rt)
+    if listener is not None:
+        rt.hooks.narrate.append(listener)
+    rt.run()
+    blob = json.dumps(tracer.as_dicts(), sort_keys=True).encode()
+    return tracer, hashlib.sha256(blob).hexdigest()
+
+
+def test_narration_is_unchanged_and_shared():
+    """Every subsystem narrates through ``runtime.hooks.narrate``: the
+    trace is the one recorded before (``race.wipe`` still before
+    ``ft.recovered``), and a second listener next to the tracer hears
+    every narrated event too, in the tracer's order."""
+    for seed, digest in NARRATION_DIGESTS.items():
+        heard = []
+        tracer, got = _traced_kill_run(
+            seed, lambda node, kind, detail:
+            heard.append((node, kind, detail)))
+        assert got == digest, f"seed {seed}: trace moved"
+        recorded = iter((e.node, e.kind, e.detail) for e in tracer.events)
+        assert all(event in recorded for event in heard), \
+            "the tracer missed or reordered a narrated event"
+        kinds = [kind for _node, kind, _detail in heard]
+        assert {"ft.detect", "race.wipe", "ft.recovered",
+                "locality.migrate"} <= set(kinds)
+        assert kinds.index("race.wipe") < kinds.index("ft.recovered")

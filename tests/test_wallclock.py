@@ -248,3 +248,30 @@ def test_wallclock_trace_lane_validates():
     assert validate_chrome_trace(doc) == []
     lanes = [e for e in doc["traceEvents"] if e["ph"] == "C"]
     assert lanes and all(e["name"] == "wallclock_ms" for e in lanes)
+
+
+def test_codec_timings_stay_with_their_runtime():
+    """Each proc runtime times its own frames: two runtimes with
+    ``obs_wallclock``, both built before either runs, each record as
+    many ``wire.encode_ns`` / ``wire.decode_ns`` samples as a run of that
+    runtime alone (31 / 31 for series on 3 nodes) — none lost to, or
+    taken from, the other."""
+    from repro.runtime import build_runtime, config_from
+
+    def build():
+        config = config_from({"nodes": 3, "backend": "proc",
+                              "wallclock": True})
+        return build_runtime(app_source("series"), config)
+
+    def codec_counts(runtime):
+        wall = runtime.obs.wallclock
+        return (wall.histogram("wire.encode_ns").count,
+                wall.histogram("wire.decode_ns").count)
+
+    alone = build()
+    alone.run()
+    a, b = build(), build()
+    a.run()
+    b.run()
+    assert codec_counts(alone) == (31, 31)
+    assert codec_counts(a) == codec_counts(b) == codec_counts(alone)
