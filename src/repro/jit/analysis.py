@@ -132,19 +132,19 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
     return ana
 
 
-def pre_summed_runs(method: MethodInfo,
-                    tables: CostTables) -> List[Tuple[int, int, int]]:
+def pre_summed_runs(method: MethodInfo, tables: CostTables,
+                    deopt: Container[int] = ()) -> List[Tuple[int, int, int]]:
     """Straight-line runs of pure ops and their pre-summed cost.
 
     Returns ``[(start_pc, end_pc_exclusive, total_cost_ns), ...]`` —
     the blocks whose cost compiled code charges in one addition at
-    block entry: basic blocks, further cut at specials (which charge
-    exact per-op cost and belong to no run).  The ``disasm`` cost
-    annotations print them.
+    block entry: basic blocks, further cut at specials and at ``deopt``
+    sites (which charge exact per-op cost and belong to no run).  The
+    ``disasm`` cost annotations print them.
     """
     code = method.code
     return [(start, end, sum(instr_cost(i, tables) for i in code[start:end]))
-            for start, end in straight_runs(code, SPECIAL_OPS)]
+            for start, end in straight_runs(code, SPECIAL_OPS, deopt)]
 
 
 # A jump is followed through a block of at most this many rows that

@@ -3,7 +3,8 @@
 The generated function executes the method's bytecode as *threaded
 code*: the operand stack is mapped onto Python locals (``s0..sK``, one
 per verified stack depth — the verifier's single-depth-per-pc invariant
-makes this possible), constants are folded into literals, and the
+makes this possible), constants are folded into literals, a value that
+cannot raise is forwarded into the expression that uses it, and the
 simulated per-instruction cost is pre-summed per straight-line run and
 charged with one addition at run entry.
 
@@ -11,9 +12,10 @@ The contract is **bit-identical observable behavior** versus the
 interpreter: same results, same protocol traffic, same simulated time,
 same exceptions.  That falls out of four rules:
 
-* a pure op's text *is* its :data:`~repro.jvm.bytecode.SEMANTICS` row
-  with this site's stack registers substituted — the row tier 0 built
-  its handler from — so the two tiers cannot differ on one;
+* straight-line text — each pure row and each IF / IF_CMP test — is
+  written by tier 0's one writer (:class:`~repro.jvm.fuse.LineWriter`)
+  over this site's registers, locals and literals: the two tiers
+  cannot differ on a row;
 * every op that can block or leave the frame (DSM checks, acquire/
   release, monitors, invokes) is a *special*: it gets the interpreter's
   exact budget test (``used >= budget``), calls the very same bound
@@ -43,9 +45,10 @@ trace is its hit test only; on anything else the trace sets ``pc`` and
 breaks to the check's arm, which redoes it with the handler — so a trace
 calls no handler, and a test the analysis marks ``known`` is skipped.  A
 jump to the trace's own head is the inner ``continue``; every other exit
-breaks and falls forward to its arm.  A row that can trap stores ``pc``
-first (``~pc`` in a trace, which has not counted its instructions yet)
-and the ``except`` epilogue counts the instructions before it.
+breaks and falls forward to its arm, storing what is still pending
+into its registers first.  A row that can trap stores ``pc`` first
+(``~pc`` in a trace, which has not counted its instructions yet) and
+the ``except`` epilogue counts the instructions before it.
 
 Compiled code inlines the pass-through of the §4.2 read check (one
 compare of the header's state; the handler runs on a miss only) and
@@ -53,8 +56,6 @@ the §4.4 local-lock fast path (the uncontended ``DSM_ACQUIRE``/
 ``DSM_RELEASE`` case), runs a call to a ``Math`` method as its row,
 and calls the other whitelisted pure natives without materializing the
 frame.
-
-Exit reasons (second element of the ``(used_ns, reason)`` return):
 """
 
 from __future__ import annotations
@@ -64,30 +65,15 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..heap import ArrayObj, JVMError
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
-from ..jvm.bytecode import (
-    BRANCHES,
-    CONDITIONS,
-    DSM_OPS,
-    INVOKES,
-    LINKED,
-    TERMINATORS,
-    TRAPS,
-    Instr,
-    Op,
-    branch_target,
-    instantiate,
-    instr_cost,
-    link_slots,
-    literal,
-    native_of,
-    row_of,
-    traps,
-)
+from ..jvm.bytecode import (BRANCHES, DSM_OPS, INVOKES, LINKED, Instr, Op,
+                            branch_target, instr_cost, link_slots, literal,
+                            native_of)
 from ..jvm.classfile import MethodInfo
 from ..jvm.frame import Frame
+from ..jvm.fuse import LineWriter
 from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
 from .analysis import (CHECKS, SPECIAL_OPS, CompileError, MethodAnalysis,
-                       Trace, analyze, traces)
+                       Trace, analyze, pre_summed_runs, traces)
 
 # Exit reason codes returned by compiled functions.
 R_BUDGET = 0          # quantum budget exhausted (interpreter tail runs)
@@ -210,7 +196,6 @@ class _Emitter:
         _, self._lock_opt, self._lock_edge = switches
         if jvm.hooks is None and DSM_OPS & {i.op for i in self.code}:
             raise CompileError("DSM op without hooks installed")
-        self._deopt_pcs: Set[int] = set()
         self._slots = slots
         self._trace: Optional[Trace] = None    # the one being printed
         self._left: Set[int] = set()           # stack depths at leave sites
@@ -221,6 +206,8 @@ class _Emitter:
         self._traced: Dict[int, int] = {}
         self._resolve_sites()
         self.entry_set = self._entries()
+        self._runs = {start: run for start, *run in pre_summed_runs(
+            method, self.interp.cost_tables, self._deopt_pcs)}
 
     def const(self, obj: Any, prefix: str = "K") -> str:
         name = self._const_names.get(id(obj))
@@ -236,12 +223,12 @@ class _Emitter:
     def _resolve_sites(self) -> None:
         """A field slot or invoke target that does not link makes its
         site a deopt: the interpreter raises the ``LinkError`` there."""
-        for pc, instr in enumerate(self.code):
+        self._deopt_pcs = {
+            pc for pc, instr in enumerate(self.code)
             if self.ana.depth_at[pc] is not None and (
-                    instr.op in LINKED and pc not in self._slots
-                    or instr.op in INVOKES
-                    and self.ana.invoke_targets.get(pc) is None):
-                self._deopt_pcs.add(pc)
+                instr.op in LINKED and pc not in self._slots
+                or instr.op in INVOKES
+                and self.ana.invoke_targets.get(pc) is None)}
 
     def _entries(self) -> Set[int]:
         """Every pc the compiled function can be entered at.  A quantum
@@ -250,16 +237,13 @@ class _Emitter:
         branch targets, and each special op or deopt site and its
         successor (a blocked thread resumes at, or just after, the op
         that blocked)."""
-        n = len(self.code)
-        pcs = {0} | set(self.ana.branch_targets)
+        depth = self.ana.depth_at
+        pcs = {0, *self.ana.branch_targets}
         for pc, instr in enumerate(self.code):
-            if self.ana.depth_at[pc] is None:
-                continue
-            if instr.op in SPECIAL_OPS or pc in self._deopt_pcs:
-                pcs.add(pc)
-                if pc + 1 < n:
-                    pcs.add(pc + 1)
-        return {pc for pc in pcs if self.ana.depth_at[pc] is not None}
+            if depth[pc] is not None and (instr.op in SPECIAL_OPS
+                                          or pc in self._deopt_pcs):
+                pcs.update((pc, pc + 1))
+        return {pc for pc in pcs if pc < len(depth) and depth[pc] is not None}
 
     # -- line helpers --------------------------------------------------
     def w(self, ind: int, text: str) -> None:
@@ -310,17 +294,25 @@ class _Emitter:
         self.w(ind, "if used >= budget:")
         self._leave(ind + 1, pc, R_BUDGET)
 
-    def _trap(self, ind: int, pc: int) -> None:
+    def _trap(self, pc: int) -> Optional[str]:
         """A row that can raise stores where it is first, and the
         ``except`` epilogue counts the instructions before it: an arm
         has counted its whole run, a trace (which stores ``~pc``)
         nothing since its head."""
         if self._trace is not None:
-            self.w(ind, f"pc = {~pc}")
-            return
+            return f"pc = {~pc}"
         self._unrun[pc] = self._run_end - pc
-        if pc != self._arm:
-            self.w(ind, f"pc = {pc}")
+        return f"pc = {pc}" if pc != self._arm else None
+
+    def _line(self, ind: int, depth: int) -> LineWriter:
+        """The writer of a straight line over ``s0 .. s{depth-1}``."""
+        return LineWriter(
+            lambda pc, instr: {"a": self.lit(instr.a), "b": self.lit(instr.b),
+                               "local": f"l{instr.a}",
+                               "slot": self._slots.get(pc)},
+            self._trap, lambda text: self.w(ind, text), depth,
+            lambda pc, instr: self.const(instr, "I")
+            if self.interp.observes(instr) else None)
 
     # ==================================================================
     def compile(self):
@@ -337,11 +329,9 @@ class _Emitter:
         maxd = max((self.ana.depth_at[e] for e in entries), default=0)
         if maxd:
             self.w(1, "_n = len(st)")
-            kw = "if"
             for k in range(1, maxd + 1):
-                self.w(1, f"{kw} _n == {k}:")
+                self.w(1, f"{'el' * (k > 1)}if _n == {k}:")
                 self.w(2, "; ".join(f"s{i} = st[{i}]" for i in range(k)))
-                kw = "elif"
         self.w(1, "try:")
         self.w(2, "while True:")
         self._traces = self._fitting_traces()
@@ -354,11 +344,9 @@ class _Emitter:
         depths = self.const(tuple(d or 0 for d in self.ana.depth_at), "D")
         self.w(2, "frame.pc = pc")
         self.w(2, f"_n = {depths}[pc]")
-        kw = "if"
-        for depth in sorted(self._left):
-            self.w(2, f"{kw} _n == {depth}:")
+        for k, depth in enumerate(sorted(self._left)):
+            self.w(2, f"{'el' * (k > 0)}if _n == {depth}:")
             self._sync_stack(3, depth)
-            kw = "elif"
         self._sync_locals(2)
         self._flush_ret(2, "_why")
         # The interpreter records the failure against the *innermost*
@@ -408,63 +396,20 @@ class _Emitter:
     def _emit_trace(self, t: Trace) -> Tuple[_Text, bool]:
         """One trace at indent 0, up to the ``else:`` its head's arm goes
         under, and whether an exit of it goes backwards."""
-        code = self.code
         arms, self.lines = self.lines, []
         self._trace, self._loops, self._back = t, False, False
         self.w(0, f"while used + {t.total} < budget:")
-        d = self.ana.depth_at[t.head]
-        steps = t.steps
-        i = 0
-        while i < len(steps):
-            pc, ns, n, known = steps[i]
-            instr = code[pc]
-            op = instr.op
-            self._at = ns, n     # what an exit from here charges
-            i += 1
-            if op in CHECKS:
-                if not known:
-                    ref = f"s{d - 1 - instr.a}"
-                    miss = (_READ_MISS if op is Op.DSM_READCHECK
-                            else "_h is None or _h.state != _LOCAL")
-                    miss = miss.replace("_h", f"(_h := {ref}.header)", 1)
-                    self.w(1, f"if {ref} is None or {miss}:")
-                    self._jump(2, pc)
-            elif op in BRANCHES or op in TERMINATORS:
-                self._at = ns + self._cost(instr), n + 1
-                if op is not Op.GOTO:
-                    d = self._emit_control(1, pc, instr, d)
-            elif op is Op.LOAD and (folded := self._folded(steps, i)):
-                # LOAD; check; null test; GETFIELD, all but the last
-                # known: one statement.
-                i, access = folded, steps[folded - 1][0]
-                d = self._emit_pure(1, access, code[access], d + 1, True,
-                                    x=f"l{instr.a}")
-            else:
-                d = self._emit_pure(1, pc, instr, d, known)
-        pc, ns, n, _ = steps[-1]
-        if code[pc].op not in (Op.RETURN, Op.RETVAL):
-            self._at = ns + self._cost(code[pc]), n + 1
-            self._jump(1, t.head if t.stop is None else t.stop)
+        line = self._line(1, self.ana.depth_at[t.head])
+        if self._straight(1, line, t.steps):  # did not return
+            pc, ns, n, _ = t.steps[-1]
+            self._jump(1, t.head if t.stop is None else t.stop, line,
+                       (ns + self._cost(self.code[pc]), n + 1))
         self.w(0, "else:")
         if self._loops:  # the last trip's trap rows left ``~pc``
             self.w(1, f"pc = {t.head}")
         self._trace = None
         text, self.lines = self.lines, arms
         return text, self._back
-
-    def _folded(self, steps, i: int) -> int:
-        """After a LOAD before ``steps[i]``: the index past ``[known
-        check of it;] GETFIELD past its null test``, else 0."""
-        code = self.code
-        if i < len(steps) and steps[i][3] and \
-                code[steps[i][0]].op is Op.DSM_READCHECK and \
-                code[steps[i][0]].a == 0:
-            i += 1
-        if i < len(steps) and steps[i][3]:
-            access = code[steps[i][0]]
-            if access.op is Op.GETFIELD and not self.interp.observes(access):
-                return i + 1
-        return 0
 
     # ==================================================================
     def _emit_ladder(self, entries: List[int], lo: int, hi: int,
@@ -494,37 +439,41 @@ class _Emitter:
                 self.w(ind + 1, f"if pc < {entry}:")
                 self.w(ind + 2, "continue")
 
-    def _jump(self, ind: int, target: int) -> None:
-        """Leave the arm for the arm of ``target``; in a trace, charge
-        what ran, then ``continue`` at its own head or break to fall
-        forward — through the latch block, if ``target`` is one."""
+    def _jump(self, ind: int, target: int,
+              line: Optional[LineWriter] = None, at=(0, 0)) -> None:
+        """Leave for the arm of ``target``, the stack of ``line``
+        materialized; in a trace, charge ``at`` (what ran), then
+        ``continue`` at its own head or break to fall forward — through
+        the latch block, if ``target`` is one."""
         t = self._trace
-        if t is not None:
-            ns, n = self._at
-            end = t.latches.get(target)
+        ns, n = at
+        if line is not None:
+            line = line.fork(lambda text: self.w(ind, text))
+            end = t.latches.get(target) if t else None
             if end is not None:
-                d = self.ana.depth_at[target]
-                for pc in range(target, end):
-                    d = self._emit_pure(ind, pc, self.code[pc], d)
+                self._straight(ind, line, [(pc, 0, 0, False)
+                                           for pc in range(target, end)])
                 ns += sum(map(self._cost, self.code[target:end + 1]))
                 n += end + 1 - target
                 target = branch_target(self.code[end])
-            if ns:
-                self.w(ind, f"used += {ns}")
-            self.w(ind, f"icount += {n}")
-            if target == t.head:
-                self._loops = True
+            line.flush()
+        if t is None:
+            self.w(ind, f"pc = {target}")
+            # Falling through is only right when the target's arm is the
+            # textually next one and nothing of this arm is left to skip.
+            if (ind, target) != self._falls_into:
                 self.w(ind, "continue")
-            else:
-                self._back |= target < t.head
-                self.w(ind, f"pc = {target}")
-                self.w(ind, "break")
             return
-        self.w(ind, f"pc = {target}")
-        # Falling through is only right when the target's arm is the
-        # textually next one and nothing of this arm is left to skip.
-        if (ind, target) != self._falls_into:
+        if ns:
+            self.w(ind, f"used += {ns}")
+        self.w(ind, f"icount += {n}")
+        if target == t.head:
+            self._loops = True
             self.w(ind, "continue")
+        else:
+            self._back |= target < t.head
+            self.w(ind, f"pc = {target}")
+            self.w(ind, "break")
 
     def _emit_arm(self, entry: int, ind: int,
                   next_entry: Optional[int]) -> None:
@@ -555,123 +504,62 @@ class _Emitter:
                 pc += 1
                 continue
             # A pre-summed straight-line run of pure ops.
-            end = pc
-            total = 0
-            n = len(code)
-            while True:
-                run_i = code[end]
-                total += self._cost(run_i)
-                is_ctl = (run_i.op in BRANCHES
-                          or run_i.op in TERMINATORS)
-                end += 1
-                if is_ctl or end >= n:
-                    break
-                if (end in self.entry_set or end in self._deopt_pcs
-                        or code[end].op in SPECIAL_OPS):
-                    break
+            end, total = self._runs[pc]
             self.w(ind, f"if used + {total} >= budget:")
             self._leave(ind + 1, pc, R_BUDGET)
             self.w(ind, f"used += {total}")
             self.w(ind, f"icount += {end - pc}")
             self._run_end = end
-            arm_done = False
-            for rpc in range(pc, end):
-                ri = code[rpc]
-                if ri.op in BRANCHES or ri.op in TERMINATORS:
-                    nd = self._emit_control(ind, rpc, ri, d)
-                    if nd is None:
-                        arm_done = True
-                    else:
-                        d = nd
-                else:
-                    d = self._emit_pure(ind, rpc, ri, d)
-            if arm_done:
+            line = self._line(ind, d)
+            if not self._straight(ind, line, [(rpc, 0, 0, False)
+                                              for rpc in range(pc, end)]):
                 return
+            if code[end - 1].op is Op.GOTO:
+                self._jump(ind, branch_target(code[end - 1]), line)
+                return
+            line.flush()
+            d = len(line.stack)
             pc = end
 
-    # -- pure ops ------------------------------------------------------
-    def _emit_pure(self, ind: int, pc: int, instr: Instr, d: int,
-                   known: bool = False, x: Optional[str] = None) -> int:
-        """One row (``row_of``) over this site's registers: pops are
-        the top s-registers (or ``x`` for ``{x}``), pushes land from the
-        deepest pop upwards.  ``known``: its reference passed a null test
-        on this trip through the trace, so the row's null test goes."""
-        op = instr.op
-        found = row_of(instr)
-        if found is None:
-            raise CompileError(
-                f"{self.method.klass}.{self.method.name} pc={pc}: "
-                f"unhandled pure op {op.name}")
-        row, pops = found
-        if known:
-            row = row._replace(first=None)
-        base = d - pops
-        names = {n: f"s{base + k}" for k, n in enumerate("xyz"[:pops])}
-        names.update(a=self.lit(instr.a), b=self.lit(instr.b),
-                     local=f"l{instr.a}", slot=self._slots.get(pc))
-        if x is not None:
-            names["x"] = x
-        if op in TRAPS and (not known or traps(row)):
-            self._trap(ind, pc)
-        site = None
-        if self.interp.observes(instr):  # the observer reads ``frame.pc``
-            site = self.const(instr, "I")
-            self.w(ind, f"frame.pc = {pc}")
-        first, pushed = instantiate(row, names, site)
-        for line in first:
-            self.w(ind, line)
-        moves = [(f"s{base + k}", value) for k, value in enumerate(pushed)]
-        moves = [move for move in moves if move[0] != move[1]]
-        if moves:
-            regs, values = zip(*moves)
-            self.w(ind, f"{', '.join(regs)} = {', '.join(values)}")
-        return base + len(pushed)
-
-    # -- control -------------------------------------------------------
-    def _emit_control(self, ind: int, pc: int, instr: Instr,
-                      d: int) -> Optional[int]:
-        """Branch/return inside a run; None = the arm is finished."""
-        op = instr.op
-        w = self.w
-        if op is Op.GOTO:
-            self._jump(ind, branch_target(instr))
-            return None
-        if op is Op.IF:
-            cond = instr.a
-            if cond == "eq":
-                w(ind, f"if s{d - 1} == 0 or s{d - 1} is None:")
-            elif cond == "ne":
-                w(ind, f"if not (s{d - 1} == 0 or s{d - 1} is None):")
-            else:
-                self._trap(ind, pc)
-                w(ind, f"if s{d - 1} is None:")
-                w(ind + 1, f"raise _NPE('ordered compare on null "
-                           f"({cond})')")
-                w(ind, f"if s{d - 1} {CONDITIONS[cond]} 0:")
-            self._jump(ind + 1, branch_target(instr))
-            return d - 1
-        if op is Op.IF_CMP:
-            # eq/ne: Java identity on references is Python's default
-            # ``==`` because Obj and ArrayObj define no ``__eq__``.
-            w(ind, f"if s{d - 2} {CONDITIONS[instr.a]} s{d - 1}:")
-            self._jump(ind + 1, branch_target(instr))
-            return d - 2
-        if op in (Op.RETURN, Op.RETVAL):
-            val = f"s{d - 1}" if op is Op.RETVAL else "None"
-            if self._trace is not None:
-                w(ind, f"used += {self._at[0]}")
-                w(ind, f"icount += {self._at[1]}")
-            w(ind, "thread.frames.pop()")
-            w(ind, "if not thread.frames:")
-            w(ind + 1, f"thread.finish({val})")
-            w(ind, "else:")
-            w(ind + 1, "_c = thread.frames[-1]")
-            w(ind + 1, "_c.pc += 1")
-            if op is Op.RETVAL:
-                w(ind + 1, f"_c.stack.append(s{d - 1})")
-            self._flush_ret(ind, "8")
-            return None
-        raise CompileError(f"unhandled control op {op.name}")
+    def _straight(self, ind: int, line: LineWriter, steps) -> bool:
+        """Drive ``line`` along ``steps`` — ``(pc, ns, count, known)``, a
+        trace's or an arm run's — writing a trace's check tests and
+        every taken branch's exit; False when it returned.  A GOTO is
+        followed: what it jumps to is the caller's."""
+        code = self.code
+        for pc, ns, n, known in steps:
+            instr = code[pc]
+            op = instr.op
+            if op in CHECKS:
+                if not known:
+                    ref = line.value(instr.a)
+                    miss = (_READ_MISS if op is Op.DSM_READCHECK
+                            else "_h is None or _h.state != _LOCAL")
+                    miss = miss.replace("_h", f"(_h := {ref}.header)", 1)
+                    self.w(ind, f"if {ref} is None or {miss}:")
+                    self._jump(ind + 1, pc, line, (ns, n))
+            elif op is Op.RETURN or op is Op.RETVAL:
+                val = line.value(0) if op is Op.RETVAL else "None"
+                if self._trace is not None:
+                    self.w(ind, f"used += {ns + self._cost(instr)}")
+                    self.w(ind, f"icount += {n + 1}")
+                self.w(ind, "thread.frames.pop()")
+                self.w(ind, "if not thread.frames:")
+                self.w(ind + 1, f"thread.finish({val})")
+                self.w(ind, "else:")
+                self.w(ind + 1, "_c = thread.frames[-1]")
+                self.w(ind + 1, "_c.pc += 1")
+                if op is Op.RETVAL:
+                    self.w(ind + 1, f"_c.stack.append({val})")
+                self._flush_ret(ind, "8")
+                return False
+            elif op is not Op.GOTO:
+                test = line.row(pc, instr, known)
+                if test is not None:
+                    self.w(ind, f"if {test}:")
+                    self._jump(ind + 1, branch_target(instr), line,
+                               (ns + self._cost(instr), n + 1))
+        return True
 
     # -- specials ------------------------------------------------------
     def _emit_special(self, ind: int, pc: int, instr: Instr,
@@ -875,10 +763,12 @@ class _Emitter:
             return d - n + (0 if static_m.ret == "void" else 1)
         # INVOKESTATIC / INVOKESPECIAL: target known at compile time.
         if native_of(instr) is not None:  # a ``MATH`` row, billed as the call
-            d = self._emit_pure(ind, pc, instr, d)
+            line = self._line(ind, d)
+            line.row(pc, instr)
+            line.flush()
             w(ind, f"used += {base}")
             w(ind, "icount += 1")
-            return d
+            return len(line.stack)
         tname = self.const(static_m, "M")
         w(ind, f"_t = {tname}")
         if static_m.is_native:

@@ -522,12 +522,15 @@ def instantiate(row: Row, names: Mapping[str, str],
 
 
 def literal(value: Any) -> Optional[str]:
-    """A CONST operand as source text; None when it is not one."""
+    """A CONST operand as source text a row can name, a negative number
+    in parentheses; None when it is not one."""
     if value is None or isinstance(value, (int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
-    return None
+        text = repr(value)
+    elif isinstance(value, float):
+        text = repr(value) if math.isfinite(value) else f"float('{value!r}')"
+    else:
+        return None
+    return f"({text})" if text[0] == "-" else text
 
 
 # Opcodes after which control does not fall through to pc + 1, and

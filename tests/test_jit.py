@@ -435,7 +435,7 @@ def test_traces_are_cut_hottest_first(monkeypatch):
     """A method's traces fit ``_TRACE_LINES`` lines per bytecode or go,
     the deepest static loop last and the method entry after it; the
     arms behind them do not care which."""
-    for per_bytecode, kept in (1, [0, 81, 136]), (0.7, [81]), (0, []):
+    for per_bytecode, kept in (1, [0, 81, 136]), (0.7, [81, 136]), (0, []):
         monkeypatch.setattr("repro.jit.codegen._TRACE_LINES", per_bytecode)
         runtime, report = run_runtime("tsp", jit=True)
         lines = compiled_fns(runtime)[

@@ -11,7 +11,9 @@ race detector's decode-time binding still sees every access.
 
 from __future__ import annotations
 
+import ast
 import inspect
+import pathlib
 import re
 
 import pytest
@@ -56,9 +58,10 @@ def test_every_opcode_is_declared_in_every_table():
     from repro.jit.analysis import PURE_OPS, SPECIAL_OPS
     from repro.jit.codegen import _Emitter
     from repro.jvm import interpreter
-    from repro.jvm.bytecode import (ACCESSES, HEAP_ACCESS_COST, INVOKES,
-                                    OP_COST, SEMANTICS, STACK_EFFECT,
-                                    ref_below, row_text)
+    from repro.jvm.bytecode import (ACCESSES, BRANCHES, HEAP_ACCESS_COST,
+                                    INVOKES, OP_COST, SEMANTICS,
+                                    STACK_EFFECT, TERMINATORS, ref_below,
+                                    row_text)
 
     missing = []
     for op in Op:
@@ -76,16 +79,19 @@ def test_every_opcode_is_declared_in_every_table():
             missing.append(f"{op.name}: wants jit.analysis PURE_OPS xor "
                            f"SPECIAL_OPS membership")
         # What the op does: said once for both tiers, or by hand in each.
+        # An IF / IF_CMP is its ``branch_row``: tier 0 decodes it to the
+        # row's handler, and the one line writer emits its test.
         arm = re.compile(rf"\bOp\.{op.name}\b")
-        by_hand = [bool(arm.search(inspect.getsource(fn))) for fn in (
-            interpreter._decode_instr, _Emitter._emit_pure,
-            _Emitter._emit_control)]
-        by_hand = (by_hand[0], by_hand[1] or by_hand[2])
-        if op in PURE_OPS and (op in SEMANTICS, *by_hand) not in (
-                (True, False, False), (False, True, True)):
-            missing.append(f"{op.name}: wants a bytecode.SEMANTICS row xor "
-                           f"an arm in interpreter._decode_instr and one in "
-                           f"codegen._emit_pure/_emit_control")
+        by_hand = tuple(bool(arm.search(inspect.getsource(fn))) for fn in (
+            interpreter._decode_instr, _Emitter._straight))
+        branch = op in BRANCHES and op not in TERMINATORS
+        if op in PURE_OPS and (op in SEMANTICS, branch, *by_hand) not in (
+                (True, False, False, False), (False, True, True, False),
+                (False, False, True, True)):
+            missing.append(f"{op.name}: wants a bytecode.SEMANTICS row, a "
+                           f"bytecode.branch_row, or an arm in "
+                           f"interpreter._decode_instr and one in "
+                           f"codegen._Emitter._straight")
         if op in SEMANTICS:
             row = SEMANTICS[op]
             pops, pushes = STACK_EFFECT[op]
@@ -118,6 +124,32 @@ def test_every_opcode_is_declared_in_every_table():
                            f"interpreter._decode_instr ({exc})")
     assert not missing, "\n".join(missing)
     assert set(STACK_EFFECT) | INVOKES == set(Op)
+
+
+def test_branch_semantics_are_declared_once():
+    """What an IF / IF_CMP tests is ``bytecode.branch_row``, which both
+    tiers write from: no other module indexes ``CONDITIONS`` or words
+    the ordered compare's null error."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "jvm" / "bytecode.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Subscript) and "CONDITIONS" in (
+                    getattr(node.value, "id", None),
+                    getattr(node.value, "attr", None)):
+                what = "indexes CONDITIONS"
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str) and re.search(
+                        r"_NPE\(\s*['\"]ordered compare", node.value):
+                what = "builds the ordered compare's NPE"
+            else:
+                continue
+            found.append(f"{path.relative_to(root)}:{node.lineno}: {what}")
+    assert not found, "\n".join(found)
 
 
 @pytest.mark.parametrize("bad", [Instr(0), Instr(Op.IF, "zz", 0),

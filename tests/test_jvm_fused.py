@@ -7,12 +7,16 @@ they stay, behind ``Interpreter.step`` and the quantum's tail, and are
 the reference here: same state at every budget, same error at every
 trap, same values through every alias (through the heap too), same
 simulated time on whole programs, one compiled text per method whatever
-the brand, and no observed access ever inside a run.
+the brand, and no observed access ever inside a run.  The writer of a
+run's text writes tier 1's straight lines too, over registers: they are
+held to stepping the same way, and tier 0's text stays the parent's.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
@@ -26,6 +30,7 @@ from repro.jvm.bytecode import (ACCESSES, DSM_OPS, INVOKES, MATH, SEMANTICS,
                                 STACK_EFFECT, native_of)
 from repro.jvm.frame import Frame
 from repro.jvm.fuse import NOT_FUSED, fused_runs, fused_source
+from repro.jit.codegen import R_DEOPT
 from repro.jvm.jvm import JThread
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
@@ -420,6 +425,56 @@ def test_any_straight_line_is_its_instructions_one_by_one(body, operands):
         assert fused[:3] + fused[4:] == stepped[:3] + stepped[4:]
 
 
+def _snapshot(values):
+    return [(type(v).__name__, repr(v)) for v in values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=_straight_line(), operands=st.lists(
+    st.sampled_from([-5, 0, 1, 3, 64, 2.5, -0.0]), min_size=6, max_size=6))
+# s1 is assigned while the value below it still reads it: pushed over,
+# and converted in place.
+@example(body=[Instr(Op.DIV), Instr(Op.SWAP), Instr(Op.CONST, 2),
+               Instr(Op.DIV)], operands=[0, 0, 0, 64, 3, 1])
+@example(body=[Instr(Op.DIV), Instr(Op.DUP_X1), Instr(Op.SWAP),
+               Instr(Op.POP), Instr(Op.I2D)], operands=[0, 0, 0, 64, 3, 1])
+@example(body=[Instr(Op.LOAD, 0), Instr(Op.LOAD, 0), Instr(Op.IINC, 0, 1),
+               Instr(Op.ADD), Instr(Op.DUP), Instr(Op.STORE, 0)],
+         operands=[3, 1, 0, 2, 64, 1])
+def test_any_straight_line_is_its_instructions_in_tier_1_too(body, operands):
+    """The same writer over tier 1's registers: a line whose operands
+    are swapped, duplicated, stored over and assigned in place leaves
+    the stack, locals, bill, count and error stepping it leaves."""
+    from test_semantics import tier1
+    # Ends at a deopt site: compiled code hands the frame back there.
+    end = len(operands[3:]) + len(body)
+    code = [Instr(Op.CONST, v) for v in operands[3:]] + body + [
+        Instr(Op.INVOKESTATIC, "NoSuchClass", "m"), Instr(Op.RETURN)]
+    outcomes = []
+    for tier in (0, 1):
+        thread = _method_thread(code, max_locals=3, args=operands[:3],
+                                jvm=_ONE_JVM)
+        frame, step = thread.frames[-1], _ONE_JVM.interpreter.step
+        try:
+            if tier == 0:
+                cost = sum(step(thread) for _ in range(end))
+            else:  # as the JIT manager runs it: a deopt steps tier 0
+                fn, cost = tier1(_ONE_JVM)(frame.method), 0
+                while frame.pc < end:
+                    used, why = fn(thread, frame, 10 ** 9, 0)
+                    cost += used + (step(thread) if why == R_DEOPT
+                                    and frame.pc < end else 0)
+            error = None
+        except JVMError as exc:
+            cost, error = None, str(exc).replace(thread.name, "main")
+        except Exception:  # ill-typed code, as above
+            assume(False)
+        outcomes.append((cost, error, thread.instructions, frame.pc,
+                         _snapshot(frame.stack) if error is None else None,
+                         _snapshot(frame.locals) if error is None else None))
+    assert outcomes[0] == outcomes[1]
+
+
 # ---------------------------------------------------------------------------
 # (d) Whole programs: the parent's numbers at seven quantum sizes
 # ---------------------------------------------------------------------------
@@ -533,3 +588,52 @@ def test_race_detector_still_observes_every_checked_access():
             for node, agent in runtime.race.agents.items()} == {
         0: 1434, 1: 414, 2: 384}
     assert min(w.jvm.interpreter.margin for w in runtime.workers) > 0
+
+
+# ---------------------------------------------------------------------------
+# (g) Tier 0's text is pinned: whoever else drives the writer, a run's
+# handler is the parent's, byte for byte
+# ---------------------------------------------------------------------------
+# SHA-256 over ``fused_source`` of every method of the rewritten program
+# (sorted by class, then method), unobserved and with every checked
+# access cut as a race detector cuts it; the two benchmark programs with
+# their placeholders filled in.
+PARENT_FUSED_TEXT = {
+    ("series", 0): "628c0a4d70229004", ("series", 2): "9b214b561028e889",
+    ("tsp", 0): "f36084228a041c46", ("tsp", 2): "339c274ab2adb418",
+    ("raytracer", 0): "3b7b46e6f4233102",
+    ("raytracer", 2): "e9804a248fe60251",
+    ("locks.mj", 0): "283c29e9f4b4cfa6", ("locks.mj", 2): "6383b9e385432969",
+    ("bulk.mj", 0): "8fbf3332602e9a76", ("bulk.mj", 2): "6693dd19be1d6b31",
+}
+_PLACEHOLDERS = {"THREADS": 4, "ITERS": 50, "ROUNDS": 60, "CELLS": 4096}
+
+
+def _program(name):
+    if not name.endswith(".mj"):
+        return app_source(name)
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "benchmarks", "e2e", "programs", name)) as fh:
+        text = fh.read()
+    for key, value in _PLACEHOLDERS.items():
+        text = text.replace(f"@{key}@", str(value))
+    return text
+
+
+@pytest.mark.parametrize("check_elim", (0, 2))
+@pytest.mark.parametrize("program", ("series", "tsp", "raytracer",
+                                     "locks.mj", "bulk.mj"))
+def test_fused_text_is_the_parents(program, check_elim):
+    rewritten = rewrite_application(compile_source(_program(program)),
+                                    check_elim=check_elim)
+    digest = hashlib.sha256()
+    for name in sorted(rewritten.classfiles):
+        for _, method in sorted(rewritten.classfiles[name].methods.items()):
+            if not method.code:
+                continue
+            observed = {pc for pc, i in enumerate(method.code)
+                        if i.op in ACCESSES and i.checked}
+            for cut in ((), observed):
+                digest.update(fused_source(method.code, tier0.BOUND,
+                                           cut)[0].encode())
+    assert digest.hexdigest()[:16] == PARENT_FUSED_TEXT[program, check_elim]
