@@ -18,7 +18,7 @@ from .wire import (FrameDecoder, WireError, decode_frame, encode_frame,
 
 
 def __getattr__(name: str):
-    if name == "ProcNetwork":  # lazy: multiprocessing, tempfile, selectors
+    if name == "ProcNetwork":  # lazy: multiprocessing, tempfile
         from .procnet import ProcNetwork
         return ProcNetwork
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

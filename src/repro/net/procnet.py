@@ -8,21 +8,29 @@ stay in the master process exactly as the ``sim`` backend runs them.
 - **Master** (this process): owns the :class:`~repro.sim.engine.SimEngine`
   and all protocol logic.  It encodes each frame once with the wire codec
   (``repro.net.wire``) and writes those bytes to the *source* node's worker.
-- **Worker** (one per node, :func:`worker_main`): a selector loop that
+- **Worker** (one per node, :func:`worker_main`): a ``poll`` loop that
   owns that node's listening socket.  It routes a data frame on its
   header (``peek_route``) without decoding it: the same bytes go to the
   destination node's worker over a peer-to-peer socket, and that worker
   hands them back to the master over its control lane.
-- At delivery the master waits for the physical copy, checks that it is
+- At delivery the master checks that the physical copy is
   byte-identical to what was sent, and dispatches the *decoded* message.
 
 What one frame costs: one encode and one decode, both in the master;
 three socket hops (master -> source worker -> destination worker ->
-master), each one ``send`` by its writer; one wake-up of each worker,
-which writes the frame on before it selects again (write interest is
-taken only for bytes a socket refused); and one ``recv`` by the master
-off the ``poll`` set of its control lanes, which it drains on every
-send and blocks on only while a delivery waits for its copy.
+master), each one ``send`` by its writer; and one wake-up of each
+worker.  The master prefixes a frame once, when it encodes it, and
+keeps those bytes to write, to compare and to decode.  When a delivery
+comes before its copy, the master decodes its own bytes first and only
+then waits, so decoding overlaps the relay; the compare still gates
+delivery, so the message delivered is the copy's decode.  Per hop a
+worker does one ``recv``, slices each whole frame out of the chunk
+prefix included (only a frame split across chunks is buffered), reads
+its route in place and writes that slice on before it polls again
+(write interest is taken only for bytes a socket refused).  The master
+reads its copy with one ``recv`` off the ``poll`` set of its control
+lanes, which it drains on every send and blocks on only while a
+delivery waits for its copy.
 
 Delivery *decisions* (ordering, latency, drops on detach) come from
 simulator state alone, so with identical configs ``sim`` and ``proc``
@@ -32,7 +40,9 @@ fault injector's ``--kill NODE@TIME``), and an externally killed worker
 is detected (control-lane EOF / waitpid) and surfaced to the runtime via
 ``on_proc_death``.  If a relay is impossible because an endpoint's
 process is dead, the master decodes its own copy instead (counted as
-``wire_fallback``), so delivery never diverges from ``sim``.
+``wire_fallback``), so delivery never diverges from ``sim``.  A worker
+that raises is not a death: its traceback comes back in its last
+``proc.stats`` frame and the run fails with a :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -40,12 +50,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import select
-import selectors
 import shutil
 import signal
 import socket
 import tempfile
 import time
+import traceback
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -53,8 +63,8 @@ from ..obs.metrics import Histogram
 from ..sim.engine import SimEngine
 from .message import Message
 from .simnet import SimNetwork
-from .wire import (FrameDecoder, WireError, decode_frame, encode_frame,
-                   frame_with_prefix, peek_msg_id, peek_route)
+from .wire import (PREFIX_BYTES, FrameDecoder, WireError, decode_frame,
+                   encode_frame, frame_with_prefix, peek_msg_id, peek_route)
 
 # Control-plane frame types (master <-> worker only; never simulated):
 # dst == MASTER_ID.  Any other frame on a control lane is data in transit.
@@ -138,10 +148,12 @@ class _Peer:
     """One connection inside a worker: the control lane to the master,
     or a data-plane connection to another worker (accepted or dialed)."""
 
-    __slots__ = ("sock", "outbuf", "decoder")
+    __slots__ = ("sock", "fd", "outbuf", "decoder")
 
     def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
         self.sock = sock
+        self.fd = sock.fileno()
         self.outbuf = bytearray()
         self.decoder = FrameDecoder()
 
@@ -154,7 +166,10 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     Connects back to the master's control listener, binds this node's
     data listener, then loops: data frames from the master go out to
     peer sockets, frames arriving from peers go back to the master, as
-    they came.  Runs until a ``proc.shutdown`` frame or control-socket EOF.
+    they came.  Runs until a ``proc.shutdown`` frame or control-socket
+    EOF.  An exception ends the loop too; its traceback rides the last
+    ``proc.stats`` frame as ``"error"``, so the master can tell a worker
+    bug from a kill.
 
     ``obs`` (from the master's ``obs_plane``) switches on the wall-clock
     telemetry the worker collects locally: a flight-recorder ring
@@ -170,17 +185,20 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     listener = _listen_socket(kind, data_addr)
     my_addr: Any = data_addr if kind == "unix" else listener.getsockname()
 
-    sel = selectors.DefaultSelector()
-    ctrl.setblocking(False)
+    poller = select.poll()
     listener.setblocking(False)
+    listen_fd = listener.fileno()
     lane = _Peer(ctrl)
     peers_addr: Dict[int, Any] = {}
-    conns: Dict[socket.socket, _Peer] = {}
-    dialed: Dict[int, socket.socket] = {}
+    # fd -> connection (the lane and every data-plane socket), and
+    # node -> the connection this worker dialed to it.
+    conns: Dict[int, _Peer] = {lane.fd: lane}
+    dialed: Dict[int, _Peer] = {}
     stats = {"node": node_id, "frames_relayed": 0, "frames_received": 0,
              "bytes_out": 0, "bytes_in": 0, "relay_failures": 0,
              "wakeups": 0}
     running = True
+    error: Optional[str] = None
 
     # -- wall-clock telemetry (all off when obs is None) ----------------
     obs = obs or {}
@@ -242,8 +260,7 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             return False
         if sent < len(data):
             peer.outbuf.extend(memoryview(data)[sent:])
-            sel.modify(peer.sock,
-                       selectors.EVENT_READ | selectors.EVENT_WRITE)
+            poller.modify(peer.fd, select.POLLIN | select.POLLOUT)
         return True
 
     def drain(peer: _Peer) -> bool:
@@ -251,28 +268,30 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
         if not _flush(peer.sock, peer.outbuf):
             return False
         if not peer.outbuf:
-            sel.modify(peer.sock, selectors.EVENT_READ)
+            poller.modify(peer.fd, select.POLLIN)
         return True
 
     def ctrl_write(frame: bytes) -> None:
         nonlocal running
-        if not write(lane, frame_with_prefix(frame)):
+        if not write(lane, frame):
             running = False     # master is gone
 
     def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
-        ctrl_write(codec("encode", encode_frame,
-                         _ctrl_msg(msg_type, node_id, payload)))
+        ctrl_write(frame_with_prefix(codec(
+            "encode", encode_frame, _ctrl_msg(msg_type, node_id, payload))))
 
-    def drop_peer(sock: socket.socket) -> None:
-        conns.pop(sock, None)
-        for nid, s in list(dialed.items()):
-            if s is sock:
+    def add_peer(sock: socket.socket) -> _Peer:
+        peer = conns[sock.fileno()] = _Peer(sock)
+        poller.register(peer.fd, select.POLLIN)
+        return peer
+
+    def drop_peer(peer: _Peer) -> None:
+        del conns[peer.fd]
+        for nid, p in list(dialed.items()):
+            if p is peer:
                 del dialed[nid]
-        try:
-            sel.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-        sock.close()
+        poller.unregister(peer.fd)
+        peer.sock.close()
 
     def relay_failed(dst: int, why: str) -> None:
         stats["relay_failures"] += 1
@@ -280,33 +299,29 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             flight_note("relay.fail", dst=dst, why=why)
 
     def relay(dst: int, frame: bytes) -> None:
-        sock = dialed.get(dst)
-        if sock is None:
+        peer = dialed.get(dst)
+        if peer is None:
             addr = peers_addr.get(dst)
             if addr is None:
                 return relay_failed(dst, "no-addr")
             try:
-                sock = _dial(kind, addr)
+                peer = dialed[dst] = add_peer(_dial(kind, addr))
             except OSError:
                 return relay_failed(dst, "dial")
-            sock.setblocking(False)
-            dialed[dst] = sock
-            conns[sock] = _Peer(sock)
-            sel.register(sock, selectors.EVENT_READ)
         stats["frames_relayed"] += 1
-        stats["bytes_out"] += len(frame) + 4
+        stats["bytes_out"] += len(frame)
         if flight_on:
-            flight_note("relay", dst=dst, bytes=len(frame) + 4)
-        if not write(conns[sock], frame_with_prefix(frame)):
+            flight_note("relay", dst=dst, bytes=len(frame))
+        if not write(peer, frame):
             relay_failed(dst, "send")
-            drop_peer(sock)
+            drop_peer(peer)
 
-    def on_ctrl_frame(raw: bytes) -> None:
+    def on_ctrl_frame(frame: bytes) -> None:
         nonlocal running
-        dst = peek_route(raw)[1]
+        dst = peek_route(frame, PREFIX_BYTES)[1]
         if dst != MASTER_ID:
-            return relay(dst, raw)  # a data frame: routed, never decoded
-        msg = codec("decode", decode_frame, raw)
+            return relay(dst, frame)  # a data frame: routed, never decoded
+        msg = codec("decode", decode_frame, frame[PREFIX_BYTES:])
         if msg.msg_type == CTRL_SIM:
             last_sim[0] = msg.payload["sim"]
         elif msg.msg_type == CTRL_PEERS:
@@ -316,15 +331,15 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                 flight_note("shutdown")
             running = False
 
-    def on_peer_frame(raw: bytes) -> None:
+    def on_peer_frame(frame: bytes) -> None:
         stats["frames_received"] += 1
-        stats["bytes_in"] += len(raw) + 4
+        stats["bytes_in"] += len(frame)
         if flight_on:
-            flight_note("recv", bytes=len(raw) + 4)
-        ctrl_write(raw)
+            flight_note("recv", bytes=len(frame))
+        ctrl_write(frame)
 
-    sel.register(ctrl, selectors.EVENT_READ)
-    sel.register(listener, selectors.EVENT_READ)
+    poller.register(lane.fd, select.POLLIN)
+    poller.register(listen_fd, select.POLLIN)
     ctrl_send(CTRL_HELLO,
               {"node": node_id, "addr": my_addr, "pid": os.getpid()})
 
@@ -338,45 +353,42 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                     flush_obs()
                     next_flush = now + period_s
                 timeout = min(1.0, max(0.001, next_flush - now))
-            ready = sel.select(timeout=timeout)
+            ready = poller.poll(timeout * 1000)
             if ready:
                 stats["wakeups"] += 1
             t_iter = time.monotonic_ns() if (wallclock and ready) else 0
-            for key, events in ready:
-                sock = key.fileobj
-                if sock is listener:
+            for fd, events in ready:
+                if fd == listen_fd:
                     try:
                         accepted, _ = listener.accept()
                     except OSError:
                         continue
-                    accepted.setblocking(False)
-                    conns[accepted] = _Peer(accepted)
-                    sel.register(accepted, selectors.EVENT_READ)
+                    add_peer(accepted)
                     continue
-                peer = lane if sock is ctrl else conns.get(sock)
+                peer = conns.get(fd)
                 if peer is None:
-                    continue
-                ok = not events & selectors.EVENT_WRITE or drain(peer)
-                if ok and events & selectors.EVENT_READ:
+                    continue    # dropped by an earlier event of this batch
+                ok = not events & select.POLLOUT or drain(peer)
+                if ok and events & ~select.POLLOUT:  # readable, HUP or ERR
                     try:
-                        data = sock.recv(_RECV_CHUNK)
+                        data = peer.sock.recv(_RECV_CHUNK)
                     except (BlockingIOError, InterruptedError):
                         continue
                     except OSError:
                         data = b""
                     ok = bool(data)
                     on_frame = on_ctrl_frame if peer is lane else on_peer_frame
-                    for raw in peer.decoder.feed(data):
-                        on_frame(raw)
+                    for frame in peer.decoder.feed(data):
+                        on_frame(frame)
                 if not ok:
                     if peer is lane:
                         running = False  # master is gone
                         break
-                    drop_peer(sock)
+                    drop_peer(peer)
             if t_iter:
                 hists["loop_lag_ns"].observe(time.monotonic_ns() - t_iter)
-    except Exception:  # pragma: no cover - master detects death via EOF
-        running = False
+    except Exception:
+        error = traceback.format_exc()
 
     # Graceful drain: push pending peer frames and the stats reply out
     # before exiting, bounded so a wedged peer cannot hang shutdown.
@@ -386,20 +398,20 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     if wallclock:
         stats_payload["hists"] = {name: h.as_dict()
                                   for name, h in hists.items() if h.count}
+    if error is not None:
+        stats_payload["error"] = error
     ctrl_send(CTRL_STATS, stats_payload)
     deadline = time.monotonic() + 5.0
-    pending = [lane] + list(conns.values())
+    pending = list(conns.values())
     while time.monotonic() < deadline and any(p.outbuf for p in pending):
         for peer in pending:
             if peer.outbuf:
                 _flush(peer.sock, peer.outbuf)
         if any(p.outbuf for p in pending):
             time.sleep(0.005)
-    for sock in list(conns):
-        sock.close()
+    for peer in pending:
+        peer.sock.close()
     listener.close()
-    ctrl.close()
-    sel.close()
     if kind == "unix" and data_addr:
         try:
             os.unlink(data_addr)
@@ -470,9 +482,10 @@ class ProcNetwork(SimNetwork):
         self._poll = select.poll()
         self._dead_procs: set = set()
         self._worker_stats: Dict[int, Dict[str, Any]] = {}
-        # msg_id -> [encoded frame, outstanding deliveries, relays afloat]
+        # msg_id -> [encoded frame with its length prefix, outstanding
+        # deliveries, relays afloat]
         self._sent: Dict[int, List[Any]] = {}
-        # msg_id -> FIFO of physically arrived copies (bytes)
+        # msg_id -> FIFO of physically arrived copies, prefix included
         self._arrived: Dict[int, Deque[bytes]] = {}
 
     # ------------------------------------------------------------------
@@ -551,21 +564,23 @@ class ProcNetwork(SimNetwork):
                 raise WireError("worker handshake timed out") from exc
             conn.settimeout(self.wait_timeout_s)
             decoder = FrameDecoder()
-            hello: Optional[Message] = None
-            while hello is None:
+            frames: List[bytes] = []
+            while not frames:
                 data = conn.recv(_RECV_CHUNK)
                 if not data:
                     raise WireError("worker died during handshake")
-                for raw in decoder.feed(data):
-                    msg = self._codec("decode", decode_frame, raw)
-                    if msg.msg_type == CTRL_HELLO:
-                        hello = msg
-                        break
+                frames = decoder.feed(data)
+            # A worker's first frame is its hello.
+            hello = self._decode(frames[0])
+            if hello.msg_type != CTRL_HELLO:
+                raise WireError(f"worker opened with {hello.msg_type!r}")
             node = hello.payload["node"]
             self._ctrl[node] = conn
             self._lanes[conn.fileno()] = (conn, node, decoder)
             self._poll.register(conn, select.POLLIN)
             addrs[node] = hello.payload["addr"]
+            for frame in frames[1:]:
+                self._on_frame(node, frame)
         if set(addrs) != set(nodes):
             raise WireError(f"handshake mismatch: got {sorted(addrs)}, "
                             f"expected {nodes}")
@@ -678,12 +693,12 @@ class ProcNetwork(SimNetwork):
         if entry is None:
             # Encode once per msg_id: retransmissions of the same frame
             # (ARQ, injected duplicates) relay the original bytes.
-            entry = self._sent[msg.msg_id] = [
-                self._codec("encode", encode_frame, msg), 0, 0]
+            entry = self._sent[msg.msg_id] = [frame_with_prefix(
+                self._codec("encode", encode_frame, msg)), 0, 0]
         entry[1] += 1
         frame = entry[0]
         self.stats.wire_frames += 1
-        self.stats.wire_bytes += len(frame) + 4
+        self.stats.wire_bytes += len(frame)
         if self.wallclock is not None:
             self.wallclock.sample(self.engine.now)
         if msg.src == msg.dst:
@@ -701,16 +716,24 @@ class ProcNetwork(SimNetwork):
         # master's copy so the schedule never diverges from sim.
 
     def _resolve(self, msg: Message) -> Message:
-        """The wire-decoded copy of an in-flight frame, to deliver."""
+        """The wire-decoded copy of an in-flight frame, to deliver.
+
+        A copy still on the wire is waited for *after* the master has
+        decoded its own ``frame``, so the decode overlaps the relay.  The
+        compare below proves the copy byte-identical to ``frame``, so
+        that decode is the copy's decode: each delivery decodes once.
+        """
         entry = self._sent.get(msg.msg_id)
         if entry is None:  # not ours (never outbound); deliver as-is
             return msg
         frame = entry[0]
         data: Optional[bytes] = None
+        decoded: Optional[Message] = None
         queue = self._arrived.get(msg.msg_id)
         if queue:
             data = queue.popleft()
         elif entry[2] > 0:
+            decoded = self._decode(frame)
             data = self._await_frame(msg)
         if data is None:
             if msg.src != msg.dst:
@@ -723,7 +746,8 @@ class ProcNetwork(SimNetwork):
                 raise self._wire_error(
                     f"wire corruption: frame {msg.msg_id} arrived "
                     f"{len(data)}B, sent {len(frame)}B")
-        decoded = self._codec("decode", decode_frame, data)
+        if decoded is None:
+            decoded = self._decode(data)
         self._consume(msg.msg_id, entry)
         return decoded
 
@@ -737,6 +761,10 @@ class ProcNetwork(SimNetwork):
             queue.popleft()
             entry[2] -= 1
         self._consume(msg.msg_id, entry)
+
+    def _decode(self, frame: bytes) -> Message:
+        """Decode a frame that still carries its length prefix."""
+        return self._codec("decode", decode_frame, frame[PREFIX_BYTES:])
 
     def _codec(self, op: str, fn: Callable[[Any], Any], arg: Any) -> Any:
         """``fn(arg)``, the frame codec, timed into ``wallclock``'s
@@ -791,16 +819,17 @@ class ProcNetwork(SimNetwork):
 
     def _ctrl_send(self, node_id: int, msg_type: str,
                    payload: Dict[str, Any]) -> bool:
-        return self._write(node_id, self._codec(
-            "encode", encode_frame, _ctrl_msg(msg_type, MASTER_ID, payload)))
+        return self._write(node_id, frame_with_prefix(self._codec(
+            "encode", encode_frame, _ctrl_msg(msg_type, MASTER_ID, payload))))
 
     def _write(self, node_id: int, frame: bytes) -> bool:
-        """Put one frame (ctrl or data) on a worker's control lane."""
+        """Put one prefixed frame (ctrl or data) on a worker's control
+        lane."""
         conn = self._ctrl.get(node_id)
         if conn is None:
             return False
         try:
-            conn.sendall(frame_with_prefix(frame))
+            conn.sendall(frame)
             return True
         except OSError:
             self._note_dead(node_id)
@@ -825,8 +854,8 @@ class ProcNetwork(SimNetwork):
                 except OSError:
                     data = b""
                 if data:
-                    for raw in decoder.feed(data):
-                        self._on_frame(node, raw)
+                    for frame in decoder.feed(data):
+                        self._on_frame(node, frame)
                 else:
                     reap = True
                     self._note_dead(node)
@@ -839,22 +868,29 @@ class ProcNetwork(SimNetwork):
                 if node not in self._dead_procs and not proc.is_alive():
                     self._note_dead(node)
 
-    def _on_frame(self, node: int, raw: bytes) -> None:
-        """A frame off a lane: data that worker hands back, or ctrl."""
-        if peek_route(raw)[1] != MASTER_ID:
-            msg_id = peek_msg_id(raw)
+    def _on_frame(self, node: int, frame: bytes) -> None:
+        """A frame off a lane (prefix included): data that worker hands
+        back, or ctrl."""
+        if peek_route(frame, PREFIX_BYTES)[1] != MASTER_ID:
+            msg_id = peek_msg_id(frame, PREFIX_BYTES)
             queue = self.wallclock is not None and self._relay_t0.get(msg_id)
             if queue:
                 self.wallclock.observe(
                     "net.rtt_ns", node, time.monotonic_ns() - queue.popleft())
             if msg_id in self._sent:
-                self._arrived.setdefault(msg_id, deque()).append(raw)
+                self._arrived.setdefault(msg_id, deque()).append(frame)
             # else: a copy whose deliveries were all discarded — expired.
             return
-        msg = self._codec("decode", decode_frame, raw)
+        msg = self._decode(frame)
         if msg.msg_type == CTRL_STATS:
             self._worker_stats[node] = dict(msg.payload)
             self._ingest_hists(node, msg.payload.get("hists"))
+            error = msg.payload.get("error")
+            if error is not None and not self._stopping:
+                # A worker bug, not a kill: fail the run, naming it.
+                raise self._wire_error(
+                    f"worker {node} failed: "
+                    f"{error.strip().splitlines()[-1]}\n{error}")
         elif msg.msg_type == CTRL_DELTA:
             if self.wallclock is not None:
                 for name, value in msg.payload.get("stats", {}).items():

@@ -42,7 +42,7 @@ Frame layout (all integers big-endian)::
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .message import Message
 
@@ -57,6 +57,8 @@ VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _PREFIX = struct.Struct(">I")
+#: Bytes of stream length prefix before each frame on a socket.
+PREFIX_BYTES = _PREFIX.size
 _HEADER = struct.Struct(">2sBBQiiIH")   # magic ver flags msg_id src dst size typelen
 _U32 = struct.Struct(">I")
 _S64 = struct.Struct(">q")
@@ -69,6 +71,7 @@ _TAG_U32 = struct.Struct(">cI")   # u32 is a length or an element count
 #: Offset of (src, dst) within a frame (after the length prefix).
 _ROUTE = struct.Struct(">ii")
 _ROUTE_OFFSET = 2 + 1 + 1 + 8
+_MSG_ID = struct.Struct(">Q")
 
 # Value tags.  One byte each; containers carry a u32 element count.
 _T_NONE = b"N"
@@ -323,9 +326,9 @@ for _tag, _decode in ((_T_NONE, _dec_const(None)),
 def encode_frame(msg: Message) -> bytes:
     """Encode one message as a frame (*without* the length prefix).
 
-    The prefix is stream framing, attached at socket-write time with
-    :func:`frame_with_prefix`; everything else — storage, comparison,
-    :func:`decode_frame` — works on the bare frame.  The codec keeps no
+    The prefix is stream framing, attached once with
+    :func:`frame_with_prefix` before the frame first goes on a socket;
+    :func:`decode_frame` takes the bare frame.  The codec keeps no
     state: a caller that wants its wall time measures its own calls.
     """
     type_raw = msg.msg_type.encode("utf-8")
@@ -375,31 +378,37 @@ def decode_frame(data: bytes) -> Message:
                    size_bytes=size_bytes, msg_id=msg_id)
 
 
-def peek_route(frame: bytes) -> Tuple[int, int]:
-    """(src, dst) of a frame (without prefix), without decoding it."""
-    if len(frame) < _ROUTE_OFFSET + _ROUTE.size:
+def peek_route(frame: bytes, offset: int = 0) -> Tuple[int, int]:
+    """(src, dst) of the frame starting at ``offset``, without decoding
+    it (``offset=PREFIX_BYTES`` reads one that still has its prefix)."""
+    if len(frame) < offset + _ROUTE_OFFSET + _ROUTE.size:
         raise WireError("frame too short to carry a route")
-    return _ROUTE.unpack_from(frame, _ROUTE_OFFSET)
+    return _ROUTE.unpack_from(frame, offset + _ROUTE_OFFSET)
 
 
-def peek_msg_id(frame: bytes) -> int:
-    """The msg_id of a frame (without prefix), without decoding it."""
-    if len(frame) < _ROUTE_OFFSET:
+def peek_msg_id(frame: bytes, offset: int = 0) -> int:
+    """The msg_id of the frame starting at ``offset``, without decoding
+    it."""
+    if len(frame) < offset + _ROUTE_OFFSET:
         raise WireError("frame too short to carry a msg_id")
-    return struct.unpack_from(">Q", frame, 4)[0]
+    return _MSG_ID.unpack_from(frame, offset + 4)[0]
 
 
 def frame_with_prefix(frame: bytes) -> bytes:
-    """Re-attach the stream length prefix to a decoded-out frame."""
+    """Attach the stream length prefix to a bare frame."""
     return _PREFIX.pack(len(frame)) + frame
 
 
 class FrameDecoder:
     """Incremental stream reassembler: feed socket bytes, get frames.
 
-    Yields complete frames *without* their length prefix, in order.
-    State survives arbitrary chunking (a frame may arrive one byte at a
-    time or many frames may arrive in one ``recv``).
+    Returns each completed frame *with* its length prefix, exactly as it
+    lay in the stream, so a relay can write it on unchanged; the bare
+    frame starts at :data:`PREFIX_BYTES`.  State survives arbitrary
+    chunking (a frame may arrive one byte at a time or many frames may
+    arrive in one ``recv``).  A frame that lies whole in a chunk is
+    sliced straight out of it; only a frame split across chunks is
+    buffered.
     """
 
     __slots__ = ("_buf",)
@@ -407,26 +416,38 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> Iterator[bytes]:
-        """Absorb ``data``; yield every frame completed by it."""
-        self._buf.extend(data)
-        while True:
-            if len(self._buf) < _PREFIX.size:
-                return
-            (length,) = _PREFIX.unpack_from(self._buf, 0)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(
-                    f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-            if len(self._buf) < _PREFIX.size + length:
-                return
-            # One copy per frame, buffer -> bytes; the view is released
-            # before the ``del`` so the buffer stays resizable.
-            with memoryview(self._buf) as view:
-                frame = bytes(view[_PREFIX.size:_PREFIX.size + length])
-            del self._buf[:_PREFIX.size + length]
-            yield frame
+    def feed(self, data: bytes) -> List[bytes]:
+        """Absorb ``data``; the frames it completed, in order."""
+        buf = self._buf
+        if buf:
+            buf += data
+            if (len(buf) < _PREFIX.size
+                    or len(buf) < _PREFIX.size + _frame_length(buf, 0)):
+                return []
+            data = bytes(buf)   # the split frame is whole: parse from here
+            buf.clear()
+        frames: List[bytes] = []
+        pos, end = 0, len(data)
+        while end - pos >= _PREFIX.size:
+            stop = pos + _PREFIX.size + _frame_length(data, pos)
+            if stop > end:
+                break
+            frames.append(data[pos:stop])
+            pos = stop
+        if pos < end:
+            with memoryview(data) as view:
+                buf += view[pos:]
+        return frames
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting a complete frame."""
         return len(self._buf)
+
+
+def _frame_length(data: Any, pos: int) -> int:
+    """The length prefix at ``pos``; WireError past MAX_FRAME_BYTES."""
+    (length,) = _PREFIX.unpack_from(data, pos)
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
+    return length

@@ -291,7 +291,7 @@ def test_numpy_is_never_imported():
     pure-Python :class:`~repro.sim.rng.PCG64`, so a checked run under
     jitter and faults works with numpy made unimportable (its draws are
     numpy's, ``tests/test_rng.py``).  The proc plane (``multiprocessing``,
-    ``tempfile``, ``selectors``) is loaded by the first proc run, not by
+    ``tempfile``) is loaded by the first proc run, not by
     a sim one."""
     code = """
 import sys

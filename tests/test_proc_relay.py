@@ -5,26 +5,30 @@ worker → destination worker → master as the same bytes; workers route on
 the frame header (``peek_route``) and never decode it.  These tests put
 large array payloads — the shape of ``benchmarks/e2e/programs/bulk.mj``
 — through that path and hold it to the sim backend byte for byte, then
-check what the relay must still do: reject a corrupted copy, keep
-retransmitted and duplicated copies of one ``msg_id`` in FIFO order,
-stamp worker flight events with simulated time, and pass each frame on
-in the worker wake-up that brought it.
+check what the relay must still do: reject a corrupted copy (whether
+it arrived before the delivery or after the master decoded ahead), decode
+each delivery once, keep retransmitted and duplicated copies of one
+``msg_id`` in FIFO order, stamp worker flight events with simulated time,
+pass each frame on in the worker wake-up that brought it, fail a run
+whose worker raised, and give up on a copy that never comes.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import os
 import pathlib
+import signal
 import time
 
 import pytest
 
 from repro.check import FaultInjector, FaultPlan
 from repro.lang import compile_source
-from repro.net import Transport
+from repro.net import Transport, procnet
 from repro.net.message import Message
-from repro.net.procnet import MASTER_ID, ProcNetwork
+from repro.net.procnet import CTRL_PEERS, MASTER_ID, ProcNetwork
 from repro.net.wire import WireError
 from repro.rewriter import rewrite_application
 from repro.runtime.config import RuntimeConfig
@@ -148,18 +152,24 @@ def test_large_array_frames_identical_on_sim_and_proc(proc_guard):
         == sum(w["bytes_in"] for w in wire["workers"].values())
 
 
-def test_a_frame_costs_one_worker_wakeup_per_hop(proc_guard):
-    """The source worker writes a frame to the peer, and the destination
-    worker to the master, in the wake-up that read it: write interest is
-    only taken for bytes a socket refused.  So small frames cost two
-    worker wake-ups (``select`` calls that returned ready keys) in all,
-    plus a few per worker for the peer map, accepts and shutdown."""
+def run_locks_proc():
+    """``locks.mj`` with 4 threads x 25 hand-overs on 3 proc nodes."""
     source = LOCKS.read_text().replace("@THREADS@", "4") \
         .replace("@ITERS@", "25")
     config = RuntimeConfig(num_nodes=3, seed=0, transport_backend="proc")
     report = JavaSplitRuntime(
         rewrite_application(compile_source(source)), config).run()
     assert report.result == 100
+    return report
+
+
+def test_a_frame_costs_one_worker_wakeup_per_hop(proc_guard):
+    """The source worker writes a frame to the peer, and the destination
+    worker to the master, in the wake-up that read it: write interest is
+    only taken for bytes a socket refused.  So small frames cost two
+    worker wake-ups (``poll`` calls that returned ready fds) in all,
+    plus a few per worker for the peer map, accepts and shutdown."""
+    report = run_locks_proc()
     workers = report.proc["workers"].values()
     relayed = sum(w["frames_relayed"] for w in workers)
     wakeups = sum(w["wakeups"] for w in workers)
@@ -168,9 +178,34 @@ def test_a_frame_costs_one_worker_wakeup_per_hop(proc_guard):
         (wakeups, relayed)
 
 
-def _proc_pair():
+def _count_data_decodes(monkeypatch):
+    """Count the master's decodes of data frames (not ctrl frames)."""
+    count = [0]
+    decode = procnet.decode_frame
+
+    def counting(frame):
+        msg = decode(frame)
+        if msg.dst != MASTER_ID:
+            count[0] += 1
+        return msg
+
+    monkeypatch.setattr(procnet, "decode_frame", counting)
+    return count
+
+
+def test_each_delivery_decodes_once(proc_guard, monkeypatch):
+    """Decoding ahead replaces the decode of the arrived copy, it does
+    not add one: whether the copy came first, came after or never came
+    (fallback), a delivery costs the master one decode."""
+    decodes = _count_data_decodes(monkeypatch)
+    wire = run_locks_proc().proc
+    assert wire["wire_delivered"] > 300
+    assert decodes[0] == wire["wire_delivered"] + wire["wire_fallback"]
+
+
+def _proc_pair(wait_timeout_s: float = 20.0):
     eng = SimEngine()
-    net = ProcNetwork(eng, wait_timeout_s=20.0)
+    net = ProcNetwork(eng, wait_timeout_s=wait_timeout_s)
     return (eng, net, Transport(net, 0, SUN, reliable=True),
             Transport(net, 1, SUN, reliable=True))
 
@@ -197,6 +232,78 @@ def test_flipped_byte_in_arrived_frame_is_wire_corruption(proc_guard):
             eng.run_until_idle()
         assert got == []
     finally:
+        net.stop()
+
+
+def test_flipped_byte_after_decode_ahead_is_wire_corruption(proc_guard,
+                                                           monkeypatch):
+    """A copy that lands only after the master decoded its own bytes
+    ahead is still compared with them before that decode is delivered."""
+    decodes = _count_data_decodes(monkeypatch)
+    eng, net, ta, tb = _proc_pair()
+    got = []
+    tb.on("blob", got.append)
+    waits = []
+    await_frame = net._await_frame
+
+    def flipped_copy(msg):
+        # (copy already there?, data decodes so far) as the wait begins
+        waits.append((bool(net._arrived.get(msg.msg_id)), decodes[0]))
+        copy = bytearray(await_frame(msg))
+        copy[len(copy) // 2] ^= 0x01        # inside the bytes payload
+        return bytes(copy)
+
+    net._await_frame = flipped_copy
+    try:
+        ta.send(1, "blob", {"data": bytes(range(256)) * 64})
+        with pytest.raises(WireError, match="wire corruption"):
+            eng.run_until_idle()
+        assert waits == [(False, 1)]     # not there yet, decoded ahead
+        assert got == []
+    finally:
+        net.stop()
+
+
+def test_a_worker_exception_is_a_wire_error_not_a_kill(proc_guard):
+    """A worker that raises ships its traceback in its last stats frame;
+    the master fails the run naming it, instead of taking the worker for
+    killed and delivering from its own copy."""
+    eng, net, ta, tb = _proc_pair()
+    dumps = []
+    net.on_flight_dump = lambda reason, detail: dumps.append(reason)
+    tb.on("blob", lambda msg: None)
+    try:
+        net.start()
+        net._ctrl_send(1, CTRL_PEERS, {"peers": 5})    # not a dict
+        t0 = time.monotonic()
+        ta.send(1, "blob", {"data": b"x" * 64})
+        with pytest.raises(WireError, match="worker 1 failed: TypeError"):
+            eng.run_until_idle()
+        assert time.monotonic() - t0 < 5.0
+        assert dumps == ["wire-error"]
+    finally:
+        net.stop()
+
+
+def test_a_copy_that_never_comes_times_out(proc_guard):
+    """A destination worker that is alive but not forwarding (stopped)
+    makes the delivery wait out ``wait_timeout_s`` and raise, once."""
+    eng, net, ta, tb = _proc_pair(wait_timeout_s=1.0)
+    dumps = []
+    net.on_flight_dump = lambda reason, detail: dumps.append(reason)
+    tb.on("blob", lambda msg: None)
+    net.start()
+    stopped = net.proc_pids[1]
+    os.kill(stopped, signal.SIGSTOP)
+    try:
+        t0 = time.monotonic()
+        ta.send(1, "blob", {"data": b"x" * 64})
+        with pytest.raises(WireError, match="timed out"):
+            eng.run_until_idle()
+        assert time.monotonic() - t0 < 2.5
+        assert dumps == ["wire-error"]
+    finally:
+        os.kill(stopped, signal.SIGCONT)
         net.stop()
 
 

@@ -18,8 +18,8 @@ settings.load_profile("repro")
 from repro.net.message import (ALL_MESSAGE_TYPES, M_DIFF, M_FT_REPL,
                                M_LOC_AGG, M_LOCK_REQ, M_RACE_SYNC, M_TOKEN,
                                OBS_SPAN_KEY, Message)
-from repro.net.wire import (MAX_DEPTH, MAX_FRAME_BYTES, VERSION,
-                            FrameDecoder, WireError, decode_frame,
+from repro.net.wire import (MAX_DEPTH, MAX_FRAME_BYTES, PREFIX_BYTES,
+                            VERSION, FrameDecoder, WireError, decode_frame,
                             encode_frame, frame_with_prefix, peek_msg_id,
                             peek_route)
 
@@ -353,6 +353,12 @@ def test_peek_route_and_msg_id_without_decoding():
     frame = encode_frame(msg)
     assert peek_route(frame) == (3, 7)
     assert peek_msg_id(frame) == msg.msg_id
+    # A frame as it arrived, length prefix and all, is read in place.
+    prefixed = frame_with_prefix(frame)
+    assert peek_route(prefixed, PREFIX_BYTES) == (3, 7)
+    assert peek_msg_id(prefixed, PREFIX_BYTES) == msg.msg_id
+    with pytest.raises(WireError):
+        peek_route(prefixed[:PREFIX_BYTES + 16], PREFIX_BYTES)
     # Negative node ids (the master's control-plane id) must survive.
     ctrl = Message("proc.hello", -1, 2, {}, size_bytes=1, msg_id=0)
     assert peek_route(encode_frame(ctrl)) == (-1, 2)
@@ -520,8 +526,8 @@ def test_max_size_frame_roundtrips():
     assert len(frame) <= MAX_FRAME_BYTES
     assert decode_frame(frame).payload["data"] == blob
     decoder = FrameDecoder()
-    frames = list(decoder.feed(frame_with_prefix(frame)))
-    assert len(frames) == 1 and frames[0] == frame
+    frames = decoder.feed(frame_with_prefix(frame))
+    assert frames == [frame_with_prefix(frame)]
 
 
 def test_oversize_frame_rejected_at_encode():
@@ -535,7 +541,7 @@ def test_oversize_length_prefix_rejected_by_decoder():
     decoder = FrameDecoder()
     poison = struct.pack(">I", MAX_FRAME_BYTES + 1)
     with pytest.raises(WireError, match="exceeds cap"):
-        list(decoder.feed(poison))
+        decoder.feed(poison)
 
 
 # ---------------------------------------------------------------------------
@@ -551,5 +557,7 @@ def test_decoder_reassembles_any_chunking(chunk):
     for i in range(0, len(stream), chunk):
         out.extend(decoder.feed(stream[i:i + chunk]))
     assert decoder.pending_bytes == 0
-    assert [decode_frame(f).msg_type for f in out] == \
+    # Frames come back as they lay in the stream, prefix included.
+    assert b"".join(out) == stream
+    assert [decode_frame(f[PREFIX_BYTES:]).msg_type for f in out] == \
         [m.msg_type for m in msgs]
