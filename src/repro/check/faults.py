@@ -31,7 +31,7 @@ them; without it a dropped protocol message simply deadlocks the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, TYPE_CHECKING
+from typing import List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..net.message import Message
 from ..net.simnet import SimNetwork
@@ -58,6 +58,25 @@ def parse_time_ns(text: str) -> int:
     return int(text)
 
 
+def parse_node_at(spec: str, nodes: Optional[int] = None,
+                  master: int = 0) -> Tuple[int, int]:
+    """``NODE@TIME`` (e.g. ``2@5ms``) as (node, simulated ns): the one
+    parser behind ``--kill 2@5ms`` and ``--faults detach:2@5ms``.  Given
+    ``nodes``, the node must be a non-master one of that many."""
+    node_text, sep, time_text = spec.partition("@")
+    if not sep or not node_text or not time_text:
+        raise ValueError(
+            f"bad kill spec {spec!r} (NODE@TIME, e.g. 2@5ms or "
+            "detach:2@5ms; --kill also takes 'random')")
+    node = int(node_text)
+    if nodes is not None and not (0 <= node < nodes):
+        raise ValueError(f"kill node {node} out of range for {nodes} nodes")
+    if nodes is not None and node == master:
+        raise ValueError(
+            f"kill node {node} is the master; that is not survivable")
+    return node, parse_time_ns(time_text)
+
+
 @dataclass
 class FaultPlan:
     """What to inject, how often, and with which seed."""
@@ -73,11 +92,12 @@ class FaultPlan:
     detach_at_ns: Optional[int] = None
 
     @classmethod
-    def from_spec(cls, faults: str, seed: int = 0,
-                  rate: float = 0.05) -> "FaultPlan":
+    def from_spec(cls, faults: str, seed: int = 0, rate: float = 0.05,
+                  nodes: Optional[int] = None) -> "FaultPlan":
         """Build a plan from a comma-separated kind list, e.g.
         ``"drop,reorder,dup"`` (the CLI's ``--faults`` syntax).  A node
-        kill is spelled ``detach:NODE@TIME``, e.g. ``detach:2@5ms``."""
+        kill is spelled ``detach:NODE@TIME``, e.g. ``detach:2@5ms``; given
+        ``nodes``, it is checked as ``--kill`` is (:func:`parse_node_at`)."""
         plan = cls(seed=seed)
         for part in filter(None, (k.strip() for k in faults.split(","))):
             kind, _, arg = part.partition(":")
@@ -96,13 +116,8 @@ class FaultPlan:
             elif kind == "reorder":
                 plan.reorder_rate = max(rate, 0.2)
             elif kind == "detach":
-                node_text, sep, time_text = arg.partition("@")
-                if not sep or not node_text or not time_text:
-                    raise ValueError(
-                        "detach takes a node and a time "
-                        "(detach:NODE@TIME, e.g. detach:2@5ms)")
-                plan.detach_node = int(node_text)
-                plan.detach_at_ns = parse_time_ns(time_text)
+                plan.detach_node, plan.detach_at_ns = \
+                    parse_node_at(arg, nodes)
         return plan
 
     @property

@@ -21,7 +21,7 @@ from ..lang import compile_source
 from ..runtime.config import RuntimeConfig, config_from, option
 from ..runtime.javasplit import build_runtime, run_original
 from ..sim.engine import NS_PER_MS
-from .faults import FaultInjector, FaultPlan, FaultStats, parse_time_ns
+from .faults import FaultInjector, FaultPlan, FaultStats, parse_node_at
 from .monitor import InvariantMonitor, Violation
 from .oracle import SingleCopyOracle
 
@@ -212,17 +212,7 @@ def parse_kill(kill: str, seed: int, nodes: int,
         node = candidates[seed % len(candidates)]
         at_ns = (1 + (seed * 7) % 30) * NS_PER_MS
         return node, at_ns
-    node_text, sep, time_text = kill.partition("@")
-    if not sep or not node_text or not time_text:
-        raise ValueError(
-            f"bad kill spec {kill!r} (NODE@TIME, e.g. 2@5ms, or 'random')")
-    node = int(node_text)
-    if not (0 <= node < nodes):
-        raise ValueError(f"kill node {node} out of range for {nodes} nodes")
-    if node == master:
-        raise ValueError(
-            f"kill node {node} is the master; that is not survivable")
-    return node, parse_time_ns(time_text)
+    return parse_node_at(kill, nodes, master)
 
 
 def run_check(
@@ -272,17 +262,14 @@ def run_check(
     # A detach can come from either --kill or a detach:NODE@TIME fault
     # spec; both run with the fault-tolerance subsystem enabled (without
     # it, losing a node strands the run in DeadlockError by design).
-    killing = kill is not None
-    if faults:
-        probe = FaultPlan.from_spec(faults)  # reject bad specs before any run
-        killing = killing or probe.detach_node is not None
     nodes = option(options, "nodes")
+    probe = FaultPlan.from_spec(faults, nodes=nodes)  # bad specs fail here
+    killing = kill is not None or probe.detach_node is not None
     race = option(options, "race")
     first_seed = option(options, "seed")
 
     def seeded(seed: int) -> "tuple[FaultPlan, RuntimeConfig]":
-        plan = FaultPlan.from_spec(faults, seed=seed, rate=fault_rate) \
-            if faults else FaultPlan(seed=seed)
+        plan = FaultPlan.from_spec(faults, seed=seed, rate=fault_rate)
         if kill is not None:
             plan.detach_node, plan.detach_at_ns = \
                 parse_kill(kill, seed=seed, nodes=nodes)

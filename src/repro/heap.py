@@ -55,6 +55,14 @@ def default_value(t: str) -> Any:
     return None  # refs and strings
 
 
+PREFIX = "javasplit."  # every rewritten class is javasplit.<name> (§4)
+
+
+def original_name(t: str) -> str:
+    """Strip the rewritten prefix (for reporting)."""
+    return t.removeprefix(PREFIX)
+
+
 class Obj:
     """An instance: fixed field slots laid out by its class.  ``rtclass``
     is any layout with a ``name`` and ``field_defaults`` (``(type,

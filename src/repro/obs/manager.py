@@ -155,10 +155,6 @@ class ObsManager:
     # ------------------------------------------------------------------
     # Flight recorder
     # ------------------------------------------------------------------
-    @property
-    def flight_enabled(self) -> bool:
-        return self._flight_enabled
-
     def flight_record(self, node: int, kind: str, **detail: Any) -> None:
         """Append one event to a node's master-side flight ring (no-op
         when the recorder is off or the node is unknown)."""

@@ -69,8 +69,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..dsm.protocol import M_DIFF, M_TOKEN
+from ..heap import original_name
 from ..net.message import M_RACE_SYNC, Message, estimate_size
-from ..rewriter.naming import original_name
 from .vc import ThreadClock, concurrent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -7,6 +7,7 @@ holders, per-class serializers, and the hand-written rewritten bootstrap
 classes.
 """
 
+from ..heap import PREFIX, original_name
 from .access_checks import FieldTable, insert_access_checks
 from .array_wrapper import collect_array_types
 from .check_elim import eliminate_redundant_read_checks
@@ -17,7 +18,7 @@ from .bootstrap import (
     build_runtime_classes,
     register_rewritten_natives,
 )
-from .naming import PREFIX, original_name, rename_class, rename_type
+from .naming import rename_class, rename_type
 from .remap import expand_code
 from .rewriter import RewriteResult, rewrite_application
 from .serial_gen import build_specs

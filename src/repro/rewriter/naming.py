@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..heap import PREFIX
 from ..jvm.bytecode import INVOKES, Instr, Op
 from ..jvm.classfile import ClassFile
-
-PREFIX = "javasplit."
 
 _PRIMITIVES = frozenset({"int", "double", "boolean", "str", "void"})
 
@@ -35,13 +34,6 @@ def rename_type(t: str) -> str:
     if base in _PRIMITIVES or base.startswith(PREFIX):
         return t
     return PREFIX + base + suffix
-
-
-def original_name(t: str) -> str:
-    """Strip the rewritten prefix (for reporting)."""
-    if t.startswith(PREFIX):
-        return t[len(PREFIX):]
-    return t
 
 
 def rename_class(cf: ClassFile) -> ClassFile:

@@ -13,7 +13,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.runtime import RUN_FLAGS, RuntimeConfig, config_from, option
 
-README = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+ROOT = pathlib.Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +295,24 @@ def test_readme_knob_tables_name_exactly_the_config_fields():
     named = set(re.findall(r"^\| `([a-z_]+)` \|", README, re.M))
     fields = {f.name for f in dataclasses.fields(RuntimeConfig)}
     assert named == fields, sorted(named ^ fields)
+
+
+def test_knob_ledger_cites_a_reason_for_every_config_field():
+    """EXPERIMENTS.md's knob ledger: one row per ``RuntimeConfig``
+    field, each citing ``harness``, an EXPERIMENTS.md heading (in
+    double quotes) or a committed ``BENCH_*.json`` that exists."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    start = text.index("\n## Knob ledger\n")
+    ledger = text[start:text.index("\n## ", start + 1)]
+    headings = {h.strip() for h in re.findall(r"^#+ (.+)$", text, re.M)}
+    rows = dict(re.findall(r"^\| `([a-z_]+)` \| ([^|]+) \|", ledger, re.M))
+    fields = {f.name for f in dataclasses.fields(RuntimeConfig)}
+    assert set(rows) == fields, sorted(set(rows) ^ fields)
+    for name, cell in rows.items():
+        for cited in (part.strip() for part in cell.split(";")):
+            quoted = re.fullmatch(r'"(.+)"', cited)
+            snapshot = re.fullmatch(r"`(BENCH_\d+\.json)`", cited)
+            assert (cited == "harness"
+                    or (quoted and quoted[1] in headings)
+                    or (snapshot and (ROOT / snapshot[1]).is_file())), \
+                f"{name}: {cited!r} is not harness, a heading or a snapshot"

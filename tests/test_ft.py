@@ -185,6 +185,25 @@ def test_parse_kill_fixed_and_random():
         parse_kill("5ms", seed=0, nodes=3)
 
 
+@pytest.mark.parametrize("node, message", [
+    (9, "kill node 9 out of range for 3 nodes"),
+    (0, "kill node 0 is the master; that is not survivable"),
+], ids=["out-of-range", "master"])
+def test_a_detach_fault_is_checked_like_a_kill(node, message):
+    """``--faults detach:NODE@TIME`` goes through ``--kill``'s parser:
+    a node that does not exist, or the master, is refused before any
+    run, with the message ``--kill`` gives."""
+    spec = f"{node}@5ms"
+    with pytest.raises(ValueError) as kill:
+        parse_kill(spec, seed=0, nodes=3)
+    assert str(kill.value) == message
+    with pytest.raises(ValueError) as detach:
+        run_check(app="series", seeds=1, faults="detach:" + spec)
+    assert str(detach.value) == message
+    # Without a node count only the spelling is checked.
+    assert FaultPlan.from_spec("detach:" + spec).detach_node == node
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------

@@ -108,10 +108,9 @@ def test_every_runtime_point_is_fired_and_subscribed():
 CORE = ("dsm", "net", "sim", "hooks", "heap",
         "ft", "locality", "policy", "race", "obs")
 TOOLCHAIN = ("jvm", "lang", "rewriter", "jit")
-HARNESS = ("cli", "check", "bench", "serve", "apps")
-#: The one core -> toolchain import left: the race detector reports a
-#: site by its original class name (ROADMAP 8(g) moves it).
-RING_EXCEPTIONS = {("race/detector.py", "rewriter.naming")}
+#: ``runtime`` is the composition root: it builds the core and the
+#: toolchain into one cluster, so it sits with the harness.
+HARNESS = ("runtime", "cli", "check", "bench", "serve", "apps")
 
 
 def _repro_imports(path):
@@ -142,25 +141,21 @@ def _repro_imports(path):
 
 def test_core_names_no_subsystem():
     """Import rings: no core module names the toolchain or the harness,
-    and names ``runtime`` only for type checking; the DSM engine names
-    no subsystem either."""
+    no toolchain module names the harness, and either names ``runtime``
+    only for type checking; the DSM engine names no subsystem either."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         ring = rel.split("/")[0].removesuffix(".py")
-        if ring not in CORE:
+        if ring not in CORE + TOOLCHAIN:
             continue
+        above = HARNESS + (TOOLCHAIN if ring in CORE else ())
         for name, typing_only in _repro_imports(path):
             top = name.split(".")[0]
-            if ((top in TOOLCHAIN + HARNESS
-                 and (rel, name) not in RING_EXCEPTIONS)
-                    or (top == "runtime" and not typing_only)
+            if ((top in above and not (top == "runtime" and typing_only))
                     or (ring == "dsm" and top in SUBSYSTEMS)):
                 offenders.append(f"{rel} imports {name}")
     assert not offenders, offenders
-    assert RING_EXCEPTIONS <= {
-        ("race/detector.py", name) for name, _ in
-        _repro_imports(SRC / "race" / "detector.py")}, "stale exception"
     tree = ast.parse((SRC / "dsm" / "protocol.py").read_text())
     named = [n.attr for n in ast.walk(tree)
              if isinstance(n, ast.Attribute)
