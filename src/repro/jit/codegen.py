@@ -69,9 +69,12 @@ from ..jvm.bytecode import (BRANCHES, DSM_OPS, INVOKES, LINKED, Instr, Op,
                             branch_target, instr_cost, link_slots, literal,
                             native_of)
 from ..jvm.classfile import MethodInfo
+from ..jvm.codecache import cached, code_key
+from ..jvm.errors import LinkError
 from ..jvm.frame import Frame
 from ..jvm.fuse import LineWriter
 from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
+from . import analysis
 from .analysis import (CHECKS, SPECIAL_OPS, CompileError, MethodAnalysis,
                        Trace, analyze, pre_summed_runs, traces)
 
@@ -179,6 +182,11 @@ _READ_MISS = ("_h is None or _h.state == _INVALID or "
 _Text = List[Tuple[int, str]]  # (indent, line) pairs
 
 
+class _Link(tuple):
+    """How a runtime finds an object the text reads (:func:`_bind`):
+    neither the text nor its constants name one."""
+
+
 class _Emitter:
     """Builds the source of one compiled method."""
 
@@ -190,8 +198,8 @@ class _Emitter:
         self.ana: MethodAnalysis = analyze(method, jvm)
         self.code = method.code
         self.lines: _Text = []
-        self.consts: Dict[str, Any] = {}       # name in the text -> object
-        self._const_names: Dict[int, str] = {}
+        self.consts: Dict[str, Any] = {}       # name in the text -> value
+        self._names: Dict[Any, str] = {}
         # The race switch: ``Interpreter.observes``, per access.
         _, self._lock_opt, self._lock_edge = switches
         if jvm.hooks is None and DSM_OPS & {i.op for i in self.code}:
@@ -210,9 +218,12 @@ class _Emitter:
             method, self.interp.cost_tables, self._deopt_pcs)}
 
     def const(self, obj: Any, prefix: str = "K") -> str:
-        name = self._const_names.get(id(obj))
+        """The name the text reads ``obj`` under: plain data, or a
+        :class:`_Link` to an object of the runtime."""
+        key = obj if type(obj) is _Link else id(obj)
+        name = self._names.get(key)
         if name is None:
-            name = self._const_names[id(obj)] = f"_{prefix}{len(self.consts)}"
+            name = self._names[key] = f"_{prefix}{len(self._names)}"
             self.consts[name] = obj
         return name
 
@@ -311,7 +322,7 @@ class _Emitter:
                                "local": f"l{instr.a}",
                                "slot": self._slots.get(pc)},
             self._trap, lambda text: self.w(ind, text), depth,
-            lambda pc, instr: self.const(instr, "I")
+            lambda pc, instr: self.const(_Link(("instr", pc)), "I")
             if self.interp.observes(instr) else None)
 
     # ==================================================================
@@ -769,15 +780,15 @@ class _Emitter:
             w(ind, f"used += {base}")
             w(ind, "icount += 1")
             return len(line.stack)
-        tname = self.const(static_m, "M")
+        tname = self.const(_Link(("callee", instr.a, instr.b)), "M")
         w(ind, f"_t = {tname}")
         if static_m.is_native:
             self._emit_native(ind, pc, d, n, static_m, base,
                               pure=_is_pure_native(static_m))
         else:
-            self._emit_direct_call(ind, pc, d, n, static_m, base,
-                                   cache_key=str(id(static_m)),
-                                   target_expr=tname)
+            self._emit_direct_call(
+                ind, pc, d, n, static_m, base, target_expr=tname,
+                cache_key=self.const(_Link(("id", instr.a, instr.b)), "C"))
         return d - n + (0 if static_m.ret == "void" else 1)
 
     def _args(self, d: int, n: int) -> str:
@@ -844,29 +855,68 @@ class _Emitter:
             w(ind, f"s{d - n} = st.pop()")
 
 
+def _callee(jvm, instr: Instr) -> Optional[Tuple[Any, ...]]:
+    """What the emitter reads of an invoke's resolved target."""
+    try:
+        m = jvm.resolve_method(instr.a, instr.b)
+    except LinkError:
+        return None
+    return m.klass, m.name, tuple(m.params), m.ret, m.flags
+
+
+def _key(method: MethodInfo, jvm, switches, slots: Dict[int, int]):
+    """Everything the emitted text depends on, as plain data."""
+    return ("jit", method.klass, method.name, method.is_native,
+            code_key(method.code),
+            tuple(sorted(jvm.cost_model.costs.items())), switches,
+            tuple(slots.items()),
+            tuple(_callee(jvm, i) for i in method.code if i.op in INVOKES),
+            jvm.hooks is None, jvm.string_class, jvm.object_class,
+            _TRACE_LINES, _LEAF_ARMS, _MAX_INDENT, _MAX_STATEMENTS,
+            _MAX_CALL_DEPTH, analysis._LATCH_OPS)
+
+
+def _emit(method: MethodInfo, jvm, switches, slots: Dict[int, int]):
+    """What the emitter makes of ``method``, or why it declined."""
+    try:
+        return _Emitter(method, jvm, switches, slots).compile()
+    except CompileError as exc:
+        return str(exc)
+
+
+def _bind(jvm, method: MethodInfo, kind: str, *where: Any) -> Any:
+    """What a :class:`_Link` finds in ``jvm``'s runtime: an instruction
+    of ``method`` by pc, a callee (or its id) by the class and name the
+    invoke resolves."""
+    if kind == "instr":
+        return method.code[where[0]]
+    target = jvm.resolve_method(*where)
+    return id(target) if kind == "id" else target
+
+
 def compile_method(method: MethodInfo, agent):
     """Compile one method for one worker's JVM; raises CompileError.
-    The text depends on the method, the brand's costs, three switches
-    and the field slots it links: it is emitted and compiled once per
-    runtime for each such key, and every JVM execs the shared code
-    object over its own hooks."""
+    The text depends on the method's content, the brand's costs, three
+    switches, the field slots it links, what its invokes resolve to and
+    the emitter's limits (``_key``): it is emitted and compiled — or
+    declined — once per process for each such key
+    (:mod:`repro.jvm.codecache`), and every JVM execs the shared code
+    object over its own hooks and its own runtime's objects."""
     jvm = agent.jvm
     switches = _switches(jvm)
     slots = link_slots(method.code, jvm.field_index)
-    code_cache = agent.manager.code_cache
-    key = (id(method), tuple(sorted(jvm.cost_model.costs.items())), switches,
-           tuple(slots.items()))
-    emitted = code_cache.get(key)
-    if emitted is None:
-        emitted = code_cache[key] = _Emitter(method, jvm, switches,
-                                             slots).compile()
+    emitted = cached(_key(method, jvm, switches, slots),
+                     lambda: _emit(method, jvm, switches, slots))
+    if isinstance(emitted, str):
+        raise CompileError(emitted)
     code_obj, src, entries, consts = emitted
     ns: Dict[str, Any] = {}
-    exec(code_obj, {**_env(agent), **consts}, ns)  # noqa: S102 - the JIT
+    exec(code_obj, {**_env(agent), **{  # noqa: S102 - the JIT
+        name: _bind(jvm, method, *v) if type(v) is _Link else v
+        for name, v in consts.items()}}, ns)
     fn = ns["_jit_fn"]
     fn.entries = entries
     fn.method = method
     fn.source = src
     fn.stats = [0] * N_REASONS
-    fn.consts = consts
     return fn

@@ -2,11 +2,13 @@
 
 One :class:`JitManager` attaches to the runtime (same pattern as the
 ft/locality/policy/race/obs managers); it installs one :class:`JitAgent`
-per worker.  The agent owns the per-node code cache — ``MethodInfo``
-objects are *shared* across worker JVMs (one ``RewriteResult``), so the
-cache is keyed by ``id(method)`` per agent, and each agent holds its own
-function bound to its own JVM's hooks and heap; the text and code object
-behind it are emitted once per brand (``JitManager.code_cache``).
+per worker.  The agent owns the per-node table of compiled functions —
+``MethodInfo`` objects are *shared* across worker JVMs (one
+``RewriteResult``), so it is keyed by ``id(method)`` per agent, and each
+agent holds its own function bound to its own JVM's hooks and heap.  The
+text and code object behind it are emitted once per process, keyed by
+content (:func:`~repro.jit.codegen.compile_method`): every later JVM of
+the brand, in this runtime or the next, only execs the code object.
 
 Tier 0 is the unmodified interpreter.  Tier 1 is the codegen'd Python
 function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
@@ -237,10 +239,6 @@ class JitManager:
         self.runtime = runtime
         self.threshold = runtime.config.jit_threshold
         self.agents: List[JitAgent] = []
-        # (method, brand costs, text switches) -> what the emitter made
-        # of it, shared by every agent of this runtime: a same-brand JVM
-        # only execs the code object over its own hooks.
-        self.code_cache: Dict[Any, Any] = {}
         # Wall-clock registry (obs attaches before jit; None w/o knob).
         obs = getattr(runtime, "obs", None)
         self.wall = None if obs is None else obs.wallclock

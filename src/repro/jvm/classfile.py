@@ -75,7 +75,7 @@ class MethodInfo:
     flags: frozenset = frozenset()
     klass: str = ""  # owning class name, set by ClassFile.add_method
     native_cache: Any = None  # resolved native fn (interpreter cache)
-    #: (cut, factory, runs) of tier 0's fused runs (interpreter cache)
+    #: (cut, factory, runs) of tier 0's fused runs (its ``codecache`` entry)
     fused: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

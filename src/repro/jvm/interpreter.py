@@ -11,8 +11,10 @@ its summed cost and counts its instructions, and :meth:`Interpreter.run`
 is the loop that calls ``fused[pc]`` until a quantum's budget is spent.
 Both lists are cached per interpreter: methods are shared by every
 worker JVM of a cluster, costs (brands) and link state (field slots,
-call targets) are per JVM — only the fused runs' compiled *text* hangs
-off the ``MethodInfo``.  Field slots are linked at decode
+call targets) are per JVM — only the fused runs' compiled *text* is
+shared, once per process and keyed by content
+(:mod:`~repro.jvm.codecache`), and the ``MethodInfo`` points at it.
+Field slots are linked at decode
 (:func:`~repro.jvm.bytecode.link_slots`); an access that does not link
 then, and every call target, links at its first run, so a reference
 that cannot link fails at the offending instruction and not when its
@@ -81,6 +83,7 @@ from .bytecode import (
     row_text,
 )
 from .classfile import MethodInfo
+from .codecache import cached, code_key
 from .errors import (
     ArithmeticJavaError,
     ClassCastError,
@@ -277,9 +280,10 @@ class Interpreter:
         """``decode(method)`` with one handler at the first pc of every
         fused run; the pcs inside a run keep their own.  An access joins
         a run unless it is observed or did not link (the ``cut``).  The
-        text is compiled once per method and hangs off it, like a
-        native: every JVM of a runtime loads the same classes and has
-        the same race switch, so all of them cut a method alike."""
+        text is built once per process for each content, cut and name
+        (:mod:`~repro.jvm.codecache`), and the method points at it as at
+        its native: every JVM of a runtime loads the same classes and
+        has the same race switch, so all of them cut a method alike."""
         fused = self._fused.get(id(method))
         if fused is None:
             fused = self._fused[id(method)] = list(self.decode(method))
@@ -288,9 +292,10 @@ class Interpreter:
             cut = frozenset(pc for pc, i in enumerate(code) if self.observes(i)
                             or i.op in LINKED and pc not in slots)
             if method.fused is None:
-                text, runs = fused_source(code, BOUND, cut)
-                method.fused = (
-                    cut, _make(text, f"{method.klass}.{method.name}"), runs)
+                name = f"{method.klass}.{method.name}"
+                method.fused = (cut, *cached(
+                    ("fused", name, cut, code_key(code)),
+                    lambda: _make_runs(code, cut, name)))
             shared_cut, make, runs = method.fused
             assert shared_cut == cut, "JVMs sharing a method cut it apart"
             costs = [[instr_cost(i, self.cost_tables)
@@ -485,6 +490,13 @@ def _make(text: str, name: str) -> Callable[..., Any]:
     scope: Dict[str, Any] = {}
     exec(compile(text, f"<tier-0 {name}>", "exec"), _FACTORY_GLOBALS, scope)
     return scope["make"]
+
+
+def _make_runs(code: List[Instr], cut: frozenset, name: str
+               ) -> Tuple[Callable[..., Any], List[Tuple[int, int]]]:
+    """``(make, runs)`` of the fused runs of ``code`` under ``cut``."""
+    text, runs = fused_source(code, BOUND, cut)
+    return _make(text, name), runs
 
 
 def _factory(name: str, body: List[str]) -> Callable[..., Handler]:

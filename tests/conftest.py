@@ -9,7 +9,7 @@ from typing import Any, List, Optional
 
 import pytest
 
-from repro.jvm import JVM, bootstrap_classfiles
+from repro.jvm import JVM, bootstrap_classfiles, codecache
 from repro.sim import Node, SimEngine, get_brand
 
 
@@ -42,6 +42,36 @@ def run_main(
 @pytest.fixture
 def jvm_env():
     return make_jvm()
+
+
+@pytest.fixture
+def cold_code_cache():
+    """The process's generated-code cache (``repro.jvm.codecache``)
+    empty, for a test that counts what the fuser or the emitter builds;
+    emptied again after it, so nothing it built under a patch stays."""
+    codecache.clear()
+    yield
+    codecache.clear()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """What is built from here on, in order: ``"fused"`` per tier-0
+    text, ``Class.method`` per tier-1 text, ``"compile"`` per
+    ``compile()`` of either."""
+    from repro.jit import codegen
+    from repro.jvm import interpreter
+
+    out = []
+    fuse, emit = interpreter.fused_source, codegen._Emitter.compile
+    monkeypatch.setattr(interpreter, "fused_source", lambda *args: (
+        out.append("fused"), fuse(*args))[1])
+    monkeypatch.setattr(codegen._Emitter, "compile", lambda self: (
+        out.append(f"{self.method.klass}.{self.method.name}"), emit(self))[1])
+    for module in interpreter, codegen:
+        monkeypatch.setattr(module, "compile", lambda *args: (
+            out.append("compile"), compile(*args))[1], raising=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

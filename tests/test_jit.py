@@ -522,25 +522,31 @@ def test_compiled_read_miss_blocks_where_the_interpreter_does():
     assert report.jit["exit_reasons"]["block_read"] >= len(from_compiled) > 0
 
 
-def test_same_brand_jvms_share_one_code_object(monkeypatch):
-    """The emitter runs once per (method, brand) of a runtime; a JVM of
-    a brand already seen only execs the code object over its hooks."""
-    from repro.jit.codegen import _Emitter
+def test_same_brand_jvms_share_one_code_object(cold_code_cache, built):
+    """The emitter runs once per (method, brand) of a process; a JVM of
+    a brand already seen only execs the code object over its hooks, and
+    a second identical runtime emits and ``compile()``s nothing."""
+    from repro.jvm import codecache
 
-    emitted = []
-    emit = _Emitter.compile
-    monkeypatch.setattr(_Emitter, "compile", lambda self: (
-        emitted.append(self.method.name), emit(self))[1])
     for brands, texts in (("sun", "sun", "sun"), 1), (("sun", "ibm", "sun"), 2):
-        del emitted[:]
+        codecache.clear()
+        del built[:]
         runtime, report = run_runtime("tsp", jit=True, brands=brands)
         fns = compiled_fns(runtime)
-        assert len(emitted) == len(runtime.jit.code_cache) == texts * len(fns)
+        assert len([name for name in built if "." in name]) == \
+            texts * len(fns)
         assert report.jit["compiles"] == sum(map(len, fns.values())) > len(fns)
         for per_jvm in fns.values():
             assert len({fn.__code__ for fn in per_jvm}) == texts
             assert len({id(fn.source) for fn in per_jvm}) == texts
             assert len({id(fn.__globals__) for fn in per_jvm}) == len(per_jvm)
+        del built[:]
+        again, again_report = run_runtime("tsp", jit=True, brands=brands)
+        assert built == []
+        assert again_report.jit == report.jit
+        assert {fn.__code__ for per_jvm in compiled_fns(again).values()
+                for fn in per_jvm} == {fn.__code__ for per_jvm in fns.values()
+                                       for fn in per_jvm}
 
 
 # ---------------------------------------------------------------------------

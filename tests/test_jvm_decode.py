@@ -346,11 +346,12 @@ def test_mixed_brands_bill_from_their_own_tables():
         assert m_sun is m_ibm and h_sun is not h_ibm
 
 
-def test_mixed_brands_compile_their_own_tier1_code():
-    """The cluster's code cache is keyed by emitted text, and the text
+def test_mixed_brands_compile_their_own_tier1_code(cold_code_cache, built):
+    """The code cache is keyed by what the text is made of, and the text
     carries the brand's cost literals: the two sun JVMs share one code
-    object per method, the ibm JVM gets its own, and the per-brand
-    simulated times above hold under the JIT."""
+    object per method, the ibm JVM gets its own, a second identical
+    runtime emits none, and the per-brand simulated times above hold
+    under the JIT."""
     mixed = _series(brands=("sun", "ibm", "sun"), jit_enable=True)
     assert mixed.run().simulated_ns == 7_736_390
     for brand, golden in (("sun", 8_966_278), ("ibm", 1_732_984)):
@@ -364,9 +365,15 @@ def test_mixed_brands_compile_their_own_tier1_code():
         assert sun[key].__code__ is sun2[key].__code__
         assert sun[key].__code__ is not ibm[key].__code__
         assert sun[key].source != ibm[key].source
-    assert len(mixed.jit.code_cache) == len(
-        {fn.__code__ for cache in (sun, ibm, sun2)
-         for fn in cache.values() if fn})
+    codes = {fn.__code__ for cache in (sun, ibm, sun2)
+             for fn in cache.values() if fn}
+    assert len([name for name in built if "." in name]) == len(codes)
+    del built[:]
+    again = _series(brands=("sun", "ibm", "sun"), jit_enable=True)
+    again.run()
+    assert built == []
+    assert {fn.__code__ for w in again.workers
+            for fn in w.jvm.jit.cache.values() if fn} == codes
 
 
 def test_late_joiner_reports_every_access_to_the_race_detector():

@@ -515,7 +515,8 @@ def test_whole_programs_keep_the_parents_numbers_at_any_quantum(app):
 # ---------------------------------------------------------------------------
 # (e) One text per method, each brand's own bill
 # ---------------------------------------------------------------------------
-def test_brands_share_the_text_and_bill_their_own_sum(monkeypatch):
+def test_brands_share_the_text_and_bill_their_own_sum(monkeypatch,
+                                                     cold_code_cache):
     compiled = []
     monkeypatch.setattr(tier0, "fused_source", lambda code, *rest: (
         compiled.append(code), fused_source(code, *rest))[1])

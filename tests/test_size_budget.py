@@ -34,8 +34,8 @@ LINES = {
     "ft": 881,
     "heap.py": 163,
     "hooks.py": 157,
-    "jit": 1523,
-    "jvm": 3015,
+    "jit": 1571,
+    "jvm": 3084,
     "lang": 2311,
     "locality": 757,
     "net": 2348,
