@@ -12,33 +12,24 @@ class Frame:
 
     Locals layout follows the JVM convention: for instance methods slot 0
     is ``this`` and parameters occupy slots 1..n; for static methods
-    parameters start at slot 0.  ``decoded`` and ``fused`` are the
-    executing JVM's handler lists for ``method`` (per instruction, per
-    run: :mod:`repro.jvm.interpreter`), filled in when the frame runs.
+    parameters start at slot 0; ``args`` becomes the locals, padded in
+    place.  ``decoded`` and ``fused`` are the executing JVM's handler
+    lists for ``method`` (per instruction, per run:
+    :mod:`repro.jvm.interpreter`), filled in when the frame runs — a call
+    passes ``fused`` in when its JVM has already built it.
     """
 
     __slots__ = ("method", "locals", "stack", "pc", "decoded", "fused")
 
-    def __init__(self, method: MethodInfo, args: List[Any]) -> None:
+    def __init__(self, method: MethodInfo, args: List[Any],
+                 fused: Any = None) -> None:
         self.method = method
-        nlocals = max(method.max_locals, len(args))
-        self.locals: List[Any] = args + [None] * (nlocals - len(args))
+        args += [None] * (method.max_locals - len(args))  # padded in place
+        self.locals: List[Any] = args
         self.stack: List[Any] = []
         self.pc: int = 0
         self.decoded: Any = None
-        self.fused: Any = None
-
-    def push(self, value: Any) -> None:
-        """Push onto the operand stack."""
-        self.stack.append(value)
-
-    def pop(self) -> Any:
-        """Pop the operand stack."""
-        return self.stack.pop()
-
-    def peek(self, depth: int = 0) -> Any:
-        """Read the stack at a depth without popping."""
-        return self.stack[-1 - depth]
+        self.fused = fused
 
     def where(self) -> str:
         """Human-readable position, for error messages."""

@@ -208,13 +208,11 @@ Handler = Callable[[Any, Frame], int]
 class Interpreter:
     """Executes bytecode for one JVM instance."""
 
-    # Tiered-JIT agent (repro.jit); set per instance when the jit is
-    # enabled so _invoke can bump the callee's invocation counter.
-    # Class-level None keeps the disabled path a single attribute test.
-    jit = None
-
     def __init__(self, jvm: "JVM") -> None:  # noqa: F821 - circular typing
         self.jvm = jvm
+        #: Tiered-JIT agent (repro.jit) when the jit is enabled: every
+        #: non-native frame push ticks the callee's invocation counter.
+        self.jit: Any = None
         self.cost_tables = cost_tables(jvm.cost_model)
         self._native_cost = jvm.cost_model[cm.NATIVE]
         #: This JVM's share of what a ``SEMANTICS`` row may name.
@@ -376,54 +374,28 @@ class Interpreter:
         return ref.rtclass.is_subtype_of(class_name)
 
     # ------------------------------------------------------------------
-    # Invocation / return
-    # ------------------------------------------------------------------
-    def _invoke(
-        self,
-        thread,
-        frame: Frame,
-        static_m: MethodInfo,
-        target: MethodInfo,
-    ) -> int:
-        stack = frame.stack
-        first_arg = len(stack) - static_m.nargs
-        args = stack[first_arg:]
-        del stack[first_arg:]
-        if target.is_native:
-            fn = target.native_cache
-            if fn is None:
-                fn = self.jvm.native(target.klass, target.name)
-                # Native implementations are identical (stateless, jvm
-                # passed per call) across JVM instances, so the shared
-                # MethodInfo may cache the first resolution.
-                target.native_cache = fn
-            result = fn(self.jvm, thread, args)
-            cost = self._native_cost
-            if result is BLOCK:
-                thread.block(reexec=False, reason=f"native {target.name}")
-                return cost
-            if result is not NO_VALUE:
-                stack.append(result)
-            elif target.ret != "void":
-                raise JVMError(
-                    f"native {target.klass}.{target.name} returned no value"
-                )
-            frame.pc += 1
-            return cost
-        thread.frames.append(Frame(target, args))
-        if self.jit is not None:
-            self.jit.tick(target)
-        return 0
-
-    def _return(self, thread, value: Any, has_value: bool) -> None:
-        thread.frames.pop()
-        if not thread.frames:
-            thread.finish(value if has_value else None)
-            return
-        caller = thread.frames[-1]
-        caller.pc += 1
-        if has_value:
-            caller.stack.append(value)
+    def _call_native(self, thread, frame: Frame, target: MethodInfo,
+                     args: List[Any]) -> int:
+        """Run native ``target`` on ``args``, already popped: it pushes
+        its result and advances ``frame``, or blocks the thread."""
+        fn = target.native_cache
+        if fn is None:
+            fn = self.jvm.native(target.klass, target.name)
+            # Native implementations are identical (stateless, jvm passed
+            # per call) across JVM instances, so the shared MethodInfo
+            # may cache the first resolution.
+            target.native_cache = fn
+        result = fn(self.jvm, thread, args)
+        if result is BLOCK:
+            thread.block(reexec=False, reason=f"native {target.name}")
+            return self._native_cost
+        if result is not NO_VALUE:
+            frame.stack.append(result)
+        elif target.ret != "void":
+            raise JVMError(
+                f"native {target.klass}.{target.name} returned no value")
+        frame.pc += 1
+        return self._native_cost
 
     # ------------------------------------------------------------------
     # Local monitors (un-instrumented mode)
@@ -604,46 +576,80 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
         return make(a, b, nxt, cost, **interp.bound)
 
     # --- invocation: a = static class name, b = method name -------------
+    # A call pushes its callee's frame with this JVM's fused list for it,
+    # if built (fusing here could raise ``margin`` under a running
+    # quantum's ``fused_until``), and RETURN / RETVAL pop back in place.
+    # A virtual site keeps its last object receiver's class and non-native
+    # target; strings, arrays and natives resolve on every call.
+    resolve, fused_of = jvm.resolve_method, interp._fused.get
     if op is Op.INVOKEVIRTUAL:
-        resolve, invoke = jvm.resolve_method, interp._invoke
-        static_m = None
-        receiver_at = 0
+        static_m = cls = target = None
+        nargs = 1  # until resolved: the top operand, which cannot match None
 
         def invokevirtual(thread, frame):
-            nonlocal static_m, receiver_at
-            if static_m is None:
-                static_m = resolve(a, b)
-                receiver_at = -1 - len(static_m.params)
-            receiver = frame.stack[receiver_at]
-            if receiver is None:
-                raise NullPointerError(f"invoke {a}.{b} on null")
-            if isinstance(receiver, str):
-                target = resolve(jvm.string_class, b)
-            elif isinstance(receiver, ArrayObj):
-                target = resolve(jvm.object_class, b)
+            nonlocal static_m, nargs, cls, target
+            stack = frame.stack
+            receiver = stack[-nargs]
+            if type(receiver) is Obj and receiver.rtclass is cls:
+                callee = target
             else:
-                target = receiver.rtclass.vtable.get(b)
-                if target is None:
-                    target = resolve(a, b)
-            return cost + invoke(thread, frame, static_m, target)
+                if static_m is None:
+                    static_m = resolve(a, b)
+                    nargs = static_m.nargs
+                    receiver = stack[-nargs]
+                if receiver is None:
+                    raise NullPointerError(f"invoke {a}.{b} on null")
+                if isinstance(receiver, str):
+                    callee = resolve(jvm.string_class, b)
+                elif isinstance(receiver, ArrayObj):
+                    callee = resolve(jvm.object_class, b)
+                else:
+                    callee = receiver.rtclass.vtable.get(b) or resolve(a, b)
+                    if not callee.is_native:
+                        cls, target = receiver.rtclass, callee
+            args = stack[-nargs:]
+            del stack[-nargs:]
+            if callee.is_native:
+                return cost + interp._call_native(thread, frame, callee, args)
+            thread.frames.append(Frame(callee, args, fused_of(id(callee))))
+            jit = interp.jit
+            if jit is not None:
+                jit.tick(callee)
+            return cost
         return invokevirtual
     if op is Op.INVOKESTATIC or op is Op.INVOKESPECIAL:
-        resolve, invoke = jvm.resolve_method, interp._invoke
-        method = None
+        callee = None
 
         def invokedirect(thread, frame):
-            nonlocal method
-            if method is None:
-                method = resolve(a, b)
-            return cost + invoke(thread, frame, method, method)
+            nonlocal callee
+            if callee is None:
+                callee = resolve(a, b)
+            stack = frame.stack
+            first = len(stack) - callee.nargs
+            args = stack[first:]
+            del stack[first:]
+            if callee.is_native:
+                return cost + interp._call_native(thread, frame, callee, args)
+            thread.frames.append(Frame(callee, args, fused_of(id(callee))))
+            jit = interp.jit
+            if jit is not None:
+                jit.tick(callee)
+            return cost
         return invokedirect
     if op is Op.RETURN or op is Op.RETVAL:
         has_value = op is Op.RETVAL
-        return_to_caller = interp._return
 
         def return_(thread, frame):
-            return_to_caller(
-                thread, frame.stack.pop() if has_value else None, has_value)
+            value = frame.stack.pop() if has_value else None
+            frames = thread.frames
+            frames.pop()
+            if not frames:
+                thread.finish(value)
+            else:
+                caller = frames[-1]
+                caller.pc += 1
+                if has_value:
+                    caller.stack.append(value)
             return cost
         return return_
 

@@ -1,9 +1,10 @@
-"""Python-level call budgets of the message path.
+"""Python-level call budgets of the message path and of a call.
 
 A layer added to the per-message path (a wrapper, a helper, a hook
 called for nothing) costs a few percent of wall time, which a shared
 host cannot tell from noise; it costs a fixed number of Python calls
-per message, which is exact.  These tests count the ``'call'`` events
+per message, which is exact.  The same holds for a bytecode call and
+its return on tier 0.  These tests count the ``'call'`` events
 ``sys.setprofile`` sees (Python frames only: a builtin is a
 ``'c_call'``) and hold each count to the budget the path has today.
 
@@ -24,7 +25,7 @@ from repro.lang import compile_source
 from repro.net import SimNetwork
 from repro.net.transport import Transport
 from repro.rewriter import rewrite_application
-from repro.runtime import JavaSplitRuntime, RuntimeConfig
+from repro.runtime import JavaSplitRuntime, RuntimeConfig, run_original
 from repro.sim import SUN, SimEngine
 
 _LOCKS_MJ = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -33,10 +34,16 @@ _LOCKS_MJ = os.path.join(os.path.dirname(__file__), os.pardir,
 #: (major, minor) -> {case: the most Python calls it may make}.
 #: ``plain_frame`` read 18 and ``locks_2x50`` 29 869 (28 650 on 3.12)
 #: before the simulated link was flattened to one call each way.
+#: ``invoke_return`` read 1 000, ten per call, while a call went through
+#: ``_invoke``, a return through ``_return``, and the dispatch loop
+#: called ``fuse`` for every new frame; pushing the callee's frame and
+#: returning in place took those three off, and 32 calls off
+#: ``locks_2x50``.  The call path has no comprehension, so one count
+#: holds on every version.
 BUDGETS = {
-    (3, 10): {"plain_frame": 10, "locks_2x50": 21771},
-    (3, 11): {"plain_frame": 10, "locks_2x50": 21771},
-    (3, 12): {"plain_frame": 10, "locks_2x50": 20756},
+    (3, 10): {"plain_frame": 10, "locks_2x50": 21739, "invoke_return": 700},
+    (3, 11): {"plain_frame": 10, "locks_2x50": 21739, "invoke_return": 700},
+    (3, 12): {"plain_frame": 10, "locks_2x50": 20724, "invoke_return": 700},
 }
 
 
@@ -102,7 +109,34 @@ def locks_calls(threads=2, iters=50):
     return counts
 
 
-CASES = {"plain_frame": plain_frame_calls, "locks_2x50": locks_calls}
+#: A one-line virtual method called from a loop.
+_CALLS_MJ = """
+class Cell { int v; int f(int k) { return v + k; } }
+class Main {
+    static int main(int n) {
+        Cell c = new Cell();
+        int s = 0;
+        for (int i = 0; i < n; i++) { s += c.f(i); }
+        return s;
+    }
+}"""
+
+
+def invoke_return_calls(n=100):
+    """What ``n`` more invocations of ``Cell.f`` cost on tier 0: the
+    calls of a run of ``2n`` less those of a run of ``n``, so the set-up
+    of a JVM and the first use of anything cancel out."""
+    classes = compile_source(_CALLS_MJ)
+
+    def run(k):
+        assert run_original(classfiles=classes, args=[k]).result == \
+            k * (k - 1) // 2
+    run(n)  # the process's code cache holds the fused text from here
+    return count_calls(lambda: run(2 * n)) - count_calls(lambda: run(n))
+
+
+CASES = {"plain_frame": plain_frame_calls, "locks_2x50": locks_calls,
+         "invoke_return": invoke_return_calls}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

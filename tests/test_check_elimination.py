@@ -111,6 +111,36 @@ def test_store_to_slot_evicts_validation():
     assert ops.count(Op.DSM_READCHECK) == 2
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_store_alone_evicts_validation(level):
+    """A reassignment by a plain ``STORE``, with no call in between (a
+    constructor call is itself a barrier, which would hide a ``STORE``
+    that kept its slot's fact): the second ``p.x`` reads another
+    object, so it keeps its own read check."""
+    src = """
+    class P { int x; }
+    class Main {
+        static int main() {
+            P[] ps = new P[2];
+            ps[0] = new P();
+            ps[1] = new P();
+            P p = ps[0];
+            int a = p.x;
+            p = ps[1];      // slot now holds a different object
+            int b = p.x;    // must be checked again
+            return a + b;
+        }
+    }
+    """
+    rw = rewrite_application(compile_source(src), check_elim=level)
+    verify_classfiles(rw.all_classfiles())
+    code = rw.classfiles[PREFIX + "Main"].methods["main"].code
+    reads = [pc for pc, i in enumerate(code) if i.op is Op.GETFIELD]
+    assert len(reads) == 2
+    assert all(code[pc - 1].op is Op.DSM_READCHECK for pc in reads)
+    assert [i.op for i in code].count(Op.DSM_READCHECK) == 2
+
+
 def test_write_check_validates_for_reading():
     src = """
     class P { int x; }

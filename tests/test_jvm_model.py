@@ -217,12 +217,11 @@ def test_unknown_field_and_method_raise():
 def test_frame_locals_padding():
     m = MethodInfo("m", ["int"], "void", max_locals=5,
                    flags=frozenset({"static"}))
-    f = Frame(m, [42])
+    args = [42]
+    f = Frame(m, args)
     assert f.locals == [42, None, None, None, None]
-    f.push(1)
-    f.push(2)
-    assert f.peek() == 2 and f.peek(1) == 1
-    assert f.pop() == 2
+    assert f.locals is args  # padded in place: a call copies no list
+    assert Frame(m, [1, 2, 3, 4, 5, 6]).locals == [1, 2, 3, 4, 5, 6]
 
 
 def test_jstr_object_form():

@@ -35,7 +35,7 @@ LINES = {
     "heap.py": 163,
     "hooks.py": 157,
     "jit": 1571,
-    "jvm": 3084,
+    "jvm": 3081,
     "lang": 2311,
     "locality": 757,
     "net": 2348,
