@@ -72,7 +72,7 @@ from ..jvm.classfile import MethodInfo
 from ..jvm.codecache import cached, code_key
 from ..jvm.errors import LinkError
 from ..jvm.frame import Frame
-from ..jvm.fuse import LineWriter
+from ..jvm.fuse import READ_MISS, LineWriter, read_miss_names
 from ..jvm.interpreter import BLOCK, HELPERS, NO_VALUE, Interpreter
 from . import analysis
 from .analysis import (CHECKS, SPECIAL_OPS, CompileError, MethodAnalysis,
@@ -161,22 +161,13 @@ def _env(agent) -> Dict[str, Any]:
             _readcheck=dsm.read_check, _writecheck=dsm.write_check,
             _staticref=dsm.static_ref, _acquire=dsm.acquire,
             _release=dsm.release, _stats=dsm.stats,
-            _LOCAL=ObjState.LOCAL, _INVALID=ObjState.INVALID,
-            # The engine's live table: arrays promoted after a compile
-            # still resolve.
-            _regions=dsm._regions,
+            _LOCAL=ObjState.LOCAL, **read_miss_names(dsm),
             # Subscribers of the engine's lock_edge point (the race
             # detector's §4.4 local-lock clocks) fire from the inlined
             # fast path too.
             _lock_edge=dsm.hooks.lock_edge,
         )
     return env
-
-
-# A read check misses on a header that is absent, INVALID, or a split
-# array's (its regions carry the state); a write check hits on LOCAL.
-_READ_MISS = ("_h is None or _h.state == _INVALID or "
-              "(_h.gid and _h.gid in _regions)")
 
 
 _Text = List[Tuple[int, str]]  # (indent, line) pairs
@@ -544,7 +535,7 @@ class _Emitter:
             if op in CHECKS:
                 if not known:
                     ref = line.value(instr.a)
-                    miss = (_READ_MISS if op is Op.DSM_READCHECK
+                    miss = (READ_MISS if op is Op.DSM_READCHECK
                             else "_h is None or _h.state != _LOCAL")
                     miss = miss.replace("_h", f"(_h := {ref}.header)", 1)
                     self.w(ind, f"if {ref} is None or {miss}:")
@@ -594,7 +585,7 @@ class _Emitter:
         # table, so arrays promoted after this compile still resolve)
         # calls the handler.
         w(ind, "_h = _r.header")
-        w(ind, f"if {_READ_MISS}:")
+        w(ind, f"if {READ_MISS}:")
         w(ind + 1, f"frame.pc = {pc}")
         idx = (f"(s{d - a} if isinstance(_r, _Arr) else None)"
                if a >= 1 else "None")

@@ -9,7 +9,8 @@ runs: every straight-line run of pure ops is bracketed with its
 pre-summed simulated cost (the one addition tier-1 code charges at run
 entry), every trace with what its one budget test pre-charges and how
 many of its checks are already proven when reached, every run tier 0
-fuses with what its one handler bills, and
+fuses with what its one handler bills (a tail with the guard it resumes
+after, and a guard — a read check a run tests in line — marked), and
 check-elimination notes (``method.elim_notes``, written by the level-1/2
 passes) annotate the instructions whose access checks were removed or
 hoisted.
@@ -24,7 +25,7 @@ from .bytecode import (BRANCHES, CostTables, Instr, Op, branch_target,
                        cost_tables, instr_cost)
 from .cfg import branch_targets
 from .classfile import ClassFile, MethodInfo
-from .fuse import fused_runs
+from .fuse import GUARD, fused_runs
 
 
 def resolve_cost_tables(brand: str, profile: str = "micro") -> CostTables:
@@ -74,10 +75,13 @@ def disassemble_method(method: MethodInfo,
     lines = [header, f"    max_locals={method.max_locals}"]
     targets = branch_targets(method.code)
     elim_notes = getattr(method, "elim_notes", None) or {}
-    run_start, fused, traced = {}, {}, {}
+    run_start, fused, traced, guards = {}, {}, {}, set()
     if costs is not None:
         from ..jit.analysis import pre_summed_runs, traces
         fused = dict(fused_runs(method.code))
+        guards = {pc for start, end in fused.items()
+                  for pc in range(start + 1, end)
+                  if method.code[pc].op is GUARD}
         for start, end, total in pre_summed_runs(method, costs):
             run_start[start] = (end, total)
         traced = traces(method, costs)
@@ -92,9 +96,14 @@ def disassemble_method(method: MethodInfo,
             lines.append(f"      ; run {span}: {total} ns pre-summed")
         if pc in fused:
             total = sum(instr_cost(i, costs) for i in method.code[pc:fused[pc]])
-            lines.append(f"      ; fused pc {pc}..{fused[pc] - 1}: {total} ns")
+            tail = (f", resumes after the check at pc {pc - 1}"
+                    if pc - 1 in guards else "")
+            lines.append(f"      ; fused pc {pc}..{fused[pc] - 1}: {total} ns"
+                         + tail)
         marker = ">" if pc in targets else " "
         text = f"   {marker}{format_instr(pc, instr)}"
+        if pc in guards:
+            text += "  ; guard: tested in line"
         note = elim_notes.get(pc)
         if note:
             text += f"  ; elim: {note}"

@@ -7,9 +7,14 @@ Other invokes, returns, monitors and DSM ops end a run: what can block
 or leave the frame keeps its own handler.  A heap access ends one only
 when it is observed (a race detector is attached and the access is
 checked) or did not link at decode — the pcs the interpreter passes as
-``cut``.  A run's function is the rows' own text over a *virtual*
-operand stack of Python expressions, written by :class:`LineWriter`,
-which writes tier 1's traces and arms too (:mod:`repro.jit.codegen`):
+``cut``; a read check, when its JVM's hooks are no DSM engine.  Else a
+read check is a *guard*: the run tests :data:`READ_MISS` in line and, on
+a miss, stores what is pending and leaves ``frame.pc`` on the check, for
+its handler; the rest of the run, its *tail*, is a run of its own.  No
+run starts at a check (a miss would dispatch it again).  A run's function
+is the rows' own text over a *virtual* operand stack of Python
+expressions, written by :class:`LineWriter`, which writes tier 1's
+traces and arms too (:mod:`repro.jit.codegen`):
 
 * a value stays unevaluated only if its row cannot raise and has no side
   effect (``_FORWARDED``); any other is evaluated where it stands;
@@ -46,26 +51,39 @@ import re
 from typing import (Any, Callable, Container, Dict, List, Optional, Sequence,
                     Tuple)
 
+from ..dsm.objectstate import ObjState
 from .bytecode import (BRANCHES, LINKED, SEMANTICS, STACK_EFFECT, Instr, Op,
                        branch_row, instantiate, literal, native_of, row_of,
                        row_text, traps)
 from .cfg import straight_runs
 
+GUARD = Op.DSM_READCHECK  # tested in line inside a run
 #: Never in a run, but for an INVOKESTATIC that is a ``MATH`` row.
-NOT_FUSED = frozenset(Op) - set(SEMANTICS) - BRANCHES
+NOT_FUSED = frozenset(Op) - set(SEMANTICS) - BRANCHES - {GUARD}
+#: A read check misses on a header that is absent, INVALID, or a split
+#: array's (its regions carry the state); both tiers test it on ``_h``.
+READ_MISS = ("_h is None or _h.state == _INVALID or "
+             "(_h.gid and _h.gid in _regions)")
 _FORWARDED = frozenset({Op.CONST, Op.LOAD, Op.ADD, Op.SUB, Op.MUL, Op.NEG,
                         Op.AND, Op.OR, Op.XOR})
 _BARE = re.compile(r"\{\w+\}$").match  # a pushed value that is an operand
 
 
+def read_miss_names(dsm: Any) -> Dict[str, Any]:
+    """What :data:`READ_MISS` names, bound to ``dsm``'s live table:
+    arrays split after the text was built still resolve."""
+    return {"_INVALID": ObjState.INVALID, "_regions": dsm._regions}
+
+
 def fused_runs(code: Sequence[Instr],
                cut: Container[int] = ()) -> List[Tuple[int, int]]:
     """``(start_pc, end_pc_exclusive)`` of every run tier 0 fuses when
-    the pcs in ``cut`` may not join one."""
+    the pcs in ``cut`` may not join one, tails included, by start."""
     cuts = {pc for pc, instr in enumerate(code) if pc in cut
             or instr.op in NOT_FUSED and native_of(instr) is None}
-    return [(start, end) for start, end in straight_runs(code, (), cuts)
-            if end - start > 1]
+    return [(head, end) for start, end in straight_runs(code, (), cuts)
+            for head in range(start, end - 1) if code[head].op is not GUARD
+            and (head == start or code[head - 1].op is GUARD)]
 
 
 def _reads(expr: str, name: str) -> bool:
@@ -200,6 +218,18 @@ def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
         if instr.op is Op.GOTO:
             lines.append(f"frame.pc = {instr.a}")
             break
+        if instr.op is GUARD:
+            below = instr.a - len(line.stack)
+            ref = line.value(instr.a) if below < 0 else f"stack[{-1 - below}]"
+            lines.append(f"if {ref} is None or "
+                         + READ_MISS.replace("_h", f"(_h := {ref}.header)", 1)
+                         + ":")
+            line.fork(lambda text: lines.append("    " + text)).flush()
+            lines.append(f"    frame.pc = {pc}")
+            if pc - start > 1:
+                lines.append(f"    thread.instructions += {pc - start - 1}")
+            lines.append(f"    return c{start}_{pc}")
+            continue
         test = line.row(pc, instr)
         if test is not None:
             lines.append(f"frame.pc = {instr.b} if {test} else {end}")
@@ -213,19 +243,23 @@ def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
 def fused_source(code: Sequence[Instr], bound: Sequence[str],
                  cut: Container[int] = ()
                  ) -> Tuple[str, List[Tuple[int, int]]]:
-    """``make(C, S, *bound) -> handlers`` as source text, and the runs.
-    What differs between the JVMs that share a method is an argument —
-    ``C``, the runs' summed costs; ``S``, the field slots by pc — or
-    decides ``cut``, so the text is compiled once per ``cut``."""
+    """``make(C, S, *bound, _INVALID, _regions) -> handlers`` as source
+    text, and the runs.  What differs between the JVMs that share a
+    method is an argument — ``C``, the cost of each pc; ``S``, the field
+    slots by pc; :func:`read_miss_names` — or decides ``cut``, so the
+    text is compiled once per ``cut``."""
     runs = fused_runs(code, cut)
-    slots = [pc for start, end in runs for pc in range(start, end)
-             if code[pc].op in LINKED]
-    out = [f"def make(C, S, {', '.join(bound)}):",
-           f"    [{', '.join(f'c{k}' for k in range(len(runs)))}] = C"]
+    slots = sorted({pc for start, end in runs for pc in range(start, end)
+                    if code[pc].op in LINKED})
+    out = [f"def make(C, S, {', '.join(bound)}, _INVALID=None, "
+           f"_regions=None):"]
+    out += [f"    c{start}_{pc} = sum(C[{start}:{pc}])" for start, end in runs
+            for pc in range(start + 1, end + 1)
+            if pc == end or code[pc].op is GUARD]
     if slots:
         out.append(f"    {', '.join(f'f{pc}' for pc in slots)}, = "
                    f"{', '.join(f'S[{pc}]' for pc in slots)},")
-    for k, (start, end) in enumerate(runs):
+    for start, end in runs:
         body = _run_body(code, start, end)
         head = [f"{name} = frame.{attr}"
                 for name, attr in (("stack", "stack"), ("L", "locals"))
@@ -233,6 +267,6 @@ def fused_source(code: Sequence[Instr], bound: Sequence[str],
         out.append(f"    def run_{start}(thread, frame):")
         out += ["        " + line for line in (
             *head, *body, f"thread.instructions += {end - start - 1}",
-            f"return c{k}")]
+            f"return c{start}_{end}")]
     out.append(f"    return [{', '.join(f'run_{s}' for s, _ in runs)}]")
     return "\n".join(out), runs

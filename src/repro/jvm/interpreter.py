@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..dsm.protocol import DsmEngine
 from ..heap import ArrayObj, JVMError, Obj, monitor_of
 from ..sim import cost_model as cm
 from ..sim.node import StreamState
@@ -91,7 +92,7 @@ from .errors import (
     NullPointerError,
 )
 from .frame import Frame
-from .fuse import fused_source
+from .fuse import GUARD, fused_source, read_miss_names
 
 # Sentinel returned by native methods that produce no value (void).
 NO_VALUE = object()
@@ -218,10 +219,10 @@ class Interpreter:
         #: This JVM's share of what a ``SEMANTICS`` row may name.
         self.bound = dict(zip(BOUND, (jvm.new_instance, jvm.new_array,
                                       jvm.classes, self._is_instance)))
-        # id(method) -> (method, handlers, linked slots); the entry pins
-        # the method so its id stays unique for the life of the cache.
-        self._decoded: Dict[
-            int, Tuple[MethodInfo, List[Handler], Dict[int, int]]] = {}
+        # id(method) -> (method, handlers, linked slots, pc costs); the entry
+        # pins the method so its id stays unique for the life of the cache.
+        self._decoded: Dict[int, Tuple[MethodInfo, List[Handler],
+                                       Dict[int, int], List[int]]] = {}
         self._fused: Dict[int, List[Handler]] = {}  # id(method) -> fuse()
         #: The most any fused run here bills before its last instruction.
         self.margin = 0
@@ -250,14 +251,14 @@ class Interpreter:
         use; one extra handler past the end reports a fall-off."""
         entry = self._decoded.get(id(method))
         if entry is None:
-            tables = self.cost_tables
-            slots = link_slots(method.code, self.jvm.field_index)
-            handlers = [
-                _decode_instr(self, instr, pc, instr_cost(instr, tables),
-                              slots.get(pc))
-                for pc, instr in enumerate(method.code)]
+            code = method.code
+            slots = link_slots(code, self.jvm.field_index)
+            costs = [instr_cost(instr, self.cost_tables) for instr in code]
+            handlers = [_decode_instr(self, i, pc, costs[pc], slots.get(pc))
+                        for pc, i in enumerate(code)]
             handlers.append(_fell_off_end)
-            entry = self._decoded[id(method)] = (method, handlers, slots)
+            entry = self._decoded[id(method)] = (method, handlers, slots,
+                                                 costs)
         return entry[1]
 
     def step(self, thread: "JThread") -> int:  # noqa: F821
@@ -277,18 +278,22 @@ class Interpreter:
     def fuse(self, method: MethodInfo) -> List[Handler]:
         """``decode(method)`` with one handler at the first pc of every
         fused run; the pcs inside a run keep their own.  An access joins
-        a run unless it is observed or did not link (the ``cut``).  The
-        text is built once per process for each content, cut and name
+        a run unless it is observed or did not link, a read check unless
+        this JVM's hooks are no DSM engine (the ``cut``).  The text is
+        built once per process for each content, cut and name
         (:mod:`~repro.jvm.codecache`), and the method points at it as at
         its native: every JVM of a runtime loads the same classes and
-        has the same race switch, so all of them cut a method alike."""
+        hooks and has the same race switch, so all cut a method alike."""
         fused = self._fused.get(id(method))
         if fused is None:
             fused = self._fused[id(method)] = list(self.decode(method))
             code = method.code
-            slots = self._decoded[id(method)][2]
+            _, _, slots, costs = self._decoded[id(method)]
+            hooks = self.jvm.hooks
+            guards = isinstance(hooks, DsmEngine)
             cut = frozenset(pc for pc, i in enumerate(code) if self.observes(i)
-                            or i.op in LINKED and pc not in slots)
+                            or i.op in LINKED and pc not in slots
+                            or i.op is GUARD and not guards)
             if method.fused is None:
                 name = f"{method.klass}.{method.name}"
                 method.fused = (cut, *cached(
@@ -296,12 +301,12 @@ class Interpreter:
                     lambda: _make_runs(code, cut, name)))
             shared_cut, make, runs = method.fused
             assert shared_cut == cut, "JVMs sharing a method cut it apart"
-            costs = [[instr_cost(i, self.cost_tables)
-                      for i in code[start:end]] for start, end in runs]
             for (start, _), handler in zip(runs, make(
-                    [sum(c) for c in costs], slots, **self.bound)):
+                    costs, slots, **self.bound,
+                    **(read_miss_names(hooks) if guards else {}))):
                 fused[start] = handler
-            self.margin = max([self.margin, *(sum(c[:-1]) for c in costs)])
+            self.margin = max([self.margin, *(sum(costs[start:end - 1])
+                                              for start, end in runs)])
         return fused
 
     def run(self, thread: "JThread", budget_ns: int,  # noqa: F821

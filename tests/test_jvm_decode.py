@@ -341,7 +341,7 @@ def test_mixed_brands_bill_from_their_own_tables():
     shared = set(sun._decoded) & set(ibm._decoded)
     assert shared, "both JVMs should have run the same worker methods"
     for key in shared:
-        (m_sun, h_sun, _), (m_ibm, h_ibm, _) = (sun._decoded[key],
+        (m_sun, h_sun, _, _), (m_ibm, h_ibm, _, _) = (sun._decoded[key],
                                                 ibm._decoded[key])
         assert m_sun is m_ibm and h_sun is not h_ibm
 

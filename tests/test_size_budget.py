@@ -34,8 +34,8 @@ LINES = {
     "ft": 881,
     "heap.py": 163,
     "hooks.py": 157,
-    "jit": 1571,
-    "jvm": 3081,
+    "jit": 1562,
+    "jvm": 3129,
     "lang": 2311,
     "locality": 757,
     "net": 2348,

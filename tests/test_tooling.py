@@ -203,6 +203,25 @@ def test_cli_disasm_costs_bills_a_math_row_like_both_tiers(tmp_path, capsys):
     assert 177 == 13 + sun[cm.ARITH] + 2 * (sun[cm.INVOKE] + sun[cm.NATIVE])
 
 
+def test_cli_disasm_costs_marks_a_guard_and_its_tail(tmp_path, capsys):
+    """``SeriesWorker.integrate``'s loop test reads ``this.steps``: its
+    read check is a guard of the run from the loop head, and the rest of
+    that run is a tail, where a miss resumes after the check's handler."""
+    from repro.apps.series import make_source
+    path = tmp_path / "series.mj"
+    path.write_text(make_source())
+    assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
+    out = capsys.readouterr().out
+    assert ("      ; fused pc 54..58: 192 ns\n"
+            "   >  54  LOAD 9\n"
+            "      55  LOAD 0\n"
+            "      56  DSM_READCHECK 0  ; guard: tested in line\n"
+            "      ; run pc 57..58: 186 ns pre-summed\n"
+            "      ; fused pc 57..58: 186 ns, resumes after the check at pc 56\n"
+            "      57  GETFIELD 'javasplit.SeriesWorker' 'steps' [checked]\n"
+            ) in out[out.index("  double integrate(int, int)"):]
+
+
 def test_cli_trace(src_file, capsys):
     assert cli_main(["trace", src_file, "--nodes", "2", "--limit", "10"]) == 0
     out = capsys.readouterr().out
