@@ -11,7 +11,10 @@ checked) or did not link at decode — the pcs the interpreter passes as
 read check is a *guard*: the run tests :data:`READ_MISS` in line and, on
 a miss, stores what is pending and leaves ``frame.pc`` on the check, for
 its handler; the rest of the run, its *tail*, is a run of its own.  No
-run starts at a check (a miss would dispatch it again).  A run's function
+run starts at a check (a miss would dispatch it again).  The access
+right after a check, on the reference it tested, drops its null test, in
+the run and in the tail (the check's own handler raises on null), as
+tier 1 drops a proven one.  A run's function
 is the rows' own text over a *virtual* operand stack of Python
 expressions, written by :class:`LineWriter`, which writes tier 1's
 traces and arms too (:mod:`repro.jit.codegen`):
@@ -52,10 +55,10 @@ from typing import (Any, Callable, Container, Dict, List, Optional, Sequence,
                     Tuple)
 
 from ..dsm.objectstate import ObjState
-from .bytecode import (BRANCHES, LINKED, SEMANTICS, STACK_EFFECT, Instr, Op,
-                       branch_row, instantiate, literal, native_of, row_of,
-                       row_text, traps)
-from .cfg import straight_runs
+from .bytecode import (ACCESSES, BRANCHES, LINKED, SEMANTICS, STACK_EFFECT,
+                       Instr, Op, branch_row, instantiate, literal, native_of,
+                       ref_below, row_of, row_text, traps)
+from .cfg import block_starts, straight_runs
 
 GUARD = Op.DSM_READCHECK  # tested in line inside a run
 #: Never in a run, but for an INVOKESTATIC that is a ``MATH`` row.
@@ -208,8 +211,10 @@ def _names(pc: int, instr: Instr) -> Dict[str, str]:
             "local": f"L[{instr.a}]", "slot": f"f{pc}"}
 
 
-def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
-    """The statements of one run."""
+def _run_body(code: Sequence[Instr], start: int, end: int,
+              guarded: Optional[int]) -> List[str]:
+    """The statements of one run; ``guarded`` is the depth a read check
+    just before it, in the same block, proved not null."""
     lines: List[str] = []
     line = LineWriter(_names, lambda pc: f"frame.pc = {pc}"
                       if pc != start else None, lines.append)
@@ -229,8 +234,11 @@ def _run_body(code: Sequence[Instr], start: int, end: int) -> List[str]:
             if pc - start > 1:
                 lines.append(f"    thread.instructions += {pc - start - 1}")
             lines.append(f"    return c{start}_{pc}")
+            guarded = instr.a
             continue
-        test = line.row(pc, instr)
+        known = instr.op in ACCESSES and ref_below(instr.op) - 1 == guarded
+        guarded = None
+        test = line.row(pc, instr, known)
         if test is not None:
             lines.append(f"frame.pc = {instr.b} if {test} else {end}")
             break
@@ -259,8 +267,11 @@ def fused_source(code: Sequence[Instr], bound: Sequence[str],
     if slots:
         out.append(f"    {', '.join(f'f{pc}' for pc in slots)}, = "
                    f"{', '.join(f'S[{pc}]' for pc in slots)},")
+    leaders = set(block_starts(code))
     for start, end in runs:
-        body = _run_body(code, start, end)
+        body = _run_body(code, start, end, code[start - 1].a if start
+                         and start not in leaders
+                         and code[start - 1].op is GUARD else None)
         head = [f"{name} = frame.{attr}"
                 for name, attr in (("stack", "stack"), ("L", "locals"))
                 if any(re.search(rf"\b{name}\W", line) for line in body)]

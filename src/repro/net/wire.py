@@ -25,6 +25,20 @@ Design constraints, in order:
   destination without decoding payloads, so ``src``/``dst`` live at
   fixed offsets readable with one ``struct`` call (:func:`peek_route`).
 
+Compiled shapes.  Payload layouts repeat, so the codec compiles each
+*skeleton* it meets (the tags, counts, str and byte lengths and str keys
+a payload puts on the wire: all but its values) into one ``struct`` and
+two generated functions, from one walk.  The encoder, found by (type,
+payload keys), compares the lengths of containers before it unpacks
+them, then every value's exact class and every str key, None and bool
+by value in one tuple compare, and packs the frame in one call.  The
+decoder, found by (frame length, type), unpacks the frame in one call
+and rebuilds the payload only if every literal field matches.  Every
+first sight, every mismatch and every error takes the generic tagged
+codec below, the reference; a bigint, a subclass or a skeleton of over
+:data:`MAX_SLOTS` values is never compiled.  The bytes on the wire are
+the same.
+
 Frame layout (all integers big-endian)::
 
     u32   length of the rest of the frame (stream framing prefix)
@@ -42,6 +56,7 @@ Frame layout (all integers big-endian)::
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Tuple
 
 from .message import Message
@@ -321,6 +336,163 @@ for _tag, _decode in ((_T_NONE, _dec_const(None)),
 
 
 # ---------------------------------------------------------------------------
+# Compiled shapes
+# ---------------------------------------------------------------------------
+#: Most values (dict keys and None included) a compiled shape holds.
+MAX_SLOTS = 128
+#: Most entries each cache keeps (the oldest goes first), and the most
+#: shapes one key tries (the last that fitted first).
+MAX_SHAPES = 256
+_CANDIDATES = 8
+_SHAPES: Dict[Tuple[str, str], Tuple[Callable, Callable]] = {}
+_ENCODE: Dict[Tuple[str, tuple], List[Callable]] = {}
+_DECODE: Dict[Tuple[int, bytes], List[Callable]] = {}
+_ITEM_TAGS = {list: _T_LIST, tuple: _T_TUPLE, set: _T_SET,
+              frozenset: _T_FROZENSET, dict: _T_DICT}
+_SCALARS = (type(None), bool, int, float, str, bytes)  # exact classes only
+_TYPE_LEN = _HEADER.size - 2     # offset of the u16 message-type length
+
+
+def _shape(msg: Message) -> Tuple[Callable, Callable]:
+    """``(encoder, decoder)`` of ``msg``'s skeleton, from one walk of
+    its payload; compiled once per skeleton (module docstring)."""
+    fmt, args, lits, lines, sizes, kinds, values = [], [], [], [], [], [], []
+    slots = 0
+
+    def slot(code: str, source: str) -> str:
+        fmt.append(code)
+        args.append(source)
+        return f"v[{len(fmt) - 1}]"
+
+    def lit(raw: bytes) -> None:    # joins a literal just before it
+        if lits and lits[-1][0] == len(fmt) - 1:
+            raw = lits.pop()[1] + raw
+            del fmt[-1], args[-1]
+        lits.append((len(fmt), raw))
+        slot(f"{len(raw)}s", repr(raw))
+
+    def line(text: str = "") -> None:  # the lengths it relies on first
+        if sizes:
+            lines.append(f"if ({''.join(x + ', ' for x, _ in sizes)}) != "
+                         f"({''.join(n + ', ' for _, n in sizes)}): return")
+            sizes.clear()
+        if text:
+            lines.append(text)
+
+    def emit(value: Any, x: str, key: bool = False) -> str:
+        """Write ``value``'s fields, ``x`` its name in the encoder; the
+        expression that rebuilds it from ``v``."""
+        nonlocal slots
+        kind = type(value)
+        kinds.append((x, "type(None)" if value is None else kind.__name__))
+        if kind in _ITEM_TAGS:
+            lit(_TAG_U32.pack(_ITEM_TAGS[kind], len(value)))
+            sizes.append((f"len({x})", str(len(value))))
+            names = [f"{x}_{k}" for k in range(len(value) * 2)]
+            keys, items = names[::2], names[1::2]
+            if value and kind is dict:
+                line(", ".join(f"({k}, {v})" for k, v in zip(keys, items))
+                     + f", = {x}.items()")
+            elif value:
+                line(f"{', '.join(items)}, = {x}")
+            if kind is dict:
+                return "{%s}" % ", ".join(
+                    f"{emit(k, n, True)}: {emit(v, m)}"
+                    for (k, v), n, m in zip(value.items(), keys, items))
+            rebuilt = "".join(f"{emit(v, n)}, " for v, n in zip(value, items))
+            return (f"[{rebuilt}]" if kind is list else f"({rebuilt})"
+                    if kind is tuple else f"{kind.__name__}(({rebuilt}))")
+        slots += 1
+        if slots > MAX_SLOTS or kind not in _SCALARS or \
+                kind is int and not _INT64_MIN <= value <= _INT64_MAX:
+            raise WireError("only the generic codec takes this value")
+        if key and kind is str or value is None or kind is bool:
+            raw = value.encode("utf-8") if kind is str else b""
+            lit(_TAG_U32.pack(_T_STR, len(raw)) + raw if kind is str else
+                _T_NONE if value is None else _T_TRUE if value else _T_FALSE)
+            values.append((x, repr(value)))
+            return repr(value)
+        if kind is int or kind is float:
+            lit(_T_INT if kind is int else _T_FLOAT)
+            return slot("q" if kind is int else "d", x)
+        raw = f"{x}_" if kind is str else x
+        if kind is str:
+            line(f"{raw} = {x}.encode()")
+        size = len(value.encode("utf-8") if kind is str else value)
+        lit(_TAG_U32.pack(_T_STR if kind is str else _T_BYTES, size))
+        sizes.append((f"len({raw})", str(size)))
+        line()  # another candidate of the same keys differs here, if at all
+        return slot(f"{size}s", raw) + ".decode()" * (kind is str)
+
+    type_raw = msg.msg_type.encode("utf-8")
+    lit(MAGIC + bytes([VERSION, 0]))
+    msg_id, src, dst, size = (slot(code, f"m.{name}") for code, name in (
+        ("Q", "msg_id"), ("i", "src"), ("i", "dst"), ("I", "size_bytes")))
+    lit(struct.pack(">H", len(type_raw)) + type_raw)
+    payload = emit(msg.payload, "x")
+    sizes.append((f"*map(type, ({''.join(x + ', ' for x, _ in kinds)}))",
+                  ", ".join(kind for _, kind in kinds)))
+    sizes.extend(values)    # one compare: lengths, classes, literal values
+    line(f"return pack({', '.join(args)})")
+    source = "\n".join(
+        ["def enc(m):", "    x = m.payload", *("    " + s for s in lines),
+         "def dec(data):", "    v = unpack(data)", "    if lits(v) == LITS:",
+         f"        return Message({msg.msg_type!r}, {src}, {dst}, {payload}, "
+         f"{size}, {msg_id})"])
+    shape = _SHAPES.get((source, "".join(fmt)))
+    if shape is None:
+        packer, (index, raws) = struct.Struct(">" + "".join(fmt)), zip(*lits)
+        scope = {"pack": packer.pack, "unpack": packer.unpack, "LITS": raws,
+                 "lits": itemgetter(*index), "Message": Message}
+        exec(compile(source, "<wire shape>", "exec"), scope)
+        shape = _keep(_SHAPES, (source, "".join(fmt)),
+                      (scope["enc"], scope["dec"]))
+    return shape
+
+
+def _first(fns: List[Callable], arg: Any) -> Any:
+    """The first result of ``fns`` that is not None, its function moved
+    to the front; one that raises declines."""
+    for fn in fns:
+        try:
+            out = fn(arg)
+        except Exception:  # noqa: BLE001 - the generic codec runs instead
+            continue
+        if out is not None:
+            if fn is not fns[0]:
+                fns.remove(fn)
+                fns.insert(0, fn)
+            return out
+    return None
+
+
+def _keep(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
+    """``cache[key] = value``, the oldest entry dropped at the bound."""
+    if key not in cache and len(cache) >= MAX_SHAPES:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _learn(msg: Message, frame: bytes) -> None:
+    """Keep ``msg``'s shape for both directions if its encoder gives
+    back ``frame``, which the generic codec took ``msg`` to or from."""
+    try:
+        enc, dec = _shape(msg) if type(msg.payload) is dict else (None, None)
+    except Exception:  # noqa: BLE001 - a value no shape takes
+        return
+    if not enc or _first([enc], msg) != frame:
+        return
+    for cache, at, fn in (
+            (_ENCODE, (msg.msg_type, tuple(msg.payload)), enc),
+            (_DECODE, (len(frame), msg.msg_type.encode("utf-8")), dec)):
+        fns = cache.get(at) or _keep(cache, at, [])
+        if fn not in fns:
+            fns.insert(0, fn)
+            del fns[_CANDIDATES:]
+
+
+# ---------------------------------------------------------------------------
 # Frame codec
 # ---------------------------------------------------------------------------
 def encode_frame(msg: Message) -> bytes:
@@ -328,9 +500,37 @@ def encode_frame(msg: Message) -> bytes:
 
     The prefix is stream framing, attached once with
     :func:`frame_with_prefix` before the frame first goes on a socket;
-    :func:`decode_frame` takes the bare frame.  The codec keeps no
-    state: a caller that wants its wall time measures its own calls.
+    :func:`decode_frame` takes the bare frame.  A caller that wants the
+    codec's wall time measures its own calls.
     """
+    if type(msg.payload) is dict and type(msg.msg_type) is str:
+        body = _first(_ENCODE.get((msg.msg_type, tuple(msg.payload)), ()), msg)
+        if body is not None:
+            return body
+    body = _encode_generic(msg)
+    _learn(msg, body)
+    return body
+
+
+def decode_frame(data: bytes) -> Message:
+    """Decode one frame (*without* its length prefix) to a Message.
+
+    Raises :class:`WireError` for bad magic, an unsupported version,
+    truncation anywhere, or trailing garbage after the payload.
+    """
+    if type(data) is bytes and len(data) > _HEADER.size:
+        end = _HEADER.size + (data[_TYPE_LEN] << 8 | data[_TYPE_LEN + 1])
+        msg = _first(_DECODE.get((len(data), data[_HEADER.size:end]), ()),
+                     data)
+        if msg is not None:
+            return msg
+    msg = _decode_generic(data)
+    _learn(msg, data)
+    return msg
+
+
+def _encode_generic(msg: Message) -> bytes:
+    """The tagged encoder: every value by its own tag, recursively."""
     type_raw = msg.msg_type.encode("utf-8")
     if len(type_raw) > 0xFFFF:
         raise WireError(f"message type too long ({len(type_raw)} bytes)")
@@ -347,12 +547,8 @@ def encode_frame(msg: Message) -> bytes:
     return body
 
 
-def decode_frame(data: bytes) -> Message:
-    """Decode one frame (*without* its length prefix) to a Message.
-
-    Raises :class:`WireError` for bad magic, an unsupported version,
-    truncation anywhere, or trailing garbage after the payload.
-    """
+def _decode_generic(data: bytes) -> Message:
+    """The tagged decoder, and the reference for every frame."""
     if len(data) < _HEADER.size:
         raise WireError(f"frame too short for header ({len(data)} bytes)")
     magic, version, _flags, msg_id, src, dst, size_bytes, type_len = \

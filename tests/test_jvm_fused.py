@@ -602,15 +602,16 @@ def test_race_detector_still_observes_every_checked_access():
 # SHA-256 over ``fused_source`` of every method of the rewritten program
 # (sorted by class, then method), unobserved and with every checked
 # access cut as a race detector cuts it; the two benchmark programs with
-# their placeholders filled in.  Re-pinned once by design, when a read
-# check joined runs as a guard and ``C`` became the cost of each pc.
+# their placeholders filled in.  Re-pinned by design when a read check
+# joined runs as a guard and ``C`` became the cost of each pc, and when
+# the access right after a guard dropped the null test the guard made.
 PARENT_FUSED_TEXT = {
-    ("series", 0): "42d5e1efb21a1069", ("series", 2): "55da2b98b2755adb",
-    ("tsp", 0): "35c6521453c34354", ("tsp", 2): "7433c57f0b4dd855",
-    ("raytracer", 0): "1de7385277dee4a2",
-    ("raytracer", 2): "0c2621d20b9a6627",
-    ("locks.mj", 0): "053cd1a8618bd88b", ("locks.mj", 2): "c2937ddbc1a6e7f7",
-    ("bulk.mj", 0): "f019af55afebe7a2", ("bulk.mj", 2): "64beb8c8906531c4",
+    ("series", 0): "7f396d407b7d2607", ("series", 2): "6cf357ea84c23746",
+    ("tsp", 0): "11817d4719f3760c", ("tsp", 2): "eacaaed6ec2353d1",
+    ("raytracer", 0): "7c709f2e05b4f2c8",
+    ("raytracer", 2): "bf3703110a1c3a79",
+    ("locks.mj", 0): "caa996ba4e9aa9fe", ("locks.mj", 2): "10802d27d05e32f3",
+    ("bulk.mj", 0): "360989378e531c9c", ("bulk.mj", 2): "bd1d5b1438e28ead",
 }
 _PLACEHOLDERS = {"THREADS": 4, "ITERS": 50, "ROUNDS": 60, "CELLS": 4096}
 

@@ -26,8 +26,9 @@ from repro.dsm.directory import NODE_SHIFT
 from repro.dsm.objectstate import DSMHeader, ObjState, RegionInfo
 from repro.heap import ArrayObj, Obj
 from repro.jvm import ClassBuilder, Instr, Op
-from repro.jvm.fuse import READ_MISS, fused_runs, read_miss_names
-from repro.jvm.interpreter import Interpreter
+from repro.jvm.fuse import (READ_MISS, fused_runs, fused_source,
+                            read_miss_names)
+from repro.jvm.interpreter import BOUND, Interpreter
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
 from repro.runtime import JavaSplitRuntime, RuntimeConfig
@@ -296,6 +297,44 @@ def test_a_guard_leaves_the_frame_as_steps_do(state):
     else:
         assert error == "read check on null at T.m pc=3 [main]"
         assert count == 3
+
+
+#: A guard right before the access whose reference it tests: the access
+#: drops its own null test, in the run and in the tail after the guard.
+PROVEN = [Instr(Op.LOAD, 0), Instr(Op.CONST, 1), Instr(Op.DSM_READCHECK, 1),
+          Instr(Op.ARRLOAD), Instr(Op.CONST, 1), Instr(Op.ADD),
+          Instr(Op.RETVAL)]
+
+
+@pytest.mark.parametrize("state", [ObjState.LOCAL, None],
+                         ids=lambda v: getattr(v, "name", "null"))
+def test_a_guarded_access_skips_its_null_test_and_null_fails_in_the_check(
+        state):
+    """The guard's own null test stands for the access's: a null
+    reference still fails in the check, with its text, pc and count."""
+    assert fused_runs(PROVEN) == [(0, 6), (3, 6)]
+    text, _ = fused_source(PROVEN, BOUND)
+    assert "_NPE" not in text  # a guard, then arrload: none of its own
+    outcomes = []
+    for quantum in (_by_run, _by_step):
+        _, _, jvm = make_jvm()
+        jvm.hooks = ScriptRuntime(2, {}, {}, []).workers[0].dsm
+        ref = None
+        if state is not None:
+            ref = ArrayObj("int", 5)
+            ref.data[1] = 41
+            ref.header = DSMHeader(ref.class_name)
+            ref.header.state = state
+        outcomes.append(_outcome(_method_thread(PROVEN, args=[ref], jvm=jvm),
+                                 quantum))
+    (fused, stepped), plain = outcomes, lambda o: o[:3] + o[4:]
+    assert plain(fused) == plain(stepped)
+    consumed, error, pc, stack, _, count, after = fused
+    if state is None:
+        assert (error, pc, count) == ("read check on null at T.m pc=2 [main]",
+                                      2, 2)
+    else:
+        assert (error, count, after) == (None, 7, StreamState.FINISHED)
 
 
 def test_hooks_that_are_no_engine_keep_their_checks_cut():

@@ -35,10 +35,10 @@ LINES = {
     "heap.py": 163,
     "hooks.py": 157,
     "jit": 1562,
-    "jvm": 3129,
+    "jvm": 3140,
     "lang": 2311,
     "locality": 757,
-    "net": 2348,
+    "net": 2544,
     "obs": 1471,
     "policy": 507,
     "race": 1000,
