@@ -1,31 +1,19 @@
-"""Tiered JIT: compile hot rewritten-bytecode methods to Python.
+"""Tiered JIT: a hot method's traces, run by tier 0's dispatch loop.
 
-Tier 0 is the stock interpreter; tier 1 translates a method's bytecode
-into one specialized Python function (codegen + ``exec``) with the
-operand stack in locals, constants folded, per-run costs pre-summed,
-each head's straight line run as one pre-charged trace, the §4.4
-local-lock fast path inlined, and deoptimization back to the
-interpreter at every blocking point.  Observable behavior (results,
-protocol traffic, simulated time, exceptions) is bit-identical to
-tier 0 — see ``tests/test_jit.py`` for the differential proof.
+Tier 0 is the interpreter.  Tier 1 compiles each trace of a hot method —
+the straight line from a head through its rows, IF tests and access
+checks (:func:`.analysis.traces`) — into one Python function with the
+operand stack in locals, constants folded and its cost pre-charged
+behind one budget test, and puts it into the method's fused list at its
+head as tier 0's handler there: ``h(thread, frame, left) -> ns``.
+Calls, returns, blocking, misses and quantum tails stay tier 0's.
+Observable behavior (results, protocol traffic, simulated time,
+exceptions) is bit-identical to tier 0 — see ``tests/test_jit.py`` for
+the differential proof.
 """
 
-from .analysis import CompileError, analyze, pre_summed_runs, traces
-from .codegen import (
-    N_REASONS,
-    R_BLOCK_ACQUIRE,
-    R_BLOCK_MONITOR,
-    R_BLOCK_NATIVE,
-    R_BLOCK_READ,
-    R_BLOCK_STATIC,
-    R_BLOCK_WRITE,
-    R_BUDGET,
-    R_CALL,
-    R_DEOPT,
-    R_RETURN,
-    REASON_NAMES,
-    compile_method,
-)
+from .analysis import CompileError, analyze, traces
+from .codegen import N_REASONS, REASON_NAMES, compile_method
 from .manager import JitAgent, JitManager
 
 __all__ = [
@@ -34,18 +22,7 @@ __all__ = [
     "JitManager",
     "N_REASONS",
     "REASON_NAMES",
-    "R_BLOCK_ACQUIRE",
-    "R_BLOCK_MONITOR",
-    "R_BLOCK_NATIVE",
-    "R_BLOCK_READ",
-    "R_BLOCK_STATIC",
-    "R_BLOCK_WRITE",
-    "R_BUDGET",
-    "R_CALL",
-    "R_DEOPT",
-    "R_RETURN",
     "analyze",
     "compile_method",
-    "pre_summed_runs",
     "traces",
 ]

@@ -2,26 +2,18 @@
 
 The codegen needs exactly what the verifier already proves: a single
 consistent operand-stack depth at every reachable pc.  That invariant is
-what lets the compiler map the operand stack onto Python locals
-(``s0..s{k}``) instead of a list.  This module runs the same depth
-dataflow as the verifier (:func:`repro.jvm.cfg.stack_depths`, resolving
-invoke arities through the *runtime* method resolver, so virtual arity
-matches what the interpreter will use) and classifies every instruction
-for the emitter:
+what lets a trace map the operand stack onto Python locals (``s0..s{k}``)
+instead of a list.  :func:`analyze` runs the same depth dataflow as the
+verifier (:func:`repro.jvm.cfg.stack_depths`, resolving invoke arities
+through the *runtime* method resolver, so virtual arity matches what the
+interpreter will use).  Ops are **pure** — rows a trace runs in line —
+or **special** (DSM checks, acquire/release, monitors, invokes): they
+can block or leave the method, and all but the two access checks end a
+trace.  A call to a ``Math`` method is its row, not a call.
 
-* **pure** ops execute entirely inside a compiled run — no hooks, no
-  blocking — and have their simulated cost pre-summed per run;
-* **special** ops (DSM checks, acquire/release, monitors, invokes) can
-  block or leave the method, so each is emitted as its own guarded
-  segment with the interpreter's exact semantics;
-* anything the compiler cannot bind at compile time (unresolvable
-  method/field references) becomes a **deopt** site: the compiled
-  function materializes the interpreter state and bails out.
-
-Also exported: :func:`pre_summed_runs`, the per-block cost summary the
-``disasm`` annotations print, and :func:`traces`, the straight lines
-compiled code runs without a budget test — the emitter prints its
-traces from it, ``disasm --costs`` its ``; trace`` brackets.
+:func:`traces` finds the straight lines a trace runs behind one budget
+test: the emitter prints its traces from it, ``disasm --costs`` its
+``; trace`` brackets.
 """
 
 from __future__ import annotations
@@ -41,15 +33,16 @@ from ..jvm.bytecode import (
     Op,
     branch_target,
     instr_cost,
+    native_of,
     ref_below,
 )
 from ..jvm import cfg
-from ..jvm.cfg import invoke_effect, stack_depths, straight_runs
+from ..jvm.cfg import invoke_effect, stack_depths
 from ..jvm.classfile import MethodInfo
 from ..jvm.errors import ClassFormatError, LinkError
 
-# Ops that can block the thread (or leave the frame) and therefore end a
-# pre-summed run: each gets its own budget guard and exact-cost segment.
+# Ops that can block the thread (or leave the frame): tier 0's handler
+# runs them, and all but the two access checks end a trace.
 SPECIAL_OPS = frozenset({
     Op.DSM_READCHECK, Op.DSM_WRITECHECK, Op.DSM_STATICREF,
     Op.DSM_ACQUIRE, Op.DSM_RELEASE,
@@ -61,8 +54,8 @@ SPECIAL_OPS = frozenset({
 CHECKS = frozenset({Op.DSM_READCHECK, Op.DSM_WRITECHECK})
 _ENDS_TRACE = SPECIAL_OPS - CHECKS
 
-# Every other op executes inline in a compiled run: no blocking, and no
-# runtime hook other than the race observer (which adds no cost).
+# Every other op executes inline in a trace: no blocking, and no runtime
+# hook other than the race observer (which adds no cost).
 PURE_OPS = frozenset(Op) - SPECIAL_OPS
 
 
@@ -79,13 +72,8 @@ class MethodAnalysis:
     depth_at: List[Optional[int]]
     #: pcs that are branch targets (reachable).
     branch_targets: Set[int] = field(default_factory=set)
-    #: Local slots read or written by the method body.
-    used_locals: Set[int] = field(default_factory=set)
-    #: Local slots written (STORE/IINC) — the only ones that need
-    #: syncing back into the interpreter Frame on deopt.
-    mutated_locals: Set[int] = field(default_factory=set)
-    #: Resolved static call target per invoke pc (None = unresolvable,
-    #: becomes a deopt site).
+    #: Resolved static call target per invoke pc (None = unresolvable:
+    #: a trace ends there, and tier 0 raises the ``LinkError``).
     invoke_targets: Dict[int, Optional[MethodInfo]] = field(
         default_factory=dict)
 
@@ -104,10 +92,9 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
 
     def arity_of(pc, instr):
         # Resolve through the runtime resolver — the same walk the
-        # interpreter caches — so arity and nativeness match what will
-        # execute.  Unresolvable == deopt site (the forced interpreter
-        # step reproduces the exact LinkError); the depth past it is
-        # unknowable, so the path ends there.
+        # interpreter caches — so arity matches what will execute.
+        # Unresolvable: tier 0 raises the LinkError there, and the depth
+        # past it is unknowable, so the path ends there.
         try:
             target = jvm.resolve_method(instr.a, instr.b)
         except LinkError:
@@ -119,32 +106,10 @@ def analyze(method: MethodInfo, jvm) -> MethodAnalysis:
         ana.depth_at = stack_depths(method, arity_of)
     except ClassFormatError as exc:
         raise CompileError(str(exc)) from None
-    for pc, instr in enumerate(method.code):
-        if ana.depth_at[pc] is None:
-            continue
-        op = instr.op
-        if op in (Op.LOAD, Op.STORE, Op.IINC):
-            ana.used_locals.add(instr.a)
-            if op is not Op.LOAD:
-                ana.mutated_locals.add(instr.a)
-        if op in BRANCHES:
-            ana.branch_targets.add(branch_target(instr))
+    ana.branch_targets = {branch_target(instr) for pc, instr
+                          in enumerate(method.code) if instr.op in BRANCHES
+                          and ana.depth_at[pc] is not None}
     return ana
-
-
-def pre_summed_runs(method: MethodInfo, tables: CostTables,
-                    deopt: Container[int] = ()) -> List[Tuple[int, int, int]]:
-    """Straight-line runs of pure ops and their pre-summed cost.
-
-    Returns ``[(start_pc, end_pc_exclusive, total_cost_ns), ...]`` —
-    the blocks whose cost compiled code charges in one addition at
-    block entry: basic blocks, further cut at specials and at ``deopt``
-    sites (which charge exact per-op cost and belong to no run).  The
-    ``disasm`` cost annotations print them.
-    """
-    code = method.code
-    return [(start, end, sum(instr_cost(i, tables) for i in code[start:end]))
-            for start, end in straight_runs(code, SPECIAL_OPS, deopt)]
 
 
 # A jump is followed through a block of at most this many rows that
@@ -154,17 +119,17 @@ _LATCH_OPS = 6
 
 @dataclass
 class Trace:
-    """The straight line compiled code runs from ``head`` behind one
-    budget test: where ``used + total < budget`` holds, no test of the
-    arms it covers can fire."""
+    """The straight line a trace runs from ``head`` behind one budget
+    test: where ``used + total < left`` holds, no per-instruction budget
+    test tier 0 would make on it can fire."""
 
     head: int
     #: ``(pc, ns, count, known)`` per instruction: cost and instructions
     #: charged *before* pc, and whether its value already passed this
     #: check's test / this access's null test.
     steps: List[Tuple[int, int, int, bool]]
-    #: The pc whose arm takes over at the end of the line; None when it
-    #: returned or closed on its own head.
+    #: The pc where tier 0 takes over at the end of the line; None when
+    #: it returned or closed on its own head.
     stop: Optional[int]
     #: Latch blocks a taken branch of the line runs through: first pc ->
     #: pc of the closing GOTO.
@@ -177,18 +142,19 @@ def traces(method: MethodInfo, tables: CostTables,
            deopt: Container[int] = ()) -> Dict[int, Trace]:
     """Per *head* — method entry, branch target, successor of a deopt
     site or of a special that is not an access check — the line from it:
-    through pure runs, the fall-through side of IF / IF_CMP, both access
-    checks and one small latch block, until a call / lock / monitor /
-    static-ref, a return, a deopt site, the next head or its own head
-    again.  Nothing on the line calls a handler, so what a check or a
-    null test proved about a value holds to the end of the line: values
-    are numbered along it (LOAD / STORE copy, anything else is fresh)
-    and a repeated test is ``known``.  A line that covers no more than
-    one arm's one budget test is left out."""
+    through pure rows (a ``Math`` call too), the fall-through side of IF
+    / IF_CMP, both access checks and one small latch block, until a call
+    / lock / monitor / static-ref, a return, a deopt site, the next head
+    or its own head again.  Nothing on the line calls a handler, so what
+    a check or a null test proved about a value holds to the end of the
+    line: values are numbered along it (LOAD / STORE copy, anything else
+    is fresh) and a repeated test is ``known``.  A line that passes no
+    check and no IF / IF_CMP before its last step is one of tier 0's
+    fused runs already, and is left out."""
     code = method.code
     cost = [instr_cost(i, tables) for i in code]
-    ends = [instr.op in _ENDS_TRACE or pc in deopt
-            for pc, instr in enumerate(code)]
+    ends = [instr.op in _ENDS_TRACE and native_of(instr) is None
+            or pc in deopt for pc, instr in enumerate(code)]
     heads = {0} | set(cfg.branch_targets(code) if targets is None else targets)
     heads.update(pc + 1 for pc in range(len(code) - 1) if ends[pc])
 
@@ -235,7 +201,9 @@ def traces(method: MethodInfo, tables: CostTables,
             trace.steps.append((pc, ns, n, known))
             ns += cost[pc]
             n += 1
-            pops, pushes = STACK_EFFECT[op]
+            native = native_of(instr)
+            pops, pushes = ((native.arity, 1) if native is not None
+                            else STACK_EFFECT[op])
             d -= pops
             if op is Op.STORE:
                 number[f"l{instr.a}"] = value(d)

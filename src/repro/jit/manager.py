@@ -1,60 +1,44 @@
-"""Tiered-execution manager: promotion counters, code cache, quanta.
+"""Tiered-execution manager: promotion counters, code cache, installation.
 
 One :class:`JitManager` attaches to the runtime (same pattern as the
 ft/locality/policy/race/obs managers); it installs one :class:`JitAgent`
-per worker.  The agent owns the per-node table of compiled functions —
+per worker.  The agent owns the per-node table of compiled methods —
 ``MethodInfo`` objects are *shared* across worker JVMs (one
 ``RewriteResult``), so it is keyed by ``id(method)`` per agent, and each
-agent holds its own function bound to its own JVM's hooks and heap.  The
-text and code object behind it are emitted once per process, keyed by
+agent holds its own traces bound to its own JVM's hooks and heap.  The
+text and code object behind them are emitted once per process, keyed by
 content (:func:`~repro.jit.codegen.compile_method`): every later JVM of
 the brand, in this runtime or the next, only execs the code object.
 
-Tier 0 is the unmodified interpreter.  Tier 1 is the codegen'd Python
-function (:mod:`repro.jit.codegen`).  Promotion is by invocation count
-(``jit_threshold``); a method the emitter declines (``CompileError``)
-is blacklisted forever (``cache[id] = False``) with the reason recorded;
-any other exception out of the emitter is a bug and propagates.
-
-``run_quantum`` replaces ``JThread.run_quantum``'s interpret loop:
-
-* pc at a compiled entry → run the compiled function, account its
-  reason;
-* pc elsewhere (interpreter tails end quanta at arbitrary pcs), method
-  not compiled, or blacklisted → one interpreter step;
-* ``R_BUDGET`` → finish the quantum with the interpreter so the
-  overshoot boundary is bit-identical to tier 0;
-* ``R_DEOPT``/``R_CALL`` → one interpreter step executes the pc the
-  compiled code could not (budget permitting — otherwise the next
-  quantum re-enters the stub with fresh budget).
+Tier 0 is the interpreter; tier 1 is a method's traces
+(:mod:`repro.jit.codegen`), each put into the method's fused list at its
+head, so tier 0's dispatch loop runs both.  Promotion is by count
+(``jit_threshold``): every non-native frame push ticks the callee, and
+every quantum the method it resumes in (loops that never return still
+get hot).  A method the emitter declines (``CompileError``) is
+blacklisted forever (``cache[id] = False``) with the reason recorded;
+any other exception out of the emitter is a bug and propagates.  A
+method compiled before this JVM fused it gets its traces when it is
+fused (:meth:`JitAgent.install`): fusing mid-quantum could raise tier
+0's margin under a running loop.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, TYPE_CHECKING
 
-from ..sim.node import StreamState
 from .analysis import CompileError
-from .codegen import (
-    N_REASONS,
-    R_BUDGET,
-    R_CALL,
-    R_DEOPT,
-    REASON_NAMES,
-    compile_method,
-)
+from .codegen import N_REASONS, REASON_NAMES, TRACED, compile_method
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..jvm.classfile import MethodInfo
     from ..runtime.javasplit import JavaSplitRuntime
     from ..runtime.worker import WorkerNode
 
-_RUNNABLE = StreamState.RUNNABLE
-
 
 class JitAgent:
-    """Per-worker tier-1 compiler + quantum driver."""
+    """Per-worker tier-1 compiler and installer."""
 
     def __init__(self, manager: "JitManager", worker: "WorkerNode") -> None:
         self.manager = manager
@@ -62,31 +46,30 @@ class JitAgent:
         self.jvm = worker.jvm
         self.interp = worker.jvm.interpreter
         self.threshold = manager.threshold
-        # id(method) -> compiled fn, or False (blacklisted).
+        # id(method) -> compiled method (``_jit_make``), or False
+        # (blacklisted).
         self.cache: Dict[int, Any] = {}
         # id(method) -> MethodInfo: pins methods (and gives report names).
         self.methods: Dict[int, "MethodInfo"] = {}
         self.counters: Dict[int, int] = {}
         self.compiles = 0
         self.compile_failures: Dict[str, str] = {}  # method -> reason
-        self.reasons = [0] * N_REASONS  # aggregated fn exit reasons
-        self.interp_steps = 0
         # Wall-clock telemetry (None unless obs_wallclock): compile time
-        # per method, interpreter-vs-JIT wall time per quantum.
+        # per method, trace-vs-tier-0 wall time per quantum.
         self.wall = manager.wall
+        self.trace_ns = 0
         if self.wall is not None:
             # Instance attribute shadows the method: the hot path stays
             # probe-free when the knob is off.
-            self.run_quantum = self._run_quantum_timed  # type: ignore
+            self.quantum = self._quantum_timed  # type: ignore
         self.jvm.jit = self
         self.interp.jit = self
 
     # -- promotion -----------------------------------------------------
     def tick(self, method: "MethodInfo") -> None:
         """One promotion tick: the interpreter calls this on every
-        non-native frame push, ``run_quantum`` once per scheduler
-        quantum spent in the method (loops that never return still get
-        hot)."""
+        non-native frame push, :meth:`quantum` once per scheduler
+        quantum spent in the method."""
         key = id(method)
         if key in self.cache:
             return
@@ -112,6 +95,9 @@ class JitAgent:
             return
         self.cache[key] = fn
         self.compiles += 1
+        fused = self.interp._fused.get(key)
+        if fused is not None:
+            self.install(method, fused)
         if self.wall is not None:
             compile_ns = time.monotonic_ns() - t0
             self.wall.observe(
@@ -119,108 +105,84 @@ class JitAgent:
             self.manager.note_tier(self.worker.node_id, method, compile_ns)
         self.manager._on_compiled(self.worker.node_id, method)
 
-    # -- execution -----------------------------------------------------
-    def run_quantum(self, thread, budget_ns: int):
-        """Drop-in for JThread.run_quantum's interpret loop."""
-        consumed = 0
-        interp = self.interp
-        cache = self.cache
-        frames = thread.frames
-        if frames:
-            self.tick(frames[-1].method)
-        while consumed < budget_ns and thread.state is _RUNNABLE:
-            frame = frames[-1]
-            fn = cache.get(id(frame.method))
-            if fn is None or fn is False or frame.pc not in fn.entries:
-                consumed += interp.step(thread)
-                self.interp_steps += 1
-                continue
-            used, reason = fn(thread, frame, budget_ns - consumed, 0)
-            consumed += used
-            fn.stats[reason] += 1
-            self.reasons[reason] += 1
-            if reason == R_BUDGET:
-                # Interpreter tail: tier 0's own loop, so its overshoot.
-                before = thread.instructions
-                try:
-                    consumed = interp.run(thread, budget_ns, consumed)
-                finally:
-                    self.interp_steps += thread.instructions - before
-                break
-            if reason == R_DEOPT or reason == R_CALL:
-                # The interpreter must execute this pc (deopt site, or
-                # an invoke whose callee is not compiled).
-                if consumed < budget_ns and thread.state is _RUNNABLE:
-                    consumed += interp.step(thread)
-                    self.interp_steps += 1
-        return consumed, thread.state
+    def install(self, method: "MethodInfo", fused: List[Any]) -> None:
+        """Put ``method``'s traces, if compiled, into this JVM's fused
+        list for it, each at its head."""
+        fn = self.cache.get(id(method))
+        if not fn:
+            return
+        fn(fused)
+        if self.wall is not None:
+            for head in fn.heads:
+                fused[head] = self._timed(fused[head])
 
-    def _run_quantum_timed(self, thread, budget_ns: int):
-        """``run_quantum`` with per-quantum wall-clock attribution
-        (installed only under ``obs_wallclock``).  Same control flow;
-        every interpreter step and compiled-fn call is bracketed with
-        the monotonic clock, observed once per quantum."""
-        consumed = 0
-        interp_wall = 0
-        jit_wall = 0
-        interp = self.interp
-        cache = self.cache
+    # -- execution -----------------------------------------------------
+    def quantum(self, thread, budget_ns: int):
+        """One scheduler quantum: a promotion tick for the method it
+        resumes in, then tier 0's dispatch loop, traces and all."""
         frames = thread.frames
-        clock = time.monotonic_ns
         if frames:
             self.tick(frames[-1].method)
-        while consumed < budget_ns and thread.state is _RUNNABLE:
-            frame = frames[-1]
-            fn = cache.get(id(frame.method))
-            if fn is None or fn is False or frame.pc not in fn.entries:
-                t0 = clock()
-                consumed += interp.step(thread)
-                interp_wall += clock() - t0
-                self.interp_steps += 1
-                continue
+        return self.interp.run(thread, budget_ns), thread.state
+
+    def _quantum_timed(self, thread, budget_ns: int):
+        """:meth:`quantum`, its wall time split into the traces' and the
+        rest (installed only under ``obs_wallclock``)."""
+        t0, traced = time.monotonic_ns(), self.trace_ns
+        try:
+            return JitAgent.quantum(self, thread, budget_ns)
+        finally:
+            jit_wall = self.trace_ns - traced
+            interp_wall = time.monotonic_ns() - t0 - jit_wall
+            node = self.worker.node_id
+            if interp_wall:
+                self.wall.observe("jit.quantum.interp_ns", node, interp_wall)
+            if jit_wall:
+                self.wall.observe("jit.quantum.jit_ns", node, jit_wall)
+
+    def _timed(self, trace):
+        """``trace``, adding its wall time to ``trace_ns``."""
+        clock = time.monotonic_ns
+
+        def timed(thread, frame, left):
             t0 = clock()
-            used, reason = fn(thread, frame, budget_ns - consumed, 0)
-            jit_wall += clock() - t0
-            consumed += used
-            fn.stats[reason] += 1
-            self.reasons[reason] += 1
-            if reason == R_BUDGET:
-                t0 = clock()
-                before = thread.instructions
-                try:
-                    consumed = interp.run(thread, budget_ns, consumed)
-                finally:
-                    self.interp_steps += thread.instructions - before
-                interp_wall += clock() - t0
-                break
-            if reason == R_DEOPT or reason == R_CALL:
-                if consumed < budget_ns and thread.state is _RUNNABLE:
-                    t0 = clock()
-                    consumed += interp.step(thread)
-                    interp_wall += clock() - t0
-                    self.interp_steps += 1
-        node = self.worker.node_id
-        if interp_wall:
-            self.wall.observe("jit.quantum.interp_ns", node, interp_wall)
-        if jit_wall:
-            self.wall.observe("jit.quantum.jit_ns", node, jit_wall)
-        return consumed, thread.state
+            try:
+                return trace(thread, frame, left)
+            finally:
+                self.trace_ns += clock() - t0
+        return timed
 
     # -- reporting -----------------------------------------------------
-    def report(self) -> Dict[str, Any]:
-        methods = {}
+    def _compiled(self) -> Dict[str, Any]:
+        out = {}
         for key, fn in self.cache.items():
-            m = self.methods.get(key)
-            name = f"{m.klass}.{m.name}" if m is not None else f"@{key:x}"
-            if fn is False:
-                continue
-            methods[name] = {
+            if fn is not False:
+                m = self.methods[key]
+                out[f"{m.klass}.{m.name}"] = fn
+        return out
+
+    @property
+    def reasons(self) -> List[int]:
+        """Trace exits per reason, summed over the compiled methods."""
+        return [sum(fn.stats[i] for fn in self._compiled().values())
+                for i in range(N_REASONS)]
+
+    @property
+    def interp_steps(self) -> int:
+        """Instructions this JVM ran outside a trace."""
+        return (sum(t.instructions for t in self.jvm.threads)
+                - sum(fn.stats[TRACED] for fn in self._compiled().values()))
+
+    def report(self) -> Dict[str, Any]:
+        methods = {
+            name: {
                 "tier": 1,
                 "exits": {REASON_NAMES[i]: n
-                          for i, n in enumerate(fn.stats) if n},
+                          for i, n in enumerate(fn.stats[:N_REASONS]) if n},
+                "traces": len(fn.heads),
                 "lines": fn.source.count("\n"),
                 "bytecodes": len(fn.method.code),
-            }
+            } for name, fn in self._compiled().items()}
         return {
             "node": self.worker.node_id,
             "compiled": self.compiles,

@@ -8,7 +8,7 @@ instruction *does* to the stack is :data:`~repro.jvm.bytecode.STACK_EFFECT`.
 
 from __future__ import annotations
 
-from typing import Callable, Container, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .bytecode import (
     BRANCHES,
@@ -52,13 +52,11 @@ def block_starts(code: Sequence[Instr]) -> List[int]:
     return sorted(s for s in starts if s < len(code))
 
 
-def straight_runs(code: Sequence[Instr], cut: Container[Op],
-                  at: Container[int] = ()) -> List[Tuple[int, int]]:
+def straight_runs(code: Sequence[Instr],
+                  cuts: Set[int]) -> List[Tuple[int, int]]:
     """Straight-line runs ``(start_pc, end_pc_exclusive)`` in pc order:
-    basic blocks, further cut around every opcode in ``cut`` and every
-    pc in ``at``, which belong to no run.  Tier 1 pre-sums a run's cost,
-    tier 0 fuses it."""
-    cuts = {pc for pc, instr in enumerate(code) if instr.op in cut or pc in at}
+    basic blocks, further cut around every pc in ``cuts``, which belong
+    to no run.  Tier 0 fuses a run."""
     bounds = sorted({*block_starts(code), len(code), *cuts,
                      *(pc + 1 for pc in cuts)})
     return [(start, end) for start, end in zip(bounds, bounds[1:])

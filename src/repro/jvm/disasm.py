@@ -5,9 +5,7 @@ class against its ``javasplit.*`` twin shows exactly what the
 instrumentation did (the paper's Figure 2/3, regenerable for any class).
 
 With ``costs=<brand>`` the listing additionally shows what each tier
-runs: every straight-line run of pure ops is bracketed with its
-pre-summed simulated cost (the one addition tier-1 code charges at run
-entry), every trace with what its one budget test pre-charges and how
+runs: every trace with what its one budget test pre-charges and how
 many of its checks are already proven when reached, every run tier 0
 fuses with what its one handler bills (a tail with the guard it resumes
 after, and a guard — a read check a run tests in line — marked), and
@@ -75,25 +73,17 @@ def disassemble_method(method: MethodInfo,
     lines = [header, f"    max_locals={method.max_locals}"]
     targets = branch_targets(method.code)
     elim_notes = getattr(method, "elim_notes", None) or {}
-    run_start, fused, traced, guards = {}, {}, {}, set()
+    fused, traced, guards = {}, {}, set()
     if costs is not None:
-        from ..jit.analysis import pre_summed_runs, traces
+        from ..jit.analysis import traces
         fused = dict(fused_runs(method.code))
         guards = {pc for start, end in fused.items()
                   for pc in range(start + 1, end)
                   if method.code[pc].op is GUARD}
-        for start, end, total in pre_summed_runs(method, costs):
-            run_start[start] = (end, total)
         traced = traces(method, costs)
     for pc, instr in enumerate(method.code):
         if pc in traced:
             lines.append("      ; " + _describe_trace(method, traced[pc]))
-        run = run_start.get(pc)
-        if run is not None:
-            end, total = run
-            span = (f"pc {pc}" if end == pc + 1
-                    else f"pc {pc}..{end - 1}")
-            lines.append(f"      ; run {span}: {total} ns pre-summed")
         if pc in fused:
             total = sum(instr_cost(i, costs) for i in method.code[pc:fused[pc]])
             tail = (f", resumes after the check at pc {pc - 1}"

@@ -10,14 +10,16 @@ checked) or did not link at decode — the pcs the interpreter passes as
 ``cut``; a read check, when its JVM's hooks are no DSM engine.  Else a
 read check is a *guard*: the run tests :data:`READ_MISS` in line and, on
 a miss, stores what is pending and leaves ``frame.pc`` on the check, for
-its handler; the rest of the run, its *tail*, is a run of its own.  No
-run starts at a check (a miss would dispatch it again).  The access
+its handler; the rest of the run up to the next guard, its *tail*, is
+a run of its own if it is long enough (``_TAIL_ROWS``), and that guard
+is dispatched by its own handler.  No run starts at a check (a miss would
+dispatch it again).  The access
 right after a check, on the reference it tested, drops its null test, in
 the run and in the tail (the check's own handler raises on null), as
 tier 1 drops a proven one.  A run's function
 is the rows' own text over a *virtual* operand stack of Python
 expressions, written by :class:`LineWriter`, which writes tier 1's
-traces and arms too (:mod:`repro.jit.codegen`):
+traces too (:mod:`repro.jit.codegen`):
 
 * a value stays unevaluated only if its row cannot raise and has no side
   effect (``_FORWARDED``); any other is evaluated where it stands;
@@ -67,6 +69,10 @@ NOT_FUSED = frozenset(Op) - set(SEMANTICS) - BRANCHES - {GUARD}
 #: array's (its regions carry the state); both tiers test it on ``_h``.
 READ_MISS = ("_h is None or _h.state == _INVALID or "
              "(_h.gid and _h.gid in _regions)")
+#: A tail of fewer rows than this — one more where it ends at the next
+#: guard, whose own dispatch follows — is not worth its text: after a
+#: miss, which takes the slow path anyway, its rows dispatch one by one.
+_TAIL_ROWS = 3
 _FORWARDED = frozenset({Op.CONST, Op.LOAD, Op.ADD, Op.SUB, Op.MUL, Op.NEG,
                         Op.AND, Op.OR, Op.XOR})
 _BARE = re.compile(r"\{\w+\}$").match  # a pushed value that is an operand
@@ -81,12 +87,20 @@ def read_miss_names(dsm: Any) -> Dict[str, Any]:
 def fused_runs(code: Sequence[Instr],
                cut: Container[int] = ()) -> List[Tuple[int, int]]:
     """``(start_pc, end_pc_exclusive)`` of every run tier 0 fuses when
-    the pcs in ``cut`` may not join one, tails included, by start."""
+    the pcs in ``cut`` may not join one, tails included, by start: a
+    tail ends at the next guard, which its own handler dispatches."""
     cuts = {pc for pc, instr in enumerate(code) if pc in cut
             or instr.op in NOT_FUSED and native_of(instr) is None}
-    return [(head, end) for start, end in straight_runs(code, (), cuts)
-            for head in range(start, end - 1) if code[head].op is not GUARD
-            and (head == start or code[head - 1].op is GUARD)]
+    out = []
+    for start, end in straight_runs(code, cuts):
+        heads = [pc for pc in range(start, end - 1) if code[pc].op is not GUARD
+                 and (pc == start or code[pc - 1].op is GUARD)]
+        for k, head in enumerate(heads):
+            stop = next(pc for pc in range(head, end + 1) if pc == end
+                        or k and code[pc].op is GUARD)
+            if not k or stop - head >= _TAIL_ROWS + (stop < end):
+                out.append((head, stop))
+    return out
 
 
 def _reads(expr: str, name: str) -> bool:
@@ -226,14 +240,14 @@ def _run_body(code: Sequence[Instr], start: int, end: int,
         if instr.op is GUARD:
             below = instr.a - len(line.stack)
             ref = line.value(instr.a) if below < 0 else f"stack[{-1 - below}]"
-            lines.append(f"if {ref} is None or "
-                         + READ_MISS.replace("_h", f"(_h := {ref}.header)", 1)
-                         + ":")
-            line.fork(lambda text: lines.append("    " + text)).flush()
-            lines.append(f"    frame.pc = {pc}")
-            if pc - start > 1:
-                lines.append(f"    thread.instructions += {pc - start - 1}")
-            lines.append(f"    return c{start}_{pc}")
+            pending = ", ".join(line.stack)
+            lines.append(f"if {ref} is None or " + READ_MISS.replace(
+                "_h", f"(_h := {ref}.header)", 1) + ": " + "; ".join(
+                ([f"frame.stack.extend(({pending},))"] if pending else [])
+                + [f"frame.pc = {pc}"]
+                + ([f"thread.instructions += {pc - start - 1}"]
+                   if pc - start > 1 else [])
+                + [f"return sum(C[{start}:{pc}])"]))
             guarded = instr.a
             continue
         known = instr.op in ACCESSES and ref_below(instr.op) - 1 == guarded
@@ -252,18 +266,17 @@ def fused_source(code: Sequence[Instr], bound: Sequence[str],
                  cut: Container[int] = ()
                  ) -> Tuple[str, List[Tuple[int, int]]]:
     """``make(C, S, *bound, _INVALID, _regions) -> handlers`` as source
-    text, and the runs.  What differs between the JVMs that share a
-    method is an argument — ``C``, the cost of each pc; ``S``, the field
-    slots by pc; :func:`read_miss_names` — or decides ``cut``, so the
-    text is compiled once per ``cut``."""
+    text — naming only those of ``bound`` and :func:`read_miss_names` it
+    reads — and the runs; no text where there is no run.  What differs
+    between the JVMs that share a method is an argument — ``C``, the cost
+    of each pc; ``S``, the field slots by pc; :func:`read_miss_names` —
+    or decides ``cut``, so the text is compiled once per ``cut``."""
     runs = fused_runs(code, cut)
+    if not runs:
+        return "", runs
     slots = sorted({pc for start, end in runs for pc in range(start, end)
                     if code[pc].op in LINKED})
-    out = [f"def make(C, S, {', '.join(bound)}, _INVALID=None, "
-           f"_regions=None):"]
-    out += [f"    c{start}_{pc} = sum(C[{start}:{pc}])" for start, end in runs
-            for pc in range(start + 1, end + 1)
-            if pc == end or code[pc].op is GUARD]
+    out = [f"    c{start} = sum(C[{start}:{end}])" for start, end in runs]
     if slots:
         out.append(f"    {', '.join(f'f{pc}' for pc in slots)}, = "
                    f"{', '.join(f'S[{pc}]' for pc in slots)},")
@@ -275,9 +288,12 @@ def fused_source(code: Sequence[Instr], bound: Sequence[str],
         head = [f"{name} = frame.{attr}"
                 for name, attr in (("stack", "stack"), ("L", "locals"))
                 if any(re.search(rf"\b{name}\W", line) for line in body)]
-        out.append(f"    def run_{start}(thread, frame):")
+        out.append(f"    def run_{start}(thread, frame, left):")
         out += ["        " + line for line in (
             *head, *body, f"thread.instructions += {end - start - 1}",
-            f"return c{start}_{end}")]
+            f"return c{start}")]
     out.append(f"    return [{', '.join(f'run_{s}' for s, _ in runs)}]")
-    return "\n".join(out), runs
+    names = [name for name in (*bound, "_INVALID", "_regions")
+             if any(re.search(rf"\b{name}\b", line) for line in out)]
+    return "\n".join([f"def make(C, S, {''.join(f'{n}, ' for n in names)}"
+                      f"**_):", *out]), runs

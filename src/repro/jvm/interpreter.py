@@ -2,13 +2,16 @@
 
 One :class:`Interpreter` per JVM instance.  A method is *decoded* the
 first time this JVM executes it: every instruction becomes one bound
-handler ``h(thread, frame) -> cost_ns`` — a closure holding the
+handler ``h(thread, frame, left) -> cost_ns`` — a closure holding the
 operands, the linked field slot, the brand-resolved simulated cost, the
 branch comparator and the DSM hook method.  It is then *fused*: the
 first pc of every straight-line run of pure opcodes
 (:mod:`repro.jvm.fuse`) gets one handler that does the whole run, bills
 its summed cost and counts its instructions, and :meth:`Interpreter.run`
-is the loop that calls ``fused[pc]`` until a quantum's budget is spent.
+is the one dispatch loop of both tiers: it calls ``fused[pc]`` with the
+budget ``left`` until a quantum's is spent.  Tier 0's handlers ignore
+``left``; a tier-1 *trace* (:mod:`repro.jit`) stands at its head in a
+hot method's fused list and runs only while its trip fits in it.
 Both lists are cached per interpreter: methods are shared by every
 worker JVM of a cluster, costs (brands) and link state (field slots,
 call targets) are per JVM — only the fused runs' compiled *text* is
@@ -200,10 +203,10 @@ def jstr(value: Any) -> str:
     return str(value)
 
 
-#: One decoded instruction: executes it on ``frame`` (top of ``thread``),
-#: leaves ``frame.pc`` where execution continues and returns the
-#: simulated nanoseconds to bill.
-Handler = Callable[[Any, Frame], int]
+#: One decoded instruction, fused run or trace: executes on ``frame`` (top
+#: of ``thread``) with ``left`` ns of the quantum left (only a trace reads
+#: it), leaves ``frame.pc`` where execution continues, returns the ns.
+Handler = Callable[[Any, Frame, int], int]
 
 
 class Interpreter:
@@ -211,8 +214,8 @@ class Interpreter:
 
     def __init__(self, jvm: "JVM") -> None:  # noqa: F821 - circular typing
         self.jvm = jvm
-        #: Tiered-JIT agent (repro.jit) when the jit is enabled: every
-        #: non-native frame push ticks the callee's invocation counter.
+        #: Tiered-JIT agent (repro.jit): every non-native frame push
+        #: ticks the callee, and ``fuse`` installs a compiled method's traces.
         self.jit: Any = None
         self.cost_tables = cost_tables(jvm.cost_model)
         self._native_cost = jvm.cost_model[cm.NATIVE]
@@ -224,6 +227,8 @@ class Interpreter:
         self._decoded: Dict[int, Tuple[MethodInfo, List[Handler],
                                        Dict[int, int], List[int]]] = {}
         self._fused: Dict[int, List[Handler]] = {}  # id(method) -> fuse()
+        # id(method) -> what fuse()'s handler at a pc bills before its last.
+        self._need: Dict[int, List[int]] = {}
         #: The most any fused run here bills before its last instruction.
         self.margin = 0
         self._race_hook: Optional[Callable[..., None]] = None
@@ -268,7 +273,7 @@ class Interpreter:
             code = frame.decoded
             if code is None:
                 code = frame.decoded = self.decode(frame.method)
-            cost = code[frame.pc](thread, frame)
+            cost = code[frame.pc](thread, frame, 0)
         except JVMError as exc:
             thread.fail(exc, frame.where())
             raise
@@ -301,12 +306,15 @@ class Interpreter:
                     lambda: _make_runs(code, cut, name)))
             shared_cut, make, runs = method.fused
             assert shared_cut == cut, "JVMs sharing a method cut it apart"
-            for (start, _), handler in zip(runs, make(
+            need = self._need[id(method)] = [0] * len(fused)
+            for (start, end), handler in zip(runs, make(
                     costs, slots, **self.bound,
                     **(read_miss_names(hooks) if guards else {}))):
                 fused[start] = handler
-            self.margin = max([self.margin, *(sum(costs[start:end - 1])
-                                              for start, end in runs)])
+                need[start] = sum(costs[start:end - 1])
+            self.margin = max(self.margin, *need)
+            if self.jit is not None:
+                self.jit.install(method, fused)
         return fused
 
     def run(self, thread: "JThread", budget_ns: int,  # noqa: F821
@@ -315,9 +323,10 @@ class Interpreter:
         thread stops being runnable; returns the nanoseconds consumed,
         counting from ``consumed``.  The budget is tested before every
         instruction, so a quantum overshoots by at most one: fused runs
-        while ``consumed + margin < budget_ns``, then one by one.  A run
-        that traps has stored the trapping pc: what it ran before that
-        counts, as it would have unfused."""
+        (and traces) while ``consumed + margin < budget_ns``, then each
+        that fits its own margin, else one by one.  A run that traps has
+        stored the trapping pc: what it ran before that counts, as it
+        would have unfused."""
         frames = thread.frames
         steps = 0
         try:
@@ -330,15 +339,19 @@ class Interpreter:
                     frame.fused = self.fuse(frame.method)
                     fused_until = budget_ns - self.margin
                     continue
-                consumed += code[pc](thread, frame)
+                consumed += code[pc](thread, frame, budget_ns - consumed)
                 steps += 1
+            need = self._need
             while consumed < budget_ns and thread.state is _RUNNABLE:
                 frame = frames[-1]
                 pc = frame.pc
-                code = frame.decoded
-                if code is None:
-                    code = frame.decoded = self.decode(frame.method)
-                consumed += code[pc](thread, frame)
+                code = frame.fused
+                if code is None or consumed + need[id(frame.method)][pc] \
+                        >= budget_ns:
+                    code = frame.decoded
+                    if code is None:
+                        code = frame.decoded = self.decode(frame.method)
+                consumed += code[pc](thread, frame, budget_ns - consumed)
                 steps += 1
         except JVMError as exc:
             steps += frame.pc - pc
@@ -403,30 +416,6 @@ class Interpreter:
         return self._native_cost
 
     # ------------------------------------------------------------------
-    # Local monitors (un-instrumented mode)
-    # ------------------------------------------------------------------
-    def _monitor_enter(self, thread, ref: Any) -> bool:
-        """Returns True if entered; False if the thread blocked."""
-        mon = monitor_of(ref)
-        if mon.owner is None:
-            mon.owner = thread
-            mon.count = 1
-            return True
-        if mon.owner is thread:
-            mon.count += 1
-            return True
-        mon.entry_queue.append((thread, 1))
-        return False
-
-    def _monitor_exit(self, thread, ref: Any) -> None:
-        mon = monitor_of(ref)
-        if mon.owner is not thread:
-            raise IllegalMonitorStateError("monitorexit by non-owner")
-        mon.count -= 1
-        if mon.count == 0:
-            mon.owner = None
-            self.grant_next(mon)
-
     def grant_next(self, mon) -> None:
         """Hand a free monitor to the next queued thread (if any)."""
         if mon.owner is None and mon.entry_queue:
@@ -473,7 +462,7 @@ def _make_runs(code: List[Instr], cut: frozenset, name: str
                ) -> Tuple[Callable[..., Any], List[Tuple[int, int]]]:
     """``(make, runs)`` of the fused runs of ``code`` under ``cut``."""
     text, runs = fused_source(code, BOUND, cut)
-    return _make(text, name), runs
+    return (_make(text, name) if runs else lambda *a, **k: []), runs
 
 
 def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
@@ -486,7 +475,7 @@ def _factory(name: str, body: List[str]) -> Callable[..., Handler]:
             [line.replace("stack", "frame.stack") for line in body])
     lines = [f"def make(a, b, nxt, cost, {', '.join(BOUND)}, slot=None, "
              f"instr=None, _race=None):",
-             f"    def {name}(thread, frame):"]
+             f"    def {name}(thread, frame, left):"]
     lines += ["        " + line for line in "\n".join(body).split("\n")]
     lines += ["        return cost", f"    return {name}"]
     return _make("\n".join(lines), name)
@@ -535,7 +524,7 @@ _BRANCH = {(op, cond): _branch_factory(op, cond)
            for op in (Op.IF, Op.IF_CMP) for cond in CONDITIONS}
 
 
-def _fell_off_end(thread: Any, frame: Frame) -> int:
+def _fell_off_end(thread: Any, frame: Frame, left: int) -> int:
     raise JVMError("pc fell off method end")
 
 
@@ -559,18 +548,18 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
         # the first run tests for null, links and becomes the row.
         below, linked = ref_below(op), None
 
-        def link_first(thread, frame):
+        def link_first(thread, frame, left):
             nonlocal linked
             if linked is None:
                 if frame.stack[-below] is None:  # the row's NPE comes first
-                    return build(None)(thread, frame)
+                    return build(None)(thread, frame, left)
                 linked = build(jvm.field_index(a, b))
-            return linked(thread, frame)
+            return linked(thread, frame, left)
         return link_first
 
     # --- control flow: a = condition, b = target (GOTO: a = target) -----
     if op is Op.GOTO:
-        def goto(thread, frame):
+        def goto(thread, frame, left):
             frame.pc = a
             return cost
         return goto
@@ -591,7 +580,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
         static_m = cls = target = None
         nargs = 1  # until resolved: the top operand, which cannot match None
 
-        def invokevirtual(thread, frame):
+        def invokevirtual(thread, frame, left):
             nonlocal static_m, nargs, cls, target
             stack = frame.stack
             receiver = stack[-nargs]
@@ -625,7 +614,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
     if op is Op.INVOKESTATIC or op is Op.INVOKESPECIAL:
         callee = None
 
-        def invokedirect(thread, frame):
+        def invokedirect(thread, frame, left):
             nonlocal callee
             if callee is None:
                 callee = resolve(a, b)
@@ -644,7 +633,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
     if op is Op.RETURN or op is Op.RETVAL:
         has_value = op is Op.RETVAL
 
-        def return_(thread, frame):
+        def return_(thread, frame, left):
             value = frame.stack.pop() if has_value else None
             frames = thread.frames
             frames.pop()
@@ -658,28 +647,34 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
             return cost
         return return_
 
-    # --- synchronization (local monitors) -------------------------------
+    # --- synchronization (local monitors, un-instrumented mode) ---------
     if op is Op.MONITORENTER:
-        monitor_enter = interp._monitor_enter
-
-        def monitorenter(thread, frame):
+        def monitorenter(thread, frame, left):
             ref = frame.stack.pop()
             if ref is None:
                 raise NullPointerError("monitorenter on null")
-            if monitor_enter(thread, ref):
+            mon = monitor_of(ref)  # a free monitor has count 0
+            if mon.owner is None or mon.owner is thread:
+                mon.owner = thread
+                mon.count += 1
                 frame.pc = nxt
             else:  # complete style: the waker advances the pc
+                mon.entry_queue.append((thread, 1))
                 thread.block(reexec=False, reason="monitor enter")
             return cost
         return monitorenter
     if op is Op.MONITOREXIT:
-        monitor_exit = interp._monitor_exit
-
-        def monitorexit(thread, frame):
+        def monitorexit(thread, frame, left):
             ref = frame.stack.pop()
             if ref is None:
                 raise NullPointerError("monitorexit on null")
-            monitor_exit(thread, ref)
+            mon = monitor_of(ref)
+            if mon.owner is not thread:
+                raise IllegalMonitorStateError("monitorexit by non-owner")
+            mon.count -= 1
+            if mon.count == 0:
+                mon.owner = None
+                interp.grant_next(mon)
             frame.pc = nxt
             return cost
         return monitorexit
@@ -694,7 +689,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
             has_index = a >= 1
             read_check = interp._hook("read_check")
 
-            def dsm_readcheck(thread, frame):
+            def dsm_readcheck(thread, frame, left):
                 stack = frame.stack
                 ref = stack[ref_at]
                 if ref is None:
@@ -714,7 +709,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
         value_at = None if b is None else -1 - b  # b = depth of the value
         write_check = interp._hook("write_check")
 
-        def dsm_writecheck(thread, frame):
+        def dsm_writecheck(thread, frame, left):
             stack = frame.stack
             ref = stack[ref_at]
             if ref is None:
@@ -732,7 +727,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
     if op is Op.DSM_ACQUIRE:
         acquire = interp._hook("acquire")
 
-        def dsm_acquire(thread, frame):
+        def dsm_acquire(thread, frame, left):
             ref = frame.stack.pop()
             if ref is None:
                 raise NullPointerError("acquire on null")
@@ -746,7 +741,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
     if op is Op.DSM_RELEASE:
         release = interp._hook("release")
 
-        def dsm_release(thread, frame):
+        def dsm_release(thread, frame, left):
             ref = frame.stack.pop()
             if ref is None:
                 raise NullPointerError("release on null")
@@ -757,7 +752,7 @@ def _decode_instr(interp: Interpreter, instr: Instr, pc: int, cost: int,
     if op is Op.DSM_STATICREF:
         static_ref = interp._hook("static_ref")
 
-        def dsm_staticref(thread, frame):
+        def dsm_staticref(thread, frame, left):
             ref, extra = static_ref(thread, a)
             if ref is None:
                 thread.block(reexec=True, reason="static holder miss")

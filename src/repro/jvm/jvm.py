@@ -114,7 +114,7 @@ class JThread:
         """ExecStream adapter: interpret until the budget is spent."""
         jit = self.jvm.jit
         if jit is not None:
-            return jit.run_quantum(self, budget_ns)
+            return jit.quantum(self, budget_ns)
         return self.jvm.interpreter.run(self, budget_ns), self.state
 
     # ------------------------------------------------------------------

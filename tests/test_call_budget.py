@@ -16,6 +16,7 @@ the functions that grew.
 """
 
 import collections
+import gc
 import os
 import sys
 
@@ -54,7 +55,10 @@ BUDGETS = {
 
 
 def count_calls(fn):
-    """``fn()`` run under a profile hook: calls per (file, function)."""
+    """``fn()`` run under a profile hook: calls per (file, function).
+    The garbage collector is off while it runs, so that no callback a
+    test library hung on it (Hypothesis has one) is counted with the
+    program."""
     counts = collections.Counter()
 
     def hook(frame, event, arg):
@@ -62,11 +66,16 @@ def count_calls(fn):
             code = frame.f_code
             counts[os.path.basename(code.co_filename), code.co_name] += 1
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(hook)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return counts
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.apps import tsp
 from repro.jit import codegen
-from repro.jit.codegen import R_CALL, R_RETURN
+from repro.jit.analysis import CompileError
 from repro.jvm import ClassBuilder, Instr, MethodInfo, Op, codecache
 from repro.jvm.frame import Frame
 from repro.jvm.jvm import JThread
@@ -32,7 +32,7 @@ from repro.runtime.javasplit import JavaSplitRuntime
 from conftest import make_jvm
 from test_jit import (GOLDEN_SOURCE, compiled_fns, run_runtime, run_source,
                       source_runtime)
-from test_semantics import tier1
+from test_semantics import tier1, traced
 
 pytestmark = pytest.mark.usefixtures("cold_code_cache")
 
@@ -93,16 +93,18 @@ def test_zero_and_negative_zero_are_two_constants(tier):
     results = []
     for zero in (0.0, -0.0):
         _, _, jvm = make_jvm()
+        code, end = traced([Instr(Op.CONST, 1.0), Instr(Op.CONST, zero),
+                            Instr(Op.DIV)])
         method = MethodInfo("m", [], "double", flags={"static"}, klass="T",
-                            code=[Instr(Op.CONST, 1.0), Instr(Op.CONST, zero),
-                                  Instr(Op.DIV), Instr(Op.RETVAL)])
+                            code=code)
         frame = Frame(method, [])
         thread = JThread(jvm, frame, name="t")
         if tier == 0:
-            jvm.interpreter.run(thread, 10 ** 9)
+            for _ in range(end):
+                jvm.interpreter.step(thread)
         else:
-            assert tier1(jvm)(method)(thread, frame, 10 ** 9, 0)[1] == R_RETURN
-        results.append(thread.result)
+            tier1(jvm)(method)(thread, end)
+        results.append(frame.stack[-1])
     assert results == [math.inf, -math.inf]
 
 
@@ -148,8 +150,7 @@ def test_a_field_slot_is_a_miss(built):
     assert outcome(b_then_a)[0] == outcome(A_THEN_B)[0]
 
 
-@pytest.mark.parametrize("limit, value", [("_MAX_INDENT", 6),
-                                          ("_TRACE_LINES", 0)])
+@pytest.mark.parametrize("limit, value", [("_TRACE_LINES", 0)])
 def test_an_emitter_limit_is_a_miss(built, monkeypatch, limit, value):
     def patched():
         with monkeypatch.context() as patch:
@@ -159,8 +160,8 @@ def test_an_emitter_limit_is_a_miss(built, monkeypatch, limit, value):
 
 
 def _caller(native):
-    """``T.m(x) = U.f(x)`` on a JVM where ``U.f`` is ``x + 1`` as
-    bytecode, or as a native."""
+    """``T.m(x) = U.f(x)``, run to its end on tier 1, on a JVM where
+    ``U.f`` is ``x + 1`` as bytecode, or as a native."""
     _, _, jvm = make_jvm()
     util = ClassBuilder("U")
     if native:
@@ -178,19 +179,18 @@ def _caller(native):
                         max_locals=1, code=[
                             Instr(Op.LOAD, 0), Instr(Op.INVOKESTATIC, "U", "f"),
                             Instr(Op.RETVAL)])
-    frame = Frame(method, [41])
-    thread = JThread(jvm, frame, name="t")
-    why = tier1(jvm)(method)(thread, frame, 10 ** 9, 0)[1]
-    return why, frame.pc, thread.result
+    thread = JThread(jvm, Frame(method, [41]), name="t")
+    tier1(jvm)(method)
+    jvm.interpreter.run(thread, 10 ** 9)
+    return thread.result
 
 
 def test_a_callee_turned_native_is_a_miss(built):
-    """A bytecode callee that is not compiled leaves for the interpreter
-    at the invoke; a native one is called where it stands."""
-    assert _caller(native=False) == (R_CALL, 1, None)
+    """What an invoke resolves to is part of the key: the analysis reads
+    its arity, which numbers the registers a trace past it uses."""
     assert_a_miss(lambda: _caller(native=False),
                   lambda: _caller(native=True), built)
-    assert _caller(native=True) == (R_RETURN, 1, 42)
+    assert _caller(native=False) == _caller(native=True) == 42
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,9 @@ def test_a_callee_turned_native_is_a_miss(built):
 def test_a_declined_method_is_declined_once_per_brand(built, monkeypatch):
     """Three JVMs of two brands decline ``search`` and ``run``: the
     emitter tries each twice, in the first runtime only."""
-    monkeypatch.setattr(codegen, "_MAX_INDENT", 6)
+    def decline(*args, **kwargs):
+        raise CompileError("declined")
+    monkeypatch.setattr(codegen, "traces", decline)
     brands = ("sun", "ibm", "sun")
     _, first = run_runtime("tsp", jit=True, brands=brands)
     declined = ["javasplit.TspWorker.run", "javasplit.TspWorker.search"]
@@ -244,9 +246,10 @@ def test_a_second_runtime_builds_nothing_and_binds_its_own(built,
     bound = [value for fns in compiled_fns(second).values() for fn in fns
              for value in fn.__globals__.values()
              if isinstance(value, (MethodInfo, Instr))]
-    assert any(isinstance(v, Instr) for v in bound) == race_detect
-    assert bound and all(id(v) in mine and id(v) not in theirs
-                         for v in bound)
+    # Traces bind the race observer's instructions, and nothing else.
+    assert all(isinstance(v, Instr) for v in bound)
+    assert bool(bound) == race_detect
+    assert all(id(v) in mine and id(v) not in theirs for v in bound)
 
 
 def test_a_dropped_runtime_is_collected_and_its_code_stays(built):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from typing import Dict, Tuple
 
 import pytest
@@ -22,7 +23,7 @@ import pytest
 from repro.check.runner import DEFAULT_JITTER_NS, app_source, run_check
 from repro.dsm.protocol import DsmConfig
 from repro.jit import REASON_NAMES, N_REASONS
-from repro.jit.analysis import CHECKS, SPECIAL_OPS, traces
+from repro.jit.analysis import CHECKS, traces
 from repro.jvm import Instr, MethodInfo
 from repro.jvm.bytecode import BRANCHES, Op
 from repro.jvm.disasm import resolve_cost_tables
@@ -94,27 +95,26 @@ def assert_identical(base, base_state, jit, jit_state) -> None:
 
 # ---------------------------------------------------------------------------
 # The core differential: every app, multiple seeds, and quanta that put
-# budget exits and resumes on arms all over the dispatch ladder
+# budget exits and resumes all over the traces
 # ---------------------------------------------------------------------------
-# (app, quantum_ns) -> per-reason exits and interpreter steps of seed 0,
-# taken at the parent commit (the ``elif`` chain): a layout change may
-# move neither an exit nor a resume.  None = the default 50 us quantum.
+# (app, quantum_ns) -> trace exits per reason and the instructions run
+# outside a trace, of seed 0: a change that moves a trace's entry or
+# exit shows here.  None = the default 50 us quantum.
 PARENT_EXITS = {
-    ("series", None): ({"budget": 10, "return": 1052}, 33212),
-    ("series", 997): ({"budget": 1032, "return": 372}, 10615),
-    ("series", 4999): ({"budget": 197, "return": 407}, 11465),
-    ("tsp", None): ({"block_acquire": 10, "block_read": 5, "budget": 243,
-                     "return": 439}, 13541),
-    ("tsp", 997): ({"block_acquire": 15, "block_read": 13, "budget": 10700,
-                    "call_exit": 3, "return": 1204}, 34512),
-    ("tsp", 4999): ({"block_acquire": 13, "block_read": 9, "budget": 2486,
-                     "return": 1113}, 11990),
-    ("raytracer", None): ({"block_read": 2, "budget": 68, "return": 56},
-                          17025),
-    ("raytracer", 997): ({"block_read": 2, "budget": 2716, "return": 68},
-                         28836),
-    ("raytracer", 4999): ({"block_read": 2, "budget": 738, "return": 65},
-                          14032),
+    ("series", None): ({"leave": 898}, 62079),
+    ("series", 997): ({"leave": 764}, 63847),
+    ("series", 4999): ({"leave": 1627}, 51512),
+    ("tsp", None): ({"block_read": 5, "block_write": 406, "budget": 119,
+                     "leave": 5079}, 43830),
+    ("tsp", 997): ({"block_read": 7, "block_write": 12, "leave": 25},
+                   224562),
+    ("tsp", 4999): ({"block_read": 7, "block_write": 262, "budget": 1031,
+                     "leave": 3188}, 156685),
+    ("raytracer", None): ({"leave": 964, "return": 43}, 89987),
+    ("raytracer", 997): ({"block_write": 3, "leave": 1132, "return": 51},
+                         88718),
+    ("raytracer", 4999): ({"block_write": 2, "leave": 1079, "return": 51},
+                          89454),
 }
 
 
@@ -128,7 +128,7 @@ def check_observationally_identical(app, seed, quantum_ns=None):
     assert jit.jit is not None
     assert jit.jit["compiles"] > 0
     assert not jit.jit["blacklisted"]
-    assert jit.jit["exit_reasons"].get("return", 0) > 0
+    assert sum(jit.jit["exit_reasons"].values()) > 0  # traces ran
     if seed == 0:
         steps = sum(node["interp_steps"] for node in jit.jit["nodes"])
         assert (jit.jit["exit_reasons"], steps) == \
@@ -303,8 +303,8 @@ def test_golden_opcode_edges():
     assert jit.console == base.console
     assert jit.simulated_ns == base.simulated_ns
     assert jit.jit["compiles"] > 0
-    # The hot method really ran compiled, not just compiled-and-ignored.
-    assert jit.jit["exit_reasons"].get("return", 0) > 0
+    # The hot method's traces really ran, not just compiled-and-ignored.
+    assert sum(jit.jit["exit_reasons"].values()) > 0
 
 
 def failing_run(source: str, jit: bool):
@@ -316,10 +316,10 @@ def failing_run(source: str, jit: bool):
 
 
 def test_golden_exception_identical():
-    """A JVMError raised from compiled code must fail the thread with
+    """A JVMError raised in a tier-1 method must fail the thread with
     the interpreter's exact message (same pc, same frame.where()) and
-    having counted the instructions before it — in an arm, which counts
-    a run before running it, and in a trace, which counts at its exits."""
+    having counted the instructions before it — in tier 0's run, and in
+    a trace, which counts at its exits."""
     for template, expr in itertools.product(
             (FAILING_SOURCE, TRACED_FAILING_SOURCE), FAILING_EXPRS):
         _, base_error, base_count = failing_run(template % expr, jit=False)
@@ -329,8 +329,7 @@ def test_golden_exception_identical():
         assert error.startswith(
             FAILING_EXPRS[expr] + " at javasplit.Boom.hot pc="), expr
         (hot,) = compiled_fns(runtime)["javasplit.Boom.hot"]
-        assert ("while used" in hot.source) == (
-            template is TRACED_FAILING_SOURCE), expr
+        assert bool(hot.heads) == (template is TRACED_FAILING_SOURCE), expr
 
 
 TAIL_FAILING_SOURCE = """
@@ -354,52 +353,33 @@ class BoomMain {
 
 
 def test_interp_steps_counted_when_budget_tail_fails():
-    """At a 60 ns quantum the division by zero lands in the interpreter
-    tail after an ``R_BUDGET`` exit; the tail's instructions before the
-    failing one are still counted (golden from the per-step loop)."""
+    """At a 60 ns quantum the division by zero lands in tier 0's quantum
+    tail, where no trace fits; the tail's instructions before the failing
+    one are still counted (golden from the per-step loop)."""
     config = RuntimeConfig(num_nodes=2, seed=0, jit_enable=True,
                            jit_threshold=1, quantum_ns=60)
     runtime = JavaSplitRuntime(
         rewrite_application(compile_source(TAIL_FAILING_SOURCE)), config)
     with pytest.raises(ArithmeticJavaError, match="/ by zero"):
         runtime.run()
-    assert runtime.workers[0].jvm.jit.interp_steps == 112
+    assert runtime.workers[0].jvm.jit.interp_steps == 141
 
 
 # ---------------------------------------------------------------------------
-# Code layout: arms in pc order under a skip tree, no dispatch chain
+# Which traces a method keeps
 # ---------------------------------------------------------------------------
-# Entries per compiled method at the parent commit.
-PARENT_ENTRY_COUNTS = {
-    "javasplit.SeriesWorker.f": 5, "javasplit.SeriesWorker.integrate": 29,
-    "javasplit.TspWorker.run": 105, "javasplit.TspWorker.search": 81,
-    "javasplit.RtWorker.trace": 82, "javasplit.ReqQueue.put": 34,
-    "javasplit.ReqQueue.take": 30, "javasplit.Stripe.record": 27,
-}
-
-
-# Emitted lines per compiled method at the parent commit (arms only).
-# ``compile()`` holds ~2.75 KB per line until it returns, so the largest
-# text is the process's peak RSS: a layout change may add a fifth.
-PARENT_LINES = {
-    "javasplit.SeriesWorker.f": 97, "javasplit.SeriesWorker.integrate": 805,
-    "javasplit.TspWorker.run": 1925, "javasplit.TspWorker.search": 1565,
-    "javasplit.RtWorker.trace": 1672, "javasplit.ReqQueue.put": 618,
-    "javasplit.ReqQueue.take": 558, "javasplit.Stripe.record": 496,
-}
-
-
-def entry_set(method) -> set:
-    """Where a compiled function must be enterable: method entry, branch
-    targets, each special op and its successor (none of these apps has
-    unreachable code or a deopt site)."""
-    pcs = {0}
-    for pc, instr in enumerate(method.code):
-        if instr.op in BRANCHES:
-            pcs.add(instr.a if instr.op is Op.GOTO else instr.b)
-        if instr.op in SPECIAL_OPS:
-            pcs |= {pc, pc + 1}
-    return pcs
+def test_traces_are_cut_hottest_first(monkeypatch):
+    """A method's traces fit ``_TRACE_LINES`` lines per bytecode or go,
+    the deepest static loop first and the method entry after it; where a
+    trace is missing, its head runs on tier 0 alike."""
+    base, base_state = run_app("tsp", jit=False)
+    for per_bytecode, kept in ((2, (81, 136, 0, 6)), (1.2, (81, 136)),
+                               (1, (81,)), (0, ())):
+        monkeypatch.setattr("repro.jit.codegen._TRACE_LINES", per_bytecode)
+        runtime, report = run_runtime("tsp", jit=True)
+        (search, *_) = compiled_fns(runtime)["javasplit.TspWorker.search"]
+        assert search.heads == kept
+        assert_identical(base, base_state, report, final_state(runtime))
 
 
 def serve_runtime():
@@ -413,38 +393,33 @@ def serve_runtime():
 
 
 @pytest.mark.parametrize("app", APPS + ("serve",))
-def test_every_compiled_method_is_a_ladder_over_the_parents_entries(app):
+def test_tier1_is_its_traces_in_tier0s_list(app):
+    """A compiled method is its traces and nothing else — no arm, no
+    ``pc`` ladder, no call of its own — each one the handler of tier 0's
+    fused list at its head; and tier 1 keeps no quantum loop."""
+    from repro.jit.manager import JitAgent
     runtime = (serve_runtime() if app == "serve"
                else run_runtime(app, jit=True)[0])
-    fns = compiled_fns(runtime)
-    assert fns
-    for name, per_jvm in fns.items():
-        for fn in per_jvm:
-            assert "elif pc ==" not in fn.source, name
-            assert fn.entries == entry_set(fn.method), name
-            assert len(fn.entries) == PARENT_ENTRY_COUNTS[name]
-            assert fn.source.count("\n") <= 1.2 * PARENT_LINES[name], name
-            # Ascending pc order is what makes falling through right.
-            arms = [int(line.split("==")[1].rstrip(":"))
-                    for line in fn.source.splitlines()
-                    if line.lstrip().startswith("if pc == ")]
-            assert arms == sorted(fn.entries), name
+    for agent in runtime.jit.agents:
+        for key, fn in agent.cache.items():
+            assert "if pc ==" not in fn.source and "_CACHE" not in fn.source
+            assert fn.source.count("    def _t") == len(fn.heads)
+            fused = agent.interp.fuse(agent.methods[key])
+            assert [fused[head].__name__ for head in fn.heads] == [
+                f"_t{head}" for head in fn.heads]
+    assert not hasattr(JitAgent, "run_quantum")
 
 
-def test_traces_are_cut_hottest_first(monkeypatch):
-    """A method's traces fit ``_TRACE_LINES`` lines per bytecode or go,
-    the deepest static loop last and the method entry after it; the
-    arms behind them do not care which."""
-    for per_bytecode, kept in (1, [0, 81, 136]), (0.7, [81, 136]), (0, []):
-        monkeypatch.setattr("repro.jit.codegen._TRACE_LINES", per_bytecode)
-        runtime, report = run_runtime("tsp", jit=True)
-        lines = compiled_fns(runtime)[
-            "javasplit.TspWorker.search"][0].source.splitlines()
-        assert [int(lines[i - 1].split("==")[1].rstrip(":"))
-                for i, line in enumerate(lines)
-                if line.lstrip().startswith("while used + ")] == kept
-        steps = sum(node["interp_steps"] for node in report.jit["nodes"])
-        assert (report.jit["exit_reasons"], steps) == PARENT_EXITS["tsp", None]
+def test_a_trace_loads_what_it_reads_and_writes_back_what_it_changed():
+    """``Reader.run``'s loop trace reads ``this``, ``s`` and ``i``, and
+    writes ``s`` and ``i``: it loads those three, writes back only the
+    two, and leaves ``frame.locals`` as tier 0 would at every exit."""
+    runtime = source_runtime(TWO_OBJECTS_SOURCE, True)
+    runtime.run()
+    (run, *_) = compiled_fns(runtime)["javasplit.Reader.run"]
+    loads = set(re.findall(r"l(\d+) = fl\[\1\]", run.source))
+    stores = set(re.findall(r"fl\[(\d+)\] = l\1", run.source))
+    assert (loads, stores) == ({"0", "1", "2"}, {"1", "2"})
 
 
 def test_reference_equality_is_pythons_default():
@@ -519,7 +494,7 @@ def test_compiled_read_miss_blocks_where_the_interpreter_does():
         [where for where, _ in seen[False]]
     from_compiled = [where for where, compiled in seen[True] if compiled]
     assert any("Reader.run" in where for where in from_compiled)
-    assert report.jit["exit_reasons"]["block_read"] >= len(from_compiled) > 0
+    assert report.jit["exit_reasons"]["block_read"] > 0 < len(from_compiled)
 
 
 def test_same_brand_jvms_share_one_code_object(cold_code_cache, built):
@@ -578,28 +553,28 @@ class Main {
 }
 """
 
-# quantum_ns -> exits and interpreter steps of SWEEP_SOURCE at the
-# parent commit (arms only), and a digest over the rows of all 403
-# quanta: a trace may move neither a budget exit nor a resume.
+# quantum_ns -> trace exits and the instructions run outside a trace of
+# SWEEP_SOURCE, and a digest over the rows of all 403 quanta: a change
+# that moves a trace's entry or exit shows here.
 PARENT_SWEEP = {
-    1: ({"budget": 225, "call_exit": 4}, 782),
-    7: ({"budget": 199, "call_exit": 4}, 753),
-    60: ({"budget": 163, "call_exit": 4, "return": 4}, 614),
-    150: ({"budget": 155, "call_exit": 4, "return": 4}, 588),
-    400: ({"budget": 91, "call_exit": 4, "return": 5}, 431),
-    997: ({"budget": 39, "call_exit": 4, "return": 4}, 133),
-    4999: ({"budget": 8, "call_exit": 4, "return": 7}, 48),
-    50000: ({"call_exit": 4, "return": 5}, 4),
+    1: ({}, 940),
+    7: ({}, 940),
+    60: ({"leave": 1}, 932),
+    150: ({"leave": 4}, 913),
+    400: ({"leave": 3}, 921),
+    997: ({"leave": 4}, 913),
+    4999: ({"leave": 24}, 581),
+    50000: ({"leave": 28}, 517),
 }
-PARENT_SWEEP_DIGEST = "46266fabb6f37b5c"
+PARENT_SWEEP_DIGEST = "f66cabcf723192bc"
 
 
 def test_budget_sweep_a_trace_moves_no_exit():
     """Every quantum from 1 to 400 ns (each trace of ``Loop.run`` is
-    entered with every remainder of the budget, its guard failing at
+    entered with every remainder of the budget, its test failing at
     every prefix) and three long ones: result, simulated time and
     per-thread instructions are the interpreter's, the exit histogram
-    and interpreter steps the parent's."""
+    and the steps outside a trace the pinned ones."""
     rewritten = rewrite_application(compile_source(SWEEP_SOURCE))
     digest = hashlib.sha256()
     for quantum_ns in (*range(1, 401), 997, 4999, 50000):
@@ -621,7 +596,7 @@ def test_budget_sweep_a_trace_moves_no_exit():
         digest.update(repr((quantum_ns, sorted(exits.items()),
                             steps)).encode())
     (run,) = compiled_fns(runtime)["javasplit.Loop.run"]
-    assert "while used" in run.source and "continue" in run.source
+    assert run.heads
     assert digest.hexdigest()[:16] == PARENT_SWEEP_DIGEST
 
 
@@ -717,8 +692,8 @@ class Main {
 
 def test_a_miss_inside_a_trace_blocks_at_the_arms_pc():
     """``b`` is the second object on the loop's trace: its miss leaves
-    the trace for the check's arm, which blocks where the interpreter
-    does, having charged what the interpreter charged."""
+    the trace for the check's tier-0 handler, which blocks where the
+    interpreter does, having charged what the interpreter charged."""
     seen = {}
     for jit in (False, True):
         runtime = source_runtime(TWO_OBJECTS_SOURCE, jit)
@@ -739,9 +714,9 @@ def test_a_miss_inside_a_trace_blocks_at_the_arms_pc():
 
 def test_a_split_array_is_never_proven():
     """Every read check of a split array's element goes to the engine,
-    region by region — from an arm, never folded into a trace's hit
-    test or skipped as already passed: the handler sees a split array
-    as often as under the interpreter."""
+    region by region — from tier 0's handler, never folded into a
+    trace's hit test or skipped as already passed: the handler sees a
+    split array as often as under the interpreter."""
     calls = {}
     for jit in (False, True):
         config = RuntimeConfig(num_nodes=3, seed=0, jit_enable=jit,
@@ -775,8 +750,7 @@ def test_the_race_observer_sees_every_checked_access_of_a_trace():
         assert runtime.run().result == 36
     assert seen[True] == seen[False] and len(seen[True]) > 100
     (run,) = compiled_fns(runtime)["javasplit.Loop.run"]
-    traced = run.source[run.source.index("while used"):]
-    assert "_race(" in traced[:traced.index("else:")]
+    assert run.heads and "_race(" in run.source
 
 
 # ---------------------------------------------------------------------------
@@ -789,54 +763,6 @@ def test_emitter_bug_fails_the_run(monkeypatch):
     monkeypatch.setattr("repro.jit.manager.compile_method", broken)
     with pytest.raises(KeyError, match="emitter bug"):
         run_source(GOLDEN_SOURCE, jit=True)
-
-
-HUGE_SOURCE = """
-class Huge {
-    static int bump(int x) { return x + 1; }
-    static int run() {
-        int acc = 0;
-%s        return acc;
-    }
-}
-class HugeMain {
-    static int main() { return Huge.run() + Huge.run(); }
-}
-"""
-
-
-@pytest.mark.parametrize("calls, lift_cap", [(300, False), (1100, False),
-                                             (1100, True)])
-def test_huge_method_compiles_or_is_declined(calls, lift_cap, monkeypatch):
-    """Two entries per call site.  600 entries compile; 2 200 exceed the
-    statement cap, and the emitter says so itself (``CompileError``)
-    rather than leaving it to ``compile()``; with that cap lifted the
-    2 200-arm ladder (ten skip-tree levels) compiles and runs."""
-    if lift_cap:
-        monkeypatch.setattr("repro.jit.codegen._MAX_STATEMENTS", 10 ** 6)
-    source = HUGE_SOURCE % ("        acc = Huge.bump(acc);\n" * calls)
-    base, _ = run_source(source, jit=False)
-    jit, runtime = run_source(source, jit=True)
-    assert jit.result == base.result == 2 * calls
-    assert jit.simulated_ns == base.simulated_ns
-    fns = compiled_fns(runtime)
-    declined = jit.jit["blacklisted"]
-    assert all(why.startswith("CompileError") for why in declined.values())
-    assert ("javasplit.Huge.run" in declined) == (calls == 1100
-                                                  and not lift_cap)
-    if not declined:
-        assert len(fns["javasplit.Huge.run"][0].entries) >= 2 * calls
-
-
-def test_nesting_past_the_indent_cap_is_declined(monkeypatch):
-    monkeypatch.setattr("repro.jit.codegen._MAX_INDENT", 6)
-    base, _ = run_source(GOLDEN_SOURCE, jit=False)
-    jit, _ = run_source(GOLDEN_SOURCE, jit=True)
-    assert jit.result == base.result
-    assert jit.simulated_ns == base.simulated_ns
-    assert "javasplit.Edge.run" in jit.jit["blacklisted"]
-    assert all(why.startswith("CompileError")
-               for why in jit.jit["blacklisted"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -878,4 +804,4 @@ def test_jit_metrics_published():
     metrics = jit.obs["metrics"]
     counters = metrics["counters"]
     assert counters["jit.compiles"]["total"] > 0
-    assert counters["jit.exit.return"]["total"] > 0
+    assert counters["jit.exit.leave"]["total"] > 0

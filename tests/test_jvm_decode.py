@@ -364,15 +364,15 @@ def test_mixed_brands_compile_their_own_tier1_code(cold_code_cache, built):
     for key in shared:
         assert sun[key].__code__ is sun2[key].__code__
         assert sun[key].__code__ is not ibm[key].__code__
-        assert sun[key].source != ibm[key].source
-    codes = {fn.__code__ for cache in (sun, ibm, sun2)
+        assert sun[key].source != ibm[key].source or not sun[key].heads
+    codes = {id(fn.__code__) for cache in (sun, ibm, sun2)
              for fn in cache.values() if fn}
     assert len([name for name in built if "." in name]) == len(codes)
     del built[:]
     again = _series(brands=("sun", "ibm", "sun"), jit_enable=True)
     again.run()
     assert built == []
-    assert {fn.__code__ for w in again.workers
+    assert {id(fn.__code__) for w in again.workers
             for fn in w.jvm.jit.cache.values() if fn} == codes
 
 

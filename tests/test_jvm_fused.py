@@ -30,7 +30,6 @@ from repro.jvm.bytecode import (ACCESSES, DSM_OPS, INVOKES, MATH, SEMANTICS,
                                 STACK_EFFECT, native_of)
 from repro.jvm.frame import Frame
 from repro.jvm.fuse import NOT_FUSED, fused_runs, fused_source
-from repro.jit.codegen import R_DEOPT
 from repro.jvm.jvm import JThread
 from repro.lang import compile_source
 from repro.rewriter import rewrite_application
@@ -445,11 +444,9 @@ def test_any_straight_line_is_its_instructions_in_tier_1_too(body, operands):
     """The same writer over tier 1's registers: a line whose operands
     are swapped, duplicated, stored over and assigned in place leaves
     the stack, locals, bill, count and error stepping it leaves."""
-    from test_semantics import tier1
-    # Ends at a deopt site: compiled code hands the frame back there.
-    end = len(operands[3:]) + len(body)
-    code = [Instr(Op.CONST, v) for v in operands[3:]] + body + [
-        Instr(Op.INVOKESTATIC, "NoSuchClass", "m"), Instr(Op.RETURN)]
+    from test_semantics import tier1, traced
+    # A trace runs the line and hands the frame back at the call.
+    code, end = traced([Instr(Op.CONST, v) for v in operands[3:]] + body)
     outcomes = []
     for tier in (0, 1):
         thread = _method_thread(code, max_locals=3, args=operands[:3],
@@ -458,12 +455,8 @@ def test_any_straight_line_is_its_instructions_in_tier_1_too(body, operands):
         try:
             if tier == 0:
                 cost = sum(step(thread) for _ in range(end))
-            else:  # as the JIT manager runs it: a deopt steps tier 0
-                fn, cost = tier1(_ONE_JVM)(frame.method), 0
-                while frame.pc < end:
-                    used, why = fn(thread, frame, 10 ** 9, 0)
-                    cost += used + (step(thread) if why == R_DEOPT
-                                    and frame.pc < end else 0)
+            else:  # tier 0's dispatch loop, the trace in its list
+                cost = tier1(_ONE_JVM)(frame.method)(thread, end)
             error = None
         except JVMError as exc:
             cost, error = None, str(exc).replace(thread.name, "main")
@@ -603,16 +596,22 @@ def test_race_detector_still_observes_every_checked_access():
 # (sorted by class, then method), unobserved and with every checked
 # access cut as a race detector cuts it; the two benchmark programs with
 # their placeholders filled in.  Re-pinned by design when a read check
-# joined runs as a guard and ``C`` became the cost of each pc, and when
-# the access right after a guard dropped the null test the guard made.
+# joined runs as a guard and ``C`` became the cost of each pc, when the
+# access right after a guard dropped the null test the guard made, and
+# when a tail came to end at the next guard (and a short one to go), a
+# miss to be one line and a method's text to name only what it reads.
 PARENT_FUSED_TEXT = {
-    ("series", 0): "7f396d407b7d2607", ("series", 2): "6cf357ea84c23746",
-    ("tsp", 0): "11817d4719f3760c", ("tsp", 2): "eacaaed6ec2353d1",
-    ("raytracer", 0): "7c709f2e05b4f2c8",
-    ("raytracer", 2): "bf3703110a1c3a79",
-    ("locks.mj", 0): "caa996ba4e9aa9fe", ("locks.mj", 2): "10802d27d05e32f3",
-    ("bulk.mj", 0): "360989378e531c9c", ("bulk.mj", 2): "bd1d5b1438e28ead",
+    ("series", 0): "57df4849e65208ff", ("series", 2): "cd5694bf9ffe2624",
+    ("tsp", 0): "09b2b75de710334e", ("tsp", 2): "532ebbaa0770fcd9",
+    ("raytracer", 0): "278769c999e528e1",
+    ("raytracer", 2): "357233ccfe3bdb64",
+    ("locks.mj", 0): "c177af53788c86e4", ("locks.mj", 2): "4f6acd80b492566a",
+    ("bulk.mj", 0): "10500703ae3b5701", ("bulk.mj", 2): "2558cca185079e53",
 }
+#: Characters of fused text per program before read checks became guards
+#: (every check a dispatch of its own): guards may grow it by 30% at most.
+BEFORE_GUARDS = {"series": 16647, "tsp": 40870, "raytracer": 36794,
+                 "locks.mj": 7762, "bulk.mj": 13431}
 _PLACEHOLDERS = {"THREADS": 4, "ITERS": 50, "ROUNDS": 60, "CELLS": 4096}
 
 
@@ -644,3 +643,14 @@ def test_fused_text_is_the_parents(program, check_elim):
                 digest.update(fused_source(method.code, tier0.BOUND,
                                            cut)[0].encode())
     assert digest.hexdigest()[:16] == PARENT_FUSED_TEXT[program, check_elim]
+
+
+@pytest.mark.parametrize("program", sorted(BEFORE_GUARDS))
+def test_fused_text_is_sized_to_what_runs(program):
+    """A tail ends at the next guard, so a run with k guards carries its
+    rows about twice, not k + 1 times."""
+    rewritten = rewrite_application(compile_source(_program(program)))
+    size = sum(len(fused_source(method.code, tier0.BOUND)[0])
+               for cf in rewritten.classfiles.values()
+               for method in cf.methods.values() if method.code)
+    assert size <= 1.3 * BEFORE_GUARDS[program]

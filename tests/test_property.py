@@ -1084,10 +1084,10 @@ def test_row_same_as_handler_and_as_compiled_text(case):
 def _depth_checked(handler, depth, where, executed):
     """A decoded handler that first holds the operand stack it finds
     against the depth the static walk computed for its pc."""
-    def check(thread, frame):
+    def check(thread, frame, left):
         assert len(frame.stack) == depth, (where, len(frame.stack), depth)
         executed[where] += 1
-        return handler(thread, frame)
+        return handler(thread, frame, left)
     return check
 
 

@@ -6,7 +6,8 @@ one tier 1 tests, :data:`~repro.jvm.fuse.READ_MISS` — on the checked
 reference in line and goes on.  On a miss it flushes its pending values,
 leaves ``frame.pc`` on the check and bills what it ran before it; the
 check's own handler then takes the slow path, and execution resumes
-after the check in a *tail run*, the rest of the run fused on its own.
+after the check in a *tail run*, the rest of the run up to the next
+guard fused on its own.
 Each program below misses on every lock hand-over between its two
 nodes: ``mid_run`` inside its runs, ``first_pc`` at a check that would
 start one.  Its result, the bytecodes its threads ran, its simulated
@@ -26,7 +27,7 @@ from repro.dsm.directory import NODE_SHIFT
 from repro.dsm.objectstate import DSMHeader, ObjState, RegionInfo
 from repro.heap import ArrayObj, Obj
 from repro.jvm import ClassBuilder, Instr, Op
-from repro.jvm.fuse import (READ_MISS, fused_runs, fused_source,
+from repro.jvm.fuse import (_TAIL_ROWS, READ_MISS, fused_runs, fused_source,
                             read_miss_names)
 from repro.jvm.interpreter import BOUND, Interpreter
 from repro.lang import compile_source
@@ -56,7 +57,8 @@ PROGRAMS = {
     # ``c.v``, ``p.v`` and ``q.v`` are read in one run right after the
     # lock is taken.  No one writes ``c``: its check hits.  The other
     # node wrote ``p`` and ``q``: the run misses at the second check,
-    # and the tail run it resumes in at the third.
+    # and what resumes after it at the third, which its own handler
+    # dispatches.
     "mid_run": GATE + """
 class Cell { int v; }
 class Worker extends Shared {
@@ -213,8 +215,9 @@ def test_every_quantum_ends_where_steps_would(case):
 
 
 def test_a_miss_leaves_its_run_and_resumes_in_its_tail():
-    """Both of ``mid_run``'s guards miss; the pc after each starts a
-    tail run, so what follows a miss is one dispatch again."""
+    """Both of ``mid_run``'s guards miss; the rows after each, up to the
+    next guard, are a tail run if there are ``_TAIL_ROWS`` of them, so
+    what follows a miss is one dispatch again."""
     runtime = _runtime("mid_run")
     misses = collections.Counter()
     for worker in runtime.workers:
@@ -234,8 +237,9 @@ def test_a_miss_leaves_its_run_and_resumes_in_its_tail():
     per_pc, per_run = interp.decode(method), interp.fuse(method)
     for pc, end in guards.items():
         assert per_run[pc] is per_pc[pc]
-        if end - pc > 2:  # a tail of one instruction is that instruction
-            assert per_run[pc + 1] is not per_pc[pc + 1], pc
+        stop = min([g for g in guards if pc < g < end] or [end])
+        assert (per_run[pc + 1] is not per_pc[pc + 1]) == (
+            stop - pc - 1 >= _TAIL_ROWS + (stop < end)), pc
 
 
 def test_a_check_at_a_runs_first_pc_is_never_a_guard():
@@ -250,12 +254,13 @@ def test_a_check_at_a_runs_first_pc_is_never_a_guard():
         pc + 1 in dict(runs) and not any(s < pc < e for s, e in runs)
         for pc in after_call)
     # Checks in a row open a run: it starts after both, and its check
-    # further down is a guard, with a tail of its own.
+    # further down is a guard, whose two rows after it are too few for a
+    # tail of their own (``_TAIL_ROWS``).
     code = [Instr(Op.INVOKESTATIC, "T", "f"), Instr(Op.DSM_READCHECK, 0),
             Instr(Op.DSM_READCHECK, 0), Instr(Op.LOAD, 0),
             Instr(Op.DSM_READCHECK, 0), Instr(Op.POP), Instr(Op.POP),
             Instr(Op.RETURN)]
-    assert fused_runs(code) == [(3, 7), (5, 7)]
+    assert fused_runs(code) == [(3, 7)]
 
 
 #: A run whose guard finds its reference below the run's own values,
@@ -271,7 +276,7 @@ def test_a_guard_leaves_the_frame_as_steps_do(state):
     """A hit runs on; a miss leaves the pending value on the stack, the
     pc on the check and the thread blocked in its handler; a null
     reference fails there, with the text and count of stepping."""
-    assert fused_runs(BELOW) == [(0, 6), (4, 6)]
+    assert fused_runs(BELOW) == [(0, 6)]
     outcomes = []
     for quantum in (_by_run, _by_step):
         _, _, jvm = make_jvm()

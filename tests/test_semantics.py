@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.jit.codegen import R_DEOPT, compile_method
+from repro.jit.codegen import compile_method
 from repro.heap import (
     ArrayIndexError,
     ArrayObj,
@@ -27,7 +27,7 @@ from repro.heap import (
     Obj,
 )
 from repro.jvm import ClassBuilder, Instr, MethodInfo, Op
-from repro.jvm.bytecode import LINKED, SEMANTICS, STACK_EFFECT, link_slots
+from repro.jvm.bytecode import SEMANTICS, STACK_EFFECT, instr_cost
 from repro.jvm.errors import (
     ArithmeticJavaError,
     ClassCastError,
@@ -58,10 +58,40 @@ def row_jvm():
 
 
 def tier1(jvm):
-    """Tier 1 of ``jvm`` as a function: ``method -> fn(thread, frame,
-    budget, depth)``, as the JIT manager calls it."""
-    agent = SimpleNamespace(jvm=jvm, cache={}, methods={})
-    return lambda method: compile_method(method, agent)
+    """Tier 1 of ``jvm``: ``method -> run(thread, end)``.  It puts the
+    method's traces into this JVM's fused list of it, as the JIT agent
+    does; ``run`` dispatches the thread's top frame over that list as
+    ``Interpreter.run`` does, until its pc reaches ``end``, and returns
+    the nanoseconds billed."""
+    def compiled(method):
+        fused = jvm.interpreter.fuse(method)
+        compile_method(method, SimpleNamespace(jvm=jvm))(fused)
+
+        def run(thread, end):
+            frame, cost = thread.frames[-1], 0
+            while frame.pc < end:
+                pc = frame.pc
+                try:
+                    cost += fused[pc](thread, frame, 10 ** 9)
+                except JVMError as exc:
+                    thread.instructions += frame.pc - pc
+                    thread.fail(exc, frame.where())
+                    raise
+                thread.instructions += 1
+            return cost
+        return run
+    return compiled
+
+
+def traced(code):
+    """``code``, then a branch that is never taken, so that a trace of
+    tier 1 runs through it, and an unresolvable call, so that nothing
+    runs past it: ``(code, the call's pc)``."""
+    end = len(code) + 4
+    return code + [Instr(Op.CONST, 0), Instr(Op.IF, "ne", end),
+                   Instr(Op.CONST, 0), Instr(Op.POP),
+                   Instr(Op.INVOKESTATIC, "NoSuchClass", "m"),
+                   Instr(Op.RETURN)], end
 
 
 def run_row(jvm, tier, op, operands=(), a=None, b=None, checked=False):
@@ -70,27 +100,21 @@ def run_row(jvm, tier, op, operands=(), a=None, b=None, checked=False):
     ``(stack, locals, cost_ns)`` after the op, or the ``JVMError`` it
     raised — attributed, like any failure, to ``T.m pc=<the op>``."""
     n = len(operands)
-    code = [Instr(Op.LOAD, k) for k in range(n)] + [
-        Instr(op, a, b, checked=checked, line=7),
-        # Unresolvable, so a deopt site: compiled code hands the frame
-        # back right after the op, operand stack materialized.
-        Instr(Op.INVOKESTATIC, "NoSuchClass", "m"), Instr(Op.RETURN)]
+    code, end = traced([Instr(Op.LOAD, k) for k in range(n)] + [
+        Instr(op, a, b, checked=checked, line=7)])
     method = MethodInfo("m", ["int"] * n, "void", code=code,
                         flags={"static"}, klass="T")
     frame = Frame(method, list(operands))
     thread = JThread(jvm, frame, name="t")
-    # Only a field that does not link is a deopt site at the op itself.
-    unlinked = op in LINKED and not link_slots(code[n:n + 1], jvm.field_index)
     try:
         if tier == 0:
             cost = sum(jvm.interpreter.step(thread) for _ in range(n + 1))
-        else:
-            cost, why = tier1(jvm)(method)(thread, frame, 10 ** 9, 0)
-            assert why == R_DEOPT
-            if unlinked:  # compiled code stops at it; the interpreter runs it
-                assert frame.pc == thread.instructions == n
-                cost += jvm.interpreter.step(thread)
-            assert thread.instructions == n + 1
+        else:  # the line runs on to the call; what ran past the op goes
+            cost = tier1(jvm)(method)(thread, end) - sum(
+                instr_cost(i, jvm.interpreter.cost_tables)
+                for i in code[n + 1:end])
+            assert frame.pc == thread.instructions == end
+            frame.pc = thread.instructions = n + 1
     except JVMError as exc:
         assert thread.error is exc
         return exc
@@ -322,13 +346,9 @@ def _run_off_path(tier, flag, ref):
     frame = Frame(method, [flag, ref and jvm.new_instance(ref)])
     thread = JThread(jvm, frame, name="t")
     try:
-        if tier == 0:
-            jvm.interpreter.run(thread, 10 ** 9)
-        else:
-            fn = tier1(jvm)(method)
-            while thread.result is None:
-                if fn(thread, frame, 10 ** 9, 0)[1] == R_DEOPT:
-                    jvm.interpreter.step(thread)
+        if tier == 1:  # the traces run from the fused list
+            tier1(jvm)(method)
+        jvm.interpreter.run(thread, 10 ** 9)
     except JVMError as exc:
         return str(exc)
     return thread.result
@@ -422,27 +442,23 @@ def test_widening_an_int_no_double_holds_is_a_java_error(how):
 # Emitted text, pinned at the parent commit
 # ---------------------------------------------------------------------------
 # SHA-256 over every compiled method's text (sorted by method; the text
-# names no object, so nothing in it is normalised) of seed 0 on 3 nodes, the
-# per-reason exits and the interpreter steps.  The hashes were re-pinned
-# when tier 1 gained traces, and when the heap accesses became rows —
-# the one line that changed is an access's NPE, now formatted from its
-# operands where it is raised (``'getfield %s.%s' % ('C', 'f')``) — and
-# for the two apps whose compiled methods call ``Math``, when a call to
-# one became its ``MATH`` row, and when tier 1's traces and arms came to
-# be written by tier 0's line writer (values forwarded, not moved
-# through registers); the exits and steps beside them are still the
-# parent's of the semantics table.
+# names no object, so nothing in it is normalised) of seed 0 on 3 nodes,
+# the trace exits per reason and the instructions run outside a trace.
+# The hashes were re-pinned when tier 1 gained traces, when the heap
+# accesses became rows, when a call to ``Math`` became its ``MATH`` row,
+# when tier 1 came to be written by tier 0's line writer, and when tier
+# 1 became its traces alone, each one tier 0's handler at its head.
 PARENT_TEXT = {
-    ("series", 0): ("1777b001ac886c77", {"budget": 10, "return": 1052}, 33212),
-    ("series", 2): ("1777b001ac886c77", {"budget": 13, "return": 1011}, 32037),
-    ("tsp", 0): ("38a9b5470e04e0d9", {"block_acquire": 10, "block_read": 5,
-                                      "budget": 243, "return": 439}, 13541),
-    ("tsp", 2): ("333b108e0a82f82e", {"block_acquire": 5, "block_read": 3,
-                                      "budget": 195, "return": 382}, 13939),
-    ("raytracer", 0): ("7be3a7bff5c42c50", {"block_read": 2, "budget": 68,
-                                            "return": 56}, 17025),
-    ("raytracer", 2): ("7c2d4fdb2d1234b9", {"block_read": 2, "budget": 64,
-                                            "return": 56}, 16811),
+    ("series", 0): ("6f4f42964dba053e", {"leave": 898}, 62079),
+    ("series", 2): ("6f4f42964dba053e", {"leave": 934}, 61480),
+    ("tsp", 0): ("5683519f0bc4c6e2", {"block_read": 5, "block_write": 406,
+                                      "budget": 119, "leave": 5079}, 43830),
+    ("tsp", 2): ("a95305a19cb53a1b", {"block_read": 3, "block_write": 250,
+                                      "budget": 83, "leave": 5253}, 37619),
+    ("raytracer", 0): ("5fe5e71d332340bd", {"leave": 964, "return": 43},
+                       89987),
+    ("raytracer", 2): ("4cfb5db87ae2c451", {"leave": 4557, "return": 43},
+                       31215),
 }
 
 

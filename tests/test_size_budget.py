@@ -34,8 +34,8 @@ LINES = {
     "ft": 881,
     "heap.py": 163,
     "hooks.py": 157,
-    "jit": 1562,
-    "jvm": 3140,
+    "jit": 988,
+    "jvm": 3139,
     "lang": 2311,
     "locality": 757,
     "net": 2544,

@@ -143,9 +143,9 @@ def test_cli_disasm(src_file, capsys):
 
 def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
     """``--costs`` on the benchmark's lock program: a ``; fused`` line
-    sits exactly where this JVM dispatches one handler for a whole run,
-    beside the tier-1 bracket from the same walk; a ``; trace`` line at
-    every head tier 1 runs a trace from, with the guard it tests."""
+    sits exactly where tier 0 dispatches one handler for a whole run; a
+    ``; trace`` line at every head tier 1 runs a trace from, with the
+    budget it tests before it runs."""
     import re
     from repro.jvm.disasm import resolve_cost_tables
     with open(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -156,7 +156,6 @@ def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
     assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
     out = capsys.readouterr().out
     assert ("      ; trace pc 10..15: 19 ns pre-charged, 0 of 0 checks proven\n"
-            "      ; run pc 10..12: 10 ns pre-summed\n"
             "      ; fused pc 10..12: 10 ns\n"
             "   >  10  LOAD 3\n") in out
     assert "      ; trace pc 0..9: 382 ns pre-charged, 1 of 2 checks proven\n" in out
@@ -164,7 +163,6 @@ def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
     runtime = JavaSplitRuntime(rewritten, RuntimeConfig(
         num_nodes=2, jit_enable=True, jit_threshold=1))
     runtime.run()
-    interp = runtime.workers[0].jvm.interpreter
     worker_run = next(fn for fn in runtime.jit.agents[0].cache.values()
                       if fn and fn.method.klass.endswith("LockWorker")
                       and fn.method.name == "run")
@@ -172,9 +170,15 @@ def test_cli_disasm_costs_brackets_what_tier0_fuses(tmp_path, capsys):
                         disassemble_method(worker_run.method,
                                            resolve_cost_tables("sun")))
     assert len(listed) >= 3
+    listed = [(head, total) for head, total in listed
+              if int(head) in worker_run.heads]
+    assert len(listed) == len(worker_run.heads) >= 2
     for head, total in listed:
-        assert re.search(rf"if pc == {head}:\n +while used \+ {total} < budget:",
-                         worker_run.source)
+        assert re.search(rf"def _t{head}\(thread, frame, left\):\n"
+                         rf" +if left <= {total}:", worker_run.source)
+    plain = JavaSplitRuntime(rewritten, RuntimeConfig(num_nodes=2))
+    plain.run()
+    interp = plain.workers[0].jvm.interpreter
     for cf in rewritten.classfiles.values():
         for method in cf.methods.values():
             if method.is_native:
@@ -197,28 +201,27 @@ def test_cli_disasm_costs_bills_a_math_row_like_both_tiers(tmp_path, capsys):
     assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
     assert ("  double f(double)\n"
             "    max_locals=2\n"
-            "      ; run pc 0..3: 13 ns pre-summed\n"
             "      ; fused pc 0..6: 177 ns\n") in capsys.readouterr().out
     sun = cm.get_brand("sun")
     assert 177 == 13 + sun[cm.ARITH] + 2 * (sun[cm.INVOKE] + sun[cm.NATIVE])
 
 
 def test_cli_disasm_costs_marks_a_guard_and_its_tail(tmp_path, capsys):
-    """``SeriesWorker.integrate``'s loop test reads ``this.steps``: its
-    read check is a guard of the run from the loop head, and the rest of
-    that run is a tail, where a miss resumes after the check's handler."""
+    """``SeriesWorker.integrate`` reads ``this.steps`` at its entry: its
+    read check is a guard of the run from pc 0, and the rest of that run
+    is a tail, where a miss resumes after the check's handler."""
     from repro.apps.series import make_source
     path = tmp_path / "series.mj"
     path.write_text(make_source())
     assert cli_main(["disasm", str(path), "--rewritten", "--costs", "sun"]) == 0
     out = capsys.readouterr().out
-    assert ("      ; fused pc 54..58: 192 ns\n"
-            "   >  54  LOAD 9\n"
-            "      55  LOAD 0\n"
-            "      56  DSM_READCHECK 0  ; guard: tested in line\n"
-            "      ; run pc 57..58: 186 ns pre-summed\n"
-            "      ; fused pc 57..58: 186 ns, resumes after the check at pc 56\n"
-            "      57  GETFIELD 'javasplit.SeriesWorker' 'steps' [checked]\n"
+    assert ("      ; fused pc 0..20: 244 ns\n"
+            "       0  CONST 3.141592653589793\n"
+            ) in out[out.index("  double integrate(int, int)"):]
+    assert ("       8  LOAD 0\n"
+            "       9  DSM_READCHECK 0  ; guard: tested in line\n"
+            "      ; fused pc 10..20: 215 ns, resumes after the check at pc 9\n"
+            "      10  GETFIELD 'javasplit.SeriesWorker' 'steps' [checked]\n"
             ) in out[out.index("  double integrate(int, int)"):]
 
 
