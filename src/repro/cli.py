@@ -425,19 +425,14 @@ def cmd_profile(args) -> int:
 
 
 def _live_stats_lines(runtime) -> List[str]:
-    """One refresh of the live cluster view: per-node wall-clock
-    counters and histogram summaries, merged master-side."""
+    """One refresh of the live cluster view: the master's wall-clock
+    histograms (RTT, codec, jit), per node and merged."""
     lines = [f"-- live @ sim {runtime.engine.now / 1e6:10.3f} ms --"]
     obs = runtime.obs
     wall = None if obs is None else obs.wallclock
     if wall is None:
         return lines
     doc = wall.as_dict()
-    for name in sorted(doc["counters"]):
-        entry = doc["counters"][name]
-        by_node = " ".join(f"n{n}={c}"
-                           for n, c in sorted(entry["by_node"].items()))
-        lines.append(f"  {name:28s} {entry['total']:10d}  {by_node}")
     for name in sorted(doc["histograms"]):
         merged = doc["histograms"][name]["merged"]
         by_node = " ".join(
@@ -487,12 +482,9 @@ def _stats_serve(args, preset: str) -> int:
     if preset not in PRESETS:
         raise ValueError(f"unknown serve preset {preset!r} "
                          f"(have {', '.join(sorted(PRESETS))})")
-    overrides = {"obs_wallclock": True}
-    if args.live:
-        overrides["obs_live_stats"] = True
-        overrides["obs_live_period_s"] = max(0.05, args.interval / 2)
     with _live_printer(args.live, args.interval) as watch:
-        doc = run_scenario(PRESETS[preset], config_overrides=overrides,
+        doc = run_scenario(PRESETS[preset],
+                           config_overrides={"obs_wallclock": True},
                            on_runtime=watch, **run_options(args))
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -507,7 +499,7 @@ def cmd_stats(args) -> int:
         return _stats_serve(args, args.target.split(":", 1)[1])
     fields = {"obs_metrics": True}
     if args.live:
-        fields.update(obs_wallclock=True, obs_live_stats=True)
+        fields["obs_wallclock"] = True
     runtime = _launch(args, _app_or_source(args.target), **fields)
     with _live_printer(args.live, args.interval) as watch:
         watch(runtime)
@@ -559,8 +551,6 @@ def cmd_stats(args) -> int:
     if "wallclock" in doc:
         wc = doc["wallclock"]
         print(f"wallclock (elapsed {wc['wall_elapsed_ns'] / 1e9:.3f}s):")
-        for name in sorted(wc["counters"]):
-            print(f"  {name:28s} {wc['counters'][name]['total']:10d}")
         for name in sorted(wc["histograms"]):
             merged = wc["histograms"][name]["merged"]
             print(f"  {name:28s} n={merged['count']:6d} "

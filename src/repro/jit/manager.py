@@ -99,10 +99,8 @@ class JitAgent:
         if fused is not None:
             self.install(method, fused)
         if self.wall is not None:
-            compile_ns = time.monotonic_ns() - t0
-            self.wall.observe(
-                "jit.compile_ns", self.worker.node_id, compile_ns)
-            self.manager.note_tier(self.worker.node_id, method, compile_ns)
+            self.wall.observe("jit.compile_ns", self.worker.node_id,
+                              time.monotonic_ns() - t0)
         self.manager._on_compiled(self.worker.node_id, method)
 
     def install(self, method: "MethodInfo", fused: List[Any]) -> None:
@@ -204,20 +202,6 @@ class JitManager:
         # Wall-clock registry (obs attaches before jit; None w/o knob).
         obs = getattr(runtime, "obs", None)
         self.wall = None if obs is None else obs.wallclock
-        # Tier-transition log: when (both clocks) each method went tier 1.
-        self.tier_events: List[Dict[str, Any]] = []
-
-    def note_tier(self, node_id: int, method: "MethodInfo",
-                  compile_ns: int) -> None:
-        """Record one tier-0 → tier-1 transition with both timestamps."""
-        self.tier_events.append({
-            "node": node_id,
-            "method": f"{method.klass}.{method.name}",
-            "tier": 1,
-            "sim_ns": self.runtime.engine.now,
-            "wall_ns": time.monotonic_ns(),
-            "compile_ns": compile_ns,
-        })
 
     def attach(self) -> None:
         for worker in self.runtime.workers:
@@ -268,7 +252,7 @@ class JitManager:
                 agg = methods.setdefault(name, {**info, "exits": {}})
                 for r, n in info["exits"].items():
                     agg["exits"][r] = agg["exits"].get(r, 0) + n
-        out: Dict[str, Any] = {
+        return {
             "threshold": self.threshold,
             "compiled_methods": sorted(methods),
             "compiles": sum(r["compiled"] for r in per_node),
@@ -279,6 +263,3 @@ class JitManager:
             "methods": methods,
             "nodes": per_node,
         }
-        if self.tier_events:
-            out["tier_events"] = self.tier_events[:200]
-        return out

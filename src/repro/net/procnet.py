@@ -12,7 +12,10 @@ stay in the master process exactly as the ``sim`` backend runs them.
   owns that node's listening socket.  It routes a data frame on its
   header (``peek_route``) without decoding it: the same bytes go to the
   destination node's worker over a peer-to-peer socket, and that worker
-  hands them back to the master over its control lane.
+  hands them back to the master over its control lane.  Beyond data,
+  the lane carries a ``proc.hello`` and one ``proc.stats`` up, and
+  ``proc.peers`` and ``proc.shutdown`` down: every frame passes the
+  master, so RTT, codec and flight telemetry are taken there.
 - At delivery the master checks that the physical copy is
   byte-identical to what was sent, and dispatches the *decoded* message.
 
@@ -72,11 +75,6 @@ CTRL_HELLO = "proc.hello"
 CTRL_PEERS = "proc.peers"
 CTRL_SHUTDOWN = "proc.shutdown"
 CTRL_STATS = "proc.stats"
-# Telemetry-plane frames (only when obs knobs are on; msg_id 0 like all
-# ctrl traffic, so they never perturb the sim schedule).
-CTRL_SIM = "proc.sim"
-CTRL_FLIGHT = "proc.flight"
-CTRL_DELTA = "proc.delta"
 
 #: Master's node id on the control plane (never a simulated node).
 MASTER_ID = -1
@@ -159,8 +157,7 @@ class _Peer:
 
 
 def worker_main(node_id: int, kind: str, ctrl_addr: Any,
-                data_addr: Optional[str],
-                obs: Optional[Dict[str, Any]] = None) -> None:
+                data_addr: Optional[str], wallclock: bool) -> None:
     """Entry point of one node's worker process.
 
     Connects back to the master's control listener, binds this node's
@@ -171,11 +168,11 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     ``proc.stats`` frame as ``"error"``, so the master can tell a worker
     bug from a kill.
 
-    ``obs`` (from the master's ``obs_plane``) switches on the wall-clock
-    telemetry the worker collects locally: a flight-recorder ring
-    (``flight``), event-loop lag + codec histograms (``wallclock``), and
-    periodic ``CTRL_DELTA`` shipments (``live`` every ``period_s``).
-    With ``obs=None`` the loop is byte-identical to the plain backend.
+    The lane carries ``proc.hello`` and that one ``proc.stats`` up, and
+    ``proc.peers`` and ``proc.shutdown`` down; everything else on it is
+    data in transit.  With ``wallclock`` the worker times each loop
+    iteration that had work into one histogram, shipped as
+    ``loop_lag_ns`` in its ``proc.stats`` frame.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
@@ -197,53 +194,9 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     stats = {"node": node_id, "frames_relayed": 0, "frames_received": 0,
              "bytes_out": 0, "bytes_in": 0, "relay_failures": 0,
              "wakeups": 0}
+    lag = Histogram()
     running = True
     error: Optional[str] = None
-
-    # -- wall-clock telemetry (all off when obs is None) ----------------
-    obs = obs or {}
-    wallclock = bool(obs.get("wallclock"))
-    flight_on = bool(obs.get("flight"))
-    live_on = bool(obs.get("live"))
-    obs_on = wallclock or flight_on or live_on
-    flight_cap = int(obs.get("flight_events", 256))
-    period_s = float(obs.get("period_s", 0.25))
-    flight: Deque[Dict[str, Any]] = deque(maxlen=flight_cap)
-    flight_pending: Deque[Dict[str, Any]] = deque(maxlen=4 * flight_cap)
-    # Latest sim timestamp seen from the master (a CTRL_SIM before each
-    # data frame, flight knob on) — pairs every event with both clocks.
-    last_sim = [0]
-    hists: Dict[str, Histogram] = {}
-    if wallclock:
-        hists = {name: Histogram() for name in (
-            "loop_lag_ns", "wire_encode_ns", "wire_decode_ns")}
-
-    def codec(op: str, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """``fn(arg)``, the frame codec, timed into ``wire_<op>_ns``."""
-        if not wallclock:
-            return fn(arg)
-        t0 = time.monotonic_ns()
-        out = fn(arg)
-        hists[f"wire_{op}_ns"].observe(time.monotonic_ns() - t0)
-        return out
-
-    def flight_note(event_kind: str, **detail: Any) -> None:
-        event = {"kind": event_kind, "wall_ns": time.monotonic_ns(),
-                 "sim_ns": last_sim[0], **detail}
-        flight.append(event)
-        flight_pending.append(event)
-
-    def flush_obs() -> None:
-        """Ship flight events and (when live) a cumulative stats delta."""
-        if flight_on and flight_pending:
-            ctrl_send(CTRL_FLIGHT, {"events": list(flight_pending)})
-            flight_pending.clear()
-        if live_on:
-            ctrl_send(CTRL_DELTA, {
-                "stats": dict(stats),
-                "hists": {name: h.as_dict() for name, h in hists.items()
-                          if h.count},
-            })
 
     def write(peer: _Peer, data: bytes) -> bool:
         """Send ``data`` behind what ``peer`` has queued: at once when
@@ -277,8 +230,8 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
             running = False     # master is gone
 
     def ctrl_send(msg_type: str, payload: Dict[str, Any]) -> None:
-        ctrl_write(frame_with_prefix(codec(
-            "encode", encode_frame, _ctrl_msg(msg_type, node_id, payload))))
+        ctrl_write(frame_with_prefix(
+            encode_frame(_ctrl_msg(msg_type, node_id, payload))))
 
     def add_peer(sock: socket.socket) -> _Peer:
         peer = conns[sock.fileno()] = _Peer(sock)
@@ -293,27 +246,20 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
         poller.unregister(peer.fd)
         peer.sock.close()
 
-    def relay_failed(dst: int, why: str) -> None:
-        stats["relay_failures"] += 1
-        if flight_on:
-            flight_note("relay.fail", dst=dst, why=why)
-
     def relay(dst: int, frame: bytes) -> None:
         peer = dialed.get(dst)
-        if peer is None:
-            addr = peers_addr.get(dst)
-            if addr is None:
-                return relay_failed(dst, "no-addr")
+        if peer is None and dst in peers_addr:
             try:
-                peer = dialed[dst] = add_peer(_dial(kind, addr))
+                peer = dialed[dst] = add_peer(_dial(kind, peers_addr[dst]))
             except OSError:
-                return relay_failed(dst, "dial")
+                pass
+        if peer is None:
+            stats["relay_failures"] += 1
+            return
         stats["frames_relayed"] += 1
         stats["bytes_out"] += len(frame)
-        if flight_on:
-            flight_note("relay", dst=dst, bytes=len(frame))
         if not write(peer, frame):
-            relay_failed(dst, "send")
+            stats["relay_failures"] += 1
             drop_peer(peer)
 
     def on_ctrl_frame(frame: bytes) -> None:
@@ -321,21 +267,15 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
         dst = peek_route(frame, PREFIX_BYTES)[1]
         if dst != MASTER_ID:
             return relay(dst, frame)  # a data frame: routed, never decoded
-        msg = codec("decode", decode_frame, frame[PREFIX_BYTES:])
-        if msg.msg_type == CTRL_SIM:
-            last_sim[0] = msg.payload["sim"]
-        elif msg.msg_type == CTRL_PEERS:
+        msg = decode_frame(frame[PREFIX_BYTES:])
+        if msg.msg_type == CTRL_PEERS:
             peers_addr.update(msg.payload["peers"])
         elif msg.msg_type == CTRL_SHUTDOWN:
-            if flight_on:
-                flight_note("shutdown")
             running = False
 
     def on_peer_frame(frame: bytes) -> None:
         stats["frames_received"] += 1
         stats["bytes_in"] += len(frame)
-        if flight_on:
-            flight_note("recv", bytes=len(frame))
         ctrl_write(frame)
 
     poller.register(lane.fd, select.POLLIN)
@@ -343,17 +283,9 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
     ctrl_send(CTRL_HELLO,
               {"node": node_id, "addr": my_addr, "pid": os.getpid()})
 
-    next_flush = time.monotonic() + period_s
     try:
         while running:
-            timeout = 1.0
-            if obs_on:
-                now = time.monotonic()
-                if now >= next_flush:
-                    flush_obs()
-                    next_flush = now + period_s
-                timeout = min(1.0, max(0.001, next_flush - now))
-            ready = poller.poll(timeout * 1000)
+            ready = poller.poll(1000)
             if ready:
                 stats["wakeups"] += 1
             t_iter = time.monotonic_ns() if (wallclock and ready) else 0
@@ -386,18 +318,15 @@ def worker_main(node_id: int, kind: str, ctrl_addr: Any,
                         break
                     drop_peer(peer)
             if t_iter:
-                hists["loop_lag_ns"].observe(time.monotonic_ns() - t_iter)
+                lag.observe(time.monotonic_ns() - t_iter)
     except Exception:
         error = traceback.format_exc()
 
     # Graceful drain: push pending peer frames and the stats reply out
     # before exiting, bounded so a wedged peer cannot hang shutdown.
-    if obs_on:
-        flush_obs()
     stats_payload: Dict[str, Any] = dict(stats)
-    if wallclock:
-        stats_payload["hists"] = {name: h.as_dict()
-                                  for name, h in hists.items() if h.count}
+    if lag.count:
+        stats_payload["loop_lag_ns"] = lag.as_dict()
     if error is not None:
         stats_payload["error"] = error
     ctrl_send(CTRL_STATS, stats_payload)
@@ -452,18 +381,14 @@ class ProcNetwork(SimNetwork):
         # process is found dead without the simulator having detached it
         # — i.e. genuine external process death (SIGKILL from outside).
         self.on_proc_death: Optional[Callable[[int], None]] = None
-        # -- telemetry plane (armed by ObsManager.attach) --------------
-        # Knob dict forked into every worker ({"wallclock", "flight",
-        # "flight_events", "live", "period_s"}); None = all off.
-        self.obs_plane: Optional[Dict[str, Any]] = None
-        # Master-side wall-clock registry (obs.wallclock.WallClockStats).
+        # -- set by ObsManager.attach ----------------------------------
+        # The wall-clock registry (obs.wallclock.WallClockStats); when
+        # set, workers forked from here on time their loop too.
         self.wallclock: Optional[Any] = None
         # Called synchronously with (reason, detail) on external worker
         # death or wire corruption/timeouts to write a flight postmortem.
         self.on_flight_dump: Optional[
             Callable[[str, Dict[str, Any]], None]] = None
-        # node -> ring of flight events shipped up from its worker.
-        self._flight_mirror: Dict[int, Deque[Dict[str, Any]]] = {}
         # msg_id -> FIFO of relay-send timestamps (RTT measurement).
         self._relay_t0: Dict[int, Deque[int]] = {}
         self._stopping = False
@@ -525,7 +450,7 @@ class ProcNetwork(SimNetwork):
         proc = self._mp_context().Process(
             target=worker_main,
             args=(node, self.socket_kind, self._ctrl_addr, data_addr,
-                  self.obs_plane),
+                  self.wallclock is not None),
             daemon=True,
             name=f"repro-node-{node}",
         )
@@ -704,9 +629,6 @@ class ProcNetwork(SimNetwork):
         if msg.src == msg.dst:
             return  # loopback: no physical hop, decode-proved at delivery
         if self._proc_ok(msg.src) and self._proc_ok(msg.dst):
-            if self.obs_plane is not None and self.obs_plane.get("flight"):
-                # Both clocks on worker flight events; data frames untouched.
-                self._ctrl_send(msg.src, CTRL_SIM, {"sim": self.engine.now})
             if self._write(msg.src, frame):
                 entry[2] += 1
                 if self.wallclock is not None:
@@ -884,38 +806,15 @@ class ProcNetwork(SimNetwork):
         msg = self._decode(frame)
         if msg.msg_type == CTRL_STATS:
             self._worker_stats[node] = dict(msg.payload)
-            self._ingest_hists(node, msg.payload.get("hists"))
+            lag = msg.payload.get("loop_lag_ns")
+            if lag is not None and self.wallclock is not None:
+                self.wallclock.set_hist("worker.loop_lag_ns", node, lag)
             error = msg.payload.get("error")
             if error is not None and not self._stopping:
                 # A worker bug, not a kill: fail the run, naming it.
                 raise self._wire_error(
                     f"worker {node} failed: "
                     f"{error.strip().splitlines()[-1]}\n{error}")
-        elif msg.msg_type == CTRL_DELTA:
-            if self.wallclock is not None:
-                for name, value in msg.payload.get("stats", {}).items():
-                    if name != "node" and isinstance(value, int):
-                        self.wallclock.set_counter(
-                            f"worker.{name}", node, value)
-            self._ingest_hists(node, msg.payload.get("hists"))
-        elif msg.msg_type == CTRL_FLIGHT:
-            cap = (self.obs_plane or {}).get("flight_events", 256)
-            ring = self._flight_mirror.get(node)
-            if ring is None:
-                ring = self._flight_mirror[node] = deque(maxlen=cap)
-            ring.extend(msg.payload.get("events", ()))
-
-    def _ingest_hists(self, node: int, hists: Optional[Dict[str, Any]]
-                      ) -> None:
-        """Merge worker-shipped cumulative histograms (replace per node)."""
-        if self.wallclock is None or not hists:
-            return
-        for name, doc in hists.items():
-            self.wallclock.set_hist(f"worker.{name}", node, doc)
-
-    def flight_worker_events(self, node: int) -> List[Dict[str, Any]]:
-        """The flight events last shipped up from one node's worker."""
-        return list(self._flight_mirror.get(node, ()))
 
     def _close_ctrl(self, node_id: int) -> None:
         conn = self._ctrl.pop(node_id, None)

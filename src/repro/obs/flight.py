@@ -1,17 +1,17 @@
 """Flight recorder: bounded rings of recent events, dumped on failure.
 
-Each node (master-side worker object *and* proc-backend OS worker)
-keeps a ``deque(maxlen=N)`` of its last protocol / jit / serve events,
-every event stamped with both clocks::
+Each node keeps, in the master process, a ``deque(maxlen=N)`` of its
+last protocol / jit / serve events, every event stamped with both
+clocks::
 
     {"kind": "dsm.fetch", "wall_ns": ..., "sim_ns": ..., **detail}
 
 On SIGKILL detection, oracle/monitor violation, or ``WireError`` the
 rings are merged into one JSON postmortem — turning "exitcode ==
 -SIGKILL" into an ordered record of what every node was doing when the
-run died.  Recording is passive (append to an in-memory deque); the
-proc workers ship their rings over the ctrl channel with msg_id 0, so
-the sim schedule is untouched.
+run died.  Recording is passive (append to an in-memory deque), and it
+happens where the protocol runs: a proc-backend worker keeps no ring,
+so nothing crosses its lane and the sim schedule is untouched.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 #: Schema version stamped into every dump.
-FLIGHT_SCHEMA = 1
+FLIGHT_SCHEMA = 2
 
 _dump_seq = 0
 
@@ -70,9 +70,7 @@ def build_dump(
 ) -> Dict[str, Any]:
     """Assemble the postmortem document.
 
-    ``nodes`` maps node id -> {"events": [...], "worker_events": [...]}
-    where ``events`` is the master-side ring and ``worker_events`` the
-    ring shipped from the proc-backend OS worker (empty on sim).
+    ``nodes`` maps node id -> {"events": [...]}, that node's ring.
     """
     return {
         "flight": FLIGHT_SCHEMA,
@@ -82,10 +80,7 @@ def build_dump(
         "wall_ns": time.monotonic_ns(),
         "backend": backend,
         "nodes": {
-            str(node): {
-                "events": rings.get("events", []),
-                "worker_events": rings.get("worker_events", []),
-            }
+            str(node): {"events": rings.get("events", [])}
             for node, rings in sorted(nodes.items())
         },
     }
@@ -116,26 +111,16 @@ def validate_flight_dump(doc: Dict[str, Any]) -> List[str]:
         if not isinstance(doc.get(key), kind):
             errors.append(f"missing or mistyped key {key!r}")
     for node, rings in (doc.get("nodes") or {}).items():
-        if not isinstance(rings, dict):
-            errors.append(f"node {node}: entry is not an object")
+        events = rings.get("events") if isinstance(rings, dict) else None
+        if not isinstance(events, list):
+            errors.append(f"node {node}: events is not a list")
             continue
-        for ring_name in ("events", "worker_events"):
-            events = rings.get(ring_name)
-            if not isinstance(events, list):
-                errors.append(f"node {node}: {ring_name} is not a list")
+        for i, event in enumerate(events):
+            if not isinstance(event, dict):
+                errors.append(f"node {node}: events[{i}] not an object")
                 continue
-            for i, event in enumerate(events):
-                if not isinstance(event, dict):
-                    errors.append(
-                        f"node {node}: {ring_name}[{i}] not an object")
-                    continue
-                if not isinstance(event.get("kind"), str):
-                    errors.append(
-                        f"node {node}: {ring_name}[{i}] missing kind")
-                if not isinstance(event.get("wall_ns"), int):
-                    errors.append(
-                        f"node {node}: {ring_name}[{i}] missing wall_ns")
-                if not isinstance(event.get("sim_ns"), int):
-                    errors.append(
-                        f"node {node}: {ring_name}[{i}] missing sim_ns")
+            for key, kind in (("kind", str), ("wall_ns", int),
+                              ("sim_ns", int)):
+                if not isinstance(event.get(key), kind):
+                    errors.append(f"node {node}: events[{i}] missing {key}")
     return errors

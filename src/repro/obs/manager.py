@@ -86,7 +86,6 @@ class ObsManager:
         if cfg.obs_wallclock:
             self.wallclock = WallClockStats()
         self._flight_enabled = cfg.obs_flight_recorder
-        self._live = cfg.obs_live_stats
         # node -> master-side flight ring (protocol/jit/serve events).
         self.flight: Dict[int, FlightRecorder] = {}
         # Paths of postmortems written during this run.
@@ -105,19 +104,11 @@ class ObsManager:
         hooks.recovered.append(self._on_ft_recovered)
         hooks.violation.append(self.dump_violation)
         hooks.finished.append(self.finalize)
-        # Arm the proc backend's telemetry plane (no-op on sim: plain
-        # SimNetwork has no obs_plane attribute).
+        # The proc backend times RTT and codec into the wall-clock
+        # registry and dumps on a worker's death (plain SimNetwork has
+        # no ``on_flight_dump``).
         net = self.runtime.network
-        if (hasattr(net, "obs_plane")
-                and (self.wallclock is not None or self._flight_enabled
-                     or self._live)):
-            net.obs_plane = {
-                "wallclock": self.wallclock is not None,
-                "flight": self._flight_enabled,
-                "flight_events": FLIGHT_EVENTS,
-                "live": self._live,
-                "period_s": self.runtime.config.obs_live_period_s,
-            }
+        if hasattr(net, "on_flight_dump"):
             net.wallclock = self.wallclock
             net.on_flight_dump = self.dump_flight
 
@@ -164,23 +155,12 @@ class ObsManager:
 
     def dump_flight(self, reason: str,
                     detail: Optional[Dict[str, Any]] = None) -> Optional[str]:
-        """Write a postmortem merging every node's master-side ring with
-        the events its proc worker last shipped; returns the path (None
-        when the recorder is off)."""
+        """Write a postmortem merging every node's ring; returns the path
+        (None when the recorder is off)."""
         if not self._flight_enabled:
             return None
-        net = self.runtime.network
-        worker_events = getattr(net, "flight_worker_events", None)
-        nodes: Dict[int, Dict[str, List[Dict[str, Any]]]] = {}
-        node_ids = set(self.flight) | set(
-            getattr(net, "_flight_mirror", {}) or {})
-        for node in node_ids:
-            recorder = self.flight.get(node)
-            nodes[node] = {
-                "events": recorder.snapshot() if recorder else [],
-                "worker_events": (worker_events(node)
-                                  if worker_events is not None else []),
-            }
+        nodes = {node: {"events": recorder.snapshot()}
+                 for node, recorder in self.flight.items()}
         doc = build_dump(reason, detail, nodes, self.runtime.engine.now,
                          self.runtime.config.transport_backend)
         if self._flight_dir is None:

@@ -13,9 +13,8 @@ Metric names in play:
   worker (three socket hops, no codec work in between)
 - ``wire.encode_ns``      frame encode time (master codec)
 - ``wire.decode_ns``      frame decode time (master codec)
-- ``worker.loop_lag_ns``  proc-worker event-loop iteration time
-- ``worker.wire_*_ns``    proc-worker codec time (ctrl frames only:
-  hello, stats, telemetry — workers never decode a data frame)
+- ``worker.loop_lag_ns``  proc-worker event-loop iteration time, the
+  one histogram a worker keeps (shipped in its last ``proc.stats``)
 - ``jit.compile_ns``      per-method bytecode -> Python compile time
 - ``jit.quantum.*_ns``    per-quantum interpreter vs JIT wall time
 """
@@ -34,31 +33,21 @@ MAX_SAMPLES = 20_000
 
 
 class WallClockStats:
-    """Per-node monotonic-clock counters + histograms.
+    """Per-node monotonic-clock histograms.
 
-    The registry half mirrors :class:`MetricsRegistry` but deliberately
-    has no sim-time series (wall metrics have no meaningful sim bucket)
-    and supports *replace* semantics (:meth:`set_counter`,
-    :meth:`set_hist`) because proc workers ship cumulative snapshots,
-    not increments.
+    Mirrors the histogram half of :class:`MetricsRegistry` but has no
+    sim-time series (wall metrics have no meaningful sim bucket); a
+    worker's histogram arrives whole, once, so :meth:`set_hist`
+    replaces rather than merges.
     """
 
     def __init__(self) -> None:
         self.t0_ns = time.monotonic_ns()
-        self._counters: Dict[Tuple[str, int], int] = {}
         self._hists: Dict[Tuple[str, int], Histogram] = {}
         # (sim_ns, wall_ns) pairs for the Perfetto wall-clock lane.
         self.samples: List[Tuple[int, int]] = []
 
     # -- recording -----------------------------------------------------
-    def inc(self, name: str, node: int, n: int = 1) -> None:
-        key = (name, node)
-        self._counters[key] = self._counters.get(key, 0) + n
-
-    def set_counter(self, name: str, node: int, value: int) -> None:
-        """Replace a counter with a worker-shipped cumulative value."""
-        self._counters[(name, node)] = int(value)
-
     def observe(self, name: str, node: int, ns: int) -> None:
         key = (name, node)
         hist = self._hists.get(key)
@@ -67,7 +56,7 @@ class WallClockStats:
         hist.observe(ns)
 
     def set_hist(self, name: str, node: int, doc: Dict[str, Any]) -> None:
-        """Replace a histogram with a worker-shipped cumulative dump."""
+        """Replace a histogram with a worker-shipped dump."""
         self._hists[(name, node)] = Histogram.from_dict(doc)
 
     def sample(self, sim_ns: int) -> None:
@@ -79,10 +68,6 @@ class WallClockStats:
         self.samples.append((sim_ns, time.monotonic_ns() - self.t0_ns))
 
     # -- querying ------------------------------------------------------
-    def nodes(self) -> List[int]:
-        seen = {n for _, n in self._counters} | {n for _, n in self._hists}
-        return sorted(seen)
-
     def histogram(self, name: str) -> Histogram:
         """Cluster-wide view: the named histogram merged over nodes."""
         merged = Histogram()
@@ -91,15 +76,7 @@ class WallClockStats:
                 merged.merge(hist)
         return merged
 
-    def counter_total(self, name: str) -> int:
-        return sum(v for (n, _), v in self._counters.items() if n == name)
-
     def as_dict(self) -> Dict[str, Any]:
-        counters: Dict[str, Dict[str, Any]] = {}
-        for (name, node), value in sorted(self._counters.items()):
-            entry = counters.setdefault(name, {"total": 0, "by_node": {}})
-            entry["total"] += value
-            entry["by_node"][str(node)] = value
         hists: Dict[str, Dict[str, Any]] = {}
         for (name, node), hist in sorted(self._hists.items()):
             entry = hists.setdefault(name, {"merged": None, "by_node": {}})
@@ -108,17 +85,14 @@ class WallClockStats:
             hists[name]["merged"] = self.histogram(name).as_dict()
         return {
             "wall_elapsed_ns": time.monotonic_ns() - self.t0_ns,
-            "counters": counters,
             "histograms": hists,
             "samples": len(self.samples),
         }
 
     def by_node(self) -> Dict[str, Dict[str, Any]]:
-        """Compact per-node export for the bench JSON: counter values
-        plus count/mean/max per histogram."""
+        """Compact per-node export for the bench JSON: count/mean/max
+        per histogram."""
         out: Dict[str, Dict[str, Any]] = {}
-        for (name, node), value in sorted(self._counters.items()):
-            out.setdefault(str(node), {})[name] = value
         for (name, node), hist in sorted(self._hists.items()):
             out.setdefault(str(node), {})[name] = {
                 "count": hist.count,

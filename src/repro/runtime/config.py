@@ -144,18 +144,12 @@ class RuntimeConfig:
     obs_flight_recorder: bool = False
     # Directory for flight dumps (None -> a fresh temp directory).
     obs_flight_dir: Optional[str] = None
-    # Live stats streaming: proc workers ship compact metric deltas to
-    # the master on a wall-clock cadence (``repro stats --live``).
-    obs_live_stats: bool = False
-    # Wall-clock period between live delta shipments.
-    obs_live_period_s: float = 0.25
 
     @property
     def obs_enabled(self) -> bool:
         """True when any telemetry collector is switched on."""
         return (self.obs_metrics or self.obs_spans or self.obs_profile
-                or self.obs_wallclock or self.obs_flight_recorder
-                or self.obs_live_stats)
+                or self.obs_wallclock or self.obs_flight_recorder)
 
     @property
     def locality_enabled(self) -> bool:
@@ -244,8 +238,6 @@ class RuntimeConfig:
             )
         if self.jit_enable and self.jit_threshold < 1:
             raise ValueError("jit_threshold must be >= 1")
-        if self.obs_enabled and self.obs_live_period_s <= 0:
-            raise ValueError("obs_live_period_s must be positive")
 
 
 # ---------------------------------------------------------------------------

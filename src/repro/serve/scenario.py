@@ -147,7 +147,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
     ``options`` are run options by flag name (the ``RUN_FLAGS`` table);
     they override what the scenario itself selects.
     ``config_overrides`` patches RuntimeConfig fields after that (e.g.
-    ``{"obs_live_stats": True}`` for live telemetry);
+    ``{"obs_wallclock": True}`` for live telemetry);
     ``on_runtime(runtime)`` is called once the runtime exists but before
     the run starts — the ``repro stats --live`` hook point.
     """

@@ -333,25 +333,6 @@ def test_duplicate_and_retransmitted_copies_resolve_fifo(proc_guard):
     assert net._sent == {} and net._arrived == {}
 
 
-def test_worker_flight_events_still_carry_sim_time(proc_guard, tmp_path):
-    """The sim stamp now rides a ctrl frame of its own (sent only under
-    the flight knob) instead of the relay wrapper."""
-    rt, report, _, _ = run_bulk("proc", obs_flight_recorder=True,
-                                obs_flight_dir=str(tmp_path))
-    assert report.result == ROUNDS and report.flight_dumps == []
-    relays = 0
-    for node in range(3):
-        stamps = [ev["sim_ns"] for ev in rt.network.flight_worker_events(node)
-                  if ev["kind"] == "relay"]
-        # Frames leave from sim time 0 on; each relay event carries the
-        # master's clock at the moment that frame was sent.
-        assert stamps == sorted(stamps)
-        assert not stamps or 0 < stamps[-1] <= report.simulated_ns, stamps
-        relays += len(stamps)
-    assert relays > 0, "no worker shipped a relay event"
-    assert report.proc["wire_fallback"] == 0
-
-
 def test_workers_route_on_peek_route_and_the_wrapper_is_gone():
     """``peek_route`` has a caller under ``src/`` (worker and master
     both route on it); the frame-in-a-frame relay types do not exist."""

@@ -76,24 +76,11 @@ def test_histogram_from_dict_roundtrip():
 # ---------------------------------------------------------------------------
 def test_wallclock_counters_and_per_node_histograms():
     w = WallClockStats()
-    w.inc("net.frames", 0)
-    w.inc("net.frames", 0)
-    w.inc("net.frames", 1)
     w.observe("net.rtt_ns", 0, 1000)
     w.observe("net.rtt_ns", 1, 3000)
-    assert w.counter_total("net.frames") == 3
-    assert w.nodes() == [0, 1]
     merged = w.histogram("net.rtt_ns")
     assert merged.count == 2
     assert merged.min == 1000 and merged.max == 3000
-
-
-def test_wallclock_set_counter_replaces_not_accumulates():
-    w = WallClockStats()
-    # Workers ship *cumulative* values; re-ingesting must not double.
-    w.set_counter("worker.frames", 0, 10)
-    w.set_counter("worker.frames", 0, 25)
-    assert w.counter_total("worker.frames") == 25
 
 
 def test_wallclock_set_hist_replaces_per_node_then_merges():
@@ -126,10 +113,8 @@ def test_wallclock_sample_dedups_sim_time_and_is_bounded():
 
 def test_wallclock_by_node_compact_view():
     w = WallClockStats()
-    w.set_counter("worker.frames", 2, 7)
     w.observe("net.rtt_ns", 2, 4096)
     view = w.by_node()
-    assert view["2"]["worker.frames"] == 7
     assert view["2"]["net.rtt_ns"]["count"] == 1
     assert view["2"]["net.rtt_ns"]["max"] == 4096
 
@@ -151,7 +136,7 @@ def test_flight_dump_build_write_validate_roundtrip(tmp_path):
     fr = FlightRecorder(1, maxlen=8)
     fr.record("dsm.fetch", sim_ns=10, gid=7)
     doc = build_dump("test", {"why": "unit"},
-                     {1: {"events": fr.snapshot(), "worker_events": []}},
+                     {1: {"events": fr.snapshot()}},
                      sim_ns=123, backend="sim")
     assert doc["flight"] == FLIGHT_SCHEMA
     assert validate_flight_dump(doc) == []
@@ -170,8 +155,7 @@ def test_flight_dump_build_write_validate_roundtrip(tmp_path):
 def test_flight_validate_catches_malformed_documents(breakage):
     fr = FlightRecorder(1, maxlen=8)
     fr.record("evt", sim_ns=1)
-    doc = build_dump("test", {}, {1: {"events": fr.snapshot(),
-                                      "worker_events": []}},
+    doc = build_dump("test", {}, {1: {"events": fr.snapshot()}},
                      sim_ns=0, backend="sim")
     breakage(doc)
     assert validate_flight_dump(doc) != []
@@ -227,10 +211,8 @@ def test_live_stats_lines_render_without_a_network():
     from repro.cli import _live_stats_lines
 
     runtime, _ = _run(obs_wallclock=True)
-    runtime.obs.wallclock.set_counter("worker.frames", 0, 3)
     runtime.obs.wallclock.observe("net.rtt_ns", 1, 2048)
     lines = _live_stats_lines(runtime)
-    assert any("worker.frames" in ln for ln in lines)
     assert any("net.rtt_ns" in ln for ln in lines)
     assert lines[0].startswith("-- live @ sim")
 
